@@ -350,11 +350,11 @@ func startStatsLoop(interval time.Duration, reg *obs.Registry, stats func() engi
 			if cur.Submitted > 0 {
 				hitRate = 100 * float64(cur.CacheHits) / float64(cur.Submitted)
 			}
-			line := fmt.Sprintf("stats: %.1f q/s | p50 %v p99 %v | cache %.1f%% hit",
+			line := fmt.Sprintf("stats: %.1f q/s | p50 %v p99 %v | cache %.1f%% hit | copies %.1f%% by ref",
 				qps,
 				time.Duration(snap.Quantile(0.50)).Round(time.Microsecond),
 				time.Duration(snap.Quantile(0.99)).Round(time.Microsecond),
-				hitRate)
+				hitRate, 100*cur.CopyByRefShare())
 			if st != nil {
 				ss := st.Stats()
 				line += fmt.Sprintf(" | compaction backlog %d (mem %d + shadow %d), %d levels",

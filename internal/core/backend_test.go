@@ -180,8 +180,24 @@ func TestLastCopiedPointsRaceClean(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
-	if dt.LastCopiedPoints() == 0 {
+	// The loop's last batch followed an invalidation: cold, by value.
+	cold := dt.LastCopiedPoints()
+	if cold == 0 {
 		t.Error("skewed batches shipped no copy volume")
+	}
+	if byRef := dt.LastByRefPoints(); byRef != 0 {
+		t.Errorf("cold batch counted %d points by reference", byRef)
+	}
+	// Warm, the same copies travel as references: nothing ships, and the
+	// by-reference volume is what the cold batch shipped.
+	dt.InvalidateCopies()
+	dt.CountBatch(boxes)
+	dt.CountBatch(boxes)
+	if got := dt.LastCopiedPoints(); got != 0 {
+		t.Errorf("warm batch shipped %d points, want 0", got)
+	}
+	if got := dt.LastByRefPoints(); got != cold {
+		t.Errorf("warm batch counted %d points by reference, want the cold volume %d", got, cold)
 	}
 }
 
@@ -199,8 +215,8 @@ func TestCopyCacheCapBoundsMemory(t *testing.T) {
 		t.Fatal("capped cache changed answers")
 	}
 	for rank, ps := range dt.procs {
-		if len(ps.copyCache) > 1 {
-			t.Errorf("rank %d cache holds %d entries, cap is 1", rank, len(ps.copyCache))
+		if ps.copyCache.len() > 1 {
+			t.Errorf("rank %d cache holds %d entries, cap is 1", rank, ps.copyCache.len())
 		}
 	}
 
@@ -215,8 +231,8 @@ func TestCopyCacheCapBoundsMemory(t *testing.T) {
 		t.Errorf("disabled cache still hit %d times", hits)
 	}
 	for rank, ps := range dt.procs {
-		if len(ps.copyCache) != 0 {
-			t.Errorf("rank %d cache holds %d entries while disabled", rank, len(ps.copyCache))
+		if ps.copyCache.len() != 0 {
+			t.Errorf("rank %d cache holds %d entries while disabled", rank, ps.copyCache.len())
 		}
 	}
 }
@@ -232,10 +248,8 @@ func TestInvalidateSweepsCache(t *testing.T) {
 	// install-free processors' next install, so check after a real batch.
 	dt.CountBatch(boxes)
 	for rank, ps := range dt.procs {
-		for id := range ps.copyCache {
-			if ps.cacheEpoch != dt.epoch.Load() {
-				t.Errorf("rank %d holds entry %d from a stale epoch", rank, id)
-			}
+		if ps.copyCache.len() > 0 && ps.copyCache.epoch != dt.epoch.Load() {
+			t.Errorf("rank %d holds %d entries from a stale epoch", rank, ps.copyCache.len())
 		}
 	}
 }

@@ -77,6 +77,9 @@ func TestElementLevelShipsLess(t *testing.T) {
 	dt.CountBatch(boxes)
 	groupShipped := dt.LastCopiedPoints()
 	dt.SetBalanceMode(ElementLevel)
+	// Both volumes are cold: a warm batch ships references, and the
+	// hot element is among what the group-level batch just cached.
+	dt.InvalidateCopies()
 	dt.CountBatch(boxes)
 	elemShipped := dt.LastCopiedPoints()
 	dt.SetBalanceMode(GroupLevel)

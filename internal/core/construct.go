@@ -9,6 +9,7 @@ import (
 	"repro/internal/cgm"
 	"repro/internal/comm"
 	"repro/internal/geom"
+	"repro/internal/obs"
 	"repro/internal/psort"
 	"repro/internal/segtree"
 )
@@ -99,7 +100,7 @@ func BuildWorkerFed(mach *cgm.Machine, pts []geom.Point, be Backend) *Tree {
 // newTreeShell allocates the Tree scaffolding every build path shares.
 func newTreeShell(mach *cgm.Machine, n, dims int, be Backend) *Tree {
 	p := mach.P()
-	return &Tree{
+	t := &Tree{
 		mach:       mach,
 		n:          n,
 		dims:       dims,
@@ -108,7 +109,16 @@ func newTreeShell(mach *cgm.Machine, n, dims int, be Backend) *Tree {
 		backend:    be,
 		procs:      make([]*procState, p),
 		lastCopied: make([]atomic.Int64, p),
+		lastByRef:  make([]atomic.Int64, p),
+
+		copyShipped: new(obs.Counter),
+		copyByRef:   new(obs.Counter),
 	}
+	if reg := mach.Obs(); reg != nil {
+		t.copyShipped = reg.Counter(`core_phaseb_copy_points_total{how="shipped"}`)
+		t.copyByRef = reg.Counter(`core_phaseb_copy_points_total{how="by_ref"}`)
+	}
+	return t
 }
 
 // BuildOn runs Algorithm Construct on a machine supplied by the provider
@@ -131,7 +141,7 @@ func (t *Tree) construct(pr *cgm.Proc, src PointSource, seeded []int) {
 		hatByKey:  make(map[segtree.PathKey]int32),
 		elems:     make(map[ElemID]*element),
 		copies:    make(map[ElemID]*element),
-		copyCache: make(map[ElemID]*element),
+		copyCache: newCopyCache[*element](),
 	}
 	t.procs[rank] = ps
 	if t.resident {

@@ -26,6 +26,7 @@ type SearchStats struct {
 	PairsEmitted  int   // report mode: (q, point) pairs materialized here
 	CopyCacheHits int   // copies installed from the cross-batch cache
 	InstallNanos  int64 // time spent installing copies in phase B
+	CopiesByRef   int   // cache hits that arrived as ID-only references (no points shipped)
 }
 
 // LastSearchStats returns the per-processor statistics of the most recent
@@ -126,8 +127,7 @@ type AggHandle[T any] struct {
 	// batches, mirroring the element copy cache: swept when the tree
 	// epoch moves, bounded like it, and an entry is only reused for the
 	// same built tree instance.
-	copyCache  []map[ElemID]cachedAgg[T]
-	cacheEpoch []uint64
+	copyCache []*copyCache[cachedAgg[T]]
 }
 
 // cachedAgg is one cross-batch annotation cache entry.
@@ -168,15 +168,14 @@ func PrepareAssociativeNamed[T any](t *Tree, name string) *AggHandle[T] {
 func prepareAssociative[T any](t *Tree, name string, mo semigroup.Monoid[T], val func(geom.Point) T) *AggHandle[T] {
 	p := t.P()
 	h := &AggHandle[T]{
-		t:          t,
-		name:       name,
-		m:          mo,
-		val:        val,
-		elemRoot:   make([]T, t.ElemCount()),
-		elemAggs:   make([]map[ElemID]elemAgg[T], p),
-		hatTab:     make([]map[int32][]T, p),
-		copyCache:  make([]map[ElemID]cachedAgg[T], p),
-		cacheEpoch: make([]uint64, p),
+		t:         t,
+		name:      name,
+		m:         mo,
+		val:       val,
+		elemRoot:  make([]T, t.ElemCount()),
+		elemAggs:  make([]map[ElemID]elemAgg[T], p),
+		hatTab:    make([]map[int32][]T, p),
+		copyCache: make([]*copyCache[cachedAgg[T]], p),
 	}
 	t.mach.Run(func(pr *cgm.Proc) {
 		ps := t.procs[pr.Rank()]
@@ -196,7 +195,7 @@ func prepareAssociative[T any](t *Tree, name string, mo semigroup.Monoid[T], val
 			}
 			h.elemAggs[pr.Rank()] = aggs
 		}
-		h.copyCache[pr.Rank()] = make(map[ElemID]cachedAgg[T])
+		h.copyCache[pr.Rank()] = newCopyCache[cachedAgg[T]]()
 		all := comm.AllGatherFlat(pr, "assoc/roots", roots)
 		rootTab := make([]T, t.ElemCount())
 		for _, rv := range all {
@@ -254,6 +253,7 @@ type assocRun[T any] struct {
 }
 
 func newAssocRun[T any](h *AggHandle[T], ps *procState, nq int, lbl string, deliver func(int32, T)) *assocRun[T] {
+	h.copyCache[ps.rank].begin(h.t.batchEpoch)
 	return &assocRun[T]{h: h, ps: ps, nq: nq, lbl: lbl, deliver: deliver,
 		copyAggs: make(map[ElemID]elemAgg[T])}
 }
@@ -269,21 +269,17 @@ func (r *assocRun[T]) answerHat(q Query, s hatSel) {
 }
 
 // materialize annotates one installed copy, reusing the cross-batch cache
-// when the copy itself was reused (same built tree). Sweep and bound
-// mirror installCopies.
+// when the copy itself was reused (same built tree). The run's start
+// opened the cache for this batch's epoch; the bound mirrors the element
+// cache's.
 func (r *assocRun[T]) materialize(el *element) {
-	rank := r.ps.rank
-	cache := r.h.copyCache[rank]
-	if epoch := r.h.t.epoch.Load(); r.h.cacheEpoch[rank] != epoch {
-		clear(cache)
-		r.h.cacheEpoch[rank] = epoch
-	}
-	if c, ok := cache[el.info.ID]; ok && c.tree == el.tree {
+	cache := r.h.copyCache[r.ps.rank]
+	if c, ok := cache.get(el.info.ID); ok && c.tree == el.tree {
 		r.copyAggs[el.info.ID] = c.agg
 		return
 	}
 	a := newElemAgg(el, r.h.m, r.h.val)
-	cacheInsert(cache, el.info.ID, cachedAgg[T]{tree: el.tree, agg: a}, r.h.t.copyCacheCapFor(r.ps))
+	cache.insert(el.info.ID, cachedAgg[T]{tree: el.tree, agg: a}, r.h.t.copyCacheCapFor(r.ps), nil)
 	r.copyAggs[el.info.ID] = a
 }
 
@@ -432,16 +428,17 @@ func (r *reportRun) finish(pr *cgm.Proc) {
 
 	// Ship every entry's points to the processors owning its output
 	// positions (the segmented broadcast of Algorithm Report step 4).
-	out := make([][]ReportPair, p)
-	emit := func(qid int32, pts []geom.Point, off int) {
-		for _, sh := range balance.SplitWeighted(off, len(pts), totalK, p) {
-			for _, pt := range pts[sh.Lo:sh.Hi] {
-				out[sh.Proc] = append(out[sh.Proc], ReportPair{Query: qid, Pt: pt})
-			}
-		}
+	// The entries are split first and the rows sized from the split, so
+	// each destination's row is allocated once at its final length.
+	type entry struct {
+		qid    int32
+		pts    []geom.Point
+		shares []balance.Share
 	}
+	entries := make([]entry, 0, len(r.locals)+len(fetched))
 	for _, l := range r.locals {
-		emit(l.Query, l.Pts, l.Off)
+		entries = append(entries, entry{qid: l.Query, pts: l.Pts,
+			shares: balance.SplitWeighted(l.Off, len(l.Pts), totalK, p)})
 	}
 	if r.resident && len(fetched) > 0 {
 		// The owner's points live in its resident part: one step call
@@ -452,16 +449,41 @@ func (r *reportRun) finish(pr *cgm.Proc) {
 		}
 		parts := cgm.CallResident[fetchArgs, [][]geom.Point](pr, fref("points/fetch"), fetchArgs{Elems: ids})
 		for i, o := range fetched {
-			emit(o.Query, parts[i], o.Off)
+			entries = append(entries, entry{qid: o.Query, pts: parts[i],
+				shares: balance.SplitWeighted(o.Off, len(parts[i]), totalK, p)})
 		}
 	} else {
 		for _, o := range fetched {
-			el := ps.elems[o.Elem] // fetch orders always target the owner
-			emit(o.Query, el.pts, o.Off)
+			pts := ps.elems[o.Elem].pts // fetch orders always target the owner
+			entries = append(entries, entry{qid: o.Query, pts: pts,
+				shares: balance.SplitWeighted(o.Off, len(pts), totalK, p)})
+		}
+	}
+	sizes := make([]int, p)
+	for _, e := range entries {
+		for _, sh := range e.shares {
+			sizes[sh.Proc] += sh.Hi - sh.Lo
+		}
+	}
+	out := make([][]ReportPair, p)
+	for j, n := range sizes {
+		if n > 0 {
+			out[j] = make([]ReportPair, 0, n)
+		}
+	}
+	for _, e := range entries {
+		for _, sh := range e.shares {
+			for _, pt := range e.pts[sh.Lo:sh.Hi] {
+				out[sh.Proc] = append(out[sh.Proc], ReportPair{Query: e.qid, Pt: pt})
+			}
 		}
 	}
 	in := cgm.Exchange(pr, r.lbl+"/pairs", out)
-	var mine []ReportPair
+	total := 0
+	for _, part := range in {
+		total += len(part)
+	}
+	mine := make([]ReportPair, 0, total)
 	for _, part := range in {
 		mine = append(mine, part...)
 	}
@@ -505,8 +527,19 @@ func (m *reportMode[R]) startRun(t *Tree, ps *procState, st *SearchStats) *repor
 func (m *reportMode[R]) epilogue(results []R) {
 	perQuery := make([][]geom.Point, m.nq)
 	m.counts = make([]int, len(m.perProc))
+	sizes := make([]int, m.nq)
 	for rank, pairs := range m.perProc {
 		m.counts[rank] = len(pairs)
+		for _, pair := range pairs {
+			sizes[pair.Query]++
+		}
+	}
+	for q, n := range sizes {
+		if n > 0 {
+			perQuery[q] = make([]geom.Point, 0, n)
+		}
+	}
+	for _, pairs := range m.perProc {
 		for _, pair := range pairs {
 			perQuery[pair.Query] = append(perQuery[pair.Query], pair.Pt)
 		}

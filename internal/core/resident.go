@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"repro/internal/cgm"
 	"repro/internal/comm"
@@ -39,7 +38,7 @@ import (
 // against coordinator/worker binary skew.
 const (
 	forestProgram = "core/forest"
-	forestVersion = 2 // 2: ingest staging, held construct, fused route-serve
+	forestVersion = 3 // 3: phase-B copies by reference (search/ship, install reply cache ops)
 )
 
 // fref names one step of the forest program.
@@ -50,12 +49,11 @@ func fref(step string) exec.Ref {
 // residentPart is one rank's resident state: the element-holding half of
 // a procState, living where the program's steps run.
 type residentPart struct {
-	backend    Backend
-	elems      map[ElemID]*element
-	copies     map[ElemID]*element
-	copyCache  map[ElemID]*element
-	cacheEpoch uint64
-	aggs       map[string]*residentAggState
+	backend   Backend
+	elems     map[ElemID]*element
+	copies    map[ElemID]*element
+	copyCache *copyCache[*element]
+	aggs      map[string]*residentAggState
 
 	// staged is the rank's ingested-but-not-yet-built input block (the
 	// ingest steps append to it; construct/seed consumes it). recs is the
@@ -83,7 +81,7 @@ func (part *residentPart) agg(name string) *residentAggState {
 	if !ok {
 		ra = &residentAggState{
 			elemAggs: make(map[ElemID]any),
-			cache:    make(map[ElemID]cachedAggAny),
+			cache:    newCopyCache[cachedAggAny](),
 		}
 		part.aggs[name] = ra
 	}
@@ -94,10 +92,9 @@ func (part *residentPart) agg(name string) *residentAggState {
 // per-rank annotations: owned-element annotations, the per-batch copy
 // annotations, and the cross-batch annotation cache.
 type residentAggState struct {
-	elemAggs   map[ElemID]any // elemAgg[T], type-erased
-	copyAggs   map[ElemID]any
-	cache      map[ElemID]cachedAggAny
-	cacheEpoch uint64
+	elemAggs map[ElemID]any // elemAgg[T], type-erased
+	copyAggs map[ElemID]any
+	cache    *copyCache[cachedAggAny]
 }
 
 // cachedAggAny is one cross-batch annotation cache entry (type-erased
@@ -130,44 +127,20 @@ type nextArgs struct {
 	Dim int8
 }
 
-// shipGroupArgs drives the GroupLevel phase-B emit: ship the whole owned
-// part to each listed host (self already excluded by the coordinator).
-type shipGroupArgs struct {
-	Hosts []int32
+// shipArgs drives the phase-B emit: the owner's shipping plan, decided
+// by the coordinator-side planner (planShips) for either balance
+// granularity.
+type shipArgs struct {
+	Ships []hostShip
 }
 
-// elemShip is one element's copy fan-out of the ElementLevel emit.
-type elemShip struct {
-	Elem  ElemID
-	Hosts []int32
-}
-
-// shipElemsArgs drives the ElementLevel phase-B emit.
-type shipElemsArgs struct {
-	Ships []elemShip
-}
-
-// copyNote returns the emit side's shipped-copy volume (the
-// LastCopiedPoints counter).
-type copyNote struct {
-	CopiedPts int
-}
-
-// installCopiesArgs parametrises the phase-B collect: the tree epoch and
-// cache bound (mirroring installCopies) plus the aggregate the batch
-// serves, if any ("" = none).
+// installCopiesArgs parametrises the phase-B collect: the batch's epoch
+// and the cache bound (as the fabric install takes them) plus the
+// aggregate the batch serves, if any ("" = none).
 type installCopiesArgs struct {
 	Epoch uint64
 	Cap   int
 	Agg   string
-}
-
-// installCopiesReply reports the install statistics phase B feeds into
-// SearchStats.
-type installCopiesReply struct {
-	Held         int
-	CacheHits    int
-	InstallNanos int64
 }
 
 // serveArgs routes one rank's served subqueries to its resident part.
@@ -306,7 +279,7 @@ func init() {
 			return &residentPart{
 				elems:     make(map[ElemID]*element),
 				copies:    make(map[ElemID]*element),
-				copyCache: make(map[ElemID]*element),
+				copyCache: newCopyCache[*element](),
 				aggs:      make(map[string]*residentAggState),
 			}
 		},
@@ -330,8 +303,7 @@ func init() {
 			"construct/wsortPart":  exec.Emitter(wsortPartStep),
 			"construct/wsortSplit": exec.Emitter(wsortSplitStep),
 			"construct/routeHeld":  exec.Emitter(routeHeldStep),
-			"search/shipGroup":     exec.Emitter(shipGroupStep),
-			"search/shipElems":     exec.Emitter(shipElemsStep),
+			"search/ship":          exec.Emitter(shipStep),
 		},
 		Collects: map[string]exec.Collect{
 			"construct/install":     exec.Collector(constructInstallStep),
@@ -354,8 +326,7 @@ func constructBeginStep(part *residentPart, _ *exec.Ctx, args beginArgs) (bool, 
 	part.backend = args.Backend
 	part.elems = make(map[ElemID]*element)
 	part.copies = make(map[ElemID]*element)
-	part.copyCache = make(map[ElemID]*element)
-	part.cacheEpoch = 0
+	part.copyCache = newCopyCache[*element]()
 	part.aggs = make(map[string]*residentAggState)
 	return true, nil
 }
@@ -512,70 +483,38 @@ func constructNextStep(part *residentPart, _ *exec.Ctx, args nextArgs) ([]srec, 
 	return nextRecords(part, args.Dim), nil
 }
 
-// shipGroupStep is the GroupLevel phase-B emit: the owner ships its whole
-// part to every host of one of its copy slots (Search step 3), straight
-// from worker memory into the fabric.
-func shipGroupStep(part *residentPart, c *exec.Ctx, args shipGroupArgs) ([][]shippedElem, []byte, error) {
-	out := make([][]shippedElem, c.P)
-	ids := sortedOwnedIDs(part.elems)
-	copiedPts := 0
-	for _, host := range args.Hosts {
-		for _, id := range ids {
-			el := part.elems[id]
-			out[host] = append(out[host], shippedElem{Info: el.info, Pts: el.pts})
-			copiedPts += len(el.pts)
-		}
+// shipStep is the phase-B emit: the owner ships its planned copies
+// (Search step 3) straight from worker memory into the fabric — points
+// for the hosts that lack the copy, ID-only references for the rest.
+func shipStep(part *residentPart, c *exec.Ctx, args shipArgs) ([][]shippedElem, []byte, error) {
+	out, note, err := shipRows(part.elems, args.Ships, c.P)
+	if err != nil {
+		return nil, nil, err
 	}
-	return out, exec.Marshal(copyNote{CopiedPts: copiedPts}), nil
-}
-
-// shipElemsStep is the ElementLevel phase-B emit: only demanded elements
-// ship, each to the hosts of its slots.
-func shipElemsStep(part *residentPart, c *exec.Ctx, args shipElemsArgs) ([][]shippedElem, []byte, error) {
-	out := make([][]shippedElem, c.P)
-	copiedPts := 0
-	for _, ship := range args.Ships {
-		el, ok := part.elems[ship.Elem]
-		if !ok {
-			return nil, nil, fmt.Errorf("core: resident emit asked to ship element %d this rank does not own", ship.Elem)
-		}
-		for _, host := range ship.Hosts {
-			out[host] = append(out[host], shippedElem{Info: el.info, Pts: el.pts})
-			copiedPts += len(el.pts)
-		}
-	}
-	return out, exec.Marshal(copyNote{CopiedPts: copiedPts}), nil
+	return out, exec.Marshal(note), nil
 }
 
 // installCopiesStep is the phase-B collect: install the shipped copies
-// into worker memory, mirroring Tree.installCopies — cache-valid elements
-// are reused, everything else is built on the part's backend and cached;
-// the epoch sweep and cap bound are the coordinator's. When the batch
-// serves a named aggregate, each installed copy is annotated too
-// (the resident counterpart of the modes' materialize hook).
-func installCopiesStep(part *residentPart, _ *exec.Ctx, args installCopiesArgs, incoming [][]shippedElem) (installCopiesReply, error) {
-	var rep installCopiesReply
+// into worker memory through the same installShipped the fabric path
+// runs; the epoch and cap bound are the coordinator's, and the reply
+// carries the cache's changes back for its mirror. When the batch serves
+// a named aggregate, each installed copy is annotated too (the resident
+// counterpart of the modes' materialize hook).
+func installCopiesStep(part *residentPart, c *exec.Ctx, args installCopiesArgs, incoming [][]shippedElem) (installCopiesReply, error) {
 	part.copies = make(map[ElemID]*element)
 	var materialize func(*element)
 	if args.Agg != "" {
 		spec, err := lookupAggSpec(args.Agg)
 		if err != nil {
-			return rep, err
+			return installCopiesReply{}, err
 		}
 		ra := part.agg(args.Agg)
 		ra.copyAggs = make(map[ElemID]any)
-		if ra.cacheEpoch != args.Epoch {
-			clear(ra.cache)
-			ra.cacheEpoch = args.Epoch
-		}
+		ra.cache.begin(args.Epoch)
 		materialize = func(el *element) { spec.annotateCopy(ra, el, args.Cap) }
 	}
-	start := time.Now()
-	rep.CacheHits = installShipped(part.backend, part.copies, part.copyCache, &part.cacheEpoch,
+	return installShipped(part.backend, c.Rank, part.copies, part.copyCache,
 		args.Epoch, args.Cap, incoming, materialize)
-	rep.InstallNanos = time.Since(start).Nanoseconds()
-	rep.Held = len(part.copies)
-	return rep, nil
 }
 
 // servedCounts answers counting subqueries from the resident part (phase
@@ -817,12 +756,12 @@ func (a aggImpl[T]) prepare(part *residentPart, ra *residentAggState) ([]byte, e
 }
 
 func (a aggImpl[T]) annotateCopy(ra *residentAggState, el *element, cap int) {
-	if c, ok := ra.cache[el.info.ID]; ok && c.tree == el.tree {
+	if c, ok := ra.cache.get(el.info.ID); ok && c.tree == el.tree {
 		ra.copyAggs[el.info.ID] = c.agg
 		return
 	}
 	ag := newElemAgg(el, a.m, a.val)
-	cacheInsert(ra.cache, el.info.ID, cachedAggAny{tree: el.tree, agg: ag}, cap)
+	ra.cache.insert(el.info.ID, cachedAggAny{tree: el.tree, agg: ag}, cap, nil)
 	ra.copyAggs[el.info.ID] = ag
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/brute"
@@ -133,6 +134,56 @@ func TestResidentEquivalenceLoopback(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestResidentCopiesByReference drives the fabric and resident twins
+// through a cold, a warm and a post-invalidation batch at both balance
+// granularities: identical answers and round/h/volume in every phase,
+// nothing shipped by value warm (the cold volume goes by reference
+// instead), and the cold volume again after InvalidateCopies.
+func TestResidentCopiesByReference(t *testing.T) {
+	const n, d, p, m = 400, 2, 4, 96
+	fx := newResidentFixture(t, n, d, p, 7)
+	// Two hot spots: enough congestion that both granularities copy.
+	boxes := workload.Boxes(workload.QuerySpec{M: m, Dims: d, N: n, Selectivity: 0.02, Foci: 2, Theta: 1.5, Seed: 3})
+	for _, bm := range []core.BalanceMode{core.GroupLevel, core.ElementLevel} {
+		fx.fab.SetBalanceMode(bm)
+		fx.res.SetBalanceMode(bm)
+		cold := 0
+		for phase, name := range []string{"cold", "warm", "invalidated"} {
+			if phase != 1 {
+				fx.fab.InvalidateCopies()
+				fx.res.InvalidateCopies()
+			}
+			fx.fabM.ResetMetrics()
+			fx.resM.ResetMetrics()
+			fr, rr := fx.fab.ReportBatch(boxes), fx.res.ReportBatch(boxes)
+			for i := range fr {
+				if !slices.Equal(brute.IDs(fr[i]), brute.IDs(rr[i])) {
+					t.Fatalf("bm=%v %s report %d: fabric and resident answers differ", bm, name, i)
+				}
+			}
+			assertSameMetrics(t, fmt.Sprintf("bm=%v %s", bm, name), fx.fabM.Metrics(), fx.resM.Metrics())
+			shipped, byRef := fx.fab.LastCopiedPoints(), fx.fab.LastByRefPoints()
+			if rs, rb := fx.res.LastCopiedPoints(), fx.res.LastByRefPoints(); rs != shipped || rb != byRef {
+				t.Fatalf("bm=%v %s: fabric shipped %d / by ref %d, resident %d / %d", bm, name, shipped, byRef, rs, rb)
+			}
+			switch name {
+			case "cold":
+				if cold = shipped; cold == 0 || byRef != 0 {
+					t.Fatalf("bm=%v cold batch shipped %d points, %d by reference; want >0 and 0", bm, shipped, byRef)
+				}
+			case "warm":
+				if shipped != 0 || byRef != cold {
+					t.Fatalf("bm=%v warm batch shipped %d points, %d by reference; want 0 and %d", bm, shipped, byRef, cold)
+				}
+			case "invalidated":
+				if shipped != cold || byRef != 0 {
+					t.Fatalf("bm=%v post-invalidation batch shipped %d points, %d by reference; want %d and 0", bm, shipped, byRef, cold)
+				}
+			}
 		}
 	}
 }

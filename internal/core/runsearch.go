@@ -119,7 +119,6 @@ func runSearch[R any](t *Tree, queries []Query, mode searchMode[R]) []R {
 			st.Served = run.serveRouted(pr, routeLbl, routed)
 		} else {
 			st.Served = len(served)
-			st.CopiesHeld = len(ps.copies)
 			for _, s := range served {
 				run.answerSub(s)
 			}

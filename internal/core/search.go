@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/balance"
@@ -175,67 +176,174 @@ const (
 // (default GroupLevel, the paper's algorithm).
 func (t *Tree) SetBalanceMode(m BalanceMode) { t.balanceMode = m }
 
-// LastCopiedPoints reports how many element points were shipped as copies
-// in the most recent batch (the E6 volume column). The per-rank counters
-// are atomics: processors publish them inside the machine run, and this
-// reader may race a batch in flight (it then observes a mix of old and new
-// per-rank values, each one coherent).
-func (t *Tree) LastCopiedPoints() int {
+// LastCopiedPoints reports how many element points actually travelled as
+// phase-B copies in the most recent batch (the E6 volume column): 0 on a
+// warm batch, where every copy goes as an ID-only reference to the host's
+// cache. The per-rank counters are atomics: processors publish them
+// inside the machine run, and this reader may race a batch in flight (it
+// then observes a mix of old and new per-rank values, each one coherent).
+func (t *Tree) LastCopiedPoints() int { return sumCounters(t.lastCopied) }
+
+// LastByRefPoints reports how many element points the most recent batch
+// did NOT ship because the copy went by reference — what a by-value phase
+// B would have added to LastCopiedPoints.
+func (t *Tree) LastByRefPoints() int { return sumCounters(t.lastByRef) }
+
+func sumCounters(cs []atomic.Int64) int {
 	total := 0
-	for i := range t.lastCopied {
-		total += int(t.lastCopied[i].Load())
+	for i := range cs {
+		total += int(cs[i].Load())
 	}
 	return total
 }
 
-// installCopies installs the shipped copies a processor received in phase
-// B: cache-valid elements are reused (points shipped, rebuild skipped),
-// everything else is built on the tree's backend and cached for later
-// batches. materialize runs for every installed copy either way.
-func (t *Tree) installCopies(ps *procState, incoming [][]shippedElem, materialize func(*element)) {
-	st := &t.lastStats[ps.rank]
-	start := time.Now()
-	st.CopyCacheHits += installShipped(t.backend, ps.copies, ps.copyCache, &ps.cacheEpoch,
-		t.epoch.Load(), t.copyCacheCapFor(ps), incoming, materialize)
-	st.InstallNanos += time.Since(start).Nanoseconds()
-}
-
-// installShipped is the phase-B install shared by the fabric path and
-// the resident step (one policy, one source of truth): the cache is
-// swept whole when the tree epoch moved (so invalidated entries never
-// strand memory) and bounded by cap (so a drifting hot set cannot grow
-// it without limit; eviction is arbitrary map order — fine for a cache
-// whose misses only cost a rebuild). Returns the cache-hit count.
-func installShipped(be Backend, copies, cache map[ElemID]*element, cacheEpoch *uint64,
-	epoch uint64, cap int, incoming [][]shippedElem, materialize func(*element)) int {
-	if *cacheEpoch != epoch {
-		clear(cache)
-		*cacheEpoch = epoch
-	}
-	hits := 0
-	for _, part := range incoming {
-		for _, sh := range part {
-			el, ok := cache[sh.Info.ID]
-			if ok {
-				hits++
-			} else {
-				el = &element{info: sh.Info, pts: sh.Pts, tree: buildElemTree(be, sh.Pts, int(sh.Info.Dim))}
-				cacheInsert(cache, sh.Info.ID, el, cap)
-			}
-			copies[sh.Info.ID] = el
-			if materialize != nil {
-				materialize(el)
-			}
-		}
-	}
-	return hits
-}
-
-// shippedElem is one element copy in flight: replicated metadata plus the
-// points in leaf order.
+// shippedElem is one element copy in flight. By value it carries the
+// replicated metadata plus the points in leaf order; a reference (Ref)
+// carries only Info.ID and resolves against the host's copy cache. Ref is
+// an explicit flag, not len(Pts)==0: an empty element is a legal by-value
+// copy.
 type shippedElem struct {
 	Info ElemInfo
 	Pts  []geom.Point
+	Ref  bool
+}
+
+// hostShip is one destination's share of an owner's phase-B deposit: the
+// elements to ship, in increasing ID order, and for each whether it goes
+// as a reference.
+type hostShip struct {
+	Host  int32
+	Elems []ElemID
+	Refs  []bool
+}
+
+// planShips is phase B's one shipping decision, shared by both balance
+// granularities and both residency modes: every element of elems
+// (increasing) goes to each of its hosts except the owner itself (the
+// owner is its own copy) — as an ID-only reference where the host
+// advertised the element in this batch's demand round, by value
+// otherwise.
+func planShips(p, rank int, elems []ElemID, hostsOf func(ElemID) []int, cached func(host int, id ElemID) bool) []hostShip {
+	byHost := make([]hostShip, p)
+	for _, id := range elems {
+		for _, host := range hostsOf(id) {
+			if host == rank {
+				continue
+			}
+			hs := &byHost[host]
+			if hs.Elems == nil {
+				hs.Host = int32(host)
+				hs.Elems = make([]ElemID, 0, len(elems))
+				hs.Refs = make([]bool, 0, len(elems))
+			}
+			hs.Elems = append(hs.Elems, id)
+			hs.Refs = append(hs.Refs, cached(host, id))
+		}
+	}
+	return slices.DeleteFunc(byHost, func(hs hostShip) bool { return len(hs.Elems) == 0 })
+}
+
+// copyNote is the ship side's volume: points that travelled and points a
+// reference stood in for.
+type copyNote struct {
+	CopiedPts int
+	RefPts    int
+}
+
+// shipRows materializes a planned deposit from the elements the owner
+// holds — coordinator memory on a fabric tree, worker memory in the
+// resident emit step. Every planned copy is one row either way, so the
+// copies round keeps its h and volume whatever goes by reference.
+func shipRows(elems map[ElemID]*element, ships []hostShip, p int) ([][]shippedElem, copyNote, error) {
+	out := make([][]shippedElem, p)
+	var note copyNote
+	for _, hs := range ships {
+		if hs.Host < 0 || int(hs.Host) >= p || len(hs.Refs) != len(hs.Elems) {
+			return nil, note, fmt.Errorf("core: malformed ship plan for host %d (%d elements, %d flags, p=%d)",
+				hs.Host, len(hs.Elems), len(hs.Refs), p)
+		}
+		rows := make([]shippedElem, len(hs.Elems))
+		for i, id := range hs.Elems {
+			el, ok := elems[id]
+			if !ok {
+				return nil, note, fmt.Errorf("core: asked to ship element %d this rank does not own", id)
+			}
+			if hs.Refs[i] {
+				rows[i] = shippedElem{Info: ElemInfo{ID: id}, Ref: true}
+				note.RefPts += len(el.pts)
+			} else {
+				rows[i] = shippedElem{Info: el.info, Pts: el.pts}
+				note.CopiedPts += len(el.pts)
+			}
+		}
+		out[hs.Host] = rows
+	}
+	return out, note, nil
+}
+
+// installCopiesReply is what installing one batch's copies reports back:
+// the statistics phase B feeds into SearchStats, and the host cache's
+// changes for the coordinator-side mirror.
+type installCopiesReply struct {
+	Held         int
+	CacheHits    int
+	ByRef        int
+	InstallNanos int64
+	Ops          []cacheOp
+}
+
+// installShipped is the phase-B install shared by the fabric path and
+// the resident step (one policy, one source of truth). References
+// resolve first — against the cache as the host advertised it, before any
+// by-value row can evict — and a reference the cache cannot resolve is a
+// diagnostic error, never a silently missing copy. By-value rows are then
+// built on be and cached for later batches, bounded by cap. materialize
+// runs for every installed copy either way.
+func installShipped(be Backend, host int, copies map[ElemID]*element, cache *copyCache[*element],
+	epoch uint64, cap int, incoming [][]shippedElem, materialize func(*element)) (installCopiesReply, error) {
+	var rep installCopiesReply
+	start := time.Now()
+	prior := cache.epoch
+	cache.begin(epoch)
+	install := func(id ElemID, el *element) {
+		copies[id] = el
+		if materialize != nil {
+			materialize(el)
+		}
+	}
+	for _, part := range incoming {
+		for _, sh := range part {
+			if !sh.Ref {
+				continue
+			}
+			el, ok := cache.get(sh.Info.ID)
+			if !ok {
+				return rep, fmt.Errorf("core: phase-B reference to element %d missed on host %d: not among the %d copies cached at batch epoch %d (the cache was at epoch %d before this batch)",
+					sh.Info.ID, host, cache.len(), epoch, prior)
+			}
+			rep.CacheHits++
+			rep.ByRef++
+			install(sh.Info.ID, el)
+		}
+	}
+	for _, part := range incoming {
+		for _, sh := range part {
+			if sh.Ref {
+				continue
+			}
+			el, ok := cache.get(sh.Info.ID)
+			if ok {
+				rep.CacheHits++
+			} else {
+				el = &element{info: sh.Info, pts: sh.Pts, tree: buildElemTree(be, sh.Pts, int(sh.Info.Dim))}
+				rep.Ops = cache.insert(sh.Info.ID, el, cap, rep.Ops)
+			}
+			install(sh.Info.ID, el)
+		}
+	}
+	rep.Held = len(copies)
+	rep.InstallNanos = time.Since(start).Nanoseconds()
+	return rep, nil
 }
 
 // gatherServed flattens the routed subqueries this processor received,
@@ -283,23 +391,6 @@ func routeExact(pr *cgm.Proc, label string, subs []subquery, dest func(i int, s 
 	return gatherServed(cgm.Exchange(pr, label, partitionSubs(pr.P(), subs, dest)))
 }
 
-// cacheInsert inserts val under id, first evicting arbitrary entries to
-// stay within cap (cap ≤ 0 disables caching). Shared by the element copy
-// cache and the AggHandle annotation cache so their bounding policy
-// cannot drift.
-func cacheInsert[V any](cache map[ElemID]V, id ElemID, val V, cap int) {
-	if cap <= 0 {
-		return
-	}
-	for k := range cache {
-		if len(cache) < cap {
-			break
-		}
-		delete(cache, k)
-	}
-	cache[id] = val
-}
-
 // phaseB implements Algorithm Search steps 2–4: globally count the demand
 // |QF_j| per forest group, make c_j copies of congested groups, distribute
 // the copies evenly, and redistribute Q″ so every subquery lands on a
@@ -309,6 +400,10 @@ func cacheInsert[V any](cache map[ElemID]V, id ElemID, val V, cap int) {
 // resident tree the copies ship worker-to-worker instead (emit and
 // collect steps of the forest program) and aggName selects the registered
 // aggregate the install step annotates them for.
+//
+// The demand all-gather also carries every rank's cached element IDs
+// (advertised), so an owner ships points only to hosts that do not
+// already hold the copy — no extra round.
 //
 // On a fabric tree the route exchange runs here and served holds this
 // processor's share (routed is nil). On a resident tree the exchange is
@@ -320,18 +415,22 @@ func (t *Tree) phaseB(pr *cgm.Proc, ps *procState, subs []subquery, label, aggNa
 		return t.phaseBElement(pr, ps, subs, label, aggName, materialize)
 	}
 	p := pr.P()
-	ps.copies = make(map[ElemID]*element)
 
 	// Step 2: globally compute c_j = |QF_j| / (|Q″|/p). The group of a
-	// subquery is the owner of its element (the part F_j).
-	local := make([]int, p)
+	// subquery is the owner of its element (the part F_j). A rank's row is
+	// its p demand counts, then its advertised IDs in increasing order.
+	advertised := ps.advertised(t.batchEpoch)
+	local := make([]int, p, p+len(advertised))
 	for _, s := range subs {
 		local[ps.info[int(s.Elem)].Owner]++
+	}
+	for _, id := range advertised {
+		local = append(local, int(id))
 	}
 	matrix := comm.AllGather(pr, label+"/demand", local)
 	demand := make([]int, p)
 	for _, row := range matrix {
-		for j, c := range row {
+		for j, c := range row[:p] {
 			demand[j] += c
 		}
 	}
@@ -340,36 +439,16 @@ func (t *Tree) phaseB(pr *cgm.Proc, ps *procState, subs []subquery, label, aggNa
 		t.lastDemand = demand // identical on every processor; keep one
 	}
 
-	// Step 3: make c_j copies of F_j and distribute them evenly. The
-	// owner ships its whole part to every host of one of its slots — on a
-	// resident tree straight from worker memory to worker memory, the
-	// coordinator contributing only the host list and install parameters.
-	if t.resident {
-		var hosts []int32
-		for _, host := range plan.GroupHosts(ps.rank) {
-			if host != ps.rank { // the owner is its own copy
-				hosts = append(hosts, int32(host))
-			}
-		}
-		residentCopies(t, pr, ps, label+"/copies", fref("search/shipGroup"),
-			shipGroupArgs{Hosts: hosts}, aggName)
-	} else {
-		out := make([][]shippedElem, p)
-		copiedPts := 0
-		for _, host := range plan.GroupHosts(ps.rank) {
-			if host == ps.rank {
-				continue // the owner is its own copy
-			}
-			for _, id := range sortedOwnedIDs(ps.elems) {
-				el := ps.elems[id]
-				out[host] = append(out[host], shippedElem{Info: el.info, Pts: el.pts})
-				copiedPts += len(el.pts)
-			}
-		}
-		t.lastCopied[ps.rank].Store(int64(copiedPts))
-		incoming := cgm.Exchange(pr, label+"/copies", out)
-		t.installCopies(ps, incoming, materialize)
-	}
+	// Step 3: make c_j copies of F_j and distribute them evenly: the owner
+	// ships its whole part to every host of one of its slots.
+	hosts := plan.GroupHosts(ps.rank)
+	ships := planShips(p, ps.rank, ps.ownedIDs(),
+		func(ElemID) []int { return hosts },
+		func(host int, id ElemID) bool {
+			_, ok := slices.BinarySearch(matrix[host][p:], int(id))
+			return ok
+		})
+	t.shipCopies(pr, ps, label+"/copies", ships, aggName, materialize)
 
 	// Step 4: redistribute Q″ so every query sits with a copy of the part
 	// it visits; the r-th subquery of group j goes to the host of copy
@@ -393,53 +472,86 @@ func (t *Tree) phaseB(pr *cgm.Proc, ps *procState, subs []subquery, label, aggNa
 	return routeExact(pr, label+"/route", subs, dest), nil, ""
 }
 
-// residentCopies runs the phase-B copies superstep with both endpoints
-// resident — the owner's emit step serializes elements out of worker
-// memory, the host's install step builds them into worker memory, and
-// only the install statistics return to the coordinator.
-func residentCopies[A any](t *Tree, pr *cgm.Proc, ps *procState, label string, emit exec.Ref, eargs A, aggName string) {
-	st := &t.lastStats[ps.rank]
-	cargs := installCopiesArgs{Epoch: t.epoch.Load(), Cap: t.copyCacheCapFor(ps), Agg: aggName}
-	note, rep := cgm.ExchangeSteps[A, installCopiesArgs, installCopiesReply](
-		pr, label, emit, eargs, fref("search/install"), cargs)
-	cn, err := exec.Unmarshal[copyNote](note)
-	if err != nil {
-		panic(fmt.Sprintf("core: %s: decoding copy note: %v", label, err))
+// shipCopies runs the phase-B copies superstep for one owner's plan and
+// books its outcome. On a fabric tree the rows are built, exchanged and
+// installed here; on a resident tree both endpoints are resident — the
+// owner's emit step serializes elements out of worker memory, the host's
+// install step builds them into worker memory — and only the ship note
+// and the install reply return to the coordinator. Either way the reply's
+// cache ops keep ps.cached equal to the cache's ID set.
+func (t *Tree) shipCopies(pr *cgm.Proc, ps *procState, label string, ships []hostShip, aggName string, materialize func(*element)) {
+	var note copyNote
+	var rep installCopiesReply
+	var err error
+	if t.resident {
+		cargs := installCopiesArgs{Epoch: t.batchEpoch, Cap: t.copyCacheCapFor(ps), Agg: aggName}
+		var raw []byte
+		raw, rep = cgm.ExchangeSteps[shipArgs, installCopiesArgs, installCopiesReply](
+			pr, label, fref("search/ship"), shipArgs{Ships: ships}, fref("search/install"), cargs)
+		note, err = exec.Unmarshal[copyNote](raw)
+	} else {
+		var out [][]shippedElem
+		if out, note, err = shipRows(ps.elems, ships, pr.P()); err == nil {
+			incoming := cgm.Exchange(pr, label, out)
+			ps.copies = make(map[ElemID]*element)
+			rep, err = installShipped(t.backend, ps.rank, ps.copies, ps.copyCache,
+				t.batchEpoch, t.copyCacheCapFor(ps), incoming, materialize)
+		}
 	}
-	t.lastCopied[ps.rank].Store(int64(cn.CopiedPts))
-	st.CopyCacheHits += rep.CacheHits
-	st.InstallNanos += rep.InstallNanos
+	if err != nil {
+		panic(fmt.Sprintf("%s: %v", label, err)) // aborts the machine run with the diagnostic
+	}
+	t.lastCopied[ps.rank].Store(int64(note.CopiedPts))
+	t.lastByRef[ps.rank].Store(int64(note.RefPts))
+	t.copyShipped.Add(int64(note.CopiedPts))
+	t.copyByRef.Add(int64(note.RefPts))
+	st := &t.lastStats[ps.rank]
 	st.CopiesHeld = rep.Held
+	st.CopyCacheHits += rep.CacheHits
+	st.CopiesByRef += rep.ByRef
+	st.InstallNanos += rep.InstallNanos
+	ps.cached = applyCacheOps(ps.cached, rep.Ops)
 }
 
-// elemDemand is one element's sparse demand row of the ElementLevel
-// demand all-gather.
+// elemDemand is one row of the ElementLevel demand all-gather: an
+// element's sparse demand count, or — Count == advertRow — an element the
+// sending rank advertises as cached.
 type elemDemand struct {
 	Elem  ElemID
 	Count int32
 }
 
+// advertRow marks an elemDemand row as an advertisement. A rank sends
+// its demand rows first, then its advertised IDs in increasing order.
+const advertRow int32 = -1
+
 // phaseBElement is the ElementLevel variant of phaseB: demand, copies and
 // routing all work per forest element.
 func (t *Tree) phaseBElement(pr *cgm.Proc, ps *procState, subs []subquery, label, aggName string, materialize func(*element)) (served []subquery, routed [][]subquery, routeLbl string) {
 	p := pr.P()
-	ps.copies = make(map[ElemID]*element)
 
-	// Demand per element, exchanged sparsely.
+	// Demand per element, exchanged sparsely, then the advertised IDs.
 	localCnt := make(map[ElemID]int32)
 	for _, s := range subs {
 		localCnt[s.Elem]++
 	}
-	var local []elemDemand
+	advertised := ps.advertised(t.batchEpoch)
+	local := make([]elemDemand, 0, len(localCnt)+len(advertised))
 	for _, id := range sortedDemandIDs(localCnt) {
 		local = append(local, elemDemand{Elem: id, Count: localCnt[id]})
 	}
+	for _, id := range advertised {
+		local = append(local, elemDemand{Elem: id, Count: advertRow})
+	}
 	perSrc := comm.AllGather(pr, label+"/edemand", local)
 	demand := make([]int, t.ElemCount())
-	for _, row := range perSrc {
-		for _, d := range row {
-			demand[int(d.Elem)] += int(d.Count)
+	adverts := make([][]elemDemand, p)
+	for src, row := range perSrc {
+		k := 0
+		for ; k < len(row) && row[k].Count != advertRow; k++ {
+			demand[int(row[k].Elem)] += int(row[k].Count)
 		}
+		perSrc[src], adverts[src] = row[:k], row[k:]
 	}
 	plan := balance.NewPlan(p, demand)
 	if pr.Rank() == 0 {
@@ -451,45 +563,18 @@ func (t *Tree) phaseBElement(pr *cgm.Proc, ps *procState, subs []subquery, label
 		t.lastDemand = byOwner
 	}
 
-	// Ship only demanded elements, each to the hosts of its slots. The
-	// fan-out is derived from the replicated metadata, so the resident
-	// coordinator can plan it without holding the elements.
-	if t.resident {
-		var ships []elemShip
-		for _, info := range ps.info {
-			if int(info.Owner) != ps.rank || demand[int(info.ID)] == 0 {
-				continue
-			}
-			var hosts []int32
-			for _, host := range plan.GroupHosts(int(info.ID)) {
-				if host != ps.rank {
-					hosts = append(hosts, int32(host))
-				}
-			}
-			ships = append(ships, elemShip{Elem: info.ID, Hosts: hosts})
-		}
-		residentCopies(t, pr, ps, label+"/ecopies", fref("search/shipElems"),
-			shipElemsArgs{Ships: ships}, aggName)
-	} else {
-		out := make([][]shippedElem, p)
-		copiedPts := 0
-		for _, id := range sortedOwnedIDs(ps.elems) {
-			if demand[int(id)] == 0 {
-				continue
-			}
-			el := ps.elems[id]
-			for _, host := range plan.GroupHosts(int(id)) {
-				if host == ps.rank {
-					continue
-				}
-				out[host] = append(out[host], shippedElem{Info: el.info, Pts: el.pts})
-				copiedPts += len(el.pts)
-			}
-		}
-		t.lastCopied[ps.rank].Store(int64(copiedPts))
-		incoming := cgm.Exchange(pr, label+"/ecopies", out)
-		t.installCopies(ps, incoming, materialize)
-	}
+	// Ship only demanded elements, each to the hosts of its slots (an
+	// undemanded element has none). The fan-out is derived from the
+	// replicated metadata, so the resident coordinator can plan it
+	// without holding the elements.
+	ships := planShips(p, ps.rank, ps.ownedIDs(),
+		func(id ElemID) []int { return plan.GroupHosts(int(id)) },
+		func(host int, id ElemID) bool {
+			_, ok := slices.BinarySearchFunc(adverts[host], id,
+				func(d elemDemand, id ElemID) int { return cmp.Compare(d.Elem, id) })
+			return ok
+		})
+	t.shipCopies(pr, ps, label+"/ecopies", ships, aggName, materialize)
 
 	// Route the r-th subquery of element e to the host of copy ⌊r·c_e/d_e⌋.
 	rankOffset := make(map[ElemID]int)

@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/cgm"
 	"repro/internal/geom"
+	"repro/internal/obs"
 	"repro/internal/segtree"
 )
 
@@ -150,13 +151,24 @@ type procState struct {
 	copies   map[ElemID]*element
 
 	// copyCache keeps copies built in earlier batches so a
-	// repeatedly-congested element ships its points but skips the
-	// O(g·log^(d-1) g) rebuild. The cache holds current-epoch entries
-	// only (installCopies sweeps it whenever the tree epoch moved) and is
-	// bounded by Tree.copyCacheCapFor, so a drifting hot set cannot grow
-	// it past a constant factor of this processor's forest share.
-	copyCache  map[ElemID]*element
-	cacheEpoch uint64
+	// repeatedly-congested element neither ships its points again nor
+	// repeats the O(g·log^(d-1) g) rebuild (fabric trees; a resident
+	// tree's cache lives in the rank's residentPart). It holds
+	// current-epoch entries only and is bounded by Tree.copyCacheCapFor,
+	// so a drifting hot set cannot grow it past a constant factor of this
+	// processor's forest share.
+	copyCache *copyCache[*element]
+
+	// cached mirrors the ID set of the rank's element cache, wherever it
+	// lives, as a sorted list valid at cachedEpoch: what the rank
+	// advertises in phase B's demand round. Every install returns the
+	// cache's changes (installCopiesReply.Ops), so the mirror follows a
+	// worker-held cache without a round trip.
+	cached      []ElemID
+	cachedEpoch uint64
+	// owned lists the IDs of the elements this rank owns, increasing
+	// (derived from info on first use; info is immutable after Build).
+	owned []ElemID
 
 	// reused scratch: the explicit stacks of the iterative hat descent
 	// and stub expansion, so the per-query hot path allocates nothing.
@@ -165,6 +177,30 @@ type procState struct {
 	// callers outside a machine run never touch this state.
 	hatStack  []hatFrame
 	stubStack []int32
+}
+
+// advertised returns the IDs the rank's element cache holds at epoch.
+// The cache itself is swept by the batch's install when the epoch moved;
+// the mirror empties here, ahead of it, because the advertisement goes
+// out first.
+func (ps *procState) advertised(epoch uint64) []ElemID {
+	if ps.cachedEpoch != epoch {
+		ps.cached = ps.cached[:0]
+		ps.cachedEpoch = epoch
+	}
+	return ps.cached
+}
+
+// ownedIDs returns the IDs of the elements this rank owns, increasing.
+func (ps *procState) ownedIDs() []ElemID {
+	if ps.owned == nil {
+		for _, info := range ps.info {
+			if int(info.Owner) == ps.rank {
+				ps.owned = append(ps.owned, info.ID)
+			}
+		}
+	}
+	return ps.owned
 }
 
 // lookup resolves an element from the owned part or the current copies.
@@ -196,11 +232,22 @@ type Tree struct {
 	balanceMode BalanceMode
 	lastStats   []SearchStats
 	lastDemand  []int
-	// epoch versions the per-processor copy caches; lastCopied is
-	// per-rank shipped copy volume. Both are written inside machine runs
-	// and readable from any goroutine at any time, hence atomic.
+	// epoch versions the per-processor copy caches; lastCopied and
+	// lastByRef are the per-rank copy volume shipped by value and stood in
+	// for by references. All are written inside machine runs and readable
+	// from any goroutine at any time, hence atomic.
 	epoch      atomic.Uint64
 	lastCopied []atomic.Int64
+	lastByRef  []atomic.Int64
+	// batchEpoch is the epoch of the batch in flight, read once in
+	// prepBatch: every rank advertises, ships and installs against this
+	// one value, so a concurrent InvalidateCopies takes effect at the next
+	// batch, never between two ranks of one.
+	batchEpoch uint64
+	// copyShipped and copyByRef accumulate that volume over all batches:
+	// core_phaseb_copy_points_total{how=…} in the machine's registry
+	// (unregistered counters without one).
+	copyShipped, copyByRef *obs.Counter
 	// copyCacheCap overrides the per-processor copy-cache entry bound:
 	// 0 = derived default, negative = caching disabled.
 	copyCacheCap atomic.Int64
@@ -212,12 +259,15 @@ type Tree struct {
 // effect from the next batch.
 func (t *Tree) SetCopyCacheCap(perProc int) { t.copyCacheCap.Store(int64(perProc)) }
 
-// prepBatch resets the per-batch statistics before a machine run.
+// prepBatch resets the per-batch statistics and fixes the batch's epoch
+// before a machine run.
 func (t *Tree) prepBatch() {
 	t.lastStats = make([]SearchStats, t.mach.P())
 	for i := range t.lastCopied {
 		t.lastCopied[i].Store(0)
+		t.lastByRef[i].Store(0)
 	}
+	t.batchEpoch = t.epoch.Load()
 }
 
 // Backend reports the element backend the tree was built with.

@@ -104,6 +104,16 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
 	seed, _ := wire.Encode(nil, []geom.Point{{ID: 1, X: []geom.Coord{2, 3}}})
 	f.Add(seed)
+	// Phase-B copies: a reference row beside a by-value row, and the same
+	// block with the reference's flag byte corrupted (neither layout).
+	refs, _ := wire.Encode(nil, []shippedElem{
+		{Info: ElemInfo{ID: 7}, Ref: true},
+		{Info: ElemInfo{ID: 9, Owner: 1, Count: 1, Key: "k"}, Pts: []geom.Point{{ID: 4, X: []geom.Coord{5, 6}}}},
+	})
+	f.Add(refs)
+	badFlag := bytes.Clone(refs)
+	badFlag[2] = 2 // tag, row count, then the first row's flag
+	f.Add(badFlag)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := &byteGen{b: data}
@@ -132,6 +142,11 @@ func FuzzWireRoundTrip(f *testing.F) {
 
 		els := make([]shippedElem, g.n(3))
 		for i := range els {
+			if g.u8()&1 == 1 {
+				// A reference row carries the element ID and nothing else.
+				els[i] = shippedElem{Info: ElemInfo{ID: ElemID(g.i32())}, Ref: true}
+				continue
+			}
 			els[i] = shippedElem{
 				Info: ElemInfo{ID: ElemID(g.i32()), Owner: g.i32(), Count: g.i32(),
 					Dim: int8(g.u8()), Key: g.key(9), Min: geom.Coord(g.i32()), Max: geom.Coord(g.i32())},
@@ -142,6 +157,32 @@ func FuzzWireRoundTrip(f *testing.F) {
 			els = nil
 		}
 		fuzzRT(t, els)
+
+		ships := make([]hostShip, g.n(3))
+		for i := range ships {
+			ships[i].Host = g.i32()
+			if k := g.n(4); k > 0 {
+				ships[i].Elems = make([]ElemID, k)
+				ships[i].Refs = make([]bool, k)
+				for j := range ships[i].Elems {
+					ships[i].Elems[j], ships[i].Refs[j] = ElemID(g.i32()), g.u8()&1 == 1
+				}
+			}
+		}
+		if len(ships) == 0 {
+			ships = nil
+		}
+		fuzzRT(t, shipArgs{Ships: ships})
+		ops := make([]cacheOp, g.n(4))
+		for i := range ops {
+			ops[i] = cacheOp{ID: ElemID(g.i32()), Evict: g.u8()&1 == 1}
+		}
+		if len(ops) == 0 {
+			ops = nil
+		}
+		fuzzRT(t, installCopiesReply{Held: int(g.i32()), CacheHits: int(g.i32()), ByRef: int(g.i32()),
+			InstallNanos: int64(g.i32()), Ops: ops})
+		fuzzRT(t, copyNote{CopiedPts: int(g.i32()), RefPts: int(g.i32())})
 
 		subs := make([]subquery, n)
 		for i := range subs {
@@ -202,6 +243,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 			mustNotPanic[[]epoint](t, blk)
 			mustNotPanic[[]srec](t, blk)
 			mustNotPanic[[]shippedElem](t, blk)
+			mustNotPanic[shipArgs](t, blk)
+			mustNotPanic[installCopiesReply](t, blk)
 			mustNotPanic[[]subquery](t, blk)
 			mustNotPanic[serveArgs](t, blk)
 			mustNotPanic[serveAggArgs](t, blk)

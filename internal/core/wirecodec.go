@@ -209,11 +209,18 @@ func init() {
 		},
 	})
 
-	// Phase B: element copies in flight (metadata + point payload).
+	// Phase B: element copies in flight. Every row opens with the Ref
+	// flag: a by-value row follows with metadata + point payload, a
+	// reference with the element ID alone.
 	wire.Register(wire.Codec[[]shippedElem]{
 		Append: func(buf []byte, els []shippedElem) []byte {
 			buf = wire.AppendUvarint(buf, uint64(len(els)))
 			for _, sh := range els {
+				buf = append(buf, flagByte(sh.Ref))
+				if sh.Ref {
+					buf = wire.AppendI32(buf, int32(sh.Info.ID))
+					continue
+				}
 				buf = appendElemInfo(buf, sh.Info)
 				buf = wire.AppendPoints(buf, sh.Pts)
 			}
@@ -222,11 +229,19 @@ func init() {
 		Decode: func(b []byte) ([]shippedElem, error) {
 			r := wire.NewReader(b)
 			arena := wire.NewArena(&r)
-			n := r.Count(23) // fixed ElemInfo fields + key frame + count
+			n := r.Count(5) // flag + element ID, the reference row
 			var els []shippedElem
 			if n > 0 {
 				els = make([]shippedElem, n)
 				for i := range els {
+					ref, err := readFlag(&r)
+					if err != nil {
+						return nil, err
+					}
+					if els[i].Ref = ref; ref {
+						els[i].Info.ID = ElemID(r.I32())
+						continue
+					}
 					els[i].Info = readElemInfo(&r)
 					els[i].Pts = wire.ReadPoints(&r, &arena)
 				}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 
 	"repro/internal/segtree"
@@ -114,6 +115,24 @@ func readTreeSums(r *wire.Reader) []treeSum {
 		ts[i].Elem0 = ElemID(r.I32())
 	}
 	return ts
+}
+
+// flagByte and readFlag code one bool as one byte. Any value but 0 and 1
+// is an error: a flag decides between payload layouts, so a corrupt one
+// must not pass for either. (A truncated block fails the reader itself.)
+func flagByte(v bool) byte {
+	if v {
+		return 1
+	}
+	return 0
+}
+
+func readFlag(r *wire.Reader) (bool, error) {
+	d := r.Bytes(1)
+	if d != nil && d[0] > 1 {
+		return false, fmt.Errorf("core: corrupt flag byte %#x", d[0])
+	}
+	return d != nil && d[0] == 1, nil
 }
 
 // fixedCodec registers a codec whose decode needs no arena and whose
@@ -347,48 +366,36 @@ func init() {
 	// ---------------------------------------------- phase-B copy machinery
 
 	fixedCodec(
-		func(buf []byte, a shipGroupArgs) []byte {
-			buf = wire.AppendUvarint(buf, uint64(len(a.Hosts)))
-			for _, h := range a.Hosts {
-				buf = wire.AppendI32(buf, h)
-			}
-			return buf
-		},
-		func(r *wire.Reader) (shipGroupArgs, error) {
-			var a shipGroupArgs
-			n := r.Count(4)
-			if n > 0 {
-				a.Hosts = make([]int32, n)
-				for i := range a.Hosts {
-					a.Hosts[i] = r.I32()
-				}
-			}
-			return a, nil
-		})
-	fixedCodec(
-		func(buf []byte, a shipElemsArgs) []byte {
+		func(buf []byte, a shipArgs) []byte {
 			buf = wire.AppendUvarint(buf, uint64(len(a.Ships)))
-			for _, sh := range a.Ships {
-				buf = wire.AppendI32(buf, int32(sh.Elem))
-				buf = wire.AppendUvarint(buf, uint64(len(sh.Hosts)))
-				for _, h := range sh.Hosts {
-					buf = wire.AppendI32(buf, h)
+			for _, hs := range a.Ships {
+				buf = wire.AppendI32(buf, hs.Host)
+				buf = wire.AppendUvarint(buf, uint64(len(hs.Elems)))
+				for i, id := range hs.Elems {
+					buf = wire.AppendI32(buf, int32(id))
+					buf = append(buf, flagByte(hs.Refs[i]))
 				}
 			}
 			return buf
 		},
-		func(r *wire.Reader) (shipElemsArgs, error) {
-			var a shipElemsArgs
+		func(r *wire.Reader) (shipArgs, error) {
+			var a shipArgs
 			n := r.Count(5)
 			if n > 0 {
-				a.Ships = make([]elemShip, n)
+				a.Ships = make([]hostShip, n)
 				for i := range a.Ships {
-					a.Ships[i].Elem = ElemID(r.I32())
-					hn := r.Count(4)
-					if hn > 0 {
-						a.Ships[i].Hosts = make([]int32, hn)
-						for j := range a.Ships[i].Hosts {
-							a.Ships[i].Hosts[j] = r.I32()
+					hs := &a.Ships[i]
+					hs.Host = r.I32()
+					en := r.Count(5)
+					if en > 0 {
+						hs.Elems = make([]ElemID, en)
+						hs.Refs = make([]bool, en)
+						for j := range hs.Elems {
+							hs.Elems[j] = ElemID(r.I32())
+							var err error
+							if hs.Refs[j], err = readFlag(r); err != nil {
+								return a, err
+							}
 						}
 					}
 				}
@@ -396,8 +403,13 @@ func init() {
 			return a, nil
 		})
 	fixedCodec(
-		func(buf []byte, n copyNote) []byte { return wire.AppendVarint(buf, int64(n.CopiedPts)) },
-		func(r *wire.Reader) (copyNote, error) { return copyNote{CopiedPts: int(r.Varint())}, nil })
+		func(buf []byte, n copyNote) []byte {
+			buf = wire.AppendVarint(buf, int64(n.CopiedPts))
+			return wire.AppendVarint(buf, int64(n.RefPts))
+		},
+		func(r *wire.Reader) (copyNote, error) {
+			return copyNote{CopiedPts: int(r.Varint()), RefPts: int(r.Varint())}, nil
+		})
 	fixedCodec(
 		func(buf []byte, a installCopiesArgs) []byte {
 			buf = wire.AppendU64(buf, a.Epoch)
@@ -411,10 +423,30 @@ func init() {
 		func(buf []byte, rep installCopiesReply) []byte {
 			buf = wire.AppendVarint(buf, int64(rep.Held))
 			buf = wire.AppendVarint(buf, int64(rep.CacheHits))
-			return wire.AppendI64(buf, rep.InstallNanos)
+			buf = wire.AppendVarint(buf, int64(rep.ByRef))
+			buf = wire.AppendI64(buf, rep.InstallNanos)
+			buf = wire.AppendUvarint(buf, uint64(len(rep.Ops)))
+			for _, op := range rep.Ops {
+				buf = wire.AppendI32(buf, int32(op.ID))
+				buf = append(buf, flagByte(op.Evict))
+			}
+			return buf
 		},
 		func(r *wire.Reader) (installCopiesReply, error) {
-			return installCopiesReply{Held: int(r.Varint()), CacheHits: int(r.Varint()), InstallNanos: r.I64()}, nil
+			rep := installCopiesReply{Held: int(r.Varint()), CacheHits: int(r.Varint()),
+				ByRef: int(r.Varint()), InstallNanos: r.I64()}
+			n := r.Count(5)
+			if n > 0 {
+				rep.Ops = make([]cacheOp, n)
+				for i := range rep.Ops {
+					rep.Ops[i].ID = ElemID(r.I32())
+					var err error
+					if rep.Ops[i].Evict, err = readFlag(r); err != nil {
+						return rep, err
+					}
+				}
+			}
+			return rep, nil
 		})
 
 	// Sparse per-element demand rows of the ElementLevel phase B.

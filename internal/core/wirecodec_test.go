@@ -119,6 +119,10 @@ func TestWireCodecsMatchGobOracle(t *testing.T) {
 
 		els := make([]shippedElem, rng.Intn(5))
 		for i := range els {
+			if rng.Intn(2) == 1 {
+				els[i] = shippedElem{Info: ElemInfo{ID: ElemID(rng.Int31n(500))}, Ref: true}
+				continue
+			}
 			els[i] = shippedElem{
 				Info: ElemInfo{
 					ID: ElemID(rng.Int31n(500)), Owner: rng.Int31n(8),

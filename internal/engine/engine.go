@@ -109,9 +109,25 @@ type Stats struct {
 	// its cross-batch copy cache over all dispatched batches — how often
 	// the skew-balancing round skipped an element rebuild entirely.
 	CopyCacheHits uint64
+	// CopyPointsShipped and CopyPointsByRef split phase B's copy volume
+	// over all dispatched batches: element points that travelled to a
+	// host, and points an ID-only reference to the host's cache stood in
+	// for (see CopyByRefShare).
+	CopyPointsShipped uint64
+	CopyPointsByRef   uint64
 	// PhaseBInstall accumulates the time processors spent installing
 	// element copies across all dispatched batches.
 	PhaseBInstall time.Duration
+}
+
+// CopyByRefShare is the share of phase B's copy volume that did not
+// travel: points by reference over all copied points (0 before any copy).
+func (s Stats) CopyByRefShare() float64 {
+	total := s.CopyPointsShipped + s.CopyPointsByRef
+	if total == 0 {
+		return 0
+	}
+	return float64(s.CopyPointsByRef) / float64(total)
 }
 
 // request is one pending query and its reply channel. key is the
@@ -152,6 +168,7 @@ type Engine[T any] struct {
 	batches, batched                  atomic.Uint64
 	sizeFlush, deadlineFlush, drained atomic.Uint64
 	copyCacheHits, installNanos       atomic.Uint64
+	copyShipped, copyByRef            atomic.Uint64
 	slowBatches                       atomic.Uint64
 
 	lat       [3]*obs.Histogram // per-mode latency, indexed by MixedOp
@@ -277,16 +294,18 @@ func (e *Engine[T]) dataVersion() uint64 {
 // Stats returns a snapshot of the engine's counters.
 func (e *Engine[T]) Stats() Stats {
 	return Stats{
-		Submitted:       e.submitted.Load(),
-		CacheHits:       e.hits.Load(),
-		CacheMisses:     e.misses.Load(),
-		Batches:         e.batches.Load(),
-		BatchedQueries:  e.batched.Load(),
-		SizeFlushes:     e.sizeFlush.Load(),
-		DeadlineFlushes: e.deadlineFlush.Load(),
-		DrainFlushes:    e.drained.Load(),
-		CopyCacheHits:   e.copyCacheHits.Load(),
-		PhaseBInstall:   time.Duration(e.installNanos.Load()),
+		Submitted:         e.submitted.Load(),
+		CacheHits:         e.hits.Load(),
+		CacheMisses:       e.misses.Load(),
+		Batches:           e.batches.Load(),
+		BatchedQueries:    e.batched.Load(),
+		SizeFlushes:       e.sizeFlush.Load(),
+		DeadlineFlushes:   e.deadlineFlush.Load(),
+		DrainFlushes:      e.drained.Load(),
+		CopyCacheHits:     e.copyCacheHits.Load(),
+		CopyPointsShipped: e.copyShipped.Load(),
+		CopyPointsByRef:   e.copyByRef.Load(),
+		PhaseBInstall:     time.Duration(e.installNanos.Load()),
 	}
 }
 
@@ -511,6 +530,8 @@ func (e *Engine[T]) treeBatch(ops []core.MixedOp, boxes []geom.Box, trace uint64
 	defer e.tree.SetTrace(0)
 	results = core.MixedBatch(e.tree, e.agg, ops, boxes)
 	e.copyCacheHits.Add(uint64(e.tree.LastCopyCacheHits()))
+	e.copyShipped.Add(uint64(e.tree.LastCopiedPoints()))
+	e.copyByRef.Add(uint64(e.tree.LastByRefPoints()))
 	e.installNanos.Add(uint64(e.tree.LastPhaseBInstall().Nanoseconds()))
 	return results, nil
 }

@@ -106,6 +106,7 @@ func E6(sc Scale) *Table {
 			m    core.BalanceMode
 		}{{"group (paper)", core.GroupLevel}, {"element", core.ElementLevel}} {
 			dt.SetBalanceMode(mode.m)
+			dt.InvalidateCopies() // cold: the volume column counts points shipped by value
 			dt.CountBatch(boxes)
 			stats := dt.LastSearchStats()
 			D, maxServed := 0, 0

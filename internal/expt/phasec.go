@@ -64,8 +64,8 @@ func phaseC(sc Scale) (*Table, PhaseCData) {
 		Note: "Top: µs/query of whole batches served on each element backend — the " +
 			"layered backend must win on count and report (the §1 log-factor saving, " +
 			"now on the distributed serving path). Bottom: phase-B copy install time " +
-			"on a Zipf-skewed workload, cold versus warm cache — batch 2 ships points " +
-			"but skips every rebuild, so expect ≥ 2×.",
+			"on a Zipf-skewed workload, cold versus warm cache — batch 2 ships ID-only " +
+			"references and skips every rebuild, so expect ≥ 2×.",
 		Header: []string{"section", "backend", "mode", "µs/query", "install µs", "speedup"},
 	}
 

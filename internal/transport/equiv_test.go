@@ -3,12 +3,18 @@ package transport_test
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/aggregates" // registers the standard named aggregates
+	"repro/internal/brute"
 	"repro/internal/cgm"
 	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/semigroup"
 	"repro/internal/store"
 	"repro/internal/transport"
 	"repro/internal/workload"
@@ -265,5 +271,203 @@ func TestSingleWorkerCluster(t *testing.T) {
 	})
 	if mach.Metrics().CommRounds() != 1 {
 		t.Error("round not counted")
+	}
+}
+
+// buildCells builds one tree per cell of the {loopback, TCP} × {fabric,
+// resident} matrix over the same points, with the weight-sum aggregate
+// prepared on each.
+func buildCells(t *testing.T, p int, pts []geom.Point) ([]*core.Tree, []*core.AggHandle[float64]) {
+	t.Helper()
+	trees := make([]*core.Tree, len(execVariants))
+	aggs := make([]*core.AggHandle[float64], len(execVariants))
+	for i, v := range execVariants {
+		tree, err := core.BuildOn(v.provider(t, p), pts, core.BackendLayered)
+		if err != nil {
+			t.Fatalf("%s build: %v", v.name, err)
+		}
+		trees[i] = tree
+		aggs[i] = core.PrepareAssociativeNamed[float64](tree, aggregates.WeightSum)
+	}
+	return trees, aggs
+}
+
+// batchCells runs one mixed batch (count, aggregate and report queries
+// interleaved) on every cell. The first cell's answers must match the
+// brute oracle, and every other cell must match the first in answers, in
+// round/h/volume, and in copy volume shipped and by reference — which it
+// returns.
+func batchCells(t *testing.T, stage string, trees []*core.Tree, aggs []*core.AggHandle[float64], oracle *brute.Set, boxes []geom.Box) (shipped, byRef int) {
+	t.Helper()
+	ops := make([]core.MixedOp, len(boxes))
+	for i := range ops {
+		ops[i] = core.MixedOp(i % 3)
+	}
+	var base []core.MixedResult[float64]
+	for c, tree := range trees {
+		name := execVariants[c].name
+		tree.Machine().ResetMetrics()
+		got := core.MixedBatch(tree, aggs[c], ops, boxes)
+		if c == 0 {
+			base = got
+			for q, b := range boxes {
+				ok := false
+				switch ops[q] {
+				case core.OpCount:
+					ok = got[q].Count == int64(oracle.Count(b))
+				case core.OpAggregate:
+					want := brute.Aggregate(oracle, semigroup.FloatSum(), workload.WeightOf, b)
+					ok = math.Abs(got[q].Agg-want) <= 1e-9
+				case core.OpReport:
+					ok = slices.Equal(brute.IDs(got[q].Pts), brute.IDs(oracle.Report(b)))
+				}
+				if !ok {
+					t.Fatalf("%s: %s query %d (%v) disagrees with the oracle", stage, name, q, ops[q])
+				}
+			}
+			shipped, byRef = tree.LastCopiedPoints(), tree.LastByRefPoints()
+			continue
+		}
+		for q := range base {
+			if base[q].Count != got[q].Count || math.Abs(base[q].Agg-got[q].Agg) > 1e-9 ||
+				!slices.Equal(brute.IDs(base[q].Pts), brute.IDs(got[q].Pts)) {
+				t.Fatalf("%s: query %d: %s and %s answer differently", stage, q, execVariants[0].name, name)
+			}
+		}
+		assertMetricsEqual(t, stage, execVariants[0].name, name, trees[0].Machine().Metrics(), tree.Machine().Metrics())
+		if s, r := tree.LastCopiedPoints(), tree.LastByRefPoints(); s != shipped || r != byRef {
+			t.Fatalf("%s: %s shipped %d points and %d by reference, %s %d and %d",
+				stage, execVariants[0].name, shipped, byRef, name, s, r)
+		}
+	}
+	return shipped, byRef
+}
+
+// hotBoxes is a congested batch: query centers on two Zipf-weighted hot
+// spots, so phase B copies at both balance granularities.
+func hotBoxes(m, n int, seed int64) []geom.Box {
+	return workload.Boxes(workload.QuerySpec{M: m, Dims: 2, N: n, Selectivity: 0.02, Foci: 2, Theta: 1.5, Seed: seed})
+}
+
+// TestCopiesByReferenceEquivalence runs a cold, a warm and a
+// post-invalidation batch in every cell at both balance granularities.
+// Beyond batchCells' cross-cell checks: the warm batch ships nothing by
+// value (the cold volume goes by reference instead) and invalidation
+// brings the cold volume back.
+func TestCopiesByReferenceEquivalence(t *testing.T) {
+	const n, p = 500, 4
+	pts := workload.Points(workload.PointSpec{N: n, Dims: 2, Dist: workload.Clustered, Seed: 7})
+	trees, aggs := buildCells(t, p, pts)
+	oracle := brute.New(pts)
+	boxes := hotBoxes(96, n, 11)
+	for _, bm := range []core.BalanceMode{core.GroupLevel, core.ElementLevel} {
+		for _, tree := range trees {
+			tree.SetBalanceMode(bm)
+			tree.InvalidateCopies()
+		}
+		cold, byRef := batchCells(t, fmt.Sprintf("bm=%v cold", bm), trees, aggs, oracle, boxes)
+		if cold == 0 || byRef != 0 {
+			t.Fatalf("bm=%v cold batch shipped %d points, %d by reference; want >0 and 0", bm, cold, byRef)
+		}
+		if shipped, byRef := batchCells(t, fmt.Sprintf("bm=%v warm", bm), trees, aggs, oracle, boxes); shipped != 0 || byRef != cold {
+			t.Fatalf("bm=%v warm batch shipped %d points, %d by reference; want 0 and %d", bm, shipped, byRef, cold)
+		}
+		for _, tree := range trees {
+			tree.InvalidateCopies()
+		}
+		if shipped, byRef := batchCells(t, fmt.Sprintf("bm=%v invalidated", bm), trees, aggs, oracle, boxes); shipped != cold || byRef != 0 {
+			t.Fatalf("bm=%v post-invalidation batch shipped %d points, %d by reference; want %d and 0", bm, shipped, byRef, cold)
+		}
+	}
+}
+
+// TestEvictingCacheEquivalence bounds every copy cache far below the
+// working set and rotates the demand, so each batch evicts, ships some
+// copies by value and others by reference. What a host advertises then
+// depends on what it evicted: the cells stay identical in answers and
+// round/h/volume only if eviction is deterministic, and no reference may
+// miss (a miss aborts the run).
+func TestEvictingCacheEquivalence(t *testing.T) {
+	const n, p = 500, 4
+	pts := workload.Points(workload.PointSpec{N: n, Dims: 2, Dist: workload.Clustered, Seed: 7})
+	trees, aggs := buildCells(t, p, pts)
+	oracle := brute.New(pts)
+	for _, bm := range []core.BalanceMode{core.GroupLevel, core.ElementLevel} {
+		for _, tree := range trees {
+			tree.SetBalanceMode(bm)
+			tree.SetCopyCacheCap(2)
+			tree.InvalidateCopies()
+		}
+		mixed := 0
+		for batch := 0; batch < 9; batch++ {
+			shipped, byRef := batchCells(t, fmt.Sprintf("bm=%v batch %d", bm, batch), trees, aggs, oracle,
+				hotBoxes(96, n, int64(20+batch%3)))
+			if batch > 0 && shipped == 0 {
+				t.Fatalf("bm=%v batch %d shipped nothing by value: the cap of 2 does not evict", bm, batch)
+			}
+			if shipped > 0 && byRef > 0 {
+				mixed++
+			}
+		}
+		if mixed == 0 {
+			t.Fatalf("bm=%v: no batch mixed by-value and by-reference copies", bm)
+		}
+	}
+}
+
+// TestInvalidateDuringResidentBatches lands InvalidateCopies calls from a
+// second goroutine inside resident TCP batches (run under -race). The
+// epoch is read once per batch, so every rank advertises, ships and
+// installs against the same value: each batch answers correctly, and none
+// aborts on a missed reference or an element a host does not hold.
+func TestInvalidateDuringResidentBatches(t *testing.T) {
+	const n, p = 500, 4
+	pts := workload.Points(workload.PointSpec{N: n, Dims: 2, Dist: workload.Clustered, Seed: 7})
+	tree, err := core.BuildOn(startCluster(t, p, cgm.Config{Resident: true}), pts, core.BackendLayered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := brute.New(pts)
+
+	// The invalidator is kicked at the start of every other batch with the
+	// previous batch's duration and fires at a random point inside that
+	// window — mid-batch whatever the machine's speed. The batches in
+	// between start warm, so references are at stake when it fires.
+	kick := make(chan time.Duration)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(1))
+		for window := range kick {
+			time.Sleep(time.Duration(rng.Int63n(int64(window) + 1)))
+			tree.InvalidateCopies()
+		}
+	}()
+	defer func() {
+		close(kick)
+		wg.Wait()
+	}()
+
+	var last time.Duration
+	byRef := 0
+	for batch := 0; batch < 120; batch++ {
+		tree.SetBalanceMode(core.BalanceMode(batch / 2 % 2))
+		boxes := hotBoxes(64, n, int64(30+batch%4))
+		if batch%2 == 1 {
+			kick <- last
+		}
+		start := time.Now()
+		got := tree.ReportBatch(boxes)
+		last = time.Since(start)
+		byRef += tree.LastByRefPoints()
+		for q, b := range boxes {
+			if !slices.Equal(brute.IDs(got[q]), brute.IDs(oracle.Report(b))) {
+				t.Fatalf("batch %d query %d disagrees with the oracle", batch, q)
+			}
+		}
+	}
+	if byRef == 0 {
+		t.Fatal("no batch shipped a copy by reference: nothing was at stake")
 	}
 }
