@@ -126,15 +126,17 @@ func (a *bruteAgg[T]) Query(b geom.Box) T {
 // reset total between subqueries, so counting stays allocation-free.
 type countVisitor struct{ total int }
 
-func (c *countVisitor) VisitRange(pts []geom.Point) { c.total += len(pts) }
-func (c *countVisitor) VisitPoint(geom.Point)       { c.total++ }
+func (c *countVisitor) VisitRange(pts []geom.Point)              { c.total += len(pts) }
+func (c *countVisitor) VisitIndexed(_ []geom.Point, idx []int32) { c.total += len(idx) }
+func (c *countVisitor) VisitPoint(geom.Point)                    { c.total++ }
 
 // reportVisitor gathers a Visit descent into out, which the hook swaps
 // per subquery (the result slice itself must persist past the call).
 type reportVisitor struct{ out []geom.Point }
 
-func (r *reportVisitor) VisitRange(pts []geom.Point) { r.out = append(r.out, pts...) }
-func (r *reportVisitor) VisitPoint(p geom.Point)     { r.out = append(r.out, p) }
+func (r *reportVisitor) VisitRange(pts []geom.Point)            { r.out = append(r.out, pts...) }
+func (r *reportVisitor) VisitIndexed(b []geom.Point, i []int32) { r.out = layered.Gather(r.out, b, i) }
+func (r *reportVisitor) VisitPoint(p geom.Point)                { r.out = append(r.out, p) }
 
 // elemCount counts s.Box in el through the fastest available path.
 func elemCount(el *element, b geom.Box, cv *countVisitor) int {

@@ -17,65 +17,65 @@ type Agg[T any] struct {
 	t   *Tree
 	m   semigroup.Monoid[T]
 	val func(geom.Point) T
-	// ones[t] aggregates a one-dimensional tree's sorted array.
-	ones map[*Tree][]T
-	// cascades[c][v] aggregates cascade node v's y-sorted array.
-	cascades map[*cascade][][]T
+	// one aggregates a one-dimensional tree's sorted array.
+	one []T
+	// tabs[c.ord] aggregates cascade c, laid out like c.idx: the node whose
+	// run is c.idx[a:b] owns the implicit segment tree tabs[c.ord][2a:2b].
+	tabs [][]T
 }
 
 // NewAgg computes the annotation for monoid m with per-point value val.
 func NewAgg[T any](t *Tree, m semigroup.Monoid[T], val func(geom.Point) T) *Agg[T] {
-	a := &Agg[T]{t: t, m: m, val: val,
-		ones:     make(map[*Tree][]T),
-		cascades: make(map[*cascade][][]T),
+	a := &Agg[T]{t: t, m: m, val: val}
+	if t.one != nil {
+		n := len(t.one)
+		a.one = make([]T, 2*n)
+		for i, p := range t.one {
+			a.one[n+i] = val(p)
+		}
+		a.combine(a.one, n)
+		return a
 	}
+	a.tabs = make([][]T, t.blk.cascades)
 	a.walk(t)
 	return a
 }
 
 func (a *Agg[T]) walk(t *Tree) {
-	switch {
-	case t.one != nil:
-		a.ones[t] = a.buildArrayAgg(t.one)
-	case t.two != nil:
-		c := t.two
-		tabs := make([][]T, len(c.arr))
-		for v, arr := range c.arr {
-			if len(arr) == 0 {
-				continue
+	c := t.two
+	if c == nil {
+		t.eachDesc(a.walk)
+		return
+	}
+	m := c.shape.M
+	tab := make([]T, 2*len(c.idx))
+	for k := 0; k <= c.depth; k++ {
+		for lo, w := 0, c.shape.Cap>>k; lo < m; lo += w {
+			at := k*m + lo
+			run := c.idx[at : k*m+min(lo+w, m)]
+			node := tab[2*at : 2*(at+len(run))]
+			for i, pi := range run {
+				node[len(run)+i] = a.val(c.blk.pts[pi])
 			}
-			tabs[v] = a.buildArrayAgg(arr)
-		}
-		a.cascades[c] = tabs
-	default:
-		for v := 1; v < t.shape.NumNodes()+1; v++ {
-			if t.desc[v] != nil {
-				a.walk(t.desc[v])
-			}
+			a.combine(node, len(run))
 		}
 	}
+	a.tabs[c.ord] = tab
 }
 
-// buildArrayAgg builds the implicit segment tree over one sorted array:
-// slot n+i holds f(arr[i]), slot v < n combines its children.
-func (a *Agg[T]) buildArrayAgg(arr []geom.Point) []T {
-	n := len(arr)
-	tab := make([]T, 2*n)
-	for i, p := range arr {
-		tab[n+i] = a.val(p)
-	}
+// combine finishes the implicit segment tree over one sorted array of n
+// points in tab[:2n]: slots n+i already hold f(point i), slot v < n
+// combines its children.
+func (a *Agg[T]) combine(tab []T, n int) {
 	for v := n - 1; v >= 1; v-- {
 		tab[v] = a.m.Combine(tab[2*v], tab[2*v+1])
 	}
-	return tab
 }
 
-// queryArrayAgg folds tab's values over index range [lo, hi) of the
-// underlying array (the standard iterative range fold; the monoid is
+// fold combines tab's values over index range [lo, hi) of the underlying
+// n-point array into acc (the standard iterative range fold; the monoid is
 // commutative, so combine order is free).
-func (a *Agg[T]) queryArrayAgg(tab []T, lo, hi int) T {
-	n := len(tab) / 2
-	acc := a.m.Identity
+func (a *Agg[T]) fold(acc T, tab []T, n, lo, hi int) T {
 	for l, r := lo+n, hi+n; l < r; l, r = l>>1, r>>1 {
 		if l&1 == 1 {
 			acc = a.m.Combine(acc, tab[l])
@@ -103,35 +103,15 @@ func (a *Agg[T]) Query(b geom.Box) T {
 func (a *Agg[T]) scanTree(t *Tree, b geom.Box, acc T) T {
 	switch {
 	case t.one != nil:
-		dim := t.Dims - 1
-		iv := b.Dim(dim)
-		if iv.Empty() {
-			return acc
-		}
-		lo := searchY(t.one, dim, iv.Lo)
-		hi := len(t.one)
-		if iv.Hi < 1<<31-1 { // guard Hi+1 overflow on unbounded boxes
-			hi = searchY(t.one, dim, iv.Hi+1)
-		}
-		if lo < hi {
-			acc = a.m.Combine(acc, a.queryArrayAgg(a.ones[t], lo, hi))
-		}
-		return acc
+		lo, hi := t.oneRange(b)
+		return a.fold(acc, a.one, len(t.one), lo, hi)
 	case t.two != nil:
 		c := t.two
 		ivx := b.Dim(c.x)
-		ivy := b.Dim(c.y)
-		if ivx.Empty() || ivy.Empty() || len(c.byX) == 0 {
-			return acc
+		if pLo, pHi := c.rootRange(b.Dim(c.y)); pLo < pHi && !ivx.Empty() {
+			acc = a.descendCascade(c, a.tabs[c.ord], 0, 0, pLo, pHi, ivx, acc)
 		}
-		root := c.shape.Root()
-		rootArr := c.arr[root]
-		yLo := searchY(rootArr, c.y, ivy.Lo)
-		yHi := len(rootArr)
-		if ivy.Hi < 1<<31-1 {
-			yHi = searchY(rootArr, c.y, ivy.Hi+1)
-		}
-		return a.descendCascade(c, a.cascades[c], root, yLo, yHi, ivx, acc)
+		return acc
 	default:
 		iv := b.Dim(t.StartDim)
 		if iv.Empty() {
@@ -142,48 +122,49 @@ func (a *Agg[T]) scanTree(t *Tree, b geom.Box, acc T) T {
 }
 
 func (a *Agg[T]) descendUpper(t *Tree, v int, b geom.Box, iv geom.Interval, acc T) T {
-	lo, hi := t.shape.PosRange(v)
-	if lo >= t.shape.M {
-		return acc
-	}
-	if hi > t.shape.M {
-		hi = t.shape.M
-	}
-	span := geom.Interval{Lo: t.pts[lo].X[t.StartDim], Hi: t.pts[hi-1].X[t.StartDim]}
-	if !iv.Overlaps(span) {
-		return acc
-	}
-	if iv.ContainsInterval(span) {
-		if hi-lo == 1 {
-			if p := t.pts[lo]; b.ContainsFrom(p, t.StartDim+1) {
+	c, lo, hi := t.classify(v, iv)
+	switch c {
+	case upperBucket:
+		for at := lo; at < hi; at++ {
+			if !iv.Contains(t.keys[at]) {
+				continue
+			}
+			if p := t.blk.pts[t.idx[at]]; b.ContainsFrom(p, t.StartDim+1) {
 				acc = a.m.Combine(acc, a.val(p))
 			}
-			return acc
 		}
-		return a.scanTree(t.desc[v], b, acc)
+	case upperWhole:
+		acc = a.scanTree(t.desc[v], b, acc)
+	case upperSplit:
+		acc = a.descendUpper(t, segtree.Left(v), b, iv, acc)
+		acc = a.descendUpper(t, segtree.Right(v), b, iv, acc)
 	}
-	acc = a.descendUpper(t, segtree.Left(v), b, iv, acc)
-	return a.descendUpper(t, segtree.Right(v), b, iv, acc)
+	return acc
 }
 
-func (a *Agg[T]) descendCascade(c *cascade, tabs [][]T, v, pLo, pHi int, ivx geom.Interval, acc T) T {
-	if pLo >= pHi {
-		return acc
-	}
-	lo, hi := c.shape.PosRange(v)
-	if lo >= c.shape.M {
-		return acc
-	}
-	if hi > c.shape.M {
-		hi = c.shape.M
-	}
-	span := geom.Interval{Lo: c.byX[lo].X[c.x], Hi: c.byX[hi-1].X[c.x]}
+func (a *Agg[T]) descendCascade(c *cascade, tab []T, k, lo, pLo, pHi int, ivx geom.Interval, acc T) T {
+	hi, span := c.span(k, lo)
 	if !ivx.Overlaps(span) {
 		return acc
 	}
-	if ivx.ContainsInterval(span) {
-		return a.m.Combine(acc, a.queryArrayAgg(tabs[v], pLo, pHi))
+	at := k*c.shape.M + lo
+	switch {
+	case ivx.ContainsInterval(span):
+		acc = a.fold(acc, tab[2*at:], hi-lo, pLo, pHi)
+	case k == c.depth:
+		for _, i := range c.idx[at+pLo : at+pHi] {
+			if ivx.Contains(c.blk.coord(i, c.x)) {
+				acc = a.m.Combine(acc, a.val(c.blk.pts[i]))
+			}
+		}
+	default:
+		mid, lLo, lHi, rLo, rHi := c.children(k, lo, hi-lo, pLo, pHi)
+		if lLo < lHi {
+			acc = a.descendCascade(c, tab, k+1, lo, lLo, lHi, ivx, acc)
+		}
+		if rLo < rHi {
+			acc = a.descendCascade(c, tab, k+1, mid, rLo, rHi, ivx, acc)
+		}
 	}
-	acc = a.descendCascade(c, tabs, segtree.Left(v), int(c.bridgeL[v][pLo]), int(c.bridgeL[v][pHi]), ivx, acc)
-	return a.descendCascade(c, tabs, segtree.Right(v), int(c.bridgeR[v][pLo]), int(c.bridgeR[v][pHi]), ivx, acc)
+	return acc
 }

@@ -16,6 +16,9 @@ func TestAggMatchesBrute(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(150)
+		if rng.Intn(3) == 0 {
+			n = 1 + rng.Intn(bucket) // the whole tree is one scanned bucket
+		}
 		d := 1 + rng.Intn(4)
 		pts := randomPoints(rng, n, d, seed%2 == 0)
 		lt := Build(pts)
@@ -41,17 +44,29 @@ func TestAggMatchesBrute(t *testing.T) {
 }
 
 func TestAggStartDimParity(t *testing.T) {
-	// Forest-element shape: an element tree discriminating dims 1..d-1 only.
+	// Forest-element shape: an element tree discriminating dims j..d-1
+	// only, at sizes on both sides of the bucket.
 	rng := rand.New(rand.NewSource(17))
-	pts := randomPoints(rng, 80, 3, true)
-	el := BuildFrom(pts, 1)
-	agg := NewAgg(el, semigroup.IntSum(), func(geom.Point) int64 { return 1 })
-	bf := brute.New(pts)
-	for trial := 0; trial < 25; trial++ {
-		b := randomBox(rng, 80, 3)
-		b.Lo[0], b.Hi[0] = -1<<30, 1<<30
-		if got, want := agg.Query(b), int64(bf.Count(b)); got != want {
-			t.Fatalf("element agg %d want %d", got, want)
+	for _, tc := range []struct{ n, d, startDim int }{
+		{80, 3, 1}, {80, 4, 1}, {80, 4, 2}, {200, 4, 0}, {80, 4, 3},
+		{5, 3, 1}, {bucket, 4, 1}, {bucket + 1, 4, 1}, {3, 4, 0},
+	} {
+		pts := randomPoints(rng, tc.n, tc.d, true)
+		el := BuildFrom(pts, tc.startDim)
+		agg := NewAgg(el, semigroup.IntSum(), func(p geom.Point) int64 { return int64(p.ID) + 1 })
+		bf := brute.New(pts)
+		for trial := 0; trial < 25; trial++ {
+			b := randomBox(rng, tc.n, tc.d)
+			for k := 0; k < tc.startDim; k++ {
+				b.Lo[k], b.Hi[k] = -1<<30, 1<<30
+			}
+			var want int64
+			for _, p := range bf.Report(b) {
+				want += int64(p.ID) + 1
+			}
+			if got := agg.Query(b); got != want {
+				t.Fatalf("n=%d d=%d start=%d: element agg %d want %d", tc.n, tc.d, tc.startDim, got, want)
+			}
 		}
 	}
 }
@@ -66,6 +81,12 @@ func (c *visitCollector) VisitRange(pts []geom.Point) {
 	c.count += len(pts)
 	for _, p := range pts {
 		c.ids = append(c.ids, p.ID)
+	}
+}
+func (c *visitCollector) VisitIndexed(base []geom.Point, idx []int32) {
+	c.count += len(idx)
+	for _, i := range idx {
+		c.ids = append(c.ids, base[i].ID)
 	}
 }
 func (c *visitCollector) VisitPoint(p geom.Point) {

@@ -1,40 +1,62 @@
 package layered
 
 import (
-	"math/rand"
 	"testing"
+
+	"repro/internal/geom"
+	"repro/internal/workload"
 )
 
-func BenchmarkBuild2D(b *testing.B) {
-	pts := randomPoints(rand.New(rand.NewSource(1)), 1<<12, 2, true)
+// benchInput is one element of the repository benchmark's shape: clustered
+// rank-normalised points and 256 boxes at the workload's selectivity
+// (0.2 % at d = 2, 1 % at d = 3), so a query benchmark rotates over boxes
+// instead of timing one.
+func benchInput(n, d int) ([]geom.Point, []geom.Box) {
+	sel := 0.002
+	if d == 3 {
+		sel = 0.01
+	}
+	pts := workload.Points(workload.PointSpec{N: n, Dims: d, Dist: workload.Clustered, Clusters: 32, Spread: 0.02, Seed: 1})
+	return pts, workload.Boxes(workload.QuerySpec{M: 256, Dims: d, N: n, Selectivity: sel, Seed: 1})
+}
+
+func benchBuild(b *testing.B, d int) {
+	pts, _ := benchInput(1<<12, d)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Build(pts)
 	}
 }
 
-func BenchmarkCount2D(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	pts := randomPoints(rng, 1<<14, 2, true)
+func BenchmarkBuild2D(b *testing.B) { benchBuild(b, 2) }
+func BenchmarkBuild3D(b *testing.B) { benchBuild(b, 3) }
+
+var benchTotal int
+
+func benchCount(b *testing.B, n, d int) {
+	pts, boxes := benchInput(n, d)
 	t := Build(pts)
-	bx := randomBox(rng, 1<<14, 2)
+	b.ReportAllocs()
 	b.ResetTimer()
 	total := 0
 	for i := 0; i < b.N; i++ {
-		total += t.Count(bx)
+		total += t.Count(boxes[i%len(boxes)])
 	}
-	_ = total
+	benchTotal = total
 }
 
-func BenchmarkCount3D(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	pts := randomPoints(rng, 1<<12, 3, true)
+func BenchmarkCount2D(b *testing.B) { benchCount(b, 1<<14, 2) }
+func BenchmarkCount3D(b *testing.B) { benchCount(b, 1<<12, 3) }
+
+func BenchmarkReport2D(b *testing.B) {
+	pts, boxes := benchInput(1<<14, 2)
 	t := Build(pts)
-	bx := randomBox(rng, 1<<12, 3)
+	b.ReportAllocs()
 	b.ResetTimer()
 	total := 0
 	for i := 0; i < b.N; i++ {
-		total += t.Count(bx)
+		total += len(t.Report(boxes[i%len(boxes)]))
 	}
-	_ = total
+	benchTotal = total
 }

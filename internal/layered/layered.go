@@ -6,6 +6,11 @@
 // fractional-cascading bridges, so a d-dimensional query costs
 // O(log^(d-1) n + k) instead of O(log^d n + k).
 //
+// Storage is index-only: a tree copies its points once into a block, and
+// every order below that — the upper levels' sorted orders, every cascade
+// node's y-sorted array — is a run of int32 indices into the block. Both
+// recursions stop at a bucket of a few points, which is scanned.
+//
 // Beyond the sequential extension experiment (E11), the layered tree is
 // the default element backend of the distributed pipeline: package core
 // builds forest elements on it (core.BackendLayered) and serves phase-C
@@ -13,6 +18,7 @@
 package layered
 
 import (
+	"cmp"
 	"slices"
 	"sync/atomic"
 
@@ -23,7 +29,14 @@ import (
 // buildSorts counts full comparison sorts performed during construction.
 // Construction must sort each needed dimension exactly once at the top and
 // split the orders stably down the tree; the test suite asserts the count.
+// (The insertion sort of one bucket is not a full sort.)
 var buildSorts atomic.Int64
+
+// bucket is where both recursions stop: an upper-level node with at most
+// bucket points gets no descendant tree, and a cascade stores no level
+// below its bucket-point nodes; either is answered by scanning. A power of
+// two, so a bucket node is exactly a segment-tree node.
+const bucket = 8
 
 // Tree is a layered range tree over dimensions StartDim..Dims-1.
 // Three shapes:
@@ -35,31 +48,71 @@ type Tree struct {
 	Dims     int
 	StartDim int
 
-	// upper levels (Dims-StartDim > 2)
+	// blk is the point block every index below refers to, shared by all
+	// descendant trees (nil for a one-dimensional tree).
+	blk *block
+
+	// upper levels (Dims-StartDim > 2): idx is the order by StartDim, keys
+	// the StartDim coordinate at each position of it, desc[v] the
+	// descendant tree of node v. Only nodes wider than a bucket (heap
+	// index < Cap/bucket) can have one; a node whose real points all sit
+	// in its left child shares that child's tree.
 	shape segtree.Shape
-	pts   []geom.Point // sorted by StartDim
+	idx   []int32
+	keys  []geom.Coord
 	desc  []*Tree
 
 	// two remaining dimensions
 	two *cascade
 
-	// one remaining dimension
-	one []geom.Point // sorted by the final coordinate
+	// one remaining dimension (top-level trees only): the points themselves,
+	// sorted by the final coordinate, so a report is one bulk append.
+	one []geom.Point
+}
+
+// block is a tree's single copy of its points: the headers callers get
+// back (their X still shares backing with the input) and a flat coordinate
+// table, coords[i·d+k] = pts[i].X[k], so a comparison is one load.
+type block struct {
+	d        int
+	pts      []geom.Point
+	coords   []geom.Coord
+	cascades int // number of cascades built over the block; numbers cascade.ord
+}
+
+func (bl *block) coord(i int32, dim int) geom.Coord { return bl.coords[int(i)*bl.d+dim] }
+
+// cmp is geom.CmpInDim's (X[dim], ID) total order on block indices — the
+// top-level sorts, the bucket sorts and the cascade merges must agree on it
+// (the stable partitions follow the sorted orders by position).
+func (bl *block) cmp(i, j int32, dim int) int {
+	if a, b := bl.coord(i, dim), bl.coord(j, dim); a != b {
+		return cmp.Compare(a, b)
+	}
+	return cmp.Compare(bl.pts[i].ID, bl.pts[j].ID)
 }
 
 // cascade is the fractional-cascading structure for the final two
-// dimensions: a segment tree over dimension X whose every node stores its
-// points sorted by dimension Y plus bridges into its children's arrays.
+// dimensions: a segment tree over dimension x whose every node stores its
+// points sorted by (y, ID), kept as two flat level-major arrays. Every
+// level of the segment tree is a permutation of the same M points, so level
+// k is the run idx[k·M:(k+1)·M] and the node at depth k whose first leaf
+// position is lo owns the sub-run starting at k·M+lo: no per-node slices
+// exist. Levels are stored from the root down to the bucket-point nodes.
 type cascade struct {
+	blk   *block
 	x, y  int // global dimension indices
+	ord   int // ordinal among the block's cascades (Agg's table index)
 	shape segtree.Shape
-	byX   []geom.Point // leaf order (sorted by x)
-	// arr[v] is node v's points sorted by (y, ID); bridgeL/bridgeR[v][i]
-	// is the position in the left/right child's array of the first entry
-	// ≥ arr[v][i] (length len(arr[v])+1, last entry = child length).
-	arr     [][]geom.Point
-	bridgeL [][]int32
-	bridgeR [][]int32
+	depth int          // deepest stored level
+	xkeys []geom.Coord // x-coordinate by leaf position (node spans)
+	ykeys []geom.Coord // y-coordinate by position in the root's run (the one binary search)
+	idx   []int32      // (depth+1)·M block indices
+	// left[k·M+lo+i] counts how many of the node's first i entries lie in
+	// its left child: entry i's bridge into the left child's array. The
+	// right bridge is i − left, and the terminal bridge (i = the node's
+	// length) is the left child's length, which the shape gives.
+	left []int32 // depth·M: the deepest level has no stored children
 }
 
 // Build constructs a layered range tree over all dimensions of pts.
@@ -81,132 +134,196 @@ func BuildFrom(pts []geom.Point, startDim int) *Tree {
 	if startDim < 0 || startDim >= dims {
 		panic("layered: startDim out of range")
 	}
-	// Sort once per dimension that needs an explicit order. The cascade's
-	// y-sorted arrays come out of the bottom-up merge for free, so only
-	// dimensions startDim..dims-2 are sorted (just dims-1 when d-j = 1);
-	// every level below reuses its slice of these orders by stable
-	// partition, keeping construction within O(n·log^(d-1) n).
 	remaining := dims - startDim
 	if remaining == 1 {
-		return &Tree{Dims: dims, StartDim: startDim, one: sortedBy(pts, dims-1)}
+		buildSorts.Add(1)
+		one := slices.Clone(pts)
+		slices.SortFunc(one, func(a, b geom.Point) int { return geom.CmpInDim(a, b, dims-1) })
+		return &Tree{Dims: dims, StartDim: startDim, one: one}
 	}
-	orders := make([][]geom.Point, remaining-1)
+	bl := &block{d: dims, pts: slices.Clone(pts), coords: make([]geom.Coord, len(pts)*dims)}
+	for i, p := range pts {
+		copy(bl.coords[i*dims:(i+1)*dims], p.X)
+	}
+	// Sort once per dimension that needs an explicit order. The cascade's
+	// y-sorted arrays come out of the bottom-up merge for free, so only
+	// dimensions startDim..dims-2 are sorted; every level below reuses its
+	// part of these orders by stable partition, keeping construction
+	// within O(n·log^(d-1) n).
+	orders := make([][]int32, remaining-1)
 	for k := range orders {
-		orders[k] = sortedBy(pts, startDim+k)
+		orders[k] = bl.sortedBy(startDim + k)
 	}
-	return buildLevels(orders, startDim, dims)
+	bd := &builder{blk: bl, dims: dims, ykeys: make([]geom.Coord, len(pts))}
+	if remaining > 2 {
+		bd.pos = make([]int32, (remaining-2)*len(pts))
+	}
+	return bd.levels(orders, startDim)
 }
 
-// buildLevels builds the tree for orders[0] (sorted by startDim) and
-// attaches descendant trees built from stable splits of the remaining
-// orders. orders covers dimensions startDim..dims-2.
-func buildLevels(orders [][]geom.Point, startDim, dims int) *Tree {
-	if dims-startDim == 2 {
-		return &Tree{Dims: dims, StartDim: startDim, two: buildCascade(orders[0], startDim, startDim+1)}
-	}
-	t := &Tree{Dims: dims, StartDim: startDim, pts: orders[0]}
-	t.shape = segtree.NewShape(len(t.pts))
-	t.desc = make([]*Tree, t.shape.NumNodes()+1)
-	// Split the orders down the heap; a node with at least two points gets
-	// descendant(v) built from its own slice of every deeper order.
-	var fill func(v int, tails [][]geom.Point)
-	fill = func(v int, tails [][]geom.Point) {
-		c := len(tails[0])
-		if c < 2 {
-			return
-		}
-		lo, _ := t.shape.PosRange(v)
-		mid := lo + (t.shape.Cap >> (segtree.Depth(v) + 1)) // first position of right child
-		if mid < lo+c {
-			// Both children have real points: split each deeper order
-			// stably against the first point of the right child.
-			pivot := tails[0][mid-lo]
-			lefts := make([][]geom.Point, len(tails)-1)
-			rights := make([][]geom.Point, len(tails)-1)
-			for k, tail := range tails[1:] {
-				l := make([]geom.Point, 0, mid-lo)
-				r := make([]geom.Point, 0, c-(mid-lo))
-				for _, p := range tail {
-					if lessInDim(p, pivot, startDim) {
-						l = append(l, p)
-					} else {
-						r = append(r, p)
-					}
-				}
-				lefts[k], rights[k] = l, r
-			}
-			fill(segtree.Left(v), prepend(tails[0][:mid-lo], lefts))
-			fill(segtree.Right(v), prepend(tails[0][mid-lo:], rights))
-		} else {
-			// All real points are in the left child.
-			fill(segtree.Left(v), tails)
-		}
-		t.desc[v] = buildLevels(tails[1:], startDim+1, dims)
-	}
-	fill(t.shape.Root(), orders)
-	return t
-}
-
-// prepend builds [head, tails...] without mutating tails.
-func prepend(head []geom.Point, tails [][]geom.Point) [][]geom.Point {
-	out := make([][]geom.Point, 0, len(tails)+1)
-	out = append(out, head)
-	return append(out, tails...)
-}
-
-// cmpInDim and lessInDim alias geom's shared (X[dim], ID) total order —
-// the top-level sorts, the cascade merge and the stable partition must
-// agree on it.
-func cmpInDim(a, b geom.Point, dim int) int   { return geom.CmpInDim(a, b, dim) }
-func lessInDim(a, b geom.Point, dim int) bool { return geom.LessInDim(a, b, dim) }
-
-func sortedBy(pts []geom.Point, dim int) []geom.Point {
+// sortedBy returns the block's indices ordered by (X[dim], ID). It sorts
+// packed (coordinate, index) words, which needs no comparator, and then
+// puts each run of equal coordinates into ID order.
+func (bl *block) sortedBy(dim int) []int32 {
 	buildSorts.Add(1)
-	out := make([]geom.Point, len(pts))
-	copy(out, pts)
-	slices.SortFunc(out, func(a, b geom.Point) int { return cmpInDim(a, b, dim) })
+	packed := make([]uint64, len(bl.pts))
+	for i := range packed {
+		packed[i] = uint64(uint32(bl.coord(int32(i), dim))^1<<31)<<32 | uint64(i)
+	}
+	slices.Sort(packed)
+	out := make([]int32, len(packed))
+	for at, w := range packed {
+		out[at] = int32(uint32(w))
+	}
+	for lo, hi := 0, 0; lo < len(out); lo = hi {
+		for hi = lo + 1; hi < len(out) && packed[hi]>>32 == packed[lo]>>32; hi++ {
+		}
+		if hi-lo > 1 {
+			slices.SortFunc(out[lo:hi], func(i, j int32) int { return cmp.Compare(bl.pts[i].ID, bl.pts[j].ID) })
+		}
+	}
 	return out
 }
 
-// buildCascade assembles the two-dimensional cascaded structure bottom-up
-// from the x-sorted leaf order: each node's array is the merge of its
-// children's (yielding the y order with no further sorting), and the
-// bridges are recorded during the merge.
-func buildCascade(byX []geom.Point, x, y int) *cascade {
-	c := &cascade{x: x, y: y, byX: byX}
-	c.shape = segtree.NewShape(len(c.byX))
-	n := c.shape.NumNodes() + 1
-	c.arr = make([][]geom.Point, n)
-	c.bridgeL = make([][]int32, n)
-	c.bridgeR = make([][]int32, n)
-	for pos := range c.byX {
-		c.arr[c.shape.LeafNode(pos)] = c.byX[pos : pos+1 : pos+1]
+// builder carries what one BuildFrom shares across its recursion.
+type builder struct {
+	blk  *block
+	dims int
+	// pos holds one n-slot table per upper dimension: while the upper tree
+	// of that dimension is being split, pos[i] is point i's position in
+	// its order. Sibling trees of one dimension are built one after the
+	// other, so they can share the table.
+	pos []int32
+	// ykeys is the cascade merges' n-slot scratch: the y-coordinates of
+	// every other level (the levels between live in the cascade's own
+	// ykeys, which ends up holding the root's).
+	ykeys []geom.Coord
+}
+
+// levels builds the tree for orders[0] (sorted by startDim) and attaches
+// descendant trees built from stable splits of the remaining orders.
+// orders covers dimensions startDim..dims-2.
+func (bd *builder) levels(orders [][]int32, startDim int) *Tree {
+	bl := bd.blk
+	t := &Tree{Dims: bd.dims, StartDim: startDim, blk: bl}
+	if bd.dims-startDim == 2 {
+		t.two = bd.cascade(orders[0], startDim, startDim+1)
+		return t
 	}
-	for v := c.shape.Cap - 1; v >= 1; v-- {
-		l, r := c.arr[segtree.Left(v)], c.arr[segtree.Right(v)]
-		if len(l) == 0 && len(r) == 0 {
-			continue
+	m := len(orders[0])
+	t.idx = orders[0]
+	t.shape = segtree.NewShape(m)
+	t.keys = make([]geom.Coord, m)
+	n := len(bl.pts)
+	pos := bd.pos[(bd.dims-startDim-3)*n:][:n]
+	for at, i := range t.idx {
+		t.keys[at] = bl.coord(i, startDim)
+		pos[i] = int32(at)
+	}
+	t.desc = make([]*Tree, t.shape.Cap/bucket)
+	// Split the deeper orders down the heap: tails is node v's part of
+	// each. A node with more than a bucket of points gets descendant(v)
+	// built from it.
+	var fill func(v int, tails [][]int32)
+	fill = func(v int, tails [][]int32) {
+		c := len(tails[0])
+		if c <= bucket {
+			return
 		}
-		merged := make([]geom.Point, 0, len(l)+len(r))
-		bl := make([]int32, 0, len(l)+len(r)+1)
-		br := make([]int32, 0, len(l)+len(r)+1)
-		i, j := 0, 0
-		for i < len(l) || j < len(r) {
-			bl = append(bl, int32(i))
-			br = append(br, int32(j))
-			if j >= len(r) || (i < len(l) && !lessInDim(r[j], l[i], y)) {
-				merged = append(merged, l[i])
-				i++
-			} else {
-				merged = append(merged, r[j])
-				j++
+		lo, _ := t.shape.PosRange(v)
+		mid := lo + t.shape.Cap>>(segtree.Depth(v)+1) // first position of right child
+		if mid >= lo+c {
+			// All real points are in the left child: one tree serves both.
+			fill(segtree.Left(v), tails)
+			t.desc[v] = t.desc[segtree.Left(v)]
+			return
+		}
+		t.desc[v] = bd.levels(tails, startDim+1)
+		// Both children have real points: split each deeper order stably
+		// by position in this tree's order.
+		cl := mid - lo
+		lefts, rights := make([][]int32, len(tails)), make([][]int32, len(tails))
+		for k, tail := range tails {
+			split := make([]int32, c)
+			l, r := 0, cl
+			for _, i := range tail {
+				if int(pos[i]) < mid {
+					split[l] = i
+					l++
+				} else {
+					split[r] = i
+					r++
+				}
+			}
+			lefts[k], rights[k] = split[:cl], split[cl:]
+		}
+		fill(segtree.Left(v), lefts)
+		fill(segtree.Right(v), rights)
+	}
+	fill(t.shape.Root(), orders[1:])
+	return t
+}
+
+// cascade assembles the two-dimensional cascaded structure bottom-up from
+// the x-sorted leaf order: the deepest level sorts each bucket by (y, ID),
+// every level above merges its children's runs (yielding the y order with
+// no further sorting), and the bridges are recorded during the merge. Each
+// level's y-coordinates travel beside it, so a merge step compares two
+// sequential loads and looks an ID up only on a tie.
+func (bd *builder) cascade(byX []int32, x, y int) *cascade {
+	bl := bd.blk
+	m := len(byX)
+	c := &cascade{blk: bl, x: x, y: y, ord: bl.cascades, shape: segtree.NewShape(m)}
+	bl.cascades++
+	c.depth = max(0, c.shape.Height()-segtree.Log2(bucket))
+	c.xkeys = make([]geom.Coord, m)
+	for at, i := range byX {
+		c.xkeys[at] = bl.coord(i, x)
+	}
+	c.ykeys = make([]geom.Coord, m)
+	c.idx = make([]int32, (c.depth+1)*m)
+	c.left = make([]int32, c.depth*m)
+	// Level k's keys live in c.ykeys when k is even, so level 0's stay.
+	keysOf := func(k int) []geom.Coord {
+		if k%2 == 0 {
+			return c.ykeys
+		}
+		return bd.ykeys[:m]
+	}
+
+	bottom, bottomKeys := c.idx[c.depth*m:], keysOf(c.depth)
+	copy(bottom, byX)
+	byY := func(i, j int32) int { return bl.cmp(i, j, y) }
+	for lo, w := 0, c.shape.Cap>>c.depth; lo < m; lo += w {
+		slices.SortFunc(bottom[lo:min(lo+w, m)], byY) // ≤ bucket entries: an insertion sort
+	}
+	for at, i := range bottom {
+		bottomKeys[at] = bl.coord(i, y)
+	}
+	for k := c.depth - 1; k >= 0; k-- {
+		level, below, left := c.idx[k*m:(k+1)*m], c.idx[(k+1)*m:(k+2)*m], c.left[k*m:(k+1)*m]
+		keys, keysBelow := keysOf(k), keysOf(k+1)
+		for lo, w := 0, c.shape.Cap>>k; lo < m; lo += w {
+			mid, hi := min(lo+w/2, m), min(lo+w, m)
+			i, j, at := lo, mid, lo
+			for ; i < mid && j < hi; at++ {
+				left[at] = int32(i - lo)
+				ki, kj := keysBelow[i], keysBelow[j]
+				if kj < ki || (kj == ki && bl.pts[below[j]].ID < bl.pts[below[i]].ID) {
+					level[at], keys[at] = below[j], kj
+					j++
+				} else {
+					level[at], keys[at] = below[i], ki
+					i++
+				}
+			}
+			for ; i < mid; i, at = i+1, at+1 {
+				left[at], level[at], keys[at] = int32(i-lo), below[i], keysBelow[i]
+			}
+			for ; j < hi; j, at = j+1, at+1 {
+				left[at], level[at], keys[at] = int32(mid-lo), below[j], keysBelow[j]
 			}
 		}
-		bl = append(bl, int32(len(l)))
-		br = append(br, int32(len(r)))
-		c.arr[v] = merged
-		c.bridgeL[v] = bl
-		c.bridgeR[v] = br
 	}
 	return c
 }
@@ -217,54 +334,61 @@ func (t *Tree) N() int {
 	case t.one != nil:
 		return len(t.one)
 	case t.two != nil:
-		return len(t.two.byX)
+		return t.two.shape.M
 	default:
-		return len(t.pts)
+		return len(t.idx)
 	}
 }
 
 // Nodes reports the structure size in stored entries (array slots plus
 // tree nodes) — comparable to rangetree.Tree.Nodes for E11's space column.
+// A descendant tree shared by a node and its left child counts once.
 func (t *Tree) Nodes() int {
 	switch {
 	case t.one != nil:
 		return len(t.one)
 	case t.two != nil:
-		total := 0
-		for _, a := range t.two.arr {
-			total += len(a)
-		}
-		return total
+		return len(t.two.idx)
 	default:
 		total := 0
 		for v := 1; v < 2*t.shape.Cap; v++ {
-			if t.shape.Count(v) == 0 {
-				continue
-			}
-			total++
-			if t.desc[v] != nil {
-				total += t.desc[v].Nodes()
+			if t.shape.Count(v) > 0 {
+				total++
 			}
 		}
+		t.eachDesc(func(d *Tree) { total += d.Nodes() })
 		return total
 	}
 }
 
-// Visitor receives a query result without per-node allocations: ranges
-// arrive as sub-slices of the tree's own sorted arrays (callers must not
-// mutate them), single points individually. Together the callbacks cover
-// R(q) exactly once. A reused Visitor implementation makes the whole
-// descent allocation-free — the property the distributed pipeline's
-// phase-C serving relies on.
+// eachDesc calls fn once per distinct descendant tree of an upper level.
+func (t *Tree) eachDesc(fn func(*Tree)) {
+	for v := 1; v < len(t.desc); v++ {
+		if d := t.desc[v]; d != nil && d != t.desc[segtree.Parent(v)] {
+			fn(d)
+		}
+	}
+}
+
+// Visitor receives a query result without per-node allocations: runs
+// arrive as sub-slices of the tree's own arrays (callers must not mutate
+// them), single points individually. Together the callbacks cover R(q)
+// exactly once. A reused Visitor implementation makes the whole descent
+// allocation-free — the property the distributed pipeline's phase-C
+// serving relies on.
 type Visitor interface {
-	// VisitRange observes one maximal run, sorted by the final coordinate.
+	// VisitRange observes one maximal run of a one-dimensional tree,
+	// sorted by the final coordinate.
 	VisitRange(pts []geom.Point)
+	// VisitIndexed observes one maximal run of a cascade: the points
+	// base[i] for i in idx, sorted by the final coordinate.
+	VisitIndexed(base []geom.Point, idx []int32)
 	// VisitPoint observes one individually verified point.
 	VisitPoint(p geom.Point)
 }
 
-// Visit enumerates the query result through v: the hot-path variant of
-// Search, with no adapter between the descent and the consumer.
+// Visit enumerates the query result through v, with no adapter between
+// the descent and the consumer.
 func (t *Tree) Visit(b geom.Box, v Visitor) {
 	if b.Dims() != t.Dims {
 		panic("layered: query dimensionality mismatch")
@@ -272,134 +396,170 @@ func (t *Tree) Visit(b geom.Box, v Visitor) {
 	t.scan(b, v)
 }
 
-// funcSink adapts the closure-based Search API to the Visitor descent.
-type funcSink struct {
-	sel func([]geom.Point)
-	pt  func(geom.Point)
-}
-
-func (s *funcSink) VisitRange(pts []geom.Point) { s.sel(pts) }
-func (s *funcSink) VisitPoint(p geom.Point)     { s.pt(p) }
-
-// Search enumerates the query result: ranges of cascaded arrays via sel
-// (array slice per canonical node) and individually verified points via
-// pt. Together they cover R(q) exactly once.
-func (t *Tree) Search(b geom.Box, sel func(pts []geom.Point), pt func(geom.Point)) {
-	if b.Dims() != t.Dims {
-		panic("layered: query dimensionality mismatch")
-	}
-	t.scan(b, &funcSink{sel: sel, pt: pt})
-}
-
-// scan is the shared traversal behind Search, Visit, Count and Report.
-// Agg.Query mirrors it with a threaded accumulator (agg.go), because the
-// aggregate tables are keyed by the structural positions this descent
-// resolves.
+// scan is the shared traversal behind Visit, Count and Report. Agg.Query
+// mirrors it with a threaded accumulator (agg.go), because the aggregate
+// tables are keyed by the structural positions this descent resolves.
 func (t *Tree) scan(b geom.Box, s Visitor) {
 	switch {
 	case t.one != nil:
-		dim := t.Dims - 1
-		iv := b.Dim(dim)
-		if iv.Empty() {
-			return
-		}
-		lo := searchY(t.one, dim, iv.Lo)
-		hi := len(t.one)
-		if iv.Hi < 1<<31-1 { // guard Hi+1 overflow on unbounded boxes
-			hi = searchY(t.one, dim, iv.Hi+1)
-		}
-		if lo < hi {
+		if lo, hi := t.oneRange(b); lo < hi {
 			s.VisitRange(t.one[lo:hi])
 		}
 	case t.two != nil:
-		t.two.scan(b, s)
-	default:
-		iv := b.Dim(t.StartDim)
-		if iv.Empty() {
-			return
+		c := t.two
+		ivx := b.Dim(c.x)
+		if pLo, pHi := c.rootRange(b.Dim(c.y)); pLo < pHi && !ivx.Empty() {
+			c.descend(0, 0, pLo, pHi, ivx, s)
 		}
-		t.descend(t.shape.Root(), b, iv, s)
+	default:
+		if iv := b.Dim(t.StartDim); !iv.Empty() {
+			t.descend(t.shape.Root(), b, iv, s)
+		}
 	}
 }
 
-// descend is the upper-level four-case descent as a plain recursive method
-// (no per-query closures).
-func (t *Tree) descend(v int, b geom.Box, iv geom.Interval, s Visitor) {
-	lo, hi := t.shape.PosRange(v)
+// oneRange is the run of a one-dimensional tree inside b.
+func (t *Tree) oneRange(b geom.Box) (lo, hi int) {
+	dim := t.Dims - 1
+	iv := b.Dim(dim)
+	if iv.Empty() {
+		return 0, 0
+	}
+	hi = len(t.one)
+	if iv.Hi < maxCoord {
+		hi = searchPoints(t.one, dim, iv.Hi+1)
+	}
+	return searchPoints(t.one, dim, iv.Lo), hi
+}
+
+// upperCase classifies node v of an upper level against the query interval.
+type upperCase int8
+
+const (
+	upperMiss   upperCase = iota // no point of v can match
+	upperBucket                  // at most bucket points: scan positions lo..hi
+	upperWhole                   // v's whole span is inside iv: ask desc[v]
+	upperSplit                   // descend into both children
+)
+
+// classify is the upper-level four-case test shared by scan and Agg.
+func (t *Tree) classify(v int, iv geom.Interval) (c upperCase, lo, hi int) {
+	lo, hi = t.shape.PosRange(v)
 	if lo >= t.shape.M {
-		return
+		return upperMiss, lo, hi
 	}
-	if hi > t.shape.M {
-		hi = t.shape.M
+	hi = min(hi, t.shape.M)
+	span := geom.Interval{Lo: t.keys[lo], Hi: t.keys[hi-1]}
+	switch {
+	case !iv.Overlaps(span):
+		return upperMiss, lo, hi
+	case hi-lo <= bucket:
+		return upperBucket, lo, hi
+	case iv.ContainsInterval(span):
+		return upperWhole, lo, hi
 	}
-	span := geom.Interval{Lo: t.pts[lo].X[t.StartDim], Hi: t.pts[hi-1].X[t.StartDim]}
-	if !iv.Overlaps(span) {
-		return
-	}
-	if iv.ContainsInterval(span) {
-		if hi-lo == 1 {
-			p := t.pts[lo]
-			if b.ContainsFrom(p, t.StartDim+1) {
+	return upperSplit, lo, hi
+}
+
+// descend is the upper-level descent as a plain recursive method (no
+// per-query closures).
+func (t *Tree) descend(v int, b geom.Box, iv geom.Interval, s Visitor) {
+	c, lo, hi := t.classify(v, iv)
+	switch c {
+	case upperBucket:
+		for at := lo; at < hi; at++ {
+			if !iv.Contains(t.keys[at]) {
+				continue
+			}
+			if p := t.blk.pts[t.idx[at]]; b.ContainsFrom(p, t.StartDim+1) {
 				s.VisitPoint(p)
 			}
-			return
 		}
+	case upperWhole:
 		t.desc[v].scan(b, s)
-		return
+	case upperSplit:
+		t.descend(segtree.Left(v), b, iv, s)
+		t.descend(segtree.Right(v), b, iv, s)
 	}
-	t.descend(segtree.Left(v), b, iv, s)
-	t.descend(segtree.Right(v), b, iv, s)
 }
 
-// scan runs the cascaded two-dimensional query: one binary search at the
-// root, then O(1) bridge following per visited node.
-func (c *cascade) scan(b geom.Box, s Visitor) {
-	ivx := b.Dim(c.x)
-	ivy := b.Dim(c.y)
-	if ivx.Empty() || ivy.Empty() || len(c.byX) == 0 {
-		return
+// rootRange is the run of the root's y-sorted array inside ivy: the one
+// binary search of a cascaded query.
+func (c *cascade) rootRange(ivy geom.Interval) (pLo, pHi int) {
+	if ivy.Empty() {
+		return 0, 0
 	}
-	root := c.shape.Root()
-	rootArr := c.arr[root]
-	yLo := searchY(rootArr, c.y, ivy.Lo)
-	yHi := len(rootArr)
-	if ivy.Hi < 1<<31-1 { // guard Hi+1 overflow on unbounded boxes
-		yHi = searchY(rootArr, c.y, ivy.Hi+1)
+	pHi = len(c.ykeys)
+	if ivy.Hi < maxCoord {
+		pHi = searchCoords(c.ykeys, ivy.Hi+1)
 	}
-	c.descend(root, yLo, yHi, ivx, s)
+	return searchCoords(c.ykeys, ivy.Lo), pHi
 }
 
-func (c *cascade) descend(v, pLo, pHi int, ivx geom.Interval, s Visitor) {
-	if pLo >= pHi {
-		return // no y-matching points below
+// span is the x-extent of the node at depth k whose first leaf position
+// is lo, and hi one past its last real leaf position.
+func (c *cascade) span(k, lo int) (hi int, span geom.Interval) {
+	hi = min(lo+c.shape.Cap>>k, c.shape.M)
+	return hi, geom.Interval{Lo: c.xkeys[lo], Hi: c.xkeys[hi-1]}
+}
+
+// children follows the bridges of the n-entry node (k, lo): positions
+// [pLo, pHi) of its array become [lLo, lHi) of the left child's (first
+// leaf lo) and [rLo, rHi) of the right child's (first leaf mid). Requires
+// pLo < pHi.
+func (c *cascade) children(k, lo, n, pLo, pHi int) (mid, lLo, lHi, rLo, rHi int) {
+	m := c.shape.M
+	mid = lo + c.shape.Cap>>(k+1)
+	left := c.left[k*m+lo : k*m+lo+n]
+	lLo = int(left[pLo])
+	lHi = min(mid, m) - lo // terminal bridge: the left child's length
+	if pHi < n {
+		lHi = int(left[pHi])
 	}
-	lo, hi := c.shape.PosRange(v)
-	if lo >= c.shape.M {
-		return
-	}
-	if hi > c.shape.M {
-		hi = c.shape.M
-	}
-	span := geom.Interval{Lo: c.byX[lo].X[c.x], Hi: c.byX[hi-1].X[c.x]}
+	return mid, lLo, lHi, pLo - lLo, pHi - lHi
+}
+
+// descend runs the cascaded query below the root's binary search, over
+// the non-empty run [pLo, pHi) of y-matching entries of node (k, lo): O(1)
+// bridge arithmetic per visited node, and an x-filter over the y-matching
+// entries of a bucket node the query cuts.
+func (c *cascade) descend(k, lo, pLo, pHi int, ivx geom.Interval, s Visitor) {
+	hi, span := c.span(k, lo)
 	if !ivx.Overlaps(span) {
 		return
 	}
-	if ivx.ContainsInterval(span) {
-		s.VisitRange(c.arr[v][pLo:pHi])
-		return
+	at := k*c.shape.M + lo
+	switch {
+	case ivx.ContainsInterval(span):
+		s.VisitIndexed(c.blk.pts, c.idx[at+pLo:at+pHi])
+	case k == c.depth:
+		for _, i := range c.idx[at+pLo : at+pHi] {
+			if ivx.Contains(c.blk.coord(i, c.x)) {
+				s.VisitPoint(c.blk.pts[i])
+			}
+		}
+	default:
+		mid, lLo, lHi, rLo, rHi := c.children(k, lo, hi-lo, pLo, pHi)
+		if lLo < lHi {
+			c.descend(k+1, lo, lLo, lHi, ivx, s)
+		}
+		if rLo < rHi {
+			c.descend(k+1, mid, rLo, rHi, ivx, s)
+		}
 	}
-	c.descend(segtree.Left(v), int(c.bridgeL[v][pLo]), int(c.bridgeL[v][pHi]), ivx, s)
-	c.descend(segtree.Right(v), int(c.bridgeR[v][pLo]), int(c.bridgeR[v][pHi]), ivx, s)
 }
 
-// searchY returns the first index whose y-coordinate is ≥ bound (a manual
-// lower bound: this sits on the query hot path, where sort.Search's
-// closure overhead is measurable).
-func searchY(arr []geom.Point, y int, bound geom.Coord) int {
+// maxCoord guards bound+1 overflow on unbounded boxes.
+const maxCoord = 1<<31 - 1
+
+// searchPoints returns the first index of arr (sorted by dim) whose
+// coordinate is ≥ bound (a manual lower bound: this sits on the query hot
+// path, where sort.Search's closure overhead is measurable).
+func searchPoints(arr []geom.Point, dim int, bound geom.Coord) int {
 	lo, hi := 0, len(arr)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if arr[mid].X[y] < bound {
+		if arr[mid].X[dim] < bound {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -408,11 +568,37 @@ func searchY(arr []geom.Point, y int, bound geom.Coord) int {
 	return lo
 }
 
+// searchCoords is searchPoints over a sorted coordinate array.
+func searchCoords(keys []geom.Coord, bound geom.Coord) int {
+	lo, hi := 0, len(keys)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if keys[mid] < bound {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// Gather appends the run base[i], i in idx, to dst. It grows dst once, so
+// gathering a run costs the one exact-size allocation a bulk append of a
+// contiguous run would.
+func Gather(dst, base []geom.Point, idx []int32) []geom.Point {
+	dst = slices.Grow(dst, len(idx))
+	for _, i := range idx {
+		dst = append(dst, base[i])
+	}
+	return dst
+}
+
 // reportSink appends the result into a reused buffer.
 type reportSink struct{ out []geom.Point }
 
-func (s *reportSink) VisitRange(pts []geom.Point) { s.out = append(s.out, pts...) }
-func (s *reportSink) VisitPoint(p geom.Point)     { s.out = append(s.out, p) }
+func (s *reportSink) VisitRange(pts []geom.Point)            { s.out = append(s.out, pts...) }
+func (s *reportSink) VisitIndexed(b []geom.Point, i []int32) { s.out = Gather(s.out, b, i) }
+func (s *reportSink) VisitPoint(p geom.Point)                { s.out = append(s.out, p) }
 
 // Report returns the points of b.
 func (t *Tree) Report(b geom.Box) []geom.Point {
@@ -427,8 +613,9 @@ func (t *Tree) Report(b geom.Box) []geom.Point {
 // countSink tallies the result without materializing it.
 type countSink struct{ total int }
 
-func (s *countSink) VisitRange(pts []geom.Point) { s.total += len(pts) }
-func (s *countSink) VisitPoint(geom.Point)       { s.total++ }
+func (s *countSink) VisitRange(pts []geom.Point)            { s.total += len(pts) }
+func (s *countSink) VisitIndexed(_ []geom.Point, i []int32) { s.total += len(i) }
+func (s *countSink) VisitPoint(geom.Point)                  { s.total++ }
 
 // Count returns |R(q)|.
 func (t *Tree) Count(b geom.Box) int {

@@ -3,12 +3,15 @@ package layered
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/brute"
 	"repro/internal/geom"
 	"repro/internal/rangetree"
+	"repro/internal/segtree"
+	"repro/internal/semigroup"
 )
 
 func randomPoints(rng *rand.Rand, n, d int, normalize bool) []geom.Point {
@@ -155,46 +158,127 @@ func TestEmptyBoxQuery(t *testing.T) {
 }
 
 // TestCascadeBridgesConsistent verifies the fractional-cascading invariant
-// directly: following a bridge from position i lands on the first child
-// entry not smaller than the parent entry at i.
+// directly on the flat layout, through the same bridge arithmetic the
+// query uses: every stored node's run is sorted by (y, ID), following a
+// bridge from position i lands on the first child entry not smaller than
+// the parent entry at i, and the terminal bridge is the child's length.
+// The sizes straddle the bucket and the power-of-two padding.
 func TestCascadeBridgesConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	pts := randomPoints(rng, 200, 2, true)
-	c := buildCascade(pts, 0, 1)
-	lessY := func(a, b geom.Point) bool {
-		if a.X[1] != b.X[1] {
-			return a.X[1] < b.X[1]
+	for _, n := range []int{1, 7, 8, 9, 64, 200, 257} {
+		pts := randomPoints(rng, n, 2, n%2 == 0)
+		c := Build(pts).two
+		bl, m := c.blk, c.shape.M
+		if len(c.idx) != (c.depth+1)*m || len(c.left) != c.depth*m {
+			t.Fatalf("n=%d: %d levels hold %d entries, %d bridges", n, c.depth+1, len(c.idx), len(c.left))
 		}
-		return a.ID < b.ID
-	}
-	for v := 1; v < c.shape.Cap; v++ {
-		arr := c.arr[v]
-		if arr == nil {
-			continue
+		if w := c.shape.Cap >> c.depth; w > bucket || (c.depth > 0 && w != bucket) {
+			t.Fatalf("n=%d: deepest stored nodes are %d wide", n, w)
 		}
-		for _, side := range []struct {
-			bridge []int32
-			child  []geom.Point
-		}{{c.bridgeL[v], c.arr[segtree_Left(v)]}, {c.bridgeR[v], c.arr[segtree_Right(v)]}} {
-			if side.bridge == nil {
-				continue
-			}
-			for i, p := range arr {
-				b := int(side.bridge[i])
-				// child[b] is the first entry ≥ arr[i]; child[b-1] < arr[i].
-				if b < len(side.child) && lessY(side.child[b], p) {
-					t.Fatalf("bridge too low at node %d pos %d", v, i)
+		nodeRun := func(k, lo int) []int32 { return c.idx[k*m+lo : k*m+min(lo+c.shape.Cap>>k, m)] }
+		for k := 0; k <= c.depth; k++ {
+			for lo, w := 0, c.shape.Cap>>k; lo < m; lo += w {
+				run := nodeRun(k, lo)
+				for i := 1; i < len(run); i++ {
+					if bl.cmp(run[i-1], run[i], 1) >= 0 {
+						t.Fatalf("n=%d level %d node %d: run not sorted at %d", n, k, lo, i)
+					}
 				}
-				if b > 0 && !lessY(side.child[b-1], p) {
-					t.Fatalf("bridge too high at node %d pos %d", v, i)
+				if k == c.depth {
+					continue
 				}
-			}
-			if int(side.bridge[len(arr)]) != len(side.child) {
-				t.Fatalf("terminal bridge wrong at node %d", v)
+				for i := range run {
+					mid, lLo, lHi, rLo, rHi := c.children(k, lo, len(run), i, len(run))
+					var right []int32
+					if mid < m {
+						right = nodeRun(k+1, mid)
+					}
+					for _, side := range []struct {
+						child    []int32
+						at, term int
+					}{{nodeRun(k+1, lo), lLo, lHi}, {right, rLo, rHi}} {
+						// child[at] is the first entry ≥ run[i]; child[at-1] < run[i].
+						if side.at < len(side.child) && bl.cmp(side.child[side.at], run[i], 1) < 0 {
+							t.Fatalf("n=%d level %d node %d: bridge too low at %d", n, k, lo, i)
+						}
+						if side.at > 0 && bl.cmp(side.child[side.at-1], run[i], 1) >= 0 {
+							t.Fatalf("n=%d level %d node %d: bridge too high at %d", n, k, lo, i)
+						}
+						if side.term != len(side.child) {
+							t.Fatalf("n=%d level %d node %d: terminal bridge %d, child holds %d", n, k, lo, side.term, len(side.child))
+						}
+					}
+				}
 			}
 		}
 	}
 }
 
-func segtree_Left(v int) int  { return 2 * v }
-func segtree_Right(v int) int { return 2*v + 1 }
+// TestSharedDescendantCountedOnce pins the right-edge sharing: at
+// n = 5·2^k/4 the root's right child keeps all its real points in its own
+// left child, so the two nodes must share one descendant tree, Nodes must
+// count it once, and answers must still match brute force.
+func TestSharedDescendantCountedOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for _, n := range []int{80, 160, 640} {
+		pts := randomPoints(rng, n, 3, true)
+		lt := Build(pts)
+		if r := segtree.Right(lt.shape.Root()); lt.desc[r] == nil || lt.desc[r] != lt.desc[segtree.Left(r)] {
+			t.Fatalf("n=%d: right-edge node does not share its left child's descendant tree", n)
+		}
+		distinct := map[*Tree]bool{}
+		want := 0
+		for v := 1; v < 2*lt.shape.Cap; v++ {
+			if lt.shape.Count(v) > 0 {
+				want++
+			}
+			if v < len(lt.desc) && lt.desc[v] != nil && !distinct[lt.desc[v]] {
+				distinct[lt.desc[v]] = true
+				want += lt.desc[v].Nodes()
+			}
+		}
+		if got := lt.Nodes(); got != want {
+			t.Errorf("n=%d: Nodes() = %d, want %d over %d distinct subtrees", n, got, want, len(distinct))
+		}
+		if lt.blk.cascades != len(distinct) {
+			t.Errorf("n=%d: built %d cascades for %d distinct subtrees", n, lt.blk.cascades, len(distinct))
+		}
+		agg := NewAgg(lt, semigroup.IntSum(), func(geom.Point) int64 { return 1 })
+		bf := brute.New(pts)
+		for q := 0; q < 40; q++ {
+			b := randomBox(rng, n, 3)
+			if got, want := lt.Count(b), bf.Count(b); got != want {
+				t.Fatalf("n=%d: count %d want %d", n, got, want)
+			}
+			if got, want := agg.Query(b), int64(bf.Count(b)); got != want {
+				t.Fatalf("n=%d: agg %d want %d", n, got, want)
+			}
+		}
+	}
+}
+
+// TestFootprint bounds the live heap one Build retains. The limits sit
+// between the index-only layout (≈ 124 B/point at d = 2, ≈ 580 at d = 3)
+// and anything that stores points per node (≥ 700 and ≥ 6 000).
+func TestFootprint(t *testing.T) {
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	const n = 4096
+	for _, tc := range []struct{ d, limit int }{{2, 200}, {3, 900}} {
+		pts := randomPoints(rand.New(rand.NewSource(41)), n, tc.d, true)
+		before := heap()
+		lt := Build(pts)
+		per := (int64(heap()) - int64(before)) / n
+		runtime.KeepAlive(lt)
+		runtime.KeepAlive(pts)
+		if per > int64(tc.limit) {
+			t.Errorf("d=%d: Build retains %d B/point, limit %d", tc.d, per, tc.limit)
+		}
+		t.Logf("d=%d: %d B/point", tc.d, per)
+	}
+}
