@@ -31,13 +31,21 @@ type Plan struct {
 // NewPlan computes the plan for the demand vector (one entry per group;
 // the paper's groups are the processor parts F_0..F_(p-1), so typically
 // len(demand) == p, but the element-granularity ablation passes more).
-func NewPlan(p int, demand []int) *Plan {
-	pl := &Plan{P: p, Demand: append([]int(nil), demand...)}
+// reuse, when non-nil, is recomputed in place and returned, keeping its
+// vectors' storage — how a search batch plans without allocating; nil
+// allocates a fresh plan.
+func NewPlan(p int, demand []int, reuse *Plan) *Plan {
+	pl := reuse
+	if pl == nil {
+		pl = &Plan{}
+	}
+	pl.P, pl.DTotal, pl.Slots = p, 0, 0
+	pl.Demand = append(pl.Demand[:0], demand...)
+	pl.Copies = resized(pl.Copies, len(demand))
+	pl.offsets = resized(pl.offsets, len(demand))
 	for _, d := range demand {
 		pl.DTotal += d
 	}
-	pl.Copies = make([]int, len(demand))
-	pl.offsets = make([]int, len(demand))
 	for j, d := range demand {
 		pl.offsets[j] = pl.Slots
 		if d == 0 {
@@ -58,30 +66,28 @@ func NewPlan(p int, demand []int) *Plan {
 	return pl
 }
 
+// resized returns a zeroed vector of length n, in s's storage when it fits.
+func resized(s []int, n int) []int {
+	if cap(s) < n {
+		return make([]int, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 // Host returns the processor hosting a slot. Slots are dealt round-robin,
 // which gives every processor at most ⌈Slots/P⌉ ≤ 2 copies — the "each
 // processor stores O(1) copies" guarantee of the balancing lemma.
 func (pl *Plan) Host(slot int) int { return slot % pl.P }
 
-// GroupSlots returns the slot indices of group j.
-func (pl *Plan) GroupSlots(j int) []int {
-	c := pl.Copies[j]
-	out := make([]int, c)
-	for i := 0; i < c; i++ {
-		out[i] = pl.offsets[j] + i
+// GroupHosts appends the processors hosting copies of group j to dst (in
+// slot order, possibly with repeats when Slots < P is small).
+func (pl *Plan) GroupHosts(j int, dst []int) []int {
+	for i := 0; i < pl.Copies[j]; i++ {
+		dst = append(dst, pl.Host(pl.offsets[j]+i))
 	}
-	return out
-}
-
-// GroupHosts returns the processors hosting copies of group j (in slot
-// order, possibly with repeats when Slots < P is small).
-func (pl *Plan) GroupHosts(j int) []int {
-	slots := pl.GroupSlots(j)
-	hosts := make([]int, len(slots))
-	for i, s := range slots {
-		hosts[i] = pl.Host(s)
-	}
-	return hosts
+	return dst
 }
 
 // Route returns the processor that serves the r-th request (0-based
@@ -142,13 +148,11 @@ type Share struct {
 // SplitWeighted assigns the output positions [off, off+w) of one weighted
 // entry to the contiguous blocks of a total weight `total` split over p
 // processors (Algorithm Report: dest(q) = ⌊p·psw(q)/Σw⌋, extended to
-// entries that straddle block boundaries). The returned shares are
-// entry-relative, ordered, disjoint and cover [0, w).
-func SplitWeighted(off, w, total, p int) []Share {
-	if w == 0 {
-		return nil
-	}
-	var out []Share
+// entries that straddle block boundaries), appending the shares to dst.
+// The appended shares are entry-relative, ordered, disjoint and cover
+// [0, w); entries that are disjoint in output positions get at most
+// (number of entries) + p - 1 shares between them.
+func SplitWeighted(dst []Share, off, w, total, p int) []Share {
 	pos := off
 	end := off + w
 	for pos < end {
@@ -163,10 +167,10 @@ func SplitWeighted(off, w, total, p int) []Share {
 		if blockEnd <= pos { // defensive: always make progress
 			blockEnd = pos + 1
 		}
-		out = append(out, Share{Proc: proc, Lo: pos - off, Hi: blockEnd - off})
+		dst = append(dst, Share{Proc: proc, Lo: pos - off, Hi: blockEnd - off})
 		pos = blockEnd
 	}
-	return out
+	return dst
 }
 
 // ownerOf maps global output position g onto one of p contiguous blocks of

@@ -2,12 +2,13 @@ package balance
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
 
 func TestPlanBasics(t *testing.T) {
-	pl := NewPlan(4, []int{8, 0, 4, 4}) // D = 16, D/p = 4
+	pl := NewPlan(4, []int{8, 0, 4, 4}, nil) // D = 16, D/p = 4
 	if pl.DTotal != 16 {
 		t.Fatalf("DTotal = %d", pl.DTotal)
 	}
@@ -26,6 +27,7 @@ func TestPlanBasics(t *testing.T) {
 }
 
 func TestPlanInvariants(t *testing.T) {
+	var reused *Plan
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := 1 + rng.Intn(16)
@@ -36,7 +38,13 @@ func TestPlanInvariants(t *testing.T) {
 				demand[j] = rng.Intn(200)
 			}
 		}
-		pl := NewPlan(p, demand)
+		// One plan recomputed in place across every case (whatever width
+		// and demand came before) must equal a fresh one.
+		reused = NewPlan(p, demand, reused)
+		pl := NewPlan(p, demand, nil)
+		if !reflect.DeepEqual(reused, pl) {
+			return false
+		}
 		if pl.DTotal == 0 {
 			return pl.Slots == 0
 		}
@@ -62,7 +70,7 @@ func TestPlanInvariants(t *testing.T) {
 				continue
 			}
 			hosts := map[int]bool{}
-			for _, h := range pl.GroupHosts(j) {
+			for _, h := range pl.GroupHosts(j, nil) {
 				hosts[h] = true
 			}
 			for r := 0; r < d; r++ {
@@ -82,7 +90,7 @@ func TestPlanSingleHotGroup(t *testing.T) {
 	// The congestion case that motivates the paper's copying: every query
 	// wants group 0. It must get ~p copies and the load must spread.
 	p := 8
-	pl := NewPlan(p, []int{800, 0, 0, 0, 0, 0, 0, 0})
+	pl := NewPlan(p, []int{800, 0, 0, 0, 0, 0, 0, 0}, nil)
 	if pl.Copies[0] != p {
 		t.Fatalf("hot group got %d copies, want %d", pl.Copies[0], p)
 	}
@@ -92,7 +100,7 @@ func TestPlanSingleHotGroup(t *testing.T) {
 }
 
 func TestRoutePanicsOnUndemanded(t *testing.T) {
-	pl := NewPlan(2, []int{0, 5})
+	pl := NewPlan(2, []int{0, 5}, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -108,7 +116,7 @@ func TestSplitWeightedCoversExactly(t *testing.T) {
 		total := 1 + rng.Intn(500)
 		off := rng.Intn(total)
 		w := rng.Intn(total - off)
-		shares := SplitWeighted(off, w, total, p)
+		shares := SplitWeighted(nil, off, w, total, p)
 		if w == 0 {
 			return len(shares) == 0
 		}
@@ -140,7 +148,7 @@ func TestSplitWeightedBalance(t *testing.T) {
 	p, total := 4, 1000
 	perProc := make([]int, p)
 	for off := 0; off < total; off++ {
-		for _, sh := range SplitWeighted(off, 1, total, p) {
+		for _, sh := range SplitWeighted(nil, off, 1, total, p) {
 			perProc[sh.Proc] += sh.Hi - sh.Lo
 		}
 	}

@@ -3,6 +3,8 @@ package cgm
 import (
 	"fmt"
 	"reflect"
+	"slices"
+	"unsafe"
 
 	"repro/internal/obs"
 	"repro/internal/wire"
@@ -24,6 +26,11 @@ import (
 // reference, wire transports carry encoded blocks — the raw layout of a
 // registered wire.Codec when T has one, gob otherwise (so an unregistered
 // T must be gob-encodable — in practice: exported fields).
+//
+// The returned column is carved from the rank's run arena (unless it holds
+// more than heapColumnBytes of rows): it — not the rows it points at,
+// which belong to their senders — is valid until the machine's next Run
+// begins.
 func Exchange[T any](pr *Proc, label string, out [][]T) [][]T {
 	m := pr.m
 	if len(out) != m.p {
@@ -32,8 +39,7 @@ func Exchange[T any](pr *Proc, label string, out [][]T) [][]T {
 	pr.closeSegment()
 	pr.releaseToken()
 
-	stamp := fmt.Sprintf("%s#%d", label, pr.opSeq)
-	dep := Deposit{Seq: pr.opSeq, Stamp: stamp, Trace: m.trace}
+	dep := Deposit{Seq: pr.opSeq, Label: label, Trace: m.trace}
 	pr.opSeq++
 	sent := 0
 	for _, s := range out {
@@ -41,16 +47,19 @@ func Exchange[T any](pr *Proc, label string, out [][]T) [][]T {
 	}
 	onWire := m.tr.Wire()
 	var encBuf []byte
+	var row *[][]T
 	if onWire {
 		dep.Type = reflect.TypeOf((*T)(nil)).Elem().String()
-		blocks, buf, err := encodeBlocks(out, pr.rank)
+		blocks, buf, err := encodeBlocks(&pr.arena, out, pr.rank)
 		if err != nil {
-			m.fail(fmt.Sprintf("cgm: %s: encoding payload: %v", stamp, err))
+			m.fail(fmt.Sprintf("cgm: %s: encoding payload: %v", dep.stamp(), err))
 		}
 		dep.Blocks = blocks
 		encBuf = buf
 	} else {
-		dep.Row = out
+		// Boxing a pointer allocates nothing; boxing the slice header would.
+		row = AllocOne(&pr.arena, out)
+		dep.Row = row
 	}
 
 	xStart := int64(0)
@@ -70,11 +79,13 @@ func Exchange[T any](pr *Proc, label string, out [][]T) [][]T {
 	if encBuf != nil {
 		// The transport has written (or routed) every block by the time
 		// Exchange returns, so the pooled buffer the blocks alias can go
-		// back for the next superstep's deposit.
+		// back for the next superstep's deposit — and the arena-held block
+		// headers must stop referring to it.
+		clear(dep.Blocks)
 		wire.PutBuf(encBuf)
 	}
 
-	in := make([][]T, m.p)
+	in := Alloc[[]T](&pr.arena, m.p)
 	recv := 0
 	if onWire {
 		for j, b := range col.Blocks {
@@ -88,25 +99,37 @@ func Exchange[T any](pr *Proc, label string, out [][]T) [][]T {
 			}
 			part, err := decodeBlock[T](b)
 			if err != nil {
-				m.fail(fmt.Sprintf("cgm: %s: decoding block from processor %d: %v", stamp, j, err))
+				m.fail(fmt.Sprintf("cgm: %s: decoding block from processor %d: %v", dep.stamp(), j, err))
 			}
 			in[j] = part
 			recv += len(part)
 		}
 	} else {
 		for j, row := range col.Rows {
-			src, ok := row.([][]T)
+			src, ok := row.(*[][]T)
 			if !ok {
-				m.fail(fmt.Sprintf("SPMD violation: processor %d exchanged a different element type at %q", j, stamp))
+				m.fail(fmt.Sprintf("SPMD violation: processor %d exchanged a different element type at %q", j, dep.stamp()))
 			}
-			in[j] = src[pr.rank]
+			in[j] = (*src)[pr.rank]
 			recv += len(in[j])
 		}
 	}
 	m.sent[pr.rank] = sent
 	m.recv[pr.rank] = recv
+	if recv*int(unsafe.Sizeof(*new(T))) > heapColumnBytes {
+		// A column of large rows goes to the heap, where dropping it frees
+		// the rows; in the arena it would keep them reachable until the run
+		// ends — through all d phases of a construct that exchanges every
+		// record in each.
+		arenaIn := in
+		in = slices.Clone(arenaIn)
+		clear(arenaIn)
+	}
 
 	m.await() // everyone read and counted
+	if row != nil {
+		*row = nil // every receiver has its bucket; stop pinning ours
+	}
 
 	if pr.rank == 0 {
 		m.foldRound(label, false)
@@ -119,9 +142,14 @@ func Exchange[T any](pr *Proc, label string, out [][]T) [][]T {
 	return in
 }
 
+// heapColumnBytes is the received payload above which Exchange returns a
+// heap column instead of an arena one: one small allocation per superstep
+// that moved at least this much.
+const heapColumnBytes = 64 << 10
+
 // Barrier is a pure synchronisation superstep with no payload.
 func Barrier(pr *Proc, label string) {
-	Exchange(pr, label, make([][]byte, pr.m.p))
+	Exchange(pr, label, Alloc[[]byte](&pr.arena, pr.m.p))
 }
 
 // encodeBlocks encodes each destination's payload independently, so a
@@ -135,8 +163,8 @@ func Barrier(pr *Proc, label string) {
 // once the transport is done with the deposit. If the buffer reallocates
 // mid-deposit, earlier views keep the old backing array alive — still
 // correct, merely unpooled.
-func encodeBlocks[T any](out [][]T, self int) ([][]byte, []byte, error) {
-	blocks := make([][]byte, len(out))
+func encodeBlocks[T any](a *Arena, out [][]T, self int) ([][]byte, []byte, error) {
+	blocks := Alloc[[]byte](a, len(out))
 	buf := wire.GetBuf()
 	for j, part := range out {
 		if j == self {

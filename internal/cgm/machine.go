@@ -115,7 +115,15 @@ type Machine struct {
 	// and concurrent Runs are already outside the machine's contract.
 	poisoned any
 
-	// Per-run state.
+	// Run state, owned by the machine and reused by every run: the
+	// processor handles (with their per-rank arenas), the superstep
+	// counters, the metrics barrier, the Measured-mode run token and the
+	// abort latch. An abort breaks the barrier and closes abortCh for good
+	// — which is safe only because an aborted machine is poisoned and
+	// never runs again.
+	procs   []Proc
+	prog    func(*Proc)
+	wg      sync.WaitGroup
 	sent    []int
 	recv    []int
 	segTime []time.Duration
@@ -124,6 +132,9 @@ type Machine struct {
 	abortCh chan struct{}
 	abort1  sync.Once
 	abortV  any
+	// The running run's share of the cost-model series (publishRun).
+	runRounds, runElems int64
+	runMaxH             int
 }
 
 // New creates a machine from the configuration.
@@ -163,7 +174,14 @@ func New(cfg Config) *Machine {
 		l = DefaultL
 	}
 	m := &Machine{p: p, mode: cfg.Mode, g: g, l: l, tr: tr, resident: cfg.Resident,
-		reg: cfg.Obs, tracer: cfg.Tracer, events: cfg.Events}
+		reg: cfg.Obs, tracer: cfg.Tracer, events: cfg.Events,
+		procs: make([]Proc, p), sent: make([]int, p), recv: make([]int, p),
+		segTime: make([]time.Duration, p), bar: newBarrier(p),
+		token: make(chan struct{}, 1), abortCh: make(chan struct{})}
+	for i := range m.procs {
+		m.procs[i] = Proc{m: m, rank: i}
+	}
+	m.token <- struct{}{}
 	m.metrics.WorkByProc = make([]time.Duration, p)
 	return m
 }
@@ -195,12 +213,36 @@ func (m *Machine) Resident() bool { return m.resident }
 // transports; a no-op for the in-process loopback).
 func (m *Machine) Close() error { return m.tr.Close() }
 
-// Proc is the per-processor handle passed to SPMD programs.
+// ArenaBytes reports the capacity the machine's per-rank run arenas
+// currently retain. Must not be called while a Run is in flight.
+func (m *Machine) ArenaBytes() int {
+	total := 0
+	for i := range m.procs {
+		total += m.procs[i].arena.bytes()
+	}
+	return total
+}
+
+// ReleaseArenas zeroes what the last run left in the per-rank arenas, so
+// nothing it exchanged stays reachable through them; the capacity is kept
+// for the next run. It invalidates the run's arena-backed results exactly
+// as the next Run would — call it when they have been consumed, after a
+// run that moved rows worth collecting. Must not be called while a Run is
+// in flight.
+func (m *Machine) ReleaseArenas() {
+	for i := range m.procs {
+		m.procs[i].arena.release()
+	}
+}
+
+// Proc is the per-processor handle passed to SPMD programs. The machine
+// owns one per rank and reuses it for every run.
 type Proc struct {
 	m        *Machine
 	rank     int
 	opSeq    int
 	resumeAt time.Time
+	arena    Arena
 }
 
 // Rank reports the processor identity in 0..P-1.
@@ -211,6 +253,9 @@ func (pr *Proc) P() int { return pr.m.p }
 
 // Machine returns the underlying machine.
 func (pr *Proc) Machine() *Machine { return pr.m }
+
+// Arena returns the rank's run arena (see Arena for the lifetime rule).
+func (pr *Proc) Arena() *Arena { return &pr.arena }
 
 // abortSignal is the panic payload used to unwind processors after the
 // machine has been poisoned; the original cause is re-raised by Run.
@@ -248,7 +293,9 @@ func (m *Machine) await() {
 // program must be SPMD: every processor performs the same sequence of
 // collective operations (enforced; violations abort the run with a
 // diagnostic panic). Per-run state (op sequence) is fresh; metrics
-// accumulate across runs until ResetMetrics.
+// accumulate across runs until ResetMetrics. Starting a run recycles the
+// per-rank arenas, so whatever the previous run handed out of them —
+// the [][]T an Exchange returned included — is invalid from here on.
 //
 // A machine whose run aborted is poisoned: subsequent Runs fail fast
 // with the original cause (on every transport — an in-process machine
@@ -258,42 +305,24 @@ func (m *Machine) Run(prog func(*Proc)) {
 	if m.poisoned != nil {
 		panic(fmt.Sprintf("cgm: machine aborted in an earlier run: %v", m.poisoned))
 	}
-	startRounds := len(m.metrics.Rounds)
 	if err := m.tr.Reset(); err != nil {
 		m.poisoned = err
 		panic(fmt.Sprintf("cgm: machine transport unusable: %v", err))
 	}
-	m.sent = make([]int, m.p)
-	m.recv = make([]int, m.p)
-	m.segTime = make([]time.Duration, m.p)
-	m.bar = newBarrier(m.p)
-	m.abortCh = make(chan struct{})
-	m.abort1 = sync.Once{}
-	m.abortV = nil
-	m.token = make(chan struct{}, 1)
-	m.token <- struct{}{}
-
-	var wg sync.WaitGroup
-	wg.Add(m.p)
-	for i := 0; i < m.p; i++ {
-		pr := &Proc{m: m, rank: i}
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					if _, isAbort := r.(abortSignal); !isAbort {
-						m.doAbort(r)
-					}
-				}
-			}()
-			pr.acquireToken()
-			pr.resumeAt = time.Now()
-			prog(pr)
-			pr.closeSegment()
-			pr.releaseToken()
-		}()
+	m.runRounds, m.runElems, m.runMaxH = 0, 0, 0
+	m.prog = prog
+	m.wg.Add(m.p)
+	for i := range m.procs {
+		pr := &m.procs[i]
+		pr.opSeq = 0
+		// Every rank left the previous run at its wg.Wait, so nothing reads
+		// what the arena handed out then except between-run callers, whose
+		// window closes here.
+		pr.arena.reset()
+		go pr.run()
 	}
-	wg.Wait()
+	m.wg.Wait()
+	m.prog = nil
 	if m.abortV != nil {
 		m.poisoned = m.abortV
 		panic(fmt.Sprintf("cgm: machine aborted: %v", m.abortV))
@@ -302,35 +331,39 @@ func (m *Machine) Run(prog func(*Proc)) {
 	m.foldRound("run-end", true)
 	m.metrics.Runs++
 	if m.reg != nil {
-		m.publishRun(startRounds)
+		m.publishRun()
 	}
 }
 
-// publishRun mirrors the run's round stats (from the given Rounds index
-// on) into the registry as live series: the cost model the paper proves
-// bounds on — rounds, MaxH, total exchanged elements — observable on a
-// running cluster, not only in post-hoc Metrics snapshots.
-func (m *Machine) publishRun(from int) {
-	m.mu.Lock()
-	var nRounds, elems int64
-	maxh := 0
-	for _, rs := range m.metrics.Rounds[from:] {
-		if rs.Final {
-			continue
+// run executes the machine's current program on this processor.
+func (pr *Proc) run() {
+	m := pr.m
+	defer m.wg.Done()
+	defer func() {
+		if r := recover(); r != nil {
+			if _, isAbort := r.(abortSignal); !isAbort {
+				m.doAbort(r)
+			}
 		}
-		nRounds++
-		elems += int64(rs.TotalElems)
-		if rs.MaxH > maxh {
-			maxh = rs.MaxH
-		}
-	}
-	m.mu.Unlock()
+	}()
+	pr.acquireToken()
+	pr.resumeAt = time.Now()
+	m.prog(pr)
+	pr.closeSegment()
+	pr.releaseToken()
+}
+
+// publishRun mirrors the finished run's round stats into the registry as
+// live series: the cost model the paper proves bounds on — rounds, MaxH,
+// total exchanged elements — observable on a running cluster, not only in
+// post-hoc Metrics snapshots.
+func (m *Machine) publishRun() {
 	m.reg.Counter("cgm_runs_total").Inc()
-	m.reg.Counter("cgm_rounds_total").Add(nRounds)
-	m.reg.Counter("cgm_exchange_elems_total").Add(elems)
-	m.reg.Histogram("cgm_run_rounds").Observe(nRounds)
-	m.reg.Histogram("cgm_run_maxh").Observe(int64(maxh))
-	m.reg.Gauge("cgm_last_run_maxh").Set(int64(maxh))
+	m.reg.Counter("cgm_rounds_total").Add(m.runRounds)
+	m.reg.Counter("cgm_exchange_elems_total").Add(m.runElems)
+	m.reg.Histogram("cgm_run_rounds").Observe(m.runRounds)
+	m.reg.Histogram("cgm_run_maxh").Observe(int64(m.runMaxH))
+	m.reg.Gauge("cgm_last_run_maxh").Set(int64(m.runMaxH))
 }
 
 // acquireToken blocks until the processor may run (Measured mode only).
@@ -385,7 +418,12 @@ func (m *Machine) foldRound(label string, final bool) {
 		}
 	}
 	rs.Final = final
-	m.metrics.Rounds = append(m.metrics.Rounds, rs)
+	m.metrics.Fold(rs)
+	if !final {
+		m.runRounds++
+		m.runElems += int64(rs.TotalElems)
+		m.runMaxH = max(m.runMaxH, rs.MaxH)
+	}
 }
 
 // Metrics returns a snapshot of the accumulated metrics.

@@ -39,9 +39,9 @@ type ResidentTransport interface {
 
 // ResidentDeposit is one rank's contribution to a resident superstep.
 type ResidentDeposit struct {
-	// Seq and Stamp mirror Deposit: the SPMD check compares them.
+	// Seq and Label mirror Deposit: the SPMD check compares them.
 	Seq   int
-	Stamp string
+	Label string
 	// Type names the exchanged element type when Blocks are provided;
 	// emit-resident deposits take it from the emit step's Outbox.
 	Type string
@@ -144,12 +144,11 @@ func ExchangeCollectRecv[T any, A any, R any](pr *Proc, label string, out [][]T,
 	pr.closeSegment()
 	pr.releaseToken()
 
-	stamp := fmt.Sprintf("%s#%d", label, pr.opSeq)
 	dep := ResidentDeposit{
 		Seq:         pr.opSeq,
-		Stamp:       stamp,
+		Label:       label,
 		Type:        reflect.TypeOf((*T)(nil)).Elem().String(),
-		Collect:     &collect,
+		Collect:     AllocOne(&pr.arena, collect),
 		CollectArgs: exec.Marshal(cargs),
 	}
 	pr.opSeq++
@@ -158,7 +157,7 @@ func ExchangeCollectRecv[T any, A any, R any](pr *Proc, label string, out [][]T,
 		sent += len(s)
 	}
 	dep.Sent = sent
-	blocks := make([][]byte, len(out))
+	blocks := Alloc[[]byte](&pr.arena, len(out))
 	buf := wire.GetBuf()
 	for j, part := range out {
 		// The self slot is encoded too: the consumer is resident-side.
@@ -166,7 +165,7 @@ func ExchangeCollectRecv[T any, A any, R any](pr *Proc, label string, out [][]T,
 		var err error
 		buf, err = wire.Encode(buf, part)
 		if err != nil {
-			m.fail(fmt.Sprintf("cgm: %s: encoding payload: %v", stamp, err))
+			m.fail(fmt.Sprintf("cgm: %s: encoding payload: %v", StampOf(label, dep.Seq), err))
 		}
 		blocks[j] = buf[start:len(buf):len(buf)]
 	}
@@ -174,11 +173,13 @@ func ExchangeCollectRecv[T any, A any, R any](pr *Proc, label string, out [][]T,
 
 	rep := pr.runResident(label, dep)
 	// runResident's closing barrier means every rank's collect step has
-	// consumed its column; the deposit buffer can be pooled again.
+	// consumed its column; the deposit buffer can be pooled again, and the
+	// arena-held block headers must stop referring to it.
+	clear(blocks)
 	wire.PutBuf(buf)
 	r, err := exec.Unmarshal[R](rep.Reply)
 	if err != nil {
-		m.fail(fmt.Sprintf("cgm: %s: decoding collect reply: %v", stamp, err))
+		m.fail(fmt.Sprintf("cgm: %s: decoding collect reply: %v", StampOf(label, dep.Seq), err))
 	}
 	return r, rep.Recv
 }
@@ -195,13 +196,12 @@ func ExchangeSteps[EA any, CA any, R any](pr *Proc, label string, emit exec.Ref,
 	pr.closeSegment()
 	pr.releaseToken()
 
-	stamp := fmt.Sprintf("%s#%d", label, pr.opSeq)
 	dep := ResidentDeposit{
 		Seq:         pr.opSeq,
-		Stamp:       stamp,
-		Emit:        &emit,
+		Label:       label,
+		Emit:        AllocOne(&pr.arena, emit),
 		EmitArgs:    exec.Marshal(eargs),
-		Collect:     &collect,
+		Collect:     AllocOne(&pr.arena, collect),
 		CollectArgs: exec.Marshal(cargs),
 	}
 	pr.opSeq++
@@ -209,7 +209,7 @@ func ExchangeSteps[EA any, CA any, R any](pr *Proc, label string, emit exec.Ref,
 	rep := pr.runResident(label, dep)
 	r, err := exec.Unmarshal[R](rep.Reply)
 	if err != nil {
-		m.fail(fmt.Sprintf("cgm: %s: decoding collect reply: %v", stamp, err))
+		m.fail(fmt.Sprintf("cgm: %s: decoding collect reply: %v", StampOf(label, dep.Seq), err))
 	}
 	return rep.Note, r
 }

@@ -3,6 +3,7 @@ package cgm
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"repro/internal/exec"
 	"repro/internal/obs"
@@ -32,8 +33,10 @@ type Transport interface {
 	Wire() bool
 	// Exchange deposits rank's out-row for one superstep and blocks until
 	// every rank has deposited, returning the column addressed to rank.
-	// It returns an error on SPMD divergence (mismatched stamps across
-	// ranks) or fabric failure; ErrAborted when unblocked by Abort.
+	// It returns an error on SPMD divergence (a label or sequence number
+	// that differs across ranks) or fabric failure; ErrAborted when
+	// unblocked by Abort. The column is the transport's to reuse once the
+	// rank calls Exchange again.
 	Exchange(rank int, dep Deposit) (Column, error)
 	// Abort poisons the transport with a diagnostic: every blocked or
 	// future Exchange must return promptly with an error.
@@ -50,12 +53,15 @@ type Transport interface {
 var ErrAborted = errors.New("cgm: transport aborted")
 
 // Deposit is one rank's contribution to a superstep: p destination
-// payloads plus the stamp the SPMD check compares across ranks.
+// payloads plus the (label, seq) stamp the SPMD check compares across
+// ranks — structurally, so no superstep formats a string; "label#seq" is
+// spelled out (StampOf) only inside a divergence diagnostic.
 type Deposit struct {
-	// Seq is the rank's collective-operation sequence number this run.
-	Seq int
-	// Stamp is "label#seq" — equal on every rank iff the program is SPMD.
-	Stamp string
+	// Seq is the rank's collective-operation sequence number this run and
+	// Label the collective's name: both equal on every rank iff the
+	// program is SPMD.
+	Seq   int
+	Label string
 	// Type names the element type (wire transports only; in-process
 	// transports detect type divergence on the typed rows directly).
 	Type string
@@ -63,7 +69,8 @@ type Deposit struct {
 	// untraced). Wire transports carry it in the frame header so worker-
 	// side spans land under the coordinator's trace.
 	Trace uint64
-	// Row is the typed [][]T as passed to Exchange (in-process only).
+	// Row points at the typed [][]T passed to Exchange (a *[][]T;
+	// in-process only).
 	Row any
 	// Blocks are the wire-encoded per-destination payloads (wire only).
 	// Blocks[rank] — the depositing rank's self-addressed block — is nil:
@@ -74,6 +81,12 @@ type Deposit struct {
 	// it must not retain them.
 	Blocks [][]byte
 }
+
+// StampOf spells a superstep stamp the way diagnostics and the health
+// beacon name it.
+func StampOf(label string, seq int) string { return label + "#" + strconv.Itoa(seq) }
+
+func (d *Deposit) stamp() string { return StampOf(d.Label, d.Seq) }
 
 // Column is what one rank collects from a superstep: one block from every
 // source rank.
@@ -99,6 +112,7 @@ type Column struct {
 type loopback struct {
 	p      int
 	slots  []Deposit
+	rows   [][]any // rows[rank] is rank's reusable snapshot of a superstep's rows
 	bar    *barrier
 	tracer *obs.Tracer
 	reg    *obs.Registry
@@ -106,25 +120,48 @@ type loopback struct {
 	// Resident state (nil for fabric machines).
 	stores []*exec.Store
 	rslots []residentSlot
+	rcols  [][][]byte // rcols[rank] is rank's reusable resident column
 }
 
 // residentSlot is one rank's deposit of a resident superstep.
 type residentSlot struct {
-	stamp, typ string
+	label, typ string
 	seq        int
 	blocks     [][]byte
 	self       any
 }
 
-func newLoopback(p int) *loopback { return &loopback{p: p} }
+// newLoopback creates the transport with everything a superstep needs
+// already in place: the slots, the per-rank snapshots and the barrier are
+// owned by the transport and reused by every run. (A broken barrier is
+// never reused: Abort breaks it, and an aborted machine never runs again.)
+func newLoopback(p int) *loopback {
+	lt := &loopback{p: p, slots: make([]Deposit, p), rows: make([][]any, p), bar: newBarrier(p)}
+	for i := range lt.rows {
+		lt.rows[i] = make([]any, p)
+	}
+	return lt
+}
 
 // enableResident equips the loopback with per-rank state stores.
 func (lt *loopback) enableResident() {
 	lt.stores = make([]*exec.Store, lt.p)
+	lt.rslots = make([]residentSlot, lt.p)
+	lt.rcols = make([][][]byte, lt.p)
 	for i := range lt.stores {
 		lt.stores[i] = exec.NewStore()
 		lt.stores[i].SetObs(lt.reg)
+		lt.rcols[i] = make([][]byte, lt.p)
 	}
+}
+
+// spmdCheck compares rank's (label, seq) stamp with rank 0's.
+func spmdCheck(rank int, label string, seq int, label0 string, seq0 int) error {
+	if label == label0 && seq == seq0 {
+		return nil
+	}
+	return fmt.Errorf("SPMD violation: processor %d is at %q while processor 0 is at %q",
+		rank, StampOf(label, seq), StampOf(label0, seq0))
 }
 
 // CallStep runs a registered pure step against rank's local state store.
@@ -143,7 +180,7 @@ func (lt *loopback) ExchangeResident(rank int, dep ResidentDeposit) (ResidentRep
 		return ResidentReply{}, errors.New("cgm: loopback transport is not resident")
 	}
 	rep := ResidentReply{Sent: dep.Sent}
-	slot := residentSlot{stamp: dep.Stamp, typ: dep.Type, seq: dep.Seq, blocks: dep.Blocks}
+	slot := residentSlot{label: dep.Label, typ: dep.Type, seq: dep.Seq, blocks: dep.Blocks}
 	if dep.Emit != nil {
 		var out *exec.Outbox
 		var err error
@@ -164,26 +201,27 @@ func (lt *loopback) ExchangeResident(rank int, dep ResidentDeposit) (ResidentRep
 	if !lt.bar.await() { // everyone deposited
 		return ResidentReply{}, ErrAborted
 	}
-	if lt.rslots[rank].stamp != lt.rslots[0].stamp {
-		return ResidentReply{}, fmt.Errorf("SPMD violation: processor %d is at %q while processor 0 is at %q",
-			rank, lt.rslots[rank].stamp, lt.rslots[0].stamp)
+	if err := spmdCheck(rank, slot.label, slot.seq, lt.rslots[0].label, lt.rslots[0].seq); err != nil {
+		return ResidentReply{}, err
 	}
-	if lt.rslots[rank].typ != lt.rslots[0].typ {
+	if slot.typ != lt.rslots[0].typ {
 		return ResidentReply{}, fmt.Errorf("SPMD violation: processor %d exchanged %s at %q where processor 0 exchanged %s",
-			rank, lt.rslots[rank].typ, lt.rslots[rank].stamp, lt.rslots[0].typ)
+			rank, slot.typ, StampOf(slot.label, slot.seq), lt.rslots[0].typ)
 	}
 	// Assemble this rank's column. As with the fabric snapshot, the
 	// machine's post-exchange barrier guarantees no rank deposits the next
-	// superstep before every rank has read this one.
-	col := make([][]byte, lt.p)
+	// superstep before every rank has read this one; the collect step is
+	// done with the column when it returns, so the rank reuses it.
+	col := lt.rcols[rank]
 	for j := 0; j < lt.p; j++ {
-		if j == rank {
-			if slot.self == nil {
-				col[j] = slot.blocks[j] // coordinator deposit ships self encoded
-			}
-			continue
+		switch {
+		case j != rank:
+			col[j] = lt.rslots[j].blocks[rank]
+		case slot.self == nil:
+			col[j] = slot.blocks[j] // coordinator deposit ships self encoded
+		default:
+			col[j] = nil
 		}
-		col[j] = lt.rslots[j].blocks[rank]
 	}
 	var reply []byte
 	var recv int
@@ -202,40 +240,31 @@ func (lt *loopback) ExchangeResident(rank int, dep ResidentDeposit) (ResidentRep
 func (lt *loopback) P() int     { return lt.p }
 func (lt *loopback) Wire() bool { return false }
 
-func (lt *loopback) Reset() error {
-	lt.slots = make([]Deposit, lt.p)
-	if lt.stores != nil {
-		lt.rslots = make([]residentSlot, lt.p)
-	}
-	lt.bar = newBarrier(lt.p)
-	return nil
-}
+// Reset has nothing to prepare: a run leaves the slots and the barrier
+// ready for the next one, and only a run that aborted does not — whose
+// machine is poisoned before it could ask.
+func (lt *loopback) Reset() error { return nil }
 
 func (lt *loopback) Exchange(rank int, dep Deposit) (Column, error) {
 	lt.slots[rank] = dep
 	if !lt.bar.await() { // everyone deposited
 		return Column{}, ErrAborted
 	}
-	if lt.slots[rank].Stamp != lt.slots[0].Stamp {
-		return Column{}, fmt.Errorf("SPMD violation: processor %d is at %q while processor 0 is at %q",
-			rank, lt.slots[rank].Stamp, lt.slots[0].Stamp)
+	if err := spmdCheck(rank, dep.Label, dep.Seq, lt.slots[0].Label, lt.slots[0].Seq); err != nil {
+		return Column{}, err
 	}
 	// Snapshot the row references before returning: the machine's
 	// post-exchange barrier guarantees no rank deposits the next superstep
 	// until every rank has passed it, so the snapshot (not the slots) is
 	// all a reader touches once rows for the next round start landing.
-	rows := make([]any, lt.p)
+	rows := lt.rows[rank]
 	for j := range rows {
 		rows[j] = lt.slots[j].Row
 	}
 	return Column{Rows: rows}, nil
 }
 
-func (lt *loopback) Abort(string) {
-	if lt.bar != nil {
-		lt.bar.break_()
-	}
-}
+func (lt *loopback) Abort(string) { lt.bar.break_() }
 
 func (lt *loopback) Close() error { return nil }
 

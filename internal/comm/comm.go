@@ -4,6 +4,12 @@
 // and supporting collectives — each realized as a constant number of
 // cgm.Exchange h-relations (usually one). Sort, the sixth operation, lives
 // in package psort.
+//
+// Every collective builds its deposit row (and the scratch it needs on the
+// way) in the rank's run arena, so the collectives themselves allocate
+// nothing on a warm machine. What a collective returns follows the arena's
+// lifetime rule where noted — valid until the machine's next Run — and is
+// an ordinary heap slice everywhere else.
 package comm
 
 import (
@@ -15,10 +21,11 @@ import (
 
 // AllGather is the paper's all-to-all broadcast: every processor
 // contributes local and receives every processor's contribution, indexed
-// by source rank. One h-relation with h = (p-1)·max|local|.
+// by source rank. One h-relation with h = (p-1)·max|local|. The returned
+// column is arena-backed (valid until the machine's next Run).
 func AllGather[T any](pr *cgm.Proc, label string, local []T) [][]T {
 	p := pr.P()
-	out := make([][]T, p)
+	out := cgm.Alloc[[]T](pr.Arena(), p)
 	for j := 0; j < p; j++ {
 		out[j] = local
 	}
@@ -42,7 +49,7 @@ func AllGatherFlat[T any](pr *cgm.Proc, label string, local []T) []T {
 // Broadcast distributes root's data to every processor.
 func Broadcast[T any](pr *cgm.Proc, label string, root int, data []T) []T {
 	p := pr.P()
-	out := make([][]T, p)
+	out := cgm.Alloc[[]T](pr.Arena(), p)
 	if pr.Rank() == root {
 		for j := 0; j < p; j++ {
 			out[j] = data
@@ -56,7 +63,7 @@ func Broadcast[T any](pr *cgm.Proc, label string, root int, data []T) []T {
 // rank); other processors receive nil.
 func Gather[T any](pr *cgm.Proc, label string, root int, local []T) [][]T {
 	p := pr.P()
-	out := make([][]T, p)
+	out := cgm.Alloc[[]T](pr.Arena(), p)
 	out[root] = local
 	in := cgm.Exchange(pr, label, out)
 	if pr.Rank() != root {
@@ -68,7 +75,7 @@ func Gather[T any](pr *cgm.Proc, label string, root int, local []T) [][]T {
 // Scatter delivers blocks[j] from root to processor j.
 func Scatter[T any](pr *cgm.Proc, label string, root int, blocks [][]T) []T {
 	p := pr.P()
-	out := make([][]T, p)
+	out := cgm.Alloc[[]T](pr.Arena(), p)
 	if pr.Rank() == root {
 		if len(blocks) != p {
 			panic(fmt.Sprintf("comm: %s: scatter needs %d blocks, got %d", label, p, len(blocks)))
@@ -106,12 +113,13 @@ func Scan[T any](pr *cgm.Proc, label string, m semigroup.Monoid[T], local T) (pr
 // CountScan is the common integer special case of Scan for slice lengths:
 // it returns this processor's exclusive global offset and the global total.
 func CountScan(pr *cgm.Proc, label string, localLen int) (offset, total int) {
-	lens := AllGatherFlat(pr, label, []int{localLen})
-	for i, l := range lens {
+	local := cgm.Alloc[int](pr.Arena(), 1)
+	local[0] = localLen
+	for i, l := range AllGather(pr, label, local) {
 		if i < pr.Rank() {
-			offset += l
+			offset += l[0]
 		}
-		total += l
+		total += l[0]
 	}
 	return offset, total
 }
@@ -130,7 +138,7 @@ type SegItem[T any] struct {
 // processors responsible for slices of a selected segment tree.
 func SegmentedBroadcast[T any](pr *cgm.Proc, label string, items []SegItem[T]) []T {
 	p := pr.P()
-	out := make([][]T, p)
+	out := cgm.Alloc[[]T](pr.Arena(), p)
 	for _, it := range items {
 		lo, hi := it.DstLo, it.DstHi
 		if lo < 0 {
@@ -154,19 +162,36 @@ func SegmentedBroadcast[T any](pr *cgm.Proc, label string, items []SegItem[T]) [
 // SegmentedGather is the inverse operation: every processor contributes
 // items tagged with a destination processor; each destination receives its
 // items in source-rank order. (A restricted personalized all-to-all, kept
-// for completeness with the paper's operation list.)
+// for completeness with the paper's operation list.) dest is called once
+// per item, in order. The result is arena-backed: valid until the
+// machine's next Run.
 func SegmentedGather[T any](pr *cgm.Proc, label string, items []T, dest func(T) int) []T {
-	p := pr.P()
-	out := make([][]T, p)
-	for _, it := range items {
+	p, a := pr.P(), pr.Arena()
+	// Resolve the destinations first so every row is carved once at its
+	// final size.
+	dests := cgm.Alloc[int32](a, len(items))
+	counts := cgm.Alloc[int](a, p)
+	for i, it := range items {
 		d := dest(it)
 		if d < 0 || d >= p {
 			panic(fmt.Sprintf("comm: %s: destination %d out of range", label, d))
 		}
-		out[d] = append(out[d], it)
+		dests[i] = int32(d)
+		counts[d]++
+	}
+	out := cgm.Alloc[[]T](a, p)
+	for d, c := range counts {
+		out[d] = cgm.Alloc[T](a, c)[:0]
+	}
+	for i, it := range items {
+		out[dests[i]] = append(out[dests[i]], it)
 	}
 	in := cgm.Exchange(pr, label, out)
-	var flat []T
+	total := 0
+	for _, s := range in {
+		total += len(s)
+	}
+	flat := cgm.Alloc[T](a, total)[:0]
 	for _, s := range in {
 		flat = append(flat, s...)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/brute"
+	"repro/internal/cgm"
 	"repro/internal/geom"
 	"repro/internal/layered"
 	"repro/internal/rangetree"
@@ -131,12 +132,20 @@ func (c *countVisitor) VisitIndexed(_ []geom.Point, idx []int32) { c.total += le
 func (c *countVisitor) VisitPoint(geom.Point)                    { c.total++ }
 
 // reportVisitor gathers a Visit descent into out, which the hook swaps
-// per subquery (the result slice itself must persist past the call).
-type reportVisitor struct{ out []geom.Point }
+// per subquery (the result slice itself must persist past the call). With
+// an arena, out grows there: a run's local hits are copied into its pair
+// rows before the run ends. Without one (the resident serve steps, whose
+// hits leave in a reply) it grows on the heap.
+type reportVisitor struct {
+	a   *cgm.Arena
+	out []geom.Point
+}
 
-func (r *reportVisitor) VisitRange(pts []geom.Point)            { r.out = append(r.out, pts...) }
-func (r *reportVisitor) VisitIndexed(b []geom.Point, i []int32) { r.out = layered.Gather(r.out, b, i) }
-func (r *reportVisitor) VisitPoint(p geom.Point)                { r.out = append(r.out, p) }
+func (r *reportVisitor) VisitRange(pts []geom.Point) { r.out = cgm.Append(r.a, r.out, pts...) }
+func (r *reportVisitor) VisitIndexed(b []geom.Point, i []int32) {
+	r.out = layered.Gather(cgm.Grow(r.a, r.out, len(i)), b, i)
+}
+func (r *reportVisitor) VisitPoint(p geom.Point) { r.out = cgm.Append(r.a, r.out, p) }
 
 // elemCount counts s.Box in el through the fastest available path.
 func elemCount(el *element, b geom.Box, cv *countVisitor) int {

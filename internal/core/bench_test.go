@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/cgm"
 	"repro/internal/geom"
+	"repro/internal/workload"
 )
 
 func benchTree(b *testing.B, n, d, p int) (*Tree, []geom.Box) {
@@ -119,4 +121,30 @@ func BenchmarkPhaseCCopyCache(b *testing.B) {
 			dt.CountBatch(boxes)
 		}
 	})
+}
+
+// BenchmarkMixedBatchFixedCost measures the part of a machine run that
+// does not depend on the batch: a warm MixedBatch of one query, and of
+// sixteen for the slope (count-only, one report in four). allocs/op at
+// m = 1 is the F that TestRunAllocBudget pins.
+func BenchmarkMixedBatchFixedCost(b *testing.B) {
+	const n = 1 << 14
+	pts := workload.Points(workload.PointSpec{N: n, Dims: 2, Dist: workload.Uniform, Seed: 1})
+	dt := Build(cgm.New(cgm.Config{P: 4}), pts)
+	for _, m := range []int{1, 16} {
+		boxes := workload.Boxes(workload.QuerySpec{M: m, Dims: 2, N: n, Selectivity: 0.002, Seed: int64(m)})
+		ops := make([]MixedOp, m)
+		for i := range ops {
+			if i%4 == 3 {
+				ops[i] = OpReport
+			}
+		}
+		MixedBatch[struct{}](dt, nil, ops, boxes) // warm copy caches and arenas
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				MixedBatch[struct{}](dt, nil, ops, boxes)
+			}
+		})
+	}
 }

@@ -45,20 +45,28 @@ type MixedResult[T any] struct {
 // pass: each hook dispatches on the query's op, so one hat descent, one
 // demand-balanced copy/route and one serving sweep answer the whole batch.
 type mixedRun[T any] struct {
-	ops   []MixedOp
-	count *countRun
-	agg   *assocRun[T]
-	rep   *reportRun
+	ops     []MixedOp
+	results []MixedResult[T]
+	count   countRun
+	agg     *assocRun[T] // nil without a prepared handle
+	rep     *reportRun
 }
 
-func (r *mixedRun[T]) dispatch(qid int32) procRun {
+// answerer is the per-query half of a run: what the mixed run dispatches
+// by op.
+type answerer interface {
+	answerHat(q Query, s hatSel)
+	answerSub(s subquery)
+}
+
+func (r *mixedRun[T]) dispatch(qid int32) answerer {
 	switch r.ops[qid] {
 	case OpAggregate:
 		return r.agg
 	case OpReport:
 		return r.rep
 	default:
-		return r.count
+		return &r.count
 	}
 }
 
@@ -76,7 +84,7 @@ func (r *mixedRun[T]) serveRouted(pr *cgm.Proc, label string, routed [][]subquer
 	}
 	rep, recv := cgm.ExchangeCollectRecv[subquery, mixedServeArgs, mixedServeReply](
 		pr, label, routed, fref("search/routeMixed"), args)
-	r.count.pairs = append(r.count.pairs, rep.Counts...)
+	r.count.pairs = cgm.Append(r.count.a, r.count.pairs, rep.Counts...)
 	if len(rep.Aggs) > 0 {
 		if r.agg == nil {
 			// Unreachable via MixedBatch (it rejects OpAggregate without a
@@ -87,9 +95,9 @@ func (r *mixedRun[T]) serveRouted(pr *cgm.Proc, label string, routed [][]subquer
 		if err != nil {
 			panic(fmt.Sprintf("core: decoding mixed aggregate results: %v", err))
 		}
-		r.agg.pairs = append(r.agg.pairs, pairs...)
+		r.agg.pairs = cgm.Append(r.agg.a, r.agg.pairs, pairs...)
 	}
-	r.rep.locals = append(r.rep.locals, rep.Locals...)
+	r.rep.locals = cgm.Append(r.rep.a, r.rep.locals, rep.Locals...)
 	return recv
 }
 
@@ -101,10 +109,17 @@ func (r *mixedRun[T]) materialize(el *element) {
 	}
 }
 
+// finish folds the count and aggregate partials into their queries' home
+// slots (disjoint across processors) and runs the report redistribution.
 func (r *mixedRun[T]) finish(pr *cgm.Proc) {
-	r.count.finish(pr)
+	for _, v := range r.count.home(pr) {
+		r.results[v.Query].Count += v.Val
+	}
 	if r.agg != nil {
-		r.agg.finish(pr)
+		m := r.agg.h.m
+		for _, v := range r.agg.home(pr) {
+			r.results[v.Query].Agg = m.Combine(r.results[v.Query].Agg, v.Val)
+		}
 	}
 	r.rep.finish(pr)
 }
@@ -117,7 +132,7 @@ type mixedMode[T any] struct {
 	rep *reportMode[MixedResult[T]]
 }
 
-func (*mixedMode[T]) label() string { return "mixed" }
+func (*mixedMode[T]) labels() *runLabels { return mixedLabels }
 
 func (m *mixedMode[T]) residentAggName() string {
 	if m.h != nil {
@@ -135,17 +150,14 @@ func (m *mixedMode[T]) init(results []MixedResult[T]) {
 	}
 }
 
-func (m *mixedMode[T]) start(t *Tree, ps *procState, st *SearchStats, results []MixedResult[T]) procRun {
+func (m *mixedMode[T]) start(t *Tree, a *cgm.Arena, ps *procState, st *SearchStats, results []MixedResult[T]) procRun {
 	nq := len(results)
-	r := &mixedRun[T]{ops: m.ops}
-	r.count = &countRun{ps: ps, nq: nq, lbl: "mixed/count",
-		deliver: func(qid int32, v int64) { results[qid].Count += v }}
+	r := cgm.AllocOne(a, mixedRun[T]{ops: m.ops, results: results,
+		count: countRun{a: a, ps: ps, nq: nq, lbl: mixedCountLabels},
+		rep:   m.rep.startRun(t, a, ps, st)})
 	if m.h != nil {
-		r.agg = newAssocRun(m.h, ps, nq, "mixed/assoc", func(qid int32, v T) {
-			results[qid].Agg = m.h.m.Combine(results[qid].Agg, v)
-		})
+		r.agg = newAssocRun(a, m.h, ps, nq, mixedAssocLabels)
 	}
-	r.rep = m.rep.startRun(t, ps, st)
 	return r
 }
 

@@ -45,12 +45,12 @@ type qcount struct {
 // counts carried by the replica, subqueries count in the local element
 // tree, and partials fold at each query's home processor.
 type countRun struct {
-	ps      *procState
-	nq      int
-	lbl     string
-	deliver func(qid int32, v int64) // called at the query's home
-	pairs   []qcount
-	cv      countVisitor // reused: phase C counting allocates nothing
+	a     *cgm.Arena
+	ps    *procState
+	nq    int
+	lbl   *runLabels
+	pairs []qcount
+	cv    countVisitor // reused: phase C counting allocates nothing
 }
 
 func (r *countRun) answerHat(q Query, s hatSel) {
@@ -61,40 +61,53 @@ func (r *countRun) answerHat(q Query, s hatSel) {
 		nd, _ := r.ps.hat[s.Tree].Node(int(s.Node))
 		c = int64(nd.Count)
 	}
-	r.pairs = append(r.pairs, qcount{Query: q.ID, Val: c})
+	r.pairs = cgm.Append(r.a, r.pairs, qcount{Query: q.ID, Val: c})
 }
 
 func (r *countRun) materialize(*element) {}
 
 func (r *countRun) answerSub(s subquery) {
 	el := r.ps.lookup(s.Elem)
-	r.pairs = append(r.pairs, qcount{Query: s.Query, Val: int64(elemCount(el, s.Box, &r.cv))})
+	r.pairs = cgm.Append(r.a, r.pairs, qcount{Query: s.Query, Val: int64(elemCount(el, s.Box, &r.cv))})
 }
 
 func (r *countRun) serveRouted(pr *cgm.Proc, label string, routed [][]subquery) int {
 	pairs, recv := cgm.ExchangeCollectRecv[subquery, bool, []qcount](
 		pr, label, routed, fref("search/routeCount"), false)
-	r.pairs = append(r.pairs, pairs...)
+	r.pairs = cgm.Append(r.a, r.pairs, pairs...)
 	return recv
 }
 
-func (r *countRun) finish(pr *cgm.Proc) {
-	home := comm.SegmentedGather(pr, r.lbl+"/home", r.pairs, func(v qcount) int {
+// home gathers the partials at each query's home processor (home blocks
+// are disjoint across processors, so the caller may fold them into the
+// shared results without synchronisation).
+func (r *countRun) home(pr *cgm.Proc) []qcount {
+	return comm.SegmentedGather(pr, r.lbl.home, r.pairs, func(v qcount) int {
 		return homeOf(v.Query, r.nq, pr.P())
 	})
-	for _, v := range home {
-		r.deliver(v.Query, v.Val) // home blocks are disjoint across processors
+}
+
+// countOnlyRun is the counting mode's run: a countRun delivering into the
+// batch's []int64.
+type countOnlyRun struct {
+	countRun
+	results []int64
+}
+
+func (r *countOnlyRun) finish(pr *cgm.Proc) {
+	for _, v := range r.home(pr) {
+		r.results[v.Query] += v.Val
 	}
 }
 
 type countMode struct{}
 
-func (countMode) label() string    { return "count" }
-func (countMode) init([]int64)     {}
-func (countMode) epilogue([]int64) {}
-func (countMode) start(t *Tree, ps *procState, st *SearchStats, results []int64) procRun {
-	return &countRun{ps: ps, nq: len(results), lbl: "count",
-		deliver: func(qid int32, v int64) { results[qid] += v }}
+func (countMode) labels() *runLabels { return countLabels }
+func (countMode) init([]int64)       {}
+func (countMode) epilogue([]int64)   {}
+func (countMode) start(t *Tree, a *cgm.Arena, ps *procState, st *SearchStats, results []int64) procRun {
+	return cgm.AllocOne(a, countOnlyRun{
+		countRun: countRun{a: a, ps: ps, nq: len(results), lbl: countLabels}, results: results})
 }
 
 // CountBatch answers every query with |R(q)| — the counting special case
@@ -128,6 +141,9 @@ type AggHandle[T any] struct {
 	// epoch moves, bounded like it, and an entry is only reused for the
 	// same built tree instance.
 	copyCache []*copyCache[cachedAgg[T]]
+	// copyAggs[rank] maps the copies installed in the current batch to
+	// their annotations; each run clears and refills its rank's map.
+	copyAggs []map[ElemID]elemAgg[T]
 }
 
 // cachedAgg is one cross-batch annotation cache entry.
@@ -176,6 +192,7 @@ func prepareAssociative[T any](t *Tree, name string, mo semigroup.Monoid[T], val
 		elemAggs:  make([]map[ElemID]elemAgg[T], p),
 		hatTab:    make([]map[int32][]T, p),
 		copyCache: make([]*copyCache[cachedAgg[T]], p),
+		copyAggs:  make([]map[ElemID]elemAgg[T], p),
 	}
 	t.mach.Run(func(pr *cgm.Proc) {
 		ps := t.procs[pr.Rank()]
@@ -196,6 +213,7 @@ func prepareAssociative[T any](t *Tree, name string, mo semigroup.Monoid[T], val
 			h.elemAggs[pr.Rank()] = aggs
 		}
 		h.copyCache[pr.Rank()] = newCopyCache[cachedAgg[T]]()
+		h.copyAggs[pr.Rank()] = make(map[ElemID]elemAgg[T])
 		all := comm.AllGatherFlat(pr, "assoc/roots", roots)
 		rootTab := make([]T, t.ElemCount())
 		for _, rv := range all {
@@ -243,19 +261,21 @@ type qvalT[T any] struct {
 // annotations, subqueries query the per-element Agg (built on demand for
 // copies via materialize), and partials combine at each query's home.
 type assocRun[T any] struct {
+	a        *cgm.Arena
 	h        *AggHandle[T]
 	ps       *procState
 	nq       int
-	lbl      string
-	deliver  func(qid int32, v T) // called at the query's home
+	lbl      *runLabels
 	copyAggs map[ElemID]elemAgg[T]
 	pairs    []qvalT[T]
 }
 
-func newAssocRun[T any](h *AggHandle[T], ps *procState, nq int, lbl string, deliver func(int32, T)) *assocRun[T] {
+// newAssocRun opens the handle's per-rank caches for the batch and builds
+// the run in arena a.
+func newAssocRun[T any](a *cgm.Arena, h *AggHandle[T], ps *procState, nq int, lbl *runLabels) *assocRun[T] {
 	h.copyCache[ps.rank].begin(h.t.batchEpoch)
-	return &assocRun[T]{h: h, ps: ps, nq: nq, lbl: lbl, deliver: deliver,
-		copyAggs: make(map[ElemID]elemAgg[T])}
+	clear(h.copyAggs[ps.rank])
+	return cgm.AllocOne(a, assocRun[T]{a: a, h: h, ps: ps, nq: nq, lbl: lbl, copyAggs: h.copyAggs[ps.rank]})
 }
 
 func (r *assocRun[T]) answerHat(q Query, s hatSel) {
@@ -265,7 +285,7 @@ func (r *assocRun[T]) answerHat(q Query, s hatSel) {
 	} else {
 		v = r.h.hatTab[r.ps.rank][s.Tree][int(s.Node)]
 	}
-	r.pairs = append(r.pairs, qvalT[T]{Query: q.ID, Val: v})
+	r.pairs = cgm.Append(r.a, r.pairs, qvalT[T]{Query: q.ID, Val: v})
 }
 
 // materialize annotates one installed copy, reusing the cross-batch cache
@@ -288,28 +308,39 @@ func (r *assocRun[T]) answerSub(s subquery) {
 	if !ok {
 		a = r.copyAggs[s.Elem]
 	}
-	r.pairs = append(r.pairs, qvalT[T]{Query: s.Query, Val: a.Query(s.Box)})
+	r.pairs = cgm.Append(r.a, r.pairs, qvalT[T]{Query: s.Query, Val: a.Query(s.Box)})
 }
 
 func (r *assocRun[T]) serveRouted(pr *cgm.Proc, label string, routed [][]subquery) int {
 	pairs, recv := cgm.ExchangeCollectRecv[subquery, aggPrepArgs, []qvalT[T]](
 		pr, label, routed, fref("search/routeAgg"), aggPrepArgs{Name: r.h.name})
-	r.pairs = append(r.pairs, pairs...)
+	r.pairs = cgm.Append(r.a, r.pairs, pairs...)
 	return recv
 }
 
-func (r *assocRun[T]) finish(pr *cgm.Proc) {
-	home := comm.SegmentedGather(pr, r.lbl+"/home", r.pairs, func(v qvalT[T]) int {
+// home gathers the partials at each query's home processor.
+func (r *assocRun[T]) home(pr *cgm.Proc) []qvalT[T] {
+	return comm.SegmentedGather(pr, r.lbl.home, r.pairs, func(v qvalT[T]) int {
 		return homeOf(v.Query, r.nq, pr.P())
 	})
-	for _, v := range home {
-		r.deliver(v.Query, v.Val)
+}
+
+// assocOnlyRun is the associative mode's run: an assocRun delivering into
+// the batch's []T.
+type assocOnlyRun[T any] struct {
+	*assocRun[T]
+	results []T
+}
+
+func (r *assocOnlyRun[T]) finish(pr *cgm.Proc) {
+	for _, v := range r.home(pr) {
+		r.results[v.Query] = r.h.m.Combine(r.results[v.Query], v.Val)
 	}
 }
 
 type assocMode[T any] struct{ h *AggHandle[T] }
 
-func (assocMode[T]) label() string             { return "assoc" }
+func (assocMode[T]) labels() *runLabels        { return assocLabels }
 func (m assocMode[T]) residentAggName() string { return m.h.name }
 func (m assocMode[T]) init(results []T) {
 	for i := range results {
@@ -317,10 +348,9 @@ func (m assocMode[T]) init(results []T) {
 	}
 }
 func (assocMode[T]) epilogue([]T) {}
-func (m assocMode[T]) start(t *Tree, ps *procState, st *SearchStats, results []T) procRun {
-	return newAssocRun(m.h, ps, len(results), "assoc", func(qid int32, v T) {
-		results[qid] = m.h.m.Combine(results[qid], v)
-	})
+func (m assocMode[T]) start(t *Tree, a *cgm.Arena, ps *procState, st *SearchStats, results []T) procRun {
+	return cgm.AllocOne(a, assocOnlyRun[T]{
+		assocRun: newAssocRun(a, m.h, ps, len(results), assocLabels), results: results})
 }
 
 // Batch evaluates ⊗_{l∈R(q)} f(l) for every query (Algorithm
@@ -355,13 +385,16 @@ type rlocal struct {
 // reportRun materializes (q, l) pairs: hat selections become whole-element
 // orders, subqueries report locally, and finish redistributes everything
 // so each processor holds a contiguous ~k/p block of output (Algorithm
-// Report / Theorem 4).
+// Report / Theorem 4). Orders, local hits and the redistributed pairs all
+// live in the rank's arena: the run's epilogue copies the pairs into the
+// caller's result slices before the next run recycles them.
 type reportRun struct {
+	a        *cgm.Arena
 	ps       *procState
 	st       *SearchStats
-	lbl      string
+	lbl      *runLabels
 	resident bool
-	sink     func(rank int, pairs []ReportPair)
+	mine     *[]ReportPair // where finish leaves this rank's pair block
 	orders   []rorder
 	locals   []rlocal
 	rv       reportVisitor // reused across served subqueries
@@ -370,14 +403,14 @@ type reportRun struct {
 
 func (r *reportRun) answerHat(q Query, s hatSel) {
 	if s.Elem >= 0 {
-		r.orders = append(r.orders, rorder{Query: q.ID, Elem: s.Elem})
+		r.orders = cgm.Append(r.a, r.orders, rorder{Query: q.ID, Elem: s.Elem})
 		return
 	}
 	// Expand the selected hat-internal node into its stubs: every forest
 	// element below it is selected whole.
 	r.stubs = r.ps.stubsUnder(s.Tree, int(s.Node), r.stubs[:0])
 	for _, e := range r.stubs {
-		r.orders = append(r.orders, rorder{Query: q.ID, Elem: e})
+		r.orders = cgm.Append(r.a, r.orders, rorder{Query: q.ID, Elem: e})
 	}
 }
 
@@ -386,19 +419,28 @@ func (r *reportRun) materialize(*element) {}
 func (r *reportRun) answerSub(s subquery) {
 	el := r.ps.lookup(s.Elem)
 	if pts := elemReport(el, s.Box, &r.rv); len(pts) > 0 {
-		r.locals = append(r.locals, rlocal{Query: s.Query, Pts: pts})
+		r.locals = cgm.Append(r.a, r.locals, rlocal{Query: s.Query, Pts: pts})
 	}
 }
 
 func (r *reportRun) serveRouted(pr *cgm.Proc, label string, routed [][]subquery) int {
 	locals, recv := cgm.ExchangeCollectRecv[subquery, bool, []rlocal](
 		pr, label, routed, fref("search/routeReport"), false)
-	r.locals = append(r.locals, locals...)
+	r.locals = cgm.Append(r.a, r.locals, locals...)
 	return recv
 }
 
+// reportEntry is one weighted entry of Algorithm Report's redistribution:
+// a query's points and the range of the run's share list that splits them
+// over the output blocks.
+type reportEntry struct {
+	qid      int32
+	pts      []geom.Point
+	sh0, sh1 int
+}
+
 func (r *reportRun) finish(pr *cgm.Proc) {
-	ps := r.ps
+	ps, a := r.ps, r.a
 	p := pr.P()
 
 	// Phase D (Algorithm Report): weigh every selected tree by its leaf
@@ -411,7 +453,7 @@ func (r *reportRun) finish(pr *cgm.Proc) {
 	for _, l := range r.locals {
 		myWeight += len(l.Pts)
 	}
-	off, totalK := comm.CountScan(pr, r.lbl+"/weights", myWeight)
+	off, totalK := comm.CountScan(pr, r.lbl.weights, myWeight)
 	for i := range r.orders {
 		r.orders[i].Off = off
 		off += int(ps.info[int(r.orders[i].Elem)].Count)
@@ -422,73 +464,69 @@ func (r *reportRun) finish(pr *cgm.Proc) {
 	}
 
 	// Whole-element orders fetch their points from the owner.
-	fetched := comm.SegmentedGather(pr, r.lbl+"/fetch", r.orders, func(o rorder) int {
+	fetched := comm.SegmentedGather(pr, r.lbl.fetch, r.orders, func(o rorder) int {
 		return int(ps.info[int(o.Elem)].Owner)
 	})
 
 	// Ship every entry's points to the processors owning its output
 	// positions (the segmented broadcast of Algorithm Report step 4).
 	// The entries are split first and the rows sized from the split, so
-	// each destination's row is allocated once at its final length.
-	type entry struct {
-		qid    int32
-		pts    []geom.Point
-		shares []balance.Share
+	// each destination's row is carved once at its final length. Entries
+	// are disjoint in output positions, which bounds the share list.
+	entries := cgm.Alloc[reportEntry](a, len(r.locals)+len(fetched))[:0]
+	shares := cgm.Alloc[balance.Share](a, len(r.locals)+len(fetched)+p)[:0]
+	add := func(qid int32, pts []geom.Point, off int) {
+		sh0 := len(shares)
+		shares = balance.SplitWeighted(shares, off, len(pts), totalK, p)
+		entries = append(entries, reportEntry{qid: qid, pts: pts, sh0: sh0, sh1: len(shares)})
 	}
-	entries := make([]entry, 0, len(r.locals)+len(fetched))
 	for _, l := range r.locals {
-		entries = append(entries, entry{qid: l.Query, pts: l.Pts,
-			shares: balance.SplitWeighted(l.Off, len(l.Pts), totalK, p)})
+		add(l.Query, l.Pts, l.Off)
 	}
 	if r.resident && len(fetched) > 0 {
 		// The owner's points live in its resident part: one step call
 		// materializes every ordered element (this rank owns them all).
-		ids := make([]ElemID, len(fetched))
+		ids := cgm.Alloc[ElemID](a, len(fetched))
 		for i, o := range fetched {
 			ids[i] = o.Elem
 		}
 		parts := cgm.CallResident[fetchArgs, [][]geom.Point](pr, fref("points/fetch"), fetchArgs{Elems: ids})
 		for i, o := range fetched {
-			entries = append(entries, entry{qid: o.Query, pts: parts[i],
-				shares: balance.SplitWeighted(o.Off, len(parts[i]), totalK, p)})
+			add(o.Query, parts[i], o.Off)
 		}
 	} else {
 		for _, o := range fetched {
-			pts := ps.elems[o.Elem].pts // fetch orders always target the owner
-			entries = append(entries, entry{qid: o.Query, pts: pts,
-				shares: balance.SplitWeighted(o.Off, len(pts), totalK, p)})
+			add(o.Query, ps.elems[o.Elem].pts, o.Off) // fetch orders always target the owner
 		}
 	}
-	sizes := make([]int, p)
+	sizes := cgm.Alloc[int](a, p)
 	for _, e := range entries {
-		for _, sh := range e.shares {
+		for _, sh := range shares[e.sh0:e.sh1] {
 			sizes[sh.Proc] += sh.Hi - sh.Lo
 		}
 	}
-	out := make([][]ReportPair, p)
+	out := cgm.Alloc[[]ReportPair](a, p)
 	for j, n := range sizes {
-		if n > 0 {
-			out[j] = make([]ReportPair, 0, n)
-		}
+		out[j] = cgm.Alloc[ReportPair](a, n)[:0]
 	}
 	for _, e := range entries {
-		for _, sh := range e.shares {
+		for _, sh := range shares[e.sh0:e.sh1] {
 			for _, pt := range e.pts[sh.Lo:sh.Hi] {
 				out[sh.Proc] = append(out[sh.Proc], ReportPair{Query: e.qid, Pt: pt})
 			}
 		}
 	}
-	in := cgm.Exchange(pr, r.lbl+"/pairs", out)
+	in := cgm.Exchange(pr, r.lbl.pairs, out)
 	total := 0
 	for _, part := range in {
 		total += len(part)
 	}
-	mine := make([]ReportPair, 0, total)
+	mine := cgm.Alloc[ReportPair](a, total)[:0]
 	for _, part := range in {
 		mine = append(mine, part...)
 	}
 	r.st.PairsEmitted = len(mine)
-	r.sink(ps.rank, mine)
+	*r.mine = mine
 }
 
 // reportMode collects the balanced per-processor pair blocks during the
@@ -506,17 +544,17 @@ func newReportMode[R any](nq, p int, deliver func([]R, int32, []geom.Point)) *re
 	return &reportMode[R]{nq: nq, perProc: make([][]ReportPair, p), deliver: deliver}
 }
 
-func (*reportMode[R]) label() string { return "report" }
-func (*reportMode[R]) init([]R)      {}
-func (m *reportMode[R]) start(t *Tree, ps *procState, st *SearchStats, results []R) procRun {
-	return m.startRun(t, ps, st)
+func (*reportMode[R]) labels() *runLabels { return reportLabels }
+func (*reportMode[R]) init([]R)           {}
+func (m *reportMode[R]) start(t *Tree, a *cgm.Arena, ps *procState, st *SearchStats, results []R) procRun {
+	return m.startRun(t, a, ps, st)
 }
 
 // startRun builds the per-processor run; split out so the mixed mode can
 // embed report answering without duplicating phase D.
-func (m *reportMode[R]) startRun(t *Tree, ps *procState, st *SearchStats) *reportRun {
-	return &reportRun{ps: ps, st: st, lbl: m.label(), resident: t.resident,
-		sink: func(rank int, pairs []ReportPair) { m.perProc[rank] = pairs }}
+func (m *reportMode[R]) startRun(t *Tree, a *cgm.Arena, ps *procState, st *SearchStats) *reportRun {
+	return cgm.AllocOne(a, reportRun{a: a, ps: ps, st: st, lbl: reportLabels, resident: t.resident,
+		mine: &m.perProc[ps.rank], rv: reportVisitor{a: a}})
 }
 
 // epilogue groups the distributed (q, l) pairs by query for the caller.

@@ -487,7 +487,7 @@ func constructNextStep(part *residentPart, _ *exec.Ctx, args nextArgs) ([]srec, 
 // (Search step 3) straight from worker memory into the fabric — points
 // for the hosts that lack the copy, ID-only references for the rest.
 func shipStep(part *residentPart, c *exec.Ctx, args shipArgs) ([][]shippedElem, []byte, error) {
-	out, note, err := shipRows(part.elems, args.Ships, c.P)
+	out, note, err := shipRows(nil, part.elems, args.Ships, c.P)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -557,12 +557,12 @@ func serveReportStep(part *residentPart, _ *exec.Ctx, args serveArgs) ([]rlocal,
 // batch: the phase-B route exchange's column IS the rank's served
 // subqueries, answered in the same superstep that delivered them.
 func routeCountStep(part *residentPart, _ *exec.Ctx, _ bool, in [][]subquery) ([]qcount, error) {
-	return servedCounts(part, gatherServed(in)), nil
+	return servedCounts(part, gatherServed(nil, in)), nil
 }
 
 // routeReportStep is routeCountStep for report batches.
 func routeReportStep(part *residentPart, _ *exec.Ctx, _ bool, in [][]subquery) ([]rlocal, error) {
-	return servedReports(part, gatherServed(in)), nil
+	return servedReports(part, gatherServed(nil, in)), nil
 }
 
 // decodeSubColumn decodes a routed subquery column for the raw fused-
@@ -591,7 +591,7 @@ func decodeSubColumn(c *exec.Ctx, inbox *exec.Inbox) ([]subquery, int, error) {
 		in[j] = part
 		recv += len(part)
 	}
-	return gatherServed(in), recv, nil
+	return gatherServed(nil, in), recv, nil
 }
 
 // routeAggStep is the fused route-and-serve collect of an aggregate

@@ -21,20 +21,50 @@ import (
 // per-mode hooks. Each mode is a ~40-line instance, so a new result mode
 // no longer copies the superstep plumbing.
 
+// runLabels is one mode's static table of communication labels: the
+// labels travel in every deposit and name the rounds in Metrics, so they
+// are spelled once per mode, not concatenated per rank per superstep.
+type runLabels struct {
+	demand, copies, route    string // phase B, GroupLevel
+	edemand, ecopies, eroute string // phase B, ElementLevel
+	home                     string // count/assoc partials to the query's home
+	weights, fetch, pairs    string // report phase D
+}
+
+func labelsFor(prefix string) *runLabels {
+	return &runLabels{
+		demand: prefix + "/demand", copies: prefix + "/copies", route: prefix + "/route",
+		edemand: prefix + "/edemand", ecopies: prefix + "/ecopies", eroute: prefix + "/eroute",
+		home:    prefix + "/home",
+		weights: prefix + "/weights", fetch: prefix + "/fetch", pairs: prefix + "/pairs",
+	}
+}
+
+var (
+	countLabels      = labelsFor("count")
+	assocLabels      = labelsFor("assoc")
+	reportLabels     = labelsFor("report")
+	mixedLabels      = labelsFor("mixed")
+	mixedCountLabels = labelsFor("mixed/count")
+	mixedAssocLabels = labelsFor("mixed/assoc")
+)
+
 // searchMode supplies the per-mode pieces of the unified pipeline for a
 // batch producing one R per query.
 type searchMode[R any] interface {
-	// label prefixes the communication labels of the batch's collectives.
-	label() string
+	// labels names the batch's phase-B collectives.
+	labels() *runLabels
 	// init seeds the shared result slice before the machine run (e.g.
 	// with monoid identities).
 	init(results []R)
-	// start creates the per-processor mode state of one machine run.
-	// Deliveries into results must stay within disjoint per-processor
-	// shares (the query home blocks, or rank-indexed slots).
-	start(t *Tree, ps *procState, st *SearchStats, results []R) procRun
+	// start creates the per-processor mode state of one machine run, in
+	// the rank's run arena a. Deliveries into results must stay within
+	// disjoint per-processor shares (the query home blocks, or rank-
+	// indexed slots).
+	start(t *Tree, a *cgm.Arena, ps *procState, st *SearchStats, results []R) procRun
 	// epilogue runs once on the caller's goroutine after the machine run
-	// (e.g. the report mode's final grouping).
+	// (e.g. the report mode's final grouping). The run's arenas are still
+	// intact: runSearch releases them once the epilogue returns.
 	epilogue(results []R)
 }
 
@@ -68,6 +98,7 @@ type aggNamer interface {
 // One sink serves the whole batch, so phase A's innermost loop allocates
 // no closures.
 type phaseASink struct {
+	a    *cgm.Arena
 	st   *SearchStats
 	run  procRun
 	subs []subquery
@@ -78,9 +109,12 @@ func (s *phaseASink) hatSelection(q Query, h hatSel) {
 	s.run.answerHat(q, h)
 }
 
-func (s *phaseASink) forestSub(sq subquery) { s.subs = append(s.subs, sq) }
+func (s *phaseASink) forestSub(sq subquery) { s.subs = cgm.Append(s.a, s.subs, sq) }
 
 // runSearch executes the unified batched-search pipeline for one batch.
+// Everything a rank needs during the run that does not leave it — the mode
+// state, Q″, the demand and routing vectors, every exchange row — lives in
+// the rank's run arena; what the run allocates is what it returns.
 func runSearch[R any](t *Tree, queries []Query, mode searchMode[R]) []R {
 	m := len(queries)
 	if m == 0 {
@@ -91,15 +125,16 @@ func runSearch[R any](t *Tree, queries []Query, mode searchMode[R]) []R {
 	mode.init(results)
 	t.prepBatch()
 	t.mach.Run(func(pr *cgm.Proc) {
+		a := pr.Arena()
 		ps := t.procs[pr.Rank()]
 		st := &t.lastStats[pr.Rank()]
-		run := mode.start(t, ps, st, results)
+		run := mode.start(t, a, ps, st, results)
 
 		// Phase A: advance this processor's query block through the hat.
 		lo, hi := queryBlock(pr.Rank(), m, p)
-		sink := phaseASink{st: st, run: run}
+		sink := cgm.AllocOne(a, phaseASink{a: a, st: st, run: run})
 		for qi := lo; qi < hi; qi++ {
-			ps.hatSearch(t, queries[qi], &sink)
+			ps.hatSearch(t, queries[qi], sink)
 		}
 		subs := sink.subs
 		st.Subqueries = len(subs)
@@ -109,7 +144,7 @@ func runSearch[R any](t *Tree, queries []Query, mode searchMode[R]) []R {
 		if an, ok := mode.(aggNamer); ok && t.resident {
 			aggName = an.residentAggName()
 		}
-		served, routed, routeLbl := t.phaseB(pr, ps, subs, mode.label(), aggName, run.materialize)
+		served, routed, routeLbl := t.phaseB(pr, ps, subs, mode.labels(), aggName, run)
 
 		// Phase C: answer the subqueries this processor serves — locally
 		// on a fabric tree; on a resident tree the route exchange and the
@@ -128,6 +163,9 @@ func runSearch[R any](t *Tree, queries []Query, mode searchMode[R]) []R {
 		run.finish(pr)
 	})
 	mode.epilogue(results)
+	// Everything the batch returns is on the heap by now; what the ranks
+	// left in their arenas (partial results, received rows) can go.
+	t.mach.ReleaseArenas()
 	return results
 }
 

@@ -222,9 +222,9 @@ type hostShip struct {
 // (increasing) goes to each of its hosts except the owner itself (the
 // owner is its own copy) — as an ID-only reference where the host
 // advertised the element in this batch's demand round, by value
-// otherwise.
-func planShips(p, rank int, elems []ElemID, hostsOf func(ElemID) []int, cached func(host int, id ElemID) bool) []hostShip {
-	byHost := make([]hostShip, p)
+// otherwise. The plan is built in arena a.
+func planShips(a *cgm.Arena, p, rank int, elems []ElemID, hostsOf func(ElemID) []int, cached func(host int, id ElemID) bool) []hostShip {
+	byHost := cgm.Alloc[hostShip](a, p)
 	for _, id := range elems {
 		for _, host := range hostsOf(id) {
 			if host == rank {
@@ -233,8 +233,8 @@ func planShips(p, rank int, elems []ElemID, hostsOf func(ElemID) []int, cached f
 			hs := &byHost[host]
 			if hs.Elems == nil {
 				hs.Host = int32(host)
-				hs.Elems = make([]ElemID, 0, len(elems))
-				hs.Refs = make([]bool, 0, len(elems))
+				hs.Elems = cgm.Alloc[ElemID](a, len(elems))[:0]
+				hs.Refs = cgm.Alloc[bool](a, len(elems))[:0]
 			}
 			hs.Elems = append(hs.Elems, id)
 			hs.Refs = append(hs.Refs, cached(host, id))
@@ -252,17 +252,19 @@ type copyNote struct {
 
 // shipRows materializes a planned deposit from the elements the owner
 // holds — coordinator memory on a fabric tree, worker memory in the
-// resident emit step. Every planned copy is one row either way, so the
-// copies round keeps its h and volume whatever goes by reference.
-func shipRows(elems map[ElemID]*element, ships []hostShip, p int) ([][]shippedElem, copyNote, error) {
-	out := make([][]shippedElem, p)
+// resident emit step (which passes a nil arena). Every planned copy is one
+// row either way, so the copies round keeps its h and volume whatever goes
+// by reference. A by-value row aliases the owner's el.pts, never the row
+// buffer, so what a host installs from it outlives the arena.
+func shipRows(a *cgm.Arena, elems map[ElemID]*element, ships []hostShip, p int) ([][]shippedElem, copyNote, error) {
+	out := cgm.Alloc[[]shippedElem](a, p)
 	var note copyNote
 	for _, hs := range ships {
 		if hs.Host < 0 || int(hs.Host) >= p || len(hs.Refs) != len(hs.Elems) {
 			return nil, note, fmt.Errorf("core: malformed ship plan for host %d (%d elements, %d flags, p=%d)",
 				hs.Host, len(hs.Elems), len(hs.Refs), p)
 		}
-		rows := make([]shippedElem, len(hs.Elems))
+		rows := cgm.Alloc[shippedElem](a, len(hs.Elems))
 		for i, id := range hs.Elems {
 			el, ok := elems[id]
 			if !ok {
@@ -346,14 +348,14 @@ func installShipped(be Backend, host int, copies map[ElemID]*element, cache *cop
 	return rep, nil
 }
 
-// gatherServed flattens the routed subqueries this processor received,
-// preallocated from the part sizes.
-func gatherServed(parts [][]subquery) []subquery {
+// gatherServed flattens the routed subqueries this processor received
+// into one arena-backed list.
+func gatherServed(a *cgm.Arena, parts [][]subquery) []subquery {
 	total := 0
 	for _, part := range parts {
 		total += len(part)
 	}
-	mine := make([]subquery, 0, total)
+	mine := cgm.Alloc[subquery](a, total)[:0]
 	for _, part := range parts {
 		mine = append(mine, part...)
 	}
@@ -362,20 +364,19 @@ func gatherServed(parts [][]subquery) []subquery {
 
 // partitionSubs buckets the subqueries by destination: dest is resolved
 // in a first pass (called once per subquery, in order — it may be
-// stateful) so the buckets are allocated at their exact final size.
-func partitionSubs(p int, subs []subquery, dest func(i int, s subquery) int) [][]subquery {
-	counts := make([]int, p)
-	dests := make([]int32, len(subs))
+// stateful) so the buckets are carved from the arena at their exact final
+// size.
+func partitionSubs(a *cgm.Arena, p int, subs []subquery, dest func(i int, s subquery) int) [][]subquery {
+	counts := cgm.Alloc[int](a, p)
+	dests := cgm.Alloc[int32](a, len(subs))
 	for i, s := range subs {
 		d := dest(i, s)
 		dests[i] = int32(d)
 		counts[d]++
 	}
-	routed := make([][]subquery, p)
+	routed := cgm.Alloc[[]subquery](a, p)
 	for d, c := range counts {
-		if c > 0 {
-			routed[d] = make([]subquery, 0, c)
-		}
+		routed[d] = cgm.Alloc[subquery](a, c)[:0]
 	}
 	for i, s := range subs {
 		routed[dests[i]] = append(routed[dests[i]], s)
@@ -388,18 +389,21 @@ func partitionSubs(p int, subs []subquery, dest func(i int, s subquery) int) [][
 // partition instead feeds the fused route-and-serve superstep, whose
 // collect answers the column where it lands (runSearch phase C).
 func routeExact(pr *cgm.Proc, label string, subs []subquery, dest func(i int, s subquery) int) []subquery {
-	return gatherServed(cgm.Exchange(pr, label, partitionSubs(pr.P(), subs, dest)))
+	a := pr.Arena()
+	return gatherServed(a, cgm.Exchange(pr, label, partitionSubs(a, pr.P(), subs, dest)))
 }
 
 // phaseB implements Algorithm Search steps 2–4: globally count the demand
 // |QF_j| per forest group, make c_j copies of congested groups, distribute
 // the copies evenly, and redistribute Q″ so every subquery lands on a
 // processor holding the element it visits. It returns the subqueries this
-// processor serves. materialize is called for every copied element a host
-// installs (modes hook it to build their per-element annotations); on a
-// resident tree the copies ship worker-to-worker instead (emit and
+// processor serves. run.materialize is called for every copied element a
+// host installs (modes hook it to build their per-element annotations); on
+// a resident tree the copies ship worker-to-worker instead (emit and
 // collect steps of the forest program) and aggName selects the registered
-// aggregate the install step annotates them for.
+// aggregate the install step annotates them for. Every vector and row of
+// the phase lives in the rank's run arena; only the balance plan is
+// reused procState storage.
 //
 // The demand all-gather also carries every rank's cached element IDs
 // (advertised), so an owner ships points only to hosts that do not
@@ -410,56 +414,57 @@ func routeExact(pr *cgm.Proc, label string, subs []subquery, dest func(i int, s 
 // deferred: phaseB returns the partitioned buckets plus the label the
 // mode's fused route-and-serve superstep must use, so routing and phase
 // C collapse into one round with no separate serve dispatch.
-func (t *Tree) phaseB(pr *cgm.Proc, ps *procState, subs []subquery, label, aggName string, materialize func(*element)) (served []subquery, routed [][]subquery, routeLbl string) {
+func (t *Tree) phaseB(pr *cgm.Proc, ps *procState, subs []subquery, lbl *runLabels, aggName string, run procRun) (served []subquery, routed [][]subquery, routeLbl string) {
 	if t.balanceMode == ElementLevel {
-		return t.phaseBElement(pr, ps, subs, label, aggName, materialize)
+		return t.phaseBElement(pr, ps, subs, lbl, aggName, run)
 	}
-	p := pr.P()
+	p, a := pr.P(), pr.Arena()
 
 	// Step 2: globally compute c_j = |QF_j| / (|Q″|/p). The group of a
 	// subquery is the owner of its element (the part F_j). A rank's row is
 	// its p demand counts, then its advertised IDs in increasing order.
 	advertised := ps.advertised(t.batchEpoch)
-	local := make([]int, p, p+len(advertised))
+	local := cgm.Alloc[int](a, p+len(advertised))
 	for _, s := range subs {
 		local[ps.info[int(s.Elem)].Owner]++
 	}
-	for _, id := range advertised {
-		local = append(local, int(id))
+	for i, id := range advertised {
+		local[p+i] = int(id)
 	}
-	matrix := comm.AllGather(pr, label+"/demand", local)
-	demand := make([]int, p)
+	matrix := comm.AllGather(pr, lbl.demand, local)
+	demand := cgm.Alloc[int](a, p)
 	for _, row := range matrix {
 		for j, c := range row[:p] {
 			demand[j] += c
 		}
 	}
-	plan := balance.NewPlan(p, demand)
+	ps.plan = balance.NewPlan(p, demand, ps.plan)
+	plan := ps.plan
 	if pr.Rank() == 0 {
-		t.lastDemand = demand // identical on every processor; keep one
+		t.keepDemand(demand) // identical on every processor; keep one
 	}
 
 	// Step 3: make c_j copies of F_j and distribute them evenly: the owner
 	// ships its whole part to every host of one of its slots.
-	hosts := plan.GroupHosts(ps.rank)
-	ships := planShips(p, ps.rank, ps.ownedIDs(),
+	hosts := plan.GroupHosts(ps.rank, cgm.Alloc[int](a, p)[:0])
+	ships := planShips(a, p, ps.rank, ps.ownedIDs(),
 		func(ElemID) []int { return hosts },
 		func(host int, id ElemID) bool {
 			_, ok := slices.BinarySearch(matrix[host][p:], int(id))
 			return ok
 		})
-	t.shipCopies(pr, ps, label+"/copies", ships, aggName, materialize)
+	t.shipCopies(pr, ps, lbl.copies, ships, aggName, run)
 
 	// Step 4: redistribute Q″ so every query sits with a copy of the part
 	// it visits; the r-th subquery of group j goes to the host of copy
 	// ⌊r·c_j/d_j⌋.
-	rankOffset := make([]int, p)
+	rankOffset := cgm.Alloc[int](a, p)
 	for src := 0; src < pr.Rank(); src++ {
 		for j := 0; j < p; j++ {
 			rankOffset[j] += matrix[src][j]
 		}
 	}
-	seen := make([]int, p)
+	seen := cgm.Alloc[int](a, p)
 	dest := func(_ int, s subquery) int {
 		j := int(ps.info[int(s.Elem)].Owner)
 		r := rankOffset[j] + seen[j]
@@ -467,10 +472,14 @@ func (t *Tree) phaseB(pr *cgm.Proc, ps *procState, subs []subquery, label, aggNa
 		return plan.Route(j, r)
 	}
 	if t.resident {
-		return nil, partitionSubs(p, subs, dest), label + "/route"
+		return nil, partitionSubs(a, p, subs, dest), lbl.route
 	}
-	return routeExact(pr, label+"/route", subs, dest), nil, ""
+	return routeExact(pr, lbl.route, subs, dest), nil, ""
 }
+
+// keepDemand records the batch's per-owner demand vector in tree-owned
+// storage (the run's own copy lives in an arena).
+func (t *Tree) keepDemand(demand []int) { t.lastDemand = append(t.lastDemand[:0], demand...) }
 
 // shipCopies runs the phase-B copies superstep for one owner's plan and
 // books its outcome. On a fabric tree the rows are built, exchanged and
@@ -479,7 +488,7 @@ func (t *Tree) phaseB(pr *cgm.Proc, ps *procState, subs []subquery, label, aggNa
 // install step builds them into worker memory — and only the ship note
 // and the install reply return to the coordinator. Either way the reply's
 // cache ops keep ps.cached equal to the cache's ID set.
-func (t *Tree) shipCopies(pr *cgm.Proc, ps *procState, label string, ships []hostShip, aggName string, materialize func(*element)) {
+func (t *Tree) shipCopies(pr *cgm.Proc, ps *procState, label string, ships []hostShip, aggName string, run procRun) {
 	var note copyNote
 	var rep installCopiesReply
 	var err error
@@ -491,11 +500,11 @@ func (t *Tree) shipCopies(pr *cgm.Proc, ps *procState, label string, ships []hos
 		note, err = exec.Unmarshal[copyNote](raw)
 	} else {
 		var out [][]shippedElem
-		if out, note, err = shipRows(ps.elems, ships, pr.P()); err == nil {
+		if out, note, err = shipRows(pr.Arena(), ps.elems, ships, pr.P()); err == nil {
 			incoming := cgm.Exchange(pr, label, out)
-			ps.copies = make(map[ElemID]*element)
+			clear(ps.copies)
 			rep, err = installShipped(t.backend, ps.rank, ps.copies, ps.copyCache,
-				t.batchEpoch, t.copyCacheCapFor(ps), incoming, materialize)
+				t.batchEpoch, t.copyCacheCapFor(ps), incoming, run.materialize)
 		}
 	}
 	if err != nil {
@@ -527,25 +536,33 @@ const advertRow int32 = -1
 
 // phaseBElement is the ElementLevel variant of phaseB: demand, copies and
 // routing all work per forest element.
-func (t *Tree) phaseBElement(pr *cgm.Proc, ps *procState, subs []subquery, label, aggName string, materialize func(*element)) (served []subquery, routed [][]subquery, routeLbl string) {
-	p := pr.P()
+func (t *Tree) phaseBElement(pr *cgm.Proc, ps *procState, subs []subquery, lbl *runLabels, aggName string, run procRun) (served []subquery, routed [][]subquery, routeLbl string) {
+	p, a := pr.P(), pr.Arena()
 
 	// Demand per element, exchanged sparsely, then the advertised IDs.
-	localCnt := make(map[ElemID]int32)
+	// perElem[e] is this rank's demand for e first and its routing offset
+	// later; touched lists the demanded elements.
+	perElem := cgm.Alloc[int](a, t.ElemCount())
+	touched := cgm.Alloc[ElemID](a, len(subs))[:0]
 	for _, s := range subs {
-		localCnt[s.Elem]++
+		if perElem[s.Elem] == 0 {
+			touched = append(touched, s.Elem)
+		}
+		perElem[s.Elem]++
 	}
+	slices.Sort(touched)
 	advertised := ps.advertised(t.batchEpoch)
-	local := make([]elemDemand, 0, len(localCnt)+len(advertised))
-	for _, id := range sortedDemandIDs(localCnt) {
-		local = append(local, elemDemand{Elem: id, Count: localCnt[id]})
+	local := cgm.Alloc[elemDemand](a, len(touched)+len(advertised))[:0]
+	for _, id := range touched {
+		local = append(local, elemDemand{Elem: id, Count: int32(perElem[id])})
+		perElem[id] = 0
 	}
 	for _, id := range advertised {
 		local = append(local, elemDemand{Elem: id, Count: advertRow})
 	}
-	perSrc := comm.AllGather(pr, label+"/edemand", local)
-	demand := make([]int, t.ElemCount())
-	adverts := make([][]elemDemand, p)
+	perSrc := comm.AllGather(pr, lbl.edemand, local)
+	demand := cgm.Alloc[int](a, t.ElemCount())
+	adverts := cgm.Alloc[[]elemDemand](a, p)
 	for src, row := range perSrc {
 		k := 0
 		for ; k < len(row) && row[k].Count != advertRow; k++ {
@@ -553,56 +570,48 @@ func (t *Tree) phaseBElement(pr *cgm.Proc, ps *procState, subs []subquery, label
 		}
 		perSrc[src], adverts[src] = row[:k], row[k:]
 	}
-	plan := balance.NewPlan(p, demand)
+	ps.plan = balance.NewPlan(p, demand, ps.plan)
+	plan := ps.plan
 	if pr.Rank() == 0 {
 		// Aggregate to owner granularity so LastDemand stays comparable.
-		byOwner := make([]int, p)
+		byOwner := cgm.Alloc[int](a, p)
 		for e, d := range demand {
 			byOwner[int(ps.info[e].Owner)] += d
 		}
-		t.lastDemand = byOwner
+		t.keepDemand(byOwner)
 	}
 
 	// Ship only demanded elements, each to the hosts of its slots (an
 	// undemanded element has none). The fan-out is derived from the
 	// replicated metadata, so the resident coordinator can plan it
 	// without holding the elements.
-	ships := planShips(p, ps.rank, ps.ownedIDs(),
-		func(id ElemID) []int { return plan.GroupHosts(int(id)) },
+	hosts := cgm.Alloc[int](a, p)
+	ships := planShips(a, p, ps.rank, ps.ownedIDs(),
+		func(id ElemID) []int { return plan.GroupHosts(int(id), hosts[:0]) },
 		func(host int, id ElemID) bool {
 			_, ok := slices.BinarySearchFunc(adverts[host], id,
 				func(d elemDemand, id ElemID) int { return cmp.Compare(d.Elem, id) })
 			return ok
 		})
-	t.shipCopies(pr, ps, label+"/ecopies", ships, aggName, materialize)
+	t.shipCopies(pr, ps, lbl.ecopies, ships, aggName, run)
 
-	// Route the r-th subquery of element e to the host of copy ⌊r·c_e/d_e⌋.
-	rankOffset := make(map[ElemID]int)
+	// Route the r-th subquery of element e to the host of copy ⌊r·c_e/d_e⌋:
+	// perElem[e] starts at the demand of the ranks before this one and
+	// counts this rank's subqueries of e as they are routed.
 	for src := 0; src < pr.Rank(); src++ {
 		for _, d := range perSrc[src] {
-			rankOffset[d.Elem] += int(d.Count)
+			perElem[d.Elem] += int(d.Count)
 		}
 	}
-	seen := make(map[ElemID]int)
 	dest := func(_ int, s subquery) int {
-		r := rankOffset[s.Elem] + seen[s.Elem]
-		seen[s.Elem]++
+		r := perElem[s.Elem]
+		perElem[s.Elem]++
 		return plan.Route(int(s.Elem), r)
 	}
 	if t.resident {
-		return nil, partitionSubs(p, subs, dest), label + "/eroute"
+		return nil, partitionSubs(a, p, subs, dest), lbl.eroute
 	}
-	return routeExact(pr, label+"/eroute", subs, dest), nil, ""
-}
-
-// sortedDemandIDs returns the map keys in increasing order.
-func sortedDemandIDs(m map[ElemID]int32) []ElemID {
-	ids := make([]ElemID, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	slices.SortFunc(ids, func(a, b ElemID) int { return cmp.Compare(a, b) })
-	return ids
+	return routeExact(pr, lbl.eroute, subs, dest), nil, ""
 }
 
 // sortedOwnedIDs returns the owned element ids in increasing order.

@@ -132,6 +132,9 @@ func BuildFromSource(mach *cgm.Machine, src PointSource, be Backend) *Tree {
 	t := newTreeShell(mach, n, dims, be)
 	seeded := make([]int, p)
 	mach.Run(func(pr *cgm.Proc) { t.construct(pr, src, seeded) })
+	// Construct exchanged every record d times over; the columns it
+	// received must not keep those rows reachable from the run arenas.
+	mach.ReleaseArenas()
 	if src.Held() {
 		got := 0
 		for _, c := range seeded {

@@ -19,9 +19,11 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/balance"
 	"repro/internal/cgm"
 	"repro/internal/geom"
 	"repro/internal/obs"
@@ -169,6 +171,9 @@ type procState struct {
 	// owned lists the IDs of the elements this rank owns, increasing
 	// (derived from info on first use; info is immutable after Build).
 	owned []ElemID
+	// plan is the rank's phase-B replication plan, recomputed in place
+	// every batch (its vectors are sized by the tree, not by the batch).
+	plan *balance.Plan
 
 	// reused scratch: the explicit stacks of the iterative hat descent
 	// and stub expansion, so the per-query hot path allocates nothing.
@@ -309,8 +314,9 @@ func (t *Tree) LastCopyCacheHits() int {
 
 // LastDemand returns the per-group demand vector |QF_j| of the most recent
 // batch — what a no-replication strawman would load each owner with (the
-// E6 ablation's baseline).
-func (t *Tree) LastDemand() []int { return t.lastDemand }
+// E6 ablation's baseline). The returned slice is the caller's: the tree
+// overwrites its own copy every batch.
+func (t *Tree) LastDemand() []int { return slices.Clone(t.lastDemand) }
 
 // N reports the number of points.
 func (t *Tree) N() int { return t.n }

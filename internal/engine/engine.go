@@ -118,6 +118,10 @@ type Stats struct {
 	// PhaseBInstall accumulates the time processors spent installing
 	// element copies across all dispatched batches.
 	PhaseBInstall time.Duration
+	// DedupedQueries counts batched queries that shared a machine slot
+	// with an identical (mode, box) query of the same batch: answered, but
+	// never dispatched on their own.
+	DedupedQueries uint64
 }
 
 // CopyByRefShare is the share of phase B's copy volume that did not
@@ -130,12 +134,13 @@ func (s Stats) CopyByRefShare() float64 {
 	return float64(s.CopyPointsByRef) / float64(total)
 }
 
-// request is one pending query and its reply channel. key is the
-// version-less (mode, box) encoding used for in-batch dedup; the cache
-// key prepends the data version of the batch that answered it.
+// request is one pending query and its reply channel. key is the answer-
+// cache key built once at submit — [8 B data version ver read then][mode]
+// [box] — and key[8:], the version-less part, is the in-batch dedup key.
 type request[T any] struct {
 	op  core.MixedOp
 	box geom.Box
+	ver uint64
 	key string
 	out chan reply[T]
 }
@@ -169,7 +174,16 @@ type Engine[T any] struct {
 	sizeFlush, deadlineFlush, drained atomic.Uint64
 	copyCacheHits, installNanos       atomic.Uint64
 	copyShipped, copyByRef            atomic.Uint64
-	slowBatches                       atomic.Uint64
+	slowBatches, deduped              atomic.Uint64
+
+	// Dispatch scratch, owned by the loop goroutine (the only one that
+	// runs batches) and reused across them: key → unique index, request →
+	// unique index, and the deduplicated batch itself. The pipeline copies
+	// what it keeps of ops and boxes before a dispatch returns.
+	slot  map[string]int
+	at    []int
+	ops   []core.MixedOp
+	boxes []geom.Box
 
 	lat       [3]*obs.Histogram // per-mode latency, indexed by MixedOp
 	occ       *obs.Histogram    // batch occupancy
@@ -212,6 +226,7 @@ func newEngine[T any](cfg Config) *Engine[T] {
 		cfg:  cfg,
 		reqs: make(chan request[T], 4*cfg.BatchSize),
 		done: make(chan struct{}),
+		slot: make(map[string]int, cfg.BatchSize),
 	}
 	if cfg.CacheSize > 0 {
 		e.cache = newLRU[core.MixedResult[T]](cfg.CacheSize)
@@ -228,6 +243,7 @@ func newEngine[T any](cfg Config) *Engine[T] {
 			emit("engine_cache_misses_total", float64(st.CacheMisses))
 			emit("engine_batches_total", float64(st.Batches))
 			emit("engine_batched_queries_total", float64(st.BatchedQueries))
+			emit("engine_deduped_queries_total", float64(st.DedupedQueries))
 			emit(`engine_flushes_total{reason="size"}`, float64(st.SizeFlushes))
 			emit(`engine_flushes_total{reason="deadline"}`, float64(st.DeadlineFlushes))
 			emit(`engine_flushes_total{reason="drain"}`, float64(st.DrainFlushes))
@@ -306,6 +322,7 @@ func (e *Engine[T]) Stats() Stats {
 		CopyPointsShipped: e.copyShipped.Load(),
 		CopyPointsByRef:   e.copyByRef.Load(),
 		PhaseBInstall:     time.Duration(e.installNanos.Load()),
+		DedupedQueries:    e.deduped.Load(),
 	}
 }
 
@@ -371,16 +388,18 @@ func (e *Engine[T]) submit(op core.MixedOp, box geom.Box) (core.MixedResult[T], 
 		return core.MixedResult[T]{}, ErrClosed
 	}
 	e.submitted.Add(1)
-	key := cacheKey(op, box)
+	var kb [keyStackBytes]byte
+	ver := e.dataVersion()
+	key := string(appendCacheKey(kb[:0], ver, op, box))
 	if e.cache != nil {
-		if v, ok := e.cache.get(versionKey(e.dataVersion(), key)); ok {
+		if v, ok := e.cache.get(key); ok {
 			e.hits.Add(1)
 			e.closing.RUnlock()
 			return cloneResult(v), nil
 		}
 	}
 	e.misses.Add(1)
-	req := request[T]{op: op, box: box, key: key, out: make(chan reply[T], 1)}
+	req := request[T]{op: op, box: box, ver: ver, key: key, out: make(chan reply[T], 1)}
 	e.reqs <- req
 	e.closing.RUnlock()
 	r := <-req.out
@@ -408,7 +427,8 @@ func (e *Engine[T]) loop() {
 		if len(batch) > 0 {
 			reason.Add(1)
 			e.dispatch(batch)
-			batch = nil
+			clear(batch) // drop the answered requests' keys and channels
+			batch = batch[:0]
 		}
 	}
 	for {
@@ -440,20 +460,20 @@ func (e *Engine[T]) loop() {
 // pinned store snapshot — so an entry can never claim to be fresher (or
 // staler) than it is.
 func (e *Engine[T]) dispatch(batch []request[T]) {
-	slot := make(map[string]int, len(batch)) // key -> unique index
-	at := make([]int, len(batch))            // request -> unique index
-	ops := make([]core.MixedOp, 0, len(batch))
-	boxes := make([]geom.Box, 0, len(batch))
-	for i, req := range batch {
-		j, ok := slot[req.key]
+	clear(e.slot)
+	at, ops, boxes := e.at[:0], e.ops[:0], e.boxes[:0]
+	for _, req := range batch {
+		j, ok := e.slot[req.key[8:]]
 		if !ok {
 			j = len(ops)
-			slot[req.key] = j
+			e.slot[req.key[8:]] = j
 			ops = append(ops, req.op)
 			boxes = append(boxes, req.box)
 		}
-		at[i] = j
+		at = append(at, j)
 	}
+	e.at, e.ops, e.boxes = at, ops, boxes
+	e.deduped.Add(uint64(len(batch) - len(ops)))
 
 	id := e.cfg.Tracer.NewID() // 0 without a tracer: everything below degrades to untraced
 	t0 := time.Now()
@@ -510,7 +530,13 @@ func (e *Engine[T]) dispatch(batch []request[T]) {
 	for i, req := range batch {
 		res := results[at[i]]
 		if e.cache != nil {
-			e.cache.add(versionKey(ver, req.key), res)
+			// The submit-time key is the cache key unless a mutation landed
+			// between submit and the batch's pin.
+			key := req.key
+			if req.ver != ver {
+				key = string(appendCacheKey(nil, ver, req.op, req.box))
+			}
+			e.cache.add(key, res)
 		}
 		req.out <- reply[T]{res: cloneResult(res)}
 	}
@@ -546,24 +572,20 @@ func cloneResult[T any](r core.MixedResult[T]) core.MixedResult[T] {
 	return r
 }
 
-// versionKey prepends the data version to a (mode, box) key: the full
-// answer-cache key. Mutations advance the version, so entries cached
-// against earlier data stop matching and age out of the LRU.
-func versionKey(ver uint64, key string) string {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], ver)
-	return string(buf[:]) + key
-}
+// keyStackBytes sizes submit's stack buffer for a cache key: it holds boxes
+// of up to 8 dimensions, and appendCacheKey grows past it for wider ones.
+const keyStackBytes = 8 + 1 + 8*8
 
-// cacheKey encodes (mode, box) as a compact string map key.
-func cacheKey(op core.MixedOp, b geom.Box) string {
-	buf := make([]byte, 0, 1+8*b.Dims())
+// appendCacheKey appends the answer-cache key [8 B data version][mode]
+// [box] to buf. Mutations advance the version, so entries cached against
+// earlier data stop matching and age out of the LRU.
+func appendCacheKey(buf []byte, ver uint64, op core.MixedOp, b geom.Box) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, ver)
 	buf = append(buf, byte(op))
 	for d := 0; d < b.Dims(); d++ {
 		iv := b.Dim(d)
-		buf = append(buf,
-			byte(iv.Lo), byte(iv.Lo>>8), byte(iv.Lo>>16), byte(iv.Lo>>24),
-			byte(iv.Hi), byte(iv.Hi>>8), byte(iv.Hi>>16), byte(iv.Hi>>24))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(iv.Lo))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(iv.Hi))
 	}
-	return string(buf)
+	return buf
 }

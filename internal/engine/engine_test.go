@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"sync"
 	"testing"
@@ -193,10 +194,11 @@ func TestEngineCacheHit(t *testing.T) {
 }
 
 // TestEngineBatchDedup verifies identical in-flight queries are answered
-// by one pipeline slot.
+// by one pipeline slot, and that the engine counts them: the batch can only
+// flush on size, so all 16 land in one flush — one slot, 15 deduplicated.
 func TestEngineBatchDedup(t *testing.T) {
 	fx := newFixture(t, 512, 2)
-	eng := New(fx.tree, Config{BatchSize: 64, MaxDelay: 20 * time.Millisecond, CacheSize: -1})
+	eng := New(fx.tree, Config{BatchSize: 16, MaxDelay: time.Minute, CacheSize: -1})
 	defer eng.Close()
 
 	q := workload.Boxes(workload.QuerySpec{M: 1, Dims: 2, N: fx.n, Selectivity: 0.05, Seed: 4})[0]
@@ -212,10 +214,26 @@ func TestEngineBatchDedup(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	// All 16 were identical: however the requests landed in batches, the
-	// answers are correct and at least some deduplication is observable
-	// when they share a flush (not asserted — timing dependent).
-	t.Logf("stats: %+v", eng.Stats())
+	if st := eng.Stats(); st.Batches != 1 || st.BatchedQueries != 16 || st.DedupedQueries != 15 {
+		t.Fatalf("16 identical queries in one flush: stats %+v, want 1 batch of 16 with 15 deduplicated", st)
+	}
+}
+
+// TestCacheKeyCarriesVersion: the key built once at submit is the cache
+// key (version first) and, past the version, the in-batch dedup key.
+func TestCacheKeyCarriesVersion(t *testing.T) {
+	q := workload.Boxes(workload.QuerySpec{M: 1, Dims: 3, N: 1 << 20, Selectivity: 0.05, Seed: 4})[0]
+	old := string(appendCacheKey(nil, 7, core.OpReport, q))
+	cur := string(appendCacheKey(nil, 1<<40+9, core.OpReport, q))
+	if got := binary.LittleEndian.Uint64([]byte(cur[:8])); got != 1<<40+9 {
+		t.Fatalf("the key's first 8 bytes read back as version %d", got)
+	}
+	if old == cur || old[8:] != cur[8:] {
+		t.Fatalf("keys of one query at two versions must differ only in the version prefix")
+	}
+	if other := string(appendCacheKey(nil, 7, core.OpCount, q)); other[8:] == old[8:] {
+		t.Fatalf("a count and a report of one box share a dedup key")
+	}
 }
 
 // TestEngineReportNoAliasing verifies callers may mutate a Report answer

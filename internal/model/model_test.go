@@ -82,11 +82,13 @@ func TestFitRecoverySane(t *testing.T) {
 	fake := func(p int) cgm.Metrics {
 		// Build a Metrics whose ModelTime equals the truth prediction:
 		// one final round carrying all the time as local work.
-		return cgm.Metrics{Rounds: []cgm.RoundStat{{
+		var mt cgm.Metrics
+		mt.Fold(cgm.RoundStat{
 			Label:   "synthetic",
 			MaxWork: durationNS(Predict(w, truth, p)),
 			Final:   true,
-		}}}
+		})
+		return mt
 	}
 	pm := Fit(w, 1, fake(1), 2, fake(2), cgm.DefaultL)
 	measured := map[int]float64{

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cgm"
 	obscluster "repro/internal/obs/cluster"
 )
 
@@ -64,8 +65,8 @@ func (w *Worker) beacon(seq uint64) obscluster.Beacon {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	stamp := ""
-	if p := w.lastStamp.Load(); p != nil {
-		stamp = *p
+	if dep := w.lastDeposit.Load(); dep != nil {
+		stamp = cgm.StampOf(dep.Stamp, dep.Seq)
 	}
 	return obscluster.Beacon{
 		Seq:        seq,

@@ -241,7 +241,7 @@ func (t *tcpTransport) Exchange(rank int, dep cgm.Deposit) (cgm.Column, error) {
 	// retains the self-addressed block, so ~2/p of a balanced
 	// all-to-all's bytes never touch the wire.
 	nOut, err := wc.writeN(&frame{Kind: kindDeposit, Session: t.session, Rank: rank,
-		Seq: dep.Seq, Stamp: dep.Stamp, Type: dep.Type, Trace: dep.Trace, blocks: dep.Blocks})
+		Seq: dep.Seq, Stamp: dep.Label, Type: dep.Type, Trace: dep.Trace, blocks: dep.Blocks})
 	if err != nil {
 		return cgm.Column{}, t.connErr(rank, err)
 	}
@@ -273,7 +273,7 @@ func (t *tcpTransport) ExchangeResident(rank int, dep cgm.ResidentDeposit) (cgm.
 	wc := t.conns[rank]
 	wireStart := t.cl.cfg.Tracer.Now()
 	fr := &frame{Kind: kindDeposit, Session: t.session, Rank: rank,
-		Seq: dep.Seq, Stamp: dep.Stamp, Type: dep.Type, Trace: dep.Trace, blocks: dep.Blocks,
+		Seq: dep.Seq, Stamp: dep.Label, Type: dep.Type, Trace: dep.Trace, blocks: dep.Blocks,
 		Collect: wireRef(*dep.Collect, dep.CollectArgs)}
 	if dep.Emit != nil {
 		fr.Call = wireRef(*dep.Emit, dep.EmitArgs)

@@ -155,7 +155,7 @@ type frame struct {
 	Session string
 	Rank    int      // sender rank (Hello/Block), played rank (Open)
 	Seq     int      // superstep sequence within the current run
-	Stamp   string   // "label#seq" — the SPMD check compares it across ranks
+	Stamp   string   // the collective's plain label — with Seq, what the SPMD check compares across ranks
 	Type    string   // exchanged element type — likewise
 	NB      int      // number of out-of-band payload blocks after the gob body
 	Peers   []string // Open: worker addresses by rank

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cgm"
 	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/wire"
@@ -38,10 +39,11 @@ type Worker struct {
 	reg   *obs.Registry
 	epoch time.Time
 
-	// lastStamp is the most recent superstep stamp any session served —
-	// beacon payload, so the health plane can see where a worker is in
-	// the superstep sequence without scraping it.
-	lastStamp atomic.Pointer[string]
+	// lastDeposit is the most recent superstep any session served — its
+	// "label#seq" stamp is beacon payload, so the health plane can see
+	// where a worker is in the superstep sequence without scraping it. The
+	// stamp is spelled when a beacon is built, not once per superstep.
+	lastDeposit atomic.Pointer[frame]
 
 	// ingestShare is the operator cap on any single ingest feed's share
 	// of wall-time (math.Float64bits; 0 = client-requested share only).
@@ -249,7 +251,7 @@ func (w *Worker) handshake(conn net.Conn) {
 type inMsg struct {
 	from       int
 	seq        int
-	stamp, typ string
+	label, typ string
 	block      []byte
 	err        error
 }
@@ -381,7 +383,7 @@ func (w *Worker) runSession(fc *fconn, open *frame) {
 // blocks to each other cannot deadlock on full TCP buffers.
 func (s *session) superstep(dep *frame) error {
 	stepStart := s.w.now()
-	s.w.lastStamp.Store(&dep.Stamp)
+	s.w.lastDeposit.Store(dep)
 	// Worker-side spans for a traced superstep ride back on the column
 	// frame. They are appended only from this goroutine: the route
 	// goroutine's window is published through sendErr (the channel receive
@@ -453,18 +455,18 @@ func (s *session) superstep(dep *frame) error {
 			}
 			if msg.seq != dep.Seq {
 				return fmt.Errorf("SPMD violation: rank %d deposited superstep %d (%q) while rank %d is at superstep %d (%q)",
-					msg.from, msg.seq, msg.stamp, s.rank, dep.Seq, dep.Stamp)
+					msg.from, msg.seq, cgm.StampOf(msg.label, msg.seq), s.rank, dep.Seq, cgm.StampOf(dep.Stamp, dep.Seq))
 			}
-			if msg.stamp != dep.Stamp {
+			if msg.label != dep.Stamp {
 				return fmt.Errorf("SPMD violation: processor %d is at %q while processor %d is at %q",
-					msg.from, msg.stamp, s.rank, dep.Stamp)
+					msg.from, cgm.StampOf(msg.label, msg.seq), s.rank, cgm.StampOf(dep.Stamp, dep.Seq))
 			}
 			if msg.typ != typ {
 				return fmt.Errorf("SPMD violation: processor %d exchanged %s at %q where processor %d exchanged %s",
-					msg.from, msg.typ, dep.Stamp, s.rank, typ)
+					msg.from, msg.typ, cgm.StampOf(dep.Stamp, dep.Seq), s.rank, typ)
 			}
 			if seen[msg.from] {
-				return fmt.Errorf("transport: duplicate block from rank %d at %q", msg.from, dep.Stamp)
+				return fmt.Errorf("transport: duplicate block from rank %d at %q", msg.from, cgm.StampOf(dep.Stamp, dep.Seq))
 			}
 			seen[msg.from] = true
 			column[msg.from] = msg.block
@@ -578,7 +580,7 @@ func (w *Worker) feedPeer(fc *fconn, hello *frame) {
 				err: fmt.Errorf("transport: malformed block frame (kind %d, %d blocks) from rank %d", f.Kind, len(f.blocks), hello.Rank)})
 			return
 		}
-		if !deliver(inMsg{from: f.Rank, seq: f.Seq, stamp: f.Stamp, typ: f.Type, block: f.blocks[0]}) {
+		if !deliver(inMsg{from: f.Rank, seq: f.Seq, label: f.Stamp, typ: f.Type, block: f.blocks[0]}) {
 			return
 		}
 	}
