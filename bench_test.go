@@ -355,20 +355,26 @@ func BenchmarkE11_Layered(b *testing.B) {
 }
 
 // BenchmarkE12_DynamicInserts reproduces Table E12: amortized batch
-// insertion into the dynamized distributed tree.
+// insertion into the dynamized distributed tree (the store in Sync mode,
+// one binary-counter carry per memtable-sized batch).
 func BenchmarkE12_DynamicInserts(b *testing.B) {
 	n := 1 << 11
 	pts := benchPoints(n, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mach := drtree.NewMachine(drtree.MachineConfig{P: 4})
-		t := drtree.NewDynamic(mach, 2, drtree.WithBase(32))
-		for off := 0; off < n; off += n / 8 {
-			t.InsertBatch(pts[off : off+n/8])
+		t, err := drtree.OpenStore("", drtree.StoreConfig{Dims: 2, P: 4, Sync: true, MemtableCap: 32})
+		if err != nil {
+			b.Fatal(err)
 		}
-		if t.N() != n {
+		for off := 0; off < n; off += 32 {
+			if _, err := t.InsertBatch(pts[off : off+32]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if t.LiveN() != n {
 			b.Fatal("lost points")
 		}
+		t.Close()
 	}
 }
 

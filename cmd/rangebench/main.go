@@ -1,6 +1,7 @@
 // Command rangebench regenerates the paper's evaluation: every figure
 // (F1–F3) and every theorem-derived table (T1–T4b), plus the extension
-// experiments (E5–E10) indexed in DESIGN.md §9.
+// experiments (E5–E16) indexed in DESIGN.md §10. Performance claims are
+// not made here: the measuring instrument is bench/ (see bench/README.md).
 //
 // Usage:
 //
@@ -8,7 +9,6 @@
 //	rangebench -experiment T2,T3        # selected experiments
 //	rangebench -scale full              # EXPERIMENTS.md-sized runs
 //	rangebench -markdown > results.md   # markdown output
-//	rangebench -json                    # E15 → BENCH_phaseC.json, E16 → BENCH_store.json
 package main
 
 import (
@@ -20,42 +20,10 @@ import (
 	"repro/internal/expt"
 )
 
-var runners = map[string]func(expt.Scale) *expt.Table{
-	"F1":  func(expt.Scale) *expt.Table { return expt.F1() },
-	"F2":  func(expt.Scale) *expt.Table { return expt.F2() },
-	"F3":  func(expt.Scale) *expt.Table { return expt.F3() },
-	"T1":  expt.T1,
-	"T2":  expt.T2,
-	"T3":  expt.T3,
-	"T4A": expt.T4a,
-	"T4B": expt.T4b,
-	"E5":  expt.E5,
-	"E6":  expt.E6,
-	"E7":  expt.E7,
-	"E8":  expt.E8,
-	"E9":  expt.E9,
-	"E10": expt.E10,
-	"E11": expt.E11,
-	"E12": expt.E12,
-	"E13": expt.E13,
-	"E14": expt.E14,
-	"E15": expt.E15,
-	"E16": expt.E16,
-}
-
-var order = []string{"F1", "F2", "F3", "T1", "T2", "T3", "T4A", "T4B", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16"}
-
 func main() {
 	experiments := flag.String("experiment", "all", "comma-separated experiment ids (e.g. T2,T3,E6) or 'all'")
 	scaleFlag := flag.String("scale", "quick", "experiment scale: quick or full")
 	markdown := flag.Bool("markdown", false, "emit GitHub markdown instead of aligned text")
-	jsonFlag := flag.Bool("json", false, "run E15 and E16 and write their machine-readable records to BENCH_phaseC.json and BENCH_store.json (then exit)")
-	jsonOut := flag.String("json-out", "BENCH_phaseC.json", "target path for the -json E15 record")
-	jsonStoreOut := flag.String("json-store-out", "BENCH_store.json", "target path for the -json E16 record")
-	clusterFlag := flag.Bool("cluster", false, "run the TCP cluster benchmark (4 localhost workers, fabric vs resident) and write its record (then exit)")
-	clusterOut := flag.String("cluster-out", "BENCH_cluster.json", "target path for the -cluster record")
-	ingestFlag := flag.Bool("ingest", false, "run the worker-direct ingest benchmark (file loads at n and 2n for the O(p^2) coordinator-traffic probe, plus open-loop streaming with concurrent serving) and write its record (then exit)")
-	ingestOut := flag.String("ingest-out", "BENCH_ingest.json", "target path for the -ingest record")
 	flag.Parse()
 
 	var scale expt.Scale
@@ -69,53 +37,19 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *clusterFlag {
-		if err := writeClusterJSON(*clusterOut); err != nil {
-			fmt.Fprintf(os.Stderr, "rangebench: %v\n", err)
-			os.Exit(1)
-		}
-		return
+	known := make([]string, len(expt.Index))
+	byID := make(map[string]func(expt.Scale) *expt.Table, len(expt.Index))
+	for i, e := range expt.Index {
+		known[i] = e.ID
+		byID[e.ID] = e.Run
 	}
-
-	if *ingestFlag {
-		if err := writeIngestJSON(*ingestOut); err != nil {
-			fmt.Fprintf(os.Stderr, "rangebench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *jsonFlag {
-		for _, rec := range []struct {
-			run  func(expt.Scale) ([]byte, error)
-			path string
-		}{
-			{expt.PhaseCJSON, *jsonOut},
-			{expt.StoreJSON, *jsonStoreOut},
-		} {
-			payload, err := rec.run(scale)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "rangebench: %v\n", err)
-				os.Exit(1)
-			}
-			payload = append(payload, '\n')
-			if err := os.WriteFile(rec.path, payload, 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "rangebench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", rec.path)
-		}
-		return
-	}
-
-	var ids []string
-	if strings.EqualFold(*experiments, "all") {
-		ids = order
-	} else {
+	ids := known
+	if !strings.EqualFold(*experiments, "all") {
+		ids = nil
 		for _, id := range strings.Split(*experiments, ",") {
 			id = strings.ToUpper(strings.TrimSpace(id))
-			if _, ok := runners[id]; !ok {
-				fmt.Fprintf(os.Stderr, "rangebench: unknown experiment %q; known: %s\n", id, strings.Join(order, " "))
+			if _, ok := byID[id]; !ok {
+				fmt.Fprintf(os.Stderr, "rangebench: unknown experiment %q; known: %s\n", id, strings.Join(known, " "))
 				os.Exit(2)
 			}
 			ids = append(ids, id)
@@ -123,7 +57,7 @@ func main() {
 	}
 
 	for _, id := range ids {
-		tab := runners[id](scale)
+		tab := byID[id](scale)
 		if *markdown {
 			fmt.Print(tab.Markdown())
 		} else {

@@ -36,7 +36,6 @@ import (
 	"repro/internal/cgm"
 	"repro/internal/core"
 	"repro/internal/dominance"
-	"repro/internal/dynamic"
 	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/kdtree"
@@ -244,19 +243,18 @@ func BuildWorkerFed(m *Machine, pts []Point, be ElemBackend) *Tree {
 // chunks in flight per rank; window ≤ 0 selects the default) and
 // constructs the tree worker-fed. On a cluster machine each rank is fed
 // over its own direct connection (rank-parallel ingest, DESIGN.md §13);
-// use BulkLoadStreamWith for the QoS share cap or the funnel baseline.
+// use BulkLoadStreamWith for the QoS share cap.
 func BulkLoadStream(m *Machine, src ChunkSource, window int) (*Tree, error) {
 	return core.BulkLoad(m, src, core.BackendLayered, window)
 }
 
 // IngestConfig parametrises BulkLoadStreamWith: the per-rank in-flight
-// window, the MaxShare QoS cap on the fraction of worker time the
-// ingest may consume, and the Funnel fallback that routes every chunk
-// through the coordinator's control connections.
+// window and the MaxShare QoS cap on the fraction of worker time the
+// ingest may consume.
 type IngestConfig = core.IngestConfig
 
 // BulkLoadStreamWith is BulkLoadStream with explicit ingest
-// configuration (window, QoS share cap, funnel fallback).
+// configuration (window, QoS share cap).
 func BulkLoadStreamWith(m *Machine, src ChunkSource, cfg IngestConfig) (*Tree, error) {
 	return core.BulkLoadWith(m, src, core.BackendLayered, cfg)
 }
@@ -391,7 +389,7 @@ var (
 	MinInt   = semigroup.MinInt
 )
 
-// Extension structures (see DESIGN.md §9, experiments E11–E13).
+// Extension structures (see DESIGN.md §10, experiments E11–E13).
 
 // LayeredTree is the layered range tree the paper cites in §1: fractional
 // cascading removes a log n factor from the query time.
@@ -418,18 +416,6 @@ var (
 	IntSumGroup   = dominance.IntSum
 	FloatSumGroup = dominance.FloatSum
 )
-
-// DynamicTree is the dynamized distributed range tree (logarithmic
-// method), addressing the conclusion's first open issue.
-type DynamicTree = dynamic.Tree
-
-// NewDynamic creates an empty dynamic distributed range tree.
-func NewDynamic(m *Machine, dims int, opts ...dynamic.Option) *DynamicTree {
-	return dynamic.New(m, dims, opts...)
-}
-
-// WithBase sets the dynamic tree's smallest level capacity.
-var WithBase = dynamic.WithBase
 
 // Mutable serving store (internal/store): an LSM of distributed range
 // trees — memtable, logarithmic-method levels of immutable Trees,

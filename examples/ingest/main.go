@@ -7,9 +7,8 @@
 //     coordinator ships file paths, sampling splitters and control
 //     frames, never a point),
 //  3. the open-loop streaming client (chunks round-robin into the
-//     ranks through a bounded in-flight window) — run twice, once over
-//     the rank-parallel direct-to-worker feeds and once forced through
-//     the coordinator funnel, with the two staging rates compared.
+//     ranks through a bounded in-flight window, over the rank-parallel
+//     direct-to-worker feeds).
 //
 // By default the workers run in-process; pass -workers with a
 // comma-separated address list to drive external `rangeworker`
@@ -110,31 +109,11 @@ func main() {
 	if err != nil {
 		log.Fatalf("streaming bulk load: %v", err)
 	}
-	parallelLoad := time.Since(t0)
 	fmt.Printf("stream load (rank-parallel feeds): %d points in chunks of 256, window 4\n", n)
-
-	// The same stream forced through the coordinator funnel — the
-	// baseline the direct feeds exist to beat. On a many-core machine or
-	// a real network the rank-parallel rate pulls ahead as p grows; on a
-	// single core both paths move the same bytes and the rates converge.
-	funnelMach, err := cluster.NewMachine()
-	if err != nil {
-		log.Fatal(err)
-	}
-	t0 = time.Now()
-	funnelTree, err := drtree.BulkLoadStreamWith(funnelMach, drtree.SliceChunks(pts, 256),
-		drtree.IngestConfig{Window: 4, Funnel: true})
-	if err != nil {
-		log.Fatalf("funnel bulk load: %v", err)
-	}
-	funnelLoad := time.Since(t0)
-	fmt.Printf("stream load (coordinator funnel):  same stream, one synchronous pipe\n")
-	fmt.Printf("ingest rate: rank-parallel %.2f Mpts/s vs funnel %.2f Mpts/s (%.2fx)\n",
-		float64(n)/parallelLoad.Seconds()/1e6, float64(n)/funnelLoad.Seconds()/1e6,
-		funnelLoad.Seconds()/parallelLoad.Seconds())
+	fmt.Printf("ingest rate: %.2f Mpts/s\n", float64(n)/time.Since(t0).Seconds()/1e6)
 
 	// Diff every answer against the coordinator-fed baseline.
-	for name, tree := range map[string]*drtree.Tree{"files": fileTree, "stream": streamTree, "funnel": funnelTree} {
+	for name, tree := range map[string]*drtree.Tree{"files": fileTree, "stream": streamTree} {
 		counts := tree.CountBatch(boxes)
 		reports := tree.ReportBatch(boxes)
 		for q := range boxes {

@@ -72,8 +72,11 @@ func TestFacadeSequentialAndBaselines(t *testing.T) {
 }
 
 func TestFacadeDynamic(t *testing.T) {
-	mach := drtree.NewMachine(drtree.MachineConfig{P: 2})
-	dyn := drtree.NewDynamic(mach, 2, drtree.WithBase(16))
+	dyn, err := drtree.OpenStore("", drtree.StoreConfig{Dims: 2, P: 2, Sync: true, MemtableCap: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dyn.Close()
 	rng := rand.New(rand.NewSource(9))
 	var all []drtree.Point
 	for b := 0; b < 3; b++ {
@@ -84,15 +87,25 @@ func TestFacadeDynamic(t *testing.T) {
 				X:  []drtree.Coord{drtree.Coord(rng.Intn(500)), drtree.Coord(rng.Intn(500))},
 			})
 		}
-		dyn.InsertBatch(batch)
+		if _, err := dyn.InsertBatch(batch); err != nil {
+			t.Fatal(err)
+		}
 		all = append(all, batch...)
 	}
 	bf := brute.New(all)
 	q := drtree.NewBox([]drtree.Coord{50, 50}, []drtree.Coord{400, 400})
-	if got, want := dyn.CountBatch([]drtree.Box{q})[0], int64(bf.Count(q)); got != want {
+	counts, err := dyn.CountBatch([]drtree.Box{q})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := counts[0], int64(bf.Count(q)); got != want {
 		t.Errorf("dynamic count %d, want %d", got, want)
 	}
-	gotIDs := brute.IDs(dyn.ReportBatch([]drtree.Box{q})[0])
+	reports, err := dyn.ReportBatch([]drtree.Box{q})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotIDs := brute.IDs(reports[0])
 	wantIDs := brute.IDs(bf.Report(q))
 	if !reflect.DeepEqual(gotIDs, wantIDs) {
 		t.Error("dynamic report mismatch")

@@ -59,13 +59,6 @@ type FeedTransport interface {
 	OpenFeed(rank int, ref exec.Ref, opt FeedOptions) (StepFeed, error)
 }
 
-// Feeds reports whether the machine supports rank-parallel step feeds
-// (resident execution on a feed-capable transport).
-func (m *Machine) Feeds() bool {
-	_, ok := m.tr.(FeedTransport)
-	return ok && m.resident
-}
-
 // OpenFeed opens a windowed feed of calls to ref against rank's resident
 // state. Like ResidentCall it must not overlap a machine Run.
 func (m *Machine) OpenFeed(rank int, ref exec.Ref, opt FeedOptions) (StepFeed, error) {
@@ -99,22 +92,6 @@ func (m *Machine) Poison(cause error) {
 // unconfigured) so data-plane helpers like BulkLoad can thread their own
 // series through the same endpoint.
 func (m *Machine) Obs() *obs.Registry { return m.reg }
-
-// ResidentCallRaw is ResidentCall with caller-encoded args and an
-// undecoded reply: the hot-path variant that lets a streaming client
-// reuse one pooled encode buffer across calls instead of allocating per
-// call. The args buffer may be reused as soon as the call returns.
-func ResidentCallRaw(m *Machine, rank int, ref exec.Ref, args []byte) ([]byte, error) {
-	rt, ok := m.tr.(ResidentTransport)
-	if !ok || !m.resident {
-		return nil, errors.New("cgm: machine is not resident")
-	}
-	b, err := rt.CallStep(rank, ref, args)
-	if err != nil {
-		return nil, fmt.Errorf("cgm: resident step %s/%s on rank %d: %w", ref.Program, ref.Step, rank, err)
-	}
-	return b, nil
-}
 
 // ShareGovernor is the QoS scheduler between ingest staging and serving:
 // a token bucket over wall-time. Credit accrues at share seconds per

@@ -147,11 +147,6 @@ type IngestConfig struct {
 	// with concurrent serving instead of starving it. Outside that range
 	// the load runs uncapped.
 	MaxShare float64
-	// Funnel forces the coordinator-funnel path — one synchronous
-	// resident call per chunk over the session's control connections —
-	// even when the machine supports rank-parallel feeds. It exists as
-	// the measured baseline (rangebench -ingest) and as a fallback knob.
-	Funnel bool
 }
 
 // BulkLoad streams src into the machine's workers and builds a tree from
@@ -168,16 +163,15 @@ func BulkLoad(mach *cgm.Machine, src ChunkSource, be Backend, window int) (*Tree
 // window-deep channel, so a slow rank backpressures the reader while the
 // others keep streaming.
 //
-// On a feed-capable machine (every resident transport in this repo) each
-// feeder holds a DIRECT connection to its rank pushing chunks under an
-// independent in-flight window — the coordinator's session connections
-// carry only the ingest-begin control calls and the construction's p²
-// splitters, so aggregate ingest bandwidth scales with p. A feed failure
-// (worker death, step error) poisons the machine: the session aborts
-// with the diagnostic rather than surviving half-staged. With cfg.Funnel
-// the chunks instead go as one synchronous resident call each over the
-// coordinator's connections. On a non-resident machine the stream is
-// accumulated and built coordinator-fed.
+// On a resident machine each feeder holds a DIRECT connection to its rank
+// pushing chunks under an independent in-flight window — the
+// coordinator's session connections carry only the ingest-begin control
+// calls and the construction's p² splitters, so aggregate ingest
+// bandwidth scales with p. A feed failure (worker death, step error, a
+// resident transport without feeds) poisons the machine: the session
+// aborts with the diagnostic rather than surviving half-staged. On a
+// non-resident machine the stream is accumulated and built
+// coordinator-fed.
 func BulkLoadWith(mach *cgm.Machine, src ChunkSource, be Backend, cfg IngestConfig) (*Tree, error) {
 	if !mach.Resident() {
 		var pts []geom.Point
@@ -199,7 +193,6 @@ func BulkLoadWith(mach *cgm.Machine, src ChunkSource, be Backend, cfg IngestConf
 	if cfg.Window <= 0 {
 		cfg.Window = DefaultWindow
 	}
-	parallel := !cfg.Funnel && mach.Feeds()
 	p := mach.P()
 	feed := make([]chan []geom.Point, p)
 	for rank := range feed {
@@ -214,12 +207,7 @@ func BulkLoadWith(mach *cgm.Machine, src ChunkSource, be Backend, cfg IngestConf
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if parallel {
-				errs[rank], staged[rank] = feedRank(mach, rank, cfg, feed[rank], &sent[rank])
-				return
-			}
-			errs[rank] = funnelRank(mach, rank, feed[rank], &sent[rank])
-			staged[rank] = sent[rank]
+			errs[rank], staged[rank] = feedRank(mach, rank, cfg, feed[rank], &sent[rank])
 		}()
 	}
 	dims, total := -1, 0
@@ -255,20 +243,17 @@ read:
 	wg.Wait()
 	// Staging wall-time (reader + feeds through the last ack), distinct
 	// from the construct that follows — it is the phase the feed fabric
-	// and the QoS governor act on, and what rangebench -ingest reports as
-	// the ingest rate.
+	// and the QoS governor act on.
 	if reg := mach.Obs(); reg != nil {
 		reg.Counter("ingest_stage_wall_ns_total").Add(time.Since(stageT0).Nanoseconds())
 	}
 	if err := errors.Join(errs...); err != nil {
 		err = fmt.Errorf("core: bulk ingest: %w", err)
-		if parallel {
-			// A broken feed leaves the rank half-staged with chunks of
-			// unknown fate in flight: abort the session so every sibling
-			// feeder, and any later use of the machine, sees the
-			// diagnostic instead of building on the partial stage.
-			mach.Poison(err)
-		}
+		// A broken feed leaves the rank half-staged with chunks of
+		// unknown fate in flight: abort the session so every sibling
+		// feeder, and any later use of the machine, sees the diagnostic
+		// instead of building on the partial stage.
+		mach.Poison(err)
 		return nil, err
 	}
 	if srcErr != nil {
@@ -355,34 +340,6 @@ func feedRank(mach *cgm.Machine, rank int, cfg IngestConfig, ch <-chan []geom.Po
 		wire.PutBuf(<-bufs)
 	}
 	return err, staged
-}
-
-// funnelRank drains one rank's channel as synchronous resident calls
-// over the coordinator's session connection — the pre-feed baseline. One
-// pooled encode buffer serves all chunks (the call returns before the
-// next encode).
-func funnelRank(mach *cgm.Machine, rank int, ch <-chan []geom.Point, sent *int) error {
-	var err error
-	if _, err = cgm.ResidentCall[bool, bool](mach, rank, fref("ingest/begin"), false); err != nil {
-		err = fmt.Errorf("core: rank %d ingest begin: %w", rank, err)
-	}
-	buf := wire.GetBuf()
-	defer func() { wire.PutBuf(buf) }()
-	// Keep draining after a failure so the reader never blocks on a dead
-	// rank's window — the load fails fast, not deadlocks.
-	for blk := range ch {
-		if err != nil {
-			continue
-		}
-		buf, err = encodeChunk(buf[:0], blk)
-		if err != nil {
-			continue
-		}
-		if _, err = cgm.ResidentCallRaw(mach, rank, fref("ingest/chunk"), buf); err == nil {
-			*sent += len(blk)
-		}
-	}
-	return err
 }
 
 // buildRecovered is BuildBackend with machine aborts converted to errors

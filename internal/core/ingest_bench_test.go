@@ -8,33 +8,24 @@ import (
 	"repro/internal/wire"
 )
 
-// BenchmarkBulkLoadStream compares the rank-parallel feed path against
-// the forced coordinator funnel on a loopback resident machine. Run
-// with -benchmem: the encode path draws one pooled buffer per in-flight
-// window slot (funnel: one per rank) and recycles it on every ack, so
-// allocs/op must stay flat in the number of chunks — a per-chunk
+// BenchmarkBulkLoadStream measures the rank-parallel feed path on a
+// loopback resident machine. Run with -benchmem: the encode path draws
+// one pooled buffer per in-flight window slot and recycles it on every
+// ack, so allocs/op must stay flat in the number of chunks — a per-chunk
 // allocation regression shows up here as an allocs/op jump on the order
 // of the chunk count.
 func BenchmarkBulkLoadStream(b *testing.B) {
 	const n, p = 1 << 14, 4
 	rng := rand.New(rand.NewSource(1))
 	pts := randomPoints(rng, n, 2)
-	for _, bc := range []struct {
-		name   string
-		funnel bool
-	}{{"parallel", false}, {"funnel", true}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				mach := cgm.New(cgm.Config{P: p, Resident: true})
-				tree, err := BulkLoadWith(mach, SliceChunks(pts, DefaultChunk), BackendLayered,
-					IngestConfig{Window: DefaultWindow, Funnel: bc.funnel})
-				if err != nil {
-					b.Fatal(err)
-				}
-				tree.Machine().Close()
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		mach := cgm.New(cgm.Config{P: p, Resident: true})
+		tree, err := BulkLoad(mach, SliceChunks(pts, DefaultChunk), BackendLayered, DefaultWindow)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tree.Machine().Close()
 	}
 }
 

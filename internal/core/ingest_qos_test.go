@@ -41,8 +41,8 @@ func init() {
 // a configured bound of the idle p50, the governor must actually
 // throttle (nonzero wait counters), and the governed phase's wall-time
 // must stretch to at least busy/share. The bound is deliberately loose
-// (10x + a 5ms floor) — this pins the mechanism, not a benchmark
-// number; BENCH_ingest.json records the real curves.
+// (10x + a 5ms floor) — this test pins the mechanism, not a benchmark
+// number.
 func TestIngestShareCapsServeLatency(t *testing.T) {
 	const (
 		p         = 4

@@ -3,10 +3,12 @@ package core_test
 import (
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/cgm"
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/geom"
 	"repro/internal/pointsfile"
 	"repro/internal/workload"
@@ -154,5 +156,37 @@ func TestPointsfileRoundTrip(t *testing.T) {
 	}
 	if _, _, err := pointsfile.ReadSlice(path, 2, 5); err == nil {
 		t.Fatal("out-of-range slice must error")
+	}
+}
+
+// feedlessTransport is a resident transport that cannot open feeds: its
+// steps all succeed with an empty reply, and no superstep ever runs.
+type feedlessTransport struct{ p int }
+
+func (ft feedlessTransport) P() int       { return ft.p }
+func (ft feedlessTransport) Wire() bool   { return true }
+func (ft feedlessTransport) Abort(string) {}
+func (ft feedlessTransport) Reset() error { return nil }
+func (ft feedlessTransport) Close() error { return nil }
+func (ft feedlessTransport) Exchange(int, cgm.Deposit) (cgm.Column, error) {
+	return cgm.Column{}, cgm.ErrAborted
+}
+func (ft feedlessTransport) ExchangeResident(int, cgm.ResidentDeposit) (cgm.ResidentReply, error) {
+	return cgm.ResidentReply{}, cgm.ErrAborted
+}
+func (ft feedlessTransport) CallStep(int, exec.Ref, []byte) ([]byte, error) {
+	return exec.Marshal(false), nil
+}
+
+// TestBulkLoadNeedsFeeds: there is one streaming ingest path. A resident
+// machine whose transport cannot open feeds fails the load with
+// OpenFeed's diagnostic — it does not fall back to pushing chunks through
+// the coordinator's control connections.
+func TestBulkLoadNeedsFeeds(t *testing.T) {
+	mach := cgm.New(cgm.Config{Transport: feedlessTransport{p: 2}, Resident: true})
+	pts := workload.Points(workload.PointSpec{N: 64, Dims: 2, Dist: workload.Uniform, Seed: 1})
+	_, err := core.BulkLoad(mach, core.SliceChunks(pts, 16), core.BackendLayered, 0)
+	if err == nil || !strings.Contains(err.Error(), "does not support step feeds") {
+		t.Fatalf("bulk load on a feedless resident machine: %v, want the OpenFeed diagnostic", err)
 	}
 }

@@ -266,3 +266,24 @@ func TestRenderAndMarkdown(t *testing.T) {
 		t.Errorf("Markdown output missing content:\n%s", md)
 	}
 }
+
+// TestIndexListsEveryExperiment: Index is the one list All and
+// cmd/rangebench derive from, so an experiment left out of it cannot be
+// run at all.
+func TestIndexListsEveryExperiment(t *testing.T) {
+	want := strings.Fields("F1 F2 F3 T1 T2 T3 T4A T4B E5 E6 E7 E8 E9 E10 E11 E12 E13 E14 E15 E16")
+	if len(Index) != len(want) {
+		t.Fatalf("Index has %d experiments, want %d", len(Index), len(want))
+	}
+	for i, e := range Index {
+		if e.ID != want[i] || e.Run == nil {
+			t.Errorf("Index[%d] = %q (runner set: %v), want %q", i, e.ID, e.Run != nil, want[i])
+		}
+	}
+	// Figures ignore the scale: cheap enough to check the ID round-trips.
+	for _, e := range Index[:3] {
+		if tab := e.Run(Quick); tab.ID != e.ID {
+			t.Errorf("Index entry %q runs table %q", e.ID, tab.ID)
+		}
+	}
+}

@@ -6,10 +6,10 @@ import (
 
 	"repro/internal/cgm"
 	"repro/internal/core"
-	"repro/internal/dynamic"
 	"repro/internal/geom"
 	"repro/internal/layered"
 	"repro/internal/rangetree"
+	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -65,8 +65,24 @@ func E11(sc Scale) *Table {
 	return t
 }
 
+// recordingProvider remembers every machine it hands out, so E12 can sum
+// one query batch's rounds over all of the store's level machines.
+type recordingProvider struct {
+	cgm.Provider
+	machs []*cgm.Machine
+}
+
+func (rp *recordingProvider) NewMachine() (*cgm.Machine, error) {
+	m, err := rp.Provider.NewMachine()
+	if err == nil {
+		rp.machs = append(rp.machs, m)
+	}
+	return m, err
+}
+
 // E12 measures the dynamized distributed tree (the conclusion's first open
-// issue) built with the logarithmic method.
+// issue) built with the logarithmic method: internal/store in Sync mode,
+// fed memtable-sized batches so every flush is one binary-counter carry.
 func E12(sc Scale) *Table {
 	t := &Table{
 		ID:    "E12",
@@ -76,7 +92,7 @@ func E12(sc Scale) *Table {
 			"cost once per occupied level — the measured price of dynamization the " +
 			"paper anticipated. The delete phase charts the deletion shadow: it " +
 			"taxes every query until it reaches 25% of the live set, where the " +
-			"automatic fold (Rebuild) resets it — shadow size is sawtooth-bounded, " +
+			"automatic fold resets it — shadow size is sawtooth-bounded, " +
 			"rebuilds count the folds.",
 		Header: []string{"phase", "live n", "levels", "rebuild mass/point", "query rounds", "query T_model", "static rounds", "shadow", "rebuilds"},
 	}
@@ -84,42 +100,64 @@ func E12(sc Scale) *Table {
 	if sc == Full {
 		n = 1 << 13
 	}
-	mach := cgm.New(cgm.Config{P: p})
-	dt := dynamic.New(mach, d, dynamic.WithBase(8*p))
+	base := 8 * p
+	rp := &recordingProvider{Provider: cgm.NewLocalProvider(cgm.Config{P: p})}
+	st, err := store.Open("", store.Config{Dims: d, Provider: rp, MemtableCap: base, Sync: true})
+	if err != nil {
+		panic(err)
+	}
+	defer st.Close()
 	pts := workload.Points(workload.PointSpec{N: n, Dims: d, Dist: workload.Uniform, Seed: 13})
 	boxes := workload.Boxes(workload.QuerySpec{M: 256, Dims: d, N: n, Selectivity: 0.01, Seed: 13})
+	counts := make([]core.MixedOp, len(boxes)) // all OpCount
+	// query runs one count batch and sums its cost over the level machines.
+	query := func() (rounds int, model time.Duration) {
+		for _, m := range rp.machs {
+			m.ResetMetrics()
+		}
+		if _, err := st.CountBatch(boxes); err != nil {
+			panic(err)
+		}
+		for _, m := range rp.machs {
+			mt := m.Metrics()
+			rounds += mt.CommRounds()
+			model += mt.ModelTime(cgm.DefaultG, cgm.DefaultL)
+		}
+		return rounds, model
+	}
 	step := n / 4
 	for inserted := 0; inserted < n; {
-		dt.InsertBatch(pts[inserted : inserted+step])
-		inserted += step
-		mach.ResetMetrics()
-		dt.CountBatch(boxes)
-		mt := mach.Metrics()
+		for end := inserted + step; inserted < end; inserted += base {
+			if _, err := st.InsertBatch(pts[inserted : inserted+base]); err != nil {
+				panic(err)
+			}
+		}
+		rounds, model := query()
 
-		// Static comparison at the same size.
+		// Static comparison at the same size: the per-level call the
+		// store makes, on one tree.
 		statMach := cgm.New(cgm.Config{P: p})
 		stat := core.Build(statMach, pts[:inserted])
 		statMach.ResetMetrics()
-		stat.CountBatch(boxes)
-		t.AddRow("insert", inserted, dt.Levels(),
-			fmt.Sprintf("%.2f", float64(dt.RebuiltPoints())/float64(inserted)),
-			mt.CommRounds(),
-			mt.ModelTime(cgm.DefaultG, cgm.DefaultL).Round(time.Microsecond).String(),
-			statMach.Metrics().CommRounds(), dt.ShadowN(), dt.Rebuilt())
+		core.MixedBatch[struct{}](stat, nil, counts, boxes)
+		ss := st.Stats()
+		t.AddRow("insert", ss.Live, ss.Levels,
+			fmt.Sprintf("%.2f", float64(ss.BuiltPoints)/float64(inserted)),
+			rounds, model.Round(time.Microsecond).String(),
+			statMach.Metrics().CommRounds(), ss.Shadow, ss.Compactions)
 	}
 	// Delete phase: walk the shadow up to (and across) the fold threshold.
 	step = n / 10
-	for deleted := 0; deleted < n/2; {
-		dt.DeleteBatch(pts[deleted : deleted+step])
-		deleted += step
-		mach.ResetMetrics()
-		dt.CountBatch(boxes)
-		mt := mach.Metrics()
-		t.AddRow("delete", dt.N(), dt.Levels(),
-			fmt.Sprintf("%.2f", float64(dt.RebuiltPoints())/float64(n)),
-			mt.CommRounds(),
-			mt.ModelTime(cgm.DefaultG, cgm.DefaultL).Round(time.Microsecond).String(),
-			"", dt.ShadowN(), dt.Rebuilt())
+	for deleted := 0; deleted < n/2; deleted += step {
+		if _, err := st.DeleteBatch(pts[deleted : deleted+step]); err != nil {
+			panic(err)
+		}
+		rounds, model := query()
+		ss := st.Stats()
+		t.AddRow("delete", ss.Live, ss.Levels,
+			fmt.Sprintf("%.2f", float64(ss.BuiltPoints)/float64(n)),
+			rounds, model.Round(time.Microsecond).String(),
+			"", ss.Shadow, ss.Compactions)
 	}
 	return t
 }

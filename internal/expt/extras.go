@@ -291,13 +291,3 @@ func E10(sc Scale) *Table {
 	}
 	return t
 }
-
-// All runs every experiment at the given scale, in index order.
-func All(sc Scale) []*Table {
-	return []*Table{
-		F1(), F2(), F3(),
-		T1(sc), T2(sc), T3(sc), T4a(sc), T4b(sc),
-		E5(sc), E6(sc), E7(sc), E8(sc), E9(sc), E10(sc),
-		E11(sc), E12(sc), E13(sc), E14(sc), E15(sc),
-	}
-}

@@ -1,7 +1,6 @@
 package expt
 
 import (
-	"encoding/json"
 	"time"
 
 	"repro/internal/cgm"
@@ -14,50 +13,11 @@ import (
 // phase-C serving, and the cross-batch copy cache on phase-B install time
 // under a skewed (hot-element) workload.
 func E15(sc Scale) *Table {
-	tab, _ := phaseC(sc)
-	return tab
-}
-
-// PhaseCData is the machine-readable record of E15, emitted to
-// BENCH_phaseC.json so successive PRs can track the serving trajectory.
-type PhaseCData struct {
-	Experiment string          `json:"experiment"`
-	N          int             `json:"n"`
-	Dims       int             `json:"dims"`
-	P          int             `json:"p"`
-	Queries    int             `json:"queries"`
-	Serve      []PhaseCServe   `json:"serve"`
-	CopyCache  PhaseCCopyCache `json:"copy_cache"`
-}
-
-// PhaseCServe is one backend × mode serving measurement.
-type PhaseCServe struct {
-	Backend        string  `json:"backend"`
-	Mode           string  `json:"mode"`
-	MicrosPerQuery float64 `json:"us_per_query"`
-}
-
-// PhaseCCopyCache records the cold/warm phase-B install comparison.
-type PhaseCCopyCache struct {
-	CopiesPerBatch    int     `json:"copies_per_batch"`
-	ColdInstallMicros float64 `json:"cold_install_us"`
-	WarmInstallMicros float64 `json:"warm_install_us"`
-	Speedup           float64 `json:"speedup"`
-}
-
-// PhaseCJSON runs E15 and returns the JSON payload for BENCH_phaseC.json.
-func PhaseCJSON(sc Scale) ([]byte, error) {
-	_, data := phaseC(sc)
-	return json.MarshalIndent(data, "", "  ")
-}
-
-func phaseC(sc Scale) (*Table, PhaseCData) {
 	n, q := 1<<14, 256
 	if sc == Full {
 		n, q = 1<<17, 512
 	}
 	const d, p = 3, 8
-	data := PhaseCData{Experiment: "E15", N: n, Dims: d, P: p, Queries: q}
 	tab := &Table{
 		ID:    "E15",
 		Title: "Element backends and the copy cache (phase B/C hot path)",
@@ -83,9 +43,6 @@ func phaseC(sc Scale) (*Table, PhaseCData) {
 		reportT := perQuery(func() { dt.ReportBatch(boxes) })
 		tab.AddRow("serve", be.String(), "count", countT, "", "")
 		tab.AddRow("serve", be.String(), "report", reportT, "", "")
-		data.Serve = append(data.Serve,
-			PhaseCServe{Backend: be.String(), Mode: "count", MicrosPerQuery: countT},
-			PhaseCServe{Backend: be.String(), Mode: "report", MicrosPerQuery: reportT})
 	}
 
 	// Copy cache: a Zipf-focused batch congests few forest parts, so phase
@@ -94,10 +51,6 @@ func phaseC(sc Scale) (*Table, PhaseCData) {
 	dt := core.BuildBackend(cgm.New(cgm.Config{P: p}), pts, core.BackendLayered)
 	dt.CountBatch(skewed)
 	cold := float64(dt.LastPhaseBInstall().Microseconds())
-	copies := 0
-	for _, st := range dt.LastSearchStats() {
-		copies += st.CopiesHeld
-	}
 	dt.CountBatch(skewed)
 	warm := float64(dt.LastPhaseBInstall().Microseconds())
 	speedup := 0.0
@@ -106,11 +59,5 @@ func phaseC(sc Scale) (*Table, PhaseCData) {
 	}
 	tab.AddRow("copy-cache", "layered", "batch 1 (cold)", "", cold, "")
 	tab.AddRow("copy-cache", "layered", "batch 2 (warm)", "", warm, speedup)
-	data.CopyCache = PhaseCCopyCache{
-		CopiesPerBatch:    copies,
-		ColdInstallMicros: cold,
-		WarmInstallMicros: warm,
-		Speedup:           speedup,
-	}
-	return tab, data
+	return tab
 }

@@ -1,7 +1,6 @@
 package expt
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"time"
@@ -19,43 +18,11 @@ import (
 // compaction profile (flush/fold counts and the longest build — the
 // write-visibility pause; reads never wait on a build).
 func E16(sc Scale) *Table {
-	tab, _ := storeExpt(sc)
-	return tab
-}
-
-// StoreData is the machine-readable record of E16, emitted to
-// BENCH_store.json so successive PRs can track the mutable-store
-// trajectory next to BENCH_phaseC.json's read-only one.
-type StoreData struct {
-	Experiment string  `json:"experiment"`
-	N          int     `json:"n"`
-	Dims       int     `json:"dims"`
-	P          int     `json:"p"`
-	Queries    int     `json:"queries"`
-	StaticUs   float64 `json:"static_us_per_query"`
-	ReadOnlyUs float64 `json:"store_read_only_us_per_query"`
-	ReadAmp    float64 `json:"read_amplification"`
-	MixedUs    float64 `json:"store_mixed_us_per_query"`
-	Mutations  int     `json:"mutations_during_mix"`
-	Flushes    uint64  `json:"flushes"`
-	Folds      uint64  `json:"shadow_folds"`
-	MaxBuildUs float64 `json:"max_build_us"`
-	BuildUs    float64 `json:"total_build_us"`
-}
-
-// StoreJSON runs E16 and returns the JSON payload for BENCH_store.json.
-func StoreJSON(sc Scale) ([]byte, error) {
-	_, data := storeExpt(sc)
-	return json.MarshalIndent(data, "", "  ")
-}
-
-func storeExpt(sc Scale) (*Table, StoreData) {
 	n, q := 1<<13, 192
 	if sc == Full {
 		n, q = 1<<16, 384
 	}
 	const d, p = 2, 4
-	data := StoreData{Experiment: "E16", N: n, Dims: d, P: p, Queries: q}
 	tab := &Table{
 		ID:    "E16",
 		Title: "Mutable store: update/query mix vs the read-only path",
@@ -79,8 +46,8 @@ func storeExpt(sc Scale) (*Table, StoreData) {
 	// Read-only baseline: the frozen tree.
 	static := core.Build(cgm.New(cgm.Config{P: p}), pts)
 	static.CountBatch(boxes) // warm copy caches
-	data.StaticUs = perQuery(func() { static.CountBatch(boxes) })
-	tab.AddRow("serve", "static tree", data.StaticUs, "", "")
+	staticUs := perQuery(func() { static.CountBatch(boxes) })
+	tab.AddRow("serve", "static tree", staticUs, "", "")
 
 	// The store, compacted to one level: the read-amplification check.
 	st, err := store.Open("", store.Config{Dims: d, P: p, MemtableCap: n / 8, Sync: true})
@@ -93,12 +60,13 @@ func storeExpt(sc Scale) (*Table, StoreData) {
 	}
 	st.Compact()
 	st.CountBatch(boxes) // warm
-	data.ReadOnlyUs = perQuery(func() { st.CountBatch(boxes) })
-	if data.StaticUs > 0 {
-		data.ReadAmp = data.ReadOnlyUs / data.StaticUs
+	readOnlyUs := perQuery(func() { st.CountBatch(boxes) })
+	readAmp := 0.0
+	if staticUs > 0 {
+		readAmp = readOnlyUs / staticUs
 	}
-	tab.AddRow("serve", "store (read-only)", data.ReadOnlyUs, "",
-		fmt.Sprintf("%.2f× of static", data.ReadAmp))
+	tab.AddRow("serve", "store (read-only)", readOnlyUs, "",
+		fmt.Sprintf("%.2f× of static", readAmp))
 
 	// The update/query mix: a writer mutates while query batches run.
 	stop := make(chan struct{})
@@ -128,14 +96,13 @@ func storeExpt(sc Scale) (*Table, StoreData) {
 			muts += 2
 		}
 	}()
-	data.MixedUs = perQuery(func() {
+	mixedUs := perQuery(func() {
 		for i := 0; i < 4; i++ {
 			st.CountBatch(boxes[:q/4])
 		}
 	})
 	close(stop)
-	data.Mutations = <-done
-	tab.AddRow("serve", "store (mixed)", data.MixedUs, data.Mutations, "writer ran throughout")
+	tab.AddRow("serve", "store (mixed)", mixedUs, <-done, "writer ran throughout")
 
 	// A deletion wave past the 25% threshold forces a shadow fold, so
 	// the compaction section shows the full profile.
@@ -144,12 +111,8 @@ func storeExpt(sc Scale) (*Table, StoreData) {
 	}
 
 	ss := st.Stats()
-	data.Flushes = ss.Flushes
-	data.Folds = ss.Compactions
-	data.MaxBuildUs = float64(ss.MaxBuild.Microseconds())
-	data.BuildUs = float64(ss.BuildWall.Microseconds())
 	tab.AddRow("compaction", "flushes", "", ss.Flushes, "")
 	tab.AddRow("compaction", "shadow folds", "", ss.Compactions, "")
-	tab.AddRow("compaction", "max build (pause)", data.MaxBuildUs, "", "write-visibility, not read, latency")
-	return tab, data
+	tab.AddRow("compaction", "max build (pause)", float64(ss.MaxBuild.Microseconds()), "", "write-visibility, not read, latency")
+	return tab
 }

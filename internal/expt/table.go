@@ -3,7 +3,7 @@
 // and Figures 1–3 — so each experiment measures the quantity a theorem
 // bounds (structure sizes, communication rounds, h-relation volumes,
 // modelled BSP time, output balance) or renders the structure a figure
-// depicts, and prints it as a table. DESIGN.md §9 is the experiment index;
+// depicts, and prints it as a table. DESIGN.md §10 is the experiment index;
 // EXPERIMENTS.md records one captured run.
 package expt
 
@@ -20,6 +20,30 @@ type Table struct {
 	Note   string // what the paper predicts, and what to look for
 	Header []string
 	Rows   [][]string
+}
+
+// Index is the experiment index in DESIGN.md §10 order: the one list All,
+// cmd/rangebench's -experiment lookup and its "known:" diagnostic derive
+// from.
+var Index = []struct {
+	ID  string
+	Run func(Scale) *Table
+}{
+	{"F1", func(Scale) *Table { return F1() }},
+	{"F2", func(Scale) *Table { return F2() }},
+	{"F3", func(Scale) *Table { return F3() }},
+	{"T1", T1}, {"T2", T2}, {"T3", T3}, {"T4A", T4a}, {"T4B", T4b},
+	{"E5", E5}, {"E6", E6}, {"E7", E7}, {"E8", E8}, {"E9", E9}, {"E10", E10},
+	{"E11", E11}, {"E12", E12}, {"E13", E13}, {"E14", E14}, {"E15", E15}, {"E16", E16},
+}
+
+// All runs every experiment at the given scale, in index order.
+func All(sc Scale) []*Table {
+	tabs := make([]*Table, len(Index))
+	for i, e := range Index {
+		tabs[i] = e.Run(sc)
+	}
+	return tabs
 }
 
 // AddRow appends a row of stringified cells.

@@ -8,8 +8,6 @@
 package persist
 
 import (
-	"bufio"
-	"encoding/gob"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -20,14 +18,14 @@ import (
 	"repro/internal/wire"
 )
 
-// Version is the snapshot format version. Version 2 is the raw layout
-// below; version-1 (gob) snapshots are still read transparently.
+// Version is the snapshot format version: the raw layout below, the only
+// one this build reads.
 const Version = 2
 
 // magic opens every version-2 snapshot. Its first byte cannot begin a gob
 // stream (a gob stream opens with the uvarint byte count of its first
-// type-descriptor message, always < 0x80), so Load distinguishes the raw
-// layout from a legacy gob snapshot by peeking one frame, no flag days.
+// type-descriptor message, always < 0x80), so a version-1 snapshot is
+// refused at the first frame instead of being misparsed.
 var magic = [4]byte{0xD7, 'R', 'T', '2'}
 
 // The version-2 layout, using the wire primitives (uvarints for the small
@@ -47,11 +45,10 @@ type Snapshot struct {
 	Dims    int
 	P       int // machine width at save time (informational)
 	// Backend is the element backend the tree was built with; Load
-	// rebuilds on the same one. Older snapshots decode it as the zero
-	// value, which is the default backend.
+	// rebuilds on the same one.
 	Backend core.Backend
 	// Seq is the data version the snapshot captures (the mutable store's
-	// checkpoint stamp); older snapshots decode it as 0.
+	// checkpoint stamp).
 	Seq      uint64
 	Points   []geom.Point
 	Checksum uint64
@@ -157,27 +154,12 @@ func LoadPoints(r io.Reader) (*Snapshot, error) {
 }
 
 func load(r io.Reader, allowEmpty bool) (*Snapshot, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(len(magic))
-	if err == nil && [4]byte(head) == magic {
-		return loadRaw(br, allowEmpty)
-	}
-	// Legacy version-1 snapshot: one gob message.
-	var snap Snapshot
-	if err := gob.NewDecoder(br).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("persist: decoding snapshot: %w", err)
-	}
-	if snap.Version != 1 {
-		return nil, fmt.Errorf("persist: gob snapshot version %d, this build reads 1 (gob) and %d (raw)", snap.Version, Version)
-	}
-	return validate(&snap, allowEmpty)
-}
-
-// loadRaw parses a version-2 snapshot (the magic is still unconsumed).
-func loadRaw(br *bufio.Reader, allowEmpty bool) (*Snapshot, error) {
-	data, err := io.ReadAll(br)
+	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("persist: reading snapshot: %w", err)
+	}
+	if len(data) < len(magic) || [4]byte(data) != magic {
+		return nil, fmt.Errorf("persist: stream does not open with the snapshot magic; this build reads version %d (raw) snapshots only", Version)
 	}
 	rd := wire.NewReader(data[len(magic):])
 	var snap Snapshot

@@ -3,6 +3,8 @@ package persist
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -150,40 +152,24 @@ func TestSetRoundTripCarriesSeq(t *testing.T) {
 	}
 }
 
-// A snapshot written by a version-1 build (one gob message, no magic)
-// must keep loading: durable data outlives the codec change.
-func TestLegacyGobSnapshotStillLoads(t *testing.T) {
+// A snapshot written by a version-1 build (one gob message, no magic) is
+// refused with a diagnostic naming the version this build reads — never
+// misparsed as the raw layout, never a panic.
+func TestGobSnapshotRejected(t *testing.T) {
 	pts := workload.Points(workload.PointSpec{N: 60, Dims: 2, Dist: workload.Uniform, Seed: 5})
-	v1 := Snapshot{
-		Version:  1,
-		Dims:     2,
-		P:        4,
-		Backend:  core.BackendRangeTree,
-		Seq:      77,
-		Points:   pts,
-		Checksum: checksum(pts),
-	}
+	v1 := Snapshot{Version: 1, Dims: 2, P: 4, Seq: 77, Points: pts, Checksum: checksum(pts)}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&v1); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := LoadSet(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("v1 gob snapshot refused: %v", err)
-	}
-	if snap.Dims != 2 || snap.P != 4 || snap.Seq != 77 || snap.Backend != core.BackendRangeTree ||
-		len(snap.Points) != len(pts) {
-		t.Fatalf("v1 snapshot misread: %+v", snap)
-	}
-	// And a gob snapshot claiming an unknown version is refused, not
-	// misread as v1.
-	v1.Version = 7
-	buf.Reset()
-	if err := gob.NewEncoder(&buf).Encode(&v1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadSet(&buf); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("unknown gob version accepted: %v", err)
+	for name, load := range map[string]func(io.Reader) (*Snapshot, error){"LoadSet": LoadSet, "LoadPoints": LoadPoints} {
+		snap, err := load(bytes.NewReader(buf.Bytes()))
+		if err == nil {
+			t.Fatalf("%s accepted a gob snapshot: %+v", name, snap)
+		}
+		if want := fmt.Sprintf("version %d", Version); !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: diagnostic %q does not name the supported %q", name, err, want)
+		}
 	}
 }
 

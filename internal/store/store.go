@@ -136,6 +136,7 @@ type Stats struct {
 	Compactions uint64        // full shadow-folding rebuilds
 	BuildWall   time.Duration // total compactor build time
 	MaxBuild    time.Duration // longest single build (the write-visibility pause; reads never wait on it)
+	BuiltPoints uint64        // points passed through level builds — the logarithmic method's rebuild mass
 	WALRecords  uint64        // mutation records appended to the WAL
 	Checkpoints uint64
 	BulkLoads   uint64 // completed BulkLoad calls
@@ -200,7 +201,7 @@ type Store struct {
 	done       chan struct{}
 
 	flushes, compactions, walRecords, checkpoints atomic.Uint64
-	bulkLoads, bulkPoints                         atomic.Uint64
+	bulkLoads, bulkPoints, builtPoints            atomic.Uint64
 	buildNanos, maxBuildNanos                     atomic.Int64
 }
 
@@ -240,6 +241,7 @@ func Open(dir string, cfg Config) (*Store, error) {
 			emit("store_shadow_pending", float64(st.Shadow))
 			emit("store_flushes_total", float64(st.Flushes))
 			emit("store_compactions_total", float64(st.Compactions))
+			emit("store_built_points_total", float64(st.BuiltPoints))
 			emit("store_wal_records_total", float64(st.WALRecords))
 			emit("store_checkpoints_total", float64(st.Checkpoints))
 			emit("store_bulk_loads_total", float64(st.BulkLoads))
@@ -328,6 +330,7 @@ func (s *Store) Stats() Stats {
 	st.Compactions = s.compactions.Load()
 	st.BuildWall = time.Duration(s.buildNanos.Load())
 	st.MaxBuild = time.Duration(s.maxBuildNanos.Load())
+	st.BuiltPoints = s.builtPoints.Load()
 	st.WALRecords = s.walRecords.Load()
 	st.Checkpoints = s.checkpoints.Load()
 	st.BulkLoads = s.bulkLoads.Load()
@@ -749,5 +752,7 @@ func (s *Store) buildLevel(pts []geom.Point) (t *core.Tree, err error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: level build machine: %w", err)
 	}
-	return core.BuildWorkerFed(mach, pts, s.cfg.Backend), nil
+	t = core.BuildWorkerFed(mach, pts, s.cfg.Backend)
+	s.builtPoints.Add(uint64(len(pts)))
+	return t, nil
 }

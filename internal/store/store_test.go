@@ -197,6 +197,71 @@ func TestShadowFoldCompaction(t *testing.T) {
 	checkOracle(t, s, pts[72:], randomBoxes(rng, 10, 160, 2))
 }
 
+func TestEmptyStoreQueries(t *testing.T) {
+	s, err := Open("", Config{Dims: 2, P: 2, Sync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	checkOracle(t, s, nil, randomBoxes(rand.New(rand.NewSource(1)), 3, 10, 2))
+	if st := s.Stats(); st.Levels != 0 || st.Live != 0 {
+		t.Errorf("empty store reports %d levels, %d live", st.Levels, st.Live)
+	}
+}
+
+// insertBlocks inserts pts in memtable-sized batches: in Sync mode every
+// batch is exactly one flush, i.e. one binary-counter increment of the
+// logarithmic method.
+func insertBlocks(t *testing.T, s *Store, pts []geom.Point, base int) {
+	t.Helper()
+	for off := 0; off < len(pts); off += base {
+		if _, err := s.InsertBatch(pts[off : off+base]); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func TestLevelsAreBinaryCounter(t *testing.T) {
+	const base = 4
+	s, err := Open("", Config{Dims: 1, P: 2, MemtableCap: base, Sync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	// 7 blocks of base size → levels 0,1,2 occupied (binary 111).
+	insertBlocks(t, s, randomPoints(rand.New(rand.NewSource(1)), 7*base, 1, 0), base)
+	st := s.Stats()
+	if st.Levels != 3 {
+		t.Errorf("levels = %d, want 3 (binary 111)", st.Levels)
+	}
+	if st.Live != 28 || st.Memtable != 0 {
+		t.Errorf("live = %d, memtable = %d", st.Live, st.Memtable)
+	}
+	// The eighth block carries through all three: one level (binary 1000).
+	insertBlocks(t, s, randomPoints(rand.New(rand.NewSource(2)), base, 1, 7*base), base)
+	if st := s.Stats(); st.Levels != 1 || st.Flushes != 8 {
+		t.Errorf("after 8 blocks: levels = %d, flushes = %d, want 1 and 8", st.Levels, st.Flushes)
+	}
+}
+
+func TestAmortizedRebuildMass(t *testing.T) {
+	// The logarithmic method rebuilds each point O(log(n/base)) times.
+	const base, total = 4, 256
+	s, err := Open("", Config{Dims: 1, P: 2, MemtableCap: base, Sync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	insertBlocks(t, s, randomPoints(rand.New(rand.NewSource(7)), total, 1, 0), base)
+	perPoint := float64(s.Stats().BuiltPoints) / float64(total)
+	if perPoint > 8 { // log2(256/4) = 6
+		t.Errorf("amortized rebuild mass %.1f per point, want ≤ ~log(n/base)", perPoint)
+	}
+	if perPoint < 1 {
+		t.Errorf("rebuild mass %.2f per point: BuiltPoints is not counting level builds", perPoint)
+	}
+}
+
 func TestCheckpointAndRecover(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(11))

@@ -18,8 +18,8 @@ import (
 // lives in the workers and those payloads move only on the worker mesh,
 // so the coordinator carries control frames, query boxes and result
 // blocks. The acceptance bar is a clear drop of coordinator bytes/query
-// in resident mode (recorded in BENCH_cluster.json by rangebench
-// -cluster).
+// in resident mode (asserted by TestResidentModeMovesBlocksOffCoordinator
+// below).
 func BenchmarkClusterMixed(b *testing.B) {
 	for _, mode := range []struct {
 		name     string
@@ -72,11 +72,10 @@ func BenchmarkClusterMixed(b *testing.B) {
 	}
 }
 
-// clusterTraffic is the measurement behind the acceptance checks below
-// and the rangebench -cluster JSON record: coordinator bytes per query
-// over cold batches (copies invalidated before each, so phase B ships
-// element blocks), plus the per-frame-kind deltas on the coordinator's
-// connections and on the worker mesh.
+// clusterTraffic is the measurement behind the acceptance checks below:
+// coordinator bytes per query over cold batches (copies invalidated
+// before each, so phase B ships element blocks), plus the per-frame-kind
+// deltas on the coordinator's connections and on the worker mesh.
 type clusterTraffic struct {
 	bytesPerQuery float64
 	coord         map[string]transport.FrameStat // coordinator conns, cold batches

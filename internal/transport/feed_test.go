@@ -72,64 +72,6 @@ func TestParallelFeedCounters(t *testing.T) {
 	}
 }
 
-// TestFunnelEquivalence keeps the coordinator-funnel baseline path
-// honest: forcing IngestConfig.Funnel must produce a tree with answers
-// identical to the rank-parallel build of the same stream, while moving
-// zero feed frames.
-func TestFunnelEquivalence(t *testing.T) {
-	const p, n, m = 4, 2000, 32
-	pts := workload.Points(workload.PointSpec{N: n, Dims: 2, Dist: workload.Clustered, Seed: 7})
-	boxes := workload.Boxes(workload.QuerySpec{M: m, Dims: 2, N: n, Selectivity: 0.05, Seed: 11})
-
-	_, addrs := startWorkers(t, p)
-	cl, err := transport.DialCluster(addrs, cgm.Config{Resident: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	load := func(funnel bool) *core.Tree {
-		t.Helper()
-		mach, err := cl.NewMachine()
-		if err != nil {
-			t.Fatal(err)
-		}
-		tree, err := core.BulkLoadWith(mach, core.SliceChunks(pts, 61), core.BackendLayered,
-			core.IngestConfig{Window: 2, Funnel: funnel})
-		if err != nil {
-			t.Fatalf("bulk load (funnel=%v): %v", funnel, err)
-		}
-		return tree
-	}
-	parallel := load(false)
-	defer parallel.Machine().Close()
-	feedFrames := cl.WireStats()["feed_call"].Frames
-	if feedFrames == 0 {
-		t.Fatal("parallel load moved no feed_call frames")
-	}
-	funnel := load(true)
-	defer funnel.Machine().Close()
-	if got := cl.WireStats()["feed_call"].Frames; got != feedFrames {
-		t.Fatalf("funnel load moved %d feed_call frames", got-feedFrames)
-	}
-
-	wantC, gotC := parallel.CountBatch(boxes), funnel.CountBatch(boxes)
-	wantR, gotR := parallel.ReportBatch(boxes), funnel.ReportBatch(boxes)
-	for q := range wantC {
-		if wantC[q] != gotC[q] {
-			t.Fatalf("query %d: parallel count %d, funnel count %d", q, wantC[q], gotC[q])
-		}
-		if len(wantR[q]) != len(gotR[q]) {
-			t.Fatalf("query %d: parallel reports %d points, funnel %d", q, len(wantR[q]), len(gotR[q]))
-		}
-		for j := range wantR[q] {
-			if wantR[q][j].ID != gotR[q][j].ID {
-				t.Fatalf("query %d point %d diverges between parallel and funnel builds", q, j)
-			}
-		}
-	}
-}
-
 // TestWorkerDeathMidParallelFeedAborts is the fail-fast contract of the
 // rank-parallel feeds: killing a worker mid-load must (a) surface a
 // prompt diagnostic from BulkLoad (no feeder deadlocks on its window),

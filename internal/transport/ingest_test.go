@@ -1,6 +1,8 @@
 package transport_test
 
 import (
+	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/cgm"
 	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/pointsfile"
 	"repro/internal/transport"
 	"repro/internal/wire"
 	"repro/internal/workload"
@@ -229,5 +232,55 @@ func TestWorkerDeathMidIngestAborts(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("degraded cluster took %v to fail", elapsed)
+	}
+}
+
+// TestFileIngestCoordinatorBytesIndependentOfN pins the O(p²) claim of
+// worker-direct ingest: in a partitioned file load every rank reads its
+// own shard, so the coordinator's connections carry only file paths, the
+// p² sample-sort splitters and control frames — doubling n must not grow
+// its traffic (1.002× when last recorded; a coordinator that shipped the
+// points would read ≈ 2×).
+func TestFileIngestCoordinatorBytesIndependentOfN(t *testing.T) {
+	const p, n = 4, 1 << 12
+	_, addrs := startWorkers(t, p)
+	cl, err := transport.DialCluster(addrs, cgm.Config{Resident: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	coordBytes := func(n int) int64 {
+		pts := workload.Points(workload.PointSpec{N: n, Dims: 2, Dist: workload.Clustered, Seed: 7})
+		dir := t.TempDir()
+		paths := make([]string, p)
+		for r, blk := range core.CanonicalBlocks(pts, p) {
+			paths[r] = filepath.Join(dir, fmt.Sprintf("shard-%d.drpf", r))
+			if err := pointsfile.Save(paths[r], blk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mach, err := cl.NewMachine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		outBefore, inBefore := cl.CoordBytes()
+		tree, err := core.BulkLoadFiles(mach, paths, core.BackendLayered)
+		if err != nil {
+			t.Fatalf("file load n=%d: %v", n, err)
+		}
+		out, in := cl.CoordBytes()
+		if tree.N() != n {
+			t.Fatalf("file load staged %d points, want %d", tree.N(), n)
+		}
+		tree.Machine().Close()
+		return out - outBefore + in - inBefore
+	}
+	small, big := coordBytes(n), coordBytes(2*n)
+	growth := float64(big) / float64(small)
+	t.Logf("coordinator bytes: %d at n=%d, %d at n=%d (%.3fx)", small, n, big, 2*n, growth)
+	if growth > 1.10 {
+		t.Fatalf("coordinator traffic grew %.2fx when n doubled (%d → %d B): a file ingest must cost the coordinator O(p²), not O(n)",
+			growth, small, big)
 	}
 }
