@@ -426,7 +426,6 @@ func BenchmarkEngineThroughput(b *testing.B) {
 		b.Run(fmt.Sprintf("batch=%d", bs), func(b *testing.B) {
 			eng := drtree.NewAggregateEngine(t, h, drtree.EngineConfig{
 				BatchSize: bs,
-				MaxDelay:  500 * time.Microsecond,
 				CacheSize: -1, // disabled: measure dispatch, not the cache
 			})
 			defer eng.Close()
@@ -490,7 +489,6 @@ func BenchmarkStoreMixed(b *testing.B) {
 		st.Compact()
 		eng := drtree.NewStoreEngine(st, drtree.EngineConfig{
 			BatchSize: 64,
-			MaxDelay:  500 * time.Microsecond,
 			CacheSize: -1, // disabled: measure dispatch, not the cache
 		})
 		defer eng.Close()

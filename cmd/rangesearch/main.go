@@ -9,7 +9,7 @@
 //	rangesearch -n 4096 -d 2 -p 8 -queries 1024 -mode count
 //	rangesearch -csv points.csv -p 4 -queries 100 -mode sum
 //	rangesearch -n 1024 -d 2 -mode report -selectivity 0.02
-//	rangesearch -n 4096 -d 2 -p 8 -mode serve -batch 64 -delay 2ms
+//	rangesearch -n 4096 -d 2 -p 8 -mode serve -batch 64
 //	rangesearch -n 4096 -d 2 -mode serve -mutable -dir /tmp/rangedb
 //
 // In serve mode, stdin is read line by line; each line is one query
@@ -111,8 +111,7 @@ func main() {
 	mode := flag.String("mode", "count", "result mode: count, report, sum, serve, or top (live cluster dashboard via -top-addr)")
 	seed := flag.Int64("seed", 1, "workload seed")
 	verbose := flag.Bool("v", false, "print per-query results")
-	batch := flag.Int("batch", engine.DefaultBatchSize, "serve mode: flush batch size")
-	delay := flag.Duration("delay", engine.DefaultMaxDelay, "serve mode: flush deadline")
+	batch := flag.Int("batch", engine.DefaultBatchSize, "serve mode: largest batch one machine run answers")
 	cacheSize := flag.Int("cache", engine.DefaultCacheSize, "serve mode: LRU answer-cache entries (negative disables)")
 	mutable := flag.Bool("mutable", false, "serve mode: serve from the updatable store (enables insert/delete/checkpoint)")
 	dir := flag.String("dir", "", "serve mode with -mutable: store directory (WAL + checkpoints); empty = ephemeral")
@@ -175,7 +174,7 @@ func main() {
 		evlog.Emit(kind, rank, detail)
 	}
 
-	engCfg := engine.Config{BatchSize: *batch, MaxDelay: *delay, CacheSize: *cacheSize,
+	engCfg := engine.Config{BatchSize: *batch, CacheSize: *cacheSize,
 		Obs: reg, Tracer: tracer, SlowQuery: *slowQuery}
 	machCfg := cgm.Config{P: *p, Resident: *resident, Obs: reg, Tracer: tracer, Events: events}
 
@@ -453,8 +452,8 @@ func serveMutable(pts []geom.Point, dims, p int, dir string, cluster *transport.
 }
 
 func printEngineStats(st engine.Stats) {
-	fmt.Fprintf(os.Stderr, "engine: %d queries | cache %d hit / %d miss | %d batches (%d by size, %d by deadline)\n",
-		st.Submitted, st.CacheHits, st.CacheMisses, st.Batches, st.SizeFlushes, st.DeadlineFlushes)
+	fmt.Fprintf(os.Stderr, "engine: %d queries | cache %d hit / %d miss | %d batches (%d full, %d partial on an idle machine)\n",
+		st.Submitted, st.CacheHits, st.CacheMisses, st.Batches, st.SizeFlushes, st.IdleFlushes)
 }
 
 // serveLoop reads stdin line by line. Lines answer on their own
@@ -477,6 +476,11 @@ func serveLoop(answer func(string) string, mutation func(string) bool, drain, fi
 	go func() {
 		sc := bufio.NewScanner(os.Stdin)
 		sc.Buffer(make([]byte, 1<<20), 1<<20)
+		// prev is closed once every line before has its answer. A `trace`
+		// line asks about the batches behind the lines before it, so it
+		// starts only then; queries still pipeline with each other.
+		prev := make(chan struct{})
+		close(prev)
 		for sc.Scan() {
 			if closing.Load() {
 				return // shutting down: lines past the cut are not accepted
@@ -491,7 +495,16 @@ func serveLoop(answer func(string) string, mutation func(string) bool, drain, fi
 				p.ch <- answer(line)
 				continue
 			}
-			go func(line string) { p.ch <- answer(line) }(line)
+			answered := make(chan struct{})
+			go func(line string, prev <-chan struct{}) {
+				if strings.HasPrefix(line, "trace") {
+					<-prev
+				}
+				p.ch <- answer(line)
+				<-prev
+				close(answered)
+			}(line, prev)
+			prev = answered
 		}
 		scanErr = sc.Err() // before close: visible to the drain loop's end
 		close(queue)

@@ -348,7 +348,9 @@ type Engine[T any] = engine.Engine[T]
 
 // Engine configuration and metrics.
 type (
-	// EngineConfig tunes batching (flush size, deadline) and the cache.
+	// EngineConfig tunes the serving layer: the largest batch one machine
+	// run answers, the answer cache, and the observability hooks. There is
+	// no flush deadline: the engine dispatches whenever the machine is free.
 	EngineConfig = engine.Config
 	// EngineStats is a snapshot of the engine's counters.
 	EngineStats = engine.Stats

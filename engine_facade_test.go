@@ -3,7 +3,6 @@ package drtree_test
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"repro"
 	"repro/internal/brute"
@@ -21,7 +20,7 @@ func TestEngineFacade(t *testing.T) {
 	bf := brute.New(pts)
 
 	eng := drtree.NewAggregateEngine(tree, h, drtree.EngineConfig{
-		BatchSize: 16, MaxDelay: 300 * time.Microsecond, CacheSize: 64,
+		BatchSize: 16, CacheSize: 64,
 	})
 	defer eng.Close()
 

@@ -42,10 +42,7 @@ func main() {
 	if _, err := st.InsertBatch(pts); err != nil {
 		panic(err)
 	}
-	eng := drtree.NewStoreEngine(st, drtree.EngineConfig{
-		BatchSize: 64,
-		MaxDelay:  500 * time.Microsecond,
-	})
+	eng := drtree.NewStoreEngine(st, drtree.EngineConfig{BatchSize: 64})
 
 	// Shared registry of live points so writers delete real points and
 	// the final oracle knows the expected state.

@@ -36,7 +36,6 @@ func main() {
 
 	eng := drtree.NewAggregateEngine(tree, handle, drtree.EngineConfig{
 		BatchSize: 128,
-		MaxDelay:  time.Millisecond,
 		CacheSize: 512,
 	})
 	defer eng.Close()
@@ -106,8 +105,8 @@ func main() {
 		total, elapsed.Round(time.Millisecond), float64(total)/elapsed.Seconds())
 	fmt.Printf("  cache: %d hits / %d misses (%.0f%% hit rate)\n",
 		st.CacheHits, st.CacheMisses, 100*float64(st.CacheHits)/float64(st.CacheHits+st.CacheMisses))
-	fmt.Printf("  batches: %d dispatched (%d full-size, %d deadline), mean %.1f queries/batch\n",
-		st.Batches, st.SizeFlushes, st.DeadlineFlushes,
+	fmt.Printf("  batches: %d dispatched (%d full-size, %d partial on an idle machine), mean %.1f queries/batch\n",
+		st.Batches, st.SizeFlushes, st.IdleFlushes,
 		float64(st.BatchedQueries)/float64(max(st.Batches, 1)))
 	fmt.Printf("  spot-checks vs brute force: %d checked, %d mismatches\n", checked.Load(), mismatches.Load())
 }

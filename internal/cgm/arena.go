@@ -22,35 +22,41 @@ import (
 // An arena is a set of typed bump slabs, one per element type requested
 // (so the garbage collector sees every pointer it holds). It starts
 // empty, grows to the working set of the runs actually executed, and
-// gives capacity back when recent runs stopped using it. What a run wrote
-// stays referenced until the arena is released — by the next run's start,
-// or earlier by Machine.ReleaseArenas when the caller is done with the
-// run's results — so a run that moved large rows does not pin them
-// through a few stale slice headers. A nil *Arena is
-// valid and allocates from the heap — the form construct-time and
-// worker-side callers of arena-taking functions use.
+// gives capacity back when no run of its retention window (arenaWindow)
+// came near needing it. What a run wrote stays referenced until the arena
+// is released — by the next run's start, or earlier by
+// Machine.ReleaseArenas when the caller is done with the run's results —
+// so a run that moved large rows does not pin them through a few stale
+// slice headers. A nil *Arena is valid and allocates from the heap — the
+// form construct-time and worker-side callers of arena-taking functions
+// use.
 //
 // An arena belongs to one rank: only that rank's processor goroutine may
 // allocate from it during a run.
 type Arena struct {
 	slabs []arenaSlab
+	runs  int // resets since the retention window last turned over
 }
 
 // arenaSlab is the type-erased view of one slab[T].
 type arenaSlab interface {
 	release()
-	reset()
+	reset(turn bool)
 	bytes() int
 }
 
 // A slab is trimmed when it is both larger than arenaKeep elements and
-// more than arenaSlack times the decayed peak of what recent runs took
-// from it (the peak forgets a quarter of itself per run), so one outsized
-// batch does not pin its working set on a machine that lives for hours
-// while batch sizes that merely fluctuate never thrash.
+// more than arenaSlack times the most any run of the retention window
+// took from it. The window is two buckets of arenaWindow runs — the one
+// filling and the one before it — so a need is remembered for between
+// arenaWindow and 2·arenaWindow runs: long enough that a shape which
+// recurs every few dozen runs (a serving machine's one report batch among
+// count-only ones) keeps its slabs, short enough that one outsized batch
+// does not pin its working set on a machine that lives for hours.
 const (
-	arenaKeep  = 64
-	arenaSlack = 4
+	arenaKeep   = 64
+	arenaSlack  = 4
+	arenaWindow = 64
 )
 
 // slab is the bump allocator of one element type. buf is zero beyond
@@ -59,9 +65,13 @@ type slab[T any] struct {
 	buf      []T  // current chunk, len == cap
 	used     int  // elements of buf handed out this run
 	spilt    int  // elements handed out of chunks this run outgrew
-	peak     int  // decayed high-water of one run's total
+	cur      int  // most one run took in the window's filling bucket
+	prev     int  // ... and in the bucket before it
 	released bool // buf[:used] has been zeroed since the last hand-out
 }
+
+// peak is the most one run of the retention window took from the slab.
+func (s *slab[T]) peak() int { return max(s.cur, s.prev) }
 
 // release zeroes what the run wrote, dropping every reference it holds
 // (outgrown chunks are reachable only through those references).
@@ -72,12 +82,17 @@ func (s *slab[T]) release() {
 	}
 }
 
-func (s *slab[T]) reset() {
+// reset recycles the slab for the next run; turn closes the window's
+// filling bucket.
+func (s *slab[T]) reset(turn bool) {
 	s.release()
 	need := s.spilt + s.used
-	s.peak = max(need, s.peak-(s.peak+3)/4)
-	if need > len(s.buf) || (len(s.buf) > arenaKeep && len(s.buf) > arenaSlack*s.peak) {
+	s.cur = max(s.cur, need)
+	if need > len(s.buf) || (len(s.buf) > arenaKeep && len(s.buf) > arenaSlack*s.peak()) {
 		s.buf = nil // the next run's first request sizes one chunk to peak
+	}
+	if turn {
+		s.prev, s.cur = s.cur, 0
 	}
 	s.used, s.spilt = 0, 0
 }
@@ -97,8 +112,13 @@ func (a *Arena) release() {
 
 // reset recycles the arena for the next run.
 func (a *Arena) reset() {
+	a.runs++
+	turn := a.runs == arenaWindow
+	if turn {
+		a.runs = 0
+	}
 	for _, s := range a.slabs {
-		s.reset()
+		s.reset(turn)
 	}
 }
 
@@ -139,7 +159,7 @@ func Alloc[T any](a *Arena, n int) []T {
 		// Outgrown: earlier hand-outs keep the old chunk alive; nothing is
 		// recycled inside a run.
 		s.spilt += s.used
-		s.buf = make([]T, max(2*len(s.buf), n, s.peak))
+		s.buf = make([]T, max(2*len(s.buf), n, s.peak()))
 		s.used = 0
 	}
 	out := s.buf[s.used : s.used+n : s.used+n]

@@ -97,11 +97,14 @@ func TestArenaTrimsAfterOutsizedRun(t *testing.T) {
 	if peak := m.ArenaBytes(); peak < 2*(1<<20)*8 {
 		t.Fatalf("the run after an outsized one should still hold its chunk (have %d bytes)", peak)
 	}
-	for i := 0; i < 64; i++ {
+	// The outsized need leaves the retention window once both of its
+	// buckets have turned over.
+	const small = 2*arenaWindow + 1
+	for i := 0; i < small; i++ {
 		use(100)
 	}
 	if got := m.ArenaBytes(); got > 4*steady {
-		t.Errorf("64 small runs after an outsized one: arena still retains %d bytes (steady state %d)", got, steady)
+		t.Errorf("%d small runs after an outsized one: arena still retains %d bytes (steady state %d)", small, got, steady)
 	}
 	// Sizes within the slack keep their chunk: no reallocation per run.
 	use(400)

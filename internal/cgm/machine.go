@@ -179,7 +179,9 @@ func New(cfg Config) *Machine {
 		segTime: make([]time.Duration, p), bar: newBarrier(p),
 		token: make(chan struct{}, 1), abortCh: make(chan struct{})}
 	for i := range m.procs {
-		m.procs[i] = Proc{m: m, rank: i}
+		pr := &m.procs[i]
+		*pr = Proc{m: m, rank: i}
+		pr.start = pr.run
 	}
 	m.token <- struct{}{}
 	m.metrics.WorkByProc = make([]time.Duration, p)
@@ -238,8 +240,11 @@ func (m *Machine) ReleaseArenas() {
 // Proc is the per-processor handle passed to SPMD programs. The machine
 // owns one per rank and reuses it for every run.
 type Proc struct {
-	m        *Machine
-	rank     int
+	m    *Machine
+	rank int
+	// start is pr.run, bound once: `go pr.run()` would allocate the method
+	// value again for every rank of every run.
+	start    func()
 	opSeq    int
 	resumeAt time.Time
 	arena    Arena
@@ -319,7 +324,7 @@ func (m *Machine) Run(prog func(*Proc)) {
 		// what the arena handed out then except between-run callers, whose
 		// window closes here.
 		pr.arena.reset()
-		go pr.run()
+		go pr.start()
 	}
 	m.wg.Wait()
 	m.prog = nil

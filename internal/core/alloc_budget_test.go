@@ -8,6 +8,8 @@ package core_test
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/cgm"
@@ -21,7 +23,11 @@ import (
 // every fourth a report when reports is set, the rest counts (or
 // aggregates, for the AggHandle rows).
 func budgetBatch(m, n int, reports bool, rest core.MixedOp) ([]core.MixedOp, []geom.Box) {
-	boxes := workload.Boxes(workload.QuerySpec{M: m, Dims: 2, N: n, Selectivity: 0.002, Seed: int64(m)})
+	return shapedBatch(m, n, 0.002, reports, rest)
+}
+
+func shapedBatch(m, n int, sel float64, reports bool, rest core.MixedOp) ([]core.MixedOp, []geom.Box) {
+	boxes := workload.Boxes(workload.QuerySpec{M: m, Dims: 2, N: n, Selectivity: sel, Seed: int64(m)})
 	ops := make([]core.MixedOp, m)
 	for i := range ops {
 		ops[i] = rest
@@ -58,9 +64,9 @@ func TestRunAllocBudget(t *testing.T) {
 		{"fabric", fabric, 1, false, core.OpCount, fabricFixedBudget},
 		{"fabric", fabric, 16, true, core.OpCount, fabricFixedBudget + 4*16},
 		{"fabric", fabric, 64, true, core.OpCount, fabricFixedBudget + 4*64},
-		{"agg", handle, 1, false, core.OpAggregate, fabricFixedBudget + 8},
-		{"agg", handle, 16, true, core.OpAggregate, fabricFixedBudget + 8 + 4*16},
-		{"agg", handle, 64, true, core.OpAggregate, fabricFixedBudget + 8 + 4*64},
+		{"agg", handle, 1, false, core.OpAggregate, fabricFixedBudget},
+		{"agg", handle, 16, true, core.OpAggregate, fabricFixedBudget + 4*16},
+		{"agg", handle, 64, true, core.OpAggregate, fabricFixedBudget + 4*64},
 		{"resident", resident, 1, false, core.OpCount, residentFixedBudget},
 	}
 	for _, r := range rows {
@@ -79,13 +85,77 @@ func TestRunAllocBudget(t *testing.T) {
 }
 
 // The fixed allocations of one warm MixedBatch on p = 4 loopback. Fabric
-// measures 15 (results, queries, SearchStats, the mode and its closures,
-// the report grouping's three vectors, one goroutine start per rank): the
-// budget is the gate ROADMAP item 7 set, with room for the runtime's own
-// noise. Resident measures 168 — what is left is the exec step codec and
-// dispatch on the far side of the seam, which fabric does not run — and is
-// pinned just above that.
+// measures 1 — the results; the caller-side state is the tree's kept run
+// frame and the ranks start from closures bound once — and the budget
+// leaves room for the runtime's own noise, nothing more. Resident measures
+// 154: what is left is the exec step codec and dispatch on the far side of
+// the residency seam (ROADMAP item 2), which fabric does not run, pinned
+// just above that.
 const (
-	fabricFixedBudget   = 24
-	residentFixedBudget = 176
+	fabricFixedBudget   = 4
+	residentFixedBudget = 162
 )
+
+// TestArenaKeepsRecurringShapes: a serving machine's batches are mostly
+// one or two counts with a report every so often, and the slabs only the
+// report needs (its points, its pairs) must survive the runs between two
+// of them. 200 warm runs of that mix re-make no slab: the arenas' capacity
+// never moves, and the heap sees the results and nothing else.
+func TestArenaKeepsRecurringShapes(t *testing.T) {
+	const n, p, runs = 1 << 14, 4, 200
+	pts := workload.Points(workload.PointSpec{N: n, Dims: 2, Dist: workload.Uniform, Seed: 11})
+	tree := core.Build(cgm.New(cgm.Config{P: p}), pts)
+	type shape struct {
+		ops   []core.MixedOp
+		boxes []geom.Box
+	}
+	var counts [2]shape
+	for i := range counts {
+		counts[i].ops, counts[i].boxes = shapedBatch(1+i, n, 0.01, false, core.OpCount)
+	}
+	var report shape
+	report.ops, report.boxes = shapedBatch(4, n, 0.01, true, core.OpCount)
+
+	// The schedule: a report batch every 2–20 runs, counts in between.
+	rng := rand.New(rand.NewSource(7))
+	untilReport := 0
+	returned := 0 // allocations the runs hand their caller
+	step := func() {
+		sh := counts[rng.Intn(2)]
+		if untilReport == 0 {
+			sh, untilReport = report, 2+rng.Intn(19)
+		}
+		untilReport--
+		returned++ // the results
+		for _, r := range core.MixedBatch[struct{}](tree, nil, sh.ops, sh.boxes) {
+			if len(r.Pts) > 0 {
+				returned++
+			}
+		}
+	}
+	for i := 0; i < 40; i++ { // every shape a few times: slabs sized, copy caches warm
+		step()
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	held := tree.Machine().ArenaBytes()
+	returned = 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		step()
+		if got := tree.Machine().ArenaBytes(); got != held {
+			t.Fatalf("run %d resized the arenas: %d -> %d bytes", i, held, got)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	got := int(after.Mallocs - before.Mallocs)
+	t.Logf("%d runs: %d allocations, %d of them returned to the caller", runs, got, returned)
+	// The slack is for the machine's round log, still doubling its way to
+	// its cap this early in a machine's life; re-making the report's slabs
+	// costs several allocations per report batch (579 over these 200 runs
+	// under the decayed-peak trim this test replaced).
+	if got > returned+runs/10 {
+		t.Errorf("%d runs allocated %d times, %d beyond what they returned", runs, got, got-returned)
+	}
+}

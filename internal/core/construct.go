@@ -108,6 +108,7 @@ func newTreeShell(mach *cgm.Machine, n, dims int, be Backend) *Tree {
 		grain:      (n + p - 1) / p,
 		backend:    be,
 		procs:      make([]*procState, p),
+		lastStats:  make([]SearchStats, p),
 		lastCopied: make([]atomic.Int64, p),
 		lastByRef:  make([]atomic.Int64, p),
 

@@ -322,6 +322,33 @@ func TestQueryDimMismatchAborts(t *testing.T) {
 	dt.CountBatch([]geom.Box{geom.NewBox([]geom.Coord{1}, []geom.Coord{5})})
 }
 
+// TestAbortedRunUnpinsKeptFrame: a machine abort panics out of MixedBatch
+// past the frame's normal exit; the tree's kept frame must not go on
+// holding that batch.
+func TestAbortedRunUnpinsKeptFrame(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	dt, _, _ := buildBoth(rng, 32, 2, 2)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("expected abort on query dim mismatch")
+			}
+		}()
+		MixedBatch[struct{}](dt, nil, []MixedOp{OpReport},
+			[]geom.Box{geom.NewBox([]geom.Coord{1}, []geom.Coord{5})})
+	}()
+	fr := dt.frame.(*mixedFrame[struct{}])
+	if fr.boxes != nil || fr.results != nil || fr.mode.ops != nil || fr.mode.h != nil {
+		t.Errorf("the kept frame still holds the aborted batch: boxes %v, results %v, ops %v, handle %v",
+			fr.boxes, fr.results, fr.mode.ops, fr.mode.h)
+	}
+	for rank, pairs := range fr.mode.rep.perProc {
+		if pairs != nil {
+			t.Errorf("the kept frame still holds rank %d's pair block", rank)
+		}
+	}
+}
+
 func TestSkewedDemandGetsCopies(t *testing.T) {
 	// Every query targets the same narrow column: one forest group is
 	// congested and must be replicated (the c_j mechanism).

@@ -125,11 +125,40 @@ func (r *mixedRun[T]) finish(pr *cgm.Proc) {
 }
 
 // mixedMode composes the three result modes into one searchMode whose
-// collectives all ride a single machine run.
+// collectives all ride a single machine run. h and ops are the batch's;
+// the rest serves every batch of the frame that holds the mode.
 type mixedMode[T any] struct {
 	h   *AggHandle[T]
 	ops []MixedOp
 	rep *reportMode[MixedResult[T]]
+}
+
+// deliver hands one query's report points to its result slot (the report
+// epilogue groups pairs for every query of the batch, whatever its op).
+func (m *mixedMode[T]) deliver(results []MixedResult[T], qid int32, pts []geom.Point) {
+	if m.ops[qid] == OpReport {
+		results[qid].Pts = pts
+	}
+}
+
+// mixedFrame is the serving path's run frame, kept on the tree: a warm
+// MixedBatch rebuilds none of its caller-side state.
+type mixedFrame[T any] struct {
+	*runFrame[MixedResult[T]]
+	mode mixedMode[T]
+}
+
+// mixedFrameOf returns the tree's kept frame, replacing one kept for
+// another aggregate type (a tree serves one in practice).
+func mixedFrameOf[T any](t *Tree) *mixedFrame[T] {
+	fr, ok := t.frame.(*mixedFrame[T])
+	if !ok {
+		fr = &mixedFrame[T]{}
+		fr.mode.rep = newReportMode(t.P(), fr.mode.deliver)
+		fr.runFrame = newRunFrame[MixedResult[T]](t, &fr.mode)
+		t.frame = fr
+	}
+	return fr
 }
 
 func (*mixedMode[T]) labels() *runLabels { return mixedLabels }
@@ -186,11 +215,16 @@ func MixedBatch[T any](t *Tree, h *AggHandle[T], ops []MixedOp, boxes []geom.Box
 	if h != nil && h.t != t {
 		panic("core: MixedBatch: AggHandle was prepared on a different tree")
 	}
-	mode := &mixedMode[T]{h: h, ops: ops,
-		rep: newReportMode(len(boxes), t.P(), func(results []MixedResult[T], qid int32, pts []geom.Point) {
-			if ops[qid] == OpReport {
-				results[qid].Pts = pts
-			}
-		})}
-	return runSearch(t, asQueries(boxes), mode)
+	fr := mixedFrameOf[T](t)
+	fr.mode.h, fr.mode.ops = h, ops
+	defer fr.mode.unpin()
+	return fr.run(boxes)
+}
+
+// unpin drops what the kept mode holds of one batch — the handle, the ops
+// and, when a machine abort panicked past the epilogue, the ranks' pair
+// blocks.
+func (m *mixedMode[T]) unpin() {
+	m.h, m.ops = nil, nil
+	clear(m.rep.perProc)
 }

@@ -30,8 +30,9 @@ type SearchStats struct {
 }
 
 // LastSearchStats returns the per-processor statistics of the most recent
-// batch operation.
-func (t *Tree) LastSearchStats() []SearchStats { return t.lastStats }
+// batch operation. The returned slice is the caller's: the tree overwrites
+// its own copy every batch.
+func (t *Tree) LastSearchStats() []SearchStats { return slices.Clone(t.lastStats) }
 
 // ---------------------------------------------------------------- count
 
@@ -114,7 +115,7 @@ func (countMode) start(t *Tree, a *cgm.Arena, ps *procState, st *SearchStats, re
 // of the associative-function mode, which needs no precomputation because
 // hat nodes carry their canonical counts.
 func (t *Tree) CountBatch(boxes []geom.Box) []int64 {
-	return runSearch(t, asQueries(boxes), countMode{})
+	return runSearch(t, boxes, countMode{})
 }
 
 // ---------------------------------------------------- associative function
@@ -357,7 +358,7 @@ func (m assocMode[T]) start(t *Tree, a *cgm.Arena, ps *procState, st *SearchStat
 // AssociativeFunction steps 2–5: search, pair up selections with their
 // f-values, combine per query).
 func (h *AggHandle[T]) Batch(boxes []geom.Box) []T {
-	return runSearch(h.t, asQueries(boxes), assocMode[T]{h: h})
+	return runSearch(h.t, boxes, assocMode[T]{h: h})
 }
 
 // ---------------------------------------------------------------- report
@@ -532,16 +533,19 @@ func (r *reportRun) finish(pr *cgm.Proc) {
 // reportMode collects the balanced per-processor pair blocks during the
 // run and groups them per query afterwards. It is generic in R so the
 // mixed mode can reuse it; deliver writes one query's sorted points into
-// the caller's result representation.
+// the caller's result representation. A mode may serve any number of runs:
+// its vectors are scratch, sized by each run.
 type reportMode[R any] struct {
-	nq      int
 	perProc [][]ReportPair
 	counts  []int
 	deliver func(results []R, qid int32, pts []geom.Point)
+	// epilogue scratch, per query: pair counts and the growing groups.
+	sizes    []int
+	perQuery [][]geom.Point
 }
 
-func newReportMode[R any](nq, p int, deliver func([]R, int32, []geom.Point)) *reportMode[R] {
-	return &reportMode[R]{nq: nq, perProc: make([][]ReportPair, p), deliver: deliver}
+func newReportMode[R any](p int, deliver func([]R, int32, []geom.Point)) *reportMode[R] {
+	return &reportMode[R]{perProc: make([][]ReportPair, p), counts: make([]int, p), deliver: deliver}
 }
 
 func (*reportMode[R]) labels() *runLabels { return reportLabels }
@@ -557,35 +561,57 @@ func (m *reportMode[R]) startRun(t *Tree, a *cgm.Arena, ps *procState, st *Searc
 		mine: &m.perProc[ps.rank], rv: reportVisitor{a: a}})
 }
 
+// epilogueScratch returns buf as n zeroed elements, grown when too small.
+// At 32 B a query the two vectors stay as large as the largest batch the
+// mode has grouped; trimming is the arenas' business, not theirs.
+func epilogueScratch[E any](buf []E, n int) []E {
+	if cap(buf) < n {
+		return make([]E, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
 // epilogue groups the distributed (q, l) pairs by query for the caller.
 // The algorithm's deliverable — every pair on some processor, balanced to
 // O(k/p) each — is what the machine run produced and what the metrics
 // measure; this grouping is a convenience step outside the measured
 // algorithm.
 func (m *reportMode[R]) epilogue(results []R) {
-	perQuery := make([][]geom.Point, m.nq)
-	m.counts = make([]int, len(m.perProc))
-	sizes := make([]int, m.nq)
+	total := 0
 	for rank, pairs := range m.perProc {
 		m.counts[rank] = len(pairs)
+		total += len(pairs)
+	}
+	if total == 0 {
+		return // results are born empty
+	}
+	m.sizes = epilogueScratch(m.sizes, len(results))
+	m.perQuery = epilogueScratch(m.perQuery, len(results))
+	for _, pairs := range m.perProc {
 		for _, pair := range pairs {
-			sizes[pair.Query]++
+			m.sizes[pair.Query]++
 		}
 	}
-	for q, n := range sizes {
+	for q, n := range m.sizes {
 		if n > 0 {
-			perQuery[q] = make([]geom.Point, 0, n)
+			m.perQuery[q] = make([]geom.Point, 0, n)
 		}
 	}
 	for _, pairs := range m.perProc {
 		for _, pair := range pairs {
-			perQuery[pair.Query] = append(perQuery[pair.Query], pair.Pt)
+			m.perQuery[pair.Query] = append(m.perQuery[pair.Query], pair.Pt)
 		}
 	}
-	for qi, pts := range perQuery {
+	for qi, pts := range m.perQuery {
 		slices.SortFunc(pts, func(a, b geom.Point) int { return int(a.ID) - int(b.ID) })
 		m.deliver(results, int32(qi), pts)
 	}
+	// The groups are the caller's now, and the pair blocks die with the
+	// run's arenas.
+	clear(m.perQuery)
+	clear(m.perProc)
 }
 
 // ReportBatch answers every query in report mode and groups the pairs by
@@ -605,9 +631,9 @@ func (t *Tree) reportBatch(boxes []geom.Box) ([][]geom.Point, []int) {
 	if len(boxes) == 0 {
 		return nil, make([]int, t.P())
 	}
-	mode := newReportMode(len(boxes), t.P(), func(results [][]geom.Point, qid int32, pts []geom.Point) {
+	mode := newReportMode(t.P(), func(results [][]geom.Point, qid int32, pts []geom.Point) {
 		results[qid] = pts
 	})
-	results := runSearch(t, asQueries(boxes), mode)
+	results := runSearch(t, boxes, mode)
 	return results, mode.counts
 }

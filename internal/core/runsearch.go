@@ -17,7 +17,7 @@ import (
 //	phase D  the mode's result collectives — gather partials at each
 //	         query's home, or the report mode's balanced redistribution
 //
-// runSearch owns phases A–C and the machine run; a searchMode supplies the
+// A runFrame owns phases A–C and the machine run; a searchMode supplies the
 // per-mode hooks. Each mode is a ~40-line instance, so a new result mode
 // no longer copies the superstep plumbing.
 
@@ -64,7 +64,7 @@ type searchMode[R any] interface {
 	start(t *Tree, a *cgm.Arena, ps *procState, st *SearchStats, results []R) procRun
 	// epilogue runs once on the caller's goroutine after the machine run
 	// (e.g. the report mode's final grouping). The run's arenas are still
-	// intact: runSearch releases them once the epilogue returns.
+	// intact: the frame releases them once the epilogue returns.
 	epilogue(results []R)
 }
 
@@ -111,70 +111,98 @@ func (s *phaseASink) hatSelection(q Query, h hatSel) {
 
 func (s *phaseASink) forestSub(sq subquery) { s.subs = cgm.Append(s.a, s.subs, sq) }
 
-// runSearch executes the unified batched-search pipeline for one batch.
+// runFrame is the caller-side half of a search run: the mode, the batch in
+// flight and the program handed to the machine. Only boxes and results
+// (and what a mode keeps of the batch) change from run to run, so a frame
+// that is kept — the mixed mode's, on its tree — makes every run after the
+// first allocate its results and what a report returns, nothing else. A
+// machine runs one program at a time, so a frame has one user at a time
+// too.
+type runFrame[R any] struct {
+	t    *Tree
+	mode searchMode[R]
+	prog func(*cgm.Proc) // fr.rank, bound once
+
+	boxes   []geom.Box
+	results []R
+}
+
+func newRunFrame[R any](t *Tree, mode searchMode[R]) *runFrame[R] {
+	fr := &runFrame[R]{t: t, mode: mode}
+	fr.prog = fr.rank
+	return fr
+}
+
+// runSearch answers one batch on a frame of its own.
+func runSearch[R any](t *Tree, boxes []geom.Box, mode searchMode[R]) []R {
+	return newRunFrame(t, mode).run(boxes)
+}
+
+// run executes the unified batched-search pipeline for one batch; a
+// query's ID is its batch index, which result delivery relies on.
 // Everything a rank needs during the run that does not leave it — the mode
 // state, Q″, the demand and routing vectors, every exchange row — lives in
 // the rank's run arena; what the run allocates is what it returns.
-func runSearch[R any](t *Tree, queries []Query, mode searchMode[R]) []R {
-	m := len(queries)
-	if m == 0 {
+func (fr *runFrame[R]) run(boxes []geom.Box) []R {
+	if len(boxes) == 0 {
 		return nil
 	}
-	p := t.P()
-	results := make([]R, m)
-	mode.init(results)
+	t := fr.t
+	results := make([]R, len(boxes))
+	fr.boxes, fr.results = boxes, results
+	defer fr.unpin()
+	fr.mode.init(results)
 	t.prepBatch()
-	t.mach.Run(func(pr *cgm.Proc) {
-		a := pr.Arena()
-		ps := t.procs[pr.Rank()]
-		st := &t.lastStats[pr.Rank()]
-		run := mode.start(t, a, ps, st, results)
-
-		// Phase A: advance this processor's query block through the hat.
-		lo, hi := queryBlock(pr.Rank(), m, p)
-		sink := cgm.AllocOne(a, phaseASink{a: a, st: st, run: run})
-		for qi := lo; qi < hi; qi++ {
-			ps.hatSearch(t, queries[qi], sink)
-		}
-		subs := sink.subs
-		st.Subqueries = len(subs)
-
-		// Phase B: balance Q″ across copies of the demanded forest parts.
-		aggName := ""
-		if an, ok := mode.(aggNamer); ok && t.resident {
-			aggName = an.residentAggName()
-		}
-		served, routed, routeLbl := t.phaseB(pr, ps, subs, mode.labels(), aggName, run)
-
-		// Phase C: answer the subqueries this processor serves — locally
-		// on a fabric tree; on a resident tree the route exchange and the
-		// serving collapse into one superstep (the routed column is
-		// answered by the collect step where it lands).
-		if t.resident {
-			st.Served = run.serveRouted(pr, routeLbl, routed)
-		} else {
-			st.Served = len(served)
-			for _, s := range served {
-				run.answerSub(s)
-			}
-		}
-
-		// Phase D: the mode's result collectives.
-		run.finish(pr)
-	})
-	mode.epilogue(results)
+	t.mach.Run(fr.prog)
+	fr.mode.epilogue(results)
 	// Everything the batch returns is on the heap by now; what the ranks
 	// left in their arenas (partial results, received rows) can go.
 	t.mach.ReleaseArenas()
 	return results
 }
 
-// asQueries wraps a box batch as the pipeline's query set; the ID is the
-// batch index, which result delivery relies on.
-func asQueries(boxes []geom.Box) []Query {
-	qs := make([]Query, len(boxes))
-	for i, b := range boxes {
-		qs[i] = Query{ID: int32(i), Box: b}
+// unpin drops the batch: a kept frame must not pin it, whether the run
+// returned or a machine abort panicked out of it.
+func (fr *runFrame[R]) unpin() { fr.boxes, fr.results = nil, nil }
+
+// rank is one processor's program of the run.
+func (fr *runFrame[R]) rank(pr *cgm.Proc) {
+	t, mode := fr.t, fr.mode
+	m, p := len(fr.boxes), t.P()
+	a := pr.Arena()
+	ps := t.procs[pr.Rank()]
+	st := &t.lastStats[pr.Rank()]
+	run := mode.start(t, a, ps, st, fr.results)
+
+	// Phase A: advance this processor's query block through the hat.
+	lo, hi := queryBlock(pr.Rank(), m, p)
+	sink := cgm.AllocOne(a, phaseASink{a: a, st: st, run: run})
+	for qi := lo; qi < hi; qi++ {
+		ps.hatSearch(t, Query{ID: int32(qi), Box: fr.boxes[qi]}, sink)
 	}
-	return qs
+	subs := sink.subs
+	st.Subqueries = len(subs)
+
+	// Phase B: balance Q″ across copies of the demanded forest parts.
+	aggName := ""
+	if an, ok := mode.(aggNamer); ok && t.resident {
+		aggName = an.residentAggName()
+	}
+	served, routed, routeLbl := t.phaseB(pr, ps, subs, mode.labels(), aggName, run)
+
+	// Phase C: answer the subqueries this processor serves — locally
+	// on a fabric tree; on a resident tree the route exchange and the
+	// serving collapse into one superstep (the routed column is
+	// answered by the collect step where it lands).
+	if t.resident {
+		st.Served = run.serveRouted(pr, routeLbl, routed)
+	} else {
+		st.Served = len(served)
+		for _, s := range served {
+			run.answerSub(s)
+		}
+	}
+
+	// Phase D: the mode's result collectives.
+	run.finish(pr)
 }

@@ -237,6 +237,10 @@ type Tree struct {
 	balanceMode BalanceMode
 	lastStats   []SearchStats
 	lastDemand  []int
+	// frame is the kept run frame of the serving path (*mixedFrame[T] for
+	// the T last served): the caller-side state a MixedBatch would otherwise
+	// rebuild identically every run.
+	frame any
 	// epoch versions the per-processor copy caches; lastCopied and
 	// lastByRef are the per-rank copy volume shipped by value and stood in
 	// for by references. All are written inside machine runs and readable
@@ -267,7 +271,7 @@ func (t *Tree) SetCopyCacheCap(perProc int) { t.copyCacheCap.Store(int64(perProc
 // prepBatch resets the per-batch statistics and fixes the batch's epoch
 // before a machine run.
 func (t *Tree) prepBatch() {
-	t.lastStats = make([]SearchStats, t.mach.P())
+	clear(t.lastStats)
 	for i := range t.lastCopied {
 		t.lastCopied[i].Store(0)
 		t.lastByRef[i].Store(0)

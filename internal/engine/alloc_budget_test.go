@@ -14,7 +14,8 @@ import (
 // TestEngineAllocBudget pins the engine's own per-query allocations — the
 // c of the serving stack's F/m + c: a cache hit builds its key once, and a
 // dispatched query adds its reply channel and the machine run's fixed
-// part, with nothing per batch from the dispatcher's reused scratch.
+// part — since the run frame is the tree's, its results and nothing else —
+// with nothing per batch from the dispatcher's reused scratch.
 func TestEngineAllocBudget(t *testing.T) {
 	fx := newFixture(t, 1<<12, 4)
 	box := workload.Boxes(workload.QuerySpec{M: 1, Dims: 2, N: fx.n, Selectivity: 0.01, Seed: 5})[0]
@@ -30,16 +31,17 @@ func TestEngineAllocBudget(t *testing.T) {
 		t.Errorf("a cache hit allocates %.0f times, budget 1 (the key)", hit)
 	}
 
-	// BatchSize 1 and no cache: every query is its own machine run, so the
-	// count is key + reply channel + the run's fixed allocations.
-	direct := New(fx.tree, Config{BatchSize: 1, CacheSize: -1})
+	// No cache, one client: every query is its own machine run, so the
+	// count is key + reply channel + the run's fixed allocations. This is
+	// what a query costs at low load, where the dispatcher never batches.
+	direct := New(fx.tree, Config{CacheSize: -1})
 	defer direct.Close()
 	for i := 0; i < 3; i++ {
 		direct.Count(box)
 	}
 	miss := testing.AllocsPerRun(100, func() { direct.Count(box) })
 	t.Logf("dispatched batch of one: %.0f allocations per query", miss)
-	if miss > 26 {
-		t.Errorf("a dispatched batch of one allocates %.0f times, budget 26", miss)
+	if miss > 8 {
+		t.Errorf("a dispatched batch of one allocates %.0f times, budget 8", miss)
 	}
 }

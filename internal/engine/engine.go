@@ -5,13 +5,16 @@
 //
 // The paper's theorems price a batch in communication rounds, so they
 // assume large batches (m ≥ p² queries) — but a serving workload arrives
-// one query at a time. The engine closes that gap: requests accumulate in
-// a pending buffer that flushes when it reaches the configured batch size
-// or when the oldest pending request has waited the configured deadline,
-// whichever comes first. Results route back to callers over per-query
-// channels, and an LRU cache keyed by (data version, mode, box)
-// short-circuits repeated queries. Hit/miss/flush counters are exported
-// via Stats.
+// one query at a time. The engine closes that gap without ever making a
+// query wait for company: the dispatcher is work-conserving. When the
+// machine is idle it dispatches whatever is pending, a lone query included;
+// queries that arrive while that run is in flight queue behind it and are
+// the next batch (up to the configured batch size). The run in flight is
+// the batching window, so low load sees service-time latency, high load
+// fills its batches, and m ≥ p² is met by load rather than by a timer.
+// Results route back to callers over per-query channels, and an LRU cache
+// keyed by (data version, mode, box) short-circuits repeated queries.
+// Hit/miss/flush counters are exported via Stats.
 //
 // An engine serves either an immutable core.Tree (whose data version is
 // forever 0) or a mutable store.Store, in which case Insert and Delete
@@ -49,19 +52,15 @@ var ErrImmutable = errors.New("engine: immutable tree (serve from a store for mu
 // Defaults used for zero Config fields.
 const (
 	DefaultBatchSize = 64
-	DefaultMaxDelay  = 2 * time.Millisecond
 	DefaultCacheSize = 1024
 )
 
 // Config tunes the micro-batching and caching behavior.
 type Config struct {
-	// BatchSize flushes the pending buffer when this many queries are
-	// waiting (default DefaultBatchSize).
+	// BatchSize caps one dispatched batch: whatever queued behind the run
+	// in flight beyond it waits for the run after (default
+	// DefaultBatchSize).
 	BatchSize int
-	// MaxDelay flushes a non-empty pending buffer this long after its
-	// first query arrived, so a lone query is never stuck waiting for a
-	// full batch (default DefaultMaxDelay).
-	MaxDelay time.Duration
 	// CacheSize is the LRU answer-cache capacity in entries; negative
 	// disables caching (default DefaultCacheSize).
 	CacheSize int
@@ -86,9 +85,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = DefaultBatchSize
 	}
-	if cfg.MaxDelay <= 0 {
-		cfg.MaxDelay = DefaultMaxDelay
-	}
 	if cfg.CacheSize == 0 {
 		cfg.CacheSize = DefaultCacheSize
 	}
@@ -97,14 +93,18 @@ func (cfg Config) withDefaults() Config {
 
 // Stats is a snapshot of the engine's counters.
 type Stats struct {
-	Submitted       uint64 // queries accepted (including cache hits)
-	CacheHits       uint64 // answered from the LRU without dispatch
-	CacheMisses     uint64 // enqueued for a batch
-	Batches         uint64 // machine runs dispatched
-	BatchedQueries  uint64 // queries answered by dispatched batches
-	SizeFlushes     uint64 // flushes triggered by a full buffer
-	DeadlineFlushes uint64 // flushes triggered by the deadline timer
-	DrainFlushes    uint64 // final flushes triggered by Close
+	Submitted      uint64 // queries accepted (including cache hits)
+	CacheHits      uint64 // answered from the LRU without dispatch
+	CacheMisses    uint64 // enqueued for a batch
+	Batches        uint64 // machine runs dispatched
+	BatchedQueries uint64 // queries answered by dispatched batches
+	SizeFlushes    uint64 // full batches: BatchSize queries were queued when the machine came free
+	IdleFlushes    uint64 // partial batches: dispatched as they stood because the machine was free
+	DrainFlushes   uint64 // final flushes triggered by Close
+	// DeadlineFlushes is always 0: no flush waits on a timer. The field
+	// survives only because bench/w_serve.go reads it and a PR that claims
+	// a gain may not edit bench/; delete it in the next benchmark PR.
+	DeadlineFlushes uint64
 	// CopyCacheHits counts forest-element copies the tree installed from
 	// its cross-batch copy cache over all dispatched batches — how often
 	// the skew-balancing round skipped an element rebuild entirely.
@@ -169,12 +169,23 @@ type Engine[T any] struct {
 
 	cache *lru[core.MixedResult[T]]
 
-	submitted, hits, misses           atomic.Uint64
-	batches, batched                  atomic.Uint64
-	sizeFlush, deadlineFlush, drained atomic.Uint64
-	copyCacheHits, installNanos       atomic.Uint64
-	copyShipped, copyByRef            atomic.Uint64
-	slowBatches, deduped              atomic.Uint64
+	submitted, hits, misses       atomic.Uint64
+	batches, batched              atomic.Uint64
+	sizeFlush, idleFlush, drained atomic.Uint64
+	copyCacheHits, installNanos   atomic.Uint64
+	copyShipped, copyByRef        atomic.Uint64
+	slowBatches, deduped          atomic.Uint64
+
+	// published orders Trace(0) behind the dispatcher: the loop advances
+	// batched under pubMu once a batch's trace is complete and broadcasts,
+	// so a reader can wait for the misses it saw accepted to be dispatched.
+	pubMu     sync.Mutex
+	published sync.Cond
+
+	// gate, when set (in-package tests only, before the first submit), is
+	// called by the loop with every formed batch's size just before it
+	// dispatches: a test holds the machine busy there.
+	gate func(n int)
 
 	// Dispatch scratch, owned by the loop goroutine (the only one that
 	// runs batches) and reused across them: key → unique index, request →
@@ -228,6 +239,7 @@ func newEngine[T any](cfg Config) *Engine[T] {
 		done: make(chan struct{}),
 		slot: make(map[string]int, cfg.BatchSize),
 	}
+	e.published.L = &e.pubMu
 	if cfg.CacheSize > 0 {
 		e.cache = newLRU[core.MixedResult[T]](cfg.CacheSize)
 	}
@@ -245,7 +257,7 @@ func newEngine[T any](cfg Config) *Engine[T] {
 			emit("engine_batched_queries_total", float64(st.BatchedQueries))
 			emit("engine_deduped_queries_total", float64(st.DedupedQueries))
 			emit(`engine_flushes_total{reason="size"}`, float64(st.SizeFlushes))
-			emit(`engine_flushes_total{reason="deadline"}`, float64(st.DeadlineFlushes))
+			emit(`engine_flushes_total{reason="idle"}`, float64(st.IdleFlushes))
 			emit(`engine_flushes_total{reason="drain"}`, float64(st.DrainFlushes))
 			emit("engine_copy_cache_hits_total", float64(st.CopyCacheHits))
 			emit("engine_phase_b_install_ns_total", float64(st.PhaseBInstall.Nanoseconds()))
@@ -316,7 +328,7 @@ func (e *Engine[T]) Stats() Stats {
 		Batches:           e.batches.Load(),
 		BatchedQueries:    e.batched.Load(),
 		SizeFlushes:       e.sizeFlush.Load(),
-		DeadlineFlushes:   e.deadlineFlush.Load(),
+		IdleFlushes:       e.idleFlush.Load(),
 		DrainFlushes:      e.drained.Load(),
 		CopyCacheHits:     e.copyCacheHits.Load(),
 		CopyPointsShipped: e.copyShipped.Load(),
@@ -330,35 +342,42 @@ func (e *Engine[T]) Stats() Stats {
 // or 0 if no batch has dispatched (or no tracer is configured).
 func (e *Engine[T]) LastTrace() uint64 { return e.lastTrace.Load() }
 
+// traceLiveness bounds Trace(0)'s wait for an owed dispatch: the batch may
+// be wedged on a dead cluster.
+const traceLiveness = 2 * time.Second
+
 // Trace renders the span tree recorded for trace id; id 0 means the most
-// recently dispatched batch — waiting up to a few flush deadlines for a
-// first batch to dispatch, so a trace request pipelined right behind the
-// queries it asks about does not outrun the micro-batcher. The rendering
-// shows the coordinator's dispatch and exchange spans with each worker's
-// emit/route/gather/collect windows nested under the superstep that ran
-// them.
+// recently dispatched batch — once every cache miss accepted before the
+// call has been dispatched, so a trace request issued right behind the
+// queries it asks about does not outrun the batch answering them. The
+// rendering shows the coordinator's dispatch and exchange spans with each
+// worker's emit/route/gather/collect windows nested under the superstep
+// that ran them.
 func (e *Engine[T]) Trace(id uint64) string {
-	if id == 0 {
-		// A trace request pipelined together with the queries it asks
-		// about can arrive before they register, let alone dispatch. Give
-		// concurrent submissions a few flush deadlines to show up, then
-		// wait while a dispatch is actually owed — a cache miss was
-		// accepted but no batch has published a trace yet — bounded for
-		// liveness (the owed batch may be wedged on a dead cluster).
-		grace := time.Now().Add(4 * e.cfg.MaxDelay)
-		deadline := time.Now().Add(2 * time.Second)
-		for {
-			if id = e.lastTrace.Load(); id != 0 || time.Now().After(deadline) {
-				break
-			}
-			if e.misses.Load() == 0 && time.Now().After(grace) {
-				break
-			}
-			time.Sleep(e.cfg.MaxDelay / 4)
-		}
+	if e.cfg.Tracer == nil {
+		return "no traced batches yet (is the engine configured with a Tracer?)"
 	}
 	if id == 0 {
-		return "no traced batches yet (is the engine configured with a Tracer?)"
+		// Every miss is answered by exactly one batch, and the loop counts a
+		// batch's queries as it publishes the batch's trace: wait for that
+		// count to cover the misses accepted so far.
+		owed := e.misses.Load()
+		wedged := false
+		liveness := time.AfterFunc(traceLiveness, func() {
+			e.pubMu.Lock()
+			wedged = true
+			e.pubMu.Unlock()
+			e.published.Broadcast()
+		})
+		e.pubMu.Lock()
+		for e.batched.Load() < owed && !wedged {
+			e.published.Wait()
+		}
+		e.pubMu.Unlock()
+		liveness.Stop()
+		if id = e.lastTrace.Load(); id == 0 {
+			return "no traced batches yet"
+		}
 	}
 	return e.cfg.Tracer.Tree(id)
 }
@@ -406,50 +425,47 @@ func (e *Engine[T]) submit(op core.MixedOp, box geom.Box) (core.MixedResult[T], 
 	return r.res, r.err
 }
 
-// loop is the dispatcher: it owns the pending buffer and the deadline
-// timer, and is the only goroutine that runs machine batches.
+// loop is the work-conserving dispatcher, and the only goroutine that runs
+// machine batches: it blocks for the first pending request, takes whatever
+// else is already queued (up to BatchSize) without waiting, and dispatches.
+// Requests that arrive during the run queue in reqs and are the next batch.
+// With one dispatcher no request ever waits while the machine is idle.
 func (e *Engine[T]) loop() {
 	defer close(e.done)
 	var batch []request[T]
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	armed := false
-	disarm := func() {
-		if armed && !timer.Stop() {
-			<-timer.C
-		}
-		armed = false
-	}
-	flush := func(reason *atomic.Uint64) {
-		disarm()
-		if len(batch) > 0 {
-			reason.Add(1)
-			e.dispatch(batch)
-			clear(batch) // drop the answered requests' keys and channels
-			batch = batch[:0]
-		}
-	}
 	for {
+		req, ok := <-e.reqs
+		if !ok {
+			return
+		}
+		var reason *atomic.Uint64
+		batch, reason = e.fill(append(batch, req))
+		if e.gate != nil {
+			e.gate(len(batch))
+		}
+		reason.Add(1)
+		e.dispatch(batch)
+		clear(batch) // drop the answered requests' keys and channels
+		batch = batch[:0]
+	}
+}
+
+// fill tops a batch up with what is already queued, never waiting for
+// more, and names the flush: size when the batch is full, drain when Close
+// ended the queue, idle otherwise.
+func (e *Engine[T]) fill(batch []request[T]) ([]request[T], *atomic.Uint64) {
+	for len(batch) < e.cfg.BatchSize {
 		select {
 		case req, ok := <-e.reqs:
 			if !ok {
-				flush(&e.drained)
-				return
+				return batch, &e.drained
 			}
 			batch = append(batch, req)
-			if len(batch) >= e.cfg.BatchSize {
-				flush(&e.sizeFlush)
-			} else if !armed {
-				timer.Reset(e.cfg.MaxDelay)
-				armed = true
-			}
-		case <-timer.C:
-			armed = false
-			flush(&e.deadlineFlush)
+		default:
+			return batch, &e.idleFlush
 		}
 	}
+	return batch, &e.sizeFlush
 }
 
 // dispatch answers one pending buffer with a single mixed-mode machine
@@ -490,7 +506,6 @@ func (e *Engine[T]) dispatch(batch []request[T]) {
 	}
 	wall := time.Since(t0)
 	e.batches.Add(1)
-	e.batched.Add(uint64(len(batch)))
 	if e.occ != nil {
 		e.occ.Observe(int64(len(batch)))
 	}
@@ -502,6 +517,10 @@ func (e *Engine[T]) dispatch(batch []request[T]) {
 		// Trace(0) reader never sees a half-written trace.
 		e.lastTrace.Store(id)
 	}
+	e.pubMu.Lock()
+	e.batched.Add(uint64(len(batch)))
+	e.pubMu.Unlock()
+	e.published.Broadcast()
 	if e.cfg.SlowQuery > 0 && wall >= e.cfg.SlowQuery {
 		e.slowBatches.Add(1)
 		logf := e.cfg.SlowLog

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/brute"
 	"repro/internal/cgm"
@@ -43,7 +42,6 @@ func TestEngineConcurrentMixedMatchesBrute(t *testing.T) {
 	fx := newFixture(t, 1<<11, 4)
 	eng := WithAggregate(fx.tree, fx.agg, Config{
 		BatchSize: 48,
-		MaxDelay:  200 * time.Microsecond,
 		CacheSize: 128,
 	})
 	defer eng.Close()
@@ -130,44 +128,12 @@ func TestEngineConcurrentMixedMatchesBrute(t *testing.T) {
 	t.Logf("stats: %+v", st)
 }
 
-// TestEngineDeadlineFlush proves a lone query is answered by the deadline
-// timer without waiting for a full batch.
-func TestEngineDeadlineFlush(t *testing.T) {
-	fx := newFixture(t, 512, 4)
-	eng := New(fx.tree, Config{
-		BatchSize: 1 << 20, // unreachable by size
-		MaxDelay:  5 * time.Millisecond,
-		CacheSize: -1,
-	})
-	defer eng.Close()
-
-	q := workload.Boxes(workload.QuerySpec{M: 1, Dims: 2, N: fx.n, Selectivity: 0.1, Seed: 3})[0]
-	start := time.Now()
-	got, err := eng.Count(q)
-	if err != nil {
-		t.Fatalf("Count: %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > 3*time.Second {
-		t.Fatalf("lone query took %v; deadline flush did not fire", elapsed)
-	}
-	if want := int64(fx.bf.Count(q)); got != want {
-		t.Fatalf("count = %d, want %d", got, want)
-	}
-	st := eng.Stats()
-	if st.DeadlineFlushes == 0 {
-		t.Fatalf("expected a deadline flush, stats %+v", st)
-	}
-	if st.SizeFlushes != 0 {
-		t.Fatalf("unexpected size flush, stats %+v", st)
-	}
-}
-
 // TestEngineCacheHit verifies the LRU short-circuits a repeated query and
 // that hits are counted per (mode, box): the same box in another mode must
 // miss.
 func TestEngineCacheHit(t *testing.T) {
 	fx := newFixture(t, 512, 2)
-	eng := New(fx.tree, Config{BatchSize: 4, MaxDelay: time.Millisecond, CacheSize: 16})
+	eng := New(fx.tree, Config{BatchSize: 4, CacheSize: 16})
 	defer eng.Close()
 
 	q := workload.Boxes(workload.QuerySpec{M: 1, Dims: 2, N: fx.n, Selectivity: 0.05, Seed: 8})[0]
@@ -193,32 +159,6 @@ func TestEngineCacheHit(t *testing.T) {
 	}
 }
 
-// TestEngineBatchDedup verifies identical in-flight queries are answered
-// by one pipeline slot, and that the engine counts them: the batch can only
-// flush on size, so all 16 land in one flush — one slot, 15 deduplicated.
-func TestEngineBatchDedup(t *testing.T) {
-	fx := newFixture(t, 512, 2)
-	eng := New(fx.tree, Config{BatchSize: 16, MaxDelay: time.Minute, CacheSize: -1})
-	defer eng.Close()
-
-	q := workload.Boxes(workload.QuerySpec{M: 1, Dims: 2, N: fx.n, Selectivity: 0.05, Seed: 4})[0]
-	want := int64(fx.bf.Count(q))
-	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if got, err := eng.Count(q); err != nil || got != want {
-				t.Errorf("Count = %d, %v; want %d", got, err, want)
-			}
-		}()
-	}
-	wg.Wait()
-	if st := eng.Stats(); st.Batches != 1 || st.BatchedQueries != 16 || st.DedupedQueries != 15 {
-		t.Fatalf("16 identical queries in one flush: stats %+v, want 1 batch of 16 with 15 deduplicated", st)
-	}
-}
-
 // TestCacheKeyCarriesVersion: the key built once at submit is the cache
 // key (version first) and, past the version, the in-batch dedup key.
 func TestCacheKeyCarriesVersion(t *testing.T) {
@@ -240,7 +180,7 @@ func TestCacheKeyCarriesVersion(t *testing.T) {
 // without corrupting the cache or other callers' copies.
 func TestEngineReportNoAliasing(t *testing.T) {
 	fx := newFixture(t, 512, 2)
-	eng := New(fx.tree, Config{BatchSize: 4, MaxDelay: time.Millisecond, CacheSize: 16})
+	eng := New(fx.tree, Config{BatchSize: 4, CacheSize: 16})
 	defer eng.Close()
 
 	q := workload.Boxes(workload.QuerySpec{M: 1, Dims: 2, N: fx.n, Selectivity: 0.2, Seed: 13})[0]
@@ -263,7 +203,7 @@ func TestEngineReportNoAliasing(t *testing.T) {
 // TestEngineLifecycle covers Close semantics and the no-handle error.
 func TestEngineLifecycle(t *testing.T) {
 	fx := newFixture(t, 256, 2)
-	eng := New(fx.tree, Config{BatchSize: 8, MaxDelay: time.Millisecond})
+	eng := New(fx.tree, Config{BatchSize: 8})
 	q := workload.Boxes(workload.QuerySpec{M: 1, Dims: 2, N: fx.n, Selectivity: 0.1, Seed: 5})[0]
 
 	if _, err := eng.Aggregate(q); err != ErrNoAggregate {

@@ -31,7 +31,7 @@ func TestEngineObservedMatchesPlain(t *testing.T) {
 	tracer := obs.NewTracer()
 	var logMu sync.Mutex
 	var slowLogs int
-	cfg := Config{BatchSize: 16, MaxDelay: 200 * time.Microsecond, CacheSize: -1,
+	cfg := Config{BatchSize: 16, CacheSize: -1,
 		Obs: reg, Tracer: tracer, SlowQuery: time.Nanosecond,
 		SlowLog: func(format string, args ...any) {
 			logMu.Lock()
@@ -43,7 +43,7 @@ func TestEngineObservedMatchesPlain(t *testing.T) {
 		}}
 	eng := WithAggregate(fx.tree, fx.agg, cfg)
 	defer eng.Close()
-	plain := WithAggregate(fxPlain.tree, fxPlain.agg, Config{BatchSize: 16, MaxDelay: 200 * time.Microsecond, CacheSize: -1})
+	plain := WithAggregate(fxPlain.tree, fxPlain.agg, Config{BatchSize: 16, CacheSize: -1})
 	defer plain.Close()
 
 	const m = 96
@@ -154,7 +154,7 @@ func TestStoreEngineTraces(t *testing.T) {
 	if _, err := st.InsertBatch(pts); err != nil {
 		t.Fatalf("insert: %v", err)
 	}
-	eng := NewStore(st, Config{BatchSize: 8, MaxDelay: 100 * time.Microsecond, Obs: reg, Tracer: tracer})
+	eng := NewStore(st, Config{BatchSize: 8, Obs: reg, Tracer: tracer})
 	defer eng.Close()
 
 	boxes := workload.Boxes(workload.QuerySpec{M: 8, Dims: 2, N: 512, Selectivity: 0.1, Seed: 9})

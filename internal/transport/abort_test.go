@@ -412,7 +412,7 @@ func TestResidentWorkerDeathSurfacesQueryErr(t *testing.T) {
 	st.Compact()
 	boxes := workload.Boxes(workload.QuerySpec{M: 8, Dims: 2, N: 200, Selectivity: 0.1, Seed: 6})
 
-	eng := engine.NewStore(st, engine.Config{BatchSize: 4, MaxDelay: time.Millisecond})
+	eng := engine.NewStore(st, engine.Config{BatchSize: 4})
 	defer eng.Close()
 	if _, err := eng.Count(boxes[0]); err != nil {
 		t.Fatalf("pre-kill engine count: %v", err)
