@@ -399,7 +399,10 @@ func BenchmarkDominance(b *testing.B) {
 	n := 1 << 13
 	pts := benchPoints(n, 2)
 	boxes := benchBoxes(512, n, 2, 0.01)
-	dom := drtree.BuildDominance(pts, drtree.IntSumGroup(), func(drtree.Point) int64 { return 1 })
+	dom, err := drtree.BuildDominance(pts, drtree.IntSum(), func(drtree.Point) int64 { return 1 })
+	if err != nil {
+		b.Fatal(err)
+	}
 	var sink int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -293,7 +293,9 @@ type AggregateHandle[T any] = core.AggHandle[T]
 
 // PrepareAssociative precomputes the associative-function annotation
 // (Algorithm AssociativeFunction step 1) for monoid m with per-point value
-// val; the returned handle answers batches via Batch. Resident trees need
+// val; the returned handle answers batches via Batch. A group monoid (one
+// with Inverse set) selects the compact prefix-table annotation, half the
+// bytes of the segment trees other monoids get. Resident trees need
 // PrepareAssociativeNamed instead.
 func PrepareAssociative[T any](t *Tree, m Monoid[T], val func(Point) T) *AggregateHandle[T] {
 	return core.PrepareAssociative(t, m, val)
@@ -303,7 +305,8 @@ func PrepareAssociative[T any](t *Tree, m Monoid[T], val func(Point) T) *Aggrega
 // for worker-resident execution. Call it from an init function of a
 // package imported by every binary of the cluster (the coordinator and
 // each rangeworker), so both sides resolve the name to identical code;
-// internal/aggregates registers the standard ones.
+// internal/aggregates registers the standard ones. As with
+// PrepareAssociative, setting m.Inverse selects the compact layout.
 func RegisterAggregate[T any](name string, m Monoid[T], val func(Point) T) {
 	core.RegisterAggregate(name, m, val)
 }
@@ -400,24 +403,16 @@ type LayeredTree = layered.Tree
 // BuildLayered builds a layered range tree over all dimensions of pts.
 func BuildLayered(pts []Point) *LayeredTree { return layered.Build(pts) }
 
-// Group is a commutative group (invertible monoid) — the algebra of
-// footnote 2's dominance-counting special case.
-type Group[T any] = dominance.Group[T]
-
 // DominanceTree answers weighted dominance (prefix) aggregates and box
 // aggregates via 2^d-corner inclusion–exclusion.
 type DominanceTree[T any] = dominance.Tree[T]
 
 // BuildDominance builds the dominance-counting structure of footnote 2.
-func BuildDominance[T any](pts []Point, g Group[T], val func(Point) T) *DominanceTree[T] {
-	return dominance.New(pts, g, val)
+// m must be a group (Inverse set, as IntSum and FloatSum have); any other
+// monoid, or an empty pts, is an error.
+func BuildDominance[T any](pts []Point, m Monoid[T], val func(Point) T) (*DominanceTree[T], error) {
+	return dominance.New(pts, m, val)
 }
-
-// Invertible groups for dominance counting.
-var (
-	IntSumGroup   = dominance.IntSum
-	FloatSumGroup = dominance.FloatSum
-)
 
 // Mutable serving store (internal/store): an LSM of distributed range
 // trees — memtable, logarithmic-method levels of immutable Trees,

@@ -70,8 +70,12 @@ func ExampleBuildDominance() {
 		{ID: 1, X: []drtree.Coord{2, 2}},
 		{ID: 2, X: []drtree.Coord{3, 3}},
 	})
-	dom := drtree.BuildDominance(pts, drtree.IntSumGroup(),
+	dom, err := drtree.BuildDominance(pts, drtree.IntSum(),
 		func(drtree.Point) int64 { return 1 })
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 
 	q := drtree.NewBox([]drtree.Coord{2, 1}, []drtree.Coord{3, 3})
 	fmt.Println(dom.Box(q))

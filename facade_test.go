@@ -50,7 +50,10 @@ func TestFacadeSequentialAndBaselines(t *testing.T) {
 	rt := drtree.BuildSequential(pts)
 	kd := drtree.BuildKD(pts)
 	lt := drtree.BuildLayered(pts)
-	dom := drtree.BuildDominance(pts, drtree.IntSumGroup(), func(drtree.Point) int64 { return 1 })
+	dom, err := drtree.BuildDominance(pts, drtree.IntSum(), func(drtree.Point) int64 { return 1 })
+	if err != nil {
+		t.Fatal(err)
+	}
 	bf := brute.New(pts)
 	agg := drtree.Aggregate(rt, drtree.FloatSum(), func(p drtree.Point) float64 { return float64(p.ID) })
 	for _, q := range boxes {

@@ -1,14 +1,15 @@
 // Package dominance implements the special case the paper's footnote 2
 // points out: "in the special case of associative functions with inverses
 // this problem can be solved using weighted dominance counting". For a
-// commutative *group* (a monoid whose elements have inverses), the
-// aggregate over a box decomposes by inclusion–exclusion into 2^d
-// dominance (prefix) aggregates, each answerable by a prefix-specialized
-// structure whose final dimension is a single binary search over prefix
-// folds instead of a canonical decomposition.
+// commutative *group* (a monoid with an Inverse), the aggregate over a box
+// decomposes by inclusion–exclusion into 2^d dominance (prefix)
+// aggregates, each answerable by a prefix-specialized structure whose
+// final dimension is a single binary search over prefix folds instead of
+// a canonical decomposition.
 package dominance
 
 import (
+	"errors"
 	"sort"
 
 	"repro/internal/geom"
@@ -16,29 +17,12 @@ import (
 	"repro/internal/semigroup"
 )
 
-// Group is a commutative group over T: a Monoid plus inversion
-// (Combine(x, Invert(x)) == Identity).
-type Group[T any] struct {
-	semigroup.Monoid[T]
-	Invert func(T) T
-}
-
-// IntSum is the additive group of integers.
-func IntSum() Group[int64] {
-	return Group[int64]{Monoid: semigroup.IntSum(), Invert: func(x int64) int64 { return -x }}
-}
-
-// FloatSum is the additive group of floats.
-func FloatSum() Group[float64] {
-	return Group[float64]{Monoid: semigroup.FloatSum(), Invert: func(x float64) float64 { return -x }}
-}
-
 // Tree answers weighted dominance queries: the group fold over all points
 // p with p.X[j] ≤ c[j] in every dimension j.
 type Tree[T any] struct {
 	dims     int
 	startDim int
-	g        Group[T]
+	g        semigroup.Monoid[T]
 
 	// Upper dimensions: a segment tree over startDim with descendant
 	// prefix trees (single-point nodes resolved via pts/vals directly).
@@ -54,15 +38,19 @@ type Tree[T any] struct {
 }
 
 // New builds the structure over all dimensions of pts with per-point
-// value val.
-func New[T any](pts []geom.Point, g Group[T], val func(geom.Point) T) *Tree[T] {
-	if len(pts) == 0 {
-		panic("dominance: empty point set")
+// value val. g must be a group: a monoid without an Inverse cannot cancel
+// the over-counted orthants of Box, and is an error, as is an empty pts.
+func New[T any](pts []geom.Point, g semigroup.Monoid[T], val func(geom.Point) T) (*Tree[T], error) {
+	if g.Inverse == nil {
+		return nil, errors.New("dominance: the monoid has no Inverse")
 	}
-	return build(pts, g, val, 0, pts[0].Dims())
+	if len(pts) == 0 {
+		return nil, errors.New("dominance: empty point set")
+	}
+	return build(pts, g, val, 0, pts[0].Dims()), nil
 }
 
-func build[T any](pts []geom.Point, g Group[T], val func(geom.Point) T, startDim, dims int) *Tree[T] {
+func build[T any](pts []geom.Point, g semigroup.Monoid[T], val func(geom.Point) T, startDim, dims int) *Tree[T] {
 	t := &Tree[T]{dims: dims, startDim: startDim, g: g}
 	sorted := make([]geom.Point, len(pts))
 	copy(sorted, pts)
@@ -177,7 +165,7 @@ func (t *Tree[T]) Box(b geom.Box) T {
 		}
 		term := t.dominated(corner)
 		if bits%2 == 1 {
-			term = t.g.Invert(term)
+			term = t.g.Inverse(term)
 		}
 		acc = t.g.Combine(acc, term)
 	}

@@ -22,6 +22,27 @@ func randomPoints(rng *rand.Rand, n, d int) []geom.Point {
 	return pts
 }
 
+func mustNew[T any](tb testing.TB, pts []geom.Point, g semigroup.Monoid[T], val func(geom.Point) T) *Tree[T] {
+	tb.Helper()
+	tr, err := New(pts, g, val)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tr
+}
+
+// TestNewRejects covers the two inputs New reports as errors: a monoid
+// that is not a group, and an empty point set.
+func TestNewRejects(t *testing.T) {
+	pts := randomPoints(rand.New(rand.NewSource(1)), 5, 2)
+	if _, err := New(pts, semigroup.MaxFloat(), func(geom.Point) float64 { return 1 }); err == nil {
+		t.Error("New accepted a monoid without an Inverse")
+	}
+	if _, err := New(nil, semigroup.IntSum(), func(geom.Point) int64 { return 1 }); err == nil {
+		t.Error("New accepted an empty point set")
+	}
+}
+
 func TestDominatedMatchesBrute(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -29,7 +50,7 @@ func TestDominatedMatchesBrute(t *testing.T) {
 		d := 1 + rng.Intn(4)
 		pts := randomPoints(rng, n, d)
 		val := func(p geom.Point) int64 { return int64(p.ID) + 1 }
-		tr := New(pts, IntSum(), val)
+		tr := mustNew(t, pts, semigroup.IntSum(), val)
 		for q := 0; q < 10; q++ {
 			c := make([]geom.Coord, d)
 			for j := range c {
@@ -66,7 +87,7 @@ func TestBoxInclusionExclusionMatchesBrute(t *testing.T) {
 		d := 1 + rng.Intn(3)
 		pts := randomPoints(rng, n, d)
 		weight := func(p geom.Point) float64 { return float64(p.ID%13) - 6 }
-		tr := New(pts, FloatSum(), weight)
+		tr := mustNew(t, pts, semigroup.FloatSum(), weight)
 		bf := brute.New(pts)
 		for q := 0; q < 10; q++ {
 			lo := make([]geom.Coord, d)
@@ -94,7 +115,7 @@ func TestBoxInclusionExclusionMatchesBrute(t *testing.T) {
 func TestCountsViaGroup(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	pts := randomPoints(rng, 200, 2)
-	tr := New(pts, IntSum(), func(geom.Point) int64 { return 1 })
+	tr := mustNew(t, pts, semigroup.IntSum(), func(geom.Point) int64 { return 1 })
 	bf := brute.New(pts)
 	for q := 0; q < 30; q++ {
 		a, b := geom.Coord(rng.Intn(400)), geom.Coord(rng.Intn(400))
@@ -114,7 +135,7 @@ func TestCountsViaGroup(t *testing.T) {
 
 func TestEmptyBoxCancels(t *testing.T) {
 	pts := randomPoints(rand.New(rand.NewSource(5)), 50, 2)
-	tr := New(pts, IntSum(), func(geom.Point) int64 { return 1 })
+	tr := mustNew(t, pts, semigroup.IntSum(), func(geom.Point) int64 { return 1 })
 	// Inverted box: the 2^d terms must cancel to the identity.
 	b := geom.NewBox([]geom.Coord{40, 1}, []geom.Coord{3, 100})
 	if got := tr.Box(b); got != 0 {
@@ -124,13 +145,12 @@ func TestEmptyBoxCancels(t *testing.T) {
 
 func TestPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"empty": func() { New(nil, IntSum(), func(geom.Point) int64 { return 1 }) },
 		"dim": func() {
-			tr := New(randomPoints(rand.New(rand.NewSource(1)), 5, 2), IntSum(), func(geom.Point) int64 { return 1 })
+			tr := mustNew(t, randomPoints(rand.New(rand.NewSource(1)), 5, 2), semigroup.IntSum(), func(geom.Point) int64 { return 1 })
 			tr.Dominated([]geom.Coord{1})
 		},
 		"boxdim": func() {
-			tr := New(randomPoints(rand.New(rand.NewSource(1)), 5, 2), IntSum(), func(geom.Point) int64 { return 1 })
+			tr := mustNew(t, randomPoints(rand.New(rand.NewSource(1)), 5, 2), semigroup.IntSum(), func(geom.Point) int64 { return 1 })
 			tr.Box(geom.NewBox([]geom.Coord{1}, []geom.Coord{2}))
 		},
 	} {

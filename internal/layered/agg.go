@@ -8,11 +8,19 @@ import (
 
 // Agg annotates a layered range tree with bottom-up semigroup values,
 // mirroring rangetree.Agg for the cascaded structure (the paper's
-// associative-function mode, §4.2). Because the search selects contiguous
-// runs of y-sorted arrays rather than whole segment-tree nodes, every
-// stored array carries a small implicit segment tree of aggregates, so one
-// selected run folds in O(log of its length) — and the whole query in
-// O(log^(d-1) n), a log factor below the plain tree's annotation.
+// associative-function mode, §4.2). The search selects contiguous runs of
+// y-sorted arrays, so every stored array carries a table laid out like it.
+// For a group (m.Inverse set) the table holds one inclusive prefix per
+// entry and a run [lo, hi) folds in O(1) as pre[hi-1] ⊗ Inverse(pre[lo-1]);
+// any other monoid gets a 2n-slot implicit segment tree per array and an
+// O(log) fold per run. Either way the whole query costs O(log^(d-1) n), a
+// log factor below the plain tree's annotation.
+//
+// Integer groups are exact. Float prefixes add in another order: with g
+// the tree's point count, k the runs and values a query combines and Σ|f|
+// over the tree's points, the error is at most (2g + k)·ε·Σ|f| (ε = 2⁻⁵³,
+// first order; TestAggFloatSumErrorBound sees ≈ 20·ε·Σ|f| at g = 16 384).
+// Inverse is exact only on finite values, so every f must be finite.
 type Agg[T any] struct {
 	t   *Tree
 	m   semigroup.Monoid[T]
@@ -20,7 +28,7 @@ type Agg[T any] struct {
 	// one aggregates a one-dimensional tree's sorted array.
 	one []T
 	// tabs[c.ord] aggregates cascade c, laid out like c.idx: the node whose
-	// run is c.idx[a:b] owns the implicit segment tree tabs[c.ord][2a:2b].
+	// run is c.idx[i:j] owns tabs[c.ord][w·i:w·j] for w = slots().
 	tabs [][]T
 }
 
@@ -29,9 +37,9 @@ func NewAgg[T any](t *Tree, m semigroup.Monoid[T], val func(geom.Point) T) *Agg[
 	a := &Agg[T]{t: t, m: m, val: val}
 	if t.one != nil {
 		n := len(t.one)
-		a.one = make([]T, 2*n)
+		a.one = make([]T, a.slots()*n)
 		for i, p := range t.one {
-			a.one[n+i] = val(p)
+			a.one[len(a.one)-n+i] = val(p)
 		}
 		a.combine(a.one, n)
 		return a
@@ -41,21 +49,30 @@ func NewAgg[T any](t *Tree, m semigroup.Monoid[T], val func(geom.Point) T) *Agg[
 	return a
 }
 
+// slots is the table width per array entry: a group's prefix table needs
+// one, a segment tree two.
+func (a *Agg[T]) slots() int {
+	if a.m.Inverse != nil {
+		return 1
+	}
+	return 2
+}
+
 func (a *Agg[T]) walk(t *Tree) {
 	c := t.two
 	if c == nil {
 		t.eachDesc(a.walk)
 		return
 	}
-	m := c.shape.M
-	tab := make([]T, 2*len(c.idx))
+	m, w := c.shape.M, a.slots()
+	tab := make([]T, w*len(c.idx))
 	for k := 0; k <= c.depth; k++ {
-		for lo, w := 0, c.shape.Cap>>k; lo < m; lo += w {
+		for lo, span := 0, c.shape.Cap>>k; lo < m; lo += span {
 			at := k*m + lo
-			run := c.idx[at : k*m+min(lo+w, m)]
-			node := tab[2*at : 2*(at+len(run))]
+			run := c.idx[at : k*m+min(lo+span, m)]
+			node := tab[w*at : w*(at+len(run))]
 			for i, pi := range run {
-				node[len(run)+i] = a.val(c.blk.pts[pi])
+				node[len(node)-len(run)+i] = a.val(c.blk.pts[pi])
 			}
 			a.combine(node, len(run))
 		}
@@ -63,19 +80,34 @@ func (a *Agg[T]) walk(t *Tree) {
 	a.tabs[c.ord] = tab
 }
 
-// combine finishes the implicit segment tree over one sorted array of n
-// points in tab[:2n]: slots n+i already hold f(point i), slot v < n
-// combines its children.
+// combine finishes the table over one sorted array of n points, whose
+// last n slots already hold f(point i): a group turns them into inclusive
+// prefixes, any other monoid fills the implicit segment tree's inner
+// slots v < n from their children.
 func (a *Agg[T]) combine(tab []T, n int) {
+	if a.m.Inverse != nil {
+		for i := 1; i < n; i++ {
+			tab[i] = a.m.Combine(tab[i-1], tab[i])
+		}
+		return
+	}
 	for v := n - 1; v >= 1; v-- {
 		tab[v] = a.m.Combine(tab[2*v], tab[2*v+1])
 	}
 }
 
-// fold combines tab's values over index range [lo, hi) of the underlying
-// n-point array into acc (the standard iterative range fold; the monoid is
+// fold combines tab's values over the non-empty index range [lo, hi) of
+// the underlying n-point array into acc: one prefix difference for a group,
+// otherwise the standard iterative segment-tree fold (the monoid is
 // commutative, so combine order is free).
 func (a *Agg[T]) fold(acc T, tab []T, n, lo, hi int) T {
+	if a.m.Inverse != nil {
+		run := tab[hi-1]
+		if lo > 0 {
+			run = a.m.Combine(run, a.m.Inverse(tab[lo-1]))
+		}
+		return a.m.Combine(acc, run)
+	}
 	for l, r := lo+n, hi+n; l < r; l, r = l>>1, r>>1 {
 		if l&1 == 1 {
 			acc = a.m.Combine(acc, tab[l])
@@ -103,8 +135,10 @@ func (a *Agg[T]) Query(b geom.Box) T {
 func (a *Agg[T]) scanTree(t *Tree, b geom.Box, acc T) T {
 	switch {
 	case t.one != nil:
-		lo, hi := t.oneRange(b)
-		return a.fold(acc, a.one, len(t.one), lo, hi)
+		if lo, hi := t.oneRange(b); lo < hi {
+			acc = a.fold(acc, a.one, len(t.one), lo, hi)
+		}
+		return acc
 	case t.two != nil:
 		c := t.two
 		ivx := b.Dim(c.x)
@@ -150,7 +184,7 @@ func (a *Agg[T]) descendCascade(c *cascade, tab []T, k, lo, pLo, pHi int, ivx ge
 	at := k*c.shape.M + lo
 	switch {
 	case ivx.ContainsInterval(span):
-		acc = a.fold(acc, tab[2*at:], hi-lo, pLo, pHi)
+		acc = a.fold(acc, tab[a.slots()*at:], hi-lo, pLo, pHi)
 	case k == c.depth:
 		for _, i := range c.idx[at+pLo : at+pHi] {
 			if ivx.Contains(c.blk.coord(i, c.x)) {

@@ -1,6 +1,7 @@
 package layered
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -9,7 +10,15 @@ import (
 	"repro/internal/brute"
 	"repro/internal/geom"
 	"repro/internal/semigroup"
+	"repro/internal/workload"
 )
+
+// noInverse is m without its inverse: the same algebra on the segment-tree
+// layout every monoid that is not a group gets.
+func noInverse[T any](m semigroup.Monoid[T]) semigroup.Monoid[T] {
+	m.Inverse = nil
+	return m
+}
 
 func TestAggMatchesBrute(t *testing.T) {
 	weight := func(p geom.Point) int64 { return int64(p.ID%7) + 1 }
@@ -22,13 +31,19 @@ func TestAggMatchesBrute(t *testing.T) {
 		d := 1 + rng.Intn(4)
 		pts := randomPoints(rng, n, d, seed%2 == 0)
 		lt := Build(pts)
-		agg := NewAgg(lt, semigroup.IntSum(), weight)
+		prefix := NewAgg(lt, semigroup.IntSum(), weight)
+		seg := NewAgg(lt, noInverse(semigroup.IntSum()), weight)
 		mx := NewAgg(lt, semigroup.MaxInt(), weight)
 		bf := brute.New(pts)
 		for q := 0; q < 10; q++ {
 			b := randomBox(rng, n, d)
-			if got, want := agg.Query(b), brute.Aggregate(bf, semigroup.IntSum(), weight, b); got != want {
-				t.Logf("seed %d n=%d d=%d: sum %d want %d", seed, n, d, got, want)
+			want := brute.Aggregate(bf, semigroup.IntSum(), weight, b)
+			if got := prefix.Query(b); got != want {
+				t.Logf("seed %d n=%d d=%d: prefix-table sum %d want %d", seed, n, d, got, want)
+				return false
+			}
+			if got := seg.Query(b); got != want {
+				t.Logf("seed %d n=%d d=%d: segment-tree sum %d want %d", seed, n, d, got, want)
 				return false
 			}
 			if got, want := mx.Query(b), brute.Aggregate(bf, semigroup.MaxInt(), weight, b); got != want {
@@ -53,7 +68,8 @@ func TestAggStartDimParity(t *testing.T) {
 	} {
 		pts := randomPoints(rng, tc.n, tc.d, true)
 		el := BuildFrom(pts, tc.startDim)
-		agg := NewAgg(el, semigroup.IntSum(), func(p geom.Point) int64 { return int64(p.ID) + 1 })
+		weight := func(p geom.Point) int64 { return int64(p.ID) + 1 }
+		prefix, seg := NewAgg(el, semigroup.IntSum(), weight), NewAgg(el, noInverse(semigroup.IntSum()), weight)
 		bf := brute.New(pts)
 		for trial := 0; trial < 25; trial++ {
 			b := randomBox(rng, tc.n, tc.d)
@@ -64,12 +80,86 @@ func TestAggStartDimParity(t *testing.T) {
 			for _, p := range bf.Report(b) {
 				want += int64(p.ID) + 1
 			}
-			if got := agg.Query(b); got != want {
-				t.Fatalf("n=%d d=%d start=%d: element agg %d want %d", tc.n, tc.d, tc.startDim, got, want)
+			if got := prefix.Query(b); got != want {
+				t.Fatalf("n=%d d=%d start=%d: prefix-table agg %d want %d", tc.n, tc.d, tc.startDim, got, want)
+			}
+			if got := seg.Query(b); got != want {
+				t.Fatalf("n=%d d=%d start=%d: segment-tree agg %d want %d", tc.n, tc.d, tc.startDim, got, want)
 			}
 		}
 	}
 }
+
+// TestAggLayoutsAgree requires the prefix-table and segment-tree layouts
+// of one int64 sum to give identical answers at every startDim, including
+// one-dimensional trees, at sizes around the bucket and the power-of-two
+// padding.
+func TestAggLayoutsAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	weight := func(p geom.Point) int64 { return int64(p.ID%5) - 2 }
+	for _, n := range []int{1, 7, bucket, bucket + 1, 64, 200, 257} {
+		for d := 1; d <= 4; d++ {
+			pts := randomPoints(rng, n, d, n%2 == 0)
+			for startDim := 0; startDim < d; startDim++ {
+				el := BuildFrom(pts, startDim)
+				prefix, seg := NewAgg(el, semigroup.IntSum(), weight), NewAgg(el, noInverse(semigroup.IntSum()), weight)
+				for q := 0; q < 20; q++ {
+					b := randomBox(rng, n, d)
+					if got, want := prefix.Query(b), seg.Query(b); got != want {
+						t.Fatalf("n=%d d=%d start=%d box %v: prefix table %d, segment tree %d", n, d, startDim, b, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAggFloatSumErrorBound holds a float64 group's prefix differences to
+// the bound Agg's doc comment states, (2g + k)·ε·Σ|f|, against the exact
+// sum: workload.WeightOf is a whole number of tenths, so brute force sums
+// the selected tenths as integers and rounds once.
+func TestAggFloatSumErrorBound(t *testing.T) {
+	const n, d = 16384, 3
+	pts := workload.Points(workload.PointSpec{N: n, Dims: d, Dist: workload.Uniform, Seed: 3})
+	boxes := workload.Boxes(workload.QuerySpec{M: 200, Dims: d, N: n, Selectivity: 0.01, Seed: 3})
+	lt := Build(pts)
+	agg := NewAgg(lt, semigroup.FloatSum(), workload.WeightOf)
+	bf := brute.New(pts)
+	var sumAbs float64
+	for _, p := range pts {
+		sumAbs += math.Abs(workload.WeightOf(p))
+	}
+	eps := math.Ldexp(1, -53)
+	worst := 0.0
+	for i, b := range boxes {
+		if i%2 == 1 { // open all but the last dimension: whole root runs, the longest prefixes
+			b = b.Clone()
+			for k := 0; k < d-1; k++ {
+				b.Lo[k], b.Hi[k] = math.MinInt32, math.MaxInt32
+			}
+		}
+		var tenths int64
+		for _, p := range bf.Report(b) {
+			tenths += int64(math.Round(workload.WeightOf(p) * 10))
+		}
+		exact := float64(tenths) / 10
+		var terms termCounter
+		lt.Visit(b, &terms)
+		err := math.Abs(agg.Query(b) - exact)
+		if bound := float64(2*n+terms.k)*eps*sumAbs + eps*math.Abs(exact); err > bound {
+			t.Fatalf("box %v: error %g exceeds (2g + k)·ε·Σ|f| = %g (k = %d)", b, err, bound, terms.k)
+		}
+		worst = max(worst, err/(eps*sumAbs))
+	}
+	t.Logf("worst error %.1f·ε·Σ|f| (bound ≥ %d)", worst, 2*n)
+}
+
+// termCounter counts the runs and single values a query combines.
+type termCounter struct{ k int }
+
+func (c *termCounter) VisitRange([]geom.Point)            { c.k++ }
+func (c *termCounter) VisitIndexed([]geom.Point, []int32) { c.k++ }
+func (c *termCounter) VisitPoint(geom.Point)              { c.k++ }
 
 // visitCollector exercises the zero-alloc Visitor API.
 type visitCollector struct {

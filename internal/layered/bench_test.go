@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/semigroup"
 	"repro/internal/workload"
 )
 
@@ -48,6 +49,33 @@ func benchCount(b *testing.B, n, d int) {
 
 func BenchmarkCount2D(b *testing.B) { benchCount(b, 1<<14, 2) }
 func BenchmarkCount3D(b *testing.B) { benchCount(b, 1<<12, 3) }
+
+var benchSum float64
+
+// benchAgg times Agg.Query for a float64 sum on both layouts: "group"
+// (FloatSum, prefix tables) and "semigroup" (the same sum without its
+// Inverse, segment trees).
+func benchAgg(b *testing.B, d int) {
+	pts, boxes := benchInput(1<<14, d)
+	t := Build(pts)
+	for _, tc := range []struct {
+		name string
+		m    semigroup.Monoid[float64]
+	}{{"group", semigroup.FloatSum()}, {"semigroup", noInverse(semigroup.FloatSum())}} {
+		agg := NewAgg(t, tc.m, workload.WeightOf)
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			sum := 0.0
+			for i := 0; i < b.N; i++ {
+				sum += agg.Query(boxes[i%len(boxes)])
+			}
+			benchSum = sum
+		})
+	}
+}
+
+func BenchmarkAgg2D(b *testing.B) { benchAgg(b, 2) }
+func BenchmarkAgg3D(b *testing.B) { benchAgg(b, 3) }
 
 func BenchmarkReport2D(b *testing.B) {
 	pts, boxes := benchInput(1<<14, 2)

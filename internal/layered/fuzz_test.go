@@ -24,7 +24,8 @@ func fuzzCoord(b byte) geom.Coord {
 }
 
 // FuzzLayeredVsBrute builds the tree at every startDim over fuzz-derived
-// points and requires Count, the reported ID set and a float-sum Agg to
+// points and requires Count, the reported ID set, a float-sum Agg (a
+// group: prefix tables) and a float-max Agg (not a group: segment trees) to
 // equal brute force on fuzz-derived boxes.
 func FuzzLayeredVsBrute(f *testing.F) {
 	f.Add([]byte{1, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5})
@@ -73,7 +74,8 @@ func FuzzLayeredVsBrute(f *testing.F) {
 			if lt.N() != n {
 				t.Fatalf("d=%d start=%d: N() = %d, want %d", d, startDim, lt.N(), n)
 			}
-			agg := NewAgg(lt, semigroup.FloatSum(), weight)
+			agg := NewAgg(lt, semigroup.FloatSum(), weight) // a group: the prefix-table layout
+			mx := NewAgg(lt, semigroup.MaxFloat(), weight)  // not a group: the segment tree
 			for _, box := range boxes {
 				// The tree ignores dimensions below startDim; open them so
 				// brute force answers the same question.
@@ -90,6 +92,9 @@ func FuzzLayeredVsBrute(f *testing.F) {
 				}
 				if got, sum := agg.Query(b), brute.Aggregate(bf, semigroup.FloatSum(), weight, b); got != sum {
 					t.Fatalf("d=%d start=%d box %v: sum %v, want %v", d, startDim, b, got, sum)
+				}
+				if got, want := mx.Query(b), brute.Aggregate(bf, semigroup.MaxFloat(), weight, b); got != want {
+					t.Fatalf("d=%d start=%d box %v: max %v, want %v", d, startDim, b, got, want)
 				}
 			}
 		}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/rangetree"
 	"repro/internal/segtree"
 	"repro/internal/semigroup"
+	"repro/internal/workload"
 )
 
 func randomPoints(rng *rand.Rand, n, d int, normalize bool) []geom.Point {
@@ -259,26 +260,42 @@ func TestSharedDescendantCountedOnce(t *testing.T) {
 
 // TestFootprint bounds the live heap one Build retains. The limits sit
 // between the index-only layout (≈ 124 B/point at d = 2, ≈ 580 at d = 3)
-// and anything that stores points per node (≥ 700 and ≥ 6 000).
+// and anything that stores points per node (≥ 700 and ≥ 6 000). A float64
+// sum annotation on the same tree is held to its layout: a group keeps one
+// 8-byte prefix per cascade entry (≈ 80 and ≈ 437 B/point), at most 0.55×
+// the two slots per entry (≈ 160 and ≈ 867) of the segment tree a monoid
+// without an Inverse gets.
 func TestFootprint(t *testing.T) {
-	heap := func() uint64 {
+	heap := func() int64 {
 		runtime.GC()
 		runtime.GC()
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
+		return int64(ms.HeapAlloc)
 	}
 	const n = 4096
-	for _, tc := range []struct{ d, limit int }{{2, 200}, {3, 900}} {
-		pts := randomPoints(rand.New(rand.NewSource(41)), n, tc.d, true)
+	retained := func(build func() any) int64 {
 		before := heap()
-		lt := Build(pts)
-		per := (int64(heap()) - int64(before)) / n
-		runtime.KeepAlive(lt)
-		runtime.KeepAlive(pts)
+		v := build()
+		per := (heap() - before) / n
+		runtime.KeepAlive(v)
+		return per
+	}
+	for _, tc := range []struct{ d, limit, aggLimit int }{{2, 200, 120}, {3, 900, 650}} {
+		pts := randomPoints(rand.New(rand.NewSource(41)), n, tc.d, true)
+		var lt *Tree
+		per := retained(func() any { lt = Build(pts); return lt })
 		if per > int64(tc.limit) {
 			t.Errorf("d=%d: Build retains %d B/point, limit %d", tc.d, per, tc.limit)
 		}
-		t.Logf("d=%d: %d B/point", tc.d, per)
+		group := retained(func() any { return NewAgg(lt, semigroup.FloatSum(), workload.WeightOf) })
+		tree := retained(func() any { return NewAgg(lt, noInverse(semigroup.FloatSum()), workload.WeightOf) })
+		if group > int64(tc.aggLimit) || float64(group) > 0.55*float64(tree) {
+			t.Errorf("d=%d: group Agg retains %d B/point, limit %d and 0.55× the segment tree's %d",
+				tc.d, group, tc.aggLimit, tree)
+		}
+		runtime.KeepAlive(lt)
+		runtime.KeepAlive(pts)
+		t.Logf("d=%d: tree %d B/point, group Agg %d, segment-tree Agg %d", tc.d, per, group, tree)
 	}
 }

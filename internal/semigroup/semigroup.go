@@ -18,6 +18,12 @@ type Monoid[T any] struct {
 	Identity T
 	// Combine folds two partial results into one.
 	Combine func(a, b T) T
+	// Inverse, when set, makes the monoid a commutative group:
+	// Combine(x, Inverse(x)) == Identity for all x. It is what the paper's
+	// footnote 2 calls "associative functions with inverses", the case
+	// prefix differences answer: dominance counting, and layered.Agg's
+	// prefix tables. nil means the monoid is not a group.
+	Inverse func(T) T
 }
 
 // Fold combines all values with the monoid, returning Identity for an
@@ -30,15 +36,25 @@ func (m Monoid[T]) Fold(vals ...T) T {
 	return acc
 }
 
-// IntSum is the (ℤ, +) monoid; with the constant-1 value function it
+// IntSum is the (ℤ, +) group; with the constant-1 value function it
 // realises the paper's counting mode.
 func IntSum() Monoid[int64] {
-	return Monoid[int64]{Identity: 0, Combine: func(a, b int64) int64 { return a + b }}
+	return Monoid[int64]{
+		Identity: 0,
+		Combine:  func(a, b int64) int64 { return a + b },
+		Inverse:  func(x int64) int64 { return -x },
+	}
 }
 
-// FloatSum is the (ℝ, +) monoid for weighted aggregation.
+// FloatSum is the (ℝ, +) group for weighted aggregation. Its inverse is
+// exact only on finite values: an infinite or NaN weight makes prefix
+// differences NaN.
 func FloatSum() Monoid[float64] {
-	return Monoid[float64]{Identity: 0, Combine: func(a, b float64) float64 { return a + b }}
+	return Monoid[float64]{
+		Identity: 0,
+		Combine:  func(a, b float64) float64 { return a + b },
+		Inverse:  func(x float64) float64 { return -x },
+	}
 }
 
 // MaxFloat is the (ℝ ∪ {-∞}, max) monoid.

@@ -17,6 +17,18 @@ func TestIntSumBasics(t *testing.T) {
 	}
 }
 
+// TestOnlySumsAreGroups pins which monoids select the prefix-table layout
+// of layered.Agg and which dominance.New accepts.
+func TestOnlySumsAreGroups(t *testing.T) {
+	if IntSum().Inverse == nil || FloatSum().Inverse == nil {
+		t.Error("IntSum and FloatSum must carry an inverse")
+	}
+	if MaxFloat().Inverse != nil || MinFloat().Inverse != nil || MaxInt().Inverse != nil ||
+		MinInt().Inverse != nil || ArgMax().Inverse != nil || StatsMonoid().Inverse != nil {
+		t.Error("min, max, argmax and Stats have no inverse")
+	}
+}
+
 func TestMinMaxIdentities(t *testing.T) {
 	if MaxInt().Fold() != math.MinInt64 {
 		t.Error("MaxInt identity wrong")
@@ -64,13 +76,17 @@ func TestStatsMonoid(t *testing.T) {
 }
 
 // checkMonoidLaws verifies identity, associativity and commutativity on
-// random triples drawn by gen, using eq for comparison.
+// random triples drawn by gen, using eq for comparison, and the inverse law
+// when the monoid is a group.
 func checkMonoidLaws[T any](t *testing.T, name string, m Monoid[T], gen func(r *rand.Rand) T, eq func(a, b T) bool) {
 	t.Helper()
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		a, b, c := gen(r), gen(r), gen(r)
 		if !eq(m.Combine(m.Identity, a), a) || !eq(m.Combine(a, m.Identity), a) {
+			return false
+		}
+		if m.Inverse != nil && !eq(m.Combine(a, m.Inverse(a)), m.Identity) {
 			return false
 		}
 		if !eq(m.Combine(a, b), m.Combine(b, a)) {
@@ -87,6 +103,7 @@ func TestMonoidLaws(t *testing.T) {
 	eqI := func(a, b int64) bool { return a == b }
 	eqF := func(a, b float64) bool { return a == b }
 	checkMonoidLaws(t, "IntSum", IntSum(), func(r *rand.Rand) int64 { return r.Int63n(1000) - 500 }, eqI)
+	checkMonoidLaws(t, "FloatSum", FloatSum(), func(r *rand.Rand) float64 { return float64(r.Intn(1000)-500) / 4 }, eqF)
 	checkMonoidLaws(t, "MaxInt", MaxInt(), func(r *rand.Rand) int64 { return r.Int63n(1000) - 500 }, eqI)
 	checkMonoidLaws(t, "MinInt", MinInt(), func(r *rand.Rand) int64 { return r.Int63n(1000) - 500 }, eqI)
 	checkMonoidLaws(t, "MaxFloat", MaxFloat(), func(r *rand.Rand) float64 { return float64(r.Intn(100)) }, eqF)

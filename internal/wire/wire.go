@@ -253,8 +253,9 @@ func PutBuf(b []byte) {
 
 // Counters observe the exchange path's codec traffic: how many blocks
 // (and payload bytes) moved through the raw codec versus the gob
-// fallback. The benchmarks and rangebench -cluster read them to prove the
-// raw codec actually carries the hot path rather than asserting it.
+// fallback. The bench/ harness, the ingest tests and the /metrics series
+// (EmitStats) read them to prove the raw codec actually carries the hot
+// path rather than asserting it.
 type Counters struct {
 	RawEncBlocks, RawEncBytes  int64
 	GobEncBlocks, GobEncBytes  int64
