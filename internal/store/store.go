@@ -5,8 +5,8 @@
 // point store that absorbs single-point Insert/Delete while staying on
 // the batched distributed search hot path:
 //
-//   - a memtable — a small append-only buffer — absorbs mutations
-//     without any machine run;
+//   - a memtable — a small append-only buffer, indexed for reads as
+//     sorted runs (runs.go) — absorbs mutations without any machine run;
 //   - full memtables are flushed by a background compactor into
 //     immutable core.Trees arranged as logarithmic-method levels
 //     (Bentley's transform for decomposable searching problems, the
@@ -166,8 +166,10 @@ type Store struct {
 	closed     bool
 	compactErr error              // first failed compaction build; mutations fail fast on it
 	queryErr   error              // first aborted query batch (Stats.QueryErr)
-	mem        []geom.Point       // append-only current memtable segment
+	mem        []geom.Point       // append-only current memtable segment (the compactor's prefix log)
 	shadow     []geom.Point       // append-only tombstones (points still present in mem/levels)
+	memRuns    runs               // mem indexed for reads, shared with published versions
+	shadowRuns runs               // shadow indexed likewise
 	deadIDs    map[int32]struct{} // outstanding tombstone IDs
 	liveIDs    map[int32]struct{} // currently live IDs (mutation validity checks)
 	levels     []*core.Tree       // binary-counter slots; nil = empty
@@ -418,20 +420,30 @@ func (s *Store) mutate(op byte, pts []geom.Point, logIt bool) (uint64, error) {
 		s.observeNanos("store_wal_append_ns", time.Since(walStart).Nanoseconds())
 		s.walRecords.Add(1)
 	}
+	// The store keeps no view of the caller's slices: the batch's
+	// coordinates are copied into one array.
+	own := make([]geom.Point, len(pts))
+	coords := make([]geom.Coord, 0, len(pts)*s.cfg.Dims)
+	for i, p := range pts {
+		coords = append(coords, p.X...)
+		own[i] = geom.Point{ID: p.ID, X: coords[len(coords)-len(p.X) : len(coords) : len(coords)]}
+	}
 	switch op {
 	case walInsert:
-		for _, p := range pts {
-			s.mem = append(s.mem, p.Clone())
+		for _, p := range own {
 			s.liveIDs[p.ID] = struct{}{}
 		}
-		s.liveN += len(pts)
+		s.mem = append(s.mem, own...)
+		s.memRuns = s.memRuns.add(own)
+		s.liveN += len(own)
 	case walDelete:
-		for _, p := range pts {
-			s.shadow = append(s.shadow, p.Clone())
+		for _, p := range own {
 			s.deadIDs[p.ID] = struct{}{}
 			delete(s.liveIDs, p.ID)
 		}
-		s.liveN -= len(pts)
+		s.shadow = append(s.shadow, own...)
+		s.shadowRuns = s.shadowRuns.add(own)
+		s.liveN -= len(own)
 	}
 	s.seq++
 	seq := s.seq
@@ -453,9 +465,9 @@ func (s *Store) mutate(op byte, pts []geom.Point, logIt bool) (uint64, error) {
 }
 
 // publishLocked installs a fresh immutable Version of the current state.
-// mem and shadow are captured as full-slice expressions: writers only
-// ever append (never overwrite a published index), so pinned prefixes
-// stay valid without copying. The new version takes a reference on every
+// The memtable and shadow runs are shared, not copied: a runs list is
+// copy-on-write, so a pinned version's runs never change. The new
+// version takes a reference on every
 // level it holds; the superseded version drops its own once its last Pin
 // is released. publishLocked returns any trees whose reference count hit
 // zero — the caller must close them outside the lock.
@@ -464,8 +476,8 @@ func (s *Store) publishLocked() []*core.Tree {
 		s:       s,
 		seq:     s.seq,
 		levels:  slices.Clone(s.levels),
-		mem:     s.mem[:len(s.mem):len(s.mem)],
-		shadow:  s.shadow[:len(s.shadow):len(s.shadow)],
+		mem:     s.memRuns,
+		shadow:  s.shadowRuns,
 		liveN:   s.liveN,
 		current: true,
 	}
@@ -719,6 +731,8 @@ func (s *Store) compactPass() bool {
 	for _, p := range s.shadow {
 		s.deadIDs[p.ID] = struct{}{}
 	}
+	s.memRuns = runs(nil).add(slices.Clone(s.mem))
+	s.shadowRuns = runs(nil).add(slices.Clone(s.shadow))
 	s.seq++
 	toClose = append(toClose, s.publishLocked()...)
 	s.mu.Unlock()

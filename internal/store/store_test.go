@@ -1,6 +1,7 @@
 package store
 
 import (
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/brute"
 	"repro/internal/cgm"
+	"repro/internal/core"
 	"repro/internal/geom"
 )
 
@@ -166,6 +168,188 @@ func TestVersionSnapshotIsolation(t *testing.T) {
 	if s.Version() <= pinned.Seq() {
 		t.Fatal("version did not advance across mutations")
 	}
+}
+
+// TestPinnedVersionsAnswerIdentically pins a version after every
+// mutation of a Sync store that keeps flushing, carrying and folding,
+// and re-asks every pinned version the same count and report batch after
+// each later step: its answers must never change, and must match the
+// oracle of its own seq.
+func TestPinnedVersionsAnswerIdentically(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	s, err := Open("", Config{Dims: 2, P: 2, MemtableCap: 24, Sync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	boxes := randomBoxes(rng, 10, 20, 2) // the span of randomPoints batches of ≤ 20
+	ask := func(v *Version) ([]int64, [][]geom.Point) {
+		t.Helper()
+		counts, err := v.CountBatch(boxes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports, err := v.ReportBatch(boxes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return counts, reports
+	}
+	type pinned struct {
+		v       *Version
+		counts  []int64
+		reports [][]geom.Point
+	}
+	var pins []pinned
+	live := map[int32]geom.Point{}
+	var nextID int32
+	for step := 0; step < 40; step++ {
+		if step%3 == 2 && len(live) > 0 {
+			var del []geom.Point
+			k := 1 + rng.Intn(20)
+			for _, p := range live {
+				if len(del) == k {
+					break
+				}
+				del = append(del, p)
+			}
+			if _, err := s.DeleteBatch(del); err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range del {
+				delete(live, p.ID)
+			}
+		} else {
+			pts := randomPoints(rng, 1+rng.Intn(20), 2, nextID)
+			nextID += int32(len(pts))
+			if _, err := s.InsertBatch(pts); err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range pts {
+				live[p.ID] = p
+			}
+		}
+		v := s.Pin()
+		counts, reports := ask(v)
+		var want []geom.Point
+		for _, p := range live {
+			want = append(want, p)
+		}
+		bf := brute.New(want)
+		for i, b := range boxes {
+			if counts[i] != int64(bf.Count(b)) || !reflect.DeepEqual(brute.IDs(reports[i]), brute.IDs(bf.Report(b))) {
+				t.Fatalf("step %d box %d: count %d, oracle %d", step, i, counts[i], bf.Count(b))
+			}
+		}
+		pins = append(pins, pinned{v, counts, reports})
+		for _, p := range pins {
+			c, r := ask(p.v)
+			if !reflect.DeepEqual(c, p.counts) || !reflect.DeepEqual(r, p.reports) {
+				t.Fatalf("step %d: the version pinned at seq %d changed its answers", step, p.v.Seq())
+			}
+		}
+	}
+	for _, p := range pins {
+		p.v.Release()
+	}
+	if st := s.Stats(); st.Flushes == 0 || st.Compactions == 0 {
+		t.Fatalf("want flushes and folds underneath the pins: %+v", st)
+	}
+}
+
+// TestWholeSpaceReportManyTombstones reports the whole space, and
+// random boxes, with 4 096 tombstones outstanding over a level and a
+// memtable: every tombstoned point must be dropped, and only those.
+func TestWholeSpaceReportManyTombstones(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	pts := randomPoints(rng, 9000, 2, 0)
+	s, err := Open("", Config{Dims: 2, P: 2, MemtableCap: 1 << 20, ShadowFrac: 1, Sync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.BulkLoad(core.SliceChunks(pts[:8000], 0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.InsertBatch(pts[8000:]); err != nil {
+		t.Fatal(err)
+	}
+	// Tombstones over both the level and the memtable.
+	var del, keep []geom.Point
+	for i, p := range pts {
+		if i%2 == 0 && len(del) < 4096 {
+			del = append(del, p)
+		} else {
+			keep = append(keep, p)
+		}
+	}
+	if _, err := s.DeleteBatch(del); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Shadow != 4096 || st.Compactions != 0 {
+		t.Fatalf("want 4096 outstanding tombstones: %+v", st)
+	}
+	whole := geom.Box{Lo: []geom.Coord{math.MinInt32, math.MinInt32}, Hi: []geom.Coord{math.MaxInt32, math.MaxInt32}}
+	checkOracle(t, s, keep, append([]geom.Box{whole}, randomBoxes(rng, 16, 9000, 2)...))
+}
+
+// TestMixedRejectsBadBatches: a batch whose ops and boxes disagree in
+// length, or that asks for an aggregate, is an error, not a panic.
+func TestMixedRejectsBadBatches(t *testing.T) {
+	s, err := Open("", Config{Dims: 1, Sync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	v := s.Pin()
+	defer v.Release()
+	box := geom.Box{Lo: []geom.Coord{0}, Hi: []geom.Coord{9}}
+	if _, err := Mixed[struct{}](v, []core.MixedOp{core.OpCount}, []geom.Box{box, box}); err == nil ||
+		!strings.Contains(err.Error(), "1 ops for 2 boxes") {
+		t.Fatalf("length mismatch: %v", err)
+	}
+	if _, err := Mixed[struct{}](v, []core.MixedOp{core.OpCount, core.OpAggregate}, []geom.Box{box, box}); err == nil ||
+		!strings.Contains(err.Error(), "aggregate") {
+		t.Fatalf("aggregate query: %v", err)
+	}
+}
+
+// TestMutationsCopyCallerCoordinates: the store keeps no view of a
+// mutation's coordinate slices, so a caller reusing them after
+// InsertBatch or DeleteBatch changes no answer.
+func TestMutationsCopyCallerCoordinates(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	s, err := Open("", Config{Dims: 2, P: 2, MemtableCap: 1 << 10, Sync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	pts := randomPoints(rng, 100, 2, 0)
+	kept := make([]geom.Point, len(pts))
+	for i, p := range pts {
+		kept[i] = p.Clone()
+	}
+	scribble := func(ps []geom.Point) {
+		for _, p := range ps {
+			p.X[0], p.X[1] = -1, -1
+		}
+	}
+	if _, err := s.InsertBatch(pts); err != nil {
+		t.Fatal(err)
+	}
+	scribble(pts)
+	boxes := randomBoxes(rng, 12, 100, 2)
+	checkOracle(t, s, kept, boxes)
+
+	del := make([]geom.Point, 30)
+	for i := range del {
+		del[i] = kept[i].Clone()
+	}
+	if _, err := s.DeleteBatch(del); err != nil {
+		t.Fatal(err)
+	}
+	scribble(del)
+	checkOracle(t, s, kept[30:], boxes)
 }
 
 func TestShadowFoldCompaction(t *testing.T) {

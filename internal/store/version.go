@@ -1,6 +1,7 @@
 package store
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -9,7 +10,7 @@ import (
 )
 
 // Version is one epoch-stamped, immutable snapshot of the store: a set
-// of level trees plus frozen prefixes of the memtable and the deletion
+// of level trees plus the indexed runs of the memtable and the deletion
 // shadow. Pinning a version keeps every level it references alive (and
 // queryable) no matter how the store moves on — readers never block
 // writers, and a query batch always sees one consistent state. Release
@@ -20,8 +21,8 @@ type Version struct {
 	s      *Store
 	seq    uint64
 	levels []*core.Tree
-	mem    []geom.Point
-	shadow []geom.Point
+	mem    runs
+	shadow runs
 	liveN  int
 
 	// Guarded by s.mu: outstanding Pin count, whether this is the
@@ -80,10 +81,10 @@ func (v *Version) Levels() int {
 // Mixed answers a batch mixing count and report queries against the
 // pinned version: one mixed-mode machine run per level (combined by
 // decomposability — range search distributes over the level partition),
-// then the memtable scan adds, the tombstone shadow subtracts counts
-// and filters reports. OpAggregate is not supported: tombstone
-// subtraction needs an invertible monoid, which the engine's semigroup
-// contract does not promise.
+// then the memtable's runs add, the tombstone shadow's runs subtract
+// counts and filter reports. OpAggregate is not supported, and is an
+// error: tombstone subtraction needs an invertible monoid, which the
+// engine's semigroup contract does not promise.
 //
 // A machine abort mid-batch — a TCP cluster losing a worker, an SPMD
 // violation — returns as an error (and is recorded in Stats.QueryErr)
@@ -98,16 +99,14 @@ func Mixed[T any](v *Version, ops []core.MixedOp, boxes []geom.Box) ([]core.Mixe
 // back to the originating batch. Trace 0 means untraced.
 func MixedTraced[T any](v *Version, ops []core.MixedOp, boxes []geom.Box, trace uint64) ([]core.MixedResult[T], error) {
 	if len(ops) != len(boxes) {
-		panic("store: ops and boxes disagree in length")
+		return nil, fmt.Errorf("store: %d ops for %d boxes", len(ops), len(boxes))
+	}
+	if i := slices.Index(ops, core.OpAggregate); i >= 0 {
+		return nil, fmt.Errorf("store: query %d: aggregate queries are not supported on the mutable store", i)
 	}
 	out := make([]core.MixedResult[T], len(boxes))
 	if len(boxes) == 0 {
 		return out, nil
-	}
-	for _, op := range ops {
-		if op == core.OpAggregate {
-			panic("store: aggregate queries are not supported on the mutable store")
-		}
 	}
 
 	// Level fan-out: machine runs serialize store-wide because levels
@@ -142,49 +141,49 @@ func MixedTraced[T any](v *Version, ops []core.MixedOp, boxes []geom.Box, trace 
 		return nil, qerr
 	}
 
-	// Memtable contribution.
+	// The coordinator tier: memtable hits add, tombstone hits subtract.
+	// Every tombstone is a point present in the version's levels or
+	// memtable, at that point's coordinates (the store's delete
+	// contract), so the subtraction is exact and a box's tombstone hits
+	// are exactly the IDs its report must drop.
+	var buf [64]int32 // a box's tombstone hits, off the heap unless it has more
 	for i, b := range boxes {
-		for _, p := range v.mem {
-			if b.Contains(p) {
-				out[i].Count++
-				if ops[i] == core.OpReport {
-					out[i].Pts = append(out[i].Pts, p)
-				}
+		report := ops[i] == core.OpReport
+		v.mem.visit(b, func(p geom.Point) {
+			out[i].Count++
+			if report {
+				out[i].Pts = append(out[i].Pts, p)
 			}
-		}
-	}
-
-	// Tombstones: subtract counts, filter reports. Every shadow point
-	// is present in the version's levels or memtable (the store's
-	// delete contract), so the subtraction is exact.
-	if len(v.shadow) > 0 {
-		dead := make(map[int32]struct{}, len(v.shadow))
-		for _, p := range v.shadow {
-			dead[p.ID] = struct{}{}
-		}
-		for i, b := range boxes {
-			for _, p := range v.shadow {
-				if b.Contains(p) {
-					out[i].Count--
-				}
+		})
+		dead := buf[:0]
+		v.shadow.visit(b, func(p geom.Point) {
+			out[i].Count--
+			if report {
+				dead = append(dead, p.ID)
 			}
-			if len(out[i].Pts) > 0 {
-				live := out[i].Pts[:0:0]
-				for _, p := range out[i].Pts {
-					if _, d := dead[p.ID]; !d {
-						live = append(live, p)
-					}
-				}
-				out[i].Pts = live
-			}
-		}
-	}
-	for i := range out {
-		if ops[i] == core.OpReport {
-			slices.SortFunc(out[i].Pts, func(a, b geom.Point) int { return int(a.ID) - int(b.ID) })
+		})
+		if report {
+			slices.SortFunc(out[i].Pts, func(a, b geom.Point) int { return cmp.Compare(a.ID, b.ID) })
+			slices.Sort(dead)
+			out[i].Pts = dropIDs(out[i].Pts, dead)
 		}
 	}
 	return out, nil
+}
+
+// dropIDs removes from pts, sorted by ID, every point whose ID is in
+// dead, also sorted: one merge pass, in place.
+func dropIDs(pts []geom.Point, dead []int32) []geom.Point {
+	live := pts[:0]
+	for _, p := range pts {
+		for len(dead) > 0 && dead[0] < p.ID {
+			dead = dead[1:]
+		}
+		if len(dead) == 0 || dead[0] != p.ID {
+			live = append(live, p)
+		}
+	}
+	return live
 }
 
 // CountBatch answers |R(q)| for every box against the pinned version.
@@ -233,7 +232,7 @@ func (s *Store) ReportBatch(boxes []geom.Box) ([][]geom.Point, error) {
 }
 
 // AllLive materializes the version's live point set (checkpointing and
-// verification; O(n)). Resident level trees fetch their points from
+// verification; O(n log n)). Resident level trees fetch their points from
 // worker memory, so the read serializes with query batches under the
 // store's query lock.
 func (v *Version) AllLive() []geom.Point {
@@ -245,17 +244,19 @@ func (v *Version) AllLive() []geom.Point {
 		}
 	}
 	v.s.queryMu.Unlock()
-	out = append(out, v.mem...)
-	if len(v.shadow) == 0 {
-		return out
+	for _, r := range v.mem {
+		out = append(out, r...)
 	}
-	dead := make(map[int32]struct{}, len(v.shadow))
-	for _, p := range v.shadow {
-		dead[p.ID] = struct{}{}
+	var dead []int32
+	for _, r := range v.shadow {
+		for _, p := range r {
+			dead = append(dead, p.ID)
+		}
 	}
-	live := out[:0:0]
+	slices.Sort(dead)
+	live := out[:0]
 	for _, p := range out {
-		if _, d := dead[p.ID]; !d {
+		if _, found := slices.BinarySearch(dead, p.ID); !found {
 			live = append(live, p)
 		}
 	}
