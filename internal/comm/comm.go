@@ -14,6 +14,7 @@ package comm
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cgm"
 	"repro/internal/semigroup"
@@ -206,23 +207,27 @@ func Rebalance[T any](pr *cgm.Proc, label string, local []T) []T {
 	p := pr.P()
 	offset, total := CountScan(pr, label+"/count", len(local))
 	in := cgm.Exchange(pr, label, BlockPartition(local, offset, total, p))
-	var flat []T
-	for _, s := range in {
-		flat = append(flat, s...)
-	}
-	return flat
+	return slices.Concat(in...)
 }
 
-// BlockPartition buckets a run of globally ordered items (this
-// processor's run starts at global position offset of total items) by
-// block owner — the emit half of Rebalance, exported so the
-// worker-resident construct can run it worker-side.
+// BlockPartition cuts a run of globally ordered items (this processor's
+// run starts at global position offset of total items) at the block
+// boundaries — the emit half of Rebalance, exported so the
+// worker-resident construct can run it worker-side. Block j is one
+// contiguous stretch of local, so the result is views into it, each
+// capacity-clipped so an append to one block cannot write into the next.
+// Positions at or past total belong to the last block, as in BlockOwner.
 func BlockPartition[T any](local []T, offset, total, p int) [][]T {
 	out := make([][]T, p)
-	for i, v := range local {
+	lo := 0
+	for j := range out {
 		// Block boundaries: processor j owns [j*total/p, (j+1)*total/p).
-		j := BlockOwner(offset+i, total, p)
-		out[j] = append(out[j], v)
+		hi := len(local)
+		if j < p-1 {
+			hi = min(max(blockStart(j+1, total, p)-offset, lo), hi)
+		}
+		out[j] = local[lo:hi:hi]
+		lo = hi
 	}
 	return out
 }

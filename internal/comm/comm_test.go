@@ -1,7 +1,9 @@
 package comm
 
 import (
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/cgm"
@@ -223,6 +225,52 @@ func TestRebalanceEmpty(t *testing.T) {
 			t.Errorf("empty rebalance returned %v", got)
 		}
 	})
+}
+
+// TestBlockPartitionViews: for random runs — empty ones, p = 1, p larger
+// than the run — the blocks concatenate back to the input, every item
+// sits in the block BlockOwner names, and each block's capacity ends at
+// its length, so appending to block j cannot write into block j+1.
+func TestBlockPartitionViews(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 2000; trial++ {
+		p := 1 + rng.Intn(9)
+		n := rng.Intn(3 * p)
+		if trial%7 == 0 {
+			n = 0
+		}
+		offset := rng.Intn(40)
+		total := offset + n + rng.Intn(40)
+		local := make([]int, n)
+		for i := range local {
+			local[i] = offset + i // each item is its global position
+		}
+		blocks := BlockPartition(local, offset, total, p)
+		if len(blocks) != p {
+			t.Fatalf("p=%d: %d blocks", p, len(blocks))
+		}
+		var flat []int
+		for j, b := range blocks {
+			if cap(b) != len(b) {
+				t.Fatalf("p=%d n=%d offset=%d total=%d: block %d has len %d cap %d", p, n, offset, total, j, len(b), cap(b))
+			}
+			for _, g := range b {
+				if owner := BlockOwner(g, total, p); owner != j {
+					t.Fatalf("p=%d total=%d: position %d in block %d, BlockOwner says %d", p, total, g, j, owner)
+				}
+			}
+			flat = append(flat, b...)
+		}
+		if !slices.Equal(flat, local) {
+			t.Fatalf("p=%d n=%d offset=%d total=%d: blocks concatenate to %v, want %v", p, n, offset, total, flat, local)
+		}
+		for _, b := range blocks { // an append past a block leaves the input alone
+			_ = append(b, -1)
+		}
+		if !slices.Equal(flat, local) {
+			t.Fatalf("appends to the blocks changed the input: %v", local)
+		}
+	}
 }
 
 func TestBlockOwnerExhaustive(t *testing.T) {

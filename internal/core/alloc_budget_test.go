@@ -96,6 +96,50 @@ const (
 	residentFixedBudget = 162
 )
 
+// TestConstructAllocBudget ratchets what Algorithm Construct allocates: a
+// BuildOn of 4 096 clustered points on p = 4 loopback, bytes per built
+// point and allocations per build. It measures 1 022 / 2 605 B/point
+// (d = 2 / d = 3, the same to the byte every run) and 949–963 / 6 241–
+// 6 253 allocations, with the merge into one scratch array and every
+// record buffer sized once; 2 342 / 5 335 B/point and 1 456 / 7 152
+// allocations with the buffers grown one append at a time. The budgets
+// sit about 7 % above the measurement, so growing any one of construct's
+// buffers per item again, or restoring the sort's defensive copy, fails
+// it.
+func TestConstructAllocBudget(t *testing.T) {
+	const n, p, builds = 4096, 4, 3
+	pv := cgm.NewLocalProvider(cgm.Config{P: p})
+	for _, c := range []struct {
+		d                  int
+		bytesPerPt, allocs float64
+	}{{2, 1100, 1050}, {3, 2800, 6700}} {
+		t.Run(fmt.Sprintf("d=%d", c.d), func(t *testing.T) {
+			pts := workload.Points(workload.PointSpec{N: n, Dims: c.d, Dist: workload.Clustered, Seed: 3})
+			build := func() {
+				if _, err := core.BuildOn(pv, pts, core.BackendLayered); err != nil {
+					t.Fatal(err)
+				}
+			}
+			build() // warm the runtime's size classes and the machine code paths
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < builds; i++ {
+				build()
+			}
+			runtime.ReadMemStats(&after)
+			perPt := float64(after.TotalAlloc-before.TotalAlloc) / (builds * n)
+			allocs := float64(after.Mallocs-before.Mallocs) / builds
+			t.Logf("d=%d: %.0f B/point, %.0f allocations per build", c.d, perPt, allocs)
+			if perPt > c.bytesPerPt {
+				t.Errorf("d=%d: %.0f B allocated per built point, budget %.0f", c.d, perPt, c.bytesPerPt)
+			}
+			if allocs > c.allocs {
+				t.Errorf("d=%d: %.0f allocations per build, budget %.0f", c.d, allocs, c.allocs)
+			}
+		})
+	}
+}
+
 // TestArenaKeepsRecurringShapes: a serving machine's batches are mostly
 // one or two counts with a report every so often, and the slabs only the
 // report needs (its points, its pairs) must survive the runs between two

@@ -28,6 +28,26 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildOn measures Algorithm Construct at the benchmark's scale:
+// 65 536 clustered points on p = 4 loopback, one BuildOn per iteration —
+// the local sort, the record exchanges, the element and hat builds.
+func BenchmarkBuildOn(b *testing.B) {
+	const n, p = 1 << 16, 4
+	pv := cgm.NewLocalProvider(cgm.Config{P: p})
+	for _, d := range []int{2, 3} {
+		pts := workload.Points(workload.PointSpec{N: n, Dims: d, Dist: workload.Clustered, Seed: 1})
+		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := BuildOn(pv, pts, BackendLayered); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/point")
+		})
+	}
+}
+
 func BenchmarkCountBatch(b *testing.B) {
 	dt, boxes := benchTree(b, 1<<12, 2, 8)
 	b.ResetTimer()

@@ -203,8 +203,9 @@ func (t *Tree) constructPhase(pr *cgm.Proc, ps *procState, recs []srec, j int, n
 	lbl := func(step string) string { return fmt.Sprintf("construct/d%d/%s", j, step) }
 
 	// Step 2: globally sort S^j by primary key index (tree label) and
-	// secondary key x_j (ties by point ID for determinism).
-	sorted := psort.Sort(pr, lbl("sort"), recs, srecLess(j))
+	// secondary key x_j (ties by point ID for determinism). The phase owns
+	// recs, so the sort works in it without a defensive copy.
+	sorted := psort.SortInPlace(pr, lbl("sort"), recs, srecLess(j))
 
 	// Tree discovery: exchange per-processor runs of equal keys; all
 	// processors derive the identical, label-ordered tree summary list.
@@ -393,9 +394,12 @@ func (t *Tree) enumerateStubs(pr *cgm.Proc, ps *procState, trees []treeSum, j in
 // routeRecords is Construct step 3's routing loop, shared by the
 // coordinator-side phase and the resident routeHeld emit: every globally
 // sorted record (this rank's run starting at global position offset) goes
-// to the owner of the element whose stub contains its position.
+// to the owner of the element whose stub contains its position. The
+// elements are resolved first and counted per owner, so the buckets are
+// carved at their final sizes from one array.
 func routeRecords(sorted []srec, trees []treeSum, grain, offset, p int) ([][]epoint, error) {
-	out := make([][]epoint, p)
+	ids := make([]ElemID, len(sorted))
+	counts := make([]int, p)
 	ti := 0
 	var treeStubs []segtree.Stub
 	loadStubs := func(ti int) {
@@ -414,10 +418,17 @@ func routeRecords(sorted []srec, trees []treeSum, grain, offset, p int) ([][]epo
 			return nil, fmt.Errorf("core: construct routing lost tree alignment")
 		}
 		pos := g - trees[ti].Start
-		si := segtree.StubContaining(treeStubs, pos)
-		id := trees[ti].Elem0 + ElemID(si)
-		owner := int(id) % p
-		out[owner] = append(out[owner], epoint{Elem: id, Pt: r.Pt})
+		ids[i] = trees[ti].Elem0 + ElemID(segtree.StubContaining(treeStubs, pos))
+		counts[int(ids[i])%p]++
+	}
+	out := make([][]epoint, p)
+	buf := make([]epoint, len(sorted))
+	for owner, c := range counts {
+		out[owner], buf = buf[:0:c], buf[c:]
+	}
+	for i, r := range sorted {
+		owner := int(ids[i]) % p
+		out[owner] = append(out[owner], epoint{Elem: ids[i], Pt: r.Pt})
 	}
 	return out, nil
 }
@@ -446,13 +457,23 @@ func (t *Tree) finishPhase(pr *cgm.Proc, ps *procState, trees []treeSum, metas [
 // return the grouped points plus the stub metadata sorted by element.
 // Records arrive rank-major and sorted within each source; element
 // point sets occupy contiguous global ranges, so concatenation is leaf
-// order.
+// order. Each element's points go into a slice of the capacity its
+// metadata declares, one map update per run of equal elements.
 func buildForestElements(be Backend, infoOf func(ElemID) (ElemInfo, bool), incoming [][]epoint,
 	install func(*element)) (map[ElemID][]geom.Point, []elemMeta, error) {
 	grouped := make(map[ElemID][]geom.Point)
 	for _, part := range incoming {
-		for _, ep := range part {
-			grouped[ep.Elem] = append(grouped[ep.Elem], ep.Pt)
+		for i := 0; i < len(part); {
+			id := part[i].Elem
+			epts, ok := grouped[id]
+			if !ok {
+				info, _ := infoOf(id) // an unknown element is reported below
+				epts = make([]geom.Point, 0, info.Count)
+			}
+			for ; i < len(part) && part[i].Elem == id; i++ {
+				epts = append(epts, part[i].Pt)
+			}
+			grouped[id] = epts
 		}
 	}
 	var metas []elemMeta
@@ -475,12 +496,14 @@ func buildForestElements(be Backend, infoOf func(ElemID) (ElemInfo, bool), incom
 // nextDimRecords is Construct step 7's per-element walk, shared by the
 // fabric branch and the resident step: the element's points ascend from
 // the stub's parent to its segment tree's root, one S^(j+1) record per
-// hat-internal ancestor.
+// hat-internal ancestor. next grows once per element: the stub has
+// Depth(stub) ancestors.
 func nextDimRecords(el *element, next []srec) []srec {
 	key := el.info.Key
 	comps := key.Components()
 	stubNode := int(comps[len(comps)-1])
 	treeKey := parentKey(key)
+	next = slices.Grow(next, segtree.Depth(stubNode)*len(el.pts))
 	for u := segtree.Parent(stubNode); u >= 1; u = segtree.Parent(u) {
 		anchor := treeKey.Extend(u)
 		for _, pt := range el.pts {

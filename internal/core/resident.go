@@ -410,16 +410,8 @@ func wsortSplitStep(part *residentPart, c *exec.Ctx, args wsortBalanceArgs) ([][
 // runs, from which every rank derives the phase's trees — so the runs
 // all-gather exchanges the same rows as the coordinator-fed path.
 func wsortGatherStep(part *residentPart, _ *exec.Ctx, _ bool, in [][]srec) (balanceReply, error) {
-	total := 0
-	for _, src := range in {
-		total += len(src)
-	}
-	flat := make([]srec, 0, total)
-	for _, src := range in {
-		flat = append(flat, src...)
-	}
-	part.recs = flat
-	return balanceReply{Len: len(flat), Runs: keyRuns(flat)}, nil
+	part.recs = slices.Concat(in...)
+	return balanceReply{Len: len(part.recs), Runs: keyRuns(part.recs)}, nil
 }
 
 // routeHeldStep is Construct step 3's emit on the resident side: bucket

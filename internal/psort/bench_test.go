@@ -10,8 +10,8 @@ import (
 
 // benchSort measures one full distributed sort per iteration. The
 // inplace variant cedes ownership of the local block (no defensive
-// copy); together with the generic slices.SortStableFunc local phase
-// (no reflect.Swapper closures) it is where the alloc drop shows up.
+// copy); the local phase is the generic pdqsort of slices.SortFunc (no
+// reflect.Swapper closures, O(n log n) element moves).
 func benchSort(b *testing.B, p int, inplace bool) {
 	rng := rand.New(rand.NewSource(1))
 	n := 1 << 14

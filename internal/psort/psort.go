@@ -10,9 +10,17 @@
 // partition, merge — are exported individually so the worker-resident
 // construct path can run them worker-side with only the p² samples and
 // splitters crossing the coordinator (see core's held construct).
+//
+// Every less a caller passes must be a strict total order: no two distinct
+// elements compare equal (break ties — e.g. by point ID). Under that
+// contract a sorted sequence is unique, so the local phase may use an
+// unstable sort (pdqsort) and still return exactly what any stable sort
+// would: splitters, partitions and the result do not depend on which
+// sorting algorithm ran or on the order of its input.
 package psort
 
 import (
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -20,10 +28,9 @@ import (
 	"repro/internal/comm"
 )
 
-// cmpOf adapts a strict-weak less into the three-way comparison
-// slices.SortStableFunc wants. slices sorting is generic — no
-// reflect.Swapper, no per-element interface boxing — which is where the
-// allocation and time drop over sort.SliceStable comes from.
+// cmpOf adapts a less into the three-way comparison slices.SortFunc
+// wants. slices sorting is generic — no reflect.Swapper, no per-element
+// interface boxing.
 func cmpOf[T any](less func(a, b T) bool) func(a, b T) int {
 	return func(a, b T) int {
 		switch {
@@ -37,10 +44,13 @@ func cmpOf[T any](less func(a, b T) bool) func(a, b T) int {
 	}
 }
 
-// SortLocal stably sorts one processor's block in place — the local phase
-// of the sample sort, shared with the worker-resident construct steps.
+// SortLocal sorts one processor's block in place — the local phase of the
+// sample sort, shared with the worker-resident construct steps. pdqsort
+// makes O(n log n) element moves where a stable sort's symMerge rotations
+// make O(n log² n); it is deterministic, so even a less with ties orders a
+// given input the same way on every rank and every run.
 func SortLocal[T any](local []T, less func(a, b T) bool) {
-	slices.SortStableFunc(local, cmpOf(less))
+	slices.SortFunc(local, cmpOf(less))
 }
 
 // Samples selects p evenly spaced regular samples from a locally sorted
@@ -131,65 +141,72 @@ func SortInPlace[T any](pr *cgm.Proc, label string, local []T, less func(a, b T)
 	// Partition the locally sorted run by the splitters and exchange.
 	parts := cgm.Exchange(pr, label+"/route", Partition(local, splitters, p, less))
 
-	// p-way merge of the sorted incoming runs (source order is a valid
-	// tie-break because partitioning was stable).
+	// p-way merge of the sorted incoming runs (under a strict total order
+	// no two elements tie, so the merge has no choice to make).
 	merged := MergeRuns(parts, less)
 
 	// Exact rebalance so every processor holds a same-sized block.
 	return comm.Rebalance(pr, label+"/balance", merged)
 }
 
-// MergeRuns merges sorted runs stably (earlier runs win ties).
+// MergeRuns merges sorted runs stably (earlier runs win ties) into one
+// new slice. Pairwise merge passes alternate between the result and one
+// scratch array, the first pass reading the runs themselves; the pass
+// count's parity picks which buffer the first pass writes, so the last
+// one lands in the result and nothing is copied at the end.
 func MergeRuns[T any](runs [][]T, less func(a, b T) bool) []T {
 	total := 0
-	nonEmpty := 0
-	for _, r := range runs {
-		total += len(r)
-		if len(r) > 0 {
-			nonEmpty++
-		}
-	}
-	out := make([]T, 0, total)
-	if nonEmpty == 0 {
-		return out
-	}
-	// Simple iterative binary merging keeps the code free of heap
-	// bookkeeping; the run count is p, so the extra log p factor is
-	// irrelevant next to N/p log N/p local sorting.
-	live := make([][]T, 0, nonEmpty)
+	live := make([][]T, 0, len(runs))
 	for _, r := range runs {
 		if len(r) > 0 {
 			live = append(live, r)
+			total += len(r)
 		}
+	}
+	out := make([]T, total)
+	if len(live) < 2 {
+		for _, r := range live {
+			copy(out, r)
+		}
+		return out
+	}
+	dst, spare := out, make([]T, total)
+	if bits.Len(uint(len(live)-1))%2 == 0 { // ⌈log₂ runs⌉ passes
+		dst, spare = spare, dst
 	}
 	for len(live) > 1 {
-		var next [][]T
+		next, at := live[:0], 0
 		for i := 0; i < len(live); i += 2 {
+			run := dst[at:]
 			if i+1 == len(live) {
-				next = append(next, live[i])
-				break
+				run = run[:copy(run, live[i])]
+			} else {
+				run = run[:len(live[i])+len(live[i+1])]
+				merge2(run, live[i], live[i+1], less)
 			}
-			next = append(next, merge2(live[i], live[i+1], less))
+			next = append(next, run)
+			at += len(run)
 		}
-		live = next
+		live, dst, spare = next, spare, dst
 	}
-	return append(out, live[0]...)
+	return out
 }
 
-func merge2[T any](a, b []T, less func(x, y T) bool) []T {
-	out := make([]T, 0, len(a)+len(b))
-	i, j := 0, 0
+// merge2 merges a and b into dst, which has exactly their combined length.
+func merge2[T any](dst, a, b []T, less func(x, y T) bool) {
+	i, j, k := 0, 0, 0
 	for i < len(a) && j < len(b) {
 		if less(b[j], a[i]) {
-			out = append(out, b[j])
+			dst[k] = b[j]
 			j++
 		} else {
-			out = append(out, a[i])
+			dst[k] = a[i]
 			i++
 		}
+		k++
 	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
+	k += copy(dst[k:], a[i:])
+	copy(dst[k:], b[j:])
 }
 
 // boundary carries a processor's first and last element for the global

@@ -3,6 +3,7 @@ package psort
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -199,6 +200,91 @@ func TestIsGloballySortedLocalViolation(t *testing.T) {
 			t.Error("local violation missed")
 		}
 	})
+}
+
+// crec has the shape of core's construct records: a point (ID and
+// coordinates, behind a slice header) and a tree label.
+type crec struct {
+	ID  int32
+	X   []int32
+	Key string
+}
+
+// TestSortLocalMatchesStableSort: on construct-shaped records with heavy
+// key and coordinate ties but unique IDs, pdqsort under construct's
+// (key, x_j, ID) order returns exactly what a stable sort returns — the
+// order is total, so the sorted sequence is unique. Under an order that
+// leaves ties (the key alone) it is still the same on every call.
+func TestSortLocalMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		n := rng.Intn(600)
+		ids := rng.Perm(n)
+		recs := make([]crec, n)
+		for i := range recs {
+			recs[i] = crec{
+				ID:  int32(ids[i]),
+				X:   []int32{int32(rng.Intn(4)), int32(rng.Intn(4))},
+				Key: string(rune('a' + rng.Intn(3))),
+			}
+		}
+		j := trial % 2
+		less := func(a, b crec) bool {
+			if a.Key != b.Key {
+				return a.Key < b.Key
+			}
+			if a.X[j] != b.X[j] {
+				return a.X[j] < b.X[j]
+			}
+			return a.ID < b.ID
+		}
+		got := slices.Clone(recs)
+		SortLocal(got, less)
+		want := slices.Clone(recs)
+		sort.SliceStable(want, func(a, b int) bool { return less(want[a], want[b]) })
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (n=%d): SortLocal differs from a stable sort", trial, n)
+		}
+
+		byKey := func(a, b crec) bool { return a.Key < b.Key }
+		once, twice := slices.Clone(recs), slices.Clone(recs)
+		SortLocal(once, byKey)
+		SortLocal(twice, byKey)
+		if !reflect.DeepEqual(once, twice) {
+			t.Fatalf("trial %d: SortLocal with ties is not deterministic", trial)
+		}
+	}
+}
+
+// TestMergeRunsMatchesStableSort: merging 0–9 sorted runs, some of them
+// empty, under an order with ties equals a stable sort of their
+// concatenation — every pass count parity, earlier runs winning ties.
+func TestMergeRunsMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	byKey := func(a, b rec) bool { return a.Key < b.Key }
+	for trial := 0; trial < 500; trial++ {
+		runs := make([][]rec, trial%10)
+		var all []rec
+		for i := range runs {
+			if rng.Intn(3) > 0 {
+				runs[i] = make([]rec, rng.Intn(30))
+			}
+			for k := range runs[i] {
+				runs[i][k] = rec{Key: rng.Intn(8), ID: len(all) + k}
+			}
+			sort.SliceStable(runs[i], func(a, b int) bool { return byKey(runs[i][a], runs[i][b]) })
+			all = append(all, runs[i]...)
+		}
+		before := slices.Concat(runs...)
+		got := MergeRuns(runs, byKey)
+		sort.SliceStable(all, func(a, b int) bool { return byKey(all[a], all[b]) })
+		if len(got) != len(all) || (len(all) > 0 && !reflect.DeepEqual(got, all)) {
+			t.Fatalf("trial %d (%d runs): MergeRuns = %v, want %v", trial, len(runs), got, all)
+		}
+		if !reflect.DeepEqual(slices.Concat(runs...), before) {
+			t.Fatalf("trial %d: MergeRuns wrote into its input runs", trial)
+		}
+	}
 }
 
 func TestSortInPlaceMatchesSort(t *testing.T) {
