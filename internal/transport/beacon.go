@@ -1,14 +1,16 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"runtime"
 	"sync"
 	"time"
 
-	"repro/internal/cgm"
+	"repro/internal/obs"
 	obscluster "repro/internal/obs/cluster"
+	"repro/internal/wire"
 )
 
 // This file is the health plane's wire layer: workers serve beacon
@@ -40,7 +42,7 @@ func (w *Worker) runBeacon(fc *fconn, open *frame) {
 	send := func() error {
 		seq++
 		b := w.beacon(seq)
-		return fc.write(&frame{Kind: kindBeacon, Beacon: &b})
+		return fc.write(&frame{Kind: kindBeacon, blocks: [][]byte{appendBeacon(nil, &b)}})
 	}
 	if send() != nil {
 		return
@@ -64,10 +66,6 @@ func (w *Worker) runBeacon(fc *fconn, open *frame) {
 func (w *Worker) beacon(seq uint64) obscluster.Beacon {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	stamp := ""
-	if dep := w.lastDeposit.Load(); dep != nil {
-		stamp = cgm.StampOf(dep.Stamp, dep.Seq)
-	}
 	return obscluster.Beacon{
 		Seq:        seq,
 		Addr:       w.Addr(),
@@ -75,9 +73,92 @@ func (w *Worker) beacon(seq uint64) obscluster.Beacon {
 		Goroutines: runtime.NumGoroutine(),
 		HeapBytes:  ms.HeapAlloc,
 		UptimeNs:   w.now(),
-		LastStamp:  stamp,
+		LastStamp:  w.lastStamp(),
 		Dump:       w.reg.Dump(),
 	}
+}
+
+// appendBeacon writes a health sample as the beacon frame's block. It
+// goes through no wire codec: the codec counters measure the exchange
+// path, and a watched worker would otherwise tick them once per
+// interval. Each map is a count and its entries; a histogram is its
+// Count, its Sum and its buckets (a count, then the values).
+func appendBeacon(b []byte, bc *obscluster.Beacon) []byte {
+	b = wire.AppendUvarint(b, bc.Seq)
+	b = wire.AppendString(b, bc.Addr)
+	b = wire.AppendVarint(b, int64(bc.Sessions))
+	b = wire.AppendVarint(b, int64(bc.Goroutines))
+	b = wire.AppendUvarint(b, bc.HeapBytes)
+	b = wire.AppendVarint(b, bc.UptimeNs)
+	b = wire.AppendString(b, bc.LastStamp)
+	d := &bc.Dump
+	b = wire.AppendUvarint(b, uint64(len(d.Counters)))
+	for name, v := range d.Counters {
+		b = wire.AppendString(b, name)
+		b = wire.AppendVarint(b, v)
+	}
+	b = wire.AppendUvarint(b, uint64(len(d.Gauges)))
+	for name, v := range d.Gauges {
+		b = wire.AppendString(b, name)
+		b = wire.AppendF64(b, v)
+	}
+	b = wire.AppendUvarint(b, uint64(len(d.Hists)))
+	for name, h := range d.Hists {
+		b = wire.AppendString(b, name)
+		b = wire.AppendVarint(b, h.Count)
+		b = wire.AppendVarint(b, h.Sum)
+		b = wire.AppendUvarint(b, uint64(len(h.Buckets)))
+		for _, c := range h.Buckets {
+			b = wire.AppendVarint(b, c)
+		}
+	}
+	return b
+}
+
+// decodeBeacon reads an appendBeacon block. A histogram with another
+// bucket count (a worker from another build) fails it.
+func decodeBeacon(blk []byte) (obscluster.Beacon, error) {
+	r := wire.NewReader(blk)
+	bc := obscluster.Beacon{
+		Seq:        r.Uvarint(),
+		Addr:       r.Str(),
+		Sessions:   int(r.Varint()),
+		Goroutines: int(r.Varint()),
+		HeapBytes:  r.Uvarint(),
+		UptimeNs:   r.Varint(),
+		LastStamp:  r.Str(),
+	}
+	d := &bc.Dump
+	n := r.Count(2)
+	d.Counters = make(map[string]int64, n)
+	for range n {
+		name := r.Str()
+		d.Counters[name] = r.Varint()
+	}
+	n = r.Count(9)
+	d.Gauges = make(map[string]float64, n)
+	for range n {
+		name := r.Str()
+		d.Gauges[name] = r.F64()
+	}
+	n = r.Count(4)
+	d.Hists = make(map[string]obs.HistSnapshot, n)
+	for range n {
+		name := r.Str()
+		h := obs.HistSnapshot{Count: r.Varint(), Sum: r.Varint()}
+		if nb := r.Uvarint(); nb != uint64(len(h.Buckets)) {
+			return obscluster.Beacon{}, fmt.Errorf("transport: beacon histogram %q: read a bucket count of %d, this build has %d (truncated, or a worker from another build)",
+				name, nb, len(h.Buckets))
+		}
+		for i := range h.Buckets {
+			h.Buckets[i] = r.Varint()
+		}
+		d.Hists[name] = h
+	}
+	if err := r.Finish(); err != nil {
+		return obscluster.Beacon{}, fmt.Errorf("transport: decoding beacon: %w", err)
+	}
+	return bc, nil
 }
 
 // HealthWatcher is the coordinator side: one goroutine per worker holds
@@ -139,15 +220,20 @@ func (hw *HealthWatcher) watch(rank int, addr string) {
 		err = fc.write(&frame{Kind: kindBeaconOpen, IntervalNs: int64(hw.interval)})
 		for err == nil {
 			var f *frame
-			f, err = fc.read()
-			if err != nil {
+			if f, err = fc.read(); err != nil {
 				break
 			}
-			if f.Kind != kindBeacon || f.Beacon == nil {
+			switch {
+			case f.Kind == kindError: // a worker that refused the stream says why
+				err = errors.New(f.Err)
+			case f.Kind != kindBeacon || len(f.blocks) != 1:
 				err = fmt.Errorf("transport: unexpected frame kind %d on beacon stream", f.Kind)
-				break
+			default:
+				var b obscluster.Beacon
+				if b, err = decodeBeacon(f.blocks[0]); err == nil {
+					hw.mon.Feed(rank, b)
+				}
 			}
-			hw.mon.Feed(rank, *f.Beacon)
 		}
 		fc.close()
 		hw.untrack(rank)

@@ -272,13 +272,15 @@ func (t *tcpTransport) Exchange(rank int, dep cgm.Deposit) (cgm.Column, error) {
 func (t *tcpTransport) ExchangeResident(rank int, dep cgm.ResidentDeposit) (cgm.ResidentReply, error) {
 	wc := t.conns[rank]
 	wireStart := t.cl.cfg.Tracer.Now()
-	fr := &frame{Kind: kindDeposit, Session: t.session, Rank: rank,
+	// A value, not a pointer: a store through a pointer would move the
+	// emit reference to the heap.
+	fr := frame{Kind: kindDeposit, Session: t.session, Rank: rank,
 		Seq: dep.Seq, Stamp: dep.Label, Type: dep.Type, Trace: dep.Trace, blocks: dep.Blocks,
 		Collect: wireRef(*dep.Collect, dep.CollectArgs)}
 	if dep.Emit != nil {
 		fr.Call = wireRef(*dep.Emit, dep.EmitArgs)
 	}
-	nOut, err := wc.writeN(fr)
+	nOut, err := wc.writeN(&fr)
 	if err != nil {
 		return cgm.ResidentReply{}, t.connErr(rank, err)
 	}

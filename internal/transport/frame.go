@@ -23,24 +23,30 @@
 // coordinator dials each worker once per session (rank i's conn carries
 // deposits and step calls down, columns and step replies up); workers
 // dial each other lazily, one directed conn per (session, source,
-// destination) pair, to route blocks. Wire format: every frame is a
-// 4-byte big-endian length prefix, one gob message stream for the control
-// fields, then the frame's payload blocks raw — uvarint-framed sections
-// appended after the gob body, so the already-encoded blocks (see
-// internal/wire) are never re-encoded through gob on the way down and are
-// sliced straight out of the received frame body on the way up, views
-// rather than copies. Each connection keeps ONE encoder/decoder pair for
-// its lifetime, so gob type descriptors cross once per connection instead
-// of once per frame — framing stays self-delimiting (the length prefix),
-// decoding stays streaming (frames must be read in order, which the
-// one-reader-per-connection protocol already guarantees).
+// destination) pair, to route blocks.
+//
+// Wire format: every frame is a 4-byte big-endian length prefix and a raw
+// body — a kind byte; a version byte if the frame opens its connection
+// (open, hello, feed-open, beacon-open); then every field of the kind's
+// row in the table layout, in bit order, zero values included: integers
+// as varints, strings and byte fields length-prefixed, a step reference
+// behind a presence byte, lists as a count and their elements, payload
+// blocks as a count and one uvarint(len+1) + bytes section each, 0
+// marking a nil slot. A zero field costs one byte, so an untraced frame's
+// spans are one count byte. The writer, the reader and FuzzFrameRoundTrip
+// all read layout; a field outside its kind's row is not sent.
+// Already-encoded blocks (see internal/wire) are appended verbatim on the
+// way down, and every byte field and block is a view into the received
+// frame body on the way up. Decoding goes through wire.Reader, so a
+// hostile body gets an error, never a panic or an outsized allocation.
+// The only per-connection decoding state is a table interning the strings
+// a connection repeats.
 package transport
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -50,12 +56,22 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/obs"
-	obscluster "repro/internal/obs/cluster"
+	"repro/internal/wire"
 )
 
 // maxFrame bounds a single frame (1 GiB) so a corrupt length prefix
 // cannot ask for an absurd allocation.
 const maxFrame = 1 << 30
+
+// frameVersion is the header layout's version, carried by the first frame
+// of every connection. A worker answers any other version with a
+// diagnostic instead of misreading the fields. Version 1 was the
+// gob-framed protocol, which had no version byte: a version-1 peer's
+// stream misparses as some other frame, and the connection just closes.
+const frameVersion = 2
+
+// errFrameVersion marks a first frame whose version is not frameVersion.
+var errFrameVersion = errors.New("transport: frame version mismatch")
 
 // dialTimeout bounds every TCP dial and the session-open handshake.
 const dialTimeout = 5 * time.Second
@@ -106,8 +122,8 @@ const (
 	// cap on the fraction of worker wall-time the feed may consume.
 	kindFeedOpen
 	// kindFeedCall (client→worker) is one feed call: Seq orders it, the
-	// encoded args ride as the single out-of-band payload block — never
-	// through gob, exactly like superstep payloads.
+	// encoded args ride as the single payload block, exactly like
+	// superstep payloads.
 	kindFeedCall
 	// kindFeedAck (worker→client) acknowledges feed call Seq with the
 	// step's encoded reply. Seq 0 acks the open, Seq -1 acks the end.
@@ -123,12 +139,68 @@ const (
 	// plane's dedicated, always-answerable door.
 	kindBeaconOpen
 	// kindBeacon (worker→client) is one health sample: liveness proof by
-	// arrival, worker registry dump by payload (frame.Beacon).
+	// arrival; its one payload block is the wire-encoded
+	// obscluster.Beacon, registry dump included.
 	kindBeacon
 )
 
 // kindMax bounds the per-kind counter arrays.
 const kindMax = kindBeacon
+
+// opens reports whether a frame of kind k is the first one on its
+// connection, the one that carries the version byte.
+func (k kind) opens() bool {
+	switch k {
+	case kindOpen, kindHello, kindFeedOpen, kindBeaconOpen:
+		return true
+	}
+	return false
+}
+
+// field is one bit of a layout row; a row's fields go on the wire in bit
+// order.
+type field uint32
+
+const (
+	fSession field = 1 << iota
+	fRank
+	fSeq
+	fStamp
+	fType
+	fBlocks
+	fTrace
+	fCall
+	fCollect
+	fReply
+	fNote
+	fSent
+	fRecv
+	fSpans
+	fErr
+	fPeers
+	fShare
+	fIntervalNs
+)
+
+// layout is the frame table: the fields each kind carries.
+var layout = [kindMax + 1]field{
+	kindOpen:       fSession | fRank | fPeers,
+	kindOpenAck:    fSession | fRank,
+	kindHello:      fSession | fRank,
+	kindDeposit:    fSession | fRank | fSeq | fStamp | fType | fBlocks | fTrace | fCall | fCollect,
+	kindBlock:      fSession | fRank | fSeq | fStamp | fType | fBlocks,
+	kindColumn:     fSession | fSeq | fStamp | fBlocks | fReply | fNote | fSent | fRecv | fSpans,
+	kindStep:       fSession | fRank | fCall,
+	kindStepReply:  fSession | fReply,
+	kindError:      fSession | fSeq | fErr,
+	kindAbort:      fSession | fErr,
+	kindFeedOpen:   fSession | fRank | fCall | fShare,
+	kindFeedCall:   fSession | fRank | fSeq | fBlocks,
+	kindFeedAck:    fSession | fSeq | fReply,
+	kindFeedEnd:    fSession | fSeq,
+	kindBeaconOpen: fIntervalNs,
+	kindBeacon:     fBlocks,
+}
 
 // stepRef names one registered step on the wire, args attached.
 type stepRef struct {
@@ -148,8 +220,42 @@ func (sr *stepRef) execRef() exec.Ref {
 	return exec.Ref{Program: sr.Prog, Version: sr.Ver, Step: sr.Step}
 }
 
+// appendRef writes an optional reference: a presence byte, then the
+// reference if there is one.
+func appendRef(b []byte, sr *stepRef) []byte {
+	if sr == nil {
+		return append(b, 0)
+	}
+	b = append(b, 1)
+	b = wire.AppendString(b, sr.Prog)
+	b = wire.AppendVarint(b, int64(sr.Ver))
+	b = wire.AppendString(b, sr.Step)
+	return wire.AppendBytes(b, sr.Args)
+}
+
+// decode reads an appendRef-written reference into sr, returning sr, or
+// nil if the presence byte says there is none.
+func (sr *stepRef) decode(r *wire.Reader, st *strtab) *stepRef {
+	if r.Uvarint() != 1 {
+		return nil
+	}
+	sr.Prog = st.str(r.Section())
+	sr.Ver = int(r.Varint())
+	sr.Step = st.str(r.Section())
+	sr.Args = section(r)
+	return sr
+}
+
+// section reads a byte field as a view, nil if it is empty.
+func section(r *wire.Reader) []byte {
+	if v := r.Section(); len(v) != 0 {
+		return v
+	}
+	return nil
+}
+
 // frame is the single wire message; which fields are meaningful depends
-// on Kind.
+// on Kind (see layout).
 type frame struct {
 	Kind    kind
 	Session string
@@ -157,7 +263,6 @@ type frame struct {
 	Seq     int      // superstep sequence within the current run
 	Stamp   string   // the collective's plain label — with Seq, what the SPMD check compares across ranks
 	Type    string   // exchanged element type — likewise
-	NB      int      // number of out-of-band payload blocks after the gob body
 	Peers   []string // Open: worker addresses by rank
 	Err     string   // Error/Abort: diagnostic
 	Call    *stepRef // Step: the step; Deposit: the emit step (resident)
@@ -168,58 +273,277 @@ type frame struct {
 	Recv    int      // resident Column: collect-side element count
 	// Trace is the machine's trace stamp for this superstep (Deposit; 0 =
 	// untraced) and Spans the worker-side spans it produced (Column).
-	// Both are zero-valued on the untraced hot path, which gob omits
-	// entirely — tracing costs no wire bytes until a query is traced.
 	Trace uint64
 	Spans []obs.Span
 	// Share is the client-requested ingest QoS cap (FeedOpen; 0 =
 	// uncapped). The worker combines it with its own operator cap.
 	Share float64
 	// IntervalNs is the requested beacon period (BeaconOpen; 0 = the
-	// worker's default) and Beacon the health sample (Beacon frames).
-	// Like Trace/Spans these are zero on every other frame kind, which
-	// gob omits entirely — the health plane costs session traffic nothing.
+	// worker's default).
 	IntervalNs int64
-	Beacon     *obscluster.Beacon
 
-	// blocks is the frame's payload (Deposit: p blocks; Block: 1;
-	// Column: p). Unexported on purpose: gob skips it, and the framing
-	// layer carries the blocks raw after the gob body — written straight
-	// from the deposit's (pooled) buffers, read back as views into the
-	// received frame body. A received frame's blocks alias that body, so
-	// they stay valid for as long as anything references them (the body is
-	// a per-frame allocation, never reused).
+	// blocks is the frame's payload (Deposit: p blocks; Block: 1; Column:
+	// p; FeedCall: 1; Beacon: 1) — written straight from the deposit's
+	// (pooled) buffers, read back as views into the received frame body.
+	// A received frame's blocks alias that body, so they stay valid for as
+	// long as anything references them (the body is a per-frame
+	// allocation, never reused).
 	blocks [][]byte
+
+	// refs holds a received frame's Call and Collect, so decoding them
+	// costs no allocation beyond the frame's own.
+	refs [2]stepRef
+}
+
+// appendFrame appends fr's body to b: the fields of its kind's layout
+// row, in bit order.
+func appendFrame(b []byte, fr *frame) []byte {
+	b = append(b, byte(fr.Kind))
+	if fr.Kind.opens() {
+		b = append(b, frameVersion)
+	}
+	row := layout[fr.Kind]
+	if row&fSession != 0 {
+		b = wire.AppendString(b, fr.Session)
+	}
+	if row&fRank != 0 {
+		b = wire.AppendVarint(b, int64(fr.Rank))
+	}
+	if row&fSeq != 0 {
+		b = wire.AppendVarint(b, int64(fr.Seq))
+	}
+	if row&fStamp != 0 {
+		b = wire.AppendString(b, fr.Stamp)
+	}
+	if row&fType != 0 {
+		b = wire.AppendString(b, fr.Type)
+	}
+	if row&fBlocks != 0 {
+		b = wire.AppendUvarint(b, uint64(len(fr.blocks)))
+		for _, blk := range fr.blocks {
+			if blk == nil {
+				b = append(b, 0)
+				continue
+			}
+			b = wire.AppendUvarint(b, uint64(len(blk))+1)
+			b = append(b, blk...)
+		}
+	}
+	if row&fTrace != 0 {
+		b = wire.AppendUvarint(b, fr.Trace)
+	}
+	if row&fCall != 0 {
+		b = appendRef(b, fr.Call)
+	}
+	if row&fCollect != 0 {
+		b = appendRef(b, fr.Collect)
+	}
+	if row&fReply != 0 {
+		b = wire.AppendBytes(b, fr.Reply)
+	}
+	if row&fNote != 0 {
+		b = wire.AppendBytes(b, fr.Note)
+	}
+	if row&fSent != 0 {
+		b = wire.AppendVarint(b, int64(fr.Sent))
+	}
+	if row&fRecv != 0 {
+		b = wire.AppendVarint(b, int64(fr.Recv))
+	}
+	if row&fSpans != 0 {
+		b = wire.AppendUvarint(b, uint64(len(fr.Spans)))
+		for i := range fr.Spans {
+			sp := &fr.Spans[i]
+			b = wire.AppendUvarint(b, sp.Trace)
+			b = wire.AppendVarint(b, sp.Stamp)
+			b = wire.AppendString(b, sp.Name)
+			b = wire.AppendVarint(b, int64(sp.Rank))
+			b = wire.AppendVarint(b, sp.Start)
+			b = wire.AppendVarint(b, sp.Dur)
+			b = wire.AppendVarint(b, sp.Bytes)
+		}
+	}
+	if row&fErr != 0 {
+		b = wire.AppendString(b, fr.Err)
+	}
+	if row&fPeers != 0 {
+		b = wire.AppendUvarint(b, uint64(len(fr.Peers)))
+		for _, p := range fr.Peers {
+			b = wire.AppendString(b, p)
+		}
+	}
+	if row&fShare != 0 {
+		b = wire.AppendF64(b, fr.Share)
+	}
+	if row&fIntervalNs != 0 {
+		b = wire.AppendVarint(b, fr.IntervalNs)
+	}
+	return b
+}
+
+// minSpanBytes is the least a span occupies on the wire: seven fields of
+// at least one byte each.
+const minSpanBytes = 7
+
+// decodeFrame parses one frame body into fr (zero-valued). Every count
+// and length is checked against the bytes left, so a hostile body returns
+// an error and never panics or over-allocates. Byte fields and blocks
+// are views into body, nil when empty, as are empty lists; repeated
+// strings come from st.
+func decodeFrame(body []byte, fr *frame, st *strtab) error {
+	if len(body) == 0 {
+		return errors.New("transport: empty frame")
+	}
+	k := kind(body[0])
+	if k == 0 || k > kindMax {
+		return fmt.Errorf("transport: unknown frame kind %d", k)
+	}
+	body = body[1:]
+	if k.opens() {
+		if len(body) == 0 {
+			return fmt.Errorf("transport: %s frame without its version byte", kindNames[k])
+		}
+		if body[0] != frameVersion {
+			return fmt.Errorf("%w: the peer sent version %d, this binary speaks version %d (a coordinator and rangeworker from different builds?)",
+				errFrameVersion, body[0], frameVersion)
+		}
+		body = body[1:]
+	}
+	fr.Kind = k
+	row := layout[k]
+	r := wire.NewReader(body)
+	if row&fSession != 0 {
+		fr.Session = st.str(r.Section())
+	}
+	if row&fRank != 0 {
+		fr.Rank = int(r.Varint())
+	}
+	if row&fSeq != 0 {
+		fr.Seq = int(r.Varint())
+	}
+	if row&fStamp != 0 {
+		fr.Stamp = st.str(r.Section())
+	}
+	if row&fType != 0 {
+		fr.Type = st.str(r.Section())
+	}
+	if row&fBlocks != 0 {
+		if n := r.Count(1); n != 0 {
+			fr.blocks = make([][]byte, n)
+		}
+		for i := range fr.blocks {
+			v := r.Uvarint()
+			if v == 0 {
+				continue // nil slot
+			}
+			fr.blocks[i] = r.Bytes(int(v - 1)) // a length past the end (or past MaxInt) fails r
+		}
+	}
+	if row&fTrace != 0 {
+		fr.Trace = r.Uvarint()
+	}
+	if row&fCall != 0 {
+		fr.Call = fr.refs[0].decode(&r, st)
+	}
+	if row&fCollect != 0 {
+		fr.Collect = fr.refs[1].decode(&r, st)
+	}
+	if row&fReply != 0 {
+		fr.Reply = section(&r)
+	}
+	if row&fNote != 0 {
+		fr.Note = section(&r)
+	}
+	if row&fSent != 0 {
+		fr.Sent = int(r.Varint())
+	}
+	if row&fRecv != 0 {
+		fr.Recv = int(r.Varint())
+	}
+	if row&fSpans != 0 {
+		if n := r.Count(minSpanBytes); n != 0 {
+			fr.Spans = make([]obs.Span, n)
+		}
+		for i := range fr.Spans {
+			sp := &fr.Spans[i]
+			sp.Trace = r.Uvarint()
+			sp.Stamp = r.Varint()
+			sp.Name = st.str(r.Section())
+			sp.Rank = int(r.Varint())
+			sp.Start = r.Varint()
+			sp.Dur = r.Varint()
+			sp.Bytes = r.Varint()
+		}
+	}
+	if row&fErr != 0 {
+		fr.Err = r.Str()
+	}
+	if row&fPeers != 0 {
+		if n := r.Count(1); n != 0 {
+			fr.Peers = make([]string, n)
+		}
+		for i := range fr.Peers {
+			fr.Peers[i] = r.Str()
+		}
+	}
+	if row&fShare != 0 {
+		fr.Share = r.F64()
+	}
+	if row&fIntervalNs != 0 {
+		fr.IntervalNs = r.Varint()
+	}
+	if err := r.Finish(); err != nil {
+		return fmt.Errorf("transport: decoding %s frame: %w", kindNames[k], err)
+	}
+	return nil
+}
+
+// maxInterned bounds one connection's intern table: a well-behaved peer
+// repeats a few dozen strings, and a hostile one cannot grow it further.
+const maxInterned = 256
+
+// strtab interns the strings a connection repeats — session ID, stamp
+// labels, element types, step and span names — so a steady-state frame
+// allocates only its body, its frame and its block slice. It belongs to
+// the connection's one reader.
+type strtab struct{ m map[string]string }
+
+func (t *strtab) str(b []byte) string {
+	if s, ok := t.m[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(t.m) < maxInterned {
+		if t.m == nil {
+			t.m = make(map[string]string)
+		}
+		t.m[s] = s
+	}
+	return s
 }
 
 // fconn frames one TCP connection. Writes are serialized by a mutex (the
 // rank goroutine and Abort may race); reads follow the protocol's
-// one-reader-per-connection discipline. The persistent encoder/decoder
-// pair means gob type descriptors are sent exactly once per connection.
-// Optional atomic counters observe the raw bytes moved (the cluster
-// bench's coordinator-traffic metric) and the per-kind frame traffic.
+// one-reader-per-connection discipline. Optional atomic counters observe
+// the raw bytes moved (the cluster bench's coordinator-traffic metric)
+// and the per-kind frame traffic.
 type fconn struct {
 	c net.Conn
 
 	wmu  sync.Mutex
-	wbuf bytes.Buffer
-	enc  *gob.Encoder
+	wbuf []byte
 	wn   *atomic.Int64
 
-	br  *bufio.Reader
-	rd  chunkReader
-	dec *gob.Decoder
-	rn  *atomic.Int64
+	br   *bufio.Reader
+	hdr  [4]byte
+	strs strtab
+	rn   *atomic.Int64
 
 	kc *kindCounters
 }
 
 func newFConn(c net.Conn) *fconn {
-	f := &fconn{c: c}
-	f.enc = gob.NewEncoder(&f.wbuf)
-	f.br = bufio.NewReader(c)
-	f.dec = gob.NewDecoder(&f.rd)
-	return f
+	return &fconn{c: c, br: bufio.NewReader(c)}
 }
 
 // count wires the byte counters (coordinator conns only).
@@ -240,30 +564,12 @@ func (f *fconn) write(fr *frame) error {
 }
 
 // writeN writes one frame and reports its full framed size (length
-// prefix + gob body + block sections) — the per-query cost attribution's
-// byte source, the same number the coordinator byte counters see.
+// prefix + body) — the per-query cost attribution's byte source, the same
+// number the coordinator byte counters see.
 func (f *fconn) writeN(fr *frame) (int, error) {
 	f.wmu.Lock()
 	defer f.wmu.Unlock()
-	f.wbuf.Reset()
-	f.wbuf.Write([]byte{0, 0, 0, 0})
-	fr.NB = len(fr.blocks)
-	if err := f.enc.Encode(fr); err != nil {
-		return 0, fmt.Errorf("transport: encoding frame: %w", err)
-	}
-	// The payload blocks ride after the gob body, each framed as
-	// uvarint(len+1) + bytes with 0 marking a nil slot — already-encoded
-	// blocks are appended verbatim, never re-encoded through gob.
-	var vb [binary.MaxVarintLen64]byte
-	for _, blk := range fr.blocks {
-		if blk == nil {
-			f.wbuf.WriteByte(0)
-			continue
-		}
-		f.wbuf.Write(vb[:binary.PutUvarint(vb[:], uint64(len(blk))+1)])
-		f.wbuf.Write(blk)
-	}
-	b := f.wbuf.Bytes()
+	b := appendFrame(append(f.wbuf[:0], 0, 0, 0, 0), fr)
 	binary.BigEndian.PutUint32(b[:4], uint32(len(b)-4))
 	if f.wn != nil {
 		f.wn.Add(int64(len(b)))
@@ -273,13 +579,12 @@ func (f *fconn) writeN(fr *frame) (int, error) {
 	}
 	n := len(b)
 	_, err := f.c.Write(b)
-	if f.wbuf.Cap() > maxRetainedBuf {
+	if cap(b) > maxRetainedBuf {
 		// Don't let one huge block frame pin its peak size for the
-		// connection's lifetime (store-level conns live for hours). The
-		// encoder writes through &f.wbuf, so zeroing the struct in place
-		// keeps it valid — only the storage is surrendered to the GC.
-		f.wbuf = bytes.Buffer{}
+		// connection's lifetime (store-level conns live for hours).
+		b = nil
 	}
+	f.wbuf = b
 	return n, err
 }
 
@@ -293,13 +598,14 @@ func (f *fconn) read() (*frame, error) {
 }
 
 // readN reads one frame and reports its full framed size — writeN's
-// receiving-side counterpart.
+// receiving-side counterpart. The body is the frame's own allocation:
+// its blocks and byte fields are views into it, and nothing on the
+// connection keeps it once the frame is dropped.
 func (f *fconn) readN() (*frame, int, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(f.br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(f.br, f.hdr[:]); err != nil {
 		return nil, 0, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(f.hdr[:])
 	if n > maxFrame {
 		return nil, 0, fmt.Errorf("transport: frame of %d bytes exceeds the %d limit", n, maxFrame)
 	}
@@ -310,55 +616,21 @@ func (f *fconn) readN() (*frame, int, error) {
 	if f.rn != nil {
 		f.rn.Add(int64(n) + 4)
 	}
-	f.rd.reset(body)
-	var fr frame
-	err := f.dec.Decode(&fr)
-	if err != nil {
-		f.rd.reset(nil)
-		return nil, 0, fmt.Errorf("transport: decoding frame: %w", err)
+	fr := new(frame)
+	if err := decodeFrame(body, fr, &f.strs); err != nil {
+		return nil, 0, err
 	}
-	// Slice the payload blocks out of the frame body: views, not copies.
-	// The body is this frame's own allocation, so the views stay valid for
-	// as long as the blocks are referenced.
-	if fr.NB > 0 {
-		rest := body[f.rd.off:]
-		off := 0
-		fr.blocks = make([][]byte, fr.NB)
-		for i := range fr.blocks {
-			v, vn := binary.Uvarint(rest[off:])
-			if vn <= 0 {
-				f.rd.reset(nil)
-				return nil, 0, fmt.Errorf("transport: corrupt block section %d of %d", i, fr.NB)
-			}
-			off += vn
-			if v == 0 {
-				continue // nil slot
-			}
-			l := int(v - 1)
-			if l > len(rest)-off {
-				f.rd.reset(nil)
-				return nil, 0, fmt.Errorf("transport: block section %d overruns the frame (%d of %d bytes left)", i, l, len(rest)-off)
-			}
-			fr.blocks[i] = rest[off : off+l : off+l]
-			off += l
-		}
-		if off != len(rest) {
-			f.rd.reset(nil)
-			return nil, 0, fmt.Errorf("transport: %d trailing bytes after block sections", len(rest)-off)
-		}
-	}
-	f.rd.reset(nil) // don't pin a large frame body on an idle connection
 	if f.kc != nil {
 		f.kc.add(fr.Kind, int64(n)+4)
 	}
-	return &fr, int(n) + 4, nil
+	return fr, int(n) + 4, nil
 }
 
 func (f *fconn) close() error { return f.c.Close() }
 
 // FrameStat counts one frame kind's traffic on one side of the wire:
 // frames moved (both directions) and their full framed bytes (length
-// prefix + gob body + payload block sections).
+// prefix + body, payload blocks included).
 type FrameStat struct {
 	Frames int64
 	Bytes  int64
@@ -400,32 +672,4 @@ func (kc *kindCounters) snapshot() map[string]FrameStat {
 		out[kindNames[k]] = FrameStat{Frames: fr, Bytes: by}
 	}
 	return out
-}
-
-// chunkReader feeds the persistent gob decoder exactly one frame body at
-// a time. Implementing io.ByteReader keeps gob from wrapping it in a
-// bufio.Reader that could read past the frame boundary.
-type chunkReader struct {
-	body []byte
-	off  int
-}
-
-func (cr *chunkReader) reset(body []byte) { cr.body, cr.off = body, 0 }
-
-func (cr *chunkReader) Read(p []byte) (int, error) {
-	if cr.off >= len(cr.body) {
-		return 0, io.EOF
-	}
-	n := copy(p, cr.body[cr.off:])
-	cr.off += n
-	return n, nil
-}
-
-func (cr *chunkReader) ReadByte() (byte, error) {
-	if cr.off >= len(cr.body) {
-		return 0, io.EOF
-	}
-	b := cr.body[cr.off]
-	cr.off++
-	return b, nil
 }

@@ -39,11 +39,15 @@ type Worker struct {
 	reg   *obs.Registry
 	epoch time.Time
 
-	// lastDeposit is the most recent superstep any session served — its
-	// "label#seq" stamp is beacon payload, so the health plane can see
-	// where a worker is in the superstep sequence without scraping it. The
-	// stamp is spelled when a beacon is built, not once per superstep.
-	lastDeposit atomic.Pointer[frame]
+	// lastLabel and lastSeq stamp the most recent superstep any session
+	// served — beacon payload, so the health plane can see where a worker
+	// is in the superstep sequence without scraping it. Only the pair is
+	// kept (a deposit would pin its frame body), and the stamp is spelled
+	// when a beacon is built, not once per superstep.
+	lastMu    sync.Mutex
+	lastLabel string
+	lastSeq   int
+	served    bool
 
 	// ingestShare is the operator cap on any single ingest feed's share
 	// of wall-time (math.Float64bits; 0 = client-requested share only).
@@ -88,6 +92,23 @@ func (w *Worker) Obs() *obs.Registry { return w.reg }
 
 // now is the worker's span clock: nanoseconds since the worker started.
 func (w *Worker) now() int64 { return int64(time.Since(w.epoch)) }
+
+// setLast records the stamp of a superstep being served.
+func (w *Worker) setLast(label string, seq int) {
+	w.lastMu.Lock()
+	w.lastLabel, w.lastSeq, w.served = label, seq, true
+	w.lastMu.Unlock()
+}
+
+// lastStamp spells the most recent superstep's stamp ("" before any).
+func (w *Worker) lastStamp() string {
+	w.lastMu.Lock()
+	defer w.lastMu.Unlock()
+	if !w.served {
+		return ""
+	}
+	return cgm.StampOf(w.lastLabel, w.lastSeq)
+}
 
 // EnableDebug mounts the worker's admin HTTP server (metrics, healthz,
 // expvar, pprof) on addr and returns the bound address. The listener is
@@ -230,6 +251,10 @@ func (w *Worker) handshake(conn net.Conn) {
 	fc := newFConn(conn).kinds(&w.kc)
 	f, err := fc.read()
 	if err != nil {
+		if errors.Is(err, errFrameVersion) {
+			// Tell a binary from another build why, rather than hang up on it.
+			fc.write(&frame{Kind: kindError, Err: err.Error()})
+		}
 		conn.Close()
 		return
 	}
@@ -273,8 +298,30 @@ type session struct {
 	outs  []*fconn   // lazily dialed conns to peers (nil = not yet, self never)
 	feeds []*fconn   // live ingest feed conns bound to this session
 
+	// Superstep state, reused by every superstep of the session (they run
+	// one at a time, on the session goroutine): the column being gathered,
+	// the ranks it holds, and the job handed to the route goroutine.
+	column  [][]byte
+	seen    []bool
+	in      exec.Inbox // the column as a collect step reads it
+	route   routeJob
+	routeGo chan struct{} // route holds a job
+	routed  chan error    // the route goroutine's verdict on it
+	// lost is a peer conn's failure that arrived after that peer's block
+	// for the superstep in progress; the next superstep fails with it.
+	lost error
+
 	quit  chan struct{}
 	quit1 sync.Once
+}
+
+// routeJob is one superstep's sending half: the deposit's stamp and the
+// block for each peer, plus the window the route goroutine spent on it.
+type routeJob struct {
+	seq        int
+	stamp, typ string
+	blocks     [][]byte
+	start, end int64
 }
 
 // runSession registers the session and serves its coordinator connection
@@ -288,11 +335,15 @@ func (w *Worker) runSession(fc *fconn, open *frame) {
 	}
 	s := &session{
 		w: w, id: open.Session, rank: open.Rank, p: len(open.Peers), peers: open.Peers,
-		coord: fc,
-		inbox: make(chan inMsg, 4*len(open.Peers)+4),
-		store: exec.NewStore(),
-		outs:  make([]*fconn, len(open.Peers)),
-		quit:  make(chan struct{}),
+		coord:   fc,
+		inbox:   make(chan inMsg, 4*len(open.Peers)+4),
+		store:   exec.NewStore(),
+		outs:    make([]*fconn, len(open.Peers)),
+		column:  make([][]byte, len(open.Peers)),
+		seen:    make([]bool, len(open.Peers)),
+		routeGo: make(chan struct{}),
+		routed:  make(chan error, 1),
+		quit:    make(chan struct{}),
 	}
 	s.store.SetObs(w.reg)
 	w.mu.Lock()
@@ -311,6 +362,8 @@ func (w *Worker) runSession(fc *fconn, open *frame) {
 	w.sessions[s.id] = s
 	w.mu.Unlock()
 	defer s.shutdown()
+	w.wg.Add(1)
+	go s.routeLoop()
 
 	if err := fc.write(&frame{Kind: kindOpenAck, Session: s.id, Rank: s.rank}); err != nil {
 		return
@@ -379,22 +432,25 @@ func (w *Worker) runSession(fc *fconn, open *frame) {
 // the answer is the assembled column; a resident deposit instead runs its
 // emit step (payload out of worker memory) and/or collect step (payload
 // into worker memory), answering with the collect reply and the element
-// counts. Sends run on their own goroutine so two workers shipping large
-// blocks to each other cannot deadlock on full TCP buffers.
+// counts.
 func (s *session) superstep(dep *frame) error {
 	stepStart := s.w.now()
-	s.w.lastDeposit.Store(dep)
+	s.w.setLast(dep.Stamp, dep.Seq)
+	if s.lost != nil {
+		return s.lost
+	}
 	// Worker-side spans for a traced superstep ride back on the column
 	// frame. They are appended only from this goroutine: the route
-	// goroutine's window is published through sendErr (the channel receive
-	// orders its writes before the append).
+	// goroutine's window is published through s.routed (the channel
+	// receive orders its writes before the append). A span's name is
+	// concatenated only when the superstep is traced.
 	var spans []obs.Span
-	span := func(name string, start, end int64) {
+	span := func(name, step string, start, end int64) {
 		if dep.Trace == 0 {
 			return
 		}
 		spans = append(spans, obs.Span{Trace: dep.Trace, Stamp: int64(dep.Seq),
-			Name: name, Rank: s.rank, Start: start, Dur: end - start})
+			Name: name + step, Rank: s.rank, Start: start, Dur: end - start})
 	}
 	blocks := dep.blocks
 	typ := dep.Type
@@ -407,7 +463,7 @@ func (s *session) superstep(dep *frame) error {
 		if err != nil {
 			return err
 		}
-		span("emit:"+dep.Call.Step, t0, s.w.now())
+		span("emit:", dep.Call.Step, t0, s.w.now())
 		blocks, typ, selfPayload, note = out.Blocks, out.Type, out.Self, out.Note
 		for _, c := range out.Counts {
 			sent += c
@@ -416,86 +472,143 @@ func (s *session) superstep(dep *frame) error {
 	if len(blocks) != s.p {
 		return fmt.Errorf("transport: deposit carries %d blocks for %d ranks", len(blocks), s.p)
 	}
-	sendErr := make(chan error, 1)
-	var routeStart, routeEnd int64
-	go func() {
-		routeStart = s.w.now()
-		for j := range s.peers {
-			if j == s.rank {
-				continue
-			}
-			out, err := s.peerConn(j)
-			if err == nil {
-				err = out.write(&frame{Kind: kindBlock, Session: s.id, Rank: s.rank,
-					Seq: dep.Seq, Stamp: dep.Stamp, Type: typ, blocks: [][]byte{blocks[j]}})
-			}
-			if err != nil {
-				sendErr <- fmt.Errorf("transport: rank %d routing to rank %d (%s): %w", s.rank, j, s.peers[j], err)
-				return
-			}
-		}
-		routeEnd = s.w.now()
-		sendErr <- nil
-	}()
-
+	s.route = routeJob{seq: dep.Seq, stamp: dep.Stamp, typ: typ, blocks: blocks}
+	select {
+	case s.routeGo <- struct{}{}:
+	case <-s.quit:
+		return errShuttingDown
+	}
+	defer clear(s.column) // don't pin the peers' frame bodies between supersteps
 	gatherStart := s.w.now()
-	column := make([][]byte, s.p)
 	// The self-addressed slot: nil for a fabric deposit (the coordinator
 	// retains its own block) and for a resident emit (the payload stays
 	// typed in selfPayload); a resident collect of a coordinator deposit
 	// ships it encoded like any other block.
-	column[s.rank] = blocks[s.rank]
-	seen := make([]bool, s.p)
-	seen[s.rank] = true
-	for need := s.p - 1; need > 0; need-- {
-		select {
-		case msg := <-s.inbox:
-			if msg.err != nil {
-				return msg.err
-			}
-			if msg.seq != dep.Seq {
-				return fmt.Errorf("SPMD violation: rank %d deposited superstep %d (%q) while rank %d is at superstep %d (%q)",
-					msg.from, msg.seq, cgm.StampOf(msg.label, msg.seq), s.rank, dep.Seq, cgm.StampOf(dep.Stamp, dep.Seq))
-			}
-			if msg.label != dep.Stamp {
-				return fmt.Errorf("SPMD violation: processor %d is at %q while processor %d is at %q",
-					msg.from, cgm.StampOf(msg.label, msg.seq), s.rank, cgm.StampOf(dep.Stamp, dep.Seq))
-			}
-			if msg.typ != typ {
-				return fmt.Errorf("SPMD violation: processor %d exchanged %s at %q where processor %d exchanged %s",
-					msg.from, msg.typ, cgm.StampOf(dep.Stamp, dep.Seq), s.rank, typ)
-			}
-			if seen[msg.from] {
-				return fmt.Errorf("transport: duplicate block from rank %d at %q", msg.from, cgm.StampOf(dep.Stamp, dep.Seq))
-			}
-			seen[msg.from] = true
-			column[msg.from] = msg.block
-		case <-s.quit:
-			return errors.New("transport: worker shutting down")
-		}
-	}
-	span("gather", gatherStart, s.w.now())
-	if err := <-sendErr; err != nil {
+	err := s.gather(dep.Seq, dep.Stamp, typ, blocks[s.rank])
+	gatherEnd := s.w.now()
+	// Wait for the route even when the gather failed: the session shuts
+	// down on return, closing the peer conns, and a block still in flight
+	// would reach its peer as a lost connection instead of as the block
+	// that shows the peer this superstep's divergence.
+	routeErr := <-s.routed
+	route := s.route
+	s.route = routeJob{}
+	if err != nil {
 		return err
 	}
-	span("route", routeStart, routeEnd)
+	if routeErr != nil {
+		return routeErr
+	}
+	span("gather", "", gatherStart, gatherEnd)
+	span("route", "", route.start, route.end)
 	defer func() {
 		s.w.reg.Counter("worker_supersteps_total").Inc()
 		s.w.reg.Histogram("worker_superstep_ns").Observe(s.w.now() - stepStart)
 	}()
 	if dep.Collect != nil { // resident collect
 		t0 := s.w.now()
-		reply, recv, err := s.store.RunCollect(s.rank, s.p, dep.Collect.execRef(),
-			&exec.Inbox{Blocks: column, Self: selfPayload}, dep.Collect.Args)
+		s.in = exec.Inbox{Blocks: s.column, Self: selfPayload}
+		reply, recv, err := s.store.RunCollect(s.rank, s.p, dep.Collect.execRef(), &s.in, dep.Collect.Args)
+		s.in = exec.Inbox{}
 		if err != nil {
 			return err
 		}
-		span("collect:"+dep.Collect.Step, t0, s.w.now())
+		span("collect:", dep.Collect.Step, t0, s.w.now())
 		return s.coord.write(&frame{Kind: kindColumn, Session: s.id, Seq: dep.Seq, Stamp: dep.Stamp,
 			Reply: reply, Note: note, Sent: sent, Recv: recv, Spans: spans})
 	}
 	return s.coord.write(&frame{Kind: kindColumn, Session: s.id, Seq: dep.Seq, Stamp: dep.Stamp,
-		blocks: column, Spans: spans})
+		blocks: s.column, Spans: spans})
+}
+
+var errShuttingDown = errors.New("transport: worker shutting down")
+
+// gather collects into s.column the block every peer addressed to this
+// rank for superstep (seq, label), checking each block's SPMD stamp and
+// element type against this rank's own.
+func (s *session) gather(seq int, label, typ string, self []byte) error {
+	clear(s.seen)
+	s.column[s.rank] = self
+	s.seen[s.rank] = true
+	for need := s.p - 1; need > 0; {
+		select {
+		case msg := <-s.inbox:
+			if msg.err != nil {
+				if s.seen[msg.from] {
+					// The peer's block for this superstep came first, so its
+					// conn broke after the peer was done here — typically as
+					// it shuts down to report its own diagnostic, which must
+					// not be outranked. This superstep completes; the next
+					// one fails on the loss.
+					s.lost = msg.err
+					continue
+				}
+				return msg.err
+			}
+			if msg.seq != seq {
+				return fmt.Errorf("SPMD violation: rank %d deposited superstep %d (%q) while rank %d is at superstep %d (%q)",
+					msg.from, msg.seq, cgm.StampOf(msg.label, msg.seq), s.rank, seq, cgm.StampOf(label, seq))
+			}
+			if msg.label != label {
+				return fmt.Errorf("SPMD violation: processor %d is at %q while processor %d is at %q",
+					msg.from, cgm.StampOf(msg.label, msg.seq), s.rank, cgm.StampOf(label, seq))
+			}
+			if msg.typ != typ {
+				return fmt.Errorf("SPMD violation: processor %d exchanged %s at %q where processor %d exchanged %s",
+					msg.from, msg.typ, cgm.StampOf(label, seq), s.rank, typ)
+			}
+			if s.seen[msg.from] {
+				return fmt.Errorf("transport: duplicate block from rank %d at %q", msg.from, cgm.StampOf(label, seq))
+			}
+			s.seen[msg.from] = true
+			s.column[msg.from] = msg.block
+			need--
+		case <-s.quit:
+			return errShuttingDown
+		}
+	}
+	return nil
+}
+
+// routeLoop is the session's sending half: for each superstep it writes
+// the job's blocks to the peers while the session goroutine gathers, so
+// two workers shipping large blocks to each other cannot deadlock on full
+// TCP buffers. It exits when the session shuts down.
+func (s *session) routeLoop() {
+	defer s.w.wg.Done()
+	for {
+		select {
+		case <-s.routeGo:
+		case <-s.quit:
+			return
+		}
+		s.routed <- s.routeOnce()
+	}
+}
+
+// routeOnce writes one kindBlock frame per peer, all from one header and
+// a one-slot block array.
+func (s *session) routeOnce() error {
+	rt := &s.route
+	rt.start = s.w.now()
+	hdr := frame{Kind: kindBlock, Session: s.id, Rank: s.rank, Seq: rt.seq, Stamp: rt.stamp, Type: rt.typ}
+	var one [1][]byte
+	hdr.blocks = one[:]
+	for j := range s.peers {
+		if j == s.rank {
+			continue
+		}
+		out, err := s.peerConn(j)
+		if err == nil {
+			one[0] = rt.blocks[j]
+			err = out.write(&hdr)
+		}
+		if err != nil {
+			return fmt.Errorf("transport: rank %d routing to rank %d (%s): %w", s.rank, j, s.peers[j], err)
+		}
+	}
+	rt.end = s.w.now()
+	return nil
 }
 
 // peerConn returns the directed block conn to peer j, dialing and
@@ -554,7 +667,7 @@ func (s *session) shutdown() {
 func (w *Worker) feedPeer(fc *fconn, hello *frame) {
 	defer fc.close()
 	s := w.lookupSession(hello.Session)
-	if s == nil {
+	if s == nil || hello.Rank < 0 || hello.Rank >= s.p || hello.Rank == s.rank {
 		// The open/ack ordering makes this unreachable in a healthy
 		// cluster (no deposit precedes every ack); a stale or foreign
 		// hello is simply dropped.
@@ -575,12 +688,12 @@ func (w *Worker) feedPeer(fc *fconn, hello *frame) {
 				err: fmt.Errorf("transport: rank %d lost its peer rank %d mid-superstep: %w", s.rank, hello.Rank, err)})
 			return
 		}
-		if f.Kind != kindBlock || len(f.blocks) != 1 {
+		if f.Kind != kindBlock || len(f.blocks) != 1 || f.Rank != hello.Rank {
 			deliver(inMsg{from: hello.Rank,
-				err: fmt.Errorf("transport: malformed block frame (kind %d, %d blocks) from rank %d", f.Kind, len(f.blocks), hello.Rank)})
+				err: fmt.Errorf("transport: malformed block frame (kind %d, %d blocks, rank %d) from rank %d", f.Kind, len(f.blocks), f.Rank, hello.Rank)})
 			return
 		}
-		if !deliver(inMsg{from: f.Rank, seq: f.Seq, label: f.Stamp, typ: f.Type, block: f.blocks[0]}) {
+		if !deliver(inMsg{from: hello.Rank, seq: f.Seq, label: f.Stamp, typ: f.Type, block: f.blocks[0]}) {
 			return
 		}
 	}

@@ -188,9 +188,11 @@ func (r *Reader) I32s(dst []int32) {
 }
 
 // Bytes returns an n-byte view of the block (no copy). The view aliases
-// the encoded block; copy it if it must outlive the block's buffer.
+// the encoded block; copy it if it must outlive the block's buffer. n is
+// checked against the bytes left, not r.off+n against the length: a
+// decoded n near MaxInt would overflow the sum.
 func (r *Reader) Bytes(n int) []byte {
-	if r.fail || n < 0 || r.off+n > len(r.b) {
+	if r.fail || n < 0 || n > len(r.b)-r.off {
 		r.bad()
 		return nil
 	}

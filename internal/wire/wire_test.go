@@ -85,6 +85,21 @@ func TestFinishRejectsTrailingBytes(t *testing.T) {
 	}
 }
 
+// A length near MaxInt read past the block's start fails the reader
+// instead of overflowing the bounds check into a slice panic.
+func TestBytesRefusesOverflowingLength(t *testing.T) {
+	for _, n := range []int{math.MaxInt, math.MaxInt - 5, len("abcd") + 1} {
+		r := NewReader([]byte("abcdefgh"))
+		r.Bytes(4)
+		if v := r.Bytes(n); v != nil {
+			t.Fatalf("Bytes(%d) at offset 4 returned %d bytes", n, len(v))
+		}
+		if err := r.Finish(); err == nil {
+			t.Fatalf("Bytes(%d) at offset 4 did not fail the reader", n)
+		}
+	}
+}
+
 // A corrupt count cannot drive an allocation larger than the block
 // itself admits.
 func TestCountGuardsAllocation(t *testing.T) {
