@@ -338,11 +338,11 @@ func TestAbortedRunUnpinsKeptFrame(t *testing.T) {
 			[]geom.Box{geom.NewBox([]geom.Coord{1}, []geom.Coord{5})})
 	}()
 	fr := dt.frame.(*mixedFrame[struct{}])
-	if fr.boxes != nil || fr.results != nil || fr.mode.ops != nil || fr.mode.h != nil {
+	if fr.boxes != nil || fr.results != nil || fr.ops != nil || fr.h != nil {
 		t.Errorf("the kept frame still holds the aborted batch: boxes %v, results %v, ops %v, handle %v",
-			fr.boxes, fr.results, fr.mode.ops, fr.mode.h)
+			fr.boxes, fr.results, fr.ops, fr.h)
 	}
-	for rank, pairs := range fr.mode.rep.perProc {
+	for rank, pairs := range fr.rep.perProc {
 		if pairs != nil {
 			t.Errorf("the kept frame still holds rank %d's pair block", rank)
 		}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/brute"
@@ -83,6 +85,37 @@ func TestMixedBatchNoAggHandle(t *testing.T) {
 			}
 		} else if want := bf.Count(boxes[i]); len(r.Pts) != want {
 			t.Fatalf("query %d reported %d points, want %d", i, len(r.Pts), want)
+		}
+	}
+}
+
+// TestMixedRejectsUnknownOp: an op outside the three kinds is refused
+// before the run, naming the query and the op, on fabric and resident
+// trees alike, and the tree serves on afterwards.
+func TestMixedRejectsUnknownOp(t *testing.T) {
+	const n, m, bad = 512, 16, 5
+	pts := workload.Points(workload.PointSpec{N: n, Dims: 2, Dist: workload.Clustered, Seed: 3})
+	boxes := workload.Boxes(workload.QuerySpec{M: m, Dims: 2, N: n, Selectivity: 0.05, Seed: 4})
+	bf := brute.New(pts)
+	for _, resident := range []bool{false, true} {
+		tree := Build(cgm.New(cgm.Config{P: 4, Resident: resident}), pts)
+		for _, op := range []MixedOp{3, -1} {
+			ops := make([]MixedOp, m)
+			ops[bad] = op
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if want := fmt.Sprintf("query %d has unknown op %v", bad, op); !strings.Contains(msg, want) {
+						t.Errorf("resident=%t op %d: MixedBatch panicked with %q, want it to name %q", resident, op, msg, want)
+					}
+				}()
+				MixedBatch[struct{}](tree, nil, ops, boxes)
+			}()
+		}
+		for i, got := range tree.CountBatch(boxes) {
+			if want := int64(bf.Count(boxes[i])); got != want {
+				t.Fatalf("resident=%t: after the refused batch, query %d counts %d, want %d", resident, i, got, want)
+			}
 		}
 	}
 }

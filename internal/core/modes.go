@@ -11,10 +11,11 @@ import (
 	"repro/internal/semigroup"
 )
 
-// The three result modes of §4.2 as searchMode instances of the unified
-// pipeline (runsearch.go). Each supplies only the four per-mode hooks:
-// answering a hat selection, materializing copied elements, answering a
-// served subquery, and the result collectives.
+// The three result kinds of §4.2 — counting, associative function and
+// report — as the kind runs of Algorithm Search (runsearch.go, mixed.go).
+// Each answers a hat selection and a served subquery for its queries and
+// owns its phase-D collectives; the per-mode entry points are one-kind
+// MixedBatches.
 
 // SearchStats reports one processor's share of the last batch — the
 // quantities the balancing lemma bounds.
@@ -49,7 +50,6 @@ type countRun struct {
 	a     *cgm.Arena
 	ps    *procState
 	nq    int
-	lbl   *runLabels
 	pairs []qcount
 	cv    countVisitor // reused: phase C counting allocates nothing
 }
@@ -65,57 +65,25 @@ func (r *countRun) answerHat(q Query, s hatSel) {
 	r.pairs = cgm.Append(r.a, r.pairs, qcount{Query: q.ID, Val: c})
 }
 
-func (r *countRun) materialize(*element) {}
-
 func (r *countRun) answerSub(s subquery) {
 	el := r.ps.lookup(s.Elem)
 	r.pairs = cgm.Append(r.a, r.pairs, qcount{Query: s.Query, Val: int64(elemCount(el, s.Box, &r.cv))})
-}
-
-func (r *countRun) serveRouted(pr *cgm.Proc, label string, routed [][]subquery) int {
-	pairs, recv := cgm.ExchangeCollectRecv[subquery, bool, []qcount](
-		pr, label, routed, fref("search/routeCount"), false)
-	r.pairs = cgm.Append(r.a, r.pairs, pairs...)
-	return recv
 }
 
 // home gathers the partials at each query's home processor (home blocks
 // are disjoint across processors, so the caller may fold them into the
 // shared results without synchronisation).
 func (r *countRun) home(pr *cgm.Proc) []qcount {
-	return comm.SegmentedGather(pr, r.lbl.home, r.pairs, func(v qcount) int {
+	return comm.SegmentedGather(pr, searchLabels.countHome, r.pairs, func(v qcount) int {
 		return homeOf(v.Query, r.nq, pr.P())
 	})
-}
-
-// countOnlyRun is the counting mode's run: a countRun delivering into the
-// batch's []int64.
-type countOnlyRun struct {
-	countRun
-	results []int64
-}
-
-func (r *countOnlyRun) finish(pr *cgm.Proc) {
-	for _, v := range r.home(pr) {
-		r.results[v.Query] += v.Val
-	}
-}
-
-type countMode struct{}
-
-func (countMode) labels() *runLabels { return countLabels }
-func (countMode) init([]int64)       {}
-func (countMode) epilogue([]int64)   {}
-func (countMode) start(t *Tree, a *cgm.Arena, ps *procState, st *SearchStats, results []int64) procRun {
-	return cgm.AllocOne(a, countOnlyRun{
-		countRun: countRun{a: a, ps: ps, nq: len(results), lbl: countLabels}, results: results})
 }
 
 // CountBatch answers every query with |R(q)| — the counting special case
 // of the associative-function mode, which needs no precomputation because
 // hat nodes carry their canonical counts.
 func (t *Tree) CountBatch(boxes []geom.Box) []int64 {
-	return runSearch(t, boxes, countMode{})
+	return oneKind[struct{}](t, nil, OpCount, boxes, func(r MixedResult[struct{}]) int64 { return r.Count })
 }
 
 // ---------------------------------------------------- associative function
@@ -266,17 +234,16 @@ type assocRun[T any] struct {
 	h        *AggHandle[T]
 	ps       *procState
 	nq       int
-	lbl      *runLabels
 	copyAggs map[ElemID]elemAgg[T]
 	pairs    []qvalT[T]
 }
 
 // newAssocRun opens the handle's per-rank caches for the batch and builds
 // the run in arena a.
-func newAssocRun[T any](a *cgm.Arena, h *AggHandle[T], ps *procState, nq int, lbl *runLabels) *assocRun[T] {
+func newAssocRun[T any](a *cgm.Arena, h *AggHandle[T], ps *procState, nq int) *assocRun[T] {
 	h.copyCache[ps.rank].begin(h.t.batchEpoch)
 	clear(h.copyAggs[ps.rank])
-	return cgm.AllocOne(a, assocRun[T]{a: a, h: h, ps: ps, nq: nq, lbl: lbl, copyAggs: h.copyAggs[ps.rank]})
+	return cgm.AllocOne(a, assocRun[T]{a: a, h: h, ps: ps, nq: nq, copyAggs: h.copyAggs[ps.rank]})
 }
 
 func (r *assocRun[T]) answerHat(q Query, s hatSel) {
@@ -312,53 +279,18 @@ func (r *assocRun[T]) answerSub(s subquery) {
 	r.pairs = cgm.Append(r.a, r.pairs, qvalT[T]{Query: s.Query, Val: a.Query(s.Box)})
 }
 
-func (r *assocRun[T]) serveRouted(pr *cgm.Proc, label string, routed [][]subquery) int {
-	pairs, recv := cgm.ExchangeCollectRecv[subquery, aggPrepArgs, []qvalT[T]](
-		pr, label, routed, fref("search/routeAgg"), aggPrepArgs{Name: r.h.name})
-	r.pairs = cgm.Append(r.a, r.pairs, pairs...)
-	return recv
-}
-
 // home gathers the partials at each query's home processor.
 func (r *assocRun[T]) home(pr *cgm.Proc) []qvalT[T] {
-	return comm.SegmentedGather(pr, r.lbl.home, r.pairs, func(v qvalT[T]) int {
+	return comm.SegmentedGather(pr, searchLabels.aggHome, r.pairs, func(v qvalT[T]) int {
 		return homeOf(v.Query, r.nq, pr.P())
 	})
-}
-
-// assocOnlyRun is the associative mode's run: an assocRun delivering into
-// the batch's []T.
-type assocOnlyRun[T any] struct {
-	*assocRun[T]
-	results []T
-}
-
-func (r *assocOnlyRun[T]) finish(pr *cgm.Proc) {
-	for _, v := range r.home(pr) {
-		r.results[v.Query] = r.h.m.Combine(r.results[v.Query], v.Val)
-	}
-}
-
-type assocMode[T any] struct{ h *AggHandle[T] }
-
-func (assocMode[T]) labels() *runLabels        { return assocLabels }
-func (m assocMode[T]) residentAggName() string { return m.h.name }
-func (m assocMode[T]) init(results []T) {
-	for i := range results {
-		results[i] = m.h.m.Identity
-	}
-}
-func (assocMode[T]) epilogue([]T) {}
-func (m assocMode[T]) start(t *Tree, a *cgm.Arena, ps *procState, st *SearchStats, results []T) procRun {
-	return cgm.AllocOne(a, assocOnlyRun[T]{
-		assocRun: newAssocRun(a, m.h, ps, len(results), assocLabels), results: results})
 }
 
 // Batch evaluates ⊗_{l∈R(q)} f(l) for every query (Algorithm
 // AssociativeFunction steps 2–5: search, pair up selections with their
 // f-values, combine per query).
 func (h *AggHandle[T]) Batch(boxes []geom.Box) []T {
-	return runSearch(h.t, boxes, assocMode[T]{h: h})
+	return oneKind(h.t, h, OpAggregate, boxes, func(r MixedResult[T]) T { return r.Agg })
 }
 
 // ---------------------------------------------------------------- report
@@ -387,13 +319,12 @@ type rlocal struct {
 // orders, subqueries report locally, and finish redistributes everything
 // so each processor holds a contiguous ~k/p block of output (Algorithm
 // Report / Theorem 4). Orders, local hits and the redistributed pairs all
-// live in the rank's arena: the run's epilogue copies the pairs into the
+// live in the rank's arena: groupReports copies the pairs into the
 // caller's result slices before the next run recycles them.
 type reportRun struct {
 	a        *cgm.Arena
 	ps       *procState
 	st       *SearchStats
-	lbl      *runLabels
 	resident bool
 	mine     *[]ReportPair // where finish leaves this rank's pair block
 	orders   []rorder
@@ -415,20 +346,11 @@ func (r *reportRun) answerHat(q Query, s hatSel) {
 	}
 }
 
-func (r *reportRun) materialize(*element) {}
-
 func (r *reportRun) answerSub(s subquery) {
 	el := r.ps.lookup(s.Elem)
 	if pts := elemReport(el, s.Box, &r.rv); len(pts) > 0 {
 		r.locals = cgm.Append(r.a, r.locals, rlocal{Query: s.Query, Pts: pts})
 	}
-}
-
-func (r *reportRun) serveRouted(pr *cgm.Proc, label string, routed [][]subquery) int {
-	locals, recv := cgm.ExchangeCollectRecv[subquery, bool, []rlocal](
-		pr, label, routed, fref("search/routeReport"), false)
-	r.locals = cgm.Append(r.a, r.locals, locals...)
-	return recv
 }
 
 // reportEntry is one weighted entry of Algorithm Report's redistribution:
@@ -454,7 +376,7 @@ func (r *reportRun) finish(pr *cgm.Proc) {
 	for _, l := range r.locals {
 		myWeight += len(l.Pts)
 	}
-	off, totalK := comm.CountScan(pr, r.lbl.weights, myWeight)
+	off, totalK := comm.CountScan(pr, searchLabels.weights, myWeight)
 	for i := range r.orders {
 		r.orders[i].Off = off
 		off += int(ps.info[int(r.orders[i].Elem)].Count)
@@ -465,7 +387,7 @@ func (r *reportRun) finish(pr *cgm.Proc) {
 	}
 
 	// Whole-element orders fetch their points from the owner.
-	fetched := comm.SegmentedGather(pr, r.lbl.fetch, r.orders, func(o rorder) int {
+	fetched := comm.SegmentedGather(pr, searchLabels.fetch, r.orders, func(o rorder) int {
 		return int(ps.info[int(o.Elem)].Owner)
 	})
 
@@ -517,7 +439,7 @@ func (r *reportRun) finish(pr *cgm.Proc) {
 			}
 		}
 	}
-	in := cgm.Exchange(pr, r.lbl.pairs, out)
+	in := cgm.Exchange(pr, searchLabels.pairs, out)
 	total := 0
 	for _, part := range in {
 		total += len(part)
@@ -530,41 +452,26 @@ func (r *reportRun) finish(pr *cgm.Proc) {
 	*r.mine = mine
 }
 
-// reportMode collects the balanced per-processor pair blocks during the
-// run and groups them per query afterwards. It is generic in R so the
-// mixed mode can reuse it; deliver writes one query's sorted points into
-// the caller's result representation. A mode may serve any number of runs:
-// its vectors are scratch, sized by each run.
-type reportMode[R any] struct {
+// reportBlocks is the caller-side half of the report kind, kept with the
+// tree's frame: each rank's balanced pair block as the run leaves it, the
+// per-rank pair counts of the last report batch, and the grouping's
+// scratch, which each batch sizes.
+type reportBlocks struct {
 	perProc [][]ReportPair
 	counts  []int
-	deliver func(results []R, qid int32, pts []geom.Point)
-	// epilogue scratch, per query: pair counts and the growing groups.
+	// grouping scratch, per query: pair counts and the growing groups.
 	sizes    []int
 	perQuery [][]geom.Point
 }
 
-func newReportMode[R any](p int, deliver func([]R, int32, []geom.Point)) *reportMode[R] {
-	return &reportMode[R]{perProc: make([][]ReportPair, p), counts: make([]int, p), deliver: deliver}
+func newReportBlocks(p int) reportBlocks {
+	return reportBlocks{perProc: make([][]ReportPair, p), counts: make([]int, p)}
 }
 
-func (*reportMode[R]) labels() *runLabels { return reportLabels }
-func (*reportMode[R]) init([]R)           {}
-func (m *reportMode[R]) start(t *Tree, a *cgm.Arena, ps *procState, st *SearchStats, results []R) procRun {
-	return m.startRun(t, a, ps, st)
-}
-
-// startRun builds the per-processor run; split out so the mixed mode can
-// embed report answering without duplicating phase D.
-func (m *reportMode[R]) startRun(t *Tree, a *cgm.Arena, ps *procState, st *SearchStats) *reportRun {
-	return cgm.AllocOne(a, reportRun{a: a, ps: ps, st: st, lbl: reportLabels, resident: t.resident,
-		mine: &m.perProc[ps.rank], rv: reportVisitor{a: a}})
-}
-
-// epilogueScratch returns buf as n zeroed elements, grown when too small.
+// groupScratch returns buf as n zeroed elements, grown when too small.
 // At 32 B a query the two vectors stay as large as the largest batch the
-// mode has grouped; trimming is the arenas' business, not theirs.
-func epilogueScratch[E any](buf []E, n int) []E {
+// frame has grouped; trimming is the arenas' business, not theirs.
+func groupScratch[E any](buf []E, n int) []E {
 	if cap(buf) < n {
 		return make([]E, n)
 	}
@@ -573,67 +480,60 @@ func epilogueScratch[E any](buf []E, n int) []E {
 	return buf
 }
 
-// epilogue groups the distributed (q, l) pairs by query for the caller.
+// groupReports groups the distributed (q, l) pairs by query for the
+// caller, each group sorted by point ID; only report queries have pairs.
 // The algorithm's deliverable — every pair on some processor, balanced to
 // O(k/p) each — is what the machine run produced and what the metrics
 // measure; this grouping is a convenience step outside the measured
 // algorithm.
-func (m *reportMode[R]) epilogue(results []R) {
+func groupReports[T any](rb *reportBlocks, results []MixedResult[T]) {
 	total := 0
-	for rank, pairs := range m.perProc {
-		m.counts[rank] = len(pairs)
+	for rank, pairs := range rb.perProc {
+		rb.counts[rank] = len(pairs)
 		total += len(pairs)
 	}
 	if total == 0 {
 		return // results are born empty
 	}
-	m.sizes = epilogueScratch(m.sizes, len(results))
-	m.perQuery = epilogueScratch(m.perQuery, len(results))
-	for _, pairs := range m.perProc {
+	rb.sizes = groupScratch(rb.sizes, len(results))
+	rb.perQuery = groupScratch(rb.perQuery, len(results))
+	for _, pairs := range rb.perProc {
 		for _, pair := range pairs {
-			m.sizes[pair.Query]++
+			rb.sizes[pair.Query]++
 		}
 	}
-	for q, n := range m.sizes {
+	for q, n := range rb.sizes {
 		if n > 0 {
-			m.perQuery[q] = make([]geom.Point, 0, n)
+			rb.perQuery[q] = make([]geom.Point, 0, n)
 		}
 	}
-	for _, pairs := range m.perProc {
+	for _, pairs := range rb.perProc {
 		for _, pair := range pairs {
-			m.perQuery[pair.Query] = append(m.perQuery[pair.Query], pair.Pt)
+			rb.perQuery[pair.Query] = append(rb.perQuery[pair.Query], pair.Pt)
 		}
 	}
-	for qi, pts := range m.perQuery {
+	for qi, pts := range rb.perQuery {
 		slices.SortFunc(pts, func(a, b geom.Point) int { return int(a.ID) - int(b.ID) })
-		m.deliver(results, int32(qi), pts)
+		results[qi].Pts = pts
 	}
 	// The groups are the caller's now, and the pair blocks die with the
 	// run's arenas.
-	clear(m.perQuery)
-	clear(m.perProc)
+	clear(rb.perQuery)
+	clear(rb.perProc)
 }
 
 // ReportBatch answers every query in report mode and groups the pairs by
 // query for the caller.
 func (t *Tree) ReportBatch(boxes []geom.Box) [][]geom.Point {
-	perQuery, _ := t.reportBatch(boxes)
-	return perQuery
+	return oneKind[struct{}](t, nil, OpReport, boxes, func(r MixedResult[struct{}]) []geom.Point { return r.Pts })
 }
 
 // ReportBatchBalance additionally reports how many pairs each processor
 // materialized (the k/p balance of Theorem 4).
 func (t *Tree) ReportBatchBalance(boxes []geom.Box) ([][]geom.Point, []int) {
-	return t.reportBatch(boxes)
-}
-
-func (t *Tree) reportBatch(boxes []geom.Box) ([][]geom.Point, []int) {
 	if len(boxes) == 0 {
 		return nil, make([]int, t.P())
 	}
-	mode := newReportMode(t.P(), func(results [][]geom.Point, qid int32, pts []geom.Point) {
-		results[qid] = pts
-	})
-	results := runSearch(t, boxes, mode)
-	return results, mode.counts
+	pts := t.ReportBatch(boxes)
+	return pts, slices.Clone(mixedFrameOf[struct{}](t).rep.counts)
 }

@@ -27,9 +27,10 @@ import (
 // layer, the sorts, the demand/balance planning, the result collectives —
 // but every access to element state dispatches here: construction's
 // routed points are collected into worker memory (ExchangeCollect),
-// phase B ships copies worker-to-worker (ExchangeSteps), and phase C
-// serves subqueries where the trees live (CallResident), so only query
-// boxes and result blocks cross the coordinator's wire. On the loopback
+// phase B ships copies worker-to-worker (ExchangeSteps), and phase C is
+// the fused route collect (search/routeMixed), which answers the routed
+// subqueries in the superstep that delivers them where the trees live, so
+// only query boxes and result blocks cross the coordinator's wire. On the loopback
 // transport the identical registered steps run in-process against the
 // machine's local state stores, which is what the cross-residency
 // equivalence tests pin down.
@@ -38,7 +39,7 @@ import (
 // against coordinator/worker binary skew.
 const (
 	forestProgram = "core/forest"
-	forestVersion = 3 // 3: phase-B copies by reference (search/ship, install reply cache ops)
+	forestVersion = 4 // 4: search/routeMixed is the only route collect
 )
 
 // fref names one step of the forest program.
@@ -105,8 +106,9 @@ type cachedAggAny struct {
 	agg  any
 }
 
-// Step argument and reply types. Everything crossing the seam is gob-
-// encoded by the exec codec, so all fields are exported.
+// Step argument and reply types. Everything crossing the seam has a raw
+// wire codec (wirecodec.go); the fields stay exported for wire's gob
+// fallback, which only custom aggregate value types take.
 
 // beginArgs resets the part for a fresh construction.
 type beginArgs struct {
@@ -310,9 +312,6 @@ func init() {
 			"construct/wsortMerge":  exec.Collector(wsortMergeStep),
 			"construct/wsortGather": exec.Collector(wsortGatherStep),
 			"search/install":        exec.Collector(installCopiesStep),
-			"search/routeCount":     exec.Collector(routeCountStep),
-			"search/routeReport":    exec.Collector(routeReportStep),
-			"search/routeAgg":       routeAggStep,
 			"search/routeMixed":     routeMixedStep,
 		},
 	})
@@ -545,20 +544,8 @@ func serveReportStep(part *residentPart, _ *exec.Ctx, args serveArgs) ([]rlocal,
 	return servedReports(part, args.Subs), nil
 }
 
-// routeCountStep is the fused route-and-serve collect of a counting
-// batch: the phase-B route exchange's column IS the rank's served
-// subqueries, answered in the same superstep that delivered them.
-func routeCountStep(part *residentPart, _ *exec.Ctx, _ bool, in [][]subquery) ([]qcount, error) {
-	return servedCounts(part, gatherServed(nil, in)), nil
-}
-
-// routeReportStep is routeCountStep for report batches.
-func routeReportStep(part *residentPart, _ *exec.Ctx, _ bool, in [][]subquery) ([]rlocal, error) {
-	return servedReports(part, gatherServed(nil, in)), nil
-}
-
 // decodeSubColumn decodes a routed subquery column for the raw fused-
-// serve collects, mirroring exec.Collector's loop (typed self payload
+// serve collect, mirroring exec.Collector's loop (typed self payload
 // included), and flattens it in rank order like gatherServed.
 func decodeSubColumn(c *exec.Ctx, inbox *exec.Inbox) ([]subquery, int, error) {
 	in := make([][]subquery, len(inbox.Blocks))
@@ -586,32 +573,11 @@ func decodeSubColumn(c *exec.Ctx, inbox *exec.Inbox) ([]subquery, int, error) {
 	return gatherServed(nil, in), recv, nil
 }
 
-// routeAggStep is the fused route-and-serve collect of an aggregate
-// batch. Raw because the reply is the spec-encoded []qvalT[T], whose type
-// only the coordinator's AggHandle knows.
-func routeAggStep(c *exec.Ctx, inbox *exec.Inbox, raw []byte) ([]byte, int, error) {
-	args, err := exec.Unmarshal[aggPrepArgs](raw)
-	if err != nil {
-		return nil, 0, err
-	}
-	subs, recv, err := decodeSubColumn(c, inbox)
-	if err != nil {
-		return nil, 0, err
-	}
-	part := c.State.(*residentPart)
-	spec, err := lookupAggSpec(args.Name)
-	if err != nil {
-		return nil, 0, err
-	}
-	rep, err := spec.serve(part, part.agg(args.Name), subs)
-	if err != nil {
-		return nil, 0, err
-	}
-	return rep, recv, nil
-}
-
-// routeMixedStep is the fused route-and-serve collect of a mixed batch:
-// one superstep routes and answers all three op kinds.
+// routeMixedStep is the fused route-and-serve collect of a search batch:
+// the phase-B route exchange's column IS the rank's served subqueries,
+// answered in the same superstep that delivered them, every op kind at
+// once. Raw because the aggregate reply is the spec-encoded []qvalT[T],
+// whose type only the coordinator's AggHandle knows.
 func routeMixedStep(c *exec.Ctx, inbox *exec.Inbox, raw []byte) ([]byte, int, error) {
 	args, err := exec.Unmarshal[mixedServeArgs](raw)
 	if err != nil {
@@ -631,6 +597,8 @@ func routeMixedStep(c *exec.Ctx, inbox *exec.Inbox, raw []byte) ([]byte, int, er
 			agg = append(agg, s)
 		case OpReport:
 			repq = append(repq, s)
+		default:
+			return nil, 0, fmt.Errorf("core: routed subquery of query %d has unknown op %v", s.Query, args.Ops[s.Query])
 		}
 	}
 	rep := mixedServeReply{Counts: servedCounts(part, cnt), Locals: servedReports(part, repq)}

@@ -387,7 +387,7 @@ func partitionSubs(a *cgm.Arena, p int, subs []subquery, dest func(i int, s subq
 // routeExact implements Search step 4's redistribution on the fabric
 // path: partition, exchange, flatten. On a resident tree the same
 // partition instead feeds the fused route-and-serve superstep, whose
-// collect answers the column where it lands (runSearch phase C).
+// collect answers the column where it lands (phase C of mixedFrame.rank).
 func routeExact(pr *cgm.Proc, label string, subs []subquery, dest func(i int, s subquery) int) []subquery {
 	a := pr.Arena()
 	return gatherServed(a, cgm.Exchange(pr, label, partitionSubs(a, pr.P(), subs, dest)))
@@ -398,7 +398,7 @@ func routeExact(pr *cgm.Proc, label string, subs []subquery, dest func(i int, s 
 // the copies evenly, and redistribute Q″ so every subquery lands on a
 // processor holding the element it visits. It returns the subqueries this
 // processor serves. run.materialize is called for every copied element a
-// host installs (modes hook it to build their per-element annotations); on
+// host installs (the aggregate kind builds its annotations there); on
 // a resident tree the copies ship worker-to-worker instead (emit and
 // collect steps of the forest program) and aggName selects the registered
 // aggregate the install step annotates them for. Every vector and row of
@@ -412,13 +412,13 @@ func routeExact(pr *cgm.Proc, label string, subs []subquery, dest func(i int, s 
 // On a fabric tree the route exchange runs here and served holds this
 // processor's share (routed is nil). On a resident tree the exchange is
 // deferred: phaseB returns the partitioned buckets plus the label the
-// mode's fused route-and-serve superstep must use, so routing and phase
+// run's fused route-and-serve superstep must use, so routing and phase
 // C collapse into one round with no separate serve dispatch.
-func (t *Tree) phaseB(pr *cgm.Proc, ps *procState, subs []subquery, lbl *runLabels, aggName string, run procRun) (served []subquery, routed [][]subquery, routeLbl string) {
+func (t *Tree) phaseB(pr *cgm.Proc, ps *procState, subs []subquery, aggName string, run procRun) (served []subquery, routed [][]subquery, routeLbl string) {
 	if t.balanceMode == ElementLevel {
-		return t.phaseBElement(pr, ps, subs, lbl, aggName, run)
+		return t.phaseBElement(pr, ps, subs, aggName, run)
 	}
-	p, a := pr.P(), pr.Arena()
+	p, a, lbl := pr.P(), pr.Arena(), searchLabels
 
 	// Step 2: globally compute c_j = |QF_j| / (|Q″|/p). The group of a
 	// subquery is the owner of its element (the part F_j). A rank's row is
@@ -536,8 +536,8 @@ const advertRow int32 = -1
 
 // phaseBElement is the ElementLevel variant of phaseB: demand, copies and
 // routing all work per forest element.
-func (t *Tree) phaseBElement(pr *cgm.Proc, ps *procState, subs []subquery, lbl *runLabels, aggName string, run procRun) (served []subquery, routed [][]subquery, routeLbl string) {
-	p, a := pr.P(), pr.Arena()
+func (t *Tree) phaseBElement(pr *cgm.Proc, ps *procState, subs []subquery, aggName string, run procRun) (served []subquery, routed [][]subquery, routeLbl string) {
+	p, a, lbl := pr.P(), pr.Arena(), searchLabels
 
 	// Demand per element, exchanged sparsely, then the advertised IDs.
 	// perElem[e] is this rank's demand for e first and its routing offset

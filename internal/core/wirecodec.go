@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"repro/internal/geom"
 	"repro/internal/segtree"
@@ -12,7 +13,7 @@ import (
 // Raw wire codecs for the superstep payload types that dominate the
 // machine's traffic (ROADMAP item 3): construction's routed points and
 // S^(j+1) records, phase B's element copies, phase C's query boxes, and
-// the per-mode result blocks. Registration happens here, in core's init,
+// the result blocks of each kind. Registration happens here, in core's init,
 // so every binary that can run the SPMD programs (coordinator and
 // rangeworker both import core) agrees on the raw-coded type set by
 // construction; anything else — custom aggregate value types above all —
@@ -161,11 +162,40 @@ func readSubqueries(r *wire.Reader, arena *[]geom.Coord) []subquery {
 	return subs
 }
 
+// fixedCodec registers the raw codec of T: app appends a value, dec reads
+// one from a block's reader (building its own coordinate arena when the
+// value holds points), and the block must be consumed exactly.
+func fixedCodec[T any](app func([]byte, T) []byte, dec func(*wire.Reader) (T, error)) {
+	wire.Register(wire.Codec[T]{
+		Append: app,
+		Decode: func(b []byte) (T, error) {
+			r := readers.Get().(*wire.Reader)
+			*r = wire.NewReader(b)
+			v, err := dec(r)
+			if err == nil {
+				err = r.Finish()
+			}
+			*r = wire.Reader{} // the pool must not pin the block
+			readers.Put(r)
+			if err != nil {
+				var zero T
+				return zero, err
+			}
+			return v, nil
+		},
+	})
+}
+
+// readers recycles fixedCodec's block readers. A reader handed to dec, a
+// func value, escapes to the heap: on the stack of each decode it would
+// cost every decoded block one allocation.
+var readers = sync.Pool{New: func() any { return new(wire.Reader) }}
+
 func init() {
 	// Construction: element-routed points (step 3's h-relation, the
 	// single largest exchange of a build).
-	wire.Register(wire.Codec[[]epoint]{
-		Append: func(buf []byte, eps []epoint) []byte {
+	fixedCodec(
+		func(buf []byte, eps []epoint) []byte {
 			buf = wire.AppendUvarint(buf, uint64(len(eps)))
 			for _, ep := range eps {
 				buf = wire.AppendI32(buf, int32(ep.Elem))
@@ -173,47 +203,29 @@ func init() {
 			}
 			return buf
 		},
-		Decode: func(b []byte) ([]epoint, error) {
-			r := wire.NewReader(b)
-			arena := wire.NewArena(&r)
+		func(r *wire.Reader) ([]epoint, error) {
+			arena := wire.NewArena(r)
 			n := r.Count(9)
 			var eps []epoint
 			if n > 0 {
 				eps = make([]epoint, n)
 				for i := range eps {
 					eps[i].Elem = ElemID(r.I32())
-					eps[i].Pt = wire.ReadPoint(&r, &arena)
+					eps[i].Pt = wire.ReadPoint(r, &arena)
 				}
 			}
-			if err := r.Finish(); err != nil {
-				return nil, err
-			}
 			return eps, nil
-		},
-	})
+		})
 
 	// Construction: the S^j records the sample sort routes (points
 	// first, then all tree labels in one framed key section).
-	wire.Register(wire.Codec[[]srec]{
-		Append: appendSrecs,
-		Decode: func(b []byte) ([]srec, error) {
-			r := wire.NewReader(b)
-			recs, err := readSrecs(&r)
-			if err != nil {
-				return nil, err
-			}
-			if err := r.Finish(); err != nil {
-				return nil, err
-			}
-			return recs, nil
-		},
-	})
+	fixedCodec(appendSrecs, readSrecs)
 
 	// Phase B: element copies in flight. Every row opens with the Ref
 	// flag: a by-value row follows with metadata + point payload, a
 	// reference with the element ID alone.
-	wire.Register(wire.Codec[[]shippedElem]{
-		Append: func(buf []byte, els []shippedElem) []byte {
+	fixedCodec(
+		func(buf []byte, els []shippedElem) []byte {
 			buf = wire.AppendUvarint(buf, uint64(len(els)))
 			for _, sh := range els {
 				buf = append(buf, flagByte(sh.Ref))
@@ -226,15 +238,14 @@ func init() {
 			}
 			return buf
 		},
-		Decode: func(b []byte) ([]shippedElem, error) {
-			r := wire.NewReader(b)
-			arena := wire.NewArena(&r)
+		func(r *wire.Reader) ([]shippedElem, error) {
+			arena := wire.NewArena(r)
 			n := r.Count(5) // flag + element ID, the reference row
 			var els []shippedElem
 			if n > 0 {
 				els = make([]shippedElem, n)
 				for i := range els {
-					ref, err := readFlag(&r)
+					ref, err := readFlag(r)
 					if err != nil {
 						return nil, err
 					}
@@ -242,77 +253,43 @@ func init() {
 						els[i].Info.ID = ElemID(r.I32())
 						continue
 					}
-					els[i].Info = readElemInfo(&r)
-					els[i].Pts = wire.ReadPoints(&r, &arena)
+					els[i].Info = readElemInfo(r)
+					els[i].Pts = wire.ReadPoints(r, &arena)
 				}
 			}
-			if err := r.Finish(); err != nil {
-				return nil, err
-			}
 			return els, nil
-		},
-	})
+		})
 
 	// Phase C: routed subqueries (the query boxes), both as exchange
-	// rows and wrapped in the resident serve-step arguments.
-	wire.Register(wire.Codec[[]subquery]{
-		Append: appendSubqueries,
-		Decode: func(b []byte) ([]subquery, error) {
-			r := wire.NewReader(b)
-			arena := wire.NewArena(&r)
-			subs := readSubqueries(&r, &arena)
-			if err := r.Finish(); err != nil {
-				return nil, err
-			}
-			return subs, nil
-		},
+	// rows and wrapped in the single-query serve-step arguments.
+	fixedCodec(appendSubqueries, func(r *wire.Reader) ([]subquery, error) {
+		arena := wire.NewArena(r)
+		return readSubqueries(r, &arena), nil
 	})
-	wire.Register(wire.Codec[serveArgs]{
-		Append: func(buf []byte, a serveArgs) []byte { return appendSubqueries(buf, a.Subs) },
-		Decode: func(b []byte) (serveArgs, error) {
-			r := wire.NewReader(b)
-			arena := wire.NewArena(&r)
-			subs := readSubqueries(&r, &arena)
-			if err := r.Finish(); err != nil {
-				return serveArgs{}, err
-			}
-			return serveArgs{Subs: subs}, nil
-		},
-	})
-	wire.Register(wire.Codec[serveAggArgs]{
-		Append: func(buf []byte, a serveAggArgs) []byte {
+	fixedCodec(
+		func(buf []byte, a serveArgs) []byte { return appendSubqueries(buf, a.Subs) },
+		func(r *wire.Reader) (serveArgs, error) {
+			arena := wire.NewArena(r)
+			return serveArgs{Subs: readSubqueries(r, &arena)}, nil
+		})
+	fixedCodec(
+		func(buf []byte, a serveAggArgs) []byte {
 			buf = wire.AppendString(buf, a.Name)
 			return appendSubqueries(buf, a.Subs)
 		},
-		Decode: func(b []byte) (serveAggArgs, error) {
-			r := wire.NewReader(b)
+		func(r *wire.Reader) (serveAggArgs, error) {
 			name := r.Str()
-			arena := wire.NewArena(&r)
-			subs := readSubqueries(&r, &arena)
-			if err := r.Finish(); err != nil {
-				return serveAggArgs{}, err
-			}
-			return serveAggArgs{Name: name, Subs: subs}, nil
-		},
-	})
+			arena := wire.NewArena(r)
+			return serveAggArgs{Name: name, Subs: readSubqueries(r, &arena)}, nil
+		})
 
 	// Count results: fixed 12-byte records, decoded in one allocation.
-	wire.Register(wire.Codec[[]qcount]{
-		Append: appendQcounts,
-		Decode: func(b []byte) ([]qcount, error) {
-			r := wire.NewReader(b)
-			vs := readQcounts(&r)
-			if err := r.Finish(); err != nil {
-				return nil, err
-			}
-			return vs, nil
-		},
-	})
+	fixedCodec(appendQcounts, func(r *wire.Reader) ([]qcount, error) { return readQcounts(r), nil })
 
 	// Aggregate results for the standard value types (internal/
 	// aggregates): custom value types fall back to gob by design.
-	wire.Register(wire.Codec[[]qvalT[int64]]{
-		Append: func(buf []byte, vs []qvalT[int64]) []byte {
+	fixedCodec(
+		func(buf []byte, vs []qvalT[int64]) []byte {
 			buf = wire.AppendUvarint(buf, uint64(len(vs)))
 			for _, v := range vs {
 				buf = wire.AppendI32(buf, v.Query)
@@ -320,8 +297,7 @@ func init() {
 			}
 			return buf
 		},
-		Decode: func(b []byte) ([]qvalT[int64], error) {
-			r := wire.NewReader(b)
+		func(r *wire.Reader) ([]qvalT[int64], error) {
 			n := r.Count(12)
 			var vs []qvalT[int64]
 			if n > 0 {
@@ -331,14 +307,10 @@ func init() {
 					vs[i].Val = r.I64()
 				}
 			}
-			if err := r.Finish(); err != nil {
-				return nil, err
-			}
 			return vs, nil
-		},
-	})
-	wire.Register(wire.Codec[[]qvalT[float64]]{
-		Append: func(buf []byte, vs []qvalT[float64]) []byte {
+		})
+	fixedCodec(
+		func(buf []byte, vs []qvalT[float64]) []byte {
 			buf = wire.AppendUvarint(buf, uint64(len(vs)))
 			for _, v := range vs {
 				buf = wire.AppendI32(buf, v.Query)
@@ -346,8 +318,7 @@ func init() {
 			}
 			return buf
 		},
-		Decode: func(b []byte) ([]qvalT[float64], error) {
-			r := wire.NewReader(b)
+		func(r *wire.Reader) ([]qvalT[float64], error) {
 			n := r.Count(12)
 			var vs []qvalT[float64]
 			if n > 0 {
@@ -357,28 +328,14 @@ func init() {
 					vs[i].Val = r.F64()
 				}
 			}
-			if err := r.Finish(); err != nil {
-				return nil, err
-			}
 			return vs, nil
-		},
-	})
+		})
 
 	// Report results: served subquery hits and the redistributed
 	// (query, point) pairs of phase D.
-	wire.Register(wire.Codec[[]rlocal]{
-		Append: appendRlocals,
-		Decode: func(b []byte) ([]rlocal, error) {
-			r := wire.NewReader(b)
-			ls := readRlocals(&r)
-			if err := r.Finish(); err != nil {
-				return nil, err
-			}
-			return ls, nil
-		},
-	})
-	wire.Register(wire.Codec[[]ReportPair]{
-		Append: func(buf []byte, ps []ReportPair) []byte {
+	fixedCodec(appendRlocals, func(r *wire.Reader) ([]rlocal, error) { return readRlocals(r), nil })
+	fixedCodec(
+		func(buf []byte, ps []ReportPair) []byte {
 			buf = wire.AppendUvarint(buf, uint64(len(ps)))
 			for _, rp := range ps {
 				buf = wire.AppendI32(buf, rp.Query)
@@ -386,22 +343,17 @@ func init() {
 			}
 			return buf
 		},
-		Decode: func(b []byte) ([]ReportPair, error) {
-			r := wire.NewReader(b)
-			arena := wire.NewArena(&r)
+		func(r *wire.Reader) ([]ReportPair, error) {
+			arena := wire.NewArena(r)
 			n := r.Count(9)
 			var ps []ReportPair
 			if n > 0 {
 				ps = make([]ReportPair, n)
 				for i := range ps {
 					ps[i].Query = r.I32()
-					ps[i].Pt = wire.ReadPoint(&r, &arena)
+					ps[i].Pt = wire.ReadPoint(r, &arena)
 				}
 			}
-			if err := r.Finish(); err != nil {
-				return nil, err
-			}
 			return ps, nil
-		},
-	})
+		})
 }

@@ -13,12 +13,13 @@ import (
 // and the fused route-and-serve replies. With these registered, a
 // cluster serving queries or bulk-ingesting points sends ZERO gob frames
 // — every byte on the coordinator's connections is raw-coded control or
-// payload (TestClusterServesWithoutGob holds that line). Only custom
+// payload (TestClusterIngestAndServeWithoutGob holds that line). Only custom
 // aggregate value types still ride the gob fallback, by design.
 //
-// Same layout discipline as wirecodec.go: counts/lengths are uvarints,
-// IDs/coordinates/values fixed-width little-endian, srec blocks reuse
-// appendSrecs/readSrecs so the one-arena decode path is shared.
+// Same layout discipline and registration (fixedCodec) as wirecodec.go:
+// counts/lengths are uvarints, IDs/coordinates/values fixed-width
+// little-endian, srec blocks reuse appendSrecs/readSrecs so the one-arena
+// decode path is shared.
 
 // ------------------------------------------------------------ helpers
 
@@ -133,27 +134,6 @@ func readFlag(r *wire.Reader) (bool, error) {
 		return false, fmt.Errorf("core: corrupt flag byte %#x", d[0])
 	}
 	return d != nil && d[0] == 1, nil
-}
-
-// fixedCodec registers a codec whose decode needs no arena and whose
-// encode/decode are simple per-record loops.
-func fixedCodec[T any](app func([]byte, T) []byte, dec func(*wire.Reader) (T, error)) {
-	wire.Register(wire.Codec[T]{
-		Append: app,
-		Decode: func(b []byte) (T, error) {
-			r := wire.NewReader(b)
-			v, err := dec(&r)
-			if err != nil {
-				var zero T
-				return zero, err
-			}
-			if err := r.Finish(); err != nil {
-				var zero T
-				return zero, err
-			}
-			return v, nil
-		},
-	})
 }
 
 func init() {
@@ -603,7 +583,7 @@ func init() {
 			var rep mixedServeReply
 			rep.Counts = readQcounts(r)
 			// The section views the received frame, whose buffer is reused;
-			// Aggs outlives the decode (it is re-decoded by the mode), so copy.
+			// Aggs outlives the decode (the aggregate run decodes it), so copy.
 			rep.Aggs = slices.Clone(r.Section())
 			rep.Locals = readRlocals(r)
 			return rep, nil

@@ -312,6 +312,10 @@ func TestMixedRejectsBadBatches(t *testing.T) {
 		!strings.Contains(err.Error(), "aggregate") {
 		t.Fatalf("aggregate query: %v", err)
 	}
+	if _, err := Mixed[struct{}](v, []core.MixedOp{core.OpReport, core.MixedOp(3)}, []geom.Box{box, box}); err == nil ||
+		!strings.Contains(err.Error(), "query 1: unknown op MixedOp(3)") {
+		t.Fatalf("unknown op: %v", err)
+	}
 }
 
 // TestMutationsCopyCallerCoordinates: the store keeps no view of a

@@ -101,8 +101,14 @@ func MixedTraced[T any](v *Version, ops []core.MixedOp, boxes []geom.Box, trace 
 	if len(ops) != len(boxes) {
 		return nil, fmt.Errorf("store: %d ops for %d boxes", len(ops), len(boxes))
 	}
-	if i := slices.Index(ops, core.OpAggregate); i >= 0 {
-		return nil, fmt.Errorf("store: query %d: aggregate queries are not supported on the mutable store", i)
+	for i, op := range ops {
+		switch op {
+		case core.OpCount, core.OpReport:
+		case core.OpAggregate:
+			return nil, fmt.Errorf("store: query %d: aggregate queries are not supported on the mutable store", i)
+		default:
+			return nil, fmt.Errorf("store: query %d: unknown op %v", i, op)
+		}
 	}
 	out := make([]core.MixedResult[T], len(boxes))
 	if len(boxes) == 0 {
