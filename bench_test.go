@@ -14,6 +14,8 @@ import (
 	"repro/internal/cgm"
 	"repro/internal/core"
 	"repro/internal/expt"
+	"repro/internal/kdtree"
+	"repro/internal/layered"
 	"repro/internal/rangetree"
 	"repro/internal/segtree"
 	"repro/internal/workload"
@@ -194,7 +196,7 @@ func BenchmarkE5_Baselines(b *testing.B) {
 		"slab":   workload.SlabBoxes(256, d, n, 0.002, 1),
 	}
 	rt := rangetree.Build(pts)
-	kd := drtree.BuildKD(pts)
+	kd := kdtree.Build(pts)
 	bf := brute.New(pts)
 	sink := 0
 	for _, shape := range []string{"square", "slab"} {
@@ -301,7 +303,7 @@ func BenchmarkE9_Speedup(b *testing.B) {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
 			var model float64
 			for i := 0; i < b.N; i++ {
-				mach := drtree.NewMachine(drtree.MachineConfig{P: p, Mode: drtree.Measured})
+				mach := drtree.NewMachine(drtree.MachineConfig{P: p, Mode: cgm.Measured})
 				t := drtree.BuildDistributed(mach, pts)
 				mach.ResetMetrics()
 				t.CountBatch(boxes)
@@ -335,7 +337,7 @@ func BenchmarkE11_Layered(b *testing.B) {
 	pts := benchPoints(n, d)
 	boxes := benchBoxes(512, n, d, 0.02)
 	rt := rangetree.Build(pts)
-	lt := drtree.BuildLayered(pts)
+	lt := layered.Build(pts)
 	sink := 0
 	b.Run("plain", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

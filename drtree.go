@@ -18,19 +18,24 @@
 //	tree := drtree.BuildDistributed(mach, pts)      // Algorithm Construct
 //	counts := tree.CountBatch([]drtree.Box{norm.Box(lo, hi)})
 //
-// The packages under internal/ hold the implementation: geom (points,
-// boxes, rank normalization), segtree (segment-tree shape math and the
-// paper's node labeling), rangetree (the sequential structure), cgm + comm
-// + psort (the simulated multicomputer and its standard operations),
-// balance (the query/copy load balancing), core (the distributed range
-// tree), store (the mutable LSM-of-trees serving store), engine (the
-// concurrent micro-batching serving layer), kdtree/brute (baselines),
+// This package exports only what the example programs, the commands and
+// the runnable Examples use: building a tree in process, on a cluster or
+// from streamed and file-sharded input; the three search modes, alone or
+// mixed in one batch; the serving engine; the mutable store; the cluster
+// health plane; and the workload generators. TestEveryExportHasACaller
+// keeps it that way. The packages under internal/ hold the
+// implementation: geom (points, boxes, rank normalization), segtree
+// (segment-tree shape math and the paper's node labeling), rangetree and
+// layered (the sequential structures), cgm + comm + psort (the simulated
+// multicomputer and its standard operations), balance (the query/copy
+// load balancing), core (the distributed range tree), store (the mutable
+// LSM-of-trees serving store), engine (the concurrent micro-batching
+// serving layer), transport (the TCP workers), kdtree/brute (baselines),
 // workload (generators) and expt (the table harness behind
 // cmd/rangebench).
 package drtree
 
 import (
-	"io"
 	"time"
 
 	"repro/internal/cgm"
@@ -38,13 +43,8 @@ import (
 	"repro/internal/dominance"
 	"repro/internal/engine"
 	"repro/internal/geom"
-	"repro/internal/kdtree"
-	"repro/internal/layered"
-	"repro/internal/obs"
 	obscluster "repro/internal/obs/cluster"
-	"repro/internal/persist"
 	"repro/internal/pointsfile"
-	"repro/internal/rangetree"
 	"repro/internal/semigroup"
 	"repro/internal/store"
 	"repro/internal/transport"
@@ -68,40 +68,25 @@ type (
 	// Machine is the simulated coarse-grained multicomputer CGM(s, p).
 	Machine = cgm.Machine
 	// MachineConfig configures a machine (width, mode, BSP cost model).
+	//
+	// Setting Resident selects worker-resident execution on an in-process
+	// machine or a Cluster alike: the forest elements (and the store's
+	// level trees) live where the registered SPMD programs execute —
+	// worker memory over TCP, the machine's local state store on the
+	// loopback — and only query boxes and result blocks cross the
+	// coordinator's wire. Answers and round/h metrics are identical in
+	// both modes; aggregate queries on a resident tree need a registered
+	// aggregate (RegisterAggregate + PrepareAssociativeNamed), since inline
+	// monoids cannot cross process boundaries.
 	MachineConfig = cgm.Config
-	// Metrics is the machine's superstep accounting.
-	Metrics = cgm.Metrics
 )
 
-// Machine scheduling modes.
-const (
-	// Concurrent runs the simulated processors as parallel goroutines.
-	Concurrent = cgm.Concurrent
-	// Measured time-slices processors for precise per-processor timing.
-	Measured = cgm.Measured
-)
-
-// MachineProvider supplies machines of a fixed width: NewLocalProvider
-// yields in-process simulators, a Cluster yields machines whose
-// supersteps run over TCP on real worker processes. The same SPMD
-// programs (construct, search, store compaction) run unchanged on either.
-//
-// Setting MachineConfig.Resident selects worker-resident execution on
-// either provider: the forest elements (and the store's level trees)
-// live where the registered SPMD programs execute — worker memory over
-// TCP, the machine's local state store on the loopback — and only query
-// boxes and result blocks cross the coordinator's wire. Answers and
-// round/h metrics are identical in both modes; aggregate queries on a
-// resident tree need a registered aggregate (RegisterAggregate +
-// PrepareAssociativeNamed), since inline monoids cannot cross process
-// boundaries.
-type MachineProvider = cgm.Provider
-
-// NewLocalProvider returns a provider of in-process machines.
-func NewLocalProvider(cfg MachineConfig) MachineProvider { return cgm.NewLocalProvider(cfg) }
-
-// Cluster is a MachineProvider backed by remote worker processes: the
-// multicomputer as real processes over TCP (see DESIGN.md §7).
+// Cluster supplies machines whose supersteps run over TCP on remote
+// worker processes: the multicomputer as real processes (see DESIGN.md
+// §7). The same SPMD programs (construct, search, store compaction) run
+// unchanged on it and on the in-process simulator. Set it as
+// StoreConfig.Provider to build and query a store's levels on the
+// workers.
 type Cluster = transport.Cluster
 
 // ClusterWorker is one worker process's serving state (cmd/rangeworker
@@ -120,21 +105,6 @@ func DialCluster(addrs []string, cfg MachineConfig) (*Cluster, error) {
 
 // Tree is the distributed range tree (the paper's contribution).
 type Tree = core.Tree
-
-// Query-related core types.
-type (
-	// ElemInfo is replicated forest-element metadata.
-	ElemInfo = core.ElemInfo
-	// SearchStats is one processor's share of a batch.
-	SearchStats = core.SearchStats
-)
-
-// RangeTree is the sequential d-dimensional range tree (Definition 1),
-// used standalone or as the building block of forest elements.
-type RangeTree = rangetree.Tree
-
-// KDTree is the space-optimal baseline the paper compares against (§1).
-type KDTree = kdtree.Tree
 
 // Monoid is a commutative monoid: the algebra of the associative-function
 // search mode.
@@ -155,40 +125,11 @@ func RankNormalize(pts []Point) []Point { return geom.RankNormalize(pts) }
 // NewBox builds a closed query box.
 func NewBox(lo, hi []Coord) Box { return geom.NewBox(lo, hi) }
 
-// ElemBackend selects the sequential structure forest elements (and their
-// phase-B copies) are built on.
-type ElemBackend = core.Backend
-
-// Element backends.
-const (
-	// LayeredBackend (the default) serves phase-C subqueries on layered
-	// (fractionally cascaded) trees: O(log^(j-1) g + k) per subquery, the
-	// §1 saving applied to the distributed hot path.
-	LayeredBackend = core.BackendLayered
-	// RangeTreeBackend is the paper's plain sequential structure.
-	RangeTreeBackend = core.BackendRangeTree
-	// BruteBackend answers subqueries by linear scan (oracle/testing).
-	BruteBackend = core.BackendBrute
-)
-
 // BuildDistributed runs Algorithm Construct on the machine and returns the
 // distributed range tree (Theorem 2: O(s/p) local work plus a constant
 // number of h-relations), with forest elements on the default layered
 // backend.
 func BuildDistributed(m *Machine, pts []Point) *Tree { return core.Build(m, pts) }
-
-// BuildDistributedWith runs Algorithm Construct with an explicit element
-// backend.
-func BuildDistributedWith(m *Machine, pts []Point, be ElemBackend) *Tree {
-	return core.BuildBackend(m, pts, be)
-}
-
-// BuildDistributedOn runs Algorithm Construct on a machine supplied by
-// the provider (local simulator or TCP cluster), with the default
-// layered element backend.
-func BuildDistributedOn(pv MachineProvider, pts []Point) (*Tree, error) {
-	return core.BuildOn(pv, pts, core.BackendLayered)
-}
 
 // ClusterBuild runs Algorithm Construct on a machine whose supersteps
 // run over the cluster's TCP workers.
@@ -207,18 +148,10 @@ func ClusterEngine(cl *Cluster, pts []Point, cfg EngineConfig) (*Engine[struct{}
 	return engine.New(t, cfg), nil
 }
 
-// ClusterOpenStore opens a mutable store whose level trees are built and
-// queried on the cluster's workers (cfg.Provider and cfg.P are
-// overridden by the cluster).
-func ClusterOpenStore(cl *Cluster, dir string, cfg StoreConfig) (*Store, error) {
-	cfg.Provider = cl
-	return store.Open(dir, cfg)
-}
-
 // Worker-direct streaming ingest (DESIGN.md §11): workers feed the
 // construction themselves — chunks stream into per-rank staging areas
-// with a bounded in-flight window, or each rank reads its own slice of a
-// points file — and the build runs held in worker memory. On a resident
+// with a bounded in-flight window, or each rank reads its own points
+// file — and the build runs held in worker memory. On a resident
 // cluster the coordinator handles only the p² sample-sort splitters and
 // control frames, never a routed point, so its traffic per build is
 // O(p²), independent of n.
@@ -231,39 +164,16 @@ type ChunkSource = core.ChunkSource
 // fixed-size chunks.
 func SliceChunks(pts []Point, chunk int) ChunkSource { return core.SliceChunks(pts, chunk) }
 
-// BuildWorkerFed runs Algorithm Construct with worker-held input: on a
-// resident machine the points are staged into the workers first and
-// every construction exchange stays on the worker mesh; on a fabric
-// machine it is identical to BuildDistributedWith.
-func BuildWorkerFed(m *Machine, pts []Point, be ElemBackend) *Tree {
-	return core.BuildWorkerFed(m, pts, be)
-}
-
-// BulkLoadStream streams chunks into the machine's workers (window
-// chunks in flight per rank; window ≤ 0 selects the default) and
-// constructs the tree worker-fed. On a cluster machine each rank is fed
-// over its own direct connection (rank-parallel ingest, DESIGN.md §13);
-// use BulkLoadStreamWith for the QoS share cap.
-func BulkLoadStream(m *Machine, src ChunkSource, window int) (*Tree, error) {
-	return core.BulkLoad(m, src, core.BackendLayered, window)
-}
-
-// IngestConfig parametrises BulkLoadStreamWith: the per-rank in-flight
-// window and the MaxShare QoS cap on the fraction of worker time the
-// ingest may consume.
+// IngestConfig parametrises BulkLoadStream: the per-rank in-flight
+// window (≤ 0 selects the default) and the MaxShare QoS cap on the
+// fraction of worker time the ingest may consume.
 type IngestConfig = core.IngestConfig
 
-// BulkLoadStreamWith is BulkLoadStream with explicit ingest
-// configuration (window, QoS share cap).
-func BulkLoadStreamWith(m *Machine, src ChunkSource, cfg IngestConfig) (*Tree, error) {
-	return core.BulkLoadWith(m, src, core.BackendLayered, cfg)
-}
-
-// BulkLoadFile builds a tree from a points file (SavePointsFile layout):
-// each rank reads its own record slice directly — the coordinator reads
-// only the 17-byte header.
-func BulkLoadFile(m *Machine, path string) (*Tree, error) {
-	return core.BulkLoadFile(m, path, core.BackendLayered)
+// BulkLoadStream streams chunks into the machine's workers and
+// constructs the tree worker-fed. On a cluster machine each rank is fed
+// over its own direct connection (rank-parallel ingest, DESIGN.md §13).
+func BulkLoadStream(m *Machine, src ChunkSource, cfg IngestConfig) (*Tree, error) {
+	return core.BulkLoad(m, src, core.BackendLayered, cfg)
 }
 
 // BulkLoadFiles builds a tree from one pre-partitioned points file per
@@ -272,20 +182,9 @@ func BulkLoadFiles(m *Machine, paths []string) (*Tree, error) {
 	return core.BulkLoadFiles(m, paths, core.BackendLayered)
 }
 
-// SavePointsFile writes pts in the fixed-record binary layout the bulk
-// file loaders read (rank-sliceable without parsing).
+// SavePointsFile writes pts in the fixed-record binary layout
+// BulkLoadFiles reads (rank-sliceable without parsing).
 func SavePointsFile(path string, pts []Point) error { return pointsfile.Save(path, pts) }
-
-// PointsFileInfo reports a points file's record count and dimensionality
-// from its header.
-func PointsFileInfo(path string) (n, dims int, err error) { return pointsfile.Info(path) }
-
-// BuildSequential builds the classical sequential range tree over all
-// dimensions of pts.
-func BuildSequential(pts []Point) *RangeTree { return rangetree.Build(pts) }
-
-// BuildKD builds the k-d tree baseline.
-func BuildKD(pts []Point) *KDTree { return kdtree.Build(pts) }
 
 // AggregateHandle is a prepared associative-function annotation; it
 // answers batches via Batch and backs an engine's Aggregate mode.
@@ -349,24 +248,10 @@ func MixedBatch[T any](t *Tree, h *AggregateHandle[T], ops []QueryOp, boxes []Bo
 // Engine is the concurrent micro-batching serving layer.
 type Engine[T any] = engine.Engine[T]
 
-// Engine configuration and metrics.
-type (
-	// EngineConfig tunes the serving layer: the largest batch one machine
-	// run answers, the answer cache, and the observability hooks. There is
-	// no flush deadline: the engine dispatches whenever the machine is free.
-	EngineConfig = engine.Config
-	// EngineStats is a snapshot of the engine's counters.
-	EngineStats = engine.Stats
-)
-
-// Engine sentinel errors.
-var (
-	// ErrEngineClosed is returned by queries submitted after Close.
-	ErrEngineClosed = engine.ErrClosed
-	// ErrNoAggregate is returned by Aggregate on an engine built without
-	// a prepared handle.
-	ErrNoAggregate = engine.ErrNoAggregate
-)
+// EngineConfig tunes the serving layer: the largest batch one machine
+// run answers, the answer cache, and the observability hooks. There is
+// no flush deadline: the engine dispatches whenever the machine is free.
+type EngineConfig = engine.Config
 
 // NewEngine creates a serving engine answering Count and Report queries.
 func NewEngine(t *Tree, cfg EngineConfig) *Engine[struct{}] { return engine.New(t, cfg) }
@@ -377,31 +262,12 @@ func NewAggregateEngine[T any](t *Tree, h *AggregateHandle[T], cfg EngineConfig)
 	return engine.WithAggregate(t, h, cfg)
 }
 
-// Aggregate builds a sequential associative-function annotation over a
-// sequential range tree and returns a single-query evaluator.
-func Aggregate[T any](t *RangeTree, m Monoid[T], val func(Point) T) func(Box) T {
-	agg := rangetree.NewAgg(t, m, val)
-	return agg.Query
-}
-
 // Common monoids, re-exported from internal/semigroup.
 var (
 	IntSum   = semigroup.IntSum
 	FloatSum = semigroup.FloatSum
 	MaxFloat = semigroup.MaxFloat
-	MinFloat = semigroup.MinFloat
-	MaxInt   = semigroup.MaxInt
-	MinInt   = semigroup.MinInt
 )
-
-// Extension structures (see DESIGN.md §10, experiments E11–E13).
-
-// LayeredTree is the layered range tree the paper cites in §1: fractional
-// cascading removes a log n factor from the query time.
-type LayeredTree = layered.Tree
-
-// BuildLayered builds a layered range tree over all dimensions of pts.
-func BuildLayered(pts []Point) *LayeredTree { return layered.Build(pts) }
 
 // DominanceTree answers weighted dominance (prefix) aggregates and box
 // aggregates via 2^d-corner inclusion–exclusion.
@@ -422,28 +288,14 @@ func BuildDominance[T any](pts []Point, m Monoid[T], val func(Point) T) (*Domina
 // Store is the mutable, versioned point store the engine can serve from.
 type Store = store.Store
 
-// Store configuration, version and metrics types.
-type (
-	// StoreConfig tunes the store (dims, machine width, memtable size,
-	// shadow-fold fraction, durability).
-	StoreConfig = store.Config
-	// StoreVersion is one pinned immutable snapshot of the store.
-	StoreVersion = store.Version
-	// StoreStats is a snapshot of the store's counters.
-	StoreStats = store.Stats
-)
-
-// ErrStoreClosed is returned by mutations submitted after Store.Close.
-var ErrStoreClosed = store.ErrClosed
-
-// ErrImmutableEngine is returned by Insert/Delete on an engine serving
-// an immutable tree rather than a store.
-var ErrImmutableEngine = engine.ErrImmutable
+// StoreConfig tunes the store (dims, machine width, memtable size,
+// shadow-fold fraction, durability). Its Provider — a Cluster, say —
+// supplies the machines the level trees are built and queried on.
+type StoreConfig = store.Config
 
 // OpenStore creates or recovers a mutable store. With a non-empty dir
-// the store is durable (checkpoint + WAL, crash-recoverable via the
-// same internal/persist machinery as SaveTree); with dir == "" it is
-// ephemeral.
+// the store is durable (checkpoint + WAL, crash-recoverable); with
+// dir == "" it is ephemeral.
 func OpenStore(dir string, cfg StoreConfig) (*Store, error) { return store.Open(dir, cfg) }
 
 // NewStoreEngine creates a serving engine over a mutable store: Count
@@ -454,55 +306,15 @@ func NewStoreEngine(st *Store, cfg EngineConfig) *Engine[struct{}] {
 	return engine.NewStore(st, cfg)
 }
 
-// Observability (internal/obs, DESIGN.md §12): a dependency-free metrics
-// registry plus per-query tracing, shared by the machine, the engine, the
-// store and the worker processes. Create one Registry and one Tracer per
-// process, pass them through MachineConfig.Obs/.Tracer (and
-// EngineConfig / StoreConfig.Obs), and serve the registry over HTTP with
-// ServeAdmin — or call ClusterWorker.EnableDebug for a worker's own
-// endpoint.
-
-// Obs types, re-exported from internal/obs.
-type (
-	// ObsRegistry is a process-component's metrics registry: atomic
-	// counters, gauges and log-bucket histograms, exported in Prometheus
-	// text format by its WriteProm (and by ServeAdmin's /metrics).
-	ObsRegistry = obs.Registry
-	// ObsTracer collects per-query spans; its Tree renders a query's
-	// cross-worker execution as an indented span tree.
-	ObsTracer = obs.Tracer
-	// ObsSpan is one timed region of a traced query's execution.
-	ObsSpan = obs.Span
-	// ObsAdmin is a live debug HTTP endpoint (/metrics, /healthz,
-	// /debug/pprof) over a registry.
-	ObsAdmin = obs.Admin
-)
-
-// NewObsRegistry creates an empty metrics registry.
-func NewObsRegistry() *ObsRegistry { return obs.NewRegistry() }
-
-// NewObsTracer creates an empty query tracer.
-func NewObsTracer() *ObsTracer { return obs.NewTracer() }
-
-// ServeAdmin serves reg's metrics (plus health and pprof) on an HTTP
-// listener at addr; health may be nil. Close the returned Admin to stop.
-func ServeAdmin(addr string, reg *ObsRegistry, health func() any) (*ObsAdmin, error) {
-	return obs.ServeAdmin(addr, reg, health)
-}
-
 // Cluster health plane (internal/obs/cluster, DESIGN.md §14): workers
 // push compact health beacons — liveness plus a full registry dump — on
 // a keepalive stream; the coordinator runs a per-worker liveness state
-// machine (healthy → suspect → down), archives structured cluster
-// events to a size-capped JSONL file, and merges every worker's metrics
-// with its own into one cluster view served from /cluster/* endpoints
-// (which the rangetop dashboard, `rangesearch -mode top`, renders live).
+// machine (healthy → suspect → down) and archives structured cluster
+// events to a size-capped JSONL file.
 //
 //	evlog, _ := drtree.OpenClusterEvents(filepath.Join(dir, "events.jsonl"), 0)
-//	mon := drtree.NewClusterMonitor(drtree.ClusterMonitorConfig{Addrs: addrs, Events: evlog, Obs: reg})
+//	mon := drtree.NewClusterMonitor(drtree.ClusterMonitorConfig{Addrs: addrs, Events: evlog})
 //	watch := drtree.WatchClusterHealth(addrs, 0, mon)
-//	agg := &drtree.ClusterAggregator{Mon: mon, Events: evlog, Local: reg}
-//	agg.Mount(admin) // /cluster/metrics, /cluster/healthz, /cluster/events, /cluster/top
 
 // Health plane types, re-exported from internal/obs/cluster.
 type (
@@ -512,28 +324,16 @@ type (
 	// ClusterMonitorConfig configures the monitor (addresses, beacon
 	// interval, missed-beacon thresholds, event archive, registry).
 	ClusterMonitorConfig = obscluster.MonitorConfig
-	// ClusterWorkerHealth is one worker's liveness row in a snapshot.
-	ClusterWorkerHealth = obscluster.WorkerHealth
 	// ClusterEventLog is the persistent structured event archive
 	// (size-capped JSONL file plus an in-memory recent ring).
 	ClusterEventLog = obscluster.EventLog
-	// ClusterEvent is one archived cluster event.
-	ClusterEvent = obscluster.Event
-	// ClusterAggregator merges the coordinator registry with the latest
-	// beacon-carried worker registries into the /cluster/* endpoints.
-	ClusterAggregator = obscluster.Aggregator
 	// ClusterHealthWatcher owns the per-rank beacon streams feeding a
 	// monitor (transport.WatchHealth's handle).
 	ClusterHealthWatcher = transport.HealthWatcher
 )
 
-// Worker liveness states.
-const (
-	WorkerUnknown = obscluster.StateUnknown
-	WorkerHealthy = obscluster.StateHealthy
-	WorkerSuspect = obscluster.StateSuspect
-	WorkerDown    = obscluster.StateDown
-)
+// WorkerDown is the liveness state of a worker whose beacons stopped.
+const WorkerDown = obscluster.StateDown
 
 // OpenClusterEvents opens (or creates, appending) a JSONL event archive;
 // path == "" keeps events in memory only, maxBytes <= 0 defaults the
@@ -552,18 +352,6 @@ func WatchClusterHealth(addrs []string, interval time.Duration, mon *ClusterMoni
 	return transport.WatchHealth(addrs, interval, mon)
 }
 
-// ReadClusterEvents loads every event from an archive segment — the
-// post-mortem reader matching the event log's JSONL writer.
-func ReadClusterEvents(path string) ([]ClusterEvent, error) { return obscluster.ReadEvents(path) }
-
-// SaveTree writes a machine-independent snapshot of the distributed tree
-// (rank points + parameters, versioned and checksummed); LoadTree rebuilds
-// it deterministically, possibly on a machine of a different width.
-func SaveTree(w io.Writer, t *Tree) error { return persist.Save(w, t) }
-
-// LoadTree reads a snapshot and rebuilds the distributed tree on m.
-func LoadTree(r io.Reader, m *Machine) (*Tree, error) { return persist.Load(r, m) }
-
 // Workload generation, re-exported so example programs and downstream
 // benchmarks can stay on the public API.
 type (
@@ -575,9 +363,8 @@ type (
 
 // Point distributions.
 const (
-	Uniform    = workload.Uniform
-	Clustered  = workload.Clustered
-	Correlated = workload.Correlated
+	Uniform   = workload.Uniform
+	Clustered = workload.Clustered
 )
 
 // GeneratePoints produces a rank-normalized synthetic point set.

@@ -75,7 +75,7 @@ func TestEngineFacade(t *testing.T) {
 // through the public API.
 func TestMixedBatchFacade(t *testing.T) {
 	n := 512
-	pts := drtree.GeneratePoints(drtree.PointSpec{N: n, Dims: 2, Dist: drtree.Correlated, Seed: 9})
+	pts := drtree.GeneratePoints(drtree.PointSpec{N: n, Dims: 2, Dist: workload.Correlated, Seed: 9})
 	mach := drtree.NewMachine(drtree.MachineConfig{P: 4})
 	tree := drtree.BuildDistributed(mach, pts)
 	h := drtree.PrepareAssociative(tree, drtree.FloatSum(), workload.WeightOf)

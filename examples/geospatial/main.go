@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 	"math/rand"
+	"os"
 
 	"repro"
 )
@@ -63,4 +64,29 @@ func main() {
 	fmt.Printf("\nreport mode: k=%d pairs in %d communication rounds (max h %d)\n",
 		k, mt.CommRounds(), mt.MaxH())
 	fmt.Printf("k/p balance across processors (Theorem 4): %v\n", perProc)
+
+	// Self-check: every viewport reports exactly the locations a linear
+	// scan of the same points finds.
+	for i, b := range boxes {
+		want := 0
+		for _, pt := range pts {
+			if b.Contains(pt) {
+				want++
+			}
+		}
+		for _, pt := range results[i] {
+			if !b.Contains(pt) {
+				fail("viewport %d reported location %d outside it", i, pt.ID)
+			}
+		}
+		if len(results[i]) != want {
+			fail("viewport %d reported %d locations, a linear scan finds %d", i, len(results[i]), want)
+		}
+	}
+	fmt.Println("ok: every viewport matches a linear scan")
+}
+
+func fail(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "mismatch: "+format+"\n", args...)
+	os.Exit(1)
 }

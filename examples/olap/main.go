@@ -7,7 +7,9 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"os"
 
 	"repro"
 )
@@ -75,4 +77,24 @@ func main() {
 	mt := mach.Metrics()
 	fmt.Printf("\n3 batches × %d predicates on p=%d: %d communication rounds total, max h %d\n",
 		len(preds), p, mt.CommRounds(), mt.MaxH())
+
+	// Self-check: every measure matches a linear scan of the same rows.
+	// Sums fold in a different order, so they agree to rounding only.
+	for i, b := range boxes {
+		var rows int64
+		sum, best := 0.0, math.Inf(-1)
+		for _, pt := range pts {
+			if b.Contains(pt) {
+				rows++
+				sum += revenue[pt.ID]
+				best = max(best, revenue[pt.ID])
+			}
+		}
+		if counts[i] != rows || maxs[i] != best || math.Abs(sums[i]-sum) > 1e-9*max(1, math.Abs(sum)) {
+			fmt.Fprintf(os.Stderr, "mismatch: %s: rows %d, revenue %.2f, max %.2f; a linear scan finds %d, %.2f, %.2f\n",
+				preds[i].name, counts[i], sums[i], maxs[i], rows, sum, best)
+			os.Exit(1)
+		}
+	}
+	fmt.Println("ok: every predicate matches a linear scan")
 }

@@ -5,6 +5,8 @@ package main
 
 import (
 	"fmt"
+	"math"
+	"os"
 
 	"repro"
 )
@@ -55,4 +57,19 @@ func main() {
 		func(p drtree.Point) cs { return cs{1, raw[p.ID][0]} })
 	agg := h.Batch([]drtree.Box{q})[0]
 	fmt.Printf("assoc:  mean temperature of matches = %.2f°C\n", agg.S/float64(agg.C))
+
+	// Self-check: all three modes agree with a linear scan of the points.
+	want, sum := 0, 0.0
+	for _, p := range pts {
+		if q.Contains(p) {
+			want++
+			sum += raw[p.ID][0]
+		}
+	}
+	if counts[0] != int64(want) || len(results[0]) != want || agg.C != want || math.Abs(agg.S-sum) > 1e-9 {
+		fmt.Fprintf(os.Stderr, "mismatch: count %d, report %d, assoc (%d, %.2f); a linear scan finds %d matches summing to %.2f\n",
+			counts[0], len(results[0]), agg.C, agg.S, want, sum)
+		os.Exit(1)
+	}
+	fmt.Println("ok: all three modes match a linear scan")
 }

@@ -7,6 +7,10 @@ import (
 
 	"repro"
 	"repro/internal/brute"
+	"repro/internal/cgm"
+	"repro/internal/kdtree"
+	"repro/internal/layered"
+	"repro/internal/rangetree"
 )
 
 // TestFacadeEndToEnd drives the whole public API surface the way the
@@ -47,15 +51,15 @@ func TestFacadeEndToEnd(t *testing.T) {
 func TestFacadeSequentialAndBaselines(t *testing.T) {
 	pts := drtree.GeneratePoints(drtree.PointSpec{N: 300, Dims: 2, Dist: drtree.Clustered, Seed: 5})
 	boxes := drtree.GenerateBoxes(drtree.QuerySpec{M: 40, Dims: 2, N: 300, Selectivity: 0.05, Seed: 5})
-	rt := drtree.BuildSequential(pts)
-	kd := drtree.BuildKD(pts)
-	lt := drtree.BuildLayered(pts)
+	rt := rangetree.Build(pts)
+	kd := kdtree.Build(pts)
+	lt := layered.Build(pts)
 	dom, err := drtree.BuildDominance(pts, drtree.IntSum(), func(drtree.Point) int64 { return 1 })
 	if err != nil {
 		t.Fatal(err)
 	}
 	bf := brute.New(pts)
-	agg := drtree.Aggregate(rt, drtree.FloatSum(), func(p drtree.Point) float64 { return float64(p.ID) })
+	agg := rangetree.NewAgg(rt, drtree.FloatSum(), func(p drtree.Point) float64 { return float64(p.ID) }).Query
 	for _, q := range boxes {
 		want := bf.Count(q)
 		if rt.Count(q) != want || kd.Count(q) != want || lt.Count(q) != want {
@@ -117,7 +121,7 @@ func TestFacadeDynamic(t *testing.T) {
 
 func TestFacadeMeasuredMode(t *testing.T) {
 	pts := drtree.GeneratePoints(drtree.PointSpec{N: 128, Dims: 2, Dist: drtree.Uniform, Seed: 1})
-	mach := drtree.NewMachine(drtree.MachineConfig{P: 4, Mode: drtree.Measured})
+	mach := drtree.NewMachine(drtree.MachineConfig{P: 4, Mode: cgm.Measured})
 	tree := drtree.BuildDistributed(mach, pts)
 	if tree.N() != 128 {
 		t.Fatal("build failed in measured mode")

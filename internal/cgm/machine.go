@@ -195,9 +195,6 @@ func New(cfg Config) *Machine {
 // is in flight.
 func (m *Machine) SetTrace(id uint64) { m.trace = id }
 
-// TraceID reports the machine's current trace stamp.
-func (m *Machine) TraceID() uint64 { return m.trace }
-
 // Tracer returns the machine's tracer (nil when not configured).
 func (m *Machine) Tracer() *obs.Tracer { return m.tracer }
 

@@ -47,19 +47,6 @@ func AllGatherFlat[T any](pr *cgm.Proc, label string, local []T) []T {
 	return flat
 }
 
-// Broadcast distributes root's data to every processor.
-func Broadcast[T any](pr *cgm.Proc, label string, root int, data []T) []T {
-	p := pr.P()
-	out := cgm.Alloc[[]T](pr.Arena(), p)
-	if pr.Rank() == root {
-		for j := 0; j < p; j++ {
-			out[j] = data
-		}
-	}
-	in := cgm.Exchange(pr, label, out)
-	return in[root]
-}
-
 // Gather collects every processor's local data at root (indexed by source
 // rank); other processors receive nil.
 func Gather[T any](pr *cgm.Proc, label string, root int, local []T) [][]T {
@@ -71,27 +58,6 @@ func Gather[T any](pr *cgm.Proc, label string, root int, local []T) [][]T {
 		return nil
 	}
 	return in
-}
-
-// Scatter delivers blocks[j] from root to processor j.
-func Scatter[T any](pr *cgm.Proc, label string, root int, blocks [][]T) []T {
-	p := pr.P()
-	out := cgm.Alloc[[]T](pr.Arena(), p)
-	if pr.Rank() == root {
-		if len(blocks) != p {
-			panic(fmt.Sprintf("comm: %s: scatter needs %d blocks, got %d", label, p, len(blocks)))
-		}
-		out = blocks
-	}
-	in := cgm.Exchange(pr, label, out)
-	return in[root]
-}
-
-// AllReduce folds one value per processor with a commutative monoid and
-// returns the total everywhere.
-func AllReduce[T any](pr *cgm.Proc, label string, m semigroup.Monoid[T], local T) T {
-	vals := AllGatherFlat(pr, label, []T{local})
-	return m.Fold(vals...)
 }
 
 // Scan is the paper's partial-sum operation over processor ranks: it
@@ -216,7 +182,7 @@ func Rebalance[T any](pr *cgm.Proc, label string, local []T) []T {
 // worker-resident construct can run it worker-side. Block j is one
 // contiguous stretch of local, so the result is views into it, each
 // capacity-clipped so an append to one block cannot write into the next.
-// Positions at or past total belong to the last block, as in BlockOwner.
+// Positions at or past total belong to the last block.
 func BlockPartition[T any](local []T, offset, total, p int) [][]T {
 	out := make([][]T, p)
 	lo := 0
@@ -230,25 +196,6 @@ func BlockPartition[T any](local []T, offset, total, p int) [][]T {
 		lo = hi
 	}
 	return out
-}
-
-// BlockOwner maps global position g of N items onto one of p contiguous
-// blocks (sizes differing by at most one).
-func BlockOwner(g, n, p int) int {
-	if n == 0 {
-		return 0
-	}
-	j := g * p / n // within one block of the answer; adjust exactly
-	if j > p-1 {
-		j = p - 1
-	}
-	for j > 0 && g < blockStart(j, n, p) {
-		j--
-	}
-	for j < p-1 && g >= blockStart(j+1, n, p) {
-		j++
-	}
-	return j
 }
 
 // blockStart is the first global position of processor j's block.

@@ -39,6 +39,18 @@ func TestAllGatherFlatOrder(t *testing.T) {
 	}
 }
 
+// broadcast sends root's data to every rank: a segmented broadcast whose
+// one segment is the whole machine.
+func broadcast[T any](pr *cgm.Proc, label string, root int, data []T) []T {
+	var items []SegItem[T]
+	if pr.Rank() == root {
+		for _, v := range data {
+			items = append(items, SegItem[T]{Val: v, DstLo: 0, DstHi: pr.P() - 1})
+		}
+	}
+	return SegmentedBroadcast(pr, label, items)
+}
+
 func TestBroadcast(t *testing.T) {
 	m := cgm.New(cgm.Config{P: 5})
 	var got [5][]string
@@ -47,7 +59,7 @@ func TestBroadcast(t *testing.T) {
 		if pr.Rank() == 2 {
 			data = []string{"hello", "world"}
 		}
-		got[pr.Rank()] = Broadcast(pr, "bc", 2, data)
+		got[pr.Rank()] = broadcast(pr, "bc", 2, data)
 	})
 	for i := 0; i < 5; i++ {
 		if !reflect.DeepEqual(got[i], []string{"hello", "world"}) {
@@ -69,15 +81,14 @@ func TestGatherScatterRoundTrip(t *testing.T) {
 		} else if at0 != nil {
 			t.Error("non-root must receive nil")
 		}
-		// Root scatters back doubled values.
-		var blocks [][]int
+		// Root scatters back doubled values, each addressed to its rank.
+		var items []int
 		if pr.Rank() == 0 {
-			blocks = make([][]int, 4)
-			for j := range blocks {
-				blocks[j] = []int{at0[j][0] * 2}
+			for j := range at0 {
+				items = append(items, at0[j][0]*2)
 			}
 		}
-		back[pr.Rank()] = Scatter(pr, "s", 0, blocks)
+		back[pr.Rank()] = SegmentedGather(pr, "s", items, func(v int) int { return v / 200 })
 	})
 	for i := 0; i < 4; i++ {
 		if back[i][0] != i*200 {
@@ -86,34 +97,15 @@ func TestGatherScatterRoundTrip(t *testing.T) {
 	}
 }
 
-func TestScatterWrongBlockCount(t *testing.T) {
-	m := cgm.New(cgm.Config{P: 2})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected abort")
-		}
-	}()
-	m.Run(func(pr *cgm.Proc) {
-		var blocks [][]int
-		if pr.Rank() == 0 {
-			blocks = make([][]int, 3)
-		}
-		Scatter(pr, "bad", 0, blocks)
-	})
-}
-
+// TestAllReduceAndScan: Scan's total is the all-reduce, the same on
+// every rank; its prefix folds the ranks below.
 func TestAllReduceAndScan(t *testing.T) {
 	m := cgm.New(cgm.Config{P: 6})
 	var totals [6]int64
 	var prefixes [6]int64
 	m.Run(func(pr *cgm.Proc) {
 		v := int64(pr.Rank() + 1)
-		totals[pr.Rank()] = AllReduce(pr, "ar", semigroup.IntSum(), v)
-		pre, tot := Scan(pr, "scan", semigroup.IntSum(), v)
-		prefixes[pr.Rank()] = pre
-		if tot != 21 {
-			t.Errorf("scan total = %d", tot)
-		}
+		prefixes[pr.Rank()], totals[pr.Rank()] = Scan(pr, "scan", semigroup.IntSum(), v)
 	})
 	for i := 0; i < 6; i++ {
 		if totals[i] != 21 {
@@ -229,7 +221,7 @@ func TestRebalanceEmpty(t *testing.T) {
 
 // TestBlockPartitionViews: for random runs — empty ones, p = 1, p larger
 // than the run — the blocks concatenate back to the input, every item
-// sits in the block BlockOwner names, and each block's capacity ends at
+// sits in the block blockOwner names, and each block's capacity ends at
 // its length, so appending to block j cannot write into block j+1.
 func TestBlockPartitionViews(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
@@ -255,8 +247,8 @@ func TestBlockPartitionViews(t *testing.T) {
 				t.Fatalf("p=%d n=%d offset=%d total=%d: block %d has len %d cap %d", p, n, offset, total, j, len(b), cap(b))
 			}
 			for _, g := range b {
-				if owner := BlockOwner(g, total, p); owner != j {
-					t.Fatalf("p=%d total=%d: position %d in block %d, BlockOwner says %d", p, total, g, j, owner)
+				if owner := blockOwner(g, total, p); owner != j {
+					t.Fatalf("p=%d total=%d: position %d in block %d, blockOwner says %d", p, total, g, j, owner)
 				}
 			}
 			flat = append(flat, b...)
@@ -273,13 +265,33 @@ func TestBlockPartitionViews(t *testing.T) {
 	}
 }
 
+// blockOwner maps global position g of n items onto one of p contiguous
+// blocks (sizes differing by at most one): the oracle BlockPartition's
+// cuts are checked against.
+func blockOwner(g, n, p int) int {
+	if n == 0 {
+		return 0
+	}
+	j := g * p / n // within one block of the answer; adjust exactly
+	if j > p-1 {
+		j = p - 1
+	}
+	for j > 0 && g < blockStart(j, n, p) {
+		j--
+	}
+	for j < p-1 && g >= blockStart(j+1, n, p) {
+		j++
+	}
+	return j
+}
+
 func TestBlockOwnerExhaustive(t *testing.T) {
 	for n := 0; n <= 40; n++ {
 		for p := 1; p <= 7; p++ {
 			for g := 0; g < n; g++ {
-				j := BlockOwner(g, n, p)
+				j := blockOwner(g, n, p)
 				if g < blockStart(j, n, p) || (j < p-1 && g >= blockStart(j+1, n, p)) {
-					t.Fatalf("BlockOwner(%d,%d,%d) = %d", g, n, p, j)
+					t.Fatalf("blockOwner(%d,%d,%d) = %d", g, n, p, j)
 				}
 			}
 		}

@@ -59,7 +59,7 @@ func TestAllGatherSliceAliasing(t *testing.T) {
 func TestBroadcastEmptyPayload(t *testing.T) {
 	m := cgm.New(cgm.Config{P: 3})
 	m.Run(func(pr *cgm.Proc) {
-		got := Broadcast(pr, "empty", 1, []string(nil))
+		got := broadcast(pr, "empty", 1, []string(nil))
 		if len(got) != 0 {
 			t.Errorf("empty broadcast delivered %v", got)
 		}

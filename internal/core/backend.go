@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/brute"
 	"repro/internal/cgm"
 	"repro/internal/geom"
 	"repro/internal/layered"
@@ -26,10 +25,6 @@ const (
 	// BackendRangeTree is the paper's plain structure (Definition 1), kept
 	// as the reference backend and the baseline of the E15 measurements.
 	BackendRangeTree
-	// BackendBrute serves subqueries by linear scan. It exists for the
-	// cross-backend oracle tests and as a degenerate baseline; never pick
-	// it for real workloads.
-	BackendBrute
 )
 
 // String names the backend (diagnostics and benchmark labels).
@@ -39,8 +34,6 @@ func (b Backend) String() string {
 		return "layered"
 	case BackendRangeTree:
 		return "rangetree"
-	case BackendBrute:
-		return "brute"
 	}
 	return fmt.Sprintf("Backend(%d)", int8(b))
 }
@@ -68,25 +61,10 @@ func buildElemTree(be Backend, pts []geom.Point, startDim int) elemTree {
 	switch be {
 	case BackendRangeTree:
 		return rangetree.BuildFrom(pts, startDim)
-	case BackendBrute:
-		return &bruteElem{set: brute.Set{Pts: pts}}
 	default:
 		return layered.BuildFrom(pts, startDim)
 	}
 }
-
-// bruteElem adapts brute.Set to the element contract. Earlier dimensions
-// are re-checked by Contains; that is redundant (the hat guarantees them
-// structurally) but harmless, and keeps the oracle backend trivially
-// correct.
-type bruteElem struct {
-	set brute.Set
-}
-
-func (b *bruteElem) N() int                         { return len(b.set.Pts) }
-func (b *bruteElem) Nodes() int                     { return len(b.set.Pts) }
-func (b *bruteElem) Count(q geom.Box) int           { return b.set.Count(q) }
-func (b *bruteElem) Report(q geom.Box) []geom.Point { return b.set.Report(q) }
 
 // elemAgg is a prepared per-element semigroup annotation (Algorithm
 // AssociativeFunction step 1 at element granularity).
@@ -96,31 +74,10 @@ type elemAgg[T any] interface {
 
 // newElemAgg builds the annotation matching the element's backend.
 func newElemAgg[T any](el *element, m semigroup.Monoid[T], val func(geom.Point) T) elemAgg[T] {
-	switch tr := el.tree.(type) {
-	case *layered.Tree:
-		return layered.NewAgg(tr, m, val)
-	case *rangetree.Tree:
+	if tr, ok := el.tree.(*rangetree.Tree); ok {
 		return rangetree.NewAgg(tr, m, val)
-	default:
-		return &bruteAgg[T]{pts: el.pts, m: m, val: val}
 	}
-}
-
-// bruteAgg folds by scanning — the oracle-backend annotation.
-type bruteAgg[T any] struct {
-	pts []geom.Point
-	m   semigroup.Monoid[T]
-	val func(geom.Point) T
-}
-
-func (a *bruteAgg[T]) Query(b geom.Box) T {
-	acc := a.m.Identity
-	for _, p := range a.pts {
-		if b.Contains(p) {
-			acc = a.m.Combine(acc, a.val(p))
-		}
-	}
-	return acc
+	return layered.NewAgg(el.tree.(*layered.Tree), m, val)
 }
 
 // countVisitor tallies a Visit descent; the serving hooks hold one and

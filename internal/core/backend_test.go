@@ -12,7 +12,7 @@ import (
 	"repro/internal/semigroup"
 )
 
-var allBackends = []Backend{BackendLayered, BackendRangeTree, BackendBrute}
+var allBackends = []Backend{BackendLayered, BackendRangeTree}
 
 // TestCrossBackendOracle drives mixed Count/Aggregate/Report batches
 // through the unified pipeline on every backend, over machine widths,

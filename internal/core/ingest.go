@@ -149,14 +149,7 @@ type IngestConfig struct {
 	MaxShare float64
 }
 
-// BulkLoad streams src into the machine's workers and builds a tree from
-// the staged input, with the default window and no QoS cap — see
-// BulkLoadWith.
-func BulkLoad(mach *cgm.Machine, src ChunkSource, be Backend, window int) (*Tree, error) {
-	return BulkLoadWith(mach, src, be, IngestConfig{Window: window})
-}
-
-// BulkLoadWith streams src into the machine's workers and builds a tree
+// BulkLoad streams src into the machine's workers and builds a tree
 // from the staged input. Chunk i goes to rank i%p — the arbitrary
 // initial distribution Construct step 1 allows; the sample sort
 // normalizes it. Each rank has its own feeder goroutine with a
@@ -172,7 +165,7 @@ func BulkLoad(mach *cgm.Machine, src ChunkSource, be Backend, window int) (*Tree
 // aborts with the diagnostic rather than surviving half-staged. On a
 // non-resident machine the stream is accumulated and built
 // coordinator-fed.
-func BulkLoadWith(mach *cgm.Machine, src ChunkSource, be Backend, cfg IngestConfig) (*Tree, error) {
+func BulkLoad(mach *cgm.Machine, src ChunkSource, be Backend, cfg IngestConfig) (*Tree, error) {
 	if !mach.Resident() {
 		var pts []geom.Point
 		for {
@@ -353,44 +346,6 @@ func buildRecovered(mach *cgm.Machine, pts []geom.Point, be Backend) (t *Tree, e
 	return BuildBackend(mach, pts, be), nil
 }
 
-// BulkLoadFile builds a tree from one pointsfile: the coordinator reads
-// only the 17-byte header; every rank reads its own record slice.
-func BulkLoadFile(mach *cgm.Machine, path string, be Backend) (*Tree, error) {
-	n, dims, err := pointsfile.Info(path)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, fmt.Errorf("core: %s holds no points", path)
-	}
-	if !mach.Resident() {
-		pts, err := pointsfile.Read(path)
-		if err != nil {
-			return nil, err
-		}
-		return buildRecovered(mach, pts, be)
-	}
-	p := mach.P()
-	err = forEachRank(p, func(rank int) error {
-		if _, err := cgm.ResidentCall[bool, bool](mach, rank, fref("ingest/begin"), false); err != nil {
-			return err
-		}
-		lo, hi := queryBlock(rank, n, p)
-		rep, err := cgm.ResidentCall[ingestFileArgs, ingestReply](mach, rank, fref("ingest/file"), ingestFileArgs{Path: path, Lo: lo, Hi: hi})
-		if err != nil {
-			return err
-		}
-		if rep.N != hi-lo || int(rep.Dims) != dims {
-			return fmt.Errorf("core: rank %d staged %d %d-dim points from %s, want %d %d-dim", rank, rep.N, rep.Dims, path, hi-lo, dims)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return buildStaged(mach, dims, n, be)
-}
-
 // BulkLoadFiles builds a tree from one pointsfile per rank — the
 // partitioned-input layout of a cluster whose workers each own a shard.
 // The coordinator never opens the files: counts and dimensionalities
@@ -403,7 +358,7 @@ func BulkLoadFiles(mach *cgm.Machine, paths []string, be Backend) (*Tree, error)
 	if !mach.Resident() {
 		var pts []geom.Point
 		for _, path := range paths {
-			shard, err := pointsfile.Read(path)
+			shard, _, err := pointsfile.Read(path)
 			if err != nil {
 				return nil, err
 			}
@@ -420,7 +375,7 @@ func BulkLoadFiles(mach *cgm.Machine, paths []string, be Backend) (*Tree, error)
 		if _, err := cgm.ResidentCall[bool, bool](mach, rank, fref("ingest/begin"), false); err != nil {
 			return err
 		}
-		rep, err := cgm.ResidentCall[ingestFileArgs, ingestReply](mach, rank, fref("ingest/file"), ingestFileArgs{Path: paths[rank], Lo: 0, Hi: -1})
+		rep, err := cgm.ResidentCall[ingestFileArgs, ingestReply](mach, rank, fref("ingest/file"), ingestFileArgs{Path: paths[rank]})
 		if err != nil {
 			return err
 		}

@@ -67,7 +67,7 @@ func TestBulkLoadStreaming(t *testing.T) {
 
 	for _, chunk := range []int{37, 5000} {
 		ldM := cgm.New(cgm.Config{P: p, Resident: true})
-		ld, err := core.BulkLoad(ldM, core.SliceChunks(pts, chunk), core.BackendLayered, 2)
+		ld, err := core.BulkLoad(ldM, core.SliceChunks(pts, chunk), core.BackendLayered, core.IngestConfig{Window: 2})
 		if err != nil {
 			t.Fatalf("chunk=%d: BulkLoad: %v", chunk, err)
 		}
@@ -84,16 +84,12 @@ func TestBulkLoadStreaming(t *testing.T) {
 	}
 }
 
-// TestBulkLoadFile: rank-local file-slice ingest (single shared file and
-// one shard per rank) answers like an in-memory build.
+// TestBulkLoadFile: rank-local file ingest (one shard per rank) answers
+// like an in-memory build.
 func TestBulkLoadFile(t *testing.T) {
 	n, d, p := 300, 2, 4
 	pts := workload.Points(workload.PointSpec{N: n, Dims: d, Dist: workload.Clustered, Seed: 19})
 	dir := t.TempDir()
-	whole := filepath.Join(dir, "pts.drpf")
-	if err := pointsfile.Save(whole, pts); err != nil {
-		t.Fatal(err)
-	}
 	shards := make([]string, p)
 	blocks := core.CanonicalBlocks(pts, p)
 	for rank := range shards {
@@ -108,30 +104,21 @@ func TestBulkLoadFile(t *testing.T) {
 	boxes := workload.Boxes(workload.QuerySpec{M: 30, Dims: d, N: n, Selectivity: 0.1, Seed: 23})
 	want := ref.CountBatch(boxes)
 
-	oneM := cgm.New(cgm.Config{P: p, Resident: true})
-	one, err := core.BulkLoadFile(oneM, whole, core.BackendLayered)
-	if err != nil {
-		t.Fatalf("BulkLoadFile: %v", err)
-	}
 	shM := cgm.New(cgm.Config{P: p, Resident: true})
 	sh, err := core.BulkLoadFiles(shM, shards, core.BackendLayered)
 	if err != nil {
 		t.Fatalf("BulkLoadFiles: %v", err)
 	}
-	gotOne := one.CountBatch(boxes)
 	gotSh := sh.CountBatch(boxes)
 	for i := range want {
-		if gotOne[i] != want[i] {
-			t.Fatalf("file count %d: want %d got %d", i, want[i], gotOne[i])
-		}
 		if gotSh[i] != want[i] {
 			t.Fatalf("shard count %d: want %d got %d", i, want[i], gotSh[i])
 		}
 	}
 }
 
-// TestPointsfileRoundTrip pins the on-disk format: save, slice reads,
-// header info.
+// TestPointsfileRoundTrip pins the on-disk format as the ingest path
+// reads it: save, then read back points and dimensionality.
 func TestPointsfileRoundTrip(t *testing.T) {
 	pts := []geom.Point{
 		{ID: 1, X: []geom.Coord{3, -4}},
@@ -142,20 +129,9 @@ func TestPointsfileRoundTrip(t *testing.T) {
 	if err := pointsfile.Save(path, pts); err != nil {
 		t.Fatal(err)
 	}
-	n, dims, err := pointsfile.Info(path)
-	if err != nil || n != 3 || dims != 2 {
-		t.Fatalf("Info: n=%d dims=%d err=%v", n, dims, err)
-	}
-	mid, dims, err := pointsfile.ReadSlice(path, 1, 2)
-	if err != nil || dims != 2 || len(mid) != 1 || mid[0].ID != 2 || mid[0].X[1] != 9 {
-		t.Fatalf("ReadSlice: %v %v (err=%v)", mid, dims, err)
-	}
-	all, err := pointsfile.Read(path)
-	if err != nil || len(all) != 3 || all[2].X[0] != -100 {
-		t.Fatalf("Read: %v (err=%v)", all, err)
-	}
-	if _, _, err := pointsfile.ReadSlice(path, 2, 5); err == nil {
-		t.Fatal("out-of-range slice must error")
+	all, dims, err := pointsfile.Read(path)
+	if err != nil || dims != 2 || len(all) != 3 || all[1].ID != 2 || all[1].X[1] != 9 || all[2].X[0] != -100 {
+		t.Fatalf("Read: %v %d-dim (err=%v)", all, dims, err)
 	}
 }
 
@@ -185,7 +161,7 @@ func (ft feedlessTransport) CallStep(int, exec.Ref, []byte) ([]byte, error) {
 func TestBulkLoadNeedsFeeds(t *testing.T) {
 	mach := cgm.New(cgm.Config{Transport: feedlessTransport{p: 2}, Resident: true})
 	pts := workload.Points(workload.PointSpec{N: 64, Dims: 2, Dist: workload.Uniform, Seed: 1})
-	_, err := core.BulkLoad(mach, core.SliceChunks(pts, 16), core.BackendLayered, 0)
+	_, err := core.BulkLoad(mach, core.SliceChunks(pts, 16), core.BackendLayered, core.IngestConfig{Window: 0})
 	if err == nil || !strings.Contains(err.Error(), "does not support step feeds") {
 		t.Fatalf("bulk load on a feedless resident machine: %v, want the OpenFeed diagnostic", err)
 	}

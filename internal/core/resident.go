@@ -39,7 +39,7 @@ import (
 // against coordinator/worker binary skew.
 const (
 	forestProgram = "core/forest"
-	forestVersion = 4 // 4: search/routeMixed is the only route collect
+	forestVersion = 5 // 5: no search/serveReport or search/serveAgg
 )
 
 // fref names one step of the forest program.
@@ -150,12 +150,6 @@ type serveArgs struct {
 	Subs []subquery
 }
 
-// serveAggArgs is serveArgs for a named aggregate.
-type serveAggArgs struct {
-	Name string
-	Subs []subquery
-}
-
 // aggPrepArgs asks the part to annotate its owned elements for a named
 // aggregate (Algorithm AssociativeFunction step 1, resident side).
 type aggPrepArgs struct {
@@ -179,7 +173,6 @@ type fetchArgs struct {
 type elemStat struct {
 	ID    ElemID
 	Nodes int
-	Pts   int
 }
 
 // ingestChunkArgs delivers one streamed block of points to a rank's
@@ -188,12 +181,11 @@ type ingestChunkArgs struct {
 	Pts []geom.Point
 }
 
-// ingestFileArgs asks the rank to read records [Lo, Hi) of a pointsfile
-// straight into its staging area (Hi < 0 means through end of file) —
-// the local-file-slice ingest path, no payload on the coordinator wire.
+// ingestFileArgs asks the rank to read a pointsfile straight into its
+// staging area — the local-file ingest path, no payload on the
+// coordinator wire.
 type ingestFileArgs struct {
-	Path   string
-	Lo, Hi int
+	Path string
 }
 
 // ingestReply reports what a file ingest staged, so the coordinator can
@@ -295,8 +287,6 @@ func init() {
 			"ingest/chunk":        exec.Pure(ingestChunkStep),
 			"ingest/file":         exec.Pure(ingestFileStep),
 			"search/serveCount":   exec.Pure(serveCountStep),
-			"search/serveReport":  exec.Pure(serveReportStep),
-			"search/serveAgg":     serveAggStep,
 			"assoc/prepare":       aggPrepareStep,
 			"points/fetch":        exec.Pure(fetchPointsStep),
 			"stats/elems":         exec.Pure(elemStatsStep),
@@ -318,9 +308,9 @@ func init() {
 }
 
 // constructBeginStep resets the part for a fresh construction (a machine
-// rebuilt on — e.g. persist.Load — must not merge two forests). Staged
-// ingest blocks and held records survive the reset: they are this build's
-// input.
+// rebuilt on — e.g. a store recovering its checkpoint — must not merge
+// two forests). Staged ingest blocks and held records survive the reset:
+// they are this build's input.
 func constructBeginStep(part *residentPart, _ *exec.Ctx, args beginArgs) (bool, error) {
 	part.backend = args.Backend
 	part.elems = make(map[ElemID]*element)
@@ -346,11 +336,11 @@ func ingestChunkStep(part *residentPart, _ *exec.Ctx, args ingestChunkArgs) (int
 	return len(part.staged), nil
 }
 
-// ingestFileStep reads a pointsfile slice straight into the staging area:
+// ingestFileStep reads a pointsfile straight into the staging area:
 // the rank-local file ingest path, where point payloads never touch the
 // coordinator at all.
 func ingestFileStep(part *residentPart, _ *exec.Ctx, args ingestFileArgs) (ingestReply, error) {
-	pts, dims, err := pointsfile.ReadSlice(args.Path, args.Lo, args.Hi)
+	pts, dims, err := pointsfile.Read(args.Path)
 	if err != nil {
 		return ingestReply{}, err
 	}
@@ -534,14 +524,9 @@ func servedReports(part *residentPart, subs []subquery) []rlocal {
 	return out
 }
 
-// serveCountStep is the out-of-run counting serve (single-query batches).
+// serveCountStep is the out-of-run counting serve (SingleCount).
 func serveCountStep(part *residentPart, _ *exec.Ctx, args serveArgs) ([]qcount, error) {
 	return servedCounts(part, args.Subs), nil
-}
-
-// serveReportStep is the out-of-run report serve (single-query batches).
-func serveReportStep(part *residentPart, _ *exec.Ctx, args serveArgs) ([]rlocal, error) {
-	return servedReports(part, args.Subs), nil
 }
 
 // decodeSubColumn decodes a routed subquery column for the raw fused-
@@ -618,22 +603,6 @@ func routeMixedStep(c *exec.Ctx, inbox *exec.Inbox, raw []byte) ([]byte, int, er
 	return exec.Marshal(rep), recv, nil
 }
 
-// serveAggStep answers aggregate subqueries through the named aggregate's
-// resident annotations. The reply is spec-encoded ([]qvalT[T]); the
-// coordinator decodes it with the registration's type.
-func serveAggStep(c *exec.Ctx, raw []byte) ([]byte, error) {
-	args, err := exec.Unmarshal[serveAggArgs](raw)
-	if err != nil {
-		return nil, err
-	}
-	part := c.State.(*residentPart)
-	spec, err := lookupAggSpec(args.Name)
-	if err != nil {
-		return nil, err
-	}
-	return spec.serve(part, part.agg(args.Name), args.Subs)
-}
-
 // aggPrepareStep annotates the owned elements for a named aggregate and
 // returns the spec-encoded forest-root values ([]aggRoot[T]).
 func aggPrepareStep(c *exec.Ctx, raw []byte) ([]byte, error) {
@@ -670,7 +639,7 @@ func elemStatsStep(part *residentPart, _ *exec.Ctx, _ bool) ([]elemStat, error) 
 	out := make([]elemStat, 0, len(ids))
 	for _, id := range ids {
 		el := part.elems[id]
-		out = append(out, elemStat{ID: id, Nodes: el.tree.Nodes(), Pts: len(el.pts)})
+		out = append(out, elemStat{ID: id, Nodes: el.tree.Nodes()})
 	}
 	return out, nil
 }

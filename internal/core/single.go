@@ -69,117 +69,6 @@ func (t *Tree) SingleCount(b geom.Box) int64 {
 	return result
 }
 
-// SingleReport answers one report query with all processors cooperating;
-// every processor materializes the points of the elements it owns.
-func (t *Tree) SingleReport(b geom.Box) []geom.Point {
-	p := t.P()
-	perProc := make([][]geom.Point, p)
-	t.mach.Run(func(pr *cgm.Proc) {
-		ps := t.procs[pr.Rank()]
-		var mine []geom.Point
-		var wholeIDs []ElemID // resident: fetched in one step call
-		var subs []subquery   // resident: served in one step call
-		emitElem := func(id ElemID) {
-			if int(ps.info[int(id)].Owner) != pr.Rank() {
-				return
-			}
-			if t.resident {
-				wholeIDs = append(wholeIDs, id)
-				return
-			}
-			mine = append(mine, ps.elems[id].pts...)
-		}
-		ps.hatSearchFunc(t, Query{ID: 0, Box: b},
-			func(s hatSel) {
-				if s.Elem >= 0 {
-					emitElem(s.Elem)
-					return
-				}
-				for _, e := range ps.stubsUnder(s.Tree, int(s.Node), nil) {
-					emitElem(e)
-				}
-			},
-			func(s subquery) {
-				if int(ps.info[int(s.Elem)].Owner) != pr.Rank() {
-					return
-				}
-				if t.resident {
-					subs = append(subs, s)
-					return
-				}
-				mine = append(mine, ps.elems[s.Elem].tree.Report(s.Box)...)
-			})
-		if t.resident {
-			if len(wholeIDs) > 0 {
-				for _, pts := range cgm.CallResident[fetchArgs, [][]geom.Point](pr, fref("points/fetch"), fetchArgs{Elems: wholeIDs}) {
-					mine = append(mine, pts...)
-				}
-			}
-			if len(subs) > 0 {
-				for _, l := range cgm.CallResident[serveArgs, []rlocal](pr, fref("search/serveReport"), serveArgs{Subs: subs}) {
-					mine = append(mine, l.Pts...)
-				}
-			}
-		}
-		// The partial results stay distributed (the useful deliverable);
-		// one barrier closes the superstep accounting.
-		cgm.Barrier(pr, "single/report")
-		perProc[pr.Rank()] = mine
-	})
-	var out []geom.Point
-	for _, part := range perProc {
-		out = append(out, part...)
-	}
-	return out
-}
-
-// SingleAggregate answers one associative-function query cooperatively:
-// hat selections are resolved by processor 0 from the prepared annotation,
-// forest subqueries by their owners, and one gather round combines.
-func (h *AggHandle[T]) SingleAggregate(b geom.Box) T {
-	t := h.t
-	result := h.m.Identity
-	t.mach.Run(func(pr *cgm.Proc) {
-		ps := t.procs[pr.Rank()]
-		local := h.m.Identity
-		var mine []subquery // resident: served through the named aggregate
-		ps.hatSearchFunc(t, Query{ID: 0, Box: b},
-			func(s hatSel) {
-				if pr.Rank() != 0 {
-					return
-				}
-				if s.Elem >= 0 {
-					local = h.m.Combine(local, h.elemRoot[int(s.Elem)])
-				} else {
-					local = h.m.Combine(local, h.hatTab[0][s.Tree][int(s.Node)])
-				}
-			},
-			func(s subquery) {
-				if int(ps.info[int(s.Elem)].Owner) != pr.Rank() {
-					return
-				}
-				if t.resident {
-					mine = append(mine, s)
-					return
-				}
-				local = h.m.Combine(local, h.elemAggs[pr.Rank()][s.Elem].Query(s.Box))
-			})
-		if t.resident && len(mine) > 0 {
-			for _, v := range cgm.CallResident[serveAggArgs, []qvalT[T]](pr, fref("search/serveAgg"),
-				serveAggArgs{Name: h.name, Subs: mine}) {
-				local = h.m.Combine(local, v.Val)
-			}
-		}
-		parts := comm.Gather(pr, "single/agg", 0, []T{local})
-		if pr.Rank() == 0 {
-			for _, p := range parts {
-				result = h.m.Combine(result, p[0])
-			}
-		}
-	})
-	return result
-}
-
 // SingleQueryWork returns, per processor, how many subqueries of the
 // single query b each processor would serve — the ownership-limited
 // parallelism profile E13 reports.

@@ -2,13 +2,8 @@ package core
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/brute"
-	"repro/internal/geom"
-	"repro/internal/semigroup"
 )
 
 func TestSingleCountMatchesBrute(t *testing.T) {
@@ -28,43 +23,6 @@ func TestSingleCountMatchesBrute(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSingleReportMatchesBrute(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 25; trial++ {
-		n := 1 + rng.Intn(150)
-		d := 1 + rng.Intn(3)
-		p := 1 + rng.Intn(6)
-		dt, bf, _ := buildBoth(rng, n, d, p)
-		b := randomBoxes(rng, 1, n, d)[0]
-		got := brute.IDs(dt.SingleReport(b))
-		want := brute.IDs(bf.Report(b))
-		if len(got) == 0 && len(want) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("n=%d d=%d p=%d: got %v want %v", n, d, p, got, want)
-		}
-	}
-}
-
-func TestSingleAggregateMatchesBrute(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + rng.Intn(150)
-		d := 1 + rng.Intn(3)
-		p := 1 + rng.Intn(6)
-		dt, bf, _ := buildBoth(rng, n, d, p)
-		weight := func(pt geom.Point) float64 { return float64(pt.ID%9) + 1 }
-		h := PrepareAssociative(dt, semigroup.FloatSum(), weight)
-		b := randomBoxes(rng, 1, n, d)[0]
-		got := h.SingleAggregate(b)
-		want := brute.Aggregate(bf, semigroup.FloatSum(), weight, b)
-		if got != want {
-			t.Fatalf("n=%d d=%d p=%d: %v vs %v", n, d, p, got, want)
-		}
 	}
 }
 

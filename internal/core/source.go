@@ -44,47 +44,6 @@ func (s sliceSource) Block(rank, p int) []geom.Point {
 	return s.pts[lo:hi]
 }
 
-// blockSource is an explicit per-rank partition (arbitrary block sizes).
-type blockSource struct {
-	blocks [][]geom.Point
-	dims   int
-	total  int
-}
-
-func (s blockSource) Dims() int  { return s.dims }
-func (s blockSource) Total() int { return s.total }
-func (s blockSource) Held() bool { return false }
-func (s blockSource) Block(rank, p int) []geom.Point {
-	if len(s.blocks) != p {
-		panic(fmt.Sprintf("core: point source has %d blocks, machine has %d ranks", len(s.blocks), p))
-	}
-	return s.blocks[rank]
-}
-
-// FromBlocks builds a PointSource from one arbitrary block per rank
-// (blocks[j] is rank j's initial share; blocks may be empty but not all of
-// them). The sample sort normalizes the distribution, so answers are
-// independent of the split; only the canonical split of CanonicalBlocks
-// additionally reproduces BuildBackend's metrics exactly.
-func FromBlocks(blocks [][]geom.Point) PointSource {
-	src := blockSource{blocks: blocks, dims: -1}
-	for _, blk := range blocks {
-		src.total += len(blk)
-		for _, pt := range blk {
-			if src.dims == -1 {
-				src.dims = pt.Dims()
-			}
-			if pt.Dims() != src.dims {
-				panic(fmt.Sprintf("core: point %d has %d dims, want %d", pt.ID, pt.Dims(), src.dims))
-			}
-		}
-	}
-	if src.total == 0 {
-		panic("core: empty point set")
-	}
-	return src
-}
-
 // CanonicalBlocks splits pts into the p contiguous blocks Construct step 1
 // would assign — the staging that makes a worker-fed build's metrics
 // byte-identical to a coordinator-fed one.

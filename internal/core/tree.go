@@ -361,47 +361,30 @@ func (t *Tree) HatNodeCount() int {
 func (t *Tree) HatTreeCount() int { return len(t.procs[0].hat) }
 
 // ForestPartNodes reports, per processor, the total node count of the
-// owned forest elements — the |F_i| of Theorem 1(ii).
-func (t *Tree) ForestPartNodes() []int {
-	nodes, _ := t.forestPartSizes()
-	return nodes
-}
-
-// ForestPartPoints reports, per processor, the summed point counts of the
-// owned elements (points are replicated across dimensions, so this can
-// exceed n; it mirrors the leaf mass of F_i).
-func (t *Tree) ForestPartPoints() []int {
-	_, pts := t.forestPartSizes()
-	return pts
-}
-
-// forestPartSizes tallies the owned elements per processor — directly for
+// owned forest elements — the |F_i| of Theorem 1(ii): directly for
 // fabric trees, via one stats step per rank for resident ones. Resident
 // calls must not overlap a machine run (the Run contract); a failure
 // aborts like a machine abort would.
-func (t *Tree) forestPartSizes() (nodes, pts []int) {
-	p := t.P()
-	nodes, pts = make([]int, p), make([]int, p)
+func (t *Tree) ForestPartNodes() []int {
+	nodes := make([]int, t.P())
 	if t.resident {
-		for rank := 0; rank < p; rank++ {
+		for rank := range nodes {
 			stats, err := cgm.ResidentCall[bool, []elemStat](t.mach, rank, fref("stats/elems"), false)
 			if err != nil {
 				panic(fmt.Sprintf("core: resident element stats: %v", err))
 			}
 			for _, st := range stats {
 				nodes[rank] += st.Nodes
-				pts[rank] += st.Pts
 			}
 		}
-		return nodes, pts
+		return nodes
 	}
 	for i, ps := range t.procs {
 		for _, el := range ps.elems {
 			nodes[i] += el.tree.Nodes()
-			pts[i] += len(el.pts)
 		}
 	}
-	return nodes, pts
+	return nodes
 }
 
 // ElemCount reports the number of forest elements.
@@ -411,8 +394,8 @@ func (t *Tree) ElemCount() int { return len(t.procs[0].info) }
 // dimension-0 forest elements partition the input, so concatenating them
 // in element order recovers it (sorted by the first coordinate). On a
 // resident tree the points are fetched from the owning ranks (one step
-// call per rank); a lost worker panics like a machine abort would.
-func (t *Tree) AllPoints() []geom.Point {
+// call per rank), and a lost worker is an error naming its rank.
+func (t *Tree) AllPoints() ([]geom.Point, error) {
 	out := make([]geom.Point, 0, t.n)
 	if t.resident {
 		byOwner := make([][]ElemID, t.P())
@@ -425,7 +408,7 @@ func (t *Tree) AllPoints() []geom.Point {
 		for rank, ids := range byOwner {
 			parts, err := t.residentElemPoints(rank, ids)
 			if err != nil {
-				panic(fmt.Sprintf("core: resident point fetch: %v", err))
+				return nil, fmt.Errorf("core: resident point fetch: %w", err)
 			}
 			for i, id := range ids {
 				fetched[id] = parts[i]
@@ -436,7 +419,7 @@ func (t *Tree) AllPoints() []geom.Point {
 				out = append(out, fetched[info.ID]...)
 			}
 		}
-		return out
+		return out, nil
 	}
 	for _, info := range t.procs[0].info {
 		if info.Dim != 0 {
@@ -445,7 +428,7 @@ func (t *Tree) AllPoints() []geom.Point {
 		owner := t.procs[info.Owner]
 		out = append(out, owner.elems[info.ID].pts...)
 	}
-	return out
+	return out, nil
 }
 
 // homeOf maps a query id to the processor that initially holds it (block

@@ -198,7 +198,6 @@ func FuzzWireRoundTrip(f *testing.F) {
 		}
 		fuzzRT(t, subs)
 		fuzzRT(t, serveArgs{Subs: subs})
-		fuzzRT(t, serveAggArgs{Name: string(g.key(9)), Subs: subs})
 
 		qcs := make([]qcount, n)
 		qis := make([]qvalT[int64], n)
@@ -247,7 +246,6 @@ func FuzzWireRoundTrip(f *testing.F) {
 			mustNotPanic[installCopiesReply](t, blk)
 			mustNotPanic[[]subquery](t, blk)
 			mustNotPanic[serveArgs](t, blk)
-			mustNotPanic[serveAggArgs](t, blk)
 			mustNotPanic[[]qcount](t, blk)
 			mustNotPanic[[]qvalT[int64]](t, blk)
 			mustNotPanic[[]qvalT[float64]](t, blk)

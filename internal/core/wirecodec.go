@@ -272,16 +272,6 @@ func init() {
 			arena := wire.NewArena(r)
 			return serveArgs{Subs: readSubqueries(r, &arena)}, nil
 		})
-	fixedCodec(
-		func(buf []byte, a serveAggArgs) []byte {
-			buf = wire.AppendString(buf, a.Name)
-			return appendSubqueries(buf, a.Subs)
-		},
-		func(r *wire.Reader) (serveAggArgs, error) {
-			name := r.Str()
-			arena := wire.NewArena(r)
-			return serveAggArgs{Name: name, Subs: readSubqueries(r, &arena)}, nil
-		})
 
 	// Count results: fixed 12-byte records, decoded in one allocation.
 	fixedCodec(appendQcounts, func(r *wire.Reader) ([]qcount, error) { return readQcounts(r), nil })

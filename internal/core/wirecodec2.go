@@ -321,14 +321,8 @@ func init() {
 			return ingestChunkArgs{Pts: wire.ReadPoints(r, &arena)}, nil
 		})
 	fixedCodec(
-		func(buf []byte, a ingestFileArgs) []byte {
-			buf = wire.AppendString(buf, a.Path)
-			buf = wire.AppendVarint(buf, int64(a.Lo))
-			return wire.AppendVarint(buf, int64(a.Hi))
-		},
-		func(r *wire.Reader) (ingestFileArgs, error) {
-			return ingestFileArgs{Path: r.Str(), Lo: int(r.Varint()), Hi: int(r.Varint())}, nil
-		})
+		func(buf []byte, a ingestFileArgs) []byte { return wire.AppendString(buf, a.Path) },
+		func(r *wire.Reader) (ingestFileArgs, error) { return ingestFileArgs{Path: r.Str()}, nil })
 	fixedCodec(
 		func(buf []byte, rep ingestReply) []byte {
 			buf = wire.AppendVarint(buf, int64(rep.N))
@@ -530,19 +524,17 @@ func init() {
 			for _, s := range ss {
 				buf = wire.AppendI32(buf, int32(s.ID))
 				buf = wire.AppendVarint(buf, int64(s.Nodes))
-				buf = wire.AppendVarint(buf, int64(s.Pts))
 			}
 			return buf
 		},
 		func(r *wire.Reader) ([]elemStat, error) {
-			n := r.Count(6)
+			n := r.Count(5)
 			var ss []elemStat
 			if n > 0 {
 				ss = make([]elemStat, n)
 				for i := range ss {
 					ss[i].ID = ElemID(r.I32())
 					ss[i].Nodes = int(r.Varint())
-					ss[i].Pts = int(r.Varint())
 				}
 			}
 			return ss, nil

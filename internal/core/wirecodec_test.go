@@ -146,7 +146,6 @@ func TestWireCodecsMatchGobOracle(t *testing.T) {
 		}
 		roundTrip(t, subs)
 		roundTrip(t, serveArgs{Subs: subs})
-		roundTrip(t, serveAggArgs{Name: string(genKey(rng)), Subs: subs})
 
 		qcs := make([]qcount, n)
 		for i := range qcs {

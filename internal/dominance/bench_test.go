@@ -16,7 +16,7 @@ func BenchmarkDominated(b *testing.B) {
 	b.ResetTimer()
 	var total int64
 	for i := 0; i < b.N; i++ {
-		total += t.Dominated(c)
+		total += t.dominated(c)
 	}
 	_ = total
 }

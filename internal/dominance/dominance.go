@@ -96,15 +96,8 @@ func build[T any](pts []geom.Point, g semigroup.Monoid[T], val func(geom.Point) 
 	return t
 }
 
-// Dominated folds val over every point dominated by c (p.X[j] ≤ c[j] for
+// dominated folds val over every point dominated by c (p.X[j] ≤ c[j] for
 // all j ≥ the tree's first dimension).
-func (t *Tree[T]) Dominated(c []geom.Coord) T {
-	if len(c) != t.dims {
-		panic("dominance: corner dimensionality mismatch")
-	}
-	return t.dominated(c)
-}
-
 func (t *Tree[T]) dominated(c []geom.Coord) T {
 	bound := c[t.startDim]
 	if t.prefix != nil { // final dimension: one binary search

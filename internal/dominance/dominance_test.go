@@ -69,7 +69,7 @@ func TestDominatedMatchesBrute(t *testing.T) {
 					want += val(p)
 				}
 			}
-			if tr.Dominated(c) != want {
+			if tr.dominated(c) != want {
 				return false
 			}
 		}
@@ -145,10 +145,6 @@ func TestEmptyBoxCancels(t *testing.T) {
 
 func TestPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"dim": func() {
-			tr := mustNew(t, randomPoints(rand.New(rand.NewSource(1)), 5, 2), semigroup.IntSum(), func(geom.Point) int64 { return 1 })
-			tr.Dominated([]geom.Coord{1})
-		},
 		"boxdim": func() {
 			tr := mustNew(t, randomPoints(rand.New(rand.NewSource(1)), 5, 2), semigroup.IntSum(), func(geom.Point) int64 { return 1 })
 			tr.Box(geom.NewBox([]geom.Coord{1}, []geom.Coord{2}))

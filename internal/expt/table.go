@@ -37,15 +37,6 @@ var Index = []struct {
 	{"E11", E11}, {"E12", E12}, {"E13", E13}, {"E14", E14}, {"E15", E15}, {"E16", E16},
 }
 
-// All runs every experiment at the given scale, in index order.
-func All(sc Scale) []*Table {
-	tabs := make([]*Table, len(Index))
-	for i, e := range Index {
-		tabs[i] = e.Run(sc)
-	}
-	return tabs
-}
-
 // AddRow appends a row of stringified cells.
 func (t *Table) AddRow(cells ...any) {
 	row := make([]string, len(cells))

@@ -151,9 +151,13 @@ func TestNormalizerBoxEquivalence(t *testing.T) {
 func TestNormalizerRawRoundTrip(t *testing.T) {
 	raw := [][]float64{{10}, {20}, {30}}
 	pts, nm := NormalizeFloat64(raw)
-	for i, p := range pts {
-		if nm.Raw(0, p.X[0]) != raw[i][0] {
-			t.Errorf("Raw(rank(%d)) = %v, want %v", i, nm.Raw(0, p.X[0]), raw[i][0])
+	// The box of each raw value holds exactly that value's rank point.
+	for i := range pts {
+		b := nm.Box(raw[i], raw[i])
+		for k, q := range pts {
+			if b.Contains(q) != (k == i) {
+				t.Errorf("box of raw %v: contains the rank point of raw %v = %v", raw[i], raw[k], b.Contains(q))
+			}
 		}
 	}
 	if nm.N() != 3 || nm.Dims() != 1 {

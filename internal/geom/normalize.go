@@ -91,11 +91,6 @@ func (nm *Normalizer) Box(lo, hi []float64) Box {
 	return b
 }
 
-// Raw returns the raw value behind rank r (1-based) in dimension j.
-func (nm *Normalizer) Raw(j int, r Coord) float64 {
-	return nm.vals[j][int(r)-1]
-}
-
 // RankPoints builds rank-space points directly from integer coordinate rows
 // without keeping a normalizer; duplicates are allowed (callers that need
 // the paper's distinct-rank precondition should use NormalizeFloat64 or

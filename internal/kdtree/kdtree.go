@@ -17,10 +17,9 @@ const DefaultBucket = 16
 
 // Tree is a bucketed k-d tree over d-dimensional rank points.
 type Tree struct {
-	dims   int
-	n      int
-	bucket int
-	root   *node
+	dims int
+	n    int
+	root *node
 }
 
 type node struct {
@@ -35,29 +34,13 @@ type node struct {
 	pts []geom.Point
 }
 
-// Option configures tree construction.
-type Option func(*Tree)
-
-// WithBucket overrides the leaf bucket size.
-func WithBucket(b int) Option {
-	return func(t *Tree) {
-		if b < 1 {
-			panic("kdtree: bucket must be ≥ 1")
-		}
-		t.bucket = b
-	}
-}
-
 // Build constructs a k-d tree by recursive median splits, cycling through
 // the axes.
-func Build(pts []geom.Point, opts ...Option) *Tree {
+func Build(pts []geom.Point) *Tree {
 	if len(pts) == 0 {
 		panic("kdtree: empty point set")
 	}
-	t := &Tree{dims: pts[0].Dims(), n: len(pts), bucket: DefaultBucket}
-	for _, o := range opts {
-		o(t)
-	}
+	t := &Tree{dims: pts[0].Dims(), n: len(pts)}
 	own := make([]geom.Point, len(pts))
 	copy(own, pts)
 	t.root = t.build(own, 0)
@@ -81,7 +64,7 @@ func (t *Tree) build(pts []geom.Point, depth int) *node {
 			}
 		}
 	}
-	if len(pts) <= t.bucket {
+	if len(pts) <= DefaultBucket {
 		nd.pts = pts
 		return nd
 	}
@@ -188,28 +171,4 @@ func (t *Tree) Report(b geom.Box) []geom.Point {
 	}
 	t.Visit(b, emit, func(p geom.Point) { out = append(out, p) })
 	return out
-}
-
-// VisitedNodes counts the nodes touched answering b — the work measure for
-// the E5 baseline comparison.
-func (t *Tree) VisitedNodes(b geom.Box) int {
-	if b.Empty() {
-		return 0
-	}
-	visited := 0
-	var rec func(*node)
-	rec = func(nd *node) {
-		visited++
-		switch boxRelation(b, nd.lo, nd.hi) {
-		case 0, 2:
-			return
-		}
-		if nd.pts != nil {
-			return
-		}
-		rec(nd.left)
-		rec(nd.right)
-	}
-	rec(t.root)
-	return visited
 }

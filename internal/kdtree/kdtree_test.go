@@ -42,7 +42,7 @@ func TestEquivalenceWithBrute(t *testing.T) {
 		n := 1 + rng.Intn(150)
 		d := 1 + rng.Intn(4)
 		pts := randomPoints(rng, n, d)
-		tr := Build(pts, WithBucket(1+rng.Intn(8)))
+		tr := Build(pts)
 		bf := brute.New(pts)
 		for q := 0; q < 10; q++ {
 			b := randomBox(rng, n, d)
@@ -69,15 +69,6 @@ func TestEmptyBuildPanics(t *testing.T) {
 	Build(nil)
 }
 
-func TestBadBucketPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Build(randomPoints(rand.New(rand.NewSource(1)), 4, 2), WithBucket(0))
-}
-
 func TestDimMismatchPanics(t *testing.T) {
 	tr := Build(randomPoints(rand.New(rand.NewSource(2)), 10, 2))
 	defer func() {
@@ -93,7 +84,7 @@ func TestLinearSpace(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n := 1024
 	for _, d := range []int{1, 2, 4} {
-		tr := Build(randomPoints(rng, n, d), WithBucket(1))
+		tr := Build(randomPoints(rng, n, d))
 		if nodes := tr.Nodes(); nodes > 4*n {
 			t.Errorf("d=%d: %d nodes for %d points, want O(n)", d, nodes, n)
 		}
@@ -103,29 +94,21 @@ func TestLinearSpace(t *testing.T) {
 func TestEmptyBoxQuery(t *testing.T) {
 	tr := Build(randomPoints(rand.New(rand.NewSource(5)), 40, 2))
 	b := geom.NewBox([]geom.Coord{9, 0}, []geom.Coord{2, 50})
-	if tr.Count(b) != 0 || tr.Report(b) != nil || tr.VisitedNodes(b) != 0 {
+	if tr.Count(b) != 0 || tr.Report(b) != nil {
 		t.Error("inverted box must match nothing")
 	}
 }
 
-func TestVisitedNodesPositive(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	pts := randomPoints(rng, 200, 2)
-	tr := Build(pts)
-	b := randomBox(rng, 200, 2)
-	if v := tr.VisitedNodes(b); v < 1 {
-		t.Errorf("VisitedNodes = %d", v)
-	}
-}
-
 func TestWholeSubtreePruning(t *testing.T) {
-	// A query covering everything must touch O(1) nodes thanks to the
-	// contained-subtree shortcut.
+	// A query covering everything must take the root whole, thanks to
+	// the contained-subtree shortcut.
 	pts := randomPoints(rand.New(rand.NewSource(7)), 500, 2)
 	tr := Build(pts)
 	all := geom.NewBox([]geom.Coord{-1, -1}, []geom.Coord{1 << 20, 1 << 20})
-	if v := tr.VisitedNodes(all); v != 1 {
-		t.Errorf("full query visited %d nodes, want 1", v)
+	whole, single := 0, 0
+	tr.Visit(all, func(*node) { whole++ }, func(geom.Point) { single++ })
+	if whole != 1 || single != 0 {
+		t.Errorf("full query took %d subtrees and %d single points, want the root alone", whole, single)
 	}
 	if tr.Count(all) != 500 {
 		t.Error("full query must count everything")

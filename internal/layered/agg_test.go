@@ -33,7 +33,8 @@ func TestAggMatchesBrute(t *testing.T) {
 		lt := Build(pts)
 		prefix := NewAgg(lt, semigroup.IntSum(), weight)
 		seg := NewAgg(lt, noInverse(semigroup.IntSum()), weight)
-		mx := NewAgg(lt, semigroup.MaxInt(), weight)
+		maxInt := semigroup.Monoid[int64]{Identity: math.MinInt64, Combine: func(a, b int64) int64 { return max(a, b) }}
+		mx := NewAgg(lt, maxInt, weight)
 		bf := brute.New(pts)
 		for q := 0; q < 10; q++ {
 			b := randomBox(rng, n, d)
@@ -46,7 +47,7 @@ func TestAggMatchesBrute(t *testing.T) {
 				t.Logf("seed %d n=%d d=%d: segment-tree sum %d want %d", seed, n, d, got, want)
 				return false
 			}
-			if got, want := mx.Query(b), brute.Aggregate(bf, semigroup.MaxInt(), weight, b); got != want {
+			if got, want := mx.Query(b), brute.Aggregate(bf, maxInt, weight, b); got != want {
 				t.Logf("seed %d n=%d d=%d: max %d want %d", seed, n, d, got, want)
 				return false
 			}

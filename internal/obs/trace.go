@@ -133,19 +133,6 @@ func (t *Tracer) Spans(id uint64) []Span {
 	return append([]Span(nil), s...)
 }
 
-// Latest returns the most recently started trace ID, or 0 if none.
-func (t *Tracer) Latest() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.ring) == 0 {
-		return 0
-	}
-	return t.ring[len(t.ring)-1]
-}
-
 // Tree renders the trace as an indented span tree grouped by stamp:
 // coordinator spans lead each stamp group, worker spans nest under it
 // ordered by rank. The rendering is the `trace` command's and the

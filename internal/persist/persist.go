@@ -1,10 +1,10 @@
-// Package persist serializes built structures. Because Algorithm
-// Construct is deterministic, the durable representation of a distributed
-// range tree is its rank-space point set plus the build parameters: saving
-// writes a versioned, checksummed snapshot; loading rebuilds the identical
-// structure (possibly on a machine of a different width — the snapshot is
-// machine-independent, exactly as a dataset moved between multicomputers
-// would be).
+// Package persist serializes point sets. Because Algorithm Construct is
+// deterministic, the durable representation of a distributed range tree
+// is its rank-space point set plus the build parameters: saving writes a
+// versioned, checksummed snapshot; building on the loaded points yields
+// the identical structure (possibly on a machine of a different width —
+// the snapshot is machine-independent, exactly as a dataset moved between
+// multicomputers would be).
 package persist
 
 import (
@@ -12,7 +12,6 @@ import (
 	"hash/fnv"
 	"io"
 
-	"repro/internal/cgm"
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/wire"
@@ -44,8 +43,7 @@ type Snapshot struct {
 	Version int
 	Dims    int
 	P       int // machine width at save time (informational)
-	// Backend is the element backend the tree was built with; Load
-	// rebuilds on the same one.
+	// Backend is the element backend the saved set was built on.
 	Backend core.Backend
 	// Seq is the data version the snapshot captures (the mutable store's
 	// checkpoint stamp).
@@ -74,18 +72,8 @@ func checksum(pts []geom.Point) uint64 {
 	return h.Sum64()
 }
 
-// Save writes a snapshot of the distributed tree (points, parameters and
-// the element backend it was built with).
-func Save(w io.Writer, t *core.Tree) error {
-	return savePoints(w, t.AllPoints(), t.P(), t.Backend())
-}
-
 // SavePoints writes a snapshot of a raw rank point set (default backend).
 func SavePoints(w io.Writer, pts []geom.Point, p int) error {
-	return savePoints(w, pts, p, core.BackendLayered)
-}
-
-func savePoints(w io.Writer, pts []geom.Point, p int, be core.Backend) error {
 	if len(pts) == 0 {
 		return fmt.Errorf("persist: refusing to save an empty point set")
 	}
@@ -93,7 +81,7 @@ func savePoints(w io.Writer, pts []geom.Point, p int, be core.Backend) error {
 		Version:  Version,
 		Dims:     pts[0].Dims(),
 		P:        p,
-		Backend:  be,
+		Backend:  core.BackendLayered,
 		Points:   pts,
 		Checksum: checksum(pts),
 	}
@@ -196,21 +184,4 @@ func validate(snap *Snapshot, allowEmpty bool) (*Snapshot, error) {
 		return nil, fmt.Errorf("persist: checksum mismatch: %x vs header %x", got, snap.Checksum)
 	}
 	return snap, nil
-}
-
-// encodeRaw writes a snapshot in the version-2 layout without recomputing
-// the checksum or version (tests use it to craft invalid streams).
-func encodeRaw(w io.Writer, snap *Snapshot) error {
-	return writeSnap(w, snap)
-}
-
-// Load reads a snapshot and rebuilds the distributed tree on mach (which
-// may have a different width than the saving machine), on the element
-// backend recorded at save time.
-func Load(r io.Reader, mach *cgm.Machine) (*core.Tree, error) {
-	snap, err := LoadPoints(r)
-	if err != nil {
-		return nil, err
-	}
-	return core.BuildBackend(mach, snap.Points, snap.Backend), nil
 }

@@ -21,16 +21,32 @@ func buildSample(n, d, p int) *core.Tree {
 	return core.Build(cgm.New(cgm.Config{P: p}), pts)
 }
 
-func TestRoundTripSameWidth(t *testing.T) {
-	dt := buildSample(200, 2, 4)
-	var buf bytes.Buffer
-	if err := Save(&buf, dt); err != nil {
-		t.Fatal(err)
-	}
-	dt2, err := Load(&buf, cgm.New(cgm.Config{P: 4}))
+// saveTree snapshots a tree's points; loadTree rebuilds them on mach.
+func saveTree(t *testing.T, w io.Writer, dt *core.Tree) {
+	t.Helper()
+	pts, err := dt.AllPoints()
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := SavePoints(w, pts, dt.P()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func loadTree(t *testing.T, r io.Reader, mach *cgm.Machine) *core.Tree {
+	t.Helper()
+	snap, err := LoadPoints(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return core.Build(mach, snap.Points)
+}
+
+func TestRoundTripSameWidth(t *testing.T) {
+	dt := buildSample(200, 2, 4)
+	var buf bytes.Buffer
+	saveTree(t, &buf, dt)
+	dt2 := loadTree(t, &buf, cgm.New(cgm.Config{P: 4}))
 	if dt2.Verify() != nil {
 		t.Fatal("reloaded tree fails verification")
 	}
@@ -49,17 +65,16 @@ func TestRoundTripSameWidth(t *testing.T) {
 func TestRoundTripDifferentWidth(t *testing.T) {
 	dt := buildSample(150, 2, 8)
 	var buf bytes.Buffer
-	if err := Save(&buf, dt); err != nil {
-		t.Fatal(err)
-	}
-	dt2, err := Load(&buf, cgm.New(cgm.Config{P: 3}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	saveTree(t, &buf, dt)
+	dt2 := loadTree(t, &buf, cgm.New(cgm.Config{P: 3}))
 	if dt2.P() != 3 {
 		t.Fatalf("reloaded width %d", dt2.P())
 	}
-	bf := brute.New(dt.AllPoints())
+	pts, err := dt.AllPoints()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bf := brute.New(pts)
 	b := geom.NewBox([]geom.Coord{10, 10}, []geom.Coord{100, 100})
 	if dt2.CountBatch([]geom.Box{b})[0] != int64(bf.Count(b)) {
 		t.Fatal("cross-width reload answers wrongly")
@@ -69,9 +84,7 @@ func TestRoundTripDifferentWidth(t *testing.T) {
 func TestChecksumDetectsCorruption(t *testing.T) {
 	dt := buildSample(100, 2, 2)
 	var buf bytes.Buffer
-	if err := Save(&buf, dt); err != nil {
-		t.Fatal(err)
-	}
+	saveTree(t, &buf, dt)
 	// Flip one byte near the middle of the stream.
 	data := buf.Bytes()
 	data[len(data)/2] ^= 0x40
@@ -94,7 +107,7 @@ func TestVersionGuard(t *testing.T) {
 	}
 	snap.Version = 99
 	var buf2 bytes.Buffer
-	if err := encodeRaw(&buf2, snap); err != nil {
+	if err := writeSnap(&buf2, snap); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadPoints(&buf2); err == nil || !strings.Contains(err.Error(), "version") {
@@ -181,18 +194,18 @@ func TestGarbageStream(t *testing.T) {
 
 func TestRoundTripPreservesBackend(t *testing.T) {
 	pts := workload.Points(workload.PointSpec{N: 150, Dims: 2, Dist: workload.Uniform, Seed: 9})
-	for _, be := range []core.Backend{core.BackendLayered, core.BackendRangeTree, core.BackendBrute} {
-		dt := core.BuildBackend(cgm.New(cgm.Config{P: 3}), pts, be)
+	for _, be := range []core.Backend{core.BackendLayered, core.BackendRangeTree} {
 		var buf bytes.Buffer
-		if err := Save(&buf, dt); err != nil {
+		if err := SaveSet(&buf, pts, 2, 3, be, 1); err != nil {
 			t.Fatal(err)
 		}
-		dt2, err := Load(&buf, cgm.New(cgm.Config{P: 5}))
+		snap, err := LoadSet(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if dt2.Backend() != be {
-			t.Errorf("reloaded tree backend %v, want %v", dt2.Backend(), be)
+		dt := core.BuildBackend(cgm.New(cgm.Config{P: 5}), snap.Points, snap.Backend)
+		if dt.Backend() != be {
+			t.Errorf("reloaded tree backend %v, want %v", dt.Backend(), be)
 		}
 	}
 }

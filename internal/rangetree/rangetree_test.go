@@ -250,9 +250,6 @@ func TestAggModesAgainstBrute(t *testing.T) {
 	weight := func(p geom.Point) float64 { return float64(p.ID%7) - 3 }
 	sum := NewAgg(tr, semigroup.FloatSum(), weight)
 	mx := NewAgg(tr, semigroup.MaxFloat(), weight)
-	argmax := NewAgg(tr, semigroup.ArgMax(), func(p geom.Point) semigroup.Arg {
-		return semigroup.Arg{ID: p.ID, Val: weight(p)}
-	})
 	for trial := 0; trial < 50; trial++ {
 		b := randomBox(rng, 70, 2)
 		if got, want := sum.Query(b), brute.Aggregate(bf, semigroup.FloatSum(), weight, b); got != want {
@@ -260,13 +257,6 @@ func TestAggModesAgainstBrute(t *testing.T) {
 		}
 		if got, want := mx.Query(b), brute.Aggregate(bf, semigroup.MaxFloat(), weight, b); got != want {
 			t.Fatalf("max = %v, want %v", got, want)
-		}
-		gotA := argmax.Query(b)
-		wantA := brute.Aggregate(bf, semigroup.ArgMax(), func(p geom.Point) semigroup.Arg {
-			return semigroup.Arg{ID: p.ID, Val: weight(p)}
-		}, b)
-		if gotA != wantA {
-			t.Fatalf("argmax = %v, want %v", gotA, wantA)
 		}
 	}
 }

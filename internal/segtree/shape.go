@@ -57,9 +57,6 @@ func Depth(v int) int { return Log2(v) }
 // because the tree is complete.
 func (s Shape) Level(v int) int { return s.Height() - Depth(v) }
 
-// IsLeaf reports whether v is a leaf slot.
-func (s Shape) IsLeaf(v int) bool { return v >= s.Cap }
-
 // Left and Right return the children of an internal node.
 func Left(v int) int   { return 2 * v }
 func Right(v int) int  { return 2*v + 1 }
@@ -123,13 +120,6 @@ func (s Shape) Cover(lo, hi int, visit func(v int)) {
 	}
 }
 
-// CoverNodes returns the canonical cover of [lo, hi) as a slice.
-func (s Shape) CoverNodes(lo, hi int) []int {
-	var out []int
-	s.Cover(lo, hi, func(v int) { out = append(out, v) })
-	return out
-}
-
 // Stub is a leaf of the hat: a maximal node whose canonical count is at
 // most the grain (Definition 3: level(v) = log n − log p when n and p are
 // powers of two). The subtree of the range tree rooted at a stub is a
@@ -169,21 +159,6 @@ func (s Shape) Stubs(grain int) []Stub {
 		rec(Right(v))
 	}
 	rec(s.Root())
-	return out
-}
-
-// HatInternal reports whether v is an internal node of the hat for the
-// given grain: c(v) > grain.
-func (s Shape) HatInternal(v, grain int) bool { return s.Count(v) > grain }
-
-// HatNodes returns all hat-internal nodes (c > grain) in BFS order.
-func (s Shape) HatNodes(grain int) []int {
-	var out []int
-	for v := 1; v < 2*s.Cap; v++ {
-		if s.Count(v) > grain {
-			out = append(out, v)
-		}
-	}
 	return out
 }
 

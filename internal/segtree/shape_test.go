@@ -28,9 +28,6 @@ func TestLevelDepth(t *testing.T) {
 	if Depth(1) != 0 || Depth(2) != 1 || Depth(3) != 1 || Depth(15) != 3 {
 		t.Error("Depth wrong")
 	}
-	if !s.IsLeaf(8) || s.IsLeaf(7) {
-		t.Error("IsLeaf wrong")
-	}
 }
 
 func TestPosRangeAndCount(t *testing.T) {
@@ -68,6 +65,13 @@ func TestParentChildRelations(t *testing.T) {
 // TestCoverExactPartition is the core canonical-decomposition invariant:
 // Cover([lo,hi)) yields disjoint nodes whose leaf ranges exactly tile the
 // interval, in left-to-right order, with at most 2 nodes per level.
+// coverNodes returns the canonical cover of [lo, hi) as a slice.
+func coverNodes(s Shape, lo, hi int) []int {
+	var out []int
+	s.Cover(lo, hi, func(v int) { out = append(out, v) })
+	return out
+}
+
 func TestCoverExactPartition(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -75,7 +79,7 @@ func TestCoverExactPartition(t *testing.T) {
 		s := NewShape(m)
 		lo := rng.Intn(m + 2)
 		hi := rng.Intn(m + 2)
-		nodes := s.CoverNodes(lo, hi)
+		nodes := coverNodes(s, lo, hi)
 		clampedLo, clampedHi := lo, hi
 		if clampedHi > s.Cap {
 			clampedHi = s.Cap
@@ -114,7 +118,7 @@ func TestCoverMaximality(t *testing.T) {
 	s := NewShape(64)
 	for lo := 0; lo <= 64; lo += 3 {
 		for hi := lo; hi <= 64; hi += 5 {
-			nodes := s.CoverNodes(lo, hi)
+			nodes := coverNodes(s, lo, hi)
 			in := map[int]bool{}
 			for _, v := range nodes {
 				in[v] = true
@@ -131,7 +135,7 @@ func TestCoverMaximality(t *testing.T) {
 
 func TestCoverFullRange(t *testing.T) {
 	s := NewShape(16)
-	nodes := s.CoverNodes(0, 16)
+	nodes := coverNodes(s, 0, 16)
 	if len(nodes) != 1 || nodes[0] != 1 {
 		t.Errorf("full cover = %v, want [1]", nodes)
 	}
@@ -193,9 +197,14 @@ func TestHatNodesCountPowerOfTwo(t *testing.T) {
 	// = p − 1.
 	s := NewShape(256)
 	for _, p := range []int{2, 8, 32} {
-		hat := s.HatNodes(256 / p)
-		if len(hat) != p-1 {
-			t.Errorf("p=%d: %d hat-internal nodes, want %d", p, len(hat), p-1)
+		hat := 0
+		for v := 1; v < 2*s.Cap; v++ {
+			if s.Count(v) > 256/p {
+				hat++
+			}
+		}
+		if hat != p-1 {
+			t.Errorf("p=%d: %d hat-internal nodes, want %d", p, hat, p-1)
 		}
 	}
 }

@@ -61,83 +61,3 @@ func FloatSum() Monoid[float64] {
 func MaxFloat() Monoid[float64] {
 	return Monoid[float64]{Identity: math.Inf(-1), Combine: math.Max}
 }
-
-// MinFloat is the (ℝ ∪ {+∞}, min) monoid.
-func MinFloat() Monoid[float64] {
-	return Monoid[float64]{Identity: math.Inf(1), Combine: math.Min}
-}
-
-// MaxInt is the (int64, max) monoid with identity math.MinInt64.
-func MaxInt() Monoid[int64] {
-	return Monoid[int64]{Identity: math.MinInt64, Combine: func(a, b int64) int64 {
-		if a > b {
-			return a
-		}
-		return b
-	}}
-}
-
-// MinInt is the (int64, min) monoid with identity math.MaxInt64.
-func MinInt() Monoid[int64] {
-	return Monoid[int64]{Identity: math.MaxInt64, Combine: func(a, b int64) int64 {
-		if a < b {
-			return a
-		}
-		return b
-	}}
-}
-
-// Arg is a value tagged with the identity of the point that produced it,
-// for argmax/argmin style aggregates.
-type Arg struct {
-	ID  int32 // point ID, -1 for the identity element
-	Val float64
-}
-
-// ArgMax is the monoid that tracks the maximum value together with the
-// point that attains it (smallest ID wins ties, keeping it commutative).
-func ArgMax() Monoid[Arg] {
-	return Monoid[Arg]{
-		Identity: Arg{ID: -1, Val: math.Inf(-1)},
-		Combine: func(a, b Arg) Arg {
-			switch {
-			case a.Val > b.Val:
-				return a
-			case b.Val > a.Val:
-				return b
-			case a.ID == -1:
-				return b
-			case b.ID == -1 || a.ID < b.ID:
-				return a
-			default:
-				return b
-			}
-		},
-	}
-}
-
-// Stats accumulates count, sum, min and max in one pass; it shows that
-// product monoids compose.
-type Stats struct {
-	Count    int64
-	Sum      float64
-	Min, Max float64
-}
-
-// StatsMonoid is the product monoid over Stats.
-func StatsMonoid() Monoid[Stats] {
-	return Monoid[Stats]{
-		Identity: Stats{Min: math.Inf(1), Max: math.Inf(-1)},
-		Combine: func(a, b Stats) Stats {
-			return Stats{
-				Count: a.Count + b.Count,
-				Sum:   a.Sum + b.Sum,
-				Min:   math.Min(a.Min, b.Min),
-				Max:   math.Max(a.Max, b.Max),
-			}
-		},
-	}
-}
-
-// One is a Stats observation for a single weighted point.
-func One(w float64) Stats { return Stats{Count: 1, Sum: w, Min: w, Max: w} }

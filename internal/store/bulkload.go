@@ -65,7 +65,7 @@ func (s *Store) BulkLoad(src core.ChunkSource) (uint64, error) {
 	}
 	s.event("ingest_begin", "bulk load: streaming construct starting")
 	tee := &idTee{src: src}
-	built, err := core.BulkLoadWith(mach, tee, s.cfg.Backend,
+	built, err := core.BulkLoad(mach, tee, core.BackendLayered,
 		core.IngestConfig{Window: core.DefaultWindow, MaxShare: s.cfg.IngestMaxShare})
 	if err != nil {
 		mach.Close()

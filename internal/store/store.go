@@ -79,9 +79,6 @@ type Config struct {
 	// ShadowFrac triggers a full compaction (folding every tombstone)
 	// when len(shadow) ≥ ShadowFrac·live (default DefaultShadowFrac).
 	ShadowFrac float64
-	// Backend is the element backend levels are built on (default
-	// layered).
-	Backend core.Backend
 	// Sync runs flushes and compactions synchronously inside the
 	// triggering mutation instead of on the background compactor —
 	// deterministic, for tests and replay.
@@ -599,24 +596,28 @@ func (s *Store) compactPass() bool {
 	// fold, every level too; on a flush, the occupied low levels the
 	// binary-counter carry merges. Reading level points serializes with
 	// query batches (resident levels fetch from their worker sessions),
-	// and a machine abort mid-read records like a failed build instead
-	// of crashing the compactor.
+	// and a lost worker mid-read records like a failed build.
 	var acc []geom.Point
 	newLevels := slices.Clone(levelsSnap)
 	slot := 0
-	collectErr := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("store: compaction point collection aborted: %v", r)
-			}
-		}()
+	levelPoints := func(l *core.Tree) error {
+		pts, err := l.AllPoints()
+		if err != nil {
+			return fmt.Errorf("store: compaction point collection: %w", err)
+		}
+		acc = keep(pts, acc)
+		return nil
+	}
+	collectErr := func() error {
 		s.queryMu.Lock()
 		defer s.queryMu.Unlock()
 		acc = keep(mem, acc)
 		if fold {
 			for i, l := range newLevels {
 				if l != nil {
-					acc = keep(l.AllPoints(), acc)
+					if err := levelPoints(l); err != nil {
+						return err
+					}
 					newLevels[i] = nil
 				}
 			}
@@ -627,7 +628,9 @@ func (s *Store) compactPass() bool {
 			}
 		} else {
 			for ; slot < len(newLevels) && newLevels[slot] != nil; slot++ {
-				acc = keep(newLevels[slot].AllPoints(), acc)
+				if err := levelPoints(newLevels[slot]); err != nil {
+					return err
+				}
 				newLevels[slot] = nil
 			}
 		}
@@ -766,7 +769,7 @@ func (s *Store) buildLevel(pts []geom.Point) (t *core.Tree, err error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: level build machine: %w", err)
 	}
-	t = core.BuildWorkerFed(mach, pts, s.cfg.Backend)
+	t = core.BuildWorkerFed(mach, pts, core.BackendLayered)
 	s.builtPoints.Add(uint64(len(pts)))
 	return t, nil
 }

@@ -240,14 +240,20 @@ func (s *Store) ReportBatch(boxes []geom.Box) ([][]geom.Point, error) {
 // AllLive materializes the version's live point set (checkpointing and
 // verification; O(n log n)). Resident level trees fetch their points from
 // worker memory, so the read serializes with query batches under the
-// store's query lock.
-func (v *Version) AllLive() []geom.Point {
+// store's query lock; a lost worker is an error.
+func (v *Version) AllLive() ([]geom.Point, error) {
 	var out []geom.Point
 	v.s.queryMu.Lock()
 	for _, l := range v.levels {
-		if l != nil {
-			out = append(out, l.AllPoints()...)
+		if l == nil {
+			continue
 		}
+		pts, err := l.AllPoints()
+		if err != nil {
+			v.s.queryMu.Unlock()
+			return nil, err
+		}
+		out = append(out, pts...)
 	}
 	v.s.queryMu.Unlock()
 	for _, r := range v.mem {
@@ -266,5 +272,5 @@ func (v *Version) AllLive() []geom.Point {
 			live = append(live, p)
 		}
 	}
-	return live
+	return live, nil
 }

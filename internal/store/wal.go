@@ -324,15 +324,18 @@ func (s *Store) Checkpoint() error {
 	}
 	s.mu.Unlock()
 	old.close()
-	pts := v.AllLive() // outside mu: v is immutable, writers need not stall on O(n) work
+	pts, err := v.AllLive() // outside mu: v is immutable, writers need not stall on O(n) work
 	v.Release()
+	if err != nil {
+		return fmt.Errorf("store: checkpoint: %w", err)
+	}
 
 	f, err := os.CreateTemp(s.dir, checkpointName+"-*.tmp")
 	if err != nil {
 		return fmt.Errorf("store: creating checkpoint: %w", err)
 	}
 	tmp := f.Name()
-	if err := persist.SaveSet(f, pts, s.cfg.Dims, s.cfg.P, s.cfg.Backend, rotStart); err != nil {
+	if err := persist.SaveSet(f, pts, s.cfg.Dims, s.cfg.P, core.BackendLayered, rotStart); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err

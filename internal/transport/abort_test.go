@@ -442,6 +442,66 @@ func TestResidentWorkerDeathSurfacesQueryErr(t *testing.T) {
 	}
 }
 
+// TestCheckpointAfterWorkerDeathIsAnError: a checkpoint of a durable
+// store whose resident level lost a worker is an error naming the rank,
+// not a process panic, and the directory still recovers every point.
+func TestCheckpointAfterWorkerDeathIsAnError(t *testing.T) {
+	workers := make([]*transport.Worker, 2)
+	addrs := make([]string, 2)
+	for i := range workers {
+		w, err := transport.ListenAndServe("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		workers[i] = w
+		addrs[i] = w.Addr()
+	}
+	cl, err := transport.DialCluster(addrs, cgm.Config{Resident: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Config{Dims: 2, Provider: cl, MemtableCap: 64, Sync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := workload.Points(workload.PointSpec{N: 200, Dims: 2, Dist: workload.Uniform, Seed: 4})
+	if _, err := st.InsertBatch(pts); err != nil {
+		t.Fatal(err)
+	}
+	st.Compact()
+
+	workers[1].Close()
+
+	err = st.Checkpoint()
+	if err == nil {
+		t.Fatal("checkpoint over a dead resident worker succeeded")
+	}
+	if !strings.Contains(err.Error(), "rank 1") {
+		t.Fatalf("checkpoint error does not name rank 1: %v", err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := store.Open(dir, store.Config{Dims: 2, P: 2, Sync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	whole := geom.NewBox([]geom.Coord{0, 0}, []geom.Coord{1 << 20, 1 << 20})
+	counts, err := re.CountBatch([]geom.Box{whole})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if counts[0] != int64(len(pts)) {
+		t.Fatalf("recovered %d points, want %d", counts[0], len(pts))
+	}
+}
+
 // TestRetiredLevelSessionsClose: compaction-retired level trees must
 // close their TCP sessions (and worker-resident state) eagerly once no
 // pinned version references them — not leak until Cluster.Close.

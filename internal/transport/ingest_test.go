@@ -96,7 +96,7 @@ func TestWorkerFedEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tree, err := core.BulkLoad(mach, core.SliceChunks(pts, 61), core.BackendLayered, 2)
+		tree, err := core.BulkLoad(mach, core.SliceChunks(pts, 61), core.BackendLayered, core.IngestConfig{Window: 2})
 		if err != nil {
 			t.Fatalf("streaming bulk load: %v", err)
 		}
@@ -122,7 +122,7 @@ func TestClusterIngestAndServeWithoutGob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := core.BulkLoad(mach, core.SliceChunks(pts, 256), core.BackendLayered, 2)
+	tree, err := core.BulkLoad(mach, core.SliceChunks(pts, 256), core.BackendLayered, core.IngestConfig{Window: 2})
 	if err != nil {
 		t.Fatalf("bulk load: %v", err)
 	}
@@ -203,7 +203,7 @@ func TestWorkerDeathMidIngestAborts(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		tree, err := core.BulkLoad(mach, src, core.BackendLayered, 2)
+		tree, err := core.BulkLoad(mach, src, core.BackendLayered, core.IngestConfig{Window: 2})
 		done <- result{tree, err}
 	}()
 	var res result
@@ -225,7 +225,7 @@ func TestWorkerDeathMidIngestAborts(t *testing.T) {
 	if _, err := cl.NewMachine(); err == nil {
 		mach2, _ := cl.NewMachine()
 		if mach2 != nil {
-			if _, err := core.BulkLoad(mach2, core.SliceChunks(pts[:100], 32), core.BackendLayered, 2); err == nil {
+			if _, err := core.BulkLoad(mach2, core.SliceChunks(pts[:100], 32), core.BackendLayered, core.IngestConfig{Window: 2}); err == nil {
 				t.Fatal("second bulk load on a degraded cluster succeeded")
 			}
 		}
