@@ -13,9 +13,9 @@ import (
 // (internal/exec): the transport contract for hosting per-rank program
 // state, and the three primitives SPMD programs use against it —
 //
-//	CallResident     a pure remote step (no h-relation, no round)
-//	ExchangeCollect  deposit from the program, column consumed resident-side
-//	ExchangeSteps    deposit emitted AND column consumed resident-side
+//	CallResident         a pure remote step (no h-relation, no round)
+//	ExchangeCollectRecv  deposit from the program, column consumed resident-side
+//	ExchangeSteps        deposit emitted AND column consumed resident-side
 //
 // The two exchange forms are ordinary supersteps to the machine: same
 // stamp discipline, same barrier structure, and sent/recv element counts
@@ -120,27 +120,21 @@ func ResidentCall[A any, R any](m *Machine, rank int, ref exec.Ref, args A) (R, 
 	return exec.Unmarshal[R](b)
 }
 
-// ExchangeCollect is a superstep whose deposit the program provides (as
-// typed rows, like Exchange) but whose assembled column is consumed by a
-// registered collect step where the rank's state lives; it returns the
-// collect step's reply. Exactly one communication round, with the same
-// label, stamp and element counts as Exchange of the same rows.
-func ExchangeCollect[T any, A any, R any](pr *Proc, label string, out [][]T, collect exec.Ref, cargs A) R {
-	r, _ := ExchangeCollectRecv[T, A, R](pr, label, out, collect, cargs)
-	return r
-}
-
-// ExchangeCollectRecv is ExchangeCollect returning the rank's received
-// element count alongside the reply — the count a coordinator-side
-// Exchange of the same rows would have observed locally. The fused
-// route-and-serve supersteps use it to keep SearchStats.Served exact
-// without a separate accounting round.
+// ExchangeCollectRecv is a superstep whose deposit the program provides
+// (as typed rows, like Exchange) but whose assembled column is consumed
+// by a registered collect step where the rank's state lives; it returns
+// the collect step's reply and the rank's received element count — the
+// count a coordinator-side Exchange of the same rows would have observed
+// locally, which keeps the fused route-and-serve supersteps'
+// SearchStats.Served exact without a separate accounting round. Exactly
+// one communication round, with the same label, stamp and element counts
+// as Exchange of the same rows.
 func ExchangeCollectRecv[T any, A any, R any](pr *Proc, label string, out [][]T, collect exec.Ref, cargs A) (R, int) {
 	m := pr.m
 	if len(out) != m.p {
 		panic(fmt.Sprintf("cgm: %s: out has %d destinations, machine has %d", label, len(out), m.p))
 	}
-	pr.residentTransport("ExchangeCollect")
+	pr.residentTransport("ExchangeCollectRecv")
 	pr.closeSegment()
 	pr.releaseToken()
 

@@ -74,7 +74,7 @@ func TestResidentExchangeCollect(t *testing.T) {
 		for j := range out {
 			out[j] = []int{pr.rank*10 + j}
 		}
-		n := ExchangeCollect[int, int, int](pr, "fan", out, rtRef("keep"), 7)
+		n, _ := ExchangeCollectRecv[int, int, int](pr, "fan", out, rtRef("keep"), 7)
 		if n != p {
 			t.Errorf("rank %d: collect saw %d elements, want %d", pr.rank, n, p)
 		}

@@ -88,7 +88,7 @@ func TestRunAllocBudget(t *testing.T) {
 // measures 1 — the results; the caller-side state is the tree's kept run
 // frame and the ranks start from closures bound once — and the budget
 // leaves room for the runtime's own noise, nothing more. Resident measures
-// 154: what is left is the exec step codec and dispatch on the far side of
+// 123: what is left is the exec step codec and dispatch on the far side of
 // the residency seam (ROADMAP item 2), which fabric does not run, pinned
 // just above that.
 const (

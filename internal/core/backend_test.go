@@ -215,8 +215,8 @@ func TestCopyCacheCapBoundsMemory(t *testing.T) {
 		t.Fatal("capped cache changed answers")
 	}
 	for rank, ps := range dt.procs {
-		if ps.copyCache.len() > 1 {
-			t.Errorf("rank %d cache holds %d entries, cap is 1", rank, ps.copyCache.len())
+		if ps.part.copyCache.len() > 1 {
+			t.Errorf("rank %d cache holds %d entries, cap is 1", rank, ps.part.copyCache.len())
 		}
 	}
 
@@ -231,8 +231,8 @@ func TestCopyCacheCapBoundsMemory(t *testing.T) {
 		t.Errorf("disabled cache still hit %d times", hits)
 	}
 	for rank, ps := range dt.procs {
-		if ps.copyCache.len() != 0 {
-			t.Errorf("rank %d cache holds %d entries while disabled", rank, ps.copyCache.len())
+		if ps.part.copyCache.len() != 0 {
+			t.Errorf("rank %d cache holds %d entries while disabled", rank, ps.part.copyCache.len())
 		}
 	}
 }
@@ -248,8 +248,8 @@ func TestInvalidateSweepsCache(t *testing.T) {
 	// install-free processors' next install, so check after a real batch.
 	dt.CountBatch(boxes)
 	for rank, ps := range dt.procs {
-		if ps.copyCache.len() > 0 && ps.copyCache.epoch != dt.epoch.Load() {
-			t.Errorf("rank %d holds %d entries from a stale epoch", rank, ps.copyCache.len())
+		if ps.part.copyCache.len() > 0 && ps.part.copyCache.epoch != dt.epoch.Load() {
+			t.Errorf("rank %d holds %d entries from a stale epoch", rank, ps.part.copyCache.len())
 		}
 	}
 }

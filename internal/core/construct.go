@@ -1,7 +1,7 @@
 package core
 
 import (
-	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"sync/atomic"
@@ -61,44 +61,59 @@ func Build(mach *cgm.Machine, pts []geom.Point) *Tree {
 }
 
 // BuildBackend runs Algorithm Construct with an explicit element backend
-// (forest elements and their phase-B copies are built on it).
+// (forest elements and their phase-B copies are built on it). Each rank
+// starts from its canonical block of n/p points (CanonicalBlocks). On a
+// resident machine the blocks are staged into the ranks' parts first and
+// the construction runs held, so each point crosses the coordinator
+// once, on its way in. A bad point set or a machine abort panics; BuildOn
+// returns them as errors.
 func BuildBackend(mach *cgm.Machine, pts []geom.Point, be Backend) *Tree {
-	n := len(pts)
-	if n == 0 {
-		panic("core: empty point set")
+	dims, err := checkPoints(pts)
+	if err != nil {
+		panic(err.Error())
+	}
+	blocks := CanonicalBlocks(pts, mach.P())
+	if mach.Resident() {
+		if err := stageBlocks(mach, blocks); err != nil {
+			panic(fmt.Sprintf("core: staging worker blocks: %v", err))
+		}
+	}
+	return build(mach, len(pts), dims, be, blocks)
+}
+
+// checkPoints validates a build's input and returns its dimensionality.
+func checkPoints(pts []geom.Point) (int, error) {
+	if len(pts) == 0 {
+		return 0, errors.New("core: empty point set")
 	}
 	dims := pts[0].Dims()
 	if dims < 1 {
-		panic("core: points need at least one dimension")
+		return 0, errors.New("core: points need at least one dimension")
 	}
 	for i, p := range pts {
 		if p.Dims() != dims {
-			panic(fmt.Sprintf("core: point %d has %d dims, want %d", i, p.Dims(), dims))
+			return 0, fmt.Errorf("core: point %d has %d dims, want %d", i, p.Dims(), dims)
 		}
 	}
-	return BuildFromSource(mach, sliceSource{pts: pts, dims: dims}, be)
+	return dims, nil
 }
 
-// BuildWorkerFed builds from a coordinator-held slice but feeds the
-// workers directly when the machine is resident: the canonical blocks are
-// staged into the ranks' parts first, then construction runs as the
-// resident program with only sampling traffic transiting the coordinator.
-// On a fabric machine it is exactly BuildBackend. Canonical staging keeps
-// the round/h/volume metrics identical to BuildBackend's, which is what
-// lets the store compactor switch paths without perturbing measurements.
-func BuildWorkerFed(mach *cgm.Machine, pts []geom.Point, be Backend) *Tree {
-	if !mach.Resident() {
-		return BuildBackend(mach, pts, be)
+// CanonicalBlocks splits pts into the p contiguous blocks Construct step 1
+// assigns: the block each rank starts from.
+func CanonicalBlocks(pts []geom.Point, p int) [][]geom.Point {
+	blocks := make([][]geom.Point, p)
+	for rank := range blocks {
+		lo, hi := queryBlock(rank, len(pts), p)
+		blocks[rank] = pts[lo:hi]
 	}
-	src, err := StageBlocks(mach, CanonicalBlocks(pts, mach.P()))
-	if err != nil {
-		panic(fmt.Sprintf("core: staging worker blocks: %v", err))
-	}
-	return BuildFromSource(mach, src, be)
+	return blocks
 }
 
-// newTreeShell allocates the Tree scaffolding every build path shares.
-func newTreeShell(mach *cgm.Machine, n, dims int, be Backend) *Tree {
+// build runs Algorithm Construct over n points of dims dimensions: on a
+// fabric machine rank i starts from blocks[i]; on a resident machine
+// every rank starts from the input staged in its part (blocks is unused),
+// and the seeded counts must add up to n.
+func build(mach *cgm.Machine, n, dims int, be Backend, blocks [][]geom.Point) *Tree {
 	p := mach.P()
 	t := &Tree{
 		mach:       mach,
@@ -119,62 +134,77 @@ func newTreeShell(mach *cgm.Machine, n, dims int, be Backend) *Tree {
 		t.copyShipped = reg.Counter(`core_phaseb_copy_points_total{how="shipped"}`)
 		t.copyByRef = reg.Counter(`core_phaseb_copy_points_total{how="by_ref"}`)
 	}
+	seeded := make([]int, p)
+	mach.Run(func(pr *cgm.Proc) { t.construct(pr, blocks, seeded) })
+	// Construct exchanged every record d times over; the columns it
+	// received must not keep those rows reachable from the run arenas.
+	mach.ReleaseArenas()
+	if t.resident {
+		got := 0
+		for _, c := range seeded {
+			got += c
+		}
+		if got != n {
+			panic(fmt.Sprintf("core: the ranks staged %d points, the build declared %d", got, n))
+		}
+	}
 	return t
 }
 
 // BuildOn runs Algorithm Construct on a machine supplied by the provider
 // — the seam that lets the same construction run on the in-process
 // simulator (cgm.LocalProvider) or on a TCP worker cluster
-// (transport.Cluster) without the caller holding a machine.
+// (transport.Cluster) without the caller holding a machine. An empty or
+// mixed-dimensional point set, and a machine abort (a worker lost
+// mid-build), return as errors.
 func BuildOn(pv cgm.Provider, pts []geom.Point, be Backend) (*Tree, error) {
 	mach, err := pv.NewMachine()
 	if err != nil {
 		return nil, fmt.Errorf("core: provider machine: %w", err)
 	}
+	return buildRecovered(mach, pts, be)
+}
+
+// buildRecovered is BuildBackend with a bad point set and machine aborts
+// returned as errors.
+func buildRecovered(mach *cgm.Machine, pts []geom.Point, be Backend) (t *Tree, err error) {
+	if _, err := checkPoints(pts); err != nil {
+		return nil, err
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("core: build aborted: %v", r)
+		}
+	}()
 	return BuildBackend(mach, pts, be), nil
 }
 
 // construct is the per-processor body of Algorithm Construct.
-func (t *Tree) construct(pr *cgm.Proc, src PointSource, seeded []int) {
-	rank, p := pr.Rank(), pr.P()
-	ps := &procState{
-		rank:      rank,
-		hatByKey:  make(map[segtree.PathKey]int32),
-		elems:     make(map[ElemID]*element),
-		copies:    make(map[ElemID]*element),
-		copyCache: newCopyCache[*element](),
-	}
+func (t *Tree) construct(pr *cgm.Proc, blocks [][]geom.Point, seeded []int) {
+	rank := pr.Rank()
+	ps := &procState{rank: rank, hatByKey: make(map[segtree.PathKey]int32)}
 	t.procs[rank] = ps
+	var nextElem ElemID
 	if t.resident {
-		// Reset the rank's resident part: this machine's forest is about
-		// to be built into it (a reused session must not merge forests).
-		// Staged ingest blocks survive the reset — they are this build's
-		// input.
+		// The rank's block is staged in its part. Reset the part's forest
+		// (a machine rebuilt on must not merge two forests; the staged
+		// input survives), seed the S^1 records where the points live and
+		// run the held phases: no point payload visits the coordinator.
 		cgm.CallResident[beginArgs, bool](pr, fref("construct/begin"), beginArgs{Backend: t.backend})
-	}
-
-	if t.resident && src.Held() {
-		// The rank's block is already staged worker-side: seed the S^0
-		// records where the points live and run the held phases — the
-		// point payloads never visit the coordinator.
-		seeded[rank] = cgm.CallResident[seedArgs, int](pr, fref("construct/seed"),
-			seedArgs{Dims: int8(t.dims)})
-		var nextElem ElemID
+		seeded[rank] = cgm.CallResident[seedArgs, int](pr, fref("construct/seed"), seedArgs{Dims: int8(t.dims)})
 		for j := 0; j < t.dims; j++ {
 			nextElem = t.constructPhaseHeld(pr, ps, j, nextElem)
 		}
 		return
 	}
+	ps.part = newForestPart(t.backend)
 
 	// Step 1: each processor starts with an arbitrary block of n/p points;
 	// every initial record belongs to the primary tree (index nil).
-	block := src.Block(rank, p)
-	recs := make([]srec, 0, len(block))
-	for _, pt := range block {
+	recs := make([]srec, 0, len(blocks[rank]))
+	for _, pt := range blocks[rank] {
 		recs = append(recs, srec{Pt: pt, Key: segtree.RootPathKey})
 	}
-
-	var nextElem ElemID
 	for j := 0; j < t.dims; j++ {
 		recs, nextElem = t.constructPhase(pr, ps, recs, j, nextElem)
 	}
@@ -221,28 +251,11 @@ func (t *Tree) constructPhase(pr *cgm.Proc, ps *procState, recs []srec, j int, n
 	if err != nil {
 		panic(err.Error())
 	}
-	// Step 4: sequentially construct the owned forest elements. Records
-	// arrive rank-major and sorted within each source; element point sets
-	// occupy contiguous global ranges, so concatenation is leaf order.
-	// On a resident machine the same route superstep delivers its column
-	// to the construct/install step instead: the elements are built
-	// directly into the rank's resident state (worker memory over TCP)
-	// and only the stub metadata comes back.
-	var metas []elemMeta
-	var grouped map[ElemID][]geom.Point
-	if t.resident {
-		metas = cgm.ExchangeCollect[epoint, constructInstallArgs, []elemMeta](
-			pr, lbl("route"), out, fref("construct/install"),
-			constructInstallArgs{Backend: t.backend, Infos: myInfos})
-	} else {
-		incoming := cgm.Exchange(pr, lbl("route"), out)
-		var err error
-		grouped, metas, err = buildForestElements(t.backend,
-			func(id ElemID) (ElemInfo, bool) { return ps.info[int(id)], true }, // dense ids: index == id
-			incoming, func(el *element) { ps.elems[el.info.ID] = el })
-		if err != nil {
-			panic(err.Error())
-		}
+	// Step 4: sequentially construct the owned forest elements in the
+	// rank's part.
+	metas, err := ps.part.install(myInfos, cgm.Exchange(pr, lbl("route"), out))
+	if err != nil {
+		panic(err.Error())
 	}
 
 	// Steps 4–5: all-to-all broadcast of the forest roots (the hat's
@@ -251,29 +264,23 @@ func (t *Tree) constructPhase(pr *cgm.Proc, ps *procState, recs []srec, j int, n
 
 	// Step 7: create S^(j+1): every record walks from its stub's parent to
 	// the root of its segment tree, creating one record per hat-internal
-	// ancestor u with index path(u). Resident machines compute the records
-	// where the points live and return them for the next phase's sort.
+	// ancestor u with index path(u).
 	var next []srec
 	if j+1 < t.dims {
-		if t.resident {
-			next = cgm.CallResident[nextArgs, []srec](pr, fref("construct/next"), nextArgs{Dim: int8(j)})
-		} else {
-			for _, id := range sortedElemIDs(grouped) {
-				next = nextDimRecords(ps.elems[id], next)
-			}
-		}
+		next = ps.part.nextRecords(int8(j))
 	}
 	return next, nextElem + ElemID(nStubs)
 }
 
-// constructPhaseHeld is constructPhase with the S^j records held in the
-// ranks' resident parts: the sample sort's local phases, the record
-// exchanges and the element routing all run as registered program steps,
-// while the coordinator's collectives carry only the p² regular samples,
-// the splitters, the run/offset counts and the replicated stub metadata —
-// O(p²) per phase, independent of n. The label sequence and per-rank
-// element counts are identical to constructPhase's, so a canonically
-// staged build produces byte-identical Metrics.
+// constructPhaseHeld is constructPhase on a resident machine, with the
+// S^j records held in the ranks' parts: the sample sort's local phases,
+// the record exchanges, the element routing and the install all run as
+// registered program steps, while the coordinator's collectives carry
+// only the p² regular samples, the splitters, the run/offset counts and
+// the replicated stub metadata — O(p²) per phase, independent of n. The
+// label sequence and per-rank element counts are identical to
+// constructPhase's, so a canonically staged build produces byte-identical
+// Metrics.
 func (t *Tree) constructPhaseHeld(pr *cgm.Proc, ps *procState, j int, nextElem ElemID) ElemID {
 	p := pr.P()
 	lbl := func(step string) string { return fmt.Sprintf("construct/d%d/%s", j, step) }
@@ -312,7 +319,7 @@ func (t *Tree) constructPhaseHeld(pr *cgm.Proc, ps *procState, j int, nextElem E
 	// Step 7: the S^(j+1) records are computed AND kept worker-side; only
 	// their count returns.
 	if j+1 < t.dims {
-		cgm.CallResident[nextArgs, int](pr, fref("construct/nextHeld"), nextArgs{Dim: int8(j)})
+		cgm.CallResident[dimArgs, int](pr, fref("construct/nextHeld"), dim)
 	}
 	return nextElem + ElemID(nStubs)
 }
@@ -358,7 +365,7 @@ func deriveTrees(allRuns []runSum) []treeSum {
 // P_(id mod p) — Construct step 3's "route the k-th group to processor
 // P_(k mod p)". It assigns every tree's Elem0, appends the phase's
 // ElemInfo records to ps.info, and returns the stub count plus this
-// rank's owned share (the resident install metadata).
+// rank's owned share (what the rank's part installs).
 func (t *Tree) enumerateStubs(pr *cgm.Proc, ps *procState, trees []treeSum, j int, nextElem ElemID) (int, []ElemInfo) {
 	p := pr.P()
 	type stubRef struct {
@@ -373,7 +380,7 @@ func (t *Tree) enumerateStubs(pr *cgm.Proc, ps *procState, trees []treeSum, j in
 			stubs = append(stubs, stubRef{tree: ti, stub: st})
 		}
 	}
-	var myInfos []ElemInfo // this rank's share of the phase (resident install)
+	var myInfos []ElemInfo
 	for si, sr := range stubs {
 		id := nextElem + ElemID(si)
 		info := ElemInfo{
@@ -384,15 +391,15 @@ func (t *Tree) enumerateStubs(pr *cgm.Proc, ps *procState, trees []treeSum, j in
 			Key:   trees[sr.tree].Key.Extend(sr.stub.Node),
 		}
 		ps.info = append(ps.info, info)
-		if t.resident && int(info.Owner) == ps.rank {
+		if int(info.Owner) == ps.rank {
 			myInfos = append(myInfos, info)
 		}
 	}
 	return len(stubs), myInfos
 }
 
-// routeRecords is Construct step 3's routing loop, shared by the
-// coordinator-side phase and the resident routeHeld emit: every globally
+// routeRecords is Construct step 3's routing loop, shared by the fabric
+// phase and the resident routeHeld emit: every globally
 // sorted record (this rank's run starting at global position offset) goes
 // to the owner of the element whose stub contains its position. The
 // elements are resolved first and counted per owner, so the buckets are
@@ -442,59 +449,13 @@ func (t *Tree) finishPhase(pr *cgm.Proc, ps *procState, trees []treeSum, metas [
 		ps.info[int(mt.Elem)].Min = mt.Min
 		ps.info[int(mt.Elem)].Max = mt.Max
 	}
-	for _, el := range ps.elems { // owner's own replica also needs spans
-		el.info = ps.info[int(el.info.ID)]
-	}
 	for ti := range trees {
 		t.buildHatTree(ps, trees[ti], j)
 	}
 }
 
-// buildForestElements is Construct step 4's body, shared by the fabric
-// branch and the resident install step (one policy, one source of
-// truth): group the phase's routed records by element, validate counts
-// against the replicated metadata, build the sequential trees, and
-// return the grouped points plus the stub metadata sorted by element.
-// Records arrive rank-major and sorted within each source; element
-// point sets occupy contiguous global ranges, so concatenation is leaf
-// order. Each element's points go into a slice of the capacity its
-// metadata declares, one map update per run of equal elements.
-func buildForestElements(be Backend, infoOf func(ElemID) (ElemInfo, bool), incoming [][]epoint,
-	install func(*element)) (map[ElemID][]geom.Point, []elemMeta, error) {
-	grouped := make(map[ElemID][]geom.Point)
-	for _, part := range incoming {
-		for i := 0; i < len(part); {
-			id := part[i].Elem
-			epts, ok := grouped[id]
-			if !ok {
-				info, _ := infoOf(id) // an unknown element is reported below
-				epts = make([]geom.Point, 0, info.Count)
-			}
-			for ; i < len(part) && part[i].Elem == id; i++ {
-				epts = append(epts, part[i].Pt)
-			}
-			grouped[id] = epts
-		}
-	}
-	var metas []elemMeta
-	for id, epts := range grouped {
-		info, ok := infoOf(id)
-		if !ok {
-			return nil, nil, fmt.Errorf("core: routed points for element %d this rank does not own", id)
-		}
-		if int32(len(epts)) != info.Count {
-			return nil, nil, fmt.Errorf("core: element %d received %d points, expected %d", id, len(epts), info.Count)
-		}
-		j := int(info.Dim)
-		install(&element{info: info, pts: epts, tree: buildElemTree(be, epts, j)})
-		metas = append(metas, elemMeta{Elem: id, Min: epts[0].X[j], Max: epts[len(epts)-1].X[j]})
-	}
-	slices.SortFunc(metas, func(a, b elemMeta) int { return cmp.Compare(a.Elem, b.Elem) })
-	return grouped, metas, nil
-}
-
-// nextDimRecords is Construct step 7's per-element walk, shared by the
-// fabric branch and the resident step: the element's points ascend from
+// nextDimRecords is Construct step 7's per-element walk: the element's
+// points ascend from
 // the stub's parent to its segment tree's root, one S^(j+1) record per
 // hat-internal ancestor. next grows once per element: the stub has
 // Depth(stub) ancestors.
@@ -511,17 +472,6 @@ func nextDimRecords(el *element, next []srec) []srec {
 		}
 	}
 	return next
-}
-
-// sortedElemIDs returns the map keys in increasing order (deterministic
-// record emission).
-func sortedElemIDs(m map[ElemID][]geom.Point) []ElemID {
-	ids := make([]ElemID, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	slices.SortFunc(ids, func(a, b ElemID) int { return cmp.Compare(a, b) })
-	return ids
 }
 
 // parentKey strips the last chain component of a PathKey.

@@ -35,23 +35,17 @@ func constructFingerprint(t *testing.T, dt *Tree) string {
 	}
 	infos := dt.procs[0].info
 	owned := make([][]geom.Point, len(infos))
-	if dt.resident {
-		byOwner := make([][]ElemID, dt.P())
-		for _, in := range infos {
-			byOwner[in.Owner] = append(byOwner[in.Owner], in.ID)
+	byOwner := make([][]ElemID, dt.P())
+	for _, in := range infos {
+		byOwner[in.Owner] = append(byOwner[in.Owner], in.ID)
+	}
+	for rank, ids := range byOwner {
+		parts, err := onPart(dt, rank, "points/fetch", fetchArgs{Elems: ids}, fetchPointsStep)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for rank, ids := range byOwner {
-			parts, err := dt.residentElemPoints(rank, ids)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, id := range ids {
-				owned[id] = parts[i]
-			}
-		}
-	} else {
-		for _, in := range infos {
-			owned[in.ID] = dt.procs[in.Owner].elems[in.ID].pts
+		for i, id := range ids {
+			owned[id] = parts[i]
 		}
 	}
 	for _, pts := range owned {
@@ -89,10 +83,11 @@ func tieGrid(n, d int, seed int64) []geom.Point {
 
 // TestConstructGolden pins the built tree itself — element tables, point
 // order inside every element, rounds, h and volume — for the
-// coordinator-fed fabric build (BuildOn) and the held resident build
-// (BuildWorkerFed), on clustered points and on a tie-heavy grid. The two
-// builders share one literal per case: the held build is the same
-// algorithm with the records kept worker-side. The literals were captured
+// fabric build (BuildOn) and the resident build (BuildBackend on a
+// resident machine, which stages the blocks and runs held), on clustered
+// points and on a tie-heavy grid. The two builders share one literal per
+// case: the held build is the same algorithm with the records kept
+// worker-side. The literals were captured
 // while construct's local sort was still a stable one; under a strict
 // total order every correct sort must reproduce them.
 func TestConstructGolden(t *testing.T) {
@@ -124,9 +119,9 @@ func TestConstructGolden(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				held := BuildWorkerFed(cgm.New(cgm.Config{P: p, Resident: true}), pts, BackendLayered)
+				held := BuildBackend(cgm.New(cgm.Config{P: p, Resident: true}), pts, BackendLayered)
 				name := fmt.Sprintf("%s/d=%d/p=%d", input, d, p)
-				for builder, dt := range map[string]*Tree{"BuildOn": onFabric, "BuildWorkerFed": held} {
+				for builder, dt := range map[string]*Tree{"BuildOn": onFabric, "resident BuildBackend": held} {
 					if got := constructFingerprint(t, dt); got != want[name] {
 						t.Errorf("%s %s: fingerprint %s, want %s", builder, name, got, want[name])
 					}

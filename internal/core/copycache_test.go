@@ -63,13 +63,12 @@ func TestCopyCacheEvictionOrder(t *testing.T) {
 
 // TestForgedReferenceIsDiagnosed: a reference to an element the host does
 // not cache is an error naming the element, the host and both epochs —
-// through installShipped directly, and as the abort of a machine run.
+// through a part's installCopies directly, and as the abort of a machine
+// run.
 func TestForgedReferenceIsDiagnosed(t *testing.T) {
-	cache := newCopyCache[*element]()
-	cache.begin(3)
-	copies := make(map[ElemID]*element)
-	_, err := installShipped(BackendLayered, 2, copies, cache, 5, 4,
-		[][]shippedElem{{{Info: ElemInfo{ID: 42}, Ref: true}}}, nil)
+	part := newForestPart(BackendLayered)
+	part.copyCache.begin(3)
+	_, err := part.installCopies(2, 5, 4, nil, [][]shippedElem{{{Info: ElemInfo{ID: 42}, Ref: true}}})
 	if err == nil {
 		t.Fatal("a reference to an uncached element installed without error")
 	}
@@ -78,8 +77,8 @@ func TestForgedReferenceIsDiagnosed(t *testing.T) {
 			t.Errorf("diagnostic %q does not mention %q", err, want)
 		}
 	}
-	if len(copies) != 0 {
-		t.Errorf("a missed reference still installed %d copies", len(copies))
+	if len(part.copies) != 0 {
+		t.Errorf("a missed reference still installed %d copies", len(part.copies))
 	}
 
 	// End to end: the hosts lose their caches behind the mirrors' backs, so
@@ -91,8 +90,8 @@ func TestForgedReferenceIsDiagnosed(t *testing.T) {
 		t.Fatal("skewed workload shipped no copies")
 	}
 	for _, ps := range dt.procs {
-		ps.copyCache = newCopyCache[*element]()
-		ps.copyCache.begin(dt.epoch.Load())
+		ps.part.copyCache = newCopyCache[*element]()
+		ps.part.copyCache.begin(dt.epoch.Load())
 	}
 	defer func() {
 		r := recover()

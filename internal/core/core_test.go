@@ -328,14 +328,20 @@ func TestQueryDimMismatchAborts(t *testing.T) {
 func TestAbortedRunUnpinsKeptFrame(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	dt, _, _ := buildBoth(rng, 32, 2, 2)
+	// Parts that lost their elements fail the report's reads inside the
+	// run (a wrong-dims box would not do: MixedBatch refuses it before the
+	// run starts).
+	for _, ps := range dt.procs {
+		clear(ps.part.elems)
+	}
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("expected abort on query dim mismatch")
+				t.Fatal("expected a machine abort on the emptied parts")
 			}
 		}()
 		MixedBatch[struct{}](dt, nil, []MixedOp{OpReport},
-			[]geom.Box{geom.NewBox([]geom.Coord{1}, []geom.Coord{5})})
+			[]geom.Box{geom.NewBox([]geom.Coord{-1 << 20, -1 << 20}, []geom.Coord{1 << 20, 1 << 20})})
 	}()
 	fr := dt.frame.(*mixedFrame[struct{}])
 	if fr.boxes != nil || fr.results != nil || fr.ops != nil || fr.h != nil {
@@ -431,8 +437,8 @@ func TestCopiesBounded(t *testing.T) {
 	dt.CountBatch(boxes)
 	maxOwned := 0
 	for _, ps := range dt.procs {
-		if len(ps.elems) > maxOwned {
-			maxOwned = len(ps.elems)
+		if len(ps.part.elems) > maxOwned {
+			maxOwned = len(ps.part.elems)
 		}
 	}
 	for rank, s := range dt.LastSearchStats() {
@@ -475,7 +481,7 @@ func TestForestPartitionCoversPoints(t *testing.T) {
 	seen := map[int32]int{}
 	total := 0
 	for _, ps := range dt.procs {
-		for _, el := range ps.elems {
+		for _, el := range ps.part.elems {
 			if el.info.Dim != 0 {
 				continue
 			}
@@ -499,7 +505,7 @@ func TestOwnersMatchInfo(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	dt, _, _ := buildBoth(rng, 100, 2, 4)
 	for rank, ps := range dt.procs {
-		for id, el := range ps.elems {
+		for id, el := range ps.part.elems {
 			if int(el.info.Owner) != rank {
 				t.Fatalf("element %d stored at %d but owned by %d", id, rank, el.info.Owner)
 			}

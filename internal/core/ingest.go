@@ -81,31 +81,12 @@ func forEachRank(p int, f func(rank int) error) error {
 	return errors.Join(errs...)
 }
 
-// StageBlocks stages one explicit block per rank into the workers and
-// returns the held source describing them. The canonical split
-// (CanonicalBlocks) makes the subsequent build metric-identical to a
-// coordinator-fed BuildBackend of the concatenation.
-func StageBlocks(mach *cgm.Machine, blocks [][]geom.Point) (PointSource, error) {
-	p := mach.P()
-	if len(blocks) != p {
-		return nil, fmt.Errorf("core: staging %d blocks on a %d-rank machine", len(blocks), p)
-	}
-	dims, total := -1, 0
-	for _, blk := range blocks {
-		total += len(blk)
-		for _, pt := range blk {
-			if dims == -1 {
-				dims = pt.Dims()
-			}
-			if pt.Dims() != dims {
-				return nil, fmt.Errorf("core: point %d has %d dims, want %d", pt.ID, pt.Dims(), dims)
-			}
-		}
-	}
-	if total == 0 {
-		return nil, errors.New("core: empty point set")
-	}
-	err := forEachRank(p, func(rank int) error {
+// stageBlocks stages one block per rank into the ranks' parts, in
+// chunks over the coordinator's connections: the input of a resident
+// BuildBackend, whose canonical blocks keep its metrics identical to a
+// fabric build's.
+func stageBlocks(mach *cgm.Machine, blocks [][]geom.Point) error {
+	return forEachRank(mach.P(), func(rank int) error {
 		if _, err := cgm.ResidentCall[bool, bool](mach, rank, fref("ingest/begin"), false); err != nil {
 			return err
 		}
@@ -118,10 +99,6 @@ func StageBlocks(mach *cgm.Machine, blocks [][]geom.Point) (PointSource, error) 
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return stagedSource{dims: dims, total: total}, nil
 }
 
 // buildStaged runs the held construction over already-staged input,
@@ -133,7 +110,7 @@ func buildStaged(mach *cgm.Machine, dims, total int, be Backend) (t *Tree, err e
 			err = fmt.Errorf("core: worker-fed build aborted: %v", r)
 		}
 	}()
-	return BuildFromSource(mach, stagedSource{dims: dims, total: total}, be), nil
+	return build(mach, total, dims, be, nil), nil
 }
 
 // IngestConfig parametrises a streaming bulk load.
@@ -333,17 +310,6 @@ func feedRank(mach *cgm.Machine, rank int, cfg IngestConfig, ch <-chan []geom.Po
 		wire.PutBuf(<-bufs)
 	}
 	return err, staged
-}
-
-// buildRecovered is BuildBackend with machine aborts converted to errors
-// (the non-resident fallbacks of the bulk-load entry points).
-func buildRecovered(mach *cgm.Machine, pts []geom.Point, be Backend) (t *Tree, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("core: build aborted: %v", r)
-		}
-	}()
-	return BuildBackend(mach, pts, be), nil
 }
 
 // BulkLoadFiles builds a tree from one pointsfile per rank — the

@@ -15,19 +15,19 @@ import (
 )
 
 // TestWorkerFedConstructEquivalence: a held construction — input staged
-// in the workers, sample sort and routing run as resident steps — must
-// produce identical answers AND identical round/h/volume metrics to the
-// coordinator-fed build of the same points.
+// in the workers, sample sort and routing run as resident steps, which is
+// how every resident machine builds — must produce identical answers AND
+// identical round/h/volume metrics to the fabric build of the same points.
 func TestWorkerFedConstructEquivalence(t *testing.T) {
 	for _, p := range []int{1, 4} {
 		for _, d := range []int{2, 3} {
 			t.Run(fmt.Sprintf("p=%d/d=%d", p, d), func(t *testing.T) {
 				n, m := 400, 40
 				pts := workload.Points(workload.PointSpec{N: n, Dims: d, Dist: workload.Clustered, Seed: 7})
-				coordM := cgm.New(cgm.Config{P: p, Resident: true})
+				coordM := cgm.New(cgm.Config{P: p})
 				heldM := cgm.New(cgm.Config{P: p, Resident: true})
 				coord := core.Build(coordM, pts)
-				held := core.BuildWorkerFed(heldM, pts, core.BackendLayered)
+				held := core.Build(heldM, pts)
 				if err := held.Verify(); err != nil {
 					t.Fatalf("worker-fed tree fails Verify: %v", err)
 				}

@@ -67,10 +67,10 @@ func (fr *mixedFrame[T]) start(a *cgm.Arena, ps *procState, st *SearchStats) *mi
 		r.count = cgm.AllocOne(a, countRun{a: a, ps: ps, nq: nq})
 	}
 	if fr.holds.has(OpAggregate) {
-		r.agg = newAssocRun(a, fr.h, ps, nq)
+		r.agg = cgm.AllocOne(a, assocRun[T]{a: a, h: fr.h, pa: fr.h.parts[ps.rank], ps: ps, nq: nq})
 	}
 	if fr.holds.has(OpReport) {
-		r.rep = cgm.AllocOne(a, reportRun{a: a, ps: ps, st: st, resident: fr.t.resident,
+		r.rep = cgm.AllocOne(a, reportRun{a: a, ps: ps, st: st,
 			mine: &fr.rep.perProc[ps.rank], rv: reportVisitor{a: a}})
 	}
 	return r
@@ -99,12 +99,16 @@ func (r *mixedRun[T]) dispatch(qid int32) answerer {
 func (r *mixedRun[T]) answerHat(q Query, s hatSel) { r.dispatch(q.ID).answerHat(q, s) }
 func (r *mixedRun[T]) answerSub(s subquery)        { r.dispatch(s.Query).answerSub(s) }
 
-// materialize annotates an installed copy when the batch holds aggregate
-// queries; that is a batch-global property, so the branch is SPMD-uniform.
-func (r *mixedRun[T]) materialize(el *element) {
-	if r.agg != nil {
-		r.agg.materialize(el)
+// copyAgg is the batch's aggregate when it holds aggregate queries; that
+// is a batch-global property, so the branch is SPMD-uniform.
+func (r *mixedRun[T]) copyAgg() (string, aggPart) {
+	if r.agg == nil {
+		return "", nil
 	}
+	if r.agg.pa == nil {
+		return r.agg.h.name, nil
+	}
+	return r.agg.h.name, r.agg.pa
 }
 
 // serveRouted answers every kind in the ONE fused route-and-serve
@@ -179,6 +183,7 @@ func MixedBatch[T any](t *Tree, h *AggHandle[T], ops []MixedOp, boxes []geom.Box
 		if op < OpCount || op > OpReport {
 			panic(fmt.Sprintf("core: MixedBatch: query %d has unknown op %v", i, op))
 		}
+		t.checkBox("MixedBatch", i, boxes[i])
 		holds |= 1 << op
 	}
 	if h == nil && holds.has(OpAggregate) {
@@ -191,6 +196,14 @@ func MixedBatch[T any](t *Tree, h *AggHandle[T], ops []MixedOp, boxes []geom.Box
 	fr.boxes, fr.h, fr.ops, fr.holds = boxes, h, ops, holds
 	defer fr.unpin()
 	return fr.run()
+}
+
+// checkBox refuses a query box of the wrong dimensionality on the
+// caller's goroutine: inside a run it would abort the machine for good.
+func (t *Tree) checkBox(caller string, i int, b geom.Box) {
+	if d := b.Dims(); d != t.dims {
+		panic(fmt.Sprintf("core: %s: query %d has %d dims, tree has %d", caller, i, d, t.dims))
+	}
 }
 
 // oneKind answers boxes as a MixedBatch whose ops are all op and picks

@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/brute"
 	"repro/internal/cgm"
+	"repro/internal/geom"
 	"repro/internal/semigroup"
 	"repro/internal/workload"
 )
@@ -89,9 +91,9 @@ func TestMixedBatchNoAggHandle(t *testing.T) {
 	}
 }
 
-// TestMixedRejectsUnknownOp: an op outside the three kinds is refused
-// before the run, naming the query and the op, on fabric and resident
-// trees alike, and the tree serves on afterwards.
+// TestMixedRejectsUnknownOp: an op outside the three kinds, or a box of
+// the wrong dimensionality, is refused before the run, naming the query,
+// on fabric and resident trees alike, and the tree serves on afterwards.
 func TestMixedRejectsUnknownOp(t *testing.T) {
 	const n, m, bad = 512, 16, 5
 	pts := workload.Points(workload.PointSpec{N: n, Dims: 2, Dist: workload.Clustered, Seed: 3})
@@ -112,6 +114,17 @@ func TestMixedRejectsUnknownOp(t *testing.T) {
 				MixedBatch[struct{}](tree, nil, ops, boxes)
 			}()
 		}
+		func() {
+			wrong := slices.Clone(boxes)
+			wrong[bad] = geom.NewBox([]geom.Coord{0, 0, 0}, []geom.Coord{9, 9, 9})
+			defer func() {
+				msg, _ := recover().(string)
+				if want := fmt.Sprintf("query %d has 3 dims, tree has 2", bad); !strings.Contains(msg, want) {
+					t.Errorf("resident=%t: a 3-d box panicked with %q, want it to name %q", resident, msg, want)
+				}
+			}()
+			MixedBatch[struct{}](tree, nil, make([]MixedOp, m), wrong)
+		}()
 		for i, got := range tree.CountBatch(boxes) {
 			if want := int64(bf.Count(boxes[i])); got != want {
 				t.Fatalf("resident=%t: after the refused batch, query %d counts %d, want %d", resident, i, got, want)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/balance"
 	"repro/internal/cgm"
 	"repro/internal/comm"
+	"repro/internal/exec"
 	"repro/internal/geom"
 	"repro/internal/semigroup"
 )
@@ -66,7 +67,7 @@ func (r *countRun) answerHat(q Query, s hatSel) {
 }
 
 func (r *countRun) answerSub(s subquery) {
-	el := r.ps.lookup(s.Elem)
+	el := r.ps.part.lookup(s.Elem)
 	r.pairs = cgm.Append(r.a, r.pairs, qcount{Query: s.Query, Val: int64(elemCount(el, s.Box, &r.cv))})
 }
 
@@ -98,27 +99,13 @@ type AggHandle[T any] struct {
 	// on fabric trees prepared with an inline monoid.
 	name string
 	m    semigroup.Monoid[T]
-	val  func(geom.Point) T
 	// elemRoot[e] is f folded over all points of element e (replicated).
 	elemRoot []T
-	// elemAggs[rank] are the per-node annotations of owned elements.
-	elemAggs []map[ElemID]elemAgg[T]
 	// hatTab[rank][treeID][node] annotates last-dimension hat trees.
 	hatTab []map[int32][]T
-	// copyCache[rank] keeps annotations of copied elements across
-	// batches, mirroring the element copy cache: swept when the tree
-	// epoch moves, bounded like it, and an entry is only reused for the
-	// same built tree instance.
-	copyCache []*copyCache[cachedAgg[T]]
-	// copyAggs[rank] maps the copies installed in the current batch to
-	// their annotations; each run clears and refills its rank's map.
-	copyAggs []map[ElemID]elemAgg[T]
-}
-
-// cachedAgg is one cross-batch annotation cache entry.
-type cachedAgg[T any] struct {
-	tree elemTree
-	agg  elemAgg[T]
+	// parts[rank] are the rank's element annotations on a fabric tree (a
+	// resident part holds its own, by name; the entries stay nil).
+	parts []*partAgg[T]
 }
 
 // Tree returns the distributed tree the handle annotates.
@@ -153,36 +140,22 @@ func PrepareAssociativeNamed[T any](t *Tree, name string) *AggHandle[T] {
 func prepareAssociative[T any](t *Tree, name string, mo semigroup.Monoid[T], val func(geom.Point) T) *AggHandle[T] {
 	p := t.P()
 	h := &AggHandle[T]{
-		t:         t,
-		name:      name,
-		m:         mo,
-		val:       val,
-		elemRoot:  make([]T, t.ElemCount()),
-		elemAggs:  make([]map[ElemID]elemAgg[T], p),
-		hatTab:    make([]map[int32][]T, p),
-		copyCache: make([]*copyCache[cachedAgg[T]], p),
-		copyAggs:  make([]map[ElemID]elemAgg[T], p),
+		t:        t,
+		name:     name,
+		m:        mo,
+		elemRoot: make([]T, t.ElemCount()),
+		hatTab:   make([]map[int32][]T, p),
+		parts:    make([]*partAgg[T], p),
 	}
 	t.mach.Run(func(pr *cgm.Proc) {
 		ps := t.procs[pr.Rank()]
 		var roots []aggRoot[T]
-		if t.resident {
+		if ps.part == nil {
 			roots = cgm.CallResident[aggPrepArgs, []aggRoot[T]](pr, fref("assoc/prepare"), aggPrepArgs{Name: name})
 		} else {
-			aggs := make(map[ElemID]elemAgg[T])
-			for _, id := range sortedOwnedIDs(ps.elems) {
-				el := ps.elems[id]
-				aggs[id] = newElemAgg(el, mo, val)
-				acc := mo.Identity
-				for _, pt := range el.pts {
-					acc = mo.Combine(acc, val(pt))
-				}
-				roots = append(roots, aggRoot[T]{Elem: id, Val: acc})
-			}
-			h.elemAggs[pr.Rank()] = aggs
+			h.parts[pr.Rank()] = newPartAgg(mo, val)
+			roots = h.parts[pr.Rank()].prepare(ps.part)
 		}
-		h.copyCache[pr.Rank()] = newCopyCache[cachedAgg[T]]()
-		h.copyAggs[pr.Rank()] = make(map[ElemID]elemAgg[T])
 		all := comm.AllGatherFlat(pr, "assoc/roots", roots)
 		rootTab := make([]T, t.ElemCount())
 		for _, rv := range all {
@@ -227,23 +200,17 @@ type qvalT[T any] struct {
 }
 
 // assocRun evaluates ⊗_{l∈R(q)} f(l): hat selections read the prepared
-// annotations, subqueries query the per-element Agg (built on demand for
-// copies via materialize), and partials combine at each query's home.
+// annotations, subqueries query the per-element annotations (phase B
+// annotates the copies a host installs), and partials combine at each
+// query's home. pa is the rank's part of the handle, fetched once per
+// run (nil on a resident tree).
 type assocRun[T any] struct {
-	a        *cgm.Arena
-	h        *AggHandle[T]
-	ps       *procState
-	nq       int
-	copyAggs map[ElemID]elemAgg[T]
-	pairs    []qvalT[T]
-}
-
-// newAssocRun opens the handle's per-rank caches for the batch and builds
-// the run in arena a.
-func newAssocRun[T any](a *cgm.Arena, h *AggHandle[T], ps *procState, nq int) *assocRun[T] {
-	h.copyCache[ps.rank].begin(h.t.batchEpoch)
-	clear(h.copyAggs[ps.rank])
-	return cgm.AllocOne(a, assocRun[T]{a: a, h: h, ps: ps, nq: nq, copyAggs: h.copyAggs[ps.rank]})
+	a     *cgm.Arena
+	h     *AggHandle[T]
+	pa    *partAgg[T]
+	ps    *procState
+	nq    int
+	pairs []qvalT[T]
 }
 
 func (r *assocRun[T]) answerHat(q Query, s hatSel) {
@@ -256,27 +223,12 @@ func (r *assocRun[T]) answerHat(q Query, s hatSel) {
 	r.pairs = cgm.Append(r.a, r.pairs, qvalT[T]{Query: q.ID, Val: v})
 }
 
-// materialize annotates one installed copy, reusing the cross-batch cache
-// when the copy itself was reused (same built tree). The run's start
-// opened the cache for this batch's epoch; the bound mirrors the element
-// cache's.
-func (r *assocRun[T]) materialize(el *element) {
-	cache := r.h.copyCache[r.ps.rank]
-	if c, ok := cache.get(el.info.ID); ok && c.tree == el.tree {
-		r.copyAggs[el.info.ID] = c.agg
-		return
-	}
-	a := newElemAgg(el, r.h.m, r.h.val)
-	cache.insert(el.info.ID, cachedAgg[T]{tree: el.tree, agg: a}, r.h.t.copyCacheCapFor(r.ps), nil)
-	r.copyAggs[el.info.ID] = a
-}
-
 func (r *assocRun[T]) answerSub(s subquery) {
-	a, ok := r.h.elemAggs[r.ps.rank][s.Elem]
-	if !ok {
-		a = r.copyAggs[s.Elem]
+	v, err := r.pa.query(s)
+	if err != nil {
+		panic(err.Error())
 	}
-	r.pairs = cgm.Append(r.a, r.pairs, qvalT[T]{Query: s.Query, Val: a.Query(s.Box)})
+	r.pairs = cgm.Append(r.a, r.pairs, qvalT[T]{Query: s.Query, Val: v})
 }
 
 // home gathers the partials at each query's home processor.
@@ -322,15 +274,14 @@ type rlocal struct {
 // live in the rank's arena: groupReports copies the pairs into the
 // caller's result slices before the next run recycles them.
 type reportRun struct {
-	a        *cgm.Arena
-	ps       *procState
-	st       *SearchStats
-	resident bool
-	mine     *[]ReportPair // where finish leaves this rank's pair block
-	orders   []rorder
-	locals   []rlocal
-	rv       reportVisitor // reused across served subqueries
-	stubs    []ElemID      // reused stub-expansion buffer
+	a      *cgm.Arena
+	ps     *procState
+	st     *SearchStats
+	mine   *[]ReportPair // where finish leaves this rank's pair block
+	orders []rorder
+	locals []rlocal
+	rv     reportVisitor // reused across served subqueries
+	stubs  []ElemID      // reused stub-expansion buffer
 }
 
 func (r *reportRun) answerHat(q Query, s hatSel) {
@@ -347,7 +298,7 @@ func (r *reportRun) answerHat(q Query, s hatSel) {
 }
 
 func (r *reportRun) answerSub(s subquery) {
-	el := r.ps.lookup(s.Elem)
+	el := r.ps.part.lookup(s.Elem)
 	if pts := elemReport(el, s.Box, &r.rv); len(pts) > 0 {
 		r.locals = cgm.Append(r.a, r.locals, rlocal{Query: s.Query, Pts: pts})
 	}
@@ -406,20 +357,19 @@ func (r *reportRun) finish(pr *cgm.Proc) {
 	for _, l := range r.locals {
 		add(l.Query, l.Pts, l.Off)
 	}
-	if r.resident && len(fetched) > 0 {
-		// The owner's points live in its resident part: one step call
-		// materializes every ordered element (this rank owns them all).
+	if len(fetched) > 0 {
+		// One read of the owner's part materializes every ordered element
+		// (fetch orders always target the owner).
 		ids := cgm.Alloc[ElemID](a, len(fetched))
 		for i, o := range fetched {
 			ids[i] = o.Elem
 		}
-		parts := cgm.CallResident[fetchArgs, [][]geom.Point](pr, fref("points/fetch"), fetchArgs{Elems: ids})
+		parts := onPartIn(pr, ps.part, "points/fetch", fetchArgs{Elems: ids},
+			func(part *forestPart, _ *exec.Ctx, args fetchArgs) ([][]geom.Point, error) {
+				return part.points(a, args.Elems)
+			})
 		for i, o := range fetched {
 			add(o.Query, parts[i], o.Off)
-		}
-	} else {
-		for _, o := range fetched {
-			add(o.Query, ps.elems[o.Elem].pts, o.Off) // fetch orders always target the owner
 		}
 	}
 	sizes := cgm.Alloc[int](a, p)

@@ -17,29 +17,31 @@ import (
 	"repro/internal/wire"
 )
 
-// This file is the worker-resident half of the distributed range tree:
-// the registered SPMD program ("core/forest") whose per-rank state holds
-// the forest part — the element point sets, their sequential trees, the
-// phase-B copies and caches, and the associative-function annotations.
+// This file is a rank's forest part — the element point sets, their
+// sequential trees, the phase-B copies and caches, the aggregate
+// annotations, and a held construction's staged input and records — with
+// the one body of every operation on it, and the registered SPMD program
+// ("core/forest") whose steps are thin adapters over those bodies.
 //
-// On a resident machine (cgm.Config.Resident) the construct and search
-// pipelines keep their superstep structure on the coordinator — the hat
-// layer, the sorts, the demand/balance planning, the result collectives —
-// but every access to element state dispatches here: construction's
-// routed points are collected into worker memory (ExchangeCollect),
-// phase B ships copies worker-to-worker (ExchangeSteps), and phase C is
-// the fused route collect (search/routeMixed), which answers the routed
-// subqueries in the superstep that delivers them where the trees live, so
-// only query boxes and result blocks cross the coordinator's wire. On the loopback
-// transport the identical registered steps run in-process against the
-// machine's local state stores, which is what the cross-residency
-// equivalence tests pin down.
+// A fabric tree keeps each rank's part in coordinator memory
+// (procState.part) and calls the bodies directly. A resident tree
+// (cgm.Config.Resident) keeps it in the machine's exec store — worker
+// memory over TCP — and reaches it only through the steps: construction
+// stages Construct step 1's blocks there and runs held (sample sort,
+// routing and element build are steps), phase B ships copies
+// worker-to-worker (ExchangeSteps), and phase C is the fused route
+// collect (search/routeMixed), which answers the routed subqueries in the
+// superstep that delivers them, so only query boxes and result blocks
+// cross the coordinator's wire. The coordinator keeps the hat, the
+// element metadata and the superstep structure either way, and both run
+// the same element code; on the loopback transport the steps run
+// in-process against the machine's local state stores.
 
 // forestProgram names the registered program; forestVersion guards
 // against coordinator/worker binary skew.
 const (
 	forestProgram = "core/forest"
-	forestVersion = 5 // 5: no search/serveReport or search/serveAgg
+	forestVersion = 6 // 6: no construct/next (a resident construct is held)
 )
 
 // fref names one step of the forest program.
@@ -47,63 +49,172 @@ func fref(step string) exec.Ref {
 	return exec.Ref{Program: forestProgram, Version: forestVersion, Step: step}
 }
 
-// residentPart is one rank's resident state: the element-holding half of
-// a procState, living where the program's steps run.
-type residentPart struct {
+// forestPart is one rank's forest part, the only place its element state
+// lives.
+type forestPart struct {
 	backend   Backend
 	elems     map[ElemID]*element
 	copies    map[ElemID]*element
 	copyCache *copyCache[*element]
-	aggs      map[string]*residentAggState
+	// aggs holds the annotations of the registered aggregates a resident
+	// tree serves, by name. A fabric AggHandle holds its own, one partAgg
+	// per rank: an inline monoid has no name to file it under.
+	aggs map[string]aggPart
 
 	// staged is the rank's ingested-but-not-yet-built input block (the
 	// ingest steps append to it; construct/seed consumes it). recs is the
 	// working record set of a held construction — the rank-local S^(j)
-	// rows that the worker-side sample sort and routing steps transform in
-	// place of the coordinator's slices.
+	// rows that the worker-side sample sort and routing steps transform.
 	staged []geom.Point
 	recs   []srec
 }
 
+func newForestPart(be Backend) *forestPart {
+	return &forestPart{
+		backend:   be,
+		elems:     make(map[ElemID]*element),
+		copies:    make(map[ElemID]*element),
+		copyCache: newCopyCache[*element](),
+		aggs:      make(map[string]aggPart),
+	}
+}
+
 // lookup resolves an element from the owned part or the current copies.
-func (part *residentPart) lookup(id ElemID) *element {
+func (part *forestPart) lookup(id ElemID) *element {
 	if el, ok := part.elems[id]; ok {
 		return el
 	}
 	if el, ok := part.copies[id]; ok {
 		return el
 	}
-	panic(fmt.Sprintf("core: resident part asked to serve element %d it does not hold", id))
+	panic(fmt.Sprintf("core: forest part asked to serve element %d it does not hold", id))
 }
 
-// agg resolves (creating if needed) the named aggregate's resident state.
-func (part *residentPart) agg(name string) *residentAggState {
-	ra, ok := part.aggs[name]
-	if !ok {
-		ra = &residentAggState{
-			elemAggs: make(map[ElemID]any),
-			cache:    newCopyCache[cachedAggAny](),
-		}
-		part.aggs[name] = ra
+// sortedIDs returns the IDs of the owned elements, increasing.
+func (part *forestPart) sortedIDs() []ElemID {
+	ids := make([]ElemID, 0, len(part.elems))
+	for id := range part.elems {
+		ids = append(ids, id)
 	}
-	return ra
+	slices.Sort(ids)
+	return ids
 }
 
-// residentAggState is the resident counterpart of one AggHandle's
-// per-rank annotations: owned-element annotations, the per-batch copy
-// annotations, and the cross-batch annotation cache.
-type residentAggState struct {
-	elemAggs map[ElemID]any // elemAgg[T], type-erased
-	copyAggs map[ElemID]any
-	cache    *copyCache[cachedAggAny]
+// install is Construct step 4: the phase's routed records arrive as one
+// column, rank-major and sorted within each source, and become the owned
+// elements infos names (this rank's share of the phase, by increasing
+// ID), each built sequentially. Element point sets occupy contiguous
+// global ranges, so concatenation is leaf order. It returns the stub
+// metadata, in ID order, for the roots broadcast.
+func (part *forestPart) install(infos []ElemInfo, incoming [][]epoint) ([]elemMeta, error) {
+	pts := make([][]geom.Point, len(infos))
+	for _, run := range incoming {
+		for i := 0; i < len(run); {
+			id := run[i].Elem
+			k, ok := slices.BinarySearchFunc(infos, id, func(in ElemInfo, id ElemID) int { return cmp.Compare(in.ID, id) })
+			if !ok {
+				return nil, fmt.Errorf("core: routed points for element %d this rank does not own", id)
+			}
+			if pts[k] == nil {
+				pts[k] = make([]geom.Point, 0, infos[k].Count)
+			}
+			for ; i < len(run) && run[i].Elem == id; i++ {
+				pts[k] = append(pts[k], run[i].Pt)
+			}
+		}
+	}
+	metas := make([]elemMeta, len(infos))
+	for k, info := range infos {
+		epts, j := pts[k], int(info.Dim)
+		if int32(len(epts)) != info.Count {
+			return nil, fmt.Errorf("core: element %d received %d points, expected %d", info.ID, len(epts), info.Count)
+		}
+		part.elems[info.ID] = &element{info: info, pts: epts, tree: buildElemTree(part.backend, epts, j)}
+		metas[k] = elemMeta{Elem: info.ID, Min: epts[0].X[j], Max: epts[len(epts)-1].X[j]}
+	}
+	return metas, nil
 }
 
-// cachedAggAny is one cross-batch annotation cache entry (type-erased
-// mirror of cachedAgg[T]; an entry is only reused for the same built
-// tree instance).
-type cachedAggAny struct {
-	tree elemTree
-	agg  any
+// nextRecords is Construct step 7: every owned dimension-dim element, in
+// ID order, emits its points' S^(j+1) records (nextDimRecords).
+func (part *forestPart) nextRecords(dim int8) []srec {
+	var next []srec
+	for _, id := range part.sortedIDs() {
+		if el := part.elems[id]; el.info.Dim == dim {
+			next = nextDimRecords(el, next)
+		}
+	}
+	return next
+}
+
+// servedCounts answers counting subqueries where the trees live.
+func (part *forestPart) servedCounts(subs []subquery) []qcount {
+	var cv countVisitor
+	pairs := make([]qcount, 0, len(subs))
+	for _, s := range subs {
+		pairs = append(pairs, qcount{Query: s.Query, Val: int64(elemCount(part.lookup(s.Elem), s.Box, &cv))})
+	}
+	return pairs
+}
+
+// servedReports answers report subqueries where the trees live; only
+// non-empty results return (as the fabric run keeps them).
+func (part *forestPart) servedReports(subs []subquery) []rlocal {
+	var rv reportVisitor
+	var out []rlocal
+	for _, s := range subs {
+		if pts := elemReport(part.lookup(s.Elem), s.Box, &rv); len(pts) > 0 {
+			out = append(out, rlocal{Query: s.Query, Pts: pts})
+		}
+	}
+	return out
+}
+
+// points returns the points of owned elements, aligned with ids, in rows
+// carved from arena a (nil: the heap).
+func (part *forestPart) points(a *cgm.Arena, ids []ElemID) ([][]geom.Point, error) {
+	out := cgm.Alloc[[]geom.Point](a, len(ids))
+	for i, id := range ids {
+		el, ok := part.elems[id]
+		if !ok {
+			return nil, fmt.Errorf("core: fetch asked for element %d this rank does not own", id)
+		}
+		out[i] = el.pts
+	}
+	return out, nil
+}
+
+// stats reports the owned elements' sizes in ID order (the Theorem 1
+// space accounting).
+func (part *forestPart) stats() []elemStat {
+	ids := part.sortedIDs()
+	out := make([]elemStat, len(ids))
+	for i, id := range ids {
+		out[i] = elemStat{ID: id, Nodes: part.elems[id].tree.Nodes()}
+	}
+	return out
+}
+
+// onPart runs one read of rank's forest part outside a machine run: body
+// on a fabric tree's part, the registered step on a resident tree, whose
+// part lives in the exec store. Resident calls must not overlap a run.
+func onPart[A, R any](t *Tree, rank int, step string, args A, body func(*forestPart, *exec.Ctx, A) (R, error)) (R, error) {
+	if part := t.procs[rank].part; part != nil {
+		return body(part, nil, args)
+	}
+	return cgm.ResidentCall[A, R](t.mach, rank, fref(step), args)
+}
+
+// onPartIn is onPart inside a machine run, where a failure aborts it.
+func onPartIn[A, R any](pr *cgm.Proc, part *forestPart, step string, args A, body func(*forestPart, *exec.Ctx, A) (R, error)) R {
+	if part == nil {
+		return cgm.CallResident[A, R](pr, fref(step), args)
+	}
+	r, err := body(part, nil, args)
+	if err != nil {
+		panic(err.Error())
+	}
+	return r
 }
 
 // Step argument and reply types. Everything crossing the seam has a raw
@@ -121,12 +232,6 @@ type beginArgs struct {
 type constructInstallArgs struct {
 	Backend Backend
 	Infos   []ElemInfo
-}
-
-// nextArgs asks for the S^(j+1) records of the owned dimension-j
-// elements (Construct step 7, executed where the points live).
-type nextArgs struct {
-	Dim int8
 }
 
 // shipArgs drives the phase-B emit: the owner's shipping plan, decided
@@ -202,7 +307,7 @@ type seedArgs struct {
 	Dims int8
 }
 
-// dimArgs names the dimension a held sort/merge step works in.
+// dimArgs names the dimension a held construct step works in.
 type dimArgs struct {
 	Dim int8
 }
@@ -269,17 +374,9 @@ func init() {
 	exec.Register(&exec.Program{
 		Name:    forestProgram,
 		Version: forestVersion,
-		New: func(rank, p int) any {
-			return &residentPart{
-				elems:     make(map[ElemID]*element),
-				copies:    make(map[ElemID]*element),
-				copyCache: newCopyCache[*element](),
-				aggs:      make(map[string]*residentAggState),
-			}
-		},
+		New:     func(rank, p int) any { return newForestPart(BackendLayered) },
 		Steps: map[string]exec.Step{
 			"construct/begin":     exec.Pure(constructBeginStep),
-			"construct/next":      exec.Pure(constructNextStep),
 			"construct/seed":      exec.Pure(constructSeedStep),
 			"construct/sortLocal": exec.Pure(sortLocalStep),
 			"construct/nextHeld":  exec.Pure(constructNextHeldStep),
@@ -311,18 +408,16 @@ func init() {
 // rebuilt on — e.g. a store recovering its checkpoint — must not merge
 // two forests). Staged ingest blocks and held records survive the reset:
 // they are this build's input.
-func constructBeginStep(part *residentPart, _ *exec.Ctx, args beginArgs) (bool, error) {
-	part.backend = args.Backend
-	part.elems = make(map[ElemID]*element)
-	part.copies = make(map[ElemID]*element)
-	part.copyCache = newCopyCache[*element]()
-	part.aggs = make(map[string]*residentAggState)
+func constructBeginStep(part *forestPart, _ *exec.Ctx, args beginArgs) (bool, error) {
+	fresh := newForestPart(args.Backend)
+	fresh.staged, fresh.recs = part.staged, part.recs
+	*part = *fresh
 	return true, nil
 }
 
 // ingestBeginStep opens a fresh staging area (aborting any half-staged
 // prior load so a failed BulkLoad can be retried on the same cluster).
-func ingestBeginStep(part *residentPart, _ *exec.Ctx, _ bool) (bool, error) {
+func ingestBeginStep(part *forestPart, _ *exec.Ctx, _ bool) (bool, error) {
 	part.staged = nil
 	part.recs = nil
 	return true, nil
@@ -331,7 +426,7 @@ func ingestBeginStep(part *residentPart, _ *exec.Ctx, _ bool) (bool, error) {
 // ingestChunkStep appends one streamed block to the staging area. The
 // decoded points are freshly allocated by the wire codec (or by the
 // loopback's encode/decode round trip), so retaining them is safe.
-func ingestChunkStep(part *residentPart, _ *exec.Ctx, args ingestChunkArgs) (int, error) {
+func ingestChunkStep(part *forestPart, _ *exec.Ctx, args ingestChunkArgs) (int, error) {
 	part.staged = append(part.staged, args.Pts...)
 	return len(part.staged), nil
 }
@@ -339,7 +434,7 @@ func ingestChunkStep(part *residentPart, _ *exec.Ctx, args ingestChunkArgs) (int
 // ingestFileStep reads a pointsfile straight into the staging area:
 // the rank-local file ingest path, where point payloads never touch the
 // coordinator at all.
-func ingestFileStep(part *residentPart, _ *exec.Ctx, args ingestFileArgs) (ingestReply, error) {
+func ingestFileStep(part *forestPart, _ *exec.Ctx, args ingestFileArgs) (ingestReply, error) {
 	pts, dims, err := pointsfile.Read(args.Path)
 	if err != nil {
 		return ingestReply{}, err
@@ -352,7 +447,7 @@ func ingestFileStep(part *residentPart, _ *exec.Ctx, args ingestFileArgs) (inges
 // points become the rank's S^(1) records (all under the hat root). It
 // consumes the staging area and returns the seeded count, which the
 // coordinator cross-checks against the declared n.
-func constructSeedStep(part *residentPart, _ *exec.Ctx, args seedArgs) (int, error) {
+func constructSeedStep(part *forestPart, _ *exec.Ctx, args seedArgs) (int, error) {
 	recs := make([]srec, 0, len(part.staged))
 	for _, pt := range part.staged {
 		if pt.Dims() != int(args.Dims) {
@@ -368,7 +463,7 @@ func constructSeedStep(part *residentPart, _ *exec.Ctx, args seedArgs) (int, err
 // sortLocalStep is the held sample sort's local phase: sort the rank's
 // records and return the p regular samples — the only point-bearing rows
 // the coordinator handles during a held construction.
-func sortLocalStep(part *residentPart, c *exec.Ctx, args dimArgs) (sortLocalReply, error) {
+func sortLocalStep(part *forestPart, c *exec.Ctx, args dimArgs) (sortLocalReply, error) {
 	less := srecLess(int(args.Dim))
 	psort.SortLocal(part.recs, less)
 	return sortLocalReply{Samples: psort.Samples(part.recs, c.P), Len: len(part.recs)}, nil
@@ -377,28 +472,28 @@ func sortLocalStep(part *residentPart, c *exec.Ctx, args dimArgs) (sortLocalRepl
 // wsortPartStep is the held sample sort's route emit: partition the
 // locally sorted records by the broadcast splitters (views into recs; the
 // merge collect of the same superstep replaces recs only after reading).
-func wsortPartStep(part *residentPart, c *exec.Ctx, args wsortPartArgs) ([][]srec, []byte, error) {
+func wsortPartStep(part *forestPart, c *exec.Ctx, args wsortPartArgs) ([][]srec, []byte, error) {
 	return psort.Partition(part.recs, args.Splitters, c.P, srecLess(int(args.Dim))), nil, nil
 }
 
 // wsortMergeStep is the held sample sort's merge collect: the routed runs
 // arrive sorted per source and merge into the rank's new record set.
-func wsortMergeStep(part *residentPart, _ *exec.Ctx, args dimArgs, in [][]srec) (lenReply, error) {
+func wsortMergeStep(part *forestPart, _ *exec.Ctx, args dimArgs, in [][]srec) (lenReply, error) {
 	part.recs = psort.MergeRuns(in, srecLess(int(args.Dim)))
 	return lenReply{Len: len(part.recs)}, nil
 }
 
 // wsortSplitStep is the held rebalance emit: cut the merged run at the
 // global block boundaries (again views; the gather collect copies).
-func wsortSplitStep(part *residentPart, c *exec.Ctx, args wsortBalanceArgs) ([][]srec, []byte, error) {
+func wsortSplitStep(part *forestPart, c *exec.Ctx, args wsortBalanceArgs) ([][]srec, []byte, error) {
 	return comm.BlockPartition(part.recs, args.Offset, args.Total, c.P), nil, nil
 }
 
 // wsortGatherStep is the held rebalance collect: concatenating the
 // sources in rank order preserves global order. It also computes the key
 // runs, from which every rank derives the phase's trees — so the runs
-// all-gather exchanges the same rows as the coordinator-fed path.
-func wsortGatherStep(part *residentPart, _ *exec.Ctx, _ bool, in [][]srec) (balanceReply, error) {
+// all-gather exchanges the same rows as the fabric construct.
+func wsortGatherStep(part *forestPart, _ *exec.Ctx, _ bool, in [][]srec) (balanceReply, error) {
 	part.recs = slices.Concat(in...)
 	return balanceReply{Len: len(part.recs), Runs: keyRuns(part.recs)}, nil
 }
@@ -407,7 +502,7 @@ func wsortGatherStep(part *residentPart, _ *exec.Ctx, _ bool, in [][]srec) (bala
 // the rank's balanced records to their elements' owners. The record set
 // is consumed — the install collect of the same superstep builds the
 // phase's owned elements.
-func routeHeldStep(part *residentPart, c *exec.Ctx, args routeHeldArgs) ([][]epoint, []byte, error) {
+func routeHeldStep(part *forestPart, c *exec.Ctx, args routeHeldArgs) ([][]epoint, []byte, error) {
 	out, err := routeRecords(part.recs, args.Trees, args.Grain, args.Offset, c.P)
 	if err != nil {
 		return nil, nil, err
@@ -416,117 +511,51 @@ func routeHeldStep(part *residentPart, c *exec.Ctx, args routeHeldArgs) ([][]epo
 	return out, nil, nil
 }
 
-// constructNextHeldStep is constructNextStep for a held construction: the
-// S^(j+1) records stay in the rank's record set instead of returning to
-// the coordinator; only the count crosses the seam.
-func constructNextHeldStep(part *residentPart, _ *exec.Ctx, args nextArgs) (int, error) {
-	part.recs = nextRecords(part, args.Dim)
+// constructNextHeldStep is Construct step 7 for a held construction: the
+// S^(j+1) records stay in the rank's record set; only the count crosses
+// the seam.
+func constructNextHeldStep(part *forestPart, _ *exec.Ctx, args dimArgs) (int, error) {
+	part.recs = part.nextRecords(args.Dim)
 	return len(part.recs), nil
 }
 
-// constructInstallStep is Construct step 4 on the resident side: the
-// routed records of one phase arrive as the superstep's column, and the
-// owned forest elements are built sequentially into worker memory. It
-// returns the stub metadata (the hat's leaves) for the roots broadcast.
-func constructInstallStep(part *residentPart, _ *exec.Ctx, args constructInstallArgs, incoming [][]epoint) ([]elemMeta, error) {
+// constructInstallStep is Construct step 4's collect: the routed records
+// of one phase arrive as the superstep's column and install into the
+// part; the stub metadata returns for the roots broadcast.
+func constructInstallStep(part *forestPart, _ *exec.Ctx, args constructInstallArgs, incoming [][]epoint) ([]elemMeta, error) {
 	part.backend = args.Backend
-	byID := make(map[ElemID]ElemInfo, len(args.Infos))
-	for _, info := range args.Infos {
-		byID[info.ID] = info
-	}
-	_, metas, err := buildForestElements(part.backend,
-		func(id ElemID) (ElemInfo, bool) { info, ok := byID[id]; return info, ok },
-		incoming, func(el *element) { part.elems[el.info.ID] = el })
-	return metas, err
-}
-
-// nextRecords is Construct step 7's resident computation: every owned
-// dimension-j element walks its hat-internal ancestors and emits one
-// S^(j+1) record per (ancestor, point) — computed where the points live.
-func nextRecords(part *residentPart, dim int8) []srec {
-	var ids []ElemID
-	for id, el := range part.elems {
-		if el.info.Dim == dim {
-			ids = append(ids, id)
-		}
-	}
-	slices.SortFunc(ids, func(a, b ElemID) int { return cmp.Compare(a, b) })
-	var next []srec
-	for _, id := range ids {
-		next = nextDimRecords(part.elems[id], next)
-	}
-	return next
-}
-
-// constructNextStep returns the S^(j+1) records to the coordinator, whose
-// next phase sorts them (the coordinator-fed construction).
-func constructNextStep(part *residentPart, _ *exec.Ctx, args nextArgs) ([]srec, error) {
-	return nextRecords(part, args.Dim), nil
+	return part.install(args.Infos, incoming)
 }
 
 // shipStep is the phase-B emit: the owner ships its planned copies
 // (Search step 3) straight from worker memory into the fabric — points
 // for the hosts that lack the copy, ID-only references for the rest.
-func shipStep(part *residentPart, c *exec.Ctx, args shipArgs) ([][]shippedElem, []byte, error) {
-	out, note, err := shipRows(nil, part.elems, args.Ships, c.P)
+func shipStep(part *forestPart, c *exec.Ctx, args shipArgs) ([][]shippedElem, []byte, error) {
+	out, note, err := part.shipRows(nil, args.Ships, c.P)
 	if err != nil {
 		return nil, nil, err
 	}
 	return out, exec.Marshal(note), nil
 }
 
-// installCopiesStep is the phase-B collect: install the shipped copies
-// into worker memory through the same installShipped the fabric path
-// runs; the epoch and cap bound are the coordinator's, and the reply
-// carries the cache's changes back for its mirror. When the batch serves
-// a named aggregate, each installed copy is annotated too (the resident
-// counterpart of the modes' materialize hook).
-func installCopiesStep(part *residentPart, c *exec.Ctx, args installCopiesArgs, incoming [][]shippedElem) (installCopiesReply, error) {
-	part.copies = make(map[ElemID]*element)
-	var materialize func(*element)
+// installCopiesStep is the phase-B collect: the shipped copies install
+// into the part, annotated for the batch's aggregate if it serves one;
+// the reply carries the cache's changes back for the coordinator's
+// mirror.
+func installCopiesStep(part *forestPart, c *exec.Ctx, args installCopiesArgs, incoming [][]shippedElem) (installCopiesReply, error) {
+	var agg aggPart
 	if args.Agg != "" {
-		spec, err := lookupAggSpec(args.Agg)
-		if err != nil {
+		var err error
+		if agg, err = part.agg(args.Agg); err != nil {
 			return installCopiesReply{}, err
 		}
-		ra := part.agg(args.Agg)
-		ra.copyAggs = make(map[ElemID]any)
-		ra.cache.begin(args.Epoch)
-		materialize = func(el *element) { spec.annotateCopy(ra, el, args.Cap) }
 	}
-	return installShipped(part.backend, c.Rank, part.copies, part.copyCache,
-		args.Epoch, args.Cap, incoming, materialize)
-}
-
-// servedCounts answers counting subqueries from the resident part (phase
-// C where the trees live).
-func servedCounts(part *residentPart, subs []subquery) []qcount {
-	var cv countVisitor
-	pairs := make([]qcount, 0, len(subs))
-	for _, s := range subs {
-		el := part.lookup(s.Elem)
-		pairs = append(pairs, qcount{Query: s.Query, Val: int64(elemCount(el, s.Box, &cv))})
-	}
-	return pairs
-}
-
-// servedReports answers report subqueries from the resident part; only
-// non-empty results return (mirroring the fabric hook).
-func servedReports(part *residentPart, subs []subquery) []rlocal {
-	var rv reportVisitor
-	var out []rlocal
-	for _, s := range subs {
-		el := part.lookup(s.Elem)
-		if pts := elemReport(el, s.Box, &rv); len(pts) > 0 {
-			out = append(out, rlocal{Query: s.Query, Pts: pts})
-		}
-	}
-	return out
+	return part.installCopies(c.Rank, args.Epoch, args.Cap, agg, incoming)
 }
 
 // serveCountStep is the out-of-run counting serve (SingleCount).
-func serveCountStep(part *residentPart, _ *exec.Ctx, args serveArgs) ([]qcount, error) {
-	return servedCounts(part, args.Subs), nil
+func serveCountStep(part *forestPart, _ *exec.Ctx, args serveArgs) ([]qcount, error) {
+	return part.servedCounts(args.Subs), nil
 }
 
 // decodeSubColumn decodes a routed subquery column for the raw fused-
@@ -572,7 +601,7 @@ func routeMixedStep(c *exec.Ctx, inbox *exec.Inbox, raw []byte) ([]byte, int, er
 	if err != nil {
 		return nil, 0, err
 	}
-	part := c.State.(*residentPart)
+	part := c.State.(*forestPart)
 	var cnt, agg, repq []subquery
 	for _, s := range subs {
 		switch args.Ops[s.Query] {
@@ -586,17 +615,16 @@ func routeMixedStep(c *exec.Ctx, inbox *exec.Inbox, raw []byte) ([]byte, int, er
 			return nil, 0, fmt.Errorf("core: routed subquery of query %d has unknown op %v", s.Query, args.Ops[s.Query])
 		}
 	}
-	rep := mixedServeReply{Counts: servedCounts(part, cnt), Locals: servedReports(part, repq)}
+	rep := mixedServeReply{Counts: part.servedCounts(cnt), Locals: part.servedReports(repq)}
 	if len(agg) > 0 {
 		if args.Agg == "" {
 			return nil, 0, fmt.Errorf("core: aggregate subqueries served without a prepared aggregate")
 		}
-		spec, err := lookupAggSpec(args.Agg)
+		pa, err := part.agg(args.Agg)
 		if err != nil {
 			return nil, 0, err
 		}
-		rep.Aggs, err = spec.serve(part, part.agg(args.Agg), agg)
-		if err != nil {
+		if rep.Aggs, err = pa.serveWire(agg); err != nil {
 			return nil, 0, err
 		}
 	}
@@ -610,38 +638,23 @@ func aggPrepareStep(c *exec.Ctx, raw []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	part := c.State.(*residentPart)
-	spec, err := lookupAggSpec(args.Name)
+	part := c.State.(*forestPart)
+	pa, err := part.agg(args.Name)
 	if err != nil {
 		return nil, err
 	}
-	return spec.prepare(part, part.agg(args.Name))
+	return pa.prepareWire(part), nil
 }
 
 // fetchPointsStep returns the points of owned elements, aligned with the
 // request (report-mode whole-element orders, AllPoints, Verify).
-func fetchPointsStep(part *residentPart, _ *exec.Ctx, args fetchArgs) ([][]geom.Point, error) {
-	out := make([][]geom.Point, len(args.Elems))
-	for i, id := range args.Elems {
-		el, ok := part.elems[id]
-		if !ok {
-			return nil, fmt.Errorf("core: resident fetch asked for element %d this rank does not own", id)
-		}
-		out[i] = el.pts
-	}
-	return out, nil
+func fetchPointsStep(part *forestPart, _ *exec.Ctx, args fetchArgs) ([][]geom.Point, error) {
+	return part.points(nil, args.Elems)
 }
 
-// elemStatsStep reports the owned elements' sizes in ID order (the
-// Theorem 1 space accounting helpers).
-func elemStatsStep(part *residentPart, _ *exec.Ctx, _ bool) ([]elemStat, error) {
-	ids := sortedOwnedIDs(part.elems)
-	out := make([]elemStat, 0, len(ids))
-	for _, id := range ids {
-		el := part.elems[id]
-		out = append(out, elemStat{ID: id, Nodes: el.tree.Nodes()})
-	}
-	return out, nil
+// elemStatsStep reports the owned elements' sizes in ID order.
+func elemStatsStep(part *forestPart, _ *exec.Ctx, _ bool) ([]elemStat, error) {
+	return part.stats(), nil
 }
 
 // ---------------------------------------------------------------- named
@@ -655,71 +668,137 @@ func elemStatsStep(part *residentPart, _ *exec.Ctx, _ bool) ([]elemStat, error) 
 // import it), and PrepareAssociativeNamed prepares by name, so the worker
 // resolves the identical functions the coordinator planned with.
 
-// aggSpec is the type-erased resident behavior of one registered
-// aggregate.
-type aggSpec interface {
-	prepare(part *residentPart, ra *residentAggState) ([]byte, error)
-	annotateCopy(ra *residentAggState, el *element, cap int)
-	serve(part *residentPart, ra *residentAggState, subs []subquery) ([]byte, error)
+// partAgg is one rank's annotations for one aggregate (Algorithm
+// AssociativeFunction step 1 at element granularity): the owned
+// elements', the current batch's copies', and a cross-batch cache of copy
+// annotations that mirrors the element copy cache — swept when the tree
+// epoch moves, bounded like it, and an entry is only reused for the same
+// built tree instance.
+type partAgg[T any] struct {
+	m        semigroup.Monoid[T]
+	val      func(geom.Point) T
+	elemAggs map[ElemID]elemAgg[T]
+	copyAggs map[ElemID]elemAgg[T]
+	cache    *copyCache[cachedAgg[T]]
 }
 
-// aggImpl implements aggSpec for one monoid instantiation.
-type aggImpl[T any] struct {
-	m   semigroup.Monoid[T]
-	val func(geom.Point) T
+// cachedAgg is one cross-batch annotation cache entry.
+type cachedAgg[T any] struct {
+	tree elemTree
+	agg  elemAgg[T]
 }
 
-func (a aggImpl[T]) prepare(part *residentPart, ra *residentAggState) ([]byte, error) {
-	ra.elemAggs = make(map[ElemID]any)
-	var roots []aggRoot[T]
-	for _, id := range sortedOwnedIDs(part.elems) {
-		el := part.elems[id]
-		ra.elemAggs[id] = newElemAgg(el, a.m, a.val)
-		acc := a.m.Identity
-		for _, pt := range el.pts {
-			acc = a.m.Combine(acc, a.val(pt))
-		}
-		roots = append(roots, aggRoot[T]{Elem: id, Val: acc})
+func newPartAgg[T any](m semigroup.Monoid[T], val func(geom.Point) T) *partAgg[T] {
+	return &partAgg[T]{
+		m: m, val: val,
+		elemAggs: make(map[ElemID]elemAgg[T]),
+		copyAggs: make(map[ElemID]elemAgg[T]),
+		cache:    newCopyCache[cachedAgg[T]](),
 	}
-	return exec.Marshal(roots), nil
 }
 
-func (a aggImpl[T]) annotateCopy(ra *residentAggState, el *element, cap int) {
-	if c, ok := ra.cache.get(el.info.ID); ok && c.tree == el.tree {
-		ra.copyAggs[el.info.ID] = c.agg
+// prepare annotates the part's owned elements and returns their
+// forest-root values in ID order.
+func (pa *partAgg[T]) prepare(part *forestPart) []aggRoot[T] {
+	clear(pa.elemAggs)
+	ids := part.sortedIDs()
+	roots := make([]aggRoot[T], len(ids))
+	for i, id := range ids {
+		el := part.elems[id]
+		pa.elemAggs[id] = newElemAgg(el, pa.m, pa.val)
+		acc := pa.m.Identity
+		for _, pt := range el.pts {
+			acc = pa.m.Combine(acc, pa.val(pt))
+		}
+		roots[i] = aggRoot[T]{Elem: id, Val: acc}
+	}
+	return roots
+}
+
+// begin opens one batch's copy annotations (phase B's install).
+func (pa *partAgg[T]) begin(epoch uint64) {
+	pa.cache.begin(epoch)
+	clear(pa.copyAggs)
+}
+
+// annotateCopy annotates one installed copy, reusing the cached
+// annotation when the copy itself was reused (same built tree).
+func (pa *partAgg[T]) annotateCopy(el *element, cap int) {
+	if c, ok := pa.cache.get(el.info.ID); ok && c.tree == el.tree {
+		pa.copyAggs[el.info.ID] = c.agg
 		return
 	}
-	ag := newElemAgg(el, a.m, a.val)
-	ra.cache.insert(el.info.ID, cachedAggAny{tree: el.tree, agg: ag}, cap, nil)
-	ra.copyAggs[el.info.ID] = ag
+	ag := newElemAgg(el, pa.m, pa.val)
+	pa.cache.insert(el.info.ID, cachedAgg[T]{tree: el.tree, agg: ag}, cap, nil)
+	pa.copyAggs[el.info.ID] = ag
 }
 
-func (a aggImpl[T]) serve(part *residentPart, ra *residentAggState, subs []subquery) ([]byte, error) {
-	pairs := make([]qvalT[T], 0, len(subs))
-	for _, s := range subs {
-		ag, ok := ra.elemAggs[s.Elem]
-		if !ok {
-			ag, ok = ra.copyAggs[s.Elem]
+// query folds f over a subquery's box in the owned element or copy it
+// visits.
+func (pa *partAgg[T]) query(s subquery) (T, error) {
+	ag, ok := pa.elemAggs[s.Elem]
+	if !ok {
+		ag, ok = pa.copyAggs[s.Elem]
+	}
+	if !ok {
+		var zero T
+		return zero, fmt.Errorf("core: element %d served without an annotation (aggregate not prepared?)", s.Elem)
+	}
+	return ag.Query(s.Box), nil
+}
+
+// aggPart is a partAgg with its value type erased, for the steps, which
+// resolve an aggregate by name; the values cross the seam spec-encoded.
+type aggPart interface {
+	prepareWire(part *forestPart) []byte
+	begin(epoch uint64)
+	annotateCopy(el *element, cap int)
+	serveWire(subs []subquery) ([]byte, error)
+}
+
+func (pa *partAgg[T]) prepareWire(part *forestPart) []byte { return exec.Marshal(pa.prepare(part)) }
+
+func (pa *partAgg[T]) serveWire(subs []subquery) ([]byte, error) {
+	pairs := make([]qvalT[T], len(subs))
+	for i, s := range subs {
+		v, err := pa.query(s)
+		if err != nil {
+			return nil, err
 		}
-		if !ok {
-			return nil, fmt.Errorf("core: element %d served without a resident annotation (aggregate not prepared?)", s.Elem)
-		}
-		pairs = append(pairs, qvalT[T]{Query: s.Query, Val: ag.(elemAgg[T]).Query(s.Box)})
+		pairs[i] = qvalT[T]{Query: s.Query, Val: v}
 	}
 	return exec.Marshal(pairs), nil
 }
 
-// aggRegistration is the coordinator-side typed half of a registered
-// aggregate.
+// agg resolves (starting if needed) the part's annotations for a
+// registered aggregate.
+func (part *forestPart) agg(name string) (aggPart, error) {
+	if pa, ok := part.aggs[name]; ok {
+		return pa, nil
+	}
+	aggRegMu.RLock()
+	reg, ok := aggRegs[name]
+	aggRegMu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("core: aggregate %q not registered (is the registering package imported by this binary?)", name)
+	}
+	pa := reg.newPart()
+	part.aggs[name] = pa
+	return pa, nil
+}
+
+// aggRegistration is one registered aggregate's monoid and value
+// function.
 type aggRegistration[T any] struct {
 	m   semigroup.Monoid[T]
 	val func(geom.Point) T
 }
 
+func (r aggRegistration[T]) newPart() aggPart { return newPartAgg(r.m, r.val) }
+
 var (
 	aggRegMu sync.RWMutex
-	aggSpecs = make(map[string]aggSpec)
-	aggTyped = make(map[string]any)
+	aggRegs  = make(map[string]interface{ newPart() aggPart })
 )
 
 // RegisterAggregate binds a name to a monoid and per-point value function
@@ -729,29 +808,17 @@ var (
 func RegisterAggregate[T any](name string, m semigroup.Monoid[T], val func(geom.Point) T) {
 	aggRegMu.Lock()
 	defer aggRegMu.Unlock()
-	if _, dup := aggSpecs[name]; dup {
+	if _, dup := aggRegs[name]; dup {
 		panic(fmt.Sprintf("core: aggregate %q registered twice", name))
 	}
-	aggSpecs[name] = aggImpl[T]{m: m, val: val}
-	aggTyped[name] = aggRegistration[T]{m: m, val: val}
-}
-
-// lookupAggSpec resolves the type-erased resident behavior.
-func lookupAggSpec(name string) (aggSpec, error) {
-	aggRegMu.RLock()
-	defer aggRegMu.RUnlock()
-	spec, ok := aggSpecs[name]
-	if !ok {
-		return nil, fmt.Errorf("core: aggregate %q not registered (is the registering package imported by this binary?)", name)
-	}
-	return spec, nil
+	aggRegs[name] = aggRegistration[T]{m: m, val: val}
 }
 
 // lookupAggregate resolves the typed coordinator-side registration.
 func lookupAggregate[T any](name string) (aggRegistration[T], error) {
 	aggRegMu.RLock()
 	defer aggRegMu.RUnlock()
-	reg, ok := aggTyped[name]
+	reg, ok := aggRegs[name]
 	if !ok {
 		return aggRegistration[T]{}, fmt.Errorf("core: aggregate %q not registered", name)
 	}
@@ -760,13 +827,4 @@ func lookupAggregate[T any](name string) (aggRegistration[T], error) {
 		return aggRegistration[T]{}, fmt.Errorf("core: aggregate %q is registered with a different value type", name)
 	}
 	return typed, nil
-}
-
-// residentElemPoints fetches the points of the given elements from their
-// resident rank (callers outside machine runs; one call per rank).
-func (t *Tree) residentElemPoints(rank int, ids []ElemID) ([][]geom.Point, error) {
-	if len(ids) == 0 {
-		return nil, nil
-	}
-	return cgm.ResidentCall[fetchArgs, [][]geom.Point](t.mach, rank, fref("points/fetch"), fetchArgs{Elems: ids})
 }

@@ -47,8 +47,11 @@ var searchLabels = &runLabels{
 type procRun interface {
 	// answerHat resolves one hat selection of phase A.
 	answerHat(q Query, s hatSel)
-	// materialize is called for every element copy installed in phase B.
-	materialize(el *element)
+	// copyAgg names the aggregate phase B annotates installed copies for
+	// and gives the rank's annotations on a fabric tree ("" and nil when
+	// the batch holds no aggregate query; nil on a resident tree, whose
+	// install step resolves the name).
+	copyAgg() (string, aggPart)
 }
 
 // phaseASink wires one processor's hat descents into its run: hat
@@ -148,14 +151,8 @@ func (fr *mixedFrame[T]) rank(pr *cgm.Proc) {
 	subs := sink.subs
 	st.Subqueries = len(subs)
 
-	// Phase B: balance Q″ across copies of the demanded forest parts. A
-	// resident install annotates copies for the batch's aggregate, if it
-	// holds any aggregate query.
-	aggName := ""
-	if run.agg != nil {
-		aggName = fr.h.name
-	}
-	served, routed, routeLbl := t.phaseB(pr, ps, subs, aggName, run)
+	// Phase B: balance Q″ across copies of the demanded forest parts.
+	served, routed, routeLbl := t.phaseB(pr, ps, subs, run)
 
 	// Phase C: answer the subqueries this processor serves — locally
 	// on a fabric tree; on a resident tree the route exchange and the

@@ -250,13 +250,12 @@ type copyNote struct {
 	RefPts    int
 }
 
-// shipRows materializes a planned deposit from the elements the owner
-// holds — coordinator memory on a fabric tree, worker memory in the
-// resident emit step (which passes a nil arena). Every planned copy is one
+// shipRows materializes a planned deposit from the part's owned elements
+// (the resident emit step passes a nil arena). Every planned copy is one
 // row either way, so the copies round keeps its h and volume whatever goes
 // by reference. A by-value row aliases the owner's el.pts, never the row
 // buffer, so what a host installs from it outlives the arena.
-func shipRows(a *cgm.Arena, elems map[ElemID]*element, ships []hostShip, p int) ([][]shippedElem, copyNote, error) {
+func (part *forestPart) shipRows(a *cgm.Arena, ships []hostShip, p int) ([][]shippedElem, copyNote, error) {
 	out := cgm.Alloc[[]shippedElem](a, p)
 	var note copyNote
 	for _, hs := range ships {
@@ -266,7 +265,7 @@ func shipRows(a *cgm.Arena, elems map[ElemID]*element, ships []hostShip, p int) 
 		}
 		rows := cgm.Alloc[shippedElem](a, len(hs.Elems))
 		for i, id := range hs.Elems {
-			el, ok := elems[id]
+			el, ok := part.elems[id]
 			if !ok {
 				return nil, note, fmt.Errorf("core: asked to ship element %d this rank does not own", id)
 			}
@@ -294,27 +293,32 @@ type installCopiesReply struct {
 	Ops          []cacheOp
 }
 
-// installShipped is the phase-B install shared by the fabric path and
-// the resident step (one policy, one source of truth). References
-// resolve first — against the cache as the host advertised it, before any
-// by-value row can evict — and a reference the cache cannot resolve is a
-// diagnostic error, never a silently missing copy. By-value rows are then
-// built on be and cached for later batches, bounded by cap. materialize
-// runs for every installed copy either way.
-func installShipped(be Backend, host int, copies map[ElemID]*element, cache *copyCache[*element],
-	epoch uint64, cap int, incoming [][]shippedElem, materialize func(*element)) (installCopiesReply, error) {
+// installCopies is phase B's install on the host, the one body for
+// both residencies: the batch's copies replace the last batch's, and
+// each is annotated for agg when the batch serves an aggregate (nil
+// otherwise). References resolve first — against the cache as the host
+// advertised it, before any by-value row can evict — and a reference the
+// cache cannot resolve is a diagnostic error, never a silently missing
+// copy. By-value rows are then built on the part's backend and cached for
+// later batches, bounded by cap.
+func (part *forestPart) installCopies(host int, epoch uint64, cap int, agg aggPart, incoming [][]shippedElem) (installCopiesReply, error) {
 	var rep installCopiesReply
 	start := time.Now()
+	cache := part.copyCache
 	prior := cache.epoch
 	cache.begin(epoch)
+	clear(part.copies)
+	if agg != nil {
+		agg.begin(epoch)
+	}
 	install := func(id ElemID, el *element) {
-		copies[id] = el
-		if materialize != nil {
-			materialize(el)
+		part.copies[id] = el
+		if agg != nil {
+			agg.annotateCopy(el, cap)
 		}
 	}
-	for _, part := range incoming {
-		for _, sh := range part {
+	for _, col := range incoming {
+		for _, sh := range col {
 			if !sh.Ref {
 				continue
 			}
@@ -328,8 +332,8 @@ func installShipped(be Backend, host int, copies map[ElemID]*element, cache *cop
 			install(sh.Info.ID, el)
 		}
 	}
-	for _, part := range incoming {
-		for _, sh := range part {
+	for _, col := range incoming {
+		for _, sh := range col {
 			if sh.Ref {
 				continue
 			}
@@ -337,13 +341,13 @@ func installShipped(be Backend, host int, copies map[ElemID]*element, cache *cop
 			if ok {
 				rep.CacheHits++
 			} else {
-				el = &element{info: sh.Info, pts: sh.Pts, tree: buildElemTree(be, sh.Pts, int(sh.Info.Dim))}
+				el = &element{info: sh.Info, pts: sh.Pts, tree: buildElemTree(part.backend, sh.Pts, int(sh.Info.Dim))}
 				rep.Ops = cache.insert(sh.Info.ID, el, cap, rep.Ops)
 			}
 			install(sh.Info.ID, el)
 		}
 	}
-	rep.Held = len(copies)
+	rep.Held = len(part.copies)
 	rep.InstallNanos = time.Since(start).Nanoseconds()
 	return rep, nil
 }
@@ -397,11 +401,10 @@ func routeExact(pr *cgm.Proc, label string, subs []subquery, dest func(i int, s 
 // |QF_j| per forest group, make c_j copies of congested groups, distribute
 // the copies evenly, and redistribute Q″ so every subquery lands on a
 // processor holding the element it visits. It returns the subqueries this
-// processor serves. run.materialize is called for every copied element a
-// host installs (the aggregate kind builds its annotations there); on
-// a resident tree the copies ship worker-to-worker instead (emit and
-// collect steps of the forest program) and aggName selects the registered
-// aggregate the install step annotates them for. Every vector and row of
+// processor serves. Hosts annotate the copies they install for the
+// batch's aggregate (run.copyAgg); on a resident tree the copies ship
+// worker-to-worker (emit and collect steps of the forest program) and the
+// install step resolves the aggregate by name. Every vector and row of
 // the phase lives in the rank's run arena; only the balance plan is
 // reused procState storage.
 //
@@ -414,9 +417,9 @@ func routeExact(pr *cgm.Proc, label string, subs []subquery, dest func(i int, s 
 // deferred: phaseB returns the partitioned buckets plus the label the
 // run's fused route-and-serve superstep must use, so routing and phase
 // C collapse into one round with no separate serve dispatch.
-func (t *Tree) phaseB(pr *cgm.Proc, ps *procState, subs []subquery, aggName string, run procRun) (served []subquery, routed [][]subquery, routeLbl string) {
+func (t *Tree) phaseB(pr *cgm.Proc, ps *procState, subs []subquery, run procRun) (served []subquery, routed [][]subquery, routeLbl string) {
 	if t.balanceMode == ElementLevel {
-		return t.phaseBElement(pr, ps, subs, aggName, run)
+		return t.phaseBElement(pr, ps, subs, run)
 	}
 	p, a, lbl := pr.P(), pr.Arena(), searchLabels
 
@@ -453,7 +456,7 @@ func (t *Tree) phaseB(pr *cgm.Proc, ps *procState, subs []subquery, aggName stri
 			_, ok := slices.BinarySearch(matrix[host][p:], int(id))
 			return ok
 		})
-	t.shipCopies(pr, ps, lbl.copies, ships, aggName, run)
+	t.shipCopies(pr, ps, lbl.copies, ships, run)
 
 	// Step 4: redistribute Q″ so every query sits with a copy of the part
 	// it visits; the r-th subquery of group j goes to the host of copy
@@ -482,16 +485,16 @@ func (t *Tree) phaseB(pr *cgm.Proc, ps *procState, subs []subquery, aggName stri
 func (t *Tree) keepDemand(demand []int) { t.lastDemand = append(t.lastDemand[:0], demand...) }
 
 // shipCopies runs the phase-B copies superstep for one owner's plan and
-// books its outcome. On a fabric tree the rows are built, exchanged and
-// installed here; on a resident tree both endpoints are resident — the
-// owner's emit step serializes elements out of worker memory, the host's
-// install step builds them into worker memory — and only the ship note
-// and the install reply return to the coordinator. Either way the reply's
-// cache ops keep ps.cached equal to the cache's ID set.
-func (t *Tree) shipCopies(pr *cgm.Proc, ps *procState, label string, ships []hostShip, aggName string, run procRun) {
+// books its outcome. The owner's part builds the rows and the host's part
+// installs them; on a fabric tree both run here around the exchange, on
+// a resident tree as the superstep's emit and collect steps, so only the
+// ship note and the install reply return to the coordinator. Either way
+// the reply's cache ops keep ps.cached equal to the cache's ID set.
+func (t *Tree) shipCopies(pr *cgm.Proc, ps *procState, label string, ships []hostShip, run procRun) {
 	var note copyNote
 	var rep installCopiesReply
 	var err error
+	aggName, agg := run.copyAgg()
 	if t.resident {
 		cargs := installCopiesArgs{Epoch: t.batchEpoch, Cap: t.copyCacheCapFor(ps), Agg: aggName}
 		var raw []byte
@@ -500,11 +503,8 @@ func (t *Tree) shipCopies(pr *cgm.Proc, ps *procState, label string, ships []hos
 		note, err = exec.Unmarshal[copyNote](raw)
 	} else {
 		var out [][]shippedElem
-		if out, note, err = shipRows(pr.Arena(), ps.elems, ships, pr.P()); err == nil {
-			incoming := cgm.Exchange(pr, label, out)
-			clear(ps.copies)
-			rep, err = installShipped(t.backend, ps.rank, ps.copies, ps.copyCache,
-				t.batchEpoch, t.copyCacheCapFor(ps), incoming, run.materialize)
+		if out, note, err = ps.part.shipRows(pr.Arena(), ships, pr.P()); err == nil {
+			rep, err = ps.part.installCopies(ps.rank, t.batchEpoch, t.copyCacheCapFor(ps), agg, cgm.Exchange(pr, label, out))
 		}
 	}
 	if err != nil {
@@ -536,7 +536,7 @@ const advertRow int32 = -1
 
 // phaseBElement is the ElementLevel variant of phaseB: demand, copies and
 // routing all work per forest element.
-func (t *Tree) phaseBElement(pr *cgm.Proc, ps *procState, subs []subquery, aggName string, run procRun) (served []subquery, routed [][]subquery, routeLbl string) {
+func (t *Tree) phaseBElement(pr *cgm.Proc, ps *procState, subs []subquery, run procRun) (served []subquery, routed [][]subquery, routeLbl string) {
 	p, a, lbl := pr.P(), pr.Arena(), searchLabels
 
 	// Demand per element, exchanged sparsely, then the advertised IDs.
@@ -593,7 +593,7 @@ func (t *Tree) phaseBElement(pr *cgm.Proc, ps *procState, subs []subquery, aggNa
 				func(d elemDemand, id ElemID) int { return cmp.Compare(d.Elem, id) })
 			return ok
 		})
-	t.shipCopies(pr, ps, lbl.ecopies, ships, aggName, run)
+	t.shipCopies(pr, ps, lbl.ecopies, ships, run)
 
 	// Route the r-th subquery of element e to the host of copy ⌊r·c_e/d_e⌋:
 	// perElem[e] starts at the demand of the ranks before this one and
@@ -612,14 +612,4 @@ func (t *Tree) phaseBElement(pr *cgm.Proc, ps *procState, subs []subquery, aggNa
 		return nil, partitionSubs(a, p, subs, dest), lbl.eroute
 	}
 	return routeExact(pr, lbl.eroute, subs, dest), nil, ""
-}
-
-// sortedOwnedIDs returns the owned element ids in increasing order.
-func sortedOwnedIDs(m map[ElemID]*element) []ElemID {
-	ids := make([]ElemID, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	slices.SortFunc(ids, func(a, b ElemID) int { return cmp.Compare(a, b) })
-	return ids
 }

@@ -23,6 +23,7 @@ import (
 
 // SingleCount answers one counting query with all processors cooperating.
 func (t *Tree) SingleCount(b geom.Box) int64 {
+	t.checkBox("SingleCount", 0, b)
 	var result int64
 	t.mach.Run(func(pr *cgm.Proc) {
 		ps := t.procs[pr.Rank()]
@@ -52,7 +53,7 @@ func (t *Tree) SingleCount(b geom.Box) int64 {
 					mine = append(mine, s)
 					return
 				}
-				local += int64(ps.elems[s.Elem].tree.Count(s.Box))
+				local += int64(ps.part.elems[s.Elem].tree.Count(s.Box))
 			})
 		if t.resident && len(mine) > 0 {
 			for _, v := range cgm.CallResident[serveArgs, []qcount](pr, fref("search/serveCount"), serveArgs{Subs: mine}) {

@@ -142,24 +142,20 @@ type hatFrame struct {
 	tree, node int32
 }
 
-// procState is one processor's local memory: its replica of the hat, the
-// forest part it owns, and (during a search batch) the copies it hosts.
+// procState is one processor's coordinator-side state: its replica of
+// the hat and the element metadata, the mirror of its copy cache, and the
+// batch path's scratch.
 type procState struct {
 	rank     int
 	hat      []*HatTree
 	hatByKey map[segtree.PathKey]int32
 	info     []ElemInfo
-	elems    map[ElemID]*element
-	copies   map[ElemID]*element
 
-	// copyCache keeps copies built in earlier batches so a
-	// repeatedly-congested element neither ships its points again nor
-	// repeats the O(g·log^(d-1) g) rebuild (fabric trees; a resident
-	// tree's cache lives in the rank's residentPart). It holds
-	// current-epoch entries only and is bounded by Tree.copyCacheCapFor,
-	// so a drifting hot set cannot grow it past a constant factor of this
-	// processor's forest share.
-	copyCache *copyCache[*element]
+	// part is the rank's forest part — its elements, the copies it hosts
+	// during a search batch, and its copy cache — on a fabric tree. On a
+	// resident tree the part lives in the machine's exec store (worker
+	// memory over TCP) and part is nil.
+	part *forestPart
 
 	// cached mirrors the ID set of the rank's element cache, wherever it
 	// lives, as a sorted list valid at cachedEpoch: what the rank
@@ -206,17 +202,6 @@ func (ps *procState) ownedIDs() []ElemID {
 		}
 	}
 	return ps.owned
-}
-
-// lookup resolves an element from the owned part or the current copies.
-func (ps *procState) lookup(id ElemID) *element {
-	if el, ok := ps.elems[id]; ok {
-		return el
-	}
-	if el, ok := ps.copies[id]; ok {
-		return el
-	}
-	panic(fmt.Sprintf("core: processor %d asked to serve element %d it does not hold", ps.rank, id))
 }
 
 // Tree is the distributed range tree handle. All batch operations run SPMD
@@ -361,27 +346,18 @@ func (t *Tree) HatNodeCount() int {
 func (t *Tree) HatTreeCount() int { return len(t.procs[0].hat) }
 
 // ForestPartNodes reports, per processor, the total node count of the
-// owned forest elements — the |F_i| of Theorem 1(ii): directly for
-// fabric trees, via one stats step per rank for resident ones. Resident
-// calls must not overlap a machine run (the Run contract); a failure
-// aborts like a machine abort would.
+// owned forest elements — the |F_i| of Theorem 1(ii). It reads each
+// rank's part (onPart), so on a resident tree it must not overlap a
+// machine run; a failure aborts like a machine abort would.
 func (t *Tree) ForestPartNodes() []int {
 	nodes := make([]int, t.P())
-	if t.resident {
-		for rank := range nodes {
-			stats, err := cgm.ResidentCall[bool, []elemStat](t.mach, rank, fref("stats/elems"), false)
-			if err != nil {
-				panic(fmt.Sprintf("core: resident element stats: %v", err))
-			}
-			for _, st := range stats {
-				nodes[rank] += st.Nodes
-			}
+	for rank := range nodes {
+		stats, err := onPart(t, rank, "stats/elems", false, elemStatsStep)
+		if err != nil {
+			panic(fmt.Sprintf("core: element stats: %v", err))
 		}
-		return nodes
-	}
-	for i, ps := range t.procs {
-		for _, el := range ps.elems {
-			nodes[i] += el.tree.Nodes()
+		for _, st := range stats {
+			nodes[rank] += st.Nodes
 		}
 	}
 	return nodes
@@ -392,41 +368,31 @@ func (t *Tree) ElemCount() int { return len(t.procs[0].info) }
 
 // AllPoints returns the stored point set in deterministic order. The
 // dimension-0 forest elements partition the input, so concatenating them
-// in element order recovers it (sorted by the first coordinate). On a
-// resident tree the points are fetched from the owning ranks (one step
-// call per rank), and a lost worker is an error naming its rank.
+// in element order recovers it (sorted by the first coordinate). The
+// points are read from the owning ranks' parts (one read per rank), and
+// on a resident tree a lost worker is an error naming its rank.
 func (t *Tree) AllPoints() ([]geom.Point, error) {
-	out := make([]geom.Point, 0, t.n)
-	if t.resident {
-		byOwner := make([][]ElemID, t.P())
-		for _, info := range t.procs[0].info {
-			if info.Dim == 0 {
-				byOwner[info.Owner] = append(byOwner[info.Owner], info.ID)
-			}
-		}
-		fetched := make(map[ElemID][]geom.Point, t.ElemCount())
-		for rank, ids := range byOwner {
-			parts, err := t.residentElemPoints(rank, ids)
-			if err != nil {
-				return nil, fmt.Errorf("core: resident point fetch: %w", err)
-			}
-			for i, id := range ids {
-				fetched[id] = parts[i]
-			}
-		}
-		for _, info := range t.procs[0].info {
-			if info.Dim == 0 {
-				out = append(out, fetched[info.ID]...)
-			}
-		}
-		return out, nil
-	}
+	byOwner := make([][]ElemID, t.P())
 	for _, info := range t.procs[0].info {
-		if info.Dim != 0 {
-			continue
+		if info.Dim == 0 {
+			byOwner[info.Owner] = append(byOwner[info.Owner], info.ID)
 		}
-		owner := t.procs[info.Owner]
-		out = append(out, owner.elems[info.ID].pts...)
+	}
+	fetched := make(map[ElemID][]geom.Point, t.ElemCount())
+	for rank, ids := range byOwner {
+		parts, err := onPart(t, rank, "points/fetch", fetchArgs{Elems: ids}, fetchPointsStep)
+		if err != nil {
+			return nil, fmt.Errorf("core: point fetch: %w", err)
+		}
+		for i, id := range ids {
+			fetched[id] = parts[i]
+		}
+	}
+	out := make([]geom.Point, 0, t.n)
+	for _, info := range t.procs[0].info {
+		if info.Dim == 0 {
+			out = append(out, fetched[info.ID]...)
+		}
 	}
 	return out, nil
 }

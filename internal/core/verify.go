@@ -1,12 +1,9 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"reflect"
-	"slices"
 
-	"repro/internal/cgm"
 	"repro/internal/geom"
 	"repro/internal/segtree"
 )
@@ -28,9 +25,9 @@ import (
 //  7. element point sets are sorted by their first discriminated dimension
 //     (leaf order).
 //
-// On a resident tree the element checks run against points fetched from
-// the owning ranks (the hat and metadata are coordinator-side replicas
-// either way).
+// The element checks run against points read from the owning ranks'
+// parts (on a resident tree, fetched from worker memory); the hat and
+// metadata are coordinator-side replicas either way.
 func (t *Tree) Verify() error {
 	ref := t.procs[0]
 	p := t.P()
@@ -53,8 +50,7 @@ func (t *Tree) Verify() error {
 		}
 	}
 
-	// Materialize the per-rank element views (local maps on a fabric
-	// tree, fetched from worker memory on a resident one).
+	// Materialize the per-rank element views (read from each rank's part).
 	elems, err := t.elemPtsView()
 	if err != nil {
 		return err
@@ -111,34 +107,23 @@ func (t *Tree) Verify() error {
 	return nil
 }
 
-// elemPtsView collects every rank's stored elements as ID → points.
+// elemPtsView collects every rank's stored elements as ID → points: what
+// the rank's part actually holds (catching stray and missing elements
+// alike), then the points themselves.
 func (t *Tree) elemPtsView() ([]map[ElemID][]geom.Point, error) {
 	out := make([]map[ElemID][]geom.Point, t.P())
-	if !t.resident {
-		for rank, ps := range t.procs {
-			held := make(map[ElemID][]geom.Point, len(ps.elems))
-			for id, el := range ps.elems {
-				held[id] = el.pts
-			}
-			out[rank] = held
-		}
-		return out, nil
-	}
 	for rank := range out {
-		// What the rank actually holds (catches both stray and missing
-		// elements), then the points themselves.
-		stats, err := cgm.ResidentCall[bool, []elemStat](t.mach, rank, fref("stats/elems"), false)
+		stats, err := onPart(t, rank, "stats/elems", false, elemStatsStep)
 		if err != nil {
-			return nil, fmt.Errorf("resident element stats of rank %d: %w", rank, err)
+			return nil, fmt.Errorf("element stats of rank %d: %w", rank, err)
 		}
 		ids := make([]ElemID, len(stats))
 		for i, st := range stats {
 			ids[i] = st.ID
 		}
-		slices.SortFunc(ids, func(a, b ElemID) int { return cmp.Compare(a, b) })
-		parts, err := t.residentElemPoints(rank, ids)
+		parts, err := onPart(t, rank, "points/fetch", fetchArgs{Elems: ids}, fetchPointsStep)
 		if err != nil {
-			return nil, fmt.Errorf("resident element fetch of rank %d: %w", rank, err)
+			return nil, fmt.Errorf("element fetch of rank %d: %w", rank, err)
 		}
 		held := make(map[ElemID][]geom.Point, len(ids))
 		for i, id := range ids {

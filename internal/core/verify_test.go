@@ -61,8 +61,8 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 			"lost-element",
 			func(dt *Tree) {
 				for _, ps := range dt.procs {
-					for id := range ps.elems {
-						delete(ps.elems, id)
+					for id := range ps.part.elems {
+						delete(ps.part.elems, id)
 						return
 					}
 				}
@@ -73,7 +73,7 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 			"stolen-point",
 			func(dt *Tree) {
 				for _, ps := range dt.procs {
-					for _, el := range ps.elems {
+					for _, el := range ps.part.elems {
 						if el.info.Dim == 0 && len(el.pts) > 1 {
 							el.pts = el.pts[:len(el.pts)-1]
 							return
@@ -87,7 +87,7 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 			"unsorted-element",
 			func(dt *Tree) {
 				for _, ps := range dt.procs {
-					for _, el := range ps.elems {
+					for _, el := range ps.part.elems {
 						if len(el.pts) > 1 {
 							el.pts[0], el.pts[len(el.pts)-1] = el.pts[len(el.pts)-1], el.pts[0]
 							return

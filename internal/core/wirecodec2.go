@@ -204,15 +204,6 @@ func init() {
 			return a, nil
 		})
 	fixedCodec(
-		func(buf []byte, a nextArgs) []byte { return append(buf, byte(a.Dim)) },
-		func(r *wire.Reader) (nextArgs, error) {
-			var a nextArgs
-			if d := r.Bytes(1); d != nil {
-				a.Dim = int8(d[0])
-			}
-			return a, nil
-		})
-	fixedCodec(
 		func(buf []byte, a dimArgs) []byte { return append(buf, byte(a.Dim)) },
 		func(r *wire.Reader) (dimArgs, error) {
 			var a dimArgs

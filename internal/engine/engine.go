@@ -158,6 +158,7 @@ type Engine[T any] struct {
 	tree *core.Tree
 	agg  *core.AggHandle[T]
 	st   *store.Store
+	dims int // of the tree or store; submit refuses other boxes
 	cfg  Config
 
 	// closing guards the reqs channel: submitters hold it shared for the
@@ -215,6 +216,7 @@ func WithAggregate[T any](t *core.Tree, h *core.AggHandle[T], cfg Config) *Engin
 	e := newEngine[T](cfg)
 	e.tree = t
 	e.agg = h
+	e.dims = t.Dims()
 	go e.loop()
 	return e
 }
@@ -227,6 +229,7 @@ func WithAggregate[T any](t *core.Tree, h *core.AggHandle[T], cfg Config) *Engin
 func NewStore(st *store.Store, cfg Config) *Engine[struct{}] {
 	e := newEngine[struct{}](cfg)
 	e.st = st
+	e.dims = st.Dims()
 	go e.loop()
 	return e
 }
@@ -395,8 +398,12 @@ func (e *Engine[T]) Close() {
 }
 
 // submit runs the cache fast path, then hands the query to the batching
-// loop and blocks on its reply channel.
+// loop and blocks on its reply channel. A box of the wrong dimensionality
+// is an error here, before it can join a batch and fail its neighbours.
 func (e *Engine[T]) submit(op core.MixedOp, box geom.Box) (core.MixedResult[T], error) {
+	if box.Dims() != e.dims {
+		return core.MixedResult[T]{}, fmt.Errorf("engine: box has %d dims, the data has %d", box.Dims(), e.dims)
+	}
 	if h := e.lat[op]; h != nil {
 		t0 := time.Now()
 		defer func() { h.Observe(time.Since(t0).Nanoseconds()) }()

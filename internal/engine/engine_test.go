@@ -3,12 +3,14 @@ package engine
 import (
 	"encoding/binary"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/brute"
 	"repro/internal/cgm"
 	"repro/internal/core"
+	"repro/internal/geom"
 	"repro/internal/semigroup"
 	"repro/internal/workload"
 )
@@ -216,6 +218,26 @@ func TestEngineLifecycle(t *testing.T) {
 	eng.Close() // idempotent
 	if _, err := eng.Count(q); err != ErrClosed {
 		t.Fatalf("Count after close: err = %v, want ErrClosed", err)
+	}
+}
+
+// TestEngineRefusesWrongDims: a box of the wrong dimensionality is an
+// error at submit, and the machine it never reached answers the next box.
+func TestEngineRefusesWrongDims(t *testing.T) {
+	fx := newFixture(t, 512, 4)
+	eng := New(fx.tree, Config{BatchSize: 4, CacheSize: 16})
+	defer eng.Close()
+	bad := geom.NewBox([]geom.Coord{0, 0, 0}, []geom.Coord{100, 100, 100})
+	if _, err := eng.Count(bad); err == nil || !strings.Contains(err.Error(), "3 dims") {
+		t.Fatalf("Count of a 3-d box on a 2-d tree: err = %v, want a dims error", err)
+	}
+	q := workload.Boxes(workload.QuerySpec{M: 1, Dims: 2, N: fx.n, Selectivity: 0.1, Seed: 6})[0]
+	got, err := eng.Count(q)
+	if err != nil {
+		t.Fatalf("Count after the refused box: %v", err)
+	}
+	if want := int64(fx.bf.Count(q)); got != want {
+		t.Fatalf("Count after the refused box = %d, want %d", got, want)
 	}
 }
 

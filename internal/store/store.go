@@ -753,9 +753,9 @@ func (s *Store) Compact() {
 // buildLevel builds one level tree on a fresh machine from the store's
 // provider, converting machine aborts (panics by cgm contract — e.g. a
 // TCP cluster losing a worker mid-build) into errors the compactor can
-// record instead of crashing the process. On a resident machine the
-// points are staged into the workers first and the construction runs
-// held (BuildWorkerFed): the compactor's rebuild mass crosses the
+// record instead of crashing the process. On a resident machine
+// BuildBackend stages the points into the workers first and the
+// construction runs held: the compactor's rebuild mass crosses the
 // coordinator once as raw ingest chunks and never again — every
 // sample-sort and routing exchange of the build stays on the worker
 // mesh.
@@ -769,7 +769,7 @@ func (s *Store) buildLevel(pts []geom.Point) (t *core.Tree, err error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: level build machine: %w", err)
 	}
-	t = core.BuildWorkerFed(mach, pts, core.BackendLayered)
+	t = core.BuildBackend(mach, pts, core.BackendLayered)
 	s.builtPoints.Add(uint64(len(pts)))
 	return t, nil
 }

@@ -294,7 +294,8 @@ func TestWholeSpaceReportManyTombstones(t *testing.T) {
 }
 
 // TestMixedRejectsBadBatches: a batch whose ops and boxes disagree in
-// length, or that asks for an aggregate, is an error, not a panic.
+// length, that asks for an aggregate, or that holds a box of the wrong
+// dimensionality, is an error, not a panic, and the store serves on.
 func TestMixedRejectsBadBatches(t *testing.T) {
 	s, err := Open("", Config{Dims: 1, Sync: true})
 	if err != nil {
@@ -315,6 +316,14 @@ func TestMixedRejectsBadBatches(t *testing.T) {
 	if _, err := Mixed[struct{}](v, []core.MixedOp{core.OpReport, core.MixedOp(3)}, []geom.Box{box, box}); err == nil ||
 		!strings.Contains(err.Error(), "query 1: unknown op MixedOp(3)") {
 		t.Fatalf("unknown op: %v", err)
+	}
+	flat := geom.Box{Lo: []geom.Coord{0, 0}, Hi: []geom.Coord{9, 9}}
+	if _, err := Mixed[struct{}](v, []core.MixedOp{core.OpCount, core.OpCount}, []geom.Box{box, flat}); err == nil ||
+		!strings.Contains(err.Error(), "query 1: box has 2 dims, store has 1") {
+		t.Fatalf("wrong dims: %v", err)
+	}
+	if _, err := Mixed[struct{}](v, []core.MixedOp{core.OpCount}, []geom.Box{box}); err != nil {
+		t.Fatalf("a valid batch after the refused ones: %v", err)
 	}
 }
 

@@ -109,6 +109,9 @@ func MixedTraced[T any](v *Version, ops []core.MixedOp, boxes []geom.Box, trace 
 		default:
 			return nil, fmt.Errorf("store: query %d: unknown op %v", i, op)
 		}
+		if d := boxes[i].Dims(); d != v.s.cfg.Dims {
+			return nil, fmt.Errorf("store: query %d: box has %d dims, store has %d", i, d, v.s.cfg.Dims)
+		}
 	}
 	out := make([]core.MixedResult[T], len(boxes))
 	if len(boxes) == 0 {

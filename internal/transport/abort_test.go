@@ -156,6 +156,55 @@ func TestWorkerDeathMidSuperstepAborts(t *testing.T) {
 	mach.Run(func(pr *cgm.Proc) {})
 }
 
+// killingProvider hands out its cluster's machines and closes one worker
+// right after, so the build on the machine loses that rank before its
+// first superstep.
+type killingProvider struct {
+	*transport.Cluster
+	kill func()
+}
+
+func (k killingProvider) NewMachine() (*cgm.Machine, error) {
+	mach, err := k.Cluster.NewMachine()
+	k.kill()
+	return mach, err
+}
+
+// TestBuildOnWorkerDeathIsAnError: BuildOn (and so drtree.ClusterBuild)
+// returns a worker lost mid-build as an error naming its rank, on both
+// residencies, rather than panicking the caller.
+func TestBuildOnWorkerDeathIsAnError(t *testing.T) {
+	pts := workload.Points(workload.PointSpec{N: 2000, Dims: 2, Dist: workload.Uniform, Seed: 5})
+	for _, resident := range []bool{false, true} {
+		t.Run(fmt.Sprintf("resident=%t", resident), func(t *testing.T) {
+			workers, addrs := startWorkers(t, 4)
+			cl, err := transport.DialCluster(addrs, cgm.Config{Resident: resident})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			pv := killingProvider{Cluster: cl, kill: func() { workers[1].Close() }}
+			done := make(chan error, 1)
+			go func() {
+				_, err := core.BuildOn(pv, pts, core.BackendLayered)
+				done <- err
+			}()
+			select {
+			case err = <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatal("BuildOn deadlocked after losing a worker")
+			}
+			if err == nil {
+				t.Fatal("BuildOn over a dead worker reported success")
+			}
+			t.Logf("diagnostic: %v", err)
+			if msg := err.Error(); !strings.Contains(msg, "rank 1") && !strings.Contains(msg, "worker 1") {
+				t.Fatalf("the error does not name rank 1: %v", err)
+			}
+		})
+	}
+}
+
 // TestAbortBeforeFirstDepositFreesWorkers: when a rank dies before its
 // first deposit of a run, the other ranks' workers are stuck collecting
 // a block that will never be routed (the dead rank's worker dialed no

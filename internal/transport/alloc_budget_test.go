@@ -14,7 +14,7 @@ import (
 // TestTCPBatchAllocBudget ratchets what a warm resident batch allocates
 // over TCP: one core.MixedBatch of 256 count/aggregate/report boxes on 4
 // in-process workers, counted process-wide, so the coordinator's frames,
-// the workers' supersteps and the mesh are all in it. It measures 1 197
+// the workers' supersteps and the mesh are all in it. It measures 1 181
 // on every run and GOMAXPROCS from 1 to 8; with gob frame headers, a
 // goroutine per superstep and a frame built per peer block it read 2 617.
 func TestTCPBatchAllocBudget(t *testing.T) {

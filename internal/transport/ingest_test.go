@@ -19,10 +19,11 @@ import (
 
 // TestWorkerFedEquivalence extends the cross-transport safety net to the
 // ingest tentpole: a worker-fed build (points staged into the ranks, the
-// whole construction run held in worker memory) must produce identical
-// answers AND identical round/h metrics to the canonical coordinator-fed
-// build — on every cell of the {loopback, TCP} × {fabric, resident}
-// matrix, plus the open-loop streaming client on the TCP resident cell.
+// whole construction run held in worker memory, as BuildBackend does on
+// every resident machine) must produce identical answers AND identical
+// round/h metrics to the loopback fabric build — on every cell of the
+// {loopback, TCP} × {fabric, resident} matrix, plus the open-loop
+// streaming client on the TCP resident cell.
 func TestWorkerFedEquivalence(t *testing.T) {
 	const p, n, m = 4, 500, 48
 	pts := workload.Points(workload.PointSpec{N: n, Dims: 2, Dist: workload.Clustered, Seed: 7})
@@ -87,7 +88,7 @@ func TestWorkerFedEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			check(t, v.name, core.BuildWorkerFed(mach, pts, core.BackendLayered), true)
+			check(t, v.name, core.BuildBackend(mach, pts, core.BackendLayered), true)
 		})
 	}
 	t.Run("tcp/resident/stream", func(t *testing.T) {
@@ -282,5 +283,31 @@ func TestFileIngestCoordinatorBytesIndependentOfN(t *testing.T) {
 	if growth > 1.10 {
 		t.Fatalf("coordinator traffic grew %.2fx when n doubled (%d → %d B): a file ingest must cost the coordinator O(p²), not O(n)",
 			growth, small, big)
+	}
+}
+
+// TestResidentBuildCoordinatorBytes: a resident BuildBackend stages the
+// canonical blocks into the workers and runs the construction held, so
+// each point crosses the coordinator once, on its way in, and the sorts
+// and routing stay on the worker mesh. It reads 20.4 B/point; sending
+// each phase's records through the coordinator reads ≈ 427.
+func TestResidentBuildCoordinatorBytes(t *testing.T) {
+	const p, n, d = 4, 8192, 3
+	cl := startCluster(t, p, cgm.Config{Resident: true})
+	pts := workload.Points(workload.PointSpec{N: n, Dims: d, Dist: workload.Clustered, Seed: 7})
+	mach, err := cl.NewMachine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	outBefore, inBefore := cl.CoordBytes()
+	tree := core.BuildBackend(mach, pts, core.BackendLayered)
+	out, in := cl.CoordBytes()
+	if tree.N() != n {
+		t.Fatalf("built %d points, want %d", tree.N(), n)
+	}
+	perPt := float64(out-outBefore+in-inBefore) / n
+	t.Logf("coordinator bytes: %d out, %d in, %.1f B/point", out-outBefore, in-inBefore, perPt)
+	if perPt > 40 {
+		t.Fatalf("a resident build moved %.1f coordinator bytes per point, budget 40: the points must cross the coordinator once", perPt)
 	}
 }
