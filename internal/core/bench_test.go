@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cgm"
 	"repro/internal/geom"
+	"repro/internal/semigroup"
 	"repro/internal/workload"
 )
 
@@ -46,6 +47,33 @@ func BenchmarkBuildOn(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/point")
 		})
 	}
+}
+
+// benchWeightSum registers the benchmark's aggregate: the same monoid and
+// per-point value as the one the commands register as "weight-sum"
+// (internal/aggregates, which imports core, so core's own tests cannot).
+const benchWeightSum = "bench/weight-sum"
+
+func init() { RegisterAggregate(benchWeightSum, semigroup.FloatSum(), workload.WeightOf) }
+
+// BenchmarkPrepareAssociative measures the other half of a served tree's
+// setup: step 1 of Algorithm AssociativeFunction over a BuildOn-sized
+// tree (65 536 clustered points, d = 3, p = 4), one PrepareAssociativeNamed
+// per iteration — the element annotations, the roots broadcast and the
+// hat annotation.
+func BenchmarkPrepareAssociative(b *testing.B) {
+	const n, d, p = 1 << 16, 3, 4
+	pts := workload.Points(workload.PointSpec{N: n, Dims: d, Dist: workload.Clustered, Seed: 1})
+	dt, err := BuildOn(cgm.NewLocalProvider(cgm.Config{P: p}), pts, BackendLayered)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		PrepareAssociativeNamed[float64](dt, benchWeightSum)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/point")
 }
 
 func BenchmarkCountBatch(b *testing.B) {

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync/atomic"
 
 	"repro/internal/cgm"
@@ -16,10 +19,12 @@ import (
 
 // srec is a record of the paper's set S^j: a leaf of a dimension-j segment
 // tree that still has to be constructed, carrying the full point and the
-// label (PathKey) of the tree it belongs to (Construct step 1/7).
+// ordinal of the tree it belongs to (Construct step 1/7). Ordinals index
+// the phase's key table (nextTreeKeys), which lists the tree labels in
+// PathKey byte order, so ordering by ordinal is ordering by label.
 type srec struct {
+	Ord uint32
 	Pt  geom.Point
-	Key segtree.PathKey
 }
 
 // epoint is an element-routed point (Construct step 3).
@@ -37,15 +42,16 @@ type elemMeta struct {
 
 // treeSum summarises one dimension-j segment tree during construction.
 type treeSum struct {
-	Key   segtree.PathKey
-	M     int // leaf count
-	Start int // global offset of its first leaf in the sorted S^j
+	Ord   uint32          // the tree's ordinal in the phase's key table
+	Key   segtree.PathKey // its label, as ElemInfo and the hat name it
+	M     int             // leaf count
+	Start int             // global offset of its first leaf in the sorted S^j
 	Elem0 ElemID
 }
 
-// runSum is a per-processor run of equal-keyed records in the sorted S^j.
+// runSum is a per-processor run of one tree's records in the sorted S^j.
 type runSum struct {
-	Key   segtree.PathKey
+	Ord   uint32
 	Count int
 }
 
@@ -185,6 +191,7 @@ func (t *Tree) construct(pr *cgm.Proc, blocks [][]geom.Point, seeded []int) {
 	ps := &procState{rank: rank, hatByKey: make(map[segtree.PathKey]int32)}
 	t.procs[rank] = ps
 	var nextElem ElemID
+	keys := []segtree.PathKey{segtree.RootPathKey} // phase 0's table: the primary tree
 	if t.resident {
 		// The rank's block is staged in its part. Reset the part's forest
 		// (a machine rebuilt on must not merge two forests; the staged
@@ -193,30 +200,32 @@ func (t *Tree) construct(pr *cgm.Proc, blocks [][]geom.Point, seeded []int) {
 		cgm.CallResident[beginArgs, bool](pr, fref("construct/begin"), beginArgs{Backend: t.backend})
 		seeded[rank] = cgm.CallResident[seedArgs, int](pr, fref("construct/seed"), seedArgs{Dims: int8(t.dims)})
 		for j := 0; j < t.dims; j++ {
-			nextElem = t.constructPhaseHeld(pr, ps, j, nextElem)
+			keys, nextElem = t.constructPhaseHeld(pr, ps, keys, j, nextElem)
 		}
 		return
 	}
 	ps.part = newForestPart(t.backend)
 
 	// Step 1: each processor starts with an arbitrary block of n/p points;
-	// every initial record belongs to the primary tree (index nil).
-	recs := make([]srec, 0, len(blocks[rank]))
-	for _, pt := range blocks[rank] {
-		recs = append(recs, srec{Pt: pt, Key: segtree.RootPathKey})
+	// every initial record belongs to the primary tree (index nil,
+	// ordinal 0).
+	recs := make([]srec, len(blocks[rank]))
+	for i, pt := range blocks[rank] {
+		recs[i].Pt = pt
 	}
 	for j := 0; j < t.dims; j++ {
-		recs, nextElem = t.constructPhase(pr, ps, recs, j, nextElem)
+		recs, keys, nextElem = t.constructPhase(pr, ps, recs, keys, j, nextElem)
 	}
 }
 
-// srecLess orders the S^j records: primary key index (tree label), then
-// x_j, ties by point ID for determinism. Shared by the coordinator-side
-// sort and the worker-side held-sort steps so the orders cannot drift.
+// srecLess orders the S^j records: primary key index (tree label, by its
+// ordinal), then x_j, ties by point ID for determinism. It is the order of
+// the sample sort's splitters, partition and merge on both construct
+// paths; sortRecs produces the same order for the local sort without it.
 func srecLess(j int) func(a, b srec) bool {
 	return func(a, b srec) bool {
-		if a.Key != b.Key {
-			return a.Key < b.Key
+		if a.Ord != b.Ord {
+			return a.Ord < b.Ord
 		}
 		if a.Pt.X[j] != b.Pt.X[j] {
 			return a.Pt.X[j] < b.Pt.X[j]
@@ -225,22 +234,81 @@ func srecLess(j int) func(a, b srec) bool {
 	}
 }
 
-// constructPhase builds all dimension-j segment trees: the hat layer
-// replicated everywhere and the forest elements at their owners. It
-// returns the records of S^(j+1).
-func (t *Tree) constructPhase(pr *cgm.Proc, ps *procState, recs []srec, j int, nextElem ElemID) ([]srec, ElemID) {
+// sortKey is one record's packed srecLess(j) key: hi holds the tree
+// ordinal over the sign-flipped x_j, lo the sign-flipped point ID over the
+// record's index in the unsorted block. Flipping the sign bit makes the
+// unsigned order of a coordinate its signed order (layered.sortedBy's
+// trick), so two uint64 compares decide what srecLess decides, and the
+// index tells the permutation where the record is.
+type sortKey struct{ hi, lo uint64 }
+
+// sortRecs is the sample sort's local phase for S^j records, on both
+// construct paths: it sorts pointer-free packed keys instead of the
+// records, then moves every record once, cycle by cycle in place, so the
+// sort neither calls a comparator closure on records nor allocates a
+// second record block.
+func sortRecs(recs []srec, j int) {
+	keys := make([]sortKey, len(recs))
+	for i, r := range recs {
+		keys[i] = sortKey{
+			hi: uint64(r.Ord)<<32 | uint64(uint32(r.Pt.X[j])^1<<31),
+			lo: uint64(uint32(r.Pt.ID)^1<<31)<<32 | uint64(i),
+		}
+	}
+	slices.SortFunc(keys, func(a, b sortKey) int {
+		if a.hi != b.hi {
+			return cmp.Compare(a.hi, b.hi)
+		}
+		return cmp.Compare(a.lo, b.lo)
+	})
+	// Position k takes the record at from(k), the index in keys[k].lo; a
+	// placed position's index is rewritten to itself, so every cycle of
+	// the permutation is walked once.
+	const idx = 1<<32 - 1
+	for k := range keys {
+		if int(keys[k].lo&idx) == k {
+			continue
+		}
+		held, at := recs[k], k
+		for {
+			from := int(keys[at].lo & idx)
+			keys[at].lo = uint64(at) // the ID half is spent
+			if from == k {
+				recs[at] = held
+				break
+			}
+			recs[at] = recs[from]
+			at = from
+		}
+	}
+}
+
+// constructPhase builds all dimension-j segment trees, whose labels keys
+// lists by ordinal: the hat layer replicated everywhere and the forest
+// elements at their owners. It returns the records of S^(j+1) and the
+// key table their ordinals index.
+func (t *Tree) constructPhase(pr *cgm.Proc, ps *procState, recs []srec, keys []segtree.PathKey, j int, nextElem ElemID) ([]srec, []segtree.PathKey, ElemID) {
 	p := pr.P()
 	lbl := func(step string) string { return fmt.Sprintf("construct/d%d/%s", j, step) }
 
 	// Step 2: globally sort S^j by primary key index (tree label) and
-	// secondary key x_j (ties by point ID for determinism). The phase owns
-	// recs, so the sort works in it without a defensive copy.
-	sorted := psort.SortInPlace(pr, lbl("sort"), recs, srecLess(j))
+	// secondary key x_j (ties by point ID for determinism): psort's phases
+	// around the keyed local sort, as the held path runs them. The phase
+	// owns recs, so the sort works in it without a defensive copy.
+	less, sortLbl := srecLess(j), lbl("sort")
+	sortRecs(recs, j)
+	allSamples := comm.AllGatherFlat(pr, sortLbl+"/sample", psort.Samples(recs, p))
+	splitters := psort.Splitters(allSamples, p, less)
+	parts := cgm.Exchange(pr, sortLbl+"/route", psort.Partition(recs, splitters, p, less))
+	sorted := comm.Rebalance(pr, sortLbl+"/balance", psort.MergeRuns(parts, less))
 
-	// Tree discovery: exchange per-processor runs of equal keys; all
+	// Tree discovery: exchange per-processor runs of equal ordinals; all
 	// processors derive the identical, label-ordered tree summary list.
 	allRuns := comm.AllGatherFlat(pr, lbl("runs"), keyRuns(sorted))
-	trees := deriveTrees(allRuns)
+	trees, err := deriveTrees(allRuns, keys)
+	if err != nil {
+		panic(err.Error())
+	}
 
 	nStubs, myInfos := t.enumerateStubs(pr, ps, trees, j, nextElem)
 
@@ -265,11 +333,15 @@ func (t *Tree) constructPhase(pr *cgm.Proc, ps *procState, recs []srec, j int, n
 	// Step 7: create S^(j+1): every record walks from its stub's parent to
 	// the root of its segment tree, creating one record per hat-internal
 	// ancestor u with index path(u).
-	var next []srec
-	if j+1 < t.dims {
-		next = ps.part.nextRecords(int8(j))
+	if j+1 == t.dims {
+		return nil, nil, nextElem + ElemID(nStubs)
 	}
-	return next, nextElem + ElemID(nStubs)
+	nextKeys := nextTreeKeys(ps.hat, j)
+	next, err := ps.part.nextRecords(int8(j), nextKeys)
+	if err != nil {
+		panic(err.Error())
+	}
+	return next, nextKeys, nextElem + ElemID(nStubs)
 }
 
 // constructPhaseHeld is constructPhase on a resident machine, with the
@@ -281,7 +353,7 @@ func (t *Tree) constructPhase(pr *cgm.Proc, ps *procState, recs []srec, j int, n
 // label sequence and per-rank element counts are identical to
 // constructPhase's, so a canonically staged build produces byte-identical
 // Metrics.
-func (t *Tree) constructPhaseHeld(pr *cgm.Proc, ps *procState, j int, nextElem ElemID) ElemID {
+func (t *Tree) constructPhaseHeld(pr *cgm.Proc, ps *procState, keys []segtree.PathKey, j int, nextElem ElemID) ([]segtree.PathKey, ElemID) {
 	p := pr.P()
 	lbl := func(step string) string { return fmt.Sprintf("construct/d%d/%s", j, step) }
 	dim := dimArgs{Dim: int8(j)}
@@ -304,7 +376,10 @@ func (t *Tree) constructPhaseHeld(pr *cgm.Proc, ps *procState, j int, nextElem E
 	// Tree discovery from the worker-computed key runs; stub enumeration
 	// stays replicated coordinator-side (it is metadata, not points).
 	allRuns := comm.AllGatherFlat(pr, lbl("runs"), bal.Runs)
-	trees := deriveTrees(allRuns)
+	trees, err := deriveTrees(allRuns, keys)
+	if err != nil {
+		panic(err.Error())
+	}
 	nStubs, myInfos := t.enumerateStubs(pr, ps, trees, j, nextElem)
 
 	// Step 3–4: the routing loop runs where the records live; the routed
@@ -317,47 +392,102 @@ func (t *Tree) constructPhaseHeld(pr *cgm.Proc, ps *procState, j int, nextElem E
 	t.finishPhase(pr, ps, trees, metas, j, lbl)
 
 	// Step 7: the S^(j+1) records are computed AND kept worker-side; only
-	// their count returns.
-	if j+1 < t.dims {
-		cgm.CallResident[dimArgs, int](pr, fref("construct/nextHeld"), dim)
+	// their count returns. The next phase's key table travels with the
+	// step, so the worker names the records' trees as the fabric part does.
+	if j+1 == t.dims {
+		return nil, nextElem + ElemID(nStubs)
 	}
-	return nextElem + ElemID(nStubs)
+	nextKeys := nextTreeKeys(ps.hat, j)
+	cgm.CallResident[nextHeldArgs, int](pr, fref("construct/nextHeld"), nextHeldArgs{Dim: int8(j), Keys: nextKeys})
+	return nextKeys, nextElem + ElemID(nStubs)
 }
 
-// keyRuns summarises the locally sorted records as runs of equal keys —
-// the tree-discovery rows of Construct step 2.
+// keyRuns summarises the locally sorted records as runs of equal tree
+// ordinals — the tree-discovery rows of Construct step 2.
 func keyRuns(sorted []srec) []runSum {
 	var runs []runSum
+	if len(sorted) > 0 { // the ordinals a sorted block spans bound its runs
+		runs = make([]runSum, 0, min(int(sorted[len(sorted)-1].Ord-sorted[0].Ord)+1, len(sorted)))
+	}
 	for i := 0; i < len(sorted); {
-		k := sorted[i].Key
+		ord := sorted[i].Ord
 		c := 0
-		for i < len(sorted) && sorted[i].Key == k {
+		for i < len(sorted) && sorted[i].Ord == ord {
 			i++
 			c++
 		}
-		runs = append(runs, runSum{Key: k, Count: c})
+		runs = append(runs, runSum{Ord: ord, Count: c})
 	}
 	return runs
 }
 
 // deriveTrees merges the gathered runs (rank-major, each rank's runs in
-// key order) into the label-ordered tree summary list with global start
-// offsets — identical on every processor.
-func deriveTrees(allRuns []runSum) []treeSum {
-	var trees []treeSum
+// ordinal order) into the label-ordered tree summary list with global
+// start offsets — identical on every processor — naming each tree from
+// the phase's key table. An ordinal outside the table, or runs out of
+// order, is an error.
+func deriveTrees(allRuns []runSum, keys []segtree.PathKey) ([]treeSum, error) {
+	trees := make([]treeSum, 0, min(len(allRuns), len(keys)))
 	for _, r := range allRuns {
-		if len(trees) > 0 && trees[len(trees)-1].Key == r.Key {
-			trees[len(trees)-1].M += r.Count
-		} else {
-			trees = append(trees, treeSum{Key: r.Key, M: r.Count})
+		if int64(r.Ord) >= int64(len(keys)) {
+			return nil, fmt.Errorf("core: construct run names tree %d of a %d-tree phase", r.Ord, len(keys))
 		}
+		if len(trees) > 0 {
+			last := &trees[len(trees)-1]
+			if last.Ord == r.Ord {
+				last.M += r.Count
+				continue
+			}
+			if last.Ord > r.Ord {
+				return nil, fmt.Errorf("core: construct runs out of order: tree %d after tree %d", r.Ord, last.Ord)
+			}
+		}
+		trees = append(trees, treeSum{Ord: r.Ord, Key: keys[r.Ord], M: r.Count})
 	}
 	start := 0
 	for i := range trees {
 		trees[i].Start = start
 		start += trees[i].M
 	}
-	return trees
+	return trees, nil
+}
+
+// nextTreeKeys is the key table of phase j+1: one segment tree per
+// hat-internal node v of the dimension-j hats, labelled ht.Key.Extend(v)
+// and numbered in PathKey byte order — the order the labels sort in,
+// which is not heap order once an index takes a two-byte varint, so the
+// labels sort as strings. Every rank holds the same hat after phase j,
+// so every rank derives the same table without a round.
+func nextTreeKeys(hat []*HatTree, j int) []segtree.PathKey {
+	internal := func(visit func(ht *HatTree, v int)) {
+		for _, ht := range hat {
+			if int(ht.Dim) == j {
+				ht.each(func(v int, nd HatNode) {
+					if nd.Elem < 0 {
+						visit(ht, v)
+					}
+				})
+			}
+		}
+	}
+	// Size the labels, write them into one string, then cut the table
+	// from it: two allocations, whatever the hat's size.
+	n, size := 0, 0
+	internal(func(ht *HatTree, v int) { n, size = n+1, size+len(ht.Key)+uvarintLen(uint64(v)) })
+	var sb strings.Builder
+	sb.Grow(size)
+	internal(func(ht *HatTree, v int) {
+		var b [binary.MaxVarintLen64]byte
+		sb.WriteString(string(ht.Key))
+		sb.Write(binary.AppendUvarint(b[:0], uint64(v)))
+	})
+	all, keys := sb.String(), make([]segtree.PathKey, 0, n)
+	internal(func(ht *HatTree, v int) {
+		l := len(ht.Key) + uvarintLen(uint64(v))
+		keys, all = append(keys, segtree.PathKey(all[:l])), all[l:]
+	})
+	slices.Sort(keys)
+	return keys
 }
 
 // enumerateStubs performs the replicated, deterministic stub enumeration:
@@ -403,26 +533,26 @@ func (t *Tree) enumerateStubs(pr *cgm.Proc, ps *procState, trees []treeSum, j in
 // sorted record (this rank's run starting at global position offset) goes
 // to the owner of the element whose stub contains its position. The
 // elements are resolved first and counted per owner, so the buckets are
-// carved at their final sizes from one array.
+// carved at their final sizes from one array. A record outside the trees'
+// leaves, or in a tree other than its own, is an error.
 func routeRecords(sorted []srec, trees []treeSum, grain, offset, p int) ([][]epoint, error) {
 	ids := make([]ElemID, len(sorted))
 	counts := make([]int, p)
-	ti := 0
+	ti, loaded := 0, -1
 	var treeStubs []segtree.Stub
-	loadStubs := func(ti int) {
-		treeStubs = segtree.NewShape(trees[ti].M).Stubs(grain)
-	}
-	if len(trees) > 0 {
-		loadStubs(0)
-	}
 	for i, r := range sorted {
 		g := offset + i
-		for g >= trees[ti].Start+trees[ti].M {
+		for ti < len(trees) && g >= trees[ti].Start+trees[ti].M {
 			ti++
-			loadStubs(ti)
 		}
-		if r.Key != trees[ti].Key {
-			return nil, fmt.Errorf("core: construct routing lost tree alignment")
+		if ti == len(trees) || g < trees[ti].Start {
+			return nil, fmt.Errorf("core: construct record at global position %d lies outside the %d trees' leaves", g, len(trees))
+		}
+		if r.Ord != trees[ti].Ord {
+			return nil, fmt.Errorf("core: construct routing lost tree alignment: a tree %d record at tree %d's position %d", r.Ord, trees[ti].Ord, g)
+		}
+		if loaded != ti {
+			treeStubs, loaded = segtree.NewShape(trees[ti].M).Stubs(grain), ti
 		}
 		pos := g - trees[ti].Start
 		ids[i] = trees[ti].Elem0 + ElemID(segtree.StubContaining(treeStubs, pos))
@@ -455,33 +585,34 @@ func (t *Tree) finishPhase(pr *cgm.Proc, ps *procState, trees []treeSum, metas [
 }
 
 // nextDimRecords is Construct step 7's per-element walk: the element's
-// points ascend from
-// the stub's parent to its segment tree's root, one S^(j+1) record per
-// hat-internal ancestor. next grows once per element: the stub has
-// Depth(stub) ancestors.
-func nextDimRecords(el *element, next []srec) []srec {
+// points ascend from the stub's parent to its segment tree's root, one
+// S^(j+1) record per hat-internal ancestor, under that ancestor's tree
+// ordinal in keys, the next phase's sorted key table (looked up once per
+// ancestor). next grows once per element: the stub has Depth(stub)
+// ancestors.
+func nextDimRecords(el *element, next []srec, keys []segtree.PathKey) ([]srec, error) {
 	key := el.info.Key
 	comps := key.Components()
 	stubNode := int(comps[len(comps)-1])
 	treeKey := parentKey(key)
 	next = slices.Grow(next, segtree.Depth(stubNode)*len(el.pts))
 	for u := segtree.Parent(stubNode); u >= 1; u = segtree.Parent(u) {
-		anchor := treeKey.Extend(u)
+		ord, ok := slices.BinarySearch(keys, treeKey.Extend(u))
+		if !ok {
+			return nil, fmt.Errorf("core: element %d's ancestor %d names no tree of the next phase", el.info.ID, u)
+		}
 		for _, pt := range el.pts {
-			next = append(next, srec{Pt: pt, Key: anchor})
+			next = append(next, srec{Ord: uint32(ord), Pt: pt})
 		}
 	}
-	return next
+	return next, nil
 }
 
-// parentKey strips the last chain component of a PathKey.
+// parentKey strips the last chain component of a PathKey: a uvarint, so
+// the parent's label is a prefix of the key.
 func parentKey(k segtree.PathKey) segtree.PathKey {
 	comps := k.Components()
-	out := segtree.RootPathKey
-	for _, c := range comps[:len(comps)-1] {
-		out = out.Extend(int(c))
-	}
-	return out
+	return k[:len(k)-uvarintLen(comps[len(comps)-1])]
 }
 
 // buildHatTree assembles one replicated dimension-j hat tree from the

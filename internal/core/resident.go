@@ -41,7 +41,7 @@ import (
 // against coordinator/worker binary skew.
 const (
 	forestProgram = "core/forest"
-	forestVersion = 6 // 6: no construct/next (a resident construct is held)
+	forestVersion = 7 // 7: S^j records carry tree ordinals; construct/nextHeld takes the key table
 )
 
 // fref names one step of the forest program.
@@ -136,15 +136,19 @@ func (part *forestPart) install(infos []ElemInfo, incoming [][]epoint) ([]elemMe
 }
 
 // nextRecords is Construct step 7: every owned dimension-dim element, in
-// ID order, emits its points' S^(j+1) records (nextDimRecords).
-func (part *forestPart) nextRecords(dim int8) []srec {
+// ID order, emits its points' S^(j+1) records (nextDimRecords), under the
+// ordinals of keys, the next phase's key table (nextTreeKeys).
+func (part *forestPart) nextRecords(dim int8, keys []segtree.PathKey) ([]srec, error) {
 	var next []srec
 	for _, id := range part.sortedIDs() {
 		if el := part.elems[id]; el.info.Dim == dim {
-			next = nextDimRecords(el, next)
+			var err error
+			if next, err = nextDimRecords(el, next, keys); err != nil {
+				return nil, err
+			}
 		}
 	}
-	return next
+	return next, nil
 }
 
 // servedCounts answers counting subqueries where the trees live.
@@ -312,6 +316,14 @@ type dimArgs struct {
 	Dim int8
 }
 
+// nextHeldArgs drives Construct step 7 held: the dimension whose owned
+// elements emit S^(j+1), and the next phase's key table (nextTreeKeys),
+// which names the records' trees by ordinal.
+type nextHeldArgs struct {
+	Dim  int8
+	Keys []segtree.PathKey
+}
+
 // sortLocalReply returns the rank's p regular samples (full records —
 // the splitters the coordinator derives are the only point payload it
 // ever handles) plus the local record count.
@@ -338,7 +350,7 @@ type wsortBalanceArgs struct {
 	Offset, Total int
 }
 
-// balanceReply reports the balanced record count plus the rank's key
+// balanceReply reports the balanced record count plus the rank's tree
 // runs, from which every rank derives the phase's trees.
 type balanceReply struct {
 	Len  int
@@ -448,12 +460,12 @@ func ingestFileStep(part *forestPart, _ *exec.Ctx, args ingestFileArgs) (ingestR
 // consumes the staging area and returns the seeded count, which the
 // coordinator cross-checks against the declared n.
 func constructSeedStep(part *forestPart, _ *exec.Ctx, args seedArgs) (int, error) {
-	recs := make([]srec, 0, len(part.staged))
-	for _, pt := range part.staged {
+	recs := make([]srec, len(part.staged))
+	for i, pt := range part.staged {
 		if pt.Dims() != int(args.Dims) {
 			return 0, fmt.Errorf("core: staged point %d has %d dims, build expects %d", pt.ID, pt.Dims(), args.Dims)
 		}
-		recs = append(recs, srec{Pt: pt, Key: segtree.RootPathKey})
+		recs[i].Pt = pt
 	}
 	part.recs = recs
 	part.staged = nil
@@ -464,8 +476,7 @@ func constructSeedStep(part *forestPart, _ *exec.Ctx, args seedArgs) (int, error
 // records and return the p regular samples — the only point-bearing rows
 // the coordinator handles during a held construction.
 func sortLocalStep(part *forestPart, c *exec.Ctx, args dimArgs) (sortLocalReply, error) {
-	less := srecLess(int(args.Dim))
-	psort.SortLocal(part.recs, less)
+	sortRecs(part.recs, int(args.Dim))
 	return sortLocalReply{Samples: psort.Samples(part.recs, c.P), Len: len(part.recs)}, nil
 }
 
@@ -490,8 +501,8 @@ func wsortSplitStep(part *forestPart, c *exec.Ctx, args wsortBalanceArgs) ([][]s
 }
 
 // wsortGatherStep is the held rebalance collect: concatenating the
-// sources in rank order preserves global order. It also computes the key
-// runs, from which every rank derives the phase's trees — so the runs
+// sources in rank order preserves global order. It also computes the
+// tree runs, from which every rank derives the phase's trees — so the runs
 // all-gather exchanges the same rows as the fabric construct.
 func wsortGatherStep(part *forestPart, _ *exec.Ctx, _ bool, in [][]srec) (balanceReply, error) {
 	part.recs = slices.Concat(in...)
@@ -514,9 +525,13 @@ func routeHeldStep(part *forestPart, c *exec.Ctx, args routeHeldArgs) ([][]epoin
 // constructNextHeldStep is Construct step 7 for a held construction: the
 // S^(j+1) records stay in the rank's record set; only the count crosses
 // the seam.
-func constructNextHeldStep(part *forestPart, _ *exec.Ctx, args dimArgs) (int, error) {
-	part.recs = part.nextRecords(args.Dim)
-	return len(part.recs), nil
+func constructNextHeldStep(part *forestPart, _ *exec.Ctx, args nextHeldArgs) (int, error) {
+	recs, err := part.nextRecords(args.Dim, args.Keys)
+	if err != nil {
+		return 0, err
+	}
+	part.recs = recs
+	return len(recs), nil
 }
 
 // constructInstallStep is Construct step 4's collect: the routed records

@@ -133,7 +133,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 
 		recs := make([]srec, n)
 		for i := range recs {
-			recs[i] = srec{Pt: g.point(dims), Key: g.key(9)}
+			recs[i] = srec{Ord: uint32(g.i32()), Pt: g.point(dims)}
 		}
 		if n == 0 {
 			recs = nil
@@ -241,6 +241,9 @@ func FuzzWireRoundTrip(f *testing.F) {
 			mustNotPanic[[][]geom.Point](t, blk)
 			mustNotPanic[[]epoint](t, blk)
 			mustNotPanic[[]srec](t, blk)
+			mustNotPanic[[]runSum](t, blk)
+			mustNotPanic[routeHeldArgs](t, blk)
+			mustNotPanic[nextHeldArgs](t, blk)
 			mustNotPanic[[]shippedElem](t, blk)
 			mustNotPanic[shipArgs](t, blk)
 			mustNotPanic[installCopiesReply](t, blk)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -22,9 +21,8 @@ import (
 // Layouts follow the package wire discipline: counts and string lengths
 // are uvarints, IDs/coordinates/values are fixed-width little-endian.
 // Decoders share one coordinate arena per block (points become views
-// into it) and decode all PathKeys of a block out of one string
-// allocation, so decoding a block costs a handful of allocations
-// regardless of its element count.
+// into it), so decoding a block costs a handful of allocations regardless
+// of its element count.
 
 // appendElemInfo appends the fixed-layout replicated metadata.
 func appendElemInfo(b []byte, info ElemInfo) []byte {
@@ -54,84 +52,58 @@ func readElemInfo(r *wire.Reader) ElemInfo {
 	return info
 }
 
-// keyArena decodes all PathKeys of a block out of one backing string:
-// the encoder framed them into a single section, the decoder converts
-// that section to a string once, and every key is a substring view.
-type keyArena struct {
-	sec []byte // the framed section (views the block)
-	s   string // the one-allocation copy the keys substring
-	off int
-	ok  bool
-}
-
-func readKeyArena(r *wire.Reader) keyArena {
-	sec := r.Section()
-	return keyArena{sec: sec, s: string(sec), ok: sec != nil || r.Remaining() >= 0}
-}
-
-// next returns the next key of the section.
-func (ka *keyArena) next() segtree.PathKey {
-	if !ka.ok {
-		return ""
-	}
-	l, n := binary.Uvarint(ka.sec[ka.off:])
-	if n <= 0 || uint64(len(ka.sec)-ka.off-n) < l {
-		ka.ok = false
-		return ""
-	}
-	start := ka.off + n
-	ka.off = start + int(l)
-	return segtree.PathKey(ka.s[start:ka.off])
-}
-
-// finish reports whether the section was consumed exactly.
-func (ka *keyArena) finish() error {
-	if !ka.ok || ka.off != len(ka.sec) {
-		return fmt.Errorf("core: corrupt path-key section")
-	}
-	return nil
-}
-
 // ------------------------------------------------------------ S^j records
 
-// appendSrecs encodes a record block: points first, then all tree labels
-// in one framed key section. Shared by the []srec exchange codec and the
-// held-construct argument/reply codecs (wirecodec2.go).
+// appendSrecs encodes a record block: the count, all tree ordinals as
+// uvarints in one framed section, then the points. Ordinals go first so
+// the decoder sizes its coordinate arena from the bytes the points alone
+// occupy. Shared by the []srec exchange codec and the held-construct
+// argument/reply codecs (wirecodec2.go).
 func appendSrecs(buf []byte, recs []srec) []byte {
 	buf = wire.AppendUvarint(buf, uint64(len(recs)))
+	size := 0
+	for _, rec := range recs {
+		size += uvarintLen(uint64(rec.Ord))
+	}
+	buf = wire.AppendUvarint(buf, uint64(size))
+	for _, rec := range recs {
+		buf = wire.AppendUvarint(buf, uint64(rec.Ord))
+	}
 	for _, rec := range recs {
 		buf = wire.AppendPoint(buf, rec.Pt)
 	}
-	keys := wire.GetBuf()
-	for _, rec := range recs {
-		keys = wire.AppendString(keys, string(rec.Key))
-	}
-	buf = wire.AppendBytes(buf, keys)
-	wire.PutBuf(keys)
 	return buf
+}
+
+// uvarintLen is the encoded length of v as a uvarint.
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
 }
 
 // readSrecs decodes one appendSrecs block in place in the reader.
 func readSrecs(r *wire.Reader) ([]srec, error) {
-	arena := wire.NewArena(r)
-	n := r.Count(6) // ≥5B point + its 1B key frame
+	n := r.Count(6) // 1B ordinal + ≥5B point
+	ords := wire.NewReader(r.Section())
 	var recs []srec
 	if n > 0 {
 		recs = make([]srec, n)
-		for i := range recs {
-			recs[i].Pt = wire.ReadPoint(r, &arena)
-		}
-		ka := readKeyArena(r)
-		for i := range recs {
-			recs[i].Key = ka.next()
-		}
-		if err := ka.finish(); err != nil {
+	}
+	for i := range recs {
+		var err error
+		if recs[i].Ord, err = readOrd(&ords); err != nil {
 			return nil, err
 		}
-	} else {
-		if ka := readKeyArena(r); ka.finish() != nil {
-			return nil, fmt.Errorf("core: corrupt path-key section")
-		}
+	}
+	if err := ords.Finish(); err != nil {
+		return nil, fmt.Errorf("core: tree-ordinal section: %w", err)
+	}
+	arena := wire.NewArena(r)
+	for i := range recs {
+		recs[i].Pt = wire.ReadPoint(r, &arena)
 	}
 	return recs, nil
 }
@@ -217,8 +189,8 @@ func init() {
 			return eps, nil
 		})
 
-	// Construction: the S^j records the sample sort routes (points
-	// first, then all tree labels in one framed key section).
+	// Construction: the S^j records the sample sort routes (the tree
+	// ordinals in one framed section, then the points).
 	fixedCodec(appendSrecs, readSrecs)
 
 	// Phase B: element copies in flight. Every row opens with the Ref

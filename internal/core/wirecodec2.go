@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/segtree"
@@ -19,7 +20,7 @@ import (
 // Same layout discipline and registration (fixedCodec) as wirecodec.go:
 // counts/lengths are uvarints, IDs/coordinates/values fixed-width
 // little-endian, srec blocks reuse appendSrecs/readSrecs so the one-arena
-// decode path is shared.
+// decode path is shared, and tree ordinals are uvarints.
 
 // ------------------------------------------------------------ helpers
 
@@ -73,28 +74,32 @@ func readRlocals(r *wire.Reader) []rlocal {
 func appendRunSums(buf []byte, rs []runSum) []byte {
 	buf = wire.AppendUvarint(buf, uint64(len(rs)))
 	for _, s := range rs {
-		buf = wire.AppendString(buf, string(s.Key))
+		buf = wire.AppendUvarint(buf, uint64(s.Ord))
 		buf = wire.AppendVarint(buf, int64(s.Count))
 	}
 	return buf
 }
 
-func readRunSums(r *wire.Reader) []runSum {
+func readRunSums(r *wire.Reader) ([]runSum, error) {
 	n := r.Count(2)
 	if n == 0 {
-		return nil
+		return nil, nil
 	}
 	rs := make([]runSum, n)
 	for i := range rs {
-		rs[i].Key = segtree.PathKey(r.Str())
+		var err error
+		if rs[i].Ord, err = readOrd(r); err != nil {
+			return nil, err
+		}
 		rs[i].Count = int(r.Varint())
 	}
-	return rs
+	return rs, nil
 }
 
 func appendTreeSums(buf []byte, ts []treeSum) []byte {
 	buf = wire.AppendUvarint(buf, uint64(len(ts)))
 	for _, t := range ts {
+		buf = wire.AppendUvarint(buf, uint64(t.Ord))
 		buf = wire.AppendString(buf, string(t.Key))
 		buf = wire.AppendVarint(buf, int64(t.M))
 		buf = wire.AppendVarint(buf, int64(t.Start))
@@ -103,19 +108,32 @@ func appendTreeSums(buf []byte, ts []treeSum) []byte {
 	return buf
 }
 
-func readTreeSums(r *wire.Reader) []treeSum {
+func readTreeSums(r *wire.Reader) ([]treeSum, error) {
 	n := r.Count(8)
 	if n == 0 {
-		return nil
+		return nil, nil
 	}
 	ts := make([]treeSum, n)
 	for i := range ts {
+		var err error
+		if ts[i].Ord, err = readOrd(r); err != nil {
+			return nil, err
+		}
 		ts[i].Key = segtree.PathKey(r.Str())
 		ts[i].M = int(r.Varint())
 		ts[i].Start = int(r.Varint())
 		ts[i].Elem0 = ElemID(r.I32())
 	}
-	return ts
+	return ts, nil
+}
+
+// readOrd reads one uvarint tree ordinal; a value past uint32 is corrupt.
+func readOrd(r *wire.Reader) (uint32, error) {
+	v := r.Uvarint()
+	if v > math.MaxUint32 {
+		return 0, fmt.Errorf("core: corrupt tree ordinal %d", v)
+	}
+	return uint32(v), nil
 }
 
 // flagByte and readFlag code one bool as one byte. Any value but 0 and 1
@@ -139,9 +157,9 @@ func readFlag(r *wire.Reader) (bool, error) {
 func init() {
 	// ---------------------------------------------- construct collectives
 
-	// Per-rank key runs of the balanced S^j (the "runs" all-gather both
+	// Per-rank tree runs of the balanced S^j (the "runs" all-gather both
 	// construct paths share).
-	fixedCodec(appendRunSums, func(r *wire.Reader) ([]runSum, error) { return readRunSums(r), nil })
+	fixedCodec(appendRunSums, readRunSums)
 
 	// Stub metadata of the phase's built elements (route collect reply
 	// and the "roots" broadcast).
@@ -209,6 +227,29 @@ func init() {
 			var a dimArgs
 			if d := r.Bytes(1); d != nil {
 				a.Dim = int8(d[0])
+			}
+			return a, nil
+		})
+	fixedCodec(
+		func(buf []byte, a nextHeldArgs) []byte {
+			buf = append(buf, byte(a.Dim))
+			buf = wire.AppendUvarint(buf, uint64(len(a.Keys)))
+			for _, k := range a.Keys {
+				buf = wire.AppendString(buf, string(k))
+			}
+			return buf
+		},
+		func(r *wire.Reader) (nextHeldArgs, error) {
+			var a nextHeldArgs
+			if d := r.Bytes(1); d != nil {
+				a.Dim = int8(d[0])
+			}
+			n := r.Count(1)
+			if n > 0 {
+				a.Keys = make([]segtree.PathKey, n)
+				for i := range a.Keys {
+					a.Keys[i] = segtree.PathKey(r.Str())
+				}
 			}
 			return a, nil
 		})
@@ -291,7 +332,10 @@ func init() {
 			return appendRunSums(buf, rep.Runs)
 		},
 		func(r *wire.Reader) (balanceReply, error) {
-			return balanceReply{Len: int(r.Varint()), Runs: readRunSums(r)}, nil
+			rep := balanceReply{Len: int(r.Varint())}
+			var err error
+			rep.Runs, err = readRunSums(r)
+			return rep, err
 		})
 	fixedCodec(
 		func(buf []byte, a routeHeldArgs) []byte {
@@ -300,7 +344,8 @@ func init() {
 			return wire.AppendVarint(buf, int64(a.Offset))
 		},
 		func(r *wire.Reader) (routeHeldArgs, error) {
-			return routeHeldArgs{Trees: readTreeSums(r), Grain: int(r.Varint()), Offset: int(r.Varint())}, nil
+			trees, err := readTreeSums(r)
+			return routeHeldArgs{Trees: trees, Grain: int(r.Varint()), Offset: int(r.Varint())}, err
 		})
 
 	// ---------------------------------------------- streaming ingest

@@ -110,12 +110,30 @@ func TestWireCodecsMatchGobOracle(t *testing.T) {
 
 		recs := make([]srec, n)
 		for i := range recs {
-			recs[i] = srec{Pt: genPoint(rng, dims), Key: genKey(rng)}
+			recs[i] = srec{Ord: rng.Uint32() >> rng.Intn(32), Pt: genPoint(rng, dims)}
 		}
 		if n == 0 {
 			recs = nil
 		}
 		roundTrip(t, recs)
+
+		// The held-construct frames that name trees by ordinal.
+		runs := make([]runSum, n)
+		trees := make([]treeSum, n)
+		keys := make([]segtree.PathKey, n)
+		for i := range runs {
+			runs[i] = runSum{Ord: rng.Uint32() >> rng.Intn(32), Count: rng.Intn(5000)}
+			trees[i] = treeSum{Ord: rng.Uint32() >> rng.Intn(32), Key: genKey(rng), M: rng.Intn(5000),
+				Start: rng.Intn(1 << 20), Elem0: ElemID(rng.Int31n(500))}
+			keys[i] = genKey(rng)
+		}
+		if n == 0 {
+			runs, trees, keys = nil, nil, nil
+		}
+		roundTrip(t, runs)
+		roundTrip(t, balanceReply{Len: rng.Intn(1 << 20), Runs: runs})
+		roundTrip(t, routeHeldArgs{Trees: trees, Grain: 1 + rng.Intn(4096), Offset: rng.Intn(1 << 20)})
+		roundTrip(t, nextHeldArgs{Dim: int8(rng.Intn(dims)), Keys: keys})
 
 		els := make([]shippedElem, rng.Intn(5))
 		for i := range els {

@@ -44,8 +44,15 @@ func NewAgg[T any](t *Tree, m semigroup.Monoid[T], val func(geom.Point) T) *Agg[
 		a.combine(a.one, n)
 		return a
 	}
+	// The cascades index one shared block, each point ≈ log^(d−1) n
+	// times: evaluating f once per point, not once per cascade entry,
+	// takes the indirect call and the random Point read out of the walk.
+	vals := make([]T, len(t.blk.pts))
+	for i, p := range t.blk.pts {
+		vals[i] = val(p)
+	}
 	a.tabs = make([][]T, t.blk.cascades)
-	a.walk(t)
+	a.walk(t, vals)
 	return a
 }
 
@@ -58,10 +65,12 @@ func (a *Agg[T]) slots() int {
 	return 2
 }
 
-func (a *Agg[T]) walk(t *Tree) {
+// walk fills the table of every cascade under t from vals, f of each
+// point of the block by index.
+func (a *Agg[T]) walk(t *Tree, vals []T) {
 	c := t.two
 	if c == nil {
-		t.eachDesc(a.walk)
+		t.eachDesc(func(d *Tree) { a.walk(d, vals) })
 		return
 	}
 	m, w := c.shape.M, a.slots()
@@ -72,7 +81,7 @@ func (a *Agg[T]) walk(t *Tree) {
 			run := c.idx[at : k*m+min(lo+span, m)]
 			node := tab[w*at : w*(at+len(run))]
 			for i, pi := range run {
-				node[len(node)-len(run)+i] = a.val(c.blk.pts[pi])
+				node[len(node)-len(run)+i] = vals[pi]
 			}
 			a.combine(node, len(run))
 		}

@@ -7,9 +7,10 @@
 // paper also makes).
 //
 // The phases — local sort, sample selection, splitter derivation,
-// partition, merge — are exported individually so the worker-resident
-// construct path can run them worker-side with only the p² samples and
-// splitters crossing the coordinator (see core's held construct).
+// partition, merge — are exported individually. Both of core's construct
+// paths run them around their own keyed local sort of the S^j records: the
+// fabric phase in the machine run, the held phase as worker-side steps
+// with only the p² samples and splitters crossing the coordinator.
 //
 // Every less a caller passes must be a strict total order: no two distinct
 // elements compare equal (break ties — e.g. by point ID). Under that
@@ -45,7 +46,7 @@ func cmpOf[T any](less func(a, b T) bool) func(a, b T) int {
 }
 
 // SortLocal sorts one processor's block in place — the local phase of the
-// sample sort, shared with the worker-resident construct steps. pdqsort
+// sample sort, and Splitters' sort of the gathered samples. pdqsort
 // makes O(n log n) element moves where a stable sort's symMerge rotations
 // make O(n log² n); it is deterministic, so even a less with ties orders a
 // given input the same way on every rank and every run.
