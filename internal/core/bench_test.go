@@ -76,6 +76,41 @@ func BenchmarkPrepareAssociative(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/point")
 }
 
+// BenchmarkMixedBatchD3 measures query serving at the benchmark's
+// batch-loop-d3 shape: 65 536 clustered points (32 blobs, spread 0.02),
+// d = 3, p = 4 loopback, batches of 512 boxes at selectivity 0.01
+// alternating count and the weight-sum aggregate, rotating over 16 box
+// sets. Its elements are far larger than L2, unlike the layered package's
+// micro-benchmarks, so the cascade's layout shows here.
+func BenchmarkMixedBatchD3(b *testing.B) {
+	const n, d, p, m, sets = 1 << 16, 3, 4, 512, 16
+	pts := workload.Points(workload.PointSpec{N: n, Dims: d, Dist: workload.Clustered, Clusters: 32, Spread: 0.02, Seed: 1})
+	dt, err := BuildOn(cgm.NewLocalProvider(cgm.Config{P: p}), pts, BackendLayered)
+	if err != nil {
+		b.Fatal(err)
+	}
+	agg := PrepareAssociativeNamed[float64](dt, benchWeightSum)
+	boxes := make([][]geom.Box, sets)
+	for i := range boxes {
+		boxes[i] = workload.Boxes(workload.QuerySpec{M: m, Dims: d, N: n, Selectivity: 0.01, Seed: int64(i)})
+	}
+	ops := make([]MixedOp, m)
+	for i := range ops {
+		if i%2 == 1 {
+			ops[i] = OpAggregate
+		}
+	}
+	for _, bs := range boxes { // warm the copy caches and arenas
+		MixedBatch(dt, agg, ops, bs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MixedBatch(dt, agg, ops, boxes[i%sets])
+	}
+	b.ReportMetric(float64(b.N*m)/b.Elapsed().Seconds(), "q/s")
+}
+
 func BenchmarkCountBatch(b *testing.B) {
 	dt, boxes := benchTree(b, 1<<12, 2, 8)
 	b.ResetTimer()

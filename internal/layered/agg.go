@@ -160,11 +160,14 @@ func (a *Agg[T]) scanTree(t *Tree, b geom.Box, acc T) T {
 		if iv.Empty() {
 			return acc
 		}
-		return a.descendUpper(t, t.shape.Root(), b, iv, acc)
+		if pLo, pHi := t.rootRun(b); pLo < pHi {
+			acc = a.descendUpper(t, t.shape.Root(), b, iv, pLo, pHi, acc)
+		}
+		return acc
 	}
 }
 
-func (a *Agg[T]) descendUpper(t *Tree, v int, b geom.Box, iv geom.Interval, acc T) T {
+func (a *Agg[T]) descendUpper(t *Tree, v int, b geom.Box, iv geom.Interval, pLo, pHi int, acc T) T {
 	c, lo, hi := t.classify(v, iv)
 	switch c {
 	case upperBucket:
@@ -177,10 +180,19 @@ func (a *Agg[T]) descendUpper(t *Tree, v int, b geom.Box, iv geom.Interval, acc 
 			}
 		}
 	case upperWhole:
-		acc = a.scanTree(t.desc[v], b, acc)
+		if d := t.desc[v]; d.two != nil {
+			acc = a.descendCascade(d.two, a.tabs[d.two.ord], 0, 0, pLo, pHi, b.Dim(d.two.x), acc)
+		} else {
+			acc = a.scanTree(d, b, acc)
+		}
 	case upperSplit:
-		acc = a.descendUpper(t, segtree.Left(v), b, iv, acc)
-		acc = a.descendUpper(t, segtree.Right(v), b, iv, acc)
+		lLo, lHi, rLo, rHi := t.bridge(v, pLo, pHi)
+		if lLo < lHi {
+			acc = a.descendUpper(t, segtree.Left(v), b, iv, lLo, lHi, acc)
+		}
+		if rLo < rHi {
+			acc = a.descendUpper(t, segtree.Right(v), b, iv, rLo, rHi, acc)
+		}
 	}
 	return acc
 }

@@ -8,8 +8,12 @@
 //
 // Storage is index-only: a tree copies its points once into a block, and
 // every order below that — the upper levels' sorted orders, every cascade
-// node's y-sorted array — is a run of int32 indices into the block. Both
-// recursions stop at a bucket of a few points, which is scanned.
+// node's y-sorted array — is a run of int32 indices into the block. The
+// bridges are succinct: one bit per entry per level says which child the
+// entry went to, and a rank over those bits is the bridge. A
+// three-dimensional layer bridges its upper levels the same way, so its
+// query binary-searches once, at its root. Both recursions stop at a
+// bucket of a few points, which is scanned.
 //
 // Beyond the sequential extension experiment (E11), the layered tree is
 // the default element backend of the distributed pipeline: package core
@@ -19,6 +23,7 @@ package layered
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 	"sync/atomic"
 
@@ -105,14 +110,39 @@ type cascade struct {
 	ord   int // ordinal among the block's cascades (Agg's table index)
 	shape segtree.Shape
 	depth int          // deepest stored level
+	words int          // rank words per bridge run: M/64+1, so position M has one
 	xkeys []geom.Coord // x-coordinate by leaf position (node spans)
 	ykeys []geom.Coord // y-coordinate by position in the root's run (the one binary search)
 	idx   []int32      // (depth+1)·M block indices
-	// left[k·M+lo+i] counts how many of the node's first i entries lie in
-	// its left child: entry i's bridge into the left child's array. The
-	// right bridge is i − left, and the terminal bridge (i = the node's
-	// length) is the left child's length, which the shape gives.
-	left []int32 // depth·M: the deepest level has no stored children
+	// bridges holds one run of words rank words per level above the
+	// deepest: bit i of run k is set when entry k·M+i lies in its node's
+	// left child (see children). A cascade that is the descendant of a
+	// three-dimensional layer's upper node v has one run more, up, at
+	// depth·words: bit i is set when root entry i lies in v's left upper
+	// child (see Tree.bridge).
+	bridges []rankWord
+}
+
+// rankWord is 64 bridge bits and the count of the bits set before them in
+// their run, side by side so that a rank is one load and one popcount.
+type rankWord struct{ before, bits uint64 }
+
+// rank counts the set bits before position p of bridge run k.
+func (c *cascade) rank(k, p int) int {
+	w := &c.bridges[k*c.words+p>>6]
+	return int(w.before) + bits.OnesCount64(w.bits&(1<<(p&63)-1))
+}
+
+// mark sets bit p of the bridge run ws.
+func mark(ws []rankWord, p int) { ws[p>>6].bits |= 1 << (p & 63) }
+
+// countRanks fills each word's before once its run's bits are set.
+func countRanks(ws []rankWord) {
+	n := 0
+	for i := range ws {
+		ws[i].before = uint64(n)
+		n += bits.OnesCount64(ws[i].bits)
+	}
 }
 
 // Build constructs a layered range tree over all dimensions of pts.
@@ -154,7 +184,7 @@ func BuildFrom(pts []geom.Point, startDim int) *Tree {
 	for k := range orders {
 		orders[k] = bl.sortedBy(startDim + k)
 	}
-	bd := &builder{blk: bl, dims: dims, ykeys: make([]geom.Coord, len(pts))}
+	bd := &builder{blk: bl, dims: dims, start: startDim, ykeys: make([]geom.Coord, len(pts))}
 	if remaining > 2 {
 		bd.pos = make([]int32, (remaining-2)*len(pts))
 	}
@@ -187,8 +217,9 @@ func (bl *block) sortedBy(dim int) []int32 {
 
 // builder carries what one BuildFrom shares across its recursion.
 type builder struct {
-	blk  *block
-	dims int
+	blk   *block
+	dims  int
+	start int // the built tree's StartDim: a deeper two-dimensional tree is a descendant
 	// pos holds one n-slot table per upper dimension: while the upper tree
 	// of that dimension is being split, pos[i] is point i's position in
 	// its order. Sibling trees of one dimension are built one after the
@@ -207,7 +238,7 @@ func (bd *builder) levels(orders [][]int32, startDim int) *Tree {
 	bl := bd.blk
 	t := &Tree{Dims: bd.dims, StartDim: startDim, blk: bl}
 	if bd.dims-startDim == 2 {
-		t.two = bd.cascade(orders[0], startDim, startDim+1)
+		t.two = bd.cascade(orders[0], startDim, startDim+1, startDim > bd.start)
 		return t
 	}
 	m := len(orders[0])
@@ -239,6 +270,24 @@ func (bd *builder) levels(orders [][]int32, startDim int) *Tree {
 			return
 		}
 		t.desc[v] = bd.levels(tails, startDim+1)
+		if c := t.desc[v].two; c != nil {
+			// A three-dimensional layer: bridge v's y order, the root run
+			// of its cascade, into its children's. Each word is built in
+			// a register, without a branch per entry.
+			root, up := c.idx[:c.shape.M], c.bridges[c.depth*c.words:]
+			for w := range up {
+				var word uint64
+				for b, i := range root[min(w<<6, len(root)):min(w<<6+64, len(root))] {
+					var left uint64
+					if int(pos[i]) < mid {
+						left = 1
+					}
+					word |= left << b
+				}
+				up[w].bits = word
+			}
+			countRanks(up)
+		}
 		// Both children have real points: split each deeper order stably
 		// by position in this tree's order.
 		cl := mid - lo
@@ -267,13 +316,15 @@ func (bd *builder) levels(orders [][]int32, startDim int) *Tree {
 // cascade assembles the two-dimensional cascaded structure bottom-up from
 // the x-sorted leaf order: the deepest level sorts each bucket by (y, ID),
 // every level above merges its children's runs (yielding the y order with
-// no further sorting), and the bridges are recorded during the merge. Each
-// level's y-coordinates travel beside it, so a merge step compares two
-// sequential loads and looks an ID up only on a tie.
-func (bd *builder) cascade(byX []int32, x, y int) *cascade {
+// no further sorting), and the merge marks the bridge bit of every entry it
+// takes from the left child. Each level's y-coordinates travel beside it,
+// so a merge step compares two sequential loads and looks an ID up only on
+// a tie. up reserves one more run, which levels fills when the cascade
+// belongs to an upper node of a three-dimensional layer.
+func (bd *builder) cascade(byX []int32, x, y int, up bool) *cascade {
 	bl := bd.blk
 	m := len(byX)
-	c := &cascade{blk: bl, x: x, y: y, ord: bl.cascades, shape: segtree.NewShape(m)}
+	c := &cascade{blk: bl, x: x, y: y, ord: bl.cascades, shape: segtree.NewShape(m), words: m/64 + 1}
 	bl.cascades++
 	c.depth = max(0, c.shape.Height()-segtree.Log2(bucket))
 	c.xkeys = make([]geom.Coord, m)
@@ -282,7 +333,11 @@ func (bd *builder) cascade(byX []int32, x, y int) *cascade {
 	}
 	c.ykeys = make([]geom.Coord, m)
 	c.idx = make([]int32, (c.depth+1)*m)
-	c.left = make([]int32, c.depth*m)
+	runs := c.depth
+	if up {
+		runs++
+	}
+	c.bridges = make([]rankWord, runs*c.words)
 	// Level k's keys live in c.ykeys when k is even, so level 0's stay.
 	keysOf := func(k int) []geom.Coord {
 		if k%2 == 0 {
@@ -301,29 +356,32 @@ func (bd *builder) cascade(byX []int32, x, y int) *cascade {
 		bottomKeys[at] = bl.coord(i, y)
 	}
 	for k := c.depth - 1; k >= 0; k-- {
-		level, below, left := c.idx[k*m:(k+1)*m], c.idx[(k+1)*m:(k+2)*m], c.left[k*m:(k+1)*m]
+		level, below := c.idx[k*m:(k+1)*m], c.idx[(k+1)*m:(k+2)*m]
 		keys, keysBelow := keysOf(k), keysOf(k+1)
+		left := c.bridges[k*c.words : (k+1)*c.words]
 		for lo, w := 0, c.shape.Cap>>k; lo < m; lo += w {
 			mid, hi := min(lo+w/2, m), min(lo+w, m)
 			i, j, at := lo, mid, lo
 			for ; i < mid && j < hi; at++ {
-				left[at] = int32(i - lo)
 				ki, kj := keysBelow[i], keysBelow[j]
 				if kj < ki || (kj == ki && bl.pts[below[j]].ID < bl.pts[below[i]].ID) {
 					level[at], keys[at] = below[j], kj
 					j++
 				} else {
 					level[at], keys[at] = below[i], ki
+					mark(left, at)
 					i++
 				}
 			}
 			for ; i < mid; i, at = i+1, at+1 {
-				left[at], level[at], keys[at] = int32(i-lo), below[i], keysBelow[i]
+				level[at], keys[at] = below[i], keysBelow[i]
+				mark(left, at)
 			}
-			for ; j < hi; j, at = j+1, at+1 {
-				left[at], level[at], keys[at] = int32(mid-lo), below[j], keysBelow[j]
-			}
+			// The right child's tail is already in place (at == j).
+			copy(level[j:hi], below[j:hi])
+			copy(keys[j:hi], keysBelow[j:hi])
 		}
+		countRanks(left)
 	}
 	return c
 }
@@ -413,7 +471,9 @@ func (t *Tree) scan(b geom.Box, s Visitor) {
 		}
 	default:
 		if iv := b.Dim(t.StartDim); !iv.Empty() {
-			t.descend(t.shape.Root(), b, iv, s)
+			if pLo, pHi := t.rootRun(b); pLo < pHi {
+				t.descend(t.shape.Root(), b, iv, pLo, pHi, s)
+			}
 		}
 	}
 }
@@ -461,9 +521,42 @@ func (t *Tree) classify(v int, iv geom.Interval) (c upperCase, lo, hi int) {
 	return upperSplit, lo, hi
 }
 
+// rootRun starts an upper descent's y-run. A three-dimensional layer
+// binary-searches the root's descendant cascade, once per query, and
+// bridge carries the run down; any other layer carries its whole range,
+// which bridge never narrows.
+func (t *Tree) rootRun(b geom.Box) (pLo, pHi int) {
+	r := t.shape.Root()
+	if r >= len(t.desc) || t.desc[r].two == nil { // the root is a bucket, or the layer is wider
+		return 0, t.N()
+	}
+	c := t.desc[r].two
+	if b.Dim(c.x).Empty() {
+		return 0, 0
+	}
+	return c.rootRange(b.Dim(c.y))
+}
+
+// bridge carries node v's y-run [pLo, pHi) — the matching entries of
+// desc[v]'s root array, in (y, ID) order — into its children's: a rank
+// over desc[v]'s up run for the left child, the complement for the right.
+// A child that shares v's descendant tree keeps the run (the other one is
+// empty); a bucket child gets one too, and ignores it but for pruning.
+func (t *Tree) bridge(v, pLo, pHi int) (lLo, lHi, rLo, rHi int) {
+	c := t.desc[v].two
+	if c == nil { // a layer above three dimensions: nothing to bridge
+		return pLo, pHi, pLo, pHi
+	}
+	if l := segtree.Left(v); l < len(t.desc) && t.desc[l] == t.desc[v] {
+		return pLo, pHi, 0, 0
+	}
+	lLo, lHi = c.rank(c.depth, pLo), c.rank(c.depth, pHi)
+	return lLo, lHi, pLo - lLo, pHi - lHi
+}
+
 // descend is the upper-level descent as a plain recursive method (no
-// per-query closures).
-func (t *Tree) descend(v int, b geom.Box, iv geom.Interval, s Visitor) {
+// per-query closures), over node v's non-empty y-run [pLo, pHi).
+func (t *Tree) descend(v int, b geom.Box, iv geom.Interval, pLo, pHi int, s Visitor) {
 	c, lo, hi := t.classify(v, iv)
 	switch c {
 	case upperBucket:
@@ -476,15 +569,25 @@ func (t *Tree) descend(v int, b geom.Box, iv geom.Interval, s Visitor) {
 			}
 		}
 	case upperWhole:
-		t.desc[v].scan(b, s)
+		if d := t.desc[v]; d.two != nil { // bridged: the run is the cascade's
+			d.two.descend(0, 0, pLo, pHi, b.Dim(d.two.x), s)
+		} else {
+			d.scan(b, s)
+		}
 	case upperSplit:
-		t.descend(segtree.Left(v), b, iv, s)
-		t.descend(segtree.Right(v), b, iv, s)
+		lLo, lHi, rLo, rHi := t.bridge(v, pLo, pHi)
+		if lLo < lHi {
+			t.descend(segtree.Left(v), b, iv, lLo, lHi, s)
+		}
+		if rLo < rHi {
+			t.descend(segtree.Right(v), b, iv, rLo, rHi, s)
+		}
 	}
 }
 
 // rootRange is the run of the root's y-sorted array inside ivy: the one
-// binary search of a cascaded query.
+// binary search of a cascaded query, and of a three-dimensional layer's
+// (rootRun).
 func (c *cascade) rootRange(ivy geom.Interval) (pLo, pHi int) {
 	if ivy.Empty() {
 		return 0, 0
@@ -505,16 +608,18 @@ func (c *cascade) span(k, lo int) (hi int, span geom.Interval) {
 
 // children follows the bridges of the n-entry node (k, lo): positions
 // [pLo, pHi) of its array become [lLo, lHi) of the left child's (first
-// leaf lo) and [rLo, rHi) of the right child's (first leaf mid). Requires
-// pLo < pHi.
+// leaf lo) and [rLo, rHi) of the right child's (first leaf mid). Entry i's
+// left bridge is the number of the node's first i entries marked left:
+// a rank on level k, less lo/2, since every node before lo on the level is
+// full and sent exactly half its entries left. The right bridge is i less
+// the left one, and the terminal bridge (i = n) is the left child's length,
+// which the shape gives. Requires pLo < pHi.
 func (c *cascade) children(k, lo, n, pLo, pHi int) (mid, lLo, lHi, rLo, rHi int) {
-	m := c.shape.M
 	mid = lo + c.shape.Cap>>(k+1)
-	left := c.left[k*m+lo : k*m+lo+n]
-	lLo = int(left[pLo])
-	lHi = min(mid, m) - lo // terminal bridge: the left child's length
+	lLo = c.rank(k, lo+pLo) - lo/2
+	lHi = min(mid, c.shape.M) - lo
 	if pHi < n {
-		lHi = int(left[pHi])
+		lHi = c.rank(k, lo+pHi) - lo/2
 	}
 	return mid, lLo, lHi, pLo - lLo, pHi - lHi
 }

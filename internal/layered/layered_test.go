@@ -1,9 +1,11 @@
 package layered
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -170,8 +172,8 @@ func TestCascadeBridgesConsistent(t *testing.T) {
 		pts := randomPoints(rng, n, 2, n%2 == 0)
 		c := Build(pts).two
 		bl, m := c.blk, c.shape.M
-		if len(c.idx) != (c.depth+1)*m || len(c.left) != c.depth*m {
-			t.Fatalf("n=%d: %d levels hold %d entries, %d bridges", n, c.depth+1, len(c.idx), len(c.left))
+		if len(c.idx) != (c.depth+1)*m || c.words != m/64+1 || len(c.bridges) != c.depth*c.words {
+			t.Fatalf("n=%d: %d levels hold %d entries, %d rank words of %d per level", n, c.depth+1, len(c.idx), len(c.bridges), c.words)
 		}
 		if w := c.shape.Cap >> c.depth; w > bucket || (c.depth > 0 && w != bucket) {
 			t.Fatalf("n=%d: deepest stored nodes are %d wide", n, w)
@@ -212,6 +214,105 @@ func TestCascadeBridgesConsistent(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// upperBridgeErr checks the up runs of every three-dimensional layer at or
+// under t: for every bridged node v (one whose left child does not share
+// its descendant tree) and every root position i ∈ [0, M_v], bridging i
+// into either child lands on the first entry of the child's root array —
+// its points in (y, ID) order — not below v's root entry i, and i = M_v
+// lands on the child's length.
+func upperBridgeErr(t *Tree) error {
+	if t.Dims-t.StartDim > 3 {
+		var err error
+		t.eachDesc(func(d *Tree) {
+			if err == nil {
+				err = upperBridgeErr(d)
+			}
+		})
+		return err
+	}
+	if t.Dims-t.StartDim != 3 {
+		return nil
+	}
+	bl, y, m := t.blk, t.Dims-1, t.shape.M
+	childRoot := func(u int) []int32 {
+		if u < len(t.desc) && t.desc[u] != nil {
+			c := t.desc[u].two
+			return c.idx[:c.shape.M]
+		}
+		lo, hi := t.shape.PosRange(u) // a bucket: its points sorted here
+		run := slices.Clone(t.idx[lo:min(hi, m)])
+		slices.SortFunc(run, func(i, j int32) int { return bl.cmp(i, j, y) })
+		return run
+	}
+	for v := 1; v < len(t.desc); v++ {
+		l, r := segtree.Left(v), segtree.Right(v)
+		if t.desc[v] == nil || (l < len(t.desc) && t.desc[l] == t.desc[v]) {
+			continue
+		}
+		c := t.desc[v].two
+		if len(c.bridges) != (c.depth+1)*c.words {
+			return fmt.Errorf("node %d: %d rank words, want %d levels and up of %d", v, len(c.bridges), c.depth, c.words)
+		}
+		root := c.idx[:c.shape.M]
+		left, right := childRoot(l), childRoot(r)
+		for i := 0; i <= len(root); i++ {
+			lAt := c.rank(c.depth, i)
+			for _, side := range []struct {
+				name  string
+				child []int32
+				at    int
+			}{{"left", left, lAt}, {"right", right, i - lAt}} {
+				if i == len(root) {
+					if side.at != len(side.child) {
+						return fmt.Errorf("node %d: terminal %s bridge %d, child holds %d", v, side.name, side.at, len(side.child))
+					}
+					continue
+				}
+				if side.at < 0 || side.at > len(side.child) ||
+					(side.at < len(side.child) && bl.cmp(side.child[side.at], root[i], y) < 0) ||
+					(side.at > 0 && bl.cmp(side.child[side.at-1], root[i], y) >= 0) {
+					return fmt.Errorf("node %d: %s bridge of root entry %d lands on %d", v, side.name, i, side.at)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// TestUpperBridgesConsistent verifies the up runs that bridge a
+// three-dimensional layer's upper levels, at d = 3 (the top layer) and
+// d = 4 (the descendant layers), over sizes that straddle the bucket and
+// the power-of-two padding and the right-edge sharing sizes. A top-level
+// two-dimensional tree carries no up run. Flipping one up bit must fail.
+func TestUpperBridgesConsistent(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, d := range []int{3, 4} {
+		for _, n := range []int{1, 8, 9, 16, 17, 64, 65, 80, 160, 257, 640} {
+			if err := upperBridgeErr(Build(randomPoints(rng, n, d, n%2 == 0))); err != nil {
+				t.Fatalf("d=%d n=%d: %v", d, n, err)
+			}
+		}
+	}
+	if c := Build(randomPoints(rng, 200, 2, true)).two; len(c.bridges) != c.depth*c.words {
+		t.Fatalf("top-level cascade holds %d rank words, want %d levels of %d", len(c.bridges), c.depth, c.words)
+	}
+	lt := Build(randomPoints(rng, 200, 3, true))
+	c := lt.desc[lt.shape.Root()].two
+	up := c.bridges[c.depth*c.words:]
+	for _, at := range []int{0, 77, c.shape.M - 1} {
+		up[at>>6].bits ^= 1 << (at & 63)
+		countRanks(up)
+		if upperBridgeErr(lt) == nil {
+			t.Errorf("flipping up bit %d of the root went unnoticed", at)
+		}
+		up[at>>6].bits ^= 1 << (at & 63)
+		countRanks(up)
+	}
+	if err := upperBridgeErr(lt); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -258,13 +359,15 @@ func TestSharedDescendantCountedOnce(t *testing.T) {
 	}
 }
 
-// TestFootprint bounds the live heap one Build retains. The limits sit
-// between the index-only layout (≈ 124 B/point at d = 2, ≈ 580 at d = 3)
-// and anything that stores points per node (≥ 700 and ≥ 6 000). A float64
-// sum annotation on the same tree is held to its layout: a group keeps one
-// 8-byte prefix per cascade entry (≈ 80 and ≈ 437 B/point), at most 0.55×
-// the two slots per entry (≈ 160 and ≈ 867) of the segment tree a monoid
-// without an Inverse gets.
+// TestFootprint bounds the live heap one Build retains. The index-only
+// layout with rank-word bridges retains ≈ 90 B/point at d = 2 and ≈ 398
+// at d = 3 (4 B of idx plus 2 bits of bridge per entry per level); int32
+// bridges, 4 B per entry per level more, read ≈ 124 and ≈ 561, and
+// anything that stores points per node ≥ 700 and ≥ 6 000. The limits sit
+// between the first two. A float64 sum annotation on the same tree is
+// held to its layout: a group keeps one 8-byte prefix per cascade entry
+// (≈ 80 and ≈ 437 B/point), at most 0.55× the two slots per entry (≈ 160
+// and ≈ 867) of the segment tree a monoid without an Inverse gets.
 func TestFootprint(t *testing.T) {
 	heap := func() int64 {
 		runtime.GC()
@@ -281,7 +384,7 @@ func TestFootprint(t *testing.T) {
 		runtime.KeepAlive(v)
 		return per
 	}
-	for _, tc := range []struct{ d, limit, aggLimit int }{{2, 200, 120}, {3, 900, 650}} {
+	for _, tc := range []struct{ d, limit, aggLimit int }{{2, 105, 120}, {3, 470, 650}} {
 		pts := randomPoints(rand.New(rand.NewSource(41)), n, tc.d, true)
 		var lt *Tree
 		per := retained(func() any { lt = Build(pts); return lt })
