@@ -90,7 +90,11 @@ func BenchmarkT1_StructureSizes(b *testing.B) {
 		t := drtree.BuildDistributed(mach, pts)
 		hat = t.HatNodeCount()
 		maxF = 0
-		for _, x := range t.ForestPartNodes() {
+		parts, err := t.ForestPartNodes()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, x := range parts {
 			if x > maxF {
 				maxF = x
 			}

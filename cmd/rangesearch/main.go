@@ -247,8 +247,9 @@ func main() {
 
 	fmt.Printf("built distributed range tree: n=%d d=%d p=%d grain=%d\n",
 		len(pts), dims, *p, dt.Grain())
-	fmt.Printf("  hat %d nodes / forest %d elements | construct: %d rounds, max h %d, wall %v\n\n",
-		dt.HatNodeCount(), dt.ElemCount(), buildMetrics.CommRounds(), buildMetrics.MaxH(), buildWall.Round(time.Millisecond))
+	fmt.Printf("  hat %d nodes / forest %d elements | construct: %d rounds, max h %d, volume %d, wall %v\n\n",
+		dt.HatNodeCount(), dt.ElemCount(), buildMetrics.CommRounds(), buildMetrics.MaxH(), buildMetrics.TotalComm(),
+		buildWall.Round(time.Millisecond))
 
 	if *mode == "serve" {
 		serve(dt, dims, engCfg, reg, *statsInterval, evlog)
@@ -294,8 +295,8 @@ func main() {
 	}
 	wall := time.Since(start)
 	mt := mach.Metrics()
-	fmt.Printf("search: %d rounds, max h %d, modelled time %v, wall %v\n",
-		mt.CommRounds(), mt.MaxH(),
+	fmt.Printf("search: %d rounds, max h %d, volume %d, modelled time %v, wall %v\n",
+		mt.CommRounds(), mt.MaxH(), mt.TotalComm(),
 		mt.ModelTime(mach.G(), mach.L()).Round(time.Microsecond),
 		wall.Round(time.Millisecond))
 }

@@ -98,8 +98,13 @@ func main() {
 		fmt.Println()
 	}
 
+	parts, err := dt.ForestPartNodes()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "treedump: %v\n", err)
+		os.Exit(1)
+	}
 	fmt.Println("per-processor forest part sizes (tree nodes):")
-	for rank, sz := range dt.ForestPartNodes() {
+	for rank, sz := range parts {
 		fmt.Printf("  P%-2d %d\n", rank, sz)
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/cgm"
 	"repro/internal/comm"
+	"repro/internal/exec"
 	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/psort"
@@ -69,22 +70,34 @@ func Build(mach *cgm.Machine, pts []geom.Point) *Tree {
 // BuildBackend runs Algorithm Construct with an explicit element backend
 // (forest elements and their phase-B copies are built on it). Each rank
 // starts from its canonical block of n/p points (CanonicalBlocks). On a
-// resident machine the blocks are staged into the ranks' parts first and
-// the construction runs held, so each point crosses the coordinator
-// once, on its way in. A bad point set or a machine abort panics; BuildOn
-// returns them as errors.
+// resident machine the blocks are staged into the ranks' parts first, so
+// each point crosses the coordinator once, on its way in. A bad point set
+// or a machine abort panics; BuildOn returns them as errors.
 func BuildBackend(mach *cgm.Machine, pts []geom.Point, be Backend) *Tree {
-	dims, err := checkPoints(pts)
+	t, err := buildPoints(mach, pts, be)
 	if err != nil {
 		panic(err.Error())
+	}
+	return t
+}
+
+// buildPoints is the one build of a point slice: check the points, cut
+// the canonical blocks, stage them into the ranks' parts on a resident
+// machine (a fabric construct takes each rank's block from blocks), and
+// run the construction. A bad point set, a failed stage and a machine
+// abort return as errors.
+func buildPoints(mach *cgm.Machine, pts []geom.Point, be Backend) (*Tree, error) {
+	dims, err := checkPoints(pts)
+	if err != nil {
+		return nil, err
 	}
 	blocks := CanonicalBlocks(pts, mach.P())
 	if mach.Resident() {
 		if err := stageBlocks(mach, blocks); err != nil {
-			panic(fmt.Sprintf("core: staging worker blocks: %v", err))
+			return nil, fmt.Errorf("core: staging worker blocks: %w", err)
 		}
 	}
-	return build(mach, len(pts), dims, be, blocks)
+	return buildStaged(mach, dims, len(pts), be, blocks)
 }
 
 // checkPoints validates a build's input and returns its dimensionality.
@@ -117,8 +130,8 @@ func CanonicalBlocks(pts []geom.Point, p int) [][]geom.Point {
 
 // build runs Algorithm Construct over n points of dims dimensions: on a
 // fabric machine rank i starts from blocks[i]; on a resident machine
-// every rank starts from the input staged in its part (blocks is unused),
-// and the seeded counts must add up to n.
+// every rank starts from the input staged in its part (blocks is unused).
+// Either way the seeded counts must add up to n.
 func build(mach *cgm.Machine, n, dims int, be Backend, blocks [][]geom.Point) *Tree {
 	p := mach.P()
 	t := &Tree{
@@ -145,14 +158,12 @@ func build(mach *cgm.Machine, n, dims int, be Backend, blocks [][]geom.Point) *T
 	// Construct exchanged every record d times over; the columns it
 	// received must not keep those rows reachable from the run arenas.
 	mach.ReleaseArenas()
-	if t.resident {
-		got := 0
-		for _, c := range seeded {
-			got += c
-		}
-		if got != n {
-			panic(fmt.Sprintf("core: the ranks staged %d points, the build declared %d", got, n))
-		}
+	got := 0
+	for _, c := range seeded {
+		got += c
+	}
+	if got != n {
+		panic(fmt.Sprintf("core: the ranks staged %d points, the build declared %d", got, n))
 	}
 	return t
 }
@@ -168,60 +179,41 @@ func BuildOn(pv cgm.Provider, pts []geom.Point, be Backend) (*Tree, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: provider machine: %w", err)
 	}
-	return buildRecovered(mach, pts, be)
+	return buildPoints(mach, pts, be)
 }
 
-// buildRecovered is BuildBackend with a bad point set and machine aborts
-// returned as errors.
-func buildRecovered(mach *cgm.Machine, pts []geom.Point, be Backend) (t *Tree, err error) {
-	if _, err := checkPoints(pts); err != nil {
-		return nil, err
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("core: build aborted: %v", r)
-		}
-	}()
-	return BuildBackend(mach, pts, be), nil
-}
-
-// construct is the per-processor body of Algorithm Construct.
+// construct is the per-processor body of Algorithm Construct, one program
+// for both residencies. Step 1: each processor starts with an arbitrary
+// block of n/p points. A fabric rank's part is made here around its block;
+// a resident rank's block was staged into its part before the run, and
+// the part is reset for the build (a machine rebuilt on must not merge two
+// forests; the staged input survives). Seeding turns the block into the
+// S^1 records, all in the primary tree (ordinal 0), where the points live,
+// and the d phases run on the part: on a resident tree no point payload
+// visits the coordinator.
 func (t *Tree) construct(pr *cgm.Proc, blocks [][]geom.Point, seeded []int) {
 	rank := pr.Rank()
 	ps := &procState{rank: rank, hatByKey: make(map[segtree.PathKey]int32)}
 	t.procs[rank] = ps
+	if t.resident {
+		cgm.CallResident[beginArgs, bool](pr, fref("construct/begin"), beginArgs{Backend: t.backend})
+	} else {
+		ps.part = newForestPart(t.backend)
+		ps.part.ctx = exec.Ctx{Rank: rank, P: pr.P()}
+		ps.part.staged = blocks[rank]
+	}
+	seeded[rank] = onPartIn(pr, ps.part, "construct/seed", seedArgs{Dims: int8(t.dims)}, constructSeedStep)
 	var nextElem ElemID
 	keys := []segtree.PathKey{segtree.RootPathKey} // phase 0's table: the primary tree
-	if t.resident {
-		// The rank's block is staged in its part. Reset the part's forest
-		// (a machine rebuilt on must not merge two forests; the staged
-		// input survives), seed the S^1 records where the points live and
-		// run the held phases: no point payload visits the coordinator.
-		cgm.CallResident[beginArgs, bool](pr, fref("construct/begin"), beginArgs{Backend: t.backend})
-		seeded[rank] = cgm.CallResident[seedArgs, int](pr, fref("construct/seed"), seedArgs{Dims: int8(t.dims)})
-		for j := 0; j < t.dims; j++ {
-			keys, nextElem = t.constructPhaseHeld(pr, ps, keys, j, nextElem)
-		}
-		return
-	}
-	ps.part = newForestPart(t.backend)
-
-	// Step 1: each processor starts with an arbitrary block of n/p points;
-	// every initial record belongs to the primary tree (index nil,
-	// ordinal 0).
-	recs := make([]srec, len(blocks[rank]))
-	for i, pt := range blocks[rank] {
-		recs[i].Pt = pt
-	}
 	for j := 0; j < t.dims; j++ {
-		recs, keys, nextElem = t.constructPhase(pr, ps, recs, keys, j, nextElem)
+		keys, nextElem = t.constructPhase(pr, ps, keys, j, nextElem)
 	}
 }
 
 // srecLess orders the S^j records: primary key index (tree label, by its
 // ordinal), then x_j, ties by point ID for determinism. It is the order of
-// the sample sort's splitters, partition and merge on both construct
-// paths; sortRecs produces the same order for the local sort without it.
+// the sample sort's splitters, partition and merge; sortRecs produces the
+// same order for the local sort without it.
 func srecLess(j int) func(a, b srec) bool {
 	return func(a, b srec) bool {
 		if a.Ord != b.Ord {
@@ -242,11 +234,10 @@ func srecLess(j int) func(a, b srec) bool {
 // index tells the permutation where the record is.
 type sortKey struct{ hi, lo uint64 }
 
-// sortRecs is the sample sort's local phase for S^j records, on both
-// construct paths: it sorts pointer-free packed keys instead of the
-// records, then moves every record once, cycle by cycle in place, so the
-// sort neither calls a comparator closure on records nor allocates a
-// second record block.
+// sortRecs is the sample sort's local phase for S^j records: it sorts
+// pointer-free packed keys instead of the records, then moves every record
+// once, cycle by cycle in place, so the sort neither calls a comparator
+// closure on records nor allocates a second record block.
 func sortRecs(recs []srec, j int) {
 	keys := make([]sortKey, len(recs))
 	for i, r := range recs {
@@ -285,96 +276,38 @@ func sortRecs(recs []srec, j int) {
 
 // constructPhase builds all dimension-j segment trees, whose labels keys
 // lists by ordinal: the hat layer replicated everywhere and the forest
-// elements at their owners. It returns the records of S^(j+1) and the
-// key table their ordinals index.
-func (t *Tree) constructPhase(pr *cgm.Proc, ps *procState, recs []srec, keys []segtree.PathKey, j int, nextElem ElemID) ([]srec, []segtree.PathKey, ElemID) {
+// elements at their owners. The S^j records stay in the rank's part: the
+// sample sort's local phases, the record exchanges, the element routing
+// and the install run on the part (by direct call on a fabric tree, as
+// registered steps on a resident one), while the coordinator's
+// collectives carry only the p² regular samples, the splitters, the
+// run/offset counts and the replicated stub metadata — O(p²) per phase,
+// independent of n. It returns the key table of phase j+1, whose records
+// the part now holds.
+func (t *Tree) constructPhase(pr *cgm.Proc, ps *procState, keys []segtree.PathKey, j int, nextElem ElemID) ([]segtree.PathKey, ElemID) {
 	p := pr.P()
 	lbl := func(step string) string { return fmt.Sprintf("construct/d%d/%s", j, step) }
+	dim, sortLbl := dimArgs{Dim: int8(j)}, lbl("sort")
 
 	// Step 2: globally sort S^j by primary key index (tree label) and
-	// secondary key x_j (ties by point ID for determinism): psort's phases
-	// around the keyed local sort, as the held path runs them. The phase
-	// owns recs, so the sort works in it without a defensive copy.
-	less, sortLbl := srecLess(j), lbl("sort")
-	sortRecs(recs, j)
-	allSamples := comm.AllGatherFlat(pr, sortLbl+"/sample", psort.Samples(recs, p))
-	splitters := psort.Splitters(allSamples, p, less)
-	parts := cgm.Exchange(pr, sortLbl+"/route", psort.Partition(recs, splitters, p, less))
-	sorted := comm.Rebalance(pr, sortLbl+"/balance", psort.MergeRuns(parts, less))
+	// secondary key x_j (ties by point ID for determinism) — psort's
+	// phases around the keyed local sort. Only the samples are gathered;
+	// every rank derives the identical splitters, and the partition/merge
+	// and rebalance supersteps move the records part to part.
+	sl := onPartIn(pr, ps.part, "construct/sortLocal", dim, sortLocalStep)
+	allSamples := comm.AllGatherFlat(pr, sortLbl+"/sample", sl.Samples)
+	splitters := psort.Splitters(allSamples, p, srecLess(j))
+	merged := exchangeOnPart(pr, ps.part, sortLbl+"/route",
+		"construct/wsortPart", wsortPartArgs{Dim: int8(j), Splitters: splitters}, wsortPartStep,
+		"construct/wsortMerge", dim, wsortMergeStep)
+	offset, total := comm.CountScan(pr, sortLbl+"/balance/count", merged.Len)
+	bal := exchangeOnPart(pr, ps.part, sortLbl+"/balance",
+		"construct/wsortSplit", wsortBalanceArgs{Offset: offset, Total: total}, wsortSplitStep,
+		"construct/wsortGather", false, wsortGatherStep)
 
 	// Tree discovery: exchange per-processor runs of equal ordinals; all
 	// processors derive the identical, label-ordered tree summary list.
-	allRuns := comm.AllGatherFlat(pr, lbl("runs"), keyRuns(sorted))
-	trees, err := deriveTrees(allRuns, keys)
-	if err != nil {
-		panic(err.Error())
-	}
-
-	nStubs, myInfos := t.enumerateStubs(pr, ps, trees, j, nextElem)
-
-	// Step 3: route every record to the owner of the element containing
-	// its global position.
-	myOffset, _ := comm.CountScan(pr, lbl("offset"), len(sorted))
-	out, err := routeRecords(sorted, trees, t.grain, myOffset, p)
-	if err != nil {
-		panic(err.Error())
-	}
-	// Step 4: sequentially construct the owned forest elements in the
-	// rank's part.
-	metas, err := ps.part.install(myInfos, cgm.Exchange(pr, lbl("route"), out))
-	if err != nil {
-		panic(err.Error())
-	}
-
-	// Steps 4–5: all-to-all broadcast of the forest roots (the hat's
-	// leaves); every processor completes its dimension-j hat trees.
-	t.finishPhase(pr, ps, trees, metas, j, lbl)
-
-	// Step 7: create S^(j+1): every record walks from its stub's parent to
-	// the root of its segment tree, creating one record per hat-internal
-	// ancestor u with index path(u).
-	if j+1 == t.dims {
-		return nil, nil, nextElem + ElemID(nStubs)
-	}
-	nextKeys := nextTreeKeys(ps.hat, j)
-	next, err := ps.part.nextRecords(int8(j), nextKeys)
-	if err != nil {
-		panic(err.Error())
-	}
-	return next, nextKeys, nextElem + ElemID(nStubs)
-}
-
-// constructPhaseHeld is constructPhase on a resident machine, with the
-// S^j records held in the ranks' parts: the sample sort's local phases,
-// the record exchanges, the element routing and the install all run as
-// registered program steps, while the coordinator's collectives carry
-// only the p² regular samples, the splitters, the run/offset counts and
-// the replicated stub metadata — O(p²) per phase, independent of n. The
-// label sequence and per-rank element counts are identical to
-// constructPhase's, so a canonically staged build produces byte-identical
-// Metrics.
-func (t *Tree) constructPhaseHeld(pr *cgm.Proc, ps *procState, keys []segtree.PathKey, j int, nextElem ElemID) ([]segtree.PathKey, ElemID) {
-	p := pr.P()
-	lbl := func(step string) string { return fmt.Sprintf("construct/d%d/%s", j, step) }
-	dim := dimArgs{Dim: int8(j)}
-
-	// Step 2 (sample sort, records held): local sort and sample selection
-	// run worker-side; only the samples are gathered, every rank derives
-	// the identical splitters, and the partition/merge and rebalance
-	// supersteps move the records worker-to-worker.
-	sl := cgm.CallResident[dimArgs, sortLocalReply](pr, fref("construct/sortLocal"), dim)
-	allSamples := comm.AllGatherFlat(pr, lbl("sort")+"/sample", sl.Samples)
-	splitters := psort.Splitters(allSamples, p, srecLess(j))
-	_, merged := cgm.ExchangeSteps[wsortPartArgs, dimArgs, lenReply](pr, lbl("sort")+"/route",
-		fref("construct/wsortPart"), wsortPartArgs{Dim: int8(j), Splitters: splitters},
-		fref("construct/wsortMerge"), dim)
-	offset, total := comm.CountScan(pr, lbl("sort")+"/balance/count", merged.Len)
-	_, bal := cgm.ExchangeSteps[wsortBalanceArgs, bool, balanceReply](pr, lbl("sort")+"/balance",
-		fref("construct/wsortSplit"), wsortBalanceArgs{Offset: offset, Total: total},
-		fref("construct/wsortGather"), false)
-
-	// Tree discovery from the worker-computed key runs; stub enumeration
-	// stays replicated coordinator-side (it is metadata, not points).
+	// Stub enumeration is replicated (it is metadata, not points).
 	allRuns := comm.AllGatherFlat(pr, lbl("runs"), bal.Runs)
 	trees, err := deriveTrees(allRuns, keys)
 	if err != nil {
@@ -382,23 +315,27 @@ func (t *Tree) constructPhaseHeld(pr *cgm.Proc, ps *procState, keys []segtree.Pa
 	}
 	nStubs, myInfos := t.enumerateStubs(pr, ps, trees, j, nextElem)
 
-	// Step 3–4: the routing loop runs where the records live; the routed
-	// points go worker-to-worker into the install collect.
+	// Steps 3–4: route every record to the owner of the element containing
+	// its global position; the owners build their elements sequentially
+	// from the routed points.
 	myOffset, _ := comm.CountScan(pr, lbl("offset"), bal.Len)
-	_, metas := cgm.ExchangeSteps[routeHeldArgs, constructInstallArgs, []elemMeta](pr, lbl("route"),
-		fref("construct/routeHeld"), routeHeldArgs{Trees: trees, Grain: t.grain, Offset: myOffset},
-		fref("construct/install"), constructInstallArgs{Backend: t.backend, Infos: myInfos})
+	metas := exchangeOnPart(pr, ps.part, lbl("route"),
+		"construct/routeHeld", routeHeldArgs{Trees: trees, Grain: t.grain, Offset: myOffset}, routeHeldStep,
+		"construct/install", constructInstallArgs{Backend: t.backend, Infos: myInfos}, constructInstallStep)
 
+	// Steps 4–5: all-to-all broadcast of the forest roots (the hat's
+	// leaves); every processor completes its dimension-j hat trees.
 	t.finishPhase(pr, ps, trees, metas, j, lbl)
 
-	// Step 7: the S^(j+1) records are computed AND kept worker-side; only
-	// their count returns. The next phase's key table travels with the
-	// step, so the worker names the records' trees as the fabric part does.
+	// Step 7: create S^(j+1): every record walks from its stub's parent to
+	// the root of its segment tree, creating one record per hat-internal
+	// ancestor u with index path(u). The records stay in the part; the
+	// next phase's key table names their trees by ordinal.
 	if j+1 == t.dims {
 		return nil, nextElem + ElemID(nStubs)
 	}
 	nextKeys := nextTreeKeys(ps.hat, j)
-	cgm.CallResident[nextHeldArgs, int](pr, fref("construct/nextHeld"), nextHeldArgs{Dim: int8(j), Keys: nextKeys})
+	onPartIn(pr, ps.part, "construct/nextHeld", nextHeldArgs{Dim: int8(j), Keys: nextKeys}, constructNextHeldStep)
 	return nextKeys, nextElem + ElemID(nStubs)
 }
 
@@ -528,9 +465,8 @@ func (t *Tree) enumerateStubs(pr *cgm.Proc, ps *procState, trees []treeSum, j in
 	return len(stubs), myInfos
 }
 
-// routeRecords is Construct step 3's routing loop, shared by the fabric
-// phase and the resident routeHeld emit: every globally
-// sorted record (this rank's run starting at global position offset) goes
+// routeRecords is Construct step 3's routing loop, the routeHeld emit's
+// body: every globally sorted record (this rank's run starting at global position offset) goes
 // to the owner of the element whose stub contains its position. The
 // elements are resolved first and counted per owner, so the buckets are
 // carved at their final sizes from one array. A record outside the trees'

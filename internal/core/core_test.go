@@ -161,7 +161,10 @@ func TestTheorem1SizeBounds(t *testing.T) {
 		if got := dt.HatNodeCount(); got > hatBound {
 			t.Errorf("n=%d d=%d p=%d: |H| = %d exceeds bound %d", tc.n, tc.d, tc.p, got, hatBound)
 		}
-		parts := dt.ForestPartNodes()
+		parts, err := dt.ForestPartNodes()
+		if err != nil {
+			t.Fatal(err)
+		}
 		total := 0
 		mx := 0
 		for _, s := range parts {

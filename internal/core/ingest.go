@@ -15,13 +15,16 @@ import (
 	"repro/internal/wire"
 )
 
-// This file is the worker-direct ingest path: the coordinator never
-// holds (or forwards) the point set. Chunks stream straight to each
+// This file stages a build's input per rank before Construct runs. On a
+// resident machine it is the worker-direct ingest path: the coordinator
+// never holds (or forwards) the point set. Chunks stream straight to each
 // rank's staging area — round-robined from a client ChunkSource with a
-// bounded in-flight window, or read rank-locally from pointsfile slices
-// — and the held construction then runs entirely worker-side, the
+// bounded in-flight window, or read rank-locally from pointsfile slices —
+// and the construction then runs entirely worker-side, the
 // coordinator contributing only the p² regular-sampling splitters and
-// control frames.
+// control frames. On a fabric machine the same reader fills each rank's
+// block in coordinator memory, and the construct hands it to the rank's
+// part, so both residencies start Construct from the same blocks.
 
 const (
 	// DefaultChunk is the streaming block size (points per ingest call).
@@ -81,10 +84,10 @@ func forEachRank(p int, f func(rank int) error) error {
 	return errors.Join(errs...)
 }
 
-// stageBlocks stages one block per rank into the ranks' parts, in
-// chunks over the coordinator's connections: the input of a resident
-// BuildBackend, whose canonical blocks keep its metrics identical to a
-// fabric build's.
+// stageBlocks stages one block per rank into a resident machine's
+// parts, in chunks over the coordinator's connections: the input of a
+// resident BuildBackend, whose canonical blocks keep its metrics
+// identical to a fabric build's.
 func stageBlocks(mach *cgm.Machine, blocks [][]geom.Point) error {
 	return forEachRank(mach.P(), func(rank int) error {
 		if _, err := cgm.ResidentCall[bool, bool](mach, rank, fref("ingest/begin"), false); err != nil {
@@ -101,16 +104,17 @@ func stageBlocks(mach *cgm.Machine, blocks [][]geom.Point) error {
 	})
 }
 
-// buildStaged runs the held construction over already-staged input,
-// converting a machine abort (worker death, skew) into an error so a
-// caller can fail fast and retry on a fresh machine.
-func buildStaged(mach *cgm.Machine, dims, total int, be Backend) (t *Tree, err error) {
+// buildStaged runs the construction over staged input — blocks on a
+// fabric machine, the ranks' parts on a resident one — converting a
+// machine abort (worker death, skew) into an error so a caller can fail
+// fast and retry on a fresh machine.
+func buildStaged(mach *cgm.Machine, dims, total int, be Backend, blocks [][]geom.Point) (t *Tree, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("core: worker-fed build aborted: %v", r)
 		}
 	}()
-	return build(mach, total, dims, be, nil), nil
+	return build(mach, total, dims, be, blocks), nil
 }
 
 // IngestConfig parametrises a streaming bulk load.
@@ -126,59 +130,47 @@ type IngestConfig struct {
 	MaxShare float64
 }
 
-// BulkLoad streams src into the machine's workers and builds a tree
-// from the staged input. Chunk i goes to rank i%p — the arbitrary
-// initial distribution Construct step 1 allows; the sample sort
-// normalizes it. Each rank has its own feeder goroutine with a
-// window-deep channel, so a slow rank backpressures the reader while the
-// others keep streaming.
+// BulkLoad streams src into the machine's ranks and builds a tree from
+// the staged input. Chunk i goes to rank i%p — the arbitrary initial
+// distribution Construct step 1 allows; the sample sort normalizes it —
+// and each rank stages its chunks in arrival order, on both residencies,
+// so a fabric and a resident load of one stream build the same tree with
+// the same Metrics.
 //
-// On a resident machine each feeder holds a DIRECT connection to its rank
-// pushing chunks under an independent in-flight window — the
+// On a resident machine each rank has its own feeder goroutine with a
+// window-deep channel, so a slow rank backpressures the reader while the
+// others keep streaming. Each feeder holds a DIRECT connection to its
+// rank pushing chunks under an independent in-flight window — the
 // coordinator's session connections carry only the ingest-begin control
 // calls and the construction's p² splitters, so aggregate ingest
 // bandwidth scales with p. A feed failure (worker death, step error, a
 // resident transport without feeds) poisons the machine: the session
 // aborts with the diagnostic rather than surviving half-staged. On a
-// non-resident machine the stream is accumulated and built
-// coordinator-fed.
+// fabric machine the reader appends each chunk to its rank's block.
 func BulkLoad(mach *cgm.Machine, src ChunkSource, be Backend, cfg IngestConfig) (*Tree, error) {
-	if !mach.Resident() {
-		var pts []geom.Point
-		for {
-			blk, err := src.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return nil, err
-			}
-			pts = append(pts, blk...)
-		}
-		if len(pts) == 0 {
-			return nil, errors.New("core: bulk load delivered no points")
-		}
-		return buildRecovered(mach, pts, be)
-	}
 	if cfg.Window <= 0 {
 		cfg.Window = DefaultWindow
 	}
 	p := mach.P()
-	feed := make([]chan []geom.Point, p)
-	for rank := range feed {
-		feed[rank] = make(chan []geom.Point, cfg.Window)
-	}
+	blocks := make([][]geom.Point, p)
+	sink := func(rank int, blk []geom.Point) { blocks[rank] = append(blocks[rank], blk...) }
+	var feed []chan []geom.Point
 	errs := make([]error, p)
 	sent := make([]int, p)   // points the reader handed each rank
 	staged := make([]int, p) // points each rank's feed acknowledged staging
 	stageT0 := time.Now()
 	var wg sync.WaitGroup
-	for rank := range p {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[rank], staged[rank] = feedRank(mach, rank, cfg, feed[rank], &sent[rank])
-		}()
+	if mach.Resident() {
+		feed = make([]chan []geom.Point, p)
+		for rank := range p {
+			feed[rank] = make(chan []geom.Point, cfg.Window)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[rank], staged[rank] = feedRank(mach, rank, cfg, feed[rank], &sent[rank])
+			}()
+		}
+		sink = func(rank int, blk []geom.Point) { feed[rank] <- blk }
 	}
 	dims, total := -1, 0
 	var srcErr error
@@ -205,7 +197,7 @@ read:
 			}
 		}
 		total += len(blk)
-		feed[i%p] <- blk
+		sink(i%p, blk)
 	}
 	for _, ch := range feed {
 		close(ch)
@@ -239,7 +231,10 @@ read:
 	if total == 0 {
 		return nil, errors.New("core: bulk load delivered no points")
 	}
-	return buildStaged(mach, dims, total, be)
+	if dims < 1 {
+		return nil, errors.New("core: points need at least one dimension")
+	}
+	return buildStaged(mach, dims, total, be, blocks)
 }
 
 // encodeChunk wire-encodes one ingest chunk into buf (appending), so a
@@ -313,31 +308,25 @@ func feedRank(mach *cgm.Machine, rank int, cfg IngestConfig, ch <-chan []geom.Po
 }
 
 // BulkLoadFiles builds a tree from one pointsfile per rank — the
-// partitioned-input layout of a cluster whose workers each own a shard.
-// The coordinator never opens the files: counts and dimensionalities
-// come back in the ingest replies.
+// partitioned-input layout of a cluster whose workers each own a shard:
+// rank r starts Construct from shard r. On a resident machine the
+// coordinator never opens the files: counts and dimensionalities come
+// back in the ingest replies. On a fabric machine shard r is read into
+// rank r's block.
 func BulkLoadFiles(mach *cgm.Machine, paths []string, be Backend) (*Tree, error) {
 	p := mach.P()
 	if len(paths) != p {
 		return nil, fmt.Errorf("core: %d shard files for a %d-rank machine", len(paths), p)
 	}
-	if !mach.Resident() {
-		var pts []geom.Point
-		for _, path := range paths {
-			shard, _, err := pointsfile.Read(path)
-			if err != nil {
-				return nil, err
-			}
-			pts = append(pts, shard...)
-		}
-		if len(pts) == 0 {
-			return nil, errors.New("core: empty point set")
-		}
-		return buildRecovered(mach, pts, be)
-	}
+	blocks := make([][]geom.Point, p)
 	counts := make([]int, p)
 	dims := make([]int, p)
 	err := forEachRank(p, func(rank int) error {
+		if !mach.Resident() {
+			pts, d, err := pointsfile.Read(paths[rank])
+			blocks[rank], counts[rank], dims[rank] = pts, len(pts), d
+			return err
+		}
 		if _, err := cgm.ResidentCall[bool, bool](mach, rank, fref("ingest/begin"), false); err != nil {
 			return err
 		}
@@ -366,5 +355,5 @@ func BulkLoadFiles(mach *cgm.Machine, paths []string, be Backend) (*Tree, error)
 	if total == 0 {
 		return nil, errors.New("core: empty point set")
 	}
-	return buildStaged(mach, d, total, be)
+	return buildStaged(mach, d, total, be, blocks)
 }

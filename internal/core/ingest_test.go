@@ -117,6 +117,68 @@ func TestBulkLoadFile(t *testing.T) {
 	}
 }
 
+// TestBulkLoadEquivalence: a fabric and a resident machine that bulk-load
+// the same input — a 500-point stream in 37-point chunks, and four
+// uneven shard files — stage the same block on every rank (chunks in
+// arrival order, shard r on rank r), so Construct starts from the same
+// blocks and both residencies build the same tree: identical answers and
+// identical construct Metrics (label, max h and volume per round).
+func TestBulkLoadEquivalence(t *testing.T) {
+	n, d, p := 500, 2, 4
+	pts := workload.Points(workload.PointSpec{N: n, Dims: d, Dist: workload.Uniform, Seed: 11})
+	dir := t.TempDir()
+	shards := make([]string, p)
+	cuts := []int{0, 23, 334, 431, n} // uneven on purpose: 23, 311, 97, 69
+	for rank := range shards {
+		shards[rank] = filepath.Join(dir, fmt.Sprintf("shard-%d.drpf", rank))
+		if err := pointsfile.Save(shards[rank], pts[cuts[rank]:cuts[rank+1]]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	boxes := workload.Boxes(workload.QuerySpec{M: 40, Dims: d, N: n, Selectivity: 0.1, Seed: 5})
+	for _, c := range []struct {
+		name string
+		load func(*cgm.Machine) (*core.Tree, error)
+	}{
+		{"stream", func(m *cgm.Machine) (*core.Tree, error) {
+			return core.BulkLoad(m, core.SliceChunks(pts, 37), core.BackendLayered, core.IngestConfig{Window: 2})
+		}},
+		{"shards", func(m *cgm.Machine) (*core.Tree, error) {
+			return core.BulkLoadFiles(m, shards, core.BackendLayered)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			fabM, resM := cgm.New(cgm.Config{P: p}), cgm.New(cgm.Config{P: p, Resident: true})
+			fab, err := c.load(fabM)
+			if err != nil {
+				t.Fatalf("fabric load: %v", err)
+			}
+			res, err := c.load(resM)
+			if err != nil {
+				t.Fatalf("resident load: %v", err)
+			}
+			assertSameMetrics(t, "construct", fabM.Metrics(), resM.Metrics())
+			fc, rc := fab.CountBatch(boxes), res.CountBatch(boxes)
+			for i := range fc {
+				if fc[i] != rc[i] {
+					t.Fatalf("count %d: fabric %d resident %d", i, fc[i], rc[i])
+				}
+			}
+			fr, rr := fab.ReportBatch(boxes), res.ReportBatch(boxes)
+			for i := range fr {
+				if len(fr[i]) != len(rr[i]) {
+					t.Fatalf("report %d: fabric %d pts, resident %d", i, len(fr[i]), len(rr[i]))
+				}
+				for j := range fr[i] {
+					if fr[i][j].ID != rr[i][j].ID {
+						t.Fatalf("report %d pt %d: fabric id %d resident id %d", i, j, fr[i][j].ID, rr[i][j].ID)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestPointsfileRoundTrip pins the on-disk format as the ingest path
 // reads it: save, then read back points and dimensionality.
 func TestPointsfileRoundTrip(t *testing.T) {

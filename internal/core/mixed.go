@@ -111,13 +111,24 @@ func (r *mixedRun[T]) copyAgg() (string, aggPart) {
 	return r.agg.h.name, r.agg.pa
 }
 
-// serveRouted answers every kind in the ONE fused route-and-serve
-// superstep of a resident tree: the phase-B partition is exchanged under
-// label, and the collect step partitions the routed column by op (the ops
-// vector rides the collect args) and returns the kinds in a single reply.
-// It returns the rank's served count (what a coordinator-side route
-// exchange would have received).
-func (r *mixedRun[T]) serveRouted(pr *cgm.Proc, label string, routed [][]subquery) int {
+// serveRouted is phase C, the ONE fused route-and-serve superstep: the
+// phase-B partition is exchanged under label and the routed column is
+// answered where it lands, every kind at once. On a fabric part the
+// column is answered here, query by query; on a resident tree (part nil)
+// the collect step partitions it by op (the ops vector rides the collect
+// args) and returns the kinds in a single reply. It returns the rank's
+// served count.
+func (r *mixedRun[T]) serveRouted(pr *cgm.Proc, part *forestPart, label string, routed [][]subquery) int {
+	if part != nil {
+		served := 0
+		for _, col := range cgm.Exchange(pr, label, routed) {
+			for _, s := range col {
+				r.answerSub(s)
+			}
+			served += len(col)
+		}
+		return served
+	}
 	args := mixedServeArgs{Ops: r.ops}
 	if r.agg != nil {
 		args.Agg = r.agg.h.name

@@ -19,23 +19,25 @@ import (
 
 // This file is a rank's forest part — the element point sets, their
 // sequential trees, the phase-B copies and caches, the aggregate
-// annotations, and a held construction's staged input and records — with
-// the one body of every operation on it, and the registered SPMD program
+// annotations, and a construction's staged input and records — with the
+// one body of every operation on it, and the registered SPMD program
 // ("core/forest") whose steps are thin adapters over those bodies.
 //
-// A fabric tree keeps each rank's part in coordinator memory
-// (procState.part) and calls the bodies directly. A resident tree
-// (cgm.Config.Resident) keeps it in the machine's exec store — worker
-// memory over TCP — and reaches it only through the steps: construction
-// stages Construct step 1's blocks there and runs held (sample sort,
-// routing and element build are steps), phase B ships copies
-// worker-to-worker (ExchangeSteps), and phase C is the fused route
-// collect (search/routeMixed), which answers the routed subqueries in the
-// superstep that delivers them, so only query boxes and result blocks
+// Both residencies run one rank program over the part. A fabric tree
+// keeps each rank's part in coordinator memory (procState.part) and calls
+// the bodies directly; a resident tree (cgm.Config.Resident) keeps it in
+// the machine's exec store — worker memory over TCP — and reaches it only
+// through the steps. onPart, onPartIn and exchangeOnPart are the dispatch:
+// a fabric superstep runs the emit body, cgm.Exchange and the collect
+// body, a resident one is cgm.ExchangeSteps. So construction runs held on
+// both (the sample sort, routing and element build work on the part's
+// records), and phase C is one fused route-and-serve superstep: the
+// fabric part answers the routed column where it lands, a resident part
+// in the search/routeMixed collect, so only query boxes and result blocks
 // cross the coordinator's wire. The coordinator keeps the hat, the
-// element metadata and the superstep structure either way, and both run
-// the same element code; on the loopback transport the steps run
-// in-process against the machine's local state stores.
+// element metadata and the superstep structure either way; on the
+// loopback transport the steps run in-process against the machine's local
+// state stores.
 
 // forestProgram names the registered program; forestVersion guards
 // against coordinator/worker binary skew.
@@ -62,11 +64,17 @@ type forestPart struct {
 	aggs map[string]aggPart
 
 	// staged is the rank's ingested-but-not-yet-built input block (the
-	// ingest steps append to it; construct/seed consumes it). recs is the
-	// working record set of a held construction — the rank-local S^(j)
-	// rows that the worker-side sample sort and routing steps transform.
+	// ingest steps append to it, a fabric construct hands it its block;
+	// construct/seed consumes it). recs is the working record set of the
+	// construction — the rank-local S^(j) rows that the sample sort and
+	// routing bodies transform.
 	staged []geom.Point
 	recs   []srec
+
+	// ctx is a fabric part's rank identity, what its bodies read of
+	// c.Rank and c.P (a resident part's steps get theirs from the exec
+	// store).
+	ctx exec.Ctx
 }
 
 func newForestPart(be Backend) *forestPart {
@@ -162,7 +170,7 @@ func (part *forestPart) servedCounts(subs []subquery) []qcount {
 }
 
 // servedReports answers report subqueries where the trees live; only
-// non-empty results return (as the fabric run keeps them).
+// non-empty results return.
 func (part *forestPart) servedReports(subs []subquery) []rlocal {
 	var rv reportVisitor
 	var out []rlocal
@@ -204,7 +212,7 @@ func (part *forestPart) stats() []elemStat {
 // part lives in the exec store. Resident calls must not overlap a run.
 func onPart[A, R any](t *Tree, rank int, step string, args A, body func(*forestPart, *exec.Ctx, A) (R, error)) (R, error) {
 	if part := t.procs[rank].part; part != nil {
-		return body(part, nil, args)
+		return body(part, &part.ctx, args)
 	}
 	return cgm.ResidentCall[A, R](t.mach, rank, fref(step), args)
 }
@@ -214,7 +222,32 @@ func onPartIn[A, R any](pr *cgm.Proc, part *forestPart, step string, args A, bod
 	if part == nil {
 		return cgm.CallResident[A, R](pr, fref(step), args)
 	}
-	r, err := body(part, nil, args)
+	r, err := body(part, &part.ctx, args)
+	if err != nil {
+		panic(err.Error())
+	}
+	return r
+}
+
+// exchangeOnPart is one superstep whose deposit the rank's part emits and
+// whose column the part collects, returning the collect's reply: on a
+// fabric part the emit body, cgm.Exchange and the collect body run here;
+// on a resident tree (part nil) it is cgm.ExchangeSteps over the
+// registered steps, so the rows never touch the coordinator. One round
+// with the same label and element counts either way; a failure aborts
+// the run.
+func exchangeOnPart[EA, CA, T, R any](pr *cgm.Proc, part *forestPart, label string,
+	emit string, eargs EA, emitBody func(*forestPart, *exec.Ctx, EA) ([][]T, []byte, error),
+	collect string, cargs CA, collectBody func(*forestPart, *exec.Ctx, CA, [][]T) (R, error)) R {
+	if part == nil {
+		_, r := cgm.ExchangeSteps[EA, CA, R](pr, label, fref(emit), eargs, fref(collect), cargs)
+		return r
+	}
+	out, _, err := emitBody(part, &part.ctx, eargs)
+	if err != nil {
+		panic(err.Error())
+	}
+	r, err := collectBody(part, &part.ctx, cargs, cgm.Exchange(pr, label, out))
 	if err != nil {
 		panic(err.Error())
 	}
@@ -254,7 +287,7 @@ type installCopiesArgs struct {
 	Agg   string
 }
 
-// serveArgs routes one rank's served subqueries to its resident part.
+// serveArgs carries one rank's served subqueries to its part.
 type serveArgs struct {
 	Subs []subquery
 }
@@ -304,19 +337,19 @@ type ingestReply struct {
 	Dims int8
 }
 
-// seedArgs turns the staged points into the held construction's S^(1)
+// seedArgs turns the staged points into the construction's S^(1)
 // records; Dims is the build's declared dimensionality to validate
 // against.
 type seedArgs struct {
 	Dims int8
 }
 
-// dimArgs names the dimension a held construct step works in.
+// dimArgs names the dimension a construct step works in.
 type dimArgs struct {
 	Dim int8
 }
 
-// nextHeldArgs drives Construct step 7 held: the dimension whose owned
+// nextHeldArgs drives Construct step 7: the dimension whose owned
 // elements emit S^(j+1), and the next phase's key table (nextTreeKeys),
 // which names the records' trees by ordinal.
 type nextHeldArgs struct {
@@ -332,7 +365,7 @@ type sortLocalReply struct {
 	Len     int
 }
 
-// wsortPartArgs drives the held sample sort's route emit: partition the
+// wsortPartArgs drives the sample sort's route emit: partition the
 // locally sorted records by the broadcast splitters.
 type wsortPartArgs struct {
 	Dim       int8
@@ -344,7 +377,7 @@ type lenReply struct {
 	Len int
 }
 
-// wsortBalanceArgs drives the held rebalance emit: cut the merged run at
+// wsortBalanceArgs drives the rebalance emit: cut the merged run at
 // the global block boundaries.
 type wsortBalanceArgs struct {
 	Offset, Total int
@@ -357,9 +390,9 @@ type balanceReply struct {
 	Runs []runSum
 }
 
-// routeHeldArgs drives the held construction's route emit (Construct
-// step 3 computed worker-side): the replicated tree summaries plus this
-// rank's global record offset.
+// routeHeldArgs drives the construction's route emit (Construct step 3
+// computed where the records live): the replicated tree summaries plus
+// this rank's global record offset.
 type routeHeldArgs struct {
 	Trees  []treeSum
 	Grain  int
@@ -455,10 +488,10 @@ func ingestFileStep(part *forestPart, _ *exec.Ctx, args ingestFileArgs) (ingestR
 	return ingestReply{N: len(pts), Dims: int8(dims)}, nil
 }
 
-// constructSeedStep is Construct step 1 on the resident side: the staged
-// points become the rank's S^(1) records (all under the hat root). It
-// consumes the staging area and returns the seeded count, which the
-// coordinator cross-checks against the declared n.
+// constructSeedStep is Construct step 1: the staged points become the
+// rank's S^(1) records (all under the hat root). It consumes the staging
+// area and returns the seeded count, which the coordinator cross-checks
+// against the declared n.
 func constructSeedStep(part *forestPart, _ *exec.Ctx, args seedArgs) (int, error) {
 	recs := make([]srec, len(part.staged))
 	for i, pt := range part.staged {
@@ -472,47 +505,46 @@ func constructSeedStep(part *forestPart, _ *exec.Ctx, args seedArgs) (int, error
 	return len(recs), nil
 }
 
-// sortLocalStep is the held sample sort's local phase: sort the rank's
-// records and return the p regular samples — the only point-bearing rows
-// the coordinator handles during a held construction.
+// sortLocalStep is the sample sort's local phase: sort the rank's records
+// and return the p regular samples — the only point-bearing rows the
+// coordinator handles during a construction.
 func sortLocalStep(part *forestPart, c *exec.Ctx, args dimArgs) (sortLocalReply, error) {
 	sortRecs(part.recs, int(args.Dim))
 	return sortLocalReply{Samples: psort.Samples(part.recs, c.P), Len: len(part.recs)}, nil
 }
 
-// wsortPartStep is the held sample sort's route emit: partition the
+// wsortPartStep is the sample sort's route emit: partition the
 // locally sorted records by the broadcast splitters (views into recs; the
 // merge collect of the same superstep replaces recs only after reading).
 func wsortPartStep(part *forestPart, c *exec.Ctx, args wsortPartArgs) ([][]srec, []byte, error) {
 	return psort.Partition(part.recs, args.Splitters, c.P, srecLess(int(args.Dim))), nil, nil
 }
 
-// wsortMergeStep is the held sample sort's merge collect: the routed runs
+// wsortMergeStep is the sample sort's merge collect: the routed runs
 // arrive sorted per source and merge into the rank's new record set.
 func wsortMergeStep(part *forestPart, _ *exec.Ctx, args dimArgs, in [][]srec) (lenReply, error) {
 	part.recs = psort.MergeRuns(in, srecLess(int(args.Dim)))
 	return lenReply{Len: len(part.recs)}, nil
 }
 
-// wsortSplitStep is the held rebalance emit: cut the merged run at the
+// wsortSplitStep is the rebalance emit: cut the merged run at the
 // global block boundaries (again views; the gather collect copies).
 func wsortSplitStep(part *forestPart, c *exec.Ctx, args wsortBalanceArgs) ([][]srec, []byte, error) {
 	return comm.BlockPartition(part.recs, args.Offset, args.Total, c.P), nil, nil
 }
 
-// wsortGatherStep is the held rebalance collect: concatenating the
-// sources in rank order preserves global order. It also computes the
-// tree runs, from which every rank derives the phase's trees — so the runs
-// all-gather exchanges the same rows as the fabric construct.
+// wsortGatherStep is the rebalance collect: concatenating the sources in
+// rank order preserves global order. It also computes the tree runs, from
+// which every rank derives the phase's trees.
 func wsortGatherStep(part *forestPart, _ *exec.Ctx, _ bool, in [][]srec) (balanceReply, error) {
 	part.recs = slices.Concat(in...)
 	return balanceReply{Len: len(part.recs), Runs: keyRuns(part.recs)}, nil
 }
 
-// routeHeldStep is Construct step 3's emit on the resident side: bucket
-// the rank's balanced records to their elements' owners. The record set
-// is consumed — the install collect of the same superstep builds the
-// phase's owned elements.
+// routeHeldStep is Construct step 3's emit: bucket the rank's balanced
+// records to their elements' owners. The record set is consumed — the
+// install collect of the same superstep builds the phase's owned
+// elements.
 func routeHeldStep(part *forestPart, c *exec.Ctx, args routeHeldArgs) ([][]epoint, []byte, error) {
 	out, err := routeRecords(part.recs, args.Trees, args.Grain, args.Offset, c.P)
 	if err != nil {
@@ -522,9 +554,8 @@ func routeHeldStep(part *forestPart, c *exec.Ctx, args routeHeldArgs) ([][]epoin
 	return out, nil, nil
 }
 
-// constructNextHeldStep is Construct step 7 for a held construction: the
-// S^(j+1) records stay in the rank's record set; only the count crosses
-// the seam.
+// constructNextHeldStep is Construct step 7: the S^(j+1) records stay in
+// the rank's record set; only the count crosses the seam.
 func constructNextHeldStep(part *forestPart, _ *exec.Ctx, args nextHeldArgs) (int, error) {
 	recs, err := part.nextRecords(args.Dim, args.Keys)
 	if err != nil {
@@ -568,14 +599,15 @@ func installCopiesStep(part *forestPart, c *exec.Ctx, args installCopiesArgs, in
 	return part.installCopies(c.Rank, args.Epoch, args.Cap, agg, incoming)
 }
 
-// serveCountStep is the out-of-run counting serve (SingleCount).
+// serveCountStep serves a single query's owned counting subqueries
+// (SingleCount).
 func serveCountStep(part *forestPart, _ *exec.Ctx, args serveArgs) ([]qcount, error) {
 	return part.servedCounts(args.Subs), nil
 }
 
 // decodeSubColumn decodes a routed subquery column for the raw fused-
 // serve collect, mirroring exec.Collector's loop (typed self payload
-// included), and flattens it in rank order like gatherServed.
+// included), and flattens it in rank order.
 func decodeSubColumn(c *exec.Ctx, inbox *exec.Inbox) ([]subquery, int, error) {
 	in := make([][]subquery, len(inbox.Blocks))
 	recv := 0
@@ -599,7 +631,7 @@ func decodeSubColumn(c *exec.Ctx, inbox *exec.Inbox) ([]subquery, int, error) {
 		in[j] = part
 		recv += len(part)
 	}
-	return gatherServed(nil, in), recv, nil
+	return slices.Concat(in...), recv, nil
 }
 
 // routeMixedStep is the fused route-and-serve collect of a search batch:

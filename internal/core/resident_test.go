@@ -208,7 +208,14 @@ func TestResidentAllPointsAndStats(t *testing.T) {
 			t.Fatalf("AllPoints order diverges at %d: %d vs %d", i, fp[i].ID, rp[i].ID)
 		}
 	}
-	fn, rn := fx.fab.ForestPartNodes(), fx.res.ForestPartNodes()
+	fn, err := fx.fab.ForestPartNodes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rn, err := fx.res.ForestPartNodes()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range fn {
 		if fn[i] != rn[i] {
 			t.Fatalf("ForestPartNodes[%d]: fabric %d resident %d", i, fn[i], rn[i])

@@ -14,9 +14,11 @@ import (
 //	         resolved inside the hat are answered by the query's kind, and
 //	         the queries that must visit the forest become the subquery
 //	         set Q″
-//	phase B  demand-balanced copying of congested forest parts and routing
-//	         of Q″ to the copy hosts (phaseB)
-//	phase C  sequential answering of the served subqueries on their hosts
+//	phase B  demand-balanced copying of congested forest parts and the
+//	         partition of Q″ by copy host (phaseB)
+//	phase C  routing of Q″ to the copy hosts, fused with the sequential
+//	         answering of the served subqueries where they land
+//	         (serveRouted)
 //	phase D  the result collectives of each kind the batch holds: count and
 //	         aggregate partials gather at each query's home, report pairs
 //	         are redistributed k/p per processor
@@ -152,20 +154,11 @@ func (fr *mixedFrame[T]) rank(pr *cgm.Proc) {
 	st.Subqueries = len(subs)
 
 	// Phase B: balance Q″ across copies of the demanded forest parts.
-	served, routed, routeLbl := t.phaseB(pr, ps, subs, run)
+	routed, routeLbl := t.phaseB(pr, ps, subs, run)
 
-	// Phase C: answer the subqueries this processor serves — locally
-	// on a fabric tree; on a resident tree the route exchange and the
-	// serving collapse into one superstep (the routed column is
-	// answered by the collect step where it lands).
-	if t.resident {
-		st.Served = run.serveRouted(pr, routeLbl, routed)
-	} else {
-		st.Served = len(served)
-		for _, s := range served {
-			run.answerSub(s)
-		}
-	}
+	// Phase C: the route exchange and the serving are one superstep; the
+	// routed column is answered where it lands.
+	st.Served = run.serveRouted(pr, ps.part, routeLbl, routed)
 
 	// Phase D: the result collectives of the kinds the batch holds.
 	run.finish(pr)

@@ -352,20 +352,6 @@ func (part *forestPart) installCopies(host int, epoch uint64, cap int, agg aggPa
 	return rep, nil
 }
 
-// gatherServed flattens the routed subqueries this processor received
-// into one arena-backed list.
-func gatherServed(a *cgm.Arena, parts [][]subquery) []subquery {
-	total := 0
-	for _, part := range parts {
-		total += len(part)
-	}
-	mine := cgm.Alloc[subquery](a, total)[:0]
-	for _, part := range parts {
-		mine = append(mine, part...)
-	}
-	return mine
-}
-
 // partitionSubs buckets the subqueries by destination: dest is resolved
 // in a first pass (called once per subquery, in order — it may be
 // stateful) so the buckets are carved from the arena at their exact final
@@ -388,15 +374,6 @@ func partitionSubs(a *cgm.Arena, p int, subs []subquery, dest func(i int, s subq
 	return routed
 }
 
-// routeExact implements Search step 4's redistribution on the fabric
-// path: partition, exchange, flatten. On a resident tree the same
-// partition instead feeds the fused route-and-serve superstep, whose
-// collect answers the column where it lands (phase C of mixedFrame.rank).
-func routeExact(pr *cgm.Proc, label string, subs []subquery, dest func(i int, s subquery) int) []subquery {
-	a := pr.Arena()
-	return gatherServed(a, cgm.Exchange(pr, label, partitionSubs(a, pr.P(), subs, dest)))
-}
-
 // phaseB implements Algorithm Search steps 2–4: globally count the demand
 // |QF_j| per forest group, make c_j copies of congested groups, distribute
 // the copies evenly, and redistribute Q″ so every subquery lands on a
@@ -412,12 +389,11 @@ func routeExact(pr *cgm.Proc, label string, subs []subquery, dest func(i int, s 
 // (advertised), so an owner ships points only to hosts that do not
 // already hold the copy — no extra round.
 //
-// On a fabric tree the route exchange runs here and served holds this
-// processor's share (routed is nil). On a resident tree the exchange is
-// deferred: phaseB returns the partitioned buckets plus the label the
-// run's fused route-and-serve superstep must use, so routing and phase
-// C collapse into one round with no separate serve dispatch.
-func (t *Tree) phaseB(pr *cgm.Proc, ps *procState, subs []subquery, run procRun) (served []subquery, routed [][]subquery, routeLbl string) {
+// The route exchange itself is deferred: phaseB returns the partitioned
+// buckets plus the label the run's fused route-and-serve superstep must
+// use (serveRouted), so routing and phase C are one round with no
+// separate serve dispatch.
+func (t *Tree) phaseB(pr *cgm.Proc, ps *procState, subs []subquery, run procRun) (routed [][]subquery, routeLbl string) {
 	if t.balanceMode == ElementLevel {
 		return t.phaseBElement(pr, ps, subs, run)
 	}
@@ -474,10 +450,7 @@ func (t *Tree) phaseB(pr *cgm.Proc, ps *procState, subs []subquery, run procRun)
 		seen[j]++
 		return plan.Route(j, r)
 	}
-	if t.resident {
-		return nil, partitionSubs(a, p, subs, dest), lbl.route
-	}
-	return routeExact(pr, lbl.route, subs, dest), nil, ""
+	return partitionSubs(a, p, subs, dest), lbl.route
 }
 
 // keepDemand records the batch's per-owner demand vector in tree-owned
@@ -536,7 +509,7 @@ const advertRow int32 = -1
 
 // phaseBElement is the ElementLevel variant of phaseB: demand, copies and
 // routing all work per forest element.
-func (t *Tree) phaseBElement(pr *cgm.Proc, ps *procState, subs []subquery, run procRun) (served []subquery, routed [][]subquery, routeLbl string) {
+func (t *Tree) phaseBElement(pr *cgm.Proc, ps *procState, subs []subquery, run procRun) (routed [][]subquery, routeLbl string) {
 	p, a, lbl := pr.P(), pr.Arena(), searchLabels
 
 	// Demand per element, exchanged sparsely, then the advertised IDs.
@@ -608,8 +581,5 @@ func (t *Tree) phaseBElement(pr *cgm.Proc, ps *procState, subs []subquery, run p
 		perElem[s.Elem]++
 		return plan.Route(int(s.Elem), r)
 	}
-	if t.resident {
-		return nil, partitionSubs(a, p, subs, dest), lbl.eroute
-	}
-	return routeExact(pr, lbl.eroute, subs, dest), nil, ""
+	return partitionSubs(a, p, subs, dest), lbl.eroute
 }

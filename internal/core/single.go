@@ -28,7 +28,7 @@ func (t *Tree) SingleCount(b geom.Box) int64 {
 	t.mach.Run(func(pr *cgm.Proc) {
 		ps := t.procs[pr.Rank()]
 		var local int64
-		var mine []subquery // resident: batched into one serve step
+		var mine []subquery // the owned subqueries, served in one call
 		ps.hatSearchFunc(t, Query{ID: 0, Box: b},
 			func(s hatSel) {
 				// The hat is replicated: only rank 0 counts hat
@@ -46,17 +46,12 @@ func (t *Tree) SingleCount(b geom.Box) int64 {
 			func(s subquery) {
 				// Ownership partitions the forest: serve only my own
 				// elements, with no copying round at all.
-				if int(ps.info[int(s.Elem)].Owner) != pr.Rank() {
-					return
-				}
-				if t.resident {
+				if int(ps.info[int(s.Elem)].Owner) == pr.Rank() {
 					mine = append(mine, s)
-					return
 				}
-				local += int64(ps.part.elems[s.Elem].tree.Count(s.Box))
 			})
-		if t.resident && len(mine) > 0 {
-			for _, v := range cgm.CallResident[serveArgs, []qcount](pr, fref("search/serveCount"), serveArgs{Subs: mine}) {
+		if len(mine) > 0 {
+			for _, v := range onPartIn(pr, ps.part, "search/serveCount", serveArgs{Subs: mine}, serveCountStep) {
 				local += v.Val
 			}
 		}

@@ -348,19 +348,19 @@ func (t *Tree) HatTreeCount() int { return len(t.procs[0].hat) }
 // ForestPartNodes reports, per processor, the total node count of the
 // owned forest elements — the |F_i| of Theorem 1(ii). It reads each
 // rank's part (onPart), so on a resident tree it must not overlap a
-// machine run; a failure aborts like a machine abort would.
-func (t *Tree) ForestPartNodes() []int {
+// machine run, and a lost worker is an error naming its rank.
+func (t *Tree) ForestPartNodes() ([]int, error) {
 	nodes := make([]int, t.P())
 	for rank := range nodes {
 		stats, err := onPart(t, rank, "stats/elems", false, elemStatsStep)
 		if err != nil {
-			panic(fmt.Sprintf("core: element stats: %v", err))
+			return nil, fmt.Errorf("core: element stats: %w", err)
 		}
 		for _, st := range stats {
 			nodes[rank] += st.Nodes
 		}
 	}
-	return nodes
+	return nodes, nil
 }
 
 // ElemCount reports the number of forest elements.

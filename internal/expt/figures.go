@@ -85,7 +85,10 @@ func F3() *Table {
 		}
 	}
 	t.AddRow("dimension-one forest elements (want p)", dim0)
-	parts := dt.ForestPartNodes()
+	parts, err := dt.ForestPartNodes()
+	if err != nil {
+		panic(err)
+	}
 	for i, s := range parts {
 		t.AddRow(fmt.Sprintf("|F_%d| (nodes at processor %d)", i, i), s)
 	}

@@ -76,7 +76,10 @@ func T1(sc Scale) *Table {
 				mach := cgm.New(cgm.Config{P: p})
 				dt := core.Build(mach, pts)
 				hat := dt.HatNodeCount()
-				parts := dt.ForestPartNodes()
+				parts, err := dt.ForestPartNodes()
+				if err != nil {
+					panic(err)
+				}
 				mx := 0
 				for _, x := range parts {
 					if x > mx {

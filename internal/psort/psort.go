@@ -7,10 +7,10 @@
 // paper also makes).
 //
 // The phases — local sort, sample selection, splitter derivation,
-// partition, merge — are exported individually. Both of core's construct
-// paths run them around their own keyed local sort of the S^j records: the
-// fabric phase in the machine run, the held phase as worker-side steps
-// with only the p² samples and splitters crossing the coordinator.
+// partition, merge — are exported individually. core's construct runs them
+// around its own keyed local sort of the S^j records, on the rank's forest
+// part (worker-side steps on a resident machine), with only the p² samples
+// and splitters crossing the coordinator.
 //
 // Every less a caller passes must be a strict total order: no two distinct
 // elements compare equal (break ties — e.g. by point ID). Under that

@@ -21,14 +21,6 @@ import (
 // Index is still provided for small trees and for the tests that verify
 // Definition 2 literally.
 
-// PathIndex is the paper's path_index(v) = ⟨index(v), level(v)⟩ restricted
-// to one dimension: the heap index of v within its own segment tree,
-// together with the Index of the tree's anchor (the node it descends from).
-type PathIndex struct {
-	Heap  uint64 // heap index of v within its segment tree (root = 1)
-	Level int    // paper's Level(v) inside its segment tree
-}
-
 // Index computes the paper's absolute Index of a node whose segment tree
 // is anchored at a node of absolute index anchor: descending δ levels from
 // the tree root multiplies the anchor by 2^δ and adds the heap offset.

@@ -751,25 +751,18 @@ func (s *Store) Compact() {
 }
 
 // buildLevel builds one level tree on a fresh machine from the store's
-// provider, converting machine aborts (panics by cgm contract — e.g. a
-// TCP cluster losing a worker mid-build) into errors the compactor can
-// record instead of crashing the process. On a resident machine
-// BuildBackend stages the points into the workers first and the
+// provider. A machine abort (e.g. a TCP cluster losing a worker
+// mid-build) returns as an error the compactor can record. On a resident
+// machine BuildOn stages the points into the workers first and the
 // construction runs held: the compactor's rebuild mass crosses the
 // coordinator once as raw ingest chunks and never again — every
 // sample-sort and routing exchange of the build stays on the worker
 // mesh.
-func (s *Store) buildLevel(pts []geom.Point) (t *core.Tree, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("store: level build aborted: %v", r)
-		}
-	}()
-	mach, err := s.cfg.Provider.NewMachine()
+func (s *Store) buildLevel(pts []geom.Point) (*core.Tree, error) {
+	t, err := core.BuildOn(s.cfg.Provider, pts, core.BackendLayered)
 	if err != nil {
-		return nil, fmt.Errorf("store: level build machine: %w", err)
+		return nil, fmt.Errorf("store: level build: %w", err)
 	}
-	t = core.BuildBackend(mach, pts, core.BackendLayered)
 	s.builtPoints.Add(uint64(len(pts)))
 	return t, nil
 }

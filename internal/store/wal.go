@@ -214,9 +214,9 @@ func (s *Store) recover() error {
 		checkSeq = snap.Seq
 		s.seq = snap.Seq
 		if len(snap.Points) > 0 {
-			// buildLevel converts machine aborts (panics by cgm contract,
-			// e.g. a cluster worker dying mid-rebuild) into errors, so a
-			// bad cluster fails Open cleanly instead of crashing.
+			// buildLevel returns machine aborts (e.g. a cluster worker
+			// dying mid-rebuild) as errors, so a bad cluster fails Open
+			// cleanly instead of crashing.
 			built, err := s.buildLevel(snap.Points)
 			if err != nil {
 				return fmt.Errorf("store: rebuilding checkpoint: %w", err)

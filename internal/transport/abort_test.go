@@ -205,6 +205,84 @@ func TestBuildOnWorkerDeathIsAnError(t *testing.T) {
 	}
 }
 
+// TestStoreFlushWorkerDeathIsAnError: a durable store whose provider
+// loses worker 1 as the flush's level build starts records the abort as
+// the compaction error, naming the rank, on both residencies; mutations
+// then fail with it, and the store still closes.
+func TestStoreFlushWorkerDeathIsAnError(t *testing.T) {
+	pts := workload.Points(workload.PointSpec{N: 200, Dims: 2, Dist: workload.Uniform, Seed: 4})
+	for _, resident := range []bool{false, true} {
+		t.Run(fmt.Sprintf("resident=%t", resident), func(t *testing.T) {
+			workers, addrs := startWorkers(t, 2)
+			cl, err := transport.DialCluster(addrs, cgm.Config{Resident: resident})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			pv := killingProvider{Cluster: cl, kill: func() { workers[1].Close() }}
+			st, err := store.Open(t.TempDir(), store.Config{Dims: 2, Provider: pv, MemtableCap: 64, Sync: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.InsertBatch(pts); err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan struct{})
+			go func() {
+				st.Compact()
+				close(done)
+			}()
+			select {
+			case <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatal("the flush deadlocked after losing a worker")
+			}
+			msg := st.Stats().CompactErr
+			t.Logf("diagnostic: %s", msg)
+			if !strings.Contains(msg, "rank 1") && !strings.Contains(msg, "worker 1") {
+				t.Fatalf("the flush error does not name rank 1: %q", msg)
+			}
+			fresh := []geom.Point{{ID: 10_000, X: []geom.Coord{1, 2}}}
+			if _, err := st.InsertBatch(fresh); err == nil || !strings.Contains(err.Error(), "compaction failed") {
+				t.Fatalf("mutation after a failed flush: %v, want the compaction error", err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatalf("close after a failed flush: %v", err)
+			}
+		})
+	}
+}
+
+// TestForestPartNodesAfterWorkerDeathIsAnError: the per-rank forest sizes
+// of a resident tree whose worker 1 is gone are an error naming the rank,
+// not a process panic.
+func TestForestPartNodesAfterWorkerDeathIsAnError(t *testing.T) {
+	workers, addrs := startWorkers(t, 2)
+	cl, err := transport.DialCluster(addrs, cgm.Config{Resident: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	pts := workload.Points(workload.PointSpec{N: 200, Dims: 2, Dist: workload.Uniform, Seed: 4})
+	tree, err := core.BuildOn(cl, pts, core.BackendLayered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tree.ForestPartNodes(); err != nil {
+		t.Fatalf("forest sizes on a healthy cluster: %v", err)
+	}
+
+	workers[1].Close()
+
+	_, err = tree.ForestPartNodes()
+	if err == nil {
+		t.Fatal("forest sizes over a dead resident worker succeeded")
+	}
+	if !strings.Contains(err.Error(), "rank 1") {
+		t.Fatalf("the error does not name rank 1: %v", err)
+	}
+}
+
 // TestAbortBeforeFirstDepositFreesWorkers: when a rank dies before its
 // first deposit of a run, the other ranks' workers are stuck collecting
 // a block that will never be routed (the dead rank's worker dialed no
