@@ -24,7 +24,9 @@ func (c searchCost) String() string {
 // AggHandle.Batch and ReportBatch are one-kind MixedBatch calls, so a
 // MixedBatch holding only one kind must cost exactly what that mode costs:
 // phase D runs a kind's collectives only when the batch holds the kind.
-// The three-kind batch pays all of them once.
+// The three-kind batch pays all of them once. The ElementLevel rows pin
+// the finer balance granularity on the same shape: its demand round is
+// sparse per element, so its volume differs, but its rounds do not.
 func TestSearchGolden(t *testing.T) {
 	const n, d, p, m = 4096, 2, 4, 128
 	pts := workload.Points(workload.PointSpec{N: n, Dims: d, Dist: workload.Clustered, Seed: 3})
@@ -34,6 +36,11 @@ func TestSearchGolden(t *testing.T) {
 		"AggHandle.Batch": {4, 62, 411},
 		"ReportBatch":     {6, 2300, 5676},
 		"MixedBatch/all":  {8, 610, 1979},
+	}
+	wantElem := map[string]searchCost{
+		"CountBatch":     {4, 62, 401},
+		"ReportBatch":    {6, 2300, 5666},
+		"MixedBatch/all": {8, 610, 1969},
 	}
 	// Each one-kind MixedBatch row must equal its mode's row.
 	sameAs := map[core.MixedOp]string{
@@ -83,6 +90,10 @@ func TestSearchGolden(t *testing.T) {
 				got := measure(func(b []geom.Box) { core.MixedBatch(tree, h, ops, b) })
 				check("MixedBatch/"+op.String(), got, want[sameAs[op]])
 			}
+			tree.SetBalanceMode(core.ElementLevel)
+			check("ElementLevel/CountBatch", measure(func(b []geom.Box) { tree.CountBatch(b) }), wantElem["CountBatch"])
+			check("ElementLevel/ReportBatch", measure(func(b []geom.Box) { tree.ReportBatch(b) }), wantElem["ReportBatch"])
+			check("ElementLevel/MixedBatch/all", measure(func(b []geom.Box) { core.MixedBatch(tree, h, cycling, b) }), wantElem["MixedBatch/all"])
 		})
 	}
 }
