@@ -33,6 +33,7 @@ var exportAllowList = map[string]string{
 
 	// Operations the paper names.
 	"comm.SegmentedBroadcast":   "the paper's segmented broadcast, one of §1's standard operations",
+	"comm.SegmentedGather":      "the paper's segmented gather, one of §1's standard operations",
 	"comm.Scan":                 "the paper's partial sum, one of §1's standard operations",
 	"rangetree.Tree.Selections": "the paper's selection count for a sequential query",
 }

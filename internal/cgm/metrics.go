@@ -26,8 +26,9 @@ type RoundStat struct {
 }
 
 // maxRoundLog bounds the per-round detail a Metrics retains: a serving
-// machine folds nine rounds per batch for as long as it lives, so the log
-// is a window over the most recent rounds while the totals stay exact.
+// machine folds three or four rounds per batch for as long as it lives, so
+// the log is a window over the most recent rounds while the totals stay
+// exact.
 const maxRoundLog = 4096
 
 // Metrics accumulates rounds and per-processor work across runs. The

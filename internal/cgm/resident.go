@@ -2,7 +2,6 @@ package cgm
 
 import (
 	"fmt"
-	"reflect"
 
 	"repro/internal/exec"
 	"repro/internal/obs"
@@ -11,14 +10,13 @@ import (
 
 // This file is the machine-side half of worker-resident execution
 // (internal/exec): the transport contract for hosting per-rank program
-// state, and the three primitives SPMD programs use against it —
+// state, and the two primitives SPMD programs use against it —
 //
-//	CallResident         a pure remote step (no h-relation, no round)
-//	ExchangeCollectRecv  deposit from the program, column consumed resident-side
-//	ExchangeSteps        deposit emitted AND column consumed resident-side
+//	CallResident   a pure remote step (no h-relation, no round)
+//	ExchangeSteps  deposit emitted AND column consumed resident-side
 //
-// The two exchange forms are ordinary supersteps to the machine: same
-// stamp discipline, same barrier structure, and sent/recv element counts
+// The exchange is an ordinary superstep to the machine: same stamp
+// discipline, same barrier structure, and sent/recv element counts
 // identical to a coordinator-side Exchange of the same rows — so Metrics
 // are byte-for-byte equal across {fabric, resident} by construction. What
 // residency changes is where the payload bytes originate and terminate:
@@ -120,64 +118,6 @@ func ResidentCall[A any, R any](m *Machine, rank int, ref exec.Ref, args A) (R, 
 	return exec.Unmarshal[R](b)
 }
 
-// ExchangeCollectRecv is a superstep whose deposit the program provides
-// (as typed rows, like Exchange) but whose assembled column is consumed
-// by a registered collect step where the rank's state lives; it returns
-// the collect step's reply and the rank's received element count — the
-// count a coordinator-side Exchange of the same rows would have observed
-// locally, which keeps the fused route-and-serve supersteps'
-// SearchStats.Served exact without a separate accounting round. Exactly
-// one communication round, with the same label, stamp and element counts
-// as Exchange of the same rows.
-func ExchangeCollectRecv[T any, A any, R any](pr *Proc, label string, out [][]T, collect exec.Ref, cargs A) (R, int) {
-	m := pr.m
-	if len(out) != m.p {
-		panic(fmt.Sprintf("cgm: %s: out has %d destinations, machine has %d", label, len(out), m.p))
-	}
-	pr.residentTransport("ExchangeCollectRecv")
-	pr.closeSegment()
-	pr.releaseToken()
-
-	dep := ResidentDeposit{
-		Seq:         pr.opSeq,
-		Label:       label,
-		Type:        reflect.TypeOf((*T)(nil)).Elem().String(),
-		Collect:     AllocOne(&pr.arena, collect),
-		CollectArgs: exec.Marshal(cargs),
-	}
-	pr.opSeq++
-	sent := 0
-	for _, s := range out {
-		sent += len(s)
-	}
-	dep.Sent = sent
-	blocks := Alloc[[]byte](&pr.arena, len(out))
-	buf := wire.GetBuf()
-	for j, part := range out {
-		// The self slot is encoded too: the consumer is resident-side.
-		start := len(buf)
-		var err error
-		buf, err = wire.Encode(buf, part)
-		if err != nil {
-			m.fail(fmt.Sprintf("cgm: %s: encoding payload: %v", StampOf(label, dep.Seq), err))
-		}
-		blocks[j] = buf[start:len(buf):len(buf)]
-	}
-	dep.Blocks = blocks
-
-	rep := pr.runResident(label, dep)
-	// runResident's closing barrier means every rank's collect step has
-	// consumed its column; the deposit buffer can be pooled again, and the
-	// arena-held block headers must stop referring to it.
-	clear(blocks)
-	wire.PutBuf(buf)
-	r, err := exec.Unmarshal[R](rep.Reply)
-	if err != nil {
-		m.fail(fmt.Sprintf("cgm: %s: decoding collect reply: %v", StampOf(label, dep.Seq), err))
-	}
-	return r, rep.Recv
-}
-
 // ExchangeSteps is a superstep whose deposit is produced by a registered
 // emit step AND whose column is consumed by a registered collect step,
 // both where the rank's state lives — the payload never touches the
@@ -190,17 +130,29 @@ func ExchangeSteps[EA any, CA any, R any](pr *Proc, label string, emit exec.Ref,
 	pr.closeSegment()
 	pr.releaseToken()
 
+	// Both argument blocks go into one pooled buffer: the steps decode
+	// them into values of their own, and runResident's closing barrier
+	// means every rank's steps have run.
+	buf, err := wire.Encode(wire.GetBuf(), eargs)
+	split := len(buf)
+	if err == nil {
+		buf, err = wire.Encode(buf, cargs)
+	}
+	if err != nil {
+		m.fail(fmt.Sprintf("cgm: %s: encoding step args: %v", StampOf(label, pr.opSeq), err))
+	}
 	dep := ResidentDeposit{
 		Seq:         pr.opSeq,
 		Label:       label,
 		Emit:        AllocOne(&pr.arena, emit),
-		EmitArgs:    exec.Marshal(eargs),
+		EmitArgs:    buf[:split:split],
 		Collect:     AllocOne(&pr.arena, collect),
-		CollectArgs: exec.Marshal(cargs),
+		CollectArgs: buf[split:],
 	}
 	pr.opSeq++
 
 	rep := pr.runResident(label, dep)
+	wire.PutBuf(buf)
 	r, err := exec.Unmarshal[R](rep.Reply)
 	if err != nil {
 		m.fail(fmt.Sprintf("cgm: %s: decoding collect reply: %v", StampOf(label, dep.Seq), err))
@@ -209,8 +161,8 @@ func ExchangeSteps[EA any, CA any, R any](pr *Proc, label string, emit exec.Ref,
 }
 
 // runResident performs the transport exchange and the superstep's
-// accounting tail (counts, metrics fold, barrier discipline) shared by
-// both resident exchange forms. The caller has already closed its local
+// accounting tail (counts, metrics fold, barrier discipline) of a
+// resident exchange. The caller has already closed its local
 // segment and released the run token.
 func (pr *Proc) runResident(label string, dep ResidentDeposit) ResidentReply {
 	m := pr.m

@@ -53,60 +53,6 @@ func init() {
 
 func rtRef(step string) exec.Ref { return exec.Ref{Program: "cgm-test", Version: 1, Step: step} }
 
-// TestResidentExchangeCollect: deposits made coordinator-side land in the
-// resident state, and the round accounting matches a fabric Exchange of
-// the same rows.
-func TestResidentExchangeCollect(t *testing.T) {
-	p := 4
-	res := New(Config{P: p, Resident: true})
-	fab := New(Config{P: p})
-
-	var fabricIn [4][][]int
-	fab.Run(func(pr *Proc) {
-		out := make([][]int, p)
-		for j := range out {
-			out[j] = []int{pr.rank*10 + j}
-		}
-		fabricIn[pr.rank] = Exchange(pr, "fan", out)
-	})
-	res.Run(func(pr *Proc) {
-		out := make([][]int, p)
-		for j := range out {
-			out[j] = []int{pr.rank*10 + j}
-		}
-		n, _ := ExchangeCollectRecv[int, int, int](pr, "fan", out, rtRef("keep"), 7)
-		if n != p {
-			t.Errorf("rank %d: collect saw %d elements, want %d", pr.rank, n, p)
-		}
-	})
-
-	fm, rm := fab.Metrics(), res.Metrics()
-	if len(fm.Rounds) != len(rm.Rounds) {
-		t.Fatalf("round counts differ: fabric %d, resident %d", len(fm.Rounds), len(rm.Rounds))
-	}
-	for i := range fm.Rounds {
-		f, r := fm.Rounds[i], rm.Rounds[i]
-		if f.Label != r.Label || f.MaxH != r.MaxH || f.TotalElems != r.TotalElems || f.Final != r.Final {
-			t.Fatalf("round %d diverges: fabric %+v resident %+v", i, f, r)
-		}
-	}
-
-	// The resident state now holds each rank's column; verify via a pure
-	// step that it matches the fabric column plus the collect extra.
-	res.Run(func(pr *Proc) {
-		got := CallResident[struct{}, int](pr, rtRef("sum"), struct{}{})
-		want := 7
-		for _, part := range fabricIn[pr.rank] {
-			for _, v := range part {
-				want += v
-			}
-		}
-		if got != want {
-			t.Errorf("rank %d resident sum %d, want %d", pr.rank, got, want)
-		}
-	})
-}
-
 // TestResidentExchangeSteps: both endpoints resident; counts still match
 // the equivalent fabric exchange.
 func TestResidentExchangeSteps(t *testing.T) {

@@ -88,12 +88,12 @@ func TestRunAllocBudget(t *testing.T) {
 // measures 1 — the results; the caller-side state is the tree's kept run
 // frame and the ranks start from closures bound once — and the budget
 // leaves room for the runtime's own noise, nothing more. Resident measures
-// 123: what is left is the exec step codec and dispatch on the far side of
+// 101: what is left is the exec step codec and dispatch on the far side of
 // the residency seam (ROADMAP item 2), which fabric does not run, pinned
-// just above that.
+// 39 above that.
 const (
 	fabricFixedBudget   = 4
-	residentFixedBudget = 162
+	residentFixedBudget = 140
 )
 
 // TestConstructAllocBudget ratchets what Algorithm Construct allocates: a

@@ -221,8 +221,8 @@ func TestSearchRoundsConstantInN(t *testing.T) {
 	if r1 != r2 {
 		t.Errorf("search rounds vary with n: %d vs %d", r1, r2)
 	}
-	if r1 > 8 {
-		t.Errorf("search uses %d rounds, want a small constant", r1)
+	if r1 != 3 {
+		t.Errorf("a counting search uses %d rounds, want 3", r1)
 	}
 }
 

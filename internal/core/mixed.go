@@ -6,6 +6,7 @@ import (
 	"repro/internal/cgm"
 	"repro/internal/exec"
 	"repro/internal/geom"
+	"repro/internal/semigroup"
 )
 
 // MixedOp selects the result mode of one query in a mixed batch.
@@ -51,6 +52,7 @@ type MixedResult[T any] struct {
 // op, so one hat descent, one demand-balanced copy/route and one serving
 // sweep answer the whole batch.
 type mixedRun[T any] struct {
+	t       *Tree
 	ops     []MixedOp
 	results []MixedResult[T]
 	count   *countRun
@@ -61,13 +63,12 @@ type mixedRun[T any] struct {
 // start builds the rank's run in arena a, with a kind run for each kind
 // the batch holds.
 func (fr *mixedFrame[T]) start(a *cgm.Arena, ps *procState, st *SearchStats) *mixedRun[T] {
-	nq := len(fr.boxes)
-	r := cgm.AllocOne(a, mixedRun[T]{ops: fr.ops, results: fr.results})
+	r := cgm.AllocOne(a, mixedRun[T]{t: fr.t, ops: fr.ops, results: fr.results})
 	if fr.holds.has(OpCount) {
-		r.count = cgm.AllocOne(a, countRun{a: a, ps: ps, nq: nq})
+		r.count = cgm.AllocOne(a, countRun{a: a, ps: ps})
 	}
 	if fr.holds.has(OpAggregate) {
-		r.agg = cgm.AllocOne(a, assocRun[T]{a: a, h: fr.h, pa: fr.h.parts[ps.rank], ps: ps, nq: nq})
+		r.agg = cgm.AllocOne(a, assocRun[T]{a: a, h: fr.h, pa: fr.h.parts[ps.rank], ps: ps})
 	}
 	if fr.holds.has(OpReport) {
 		r.rep = cgm.AllocOne(a, reportRun{a: a, ps: ps, st: st,
@@ -111,30 +112,48 @@ func (r *mixedRun[T]) copyAgg() (string, aggPart) {
 	return r.agg.h.name, r.agg.pa
 }
 
-// serveRouted is phase C, the ONE fused route-and-serve superstep: the
-// phase-B partition is exchanged under label and the routed column is
-// answered where it lands, every kind at once. On a fabric part the
-// column is answered here, query by query; on a resident tree (part nil)
-// the collect step partitions it by op (the ops vector rides the collect
-// args) and returns the kinds in a single reply. It returns the rank's
-// served count.
-func (r *mixedRun[T]) serveRouted(pr *cgm.Proc, part *forestPart, label string, routed [][]subquery) int {
-	if part != nil {
-		served := 0
-		for _, col := range cgm.Exchange(pr, label, routed) {
-			for _, s := range col {
-				r.answerSub(s)
+// shipRoute is phase C, one superstep on both residencies
+// (exchangeOnPart): the rank's part emits its planned copies and its
+// routed subqueries, and each host's part installs the copies of its
+// column, then answers the column's subqueries. A fabric part answers
+// them here, query by query, into the kind runs; a resident part answers
+// them in the search/installServe collect, partitioned by op (the ops
+// vector rides the collect args), and its reply returns every kind at
+// once. It returns the rank's served count.
+func (r *mixedRun[T]) shipRoute(pr *cgm.Proc, ps *procState, label string, ships []hostShip, routed [][]subquery) int {
+	t, a := r.t, pr.Arena()
+	aggName, agg := r.copyAgg()
+	rep := exchangeOnPart(pr, ps.part, label,
+		"search/shipRoute", shipRouteArgs{Ships: ships, Routed: routed},
+		func(part *forestPart, c *exec.Ctx, args shipRouteArgs) ([][]routeRow, []byte, error) {
+			out, err := part.shipRoute(a, args.Ships, args.Routed, c.P)
+			return out, nil, err
+		},
+		"search/installServe", installServeArgs{Epoch: t.batchEpoch, Cap: t.copyCacheCapFor(ps), Agg: aggName, Ops: r.ops},
+		func(part *forestPart, c *exec.Ctx, args installServeArgs, in [][]routeRow) (installServeReply, error) {
+			rep, err := part.installCopies(c.Rank, args.Epoch, args.Cap, agg, in)
+			if err != nil {
+				return rep, err
 			}
-			served += len(col)
-		}
-		return served
-	}
-	args := mixedServeArgs{Ops: r.ops}
-	if r.agg != nil {
-		args.Agg = r.agg.h.name
-	}
-	rep, recv := cgm.ExchangeCollectRecv[subquery, mixedServeArgs, mixedServeReply](
-		pr, label, routed, fref("search/routeMixed"), args)
+			for _, col := range in {
+				for i := range col {
+					if col[i].IsSub {
+						r.answerSub(col[i].Sub)
+						rep.Serve.Served++
+					}
+				}
+			}
+			return rep, nil
+		})
+	t.bookCopies(ps, rep)
+	r.absorb(rep.Serve)
+	return rep.Serve.Served
+}
+
+// absorb takes the results a resident collect served into the kind runs.
+// A fabric part answered into the runs directly, and its reply carries
+// none.
+func (r *mixedRun[T]) absorb(rep mixedServeReply) {
 	if r.count != nil {
 		r.count.pairs = cgm.Append(r.count.a, r.count.pairs, rep.Counts...)
 	}
@@ -148,27 +167,119 @@ func (r *mixedRun[T]) serveRouted(pr *cgm.Proc, part *forestPart, label string, 
 	if r.rep != nil {
 		r.rep.locals = cgm.Append(r.rep.a, r.rep.locals, rep.Locals...)
 	}
-	return recv
 }
 
-// finish runs phase D for the kinds the batch holds: the count and
-// aggregate partials fold into their queries' home slots (disjoint across
-// processors), and the report pairs are redistributed. Every processor
-// calls it exactly once with the same kinds, so its collectives stay SPMD.
+// resultRow is one row of phase D's first superstep, which carries four
+// collectives at once: a count or aggregate partial to its query's home
+// processor, a report weight to every processor (the all-gather Algorithm
+// Report prefix-sums), or a whole-element report order to the element's
+// owner. N is the count, the weight, or the order's output offset within
+// its sender's block: the owner adds the sender's prefix, which the
+// weights of the same round give it, so a sender's weight row precedes
+// its orders. Every row is one element of the round, as it was in the
+// separate collectives.
+type resultRow[T any] struct {
+	Kind  rowKind
+	Query int32
+	Elem  ElemID
+	N     int64
+	Val   T
+}
+
+// rowKind tags a resultRow.
+type rowKind uint8
+
+const (
+	rowCount rowKind = iota
+	rowAgg
+	rowWeight
+	rowOrder
+)
+
+// finish runs phase D for the kinds the batch holds. One superstep moves
+// every partial, weight and order; the count and aggregate partials fold
+// into their queries' home slots (disjoint across processors), in source
+// order as they arrive. A batch holding reports then redistributes its
+// pairs (reportRun.deliver). Every processor calls it exactly once with
+// the same kinds, so its supersteps stay SPMD.
 func (r *mixedRun[T]) finish(pr *cgm.Proc) {
+	p, a, nq := pr.P(), pr.Arena(), len(r.ops)
+	sizes := cgm.Alloc[int](a, p)
 	if r.count != nil {
-		for _, v := range r.count.home(pr) {
-			r.results[v.Query].Count += v.Val
+		for _, v := range r.count.pairs {
+			sizes[homeOf(v.Query, nq, p)]++
 		}
 	}
 	if r.agg != nil {
-		m := r.agg.h.m
-		for _, v := range r.agg.home(pr) {
-			r.results[v.Query].Agg = m.Combine(r.results[v.Query].Agg, v.Val)
+		for _, v := range r.agg.pairs {
+			sizes[homeOf(v.Query, nq, p)]++
+		}
+	}
+	weight := 0
+	if r.rep != nil {
+		weight = r.rep.weigh()
+		for j := range sizes {
+			sizes[j]++
+		}
+		for _, o := range r.rep.orders {
+			sizes[r.rep.ps.info[int(o.Elem)].Owner]++
+		}
+	}
+	out := cgm.Alloc[[]resultRow[T]](a, p)
+	for j, n := range sizes {
+		out[j] = cgm.Alloc[resultRow[T]](a, n)[:0]
+	}
+	if r.count != nil {
+		for _, v := range r.count.pairs {
+			j := homeOf(v.Query, nq, p)
+			out[j] = append(out[j], resultRow[T]{Kind: rowCount, Query: v.Query, N: v.Val})
+		}
+	}
+	if r.agg != nil {
+		for _, v := range r.agg.pairs {
+			j := homeOf(v.Query, nq, p)
+			out[j] = append(out[j], resultRow[T]{Kind: rowAgg, Query: v.Query, Val: v.Val})
 		}
 	}
 	if r.rep != nil {
-		r.rep.finish(pr)
+		for j := range out {
+			out[j] = append(out[j], resultRow[T]{Kind: rowWeight, N: int64(weight)})
+		}
+		for _, o := range r.rep.orders {
+			j := r.rep.ps.info[int(o.Elem)].Owner
+			out[j] = append(out[j], resultRow[T]{Kind: rowOrder, Query: o.Query, Elem: o.Elem, N: int64(o.Off)})
+		}
+	}
+
+	var m semigroup.Monoid[T]
+	if r.agg != nil {
+		m = r.agg.h.m
+	}
+	var fetched []rorder
+	// before sums the weights of the sources read so far: it is the
+	// current source's output offset (srcOff) and, at this rank's own
+	// weight row, this rank's (prefix).
+	before, prefix, srcOff := 0, 0, 0
+	for src, col := range cgm.Exchange(pr, searchLabels.results, out) {
+		for _, row := range col {
+			switch row.Kind {
+			case rowCount:
+				r.results[row.Query].Count += row.N
+			case rowAgg:
+				r.results[row.Query].Agg = m.Combine(r.results[row.Query].Agg, row.Val)
+			case rowWeight:
+				srcOff = before
+				if src == pr.Rank() {
+					prefix = before
+				}
+				before += int(row.N)
+			case rowOrder:
+				fetched = cgm.Append(a, fetched, rorder{Query: row.Query, Elem: row.Elem, Off: srcOff + int(row.N)})
+			}
+		}
+	}
+	if r.rep != nil {
+		r.rep.deliver(pr, prefix, before, fetched)
 	}
 }
 

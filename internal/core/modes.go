@@ -50,7 +50,6 @@ type qcount struct {
 type countRun struct {
 	a     *cgm.Arena
 	ps    *procState
-	nq    int
 	pairs []qcount
 	cv    countVisitor // reused: phase C counting allocates nothing
 }
@@ -69,15 +68,6 @@ func (r *countRun) answerHat(q Query, s hatSel) {
 func (r *countRun) answerSub(s subquery) {
 	el := r.ps.part.lookup(s.Elem)
 	r.pairs = cgm.Append(r.a, r.pairs, qcount{Query: s.Query, Val: int64(elemCount(el, s.Box, &r.cv))})
-}
-
-// home gathers the partials at each query's home processor (home blocks
-// are disjoint across processors, so the caller may fold them into the
-// shared results without synchronisation).
-func (r *countRun) home(pr *cgm.Proc) []qcount {
-	return comm.SegmentedGather(pr, searchLabels.countHome, r.pairs, func(v qcount) int {
-		return homeOf(v.Query, r.nq, pr.P())
-	})
 }
 
 // CountBatch answers every query with |R(q)| — the counting special case
@@ -209,7 +199,6 @@ type assocRun[T any] struct {
 	h     *AggHandle[T]
 	pa    *partAgg[T]
 	ps    *procState
-	nq    int
 	pairs []qvalT[T]
 }
 
@@ -231,13 +220,6 @@ func (r *assocRun[T]) answerSub(s subquery) {
 	r.pairs = cgm.Append(r.a, r.pairs, qvalT[T]{Query: s.Query, Val: v})
 }
 
-// home gathers the partials at each query's home processor.
-func (r *assocRun[T]) home(pr *cgm.Proc) []qvalT[T] {
-	return comm.SegmentedGather(pr, searchLabels.aggHome, r.pairs, func(v qvalT[T]) int {
-		return homeOf(v.Query, r.nq, pr.P())
-	})
-}
-
 // Batch evaluates ⊗_{l∈R(q)} f(l) for every query (Algorithm
 // AssociativeFunction steps 2–5: search, pair up selections with their
 // f-values, combine per query).
@@ -257,14 +239,14 @@ type ReportPair struct {
 type rorder struct {
 	Query int32
 	Elem  ElemID
-	Off   int // global output offset, assigned in finish
+	Off   int // output offset: in the rank's block (weigh), then global
 }
 
 // rlocal is one served subquery's report hits, awaiting redistribution.
 type rlocal struct {
 	Query int32
 	Pts   []geom.Point
-	Off   int
+	Off   int // output offset in the rank's block (weigh)
 }
 
 // reportRun materializes (q, l) pairs: hat selections become whole-element
@@ -313,34 +295,31 @@ type reportEntry struct {
 	sh0, sh1 int
 }
 
-func (r *reportRun) finish(pr *cgm.Proc) {
-	ps, a := r.ps, r.a
-	p := pr.P()
-
-	// Phase D (Algorithm Report): weigh every selected tree by its leaf
-	// count, prefix-sum the weights, and redistribute so each processor
-	// materializes a contiguous ~k/p block of output.
-	myWeight := 0
-	for _, o := range r.orders {
-		myWeight += int(ps.info[int(o.Elem)].Count)
-	}
-	for _, l := range r.locals {
-		myWeight += len(l.Pts)
-	}
-	off, totalK := comm.CountScan(pr, searchLabels.weights, myWeight)
+// weigh is the report kind's share of phase D's first superstep
+// (Algorithm Report): every selected tree weighs its leaf count, and the
+// rank's output block lists the whole-element orders, then the served
+// hits. It numbers both within the block and returns the block's weight.
+func (r *reportRun) weigh() int {
+	off := 0
 	for i := range r.orders {
 		r.orders[i].Off = off
-		off += int(ps.info[int(r.orders[i].Elem)].Count)
+		off += int(r.ps.info[int(r.orders[i].Elem)].Count)
 	}
 	for i := range r.locals {
 		r.locals[i].Off = off
 		off += len(r.locals[i].Pts)
 	}
+	return off
+}
 
-	// Whole-element orders fetch their points from the owner.
-	fetched := comm.SegmentedGather(pr, searchLabels.fetch, r.orders, func(o rorder) int {
-		return int(ps.info[int(o.Elem)].Owner)
-	})
+// deliver is the rest of phase D for reports, once the weights are
+// prefix-summed (prefix is this rank's output offset, totalK the batch's
+// output size) and the orders sit with their elements' owners (fetched,
+// offsets global): every processor materializes a contiguous ~k/p block
+// of output.
+func (r *reportRun) deliver(pr *cgm.Proc, prefix, totalK int, fetched []rorder) {
+	ps, a := r.ps, r.a
+	p := pr.P()
 
 	// Ship every entry's points to the processors owning its output
 	// positions (the segmented broadcast of Algorithm Report step 4).
@@ -355,7 +334,7 @@ func (r *reportRun) finish(pr *cgm.Proc) {
 		entries = append(entries, reportEntry{qid: qid, pts: pts, sh0: sh0, sh1: len(shares)})
 	}
 	for _, l := range r.locals {
-		add(l.Query, l.Pts, l.Off)
+		add(l.Query, l.Pts, prefix+l.Off)
 	}
 	if len(fetched) > 0 {
 		// One read of the owner's part materializes every ordered element

@@ -14,7 +14,6 @@ import (
 	"repro/internal/psort"
 	"repro/internal/segtree"
 	"repro/internal/semigroup"
-	"repro/internal/wire"
 )
 
 // This file is a rank's forest part — the element point sets, their
@@ -31,19 +30,19 @@ import (
 // a fabric superstep runs the emit body, cgm.Exchange and the collect
 // body, a resident one is cgm.ExchangeSteps. So construction runs held on
 // both (the sample sort, routing and element build work on the part's
-// records), and phase C is one fused route-and-serve superstep: the
-// fabric part answers the routed column where it lands, a resident part
-// in the search/routeMixed collect, so only query boxes and result blocks
-// cross the coordinator's wire. The coordinator keeps the hat, the
-// element metadata and the superstep structure either way; on the
-// loopback transport the steps run in-process against the machine's local
-// state stores.
+// records), and phase C is one superstep that ships the copies, routes
+// the subqueries and serves them: the fabric part answers the routed
+// column where it lands, a resident part in the search/installServe
+// collect, so only query boxes and result blocks cross the coordinator's
+// wire. The coordinator keeps the hat, the element metadata and the
+// superstep structure either way; on the loopback transport the steps run
+// in-process against the machine's local state stores.
 
 // forestProgram names the registered program; forestVersion guards
 // against coordinator/worker binary skew.
 const (
 	forestProgram = "core/forest"
-	forestVersion = 7 // 7: S^j records carry tree ordinals; construct/nextHeld takes the key table
+	forestVersion = 8 // 8: phase C is search/shipRoute + search/installServe
 )
 
 // fref names one step of the forest program.
@@ -70,6 +69,10 @@ type forestPart struct {
 	// routing bodies transform.
 	staged []geom.Point
 	recs   []srec
+
+	// shipped is the ship note of phase C's emit, which the same
+	// superstep's collect returns to the coordinator.
+	shipped copyNote
 
 	// ctx is a fabric part's rank identity, what its bodies read of
 	// c.Rank and c.P (a resident part's steps get theirs from the exec
@@ -271,20 +274,22 @@ type constructInstallArgs struct {
 	Infos   []ElemInfo
 }
 
-// shipArgs drives the phase-B emit: the owner's shipping plan, decided
+// shipRouteArgs drives phase C's emit: the owner's shipping plan, decided
 // by the coordinator-side planner (planShips) for either balance
-// granularity.
-type shipArgs struct {
-	Ships []hostShip
+// granularity, and the rank's subqueries partitioned by host.
+type shipRouteArgs struct {
+	Ships  []hostShip
+	Routed [][]subquery
 }
 
-// installCopiesArgs parametrises the phase-B collect: the batch's epoch
-// and the cache bound (as the fabric install takes them) plus the
-// aggregate the batch serves, if any ("" = none).
-type installCopiesArgs struct {
+// installServeArgs parametrises phase C's collect: the batch's epoch and
+// the cache bound (as the fabric install takes them), the aggregate the
+// batch serves, if any ("" = none), and the per-query op table.
+type installServeArgs struct {
 	Epoch uint64
 	Cap   int
 	Agg   string
+	Ops   []MixedOp
 }
 
 // serveArgs carries one rank's served subqueries to its part.
@@ -399,20 +404,24 @@ type routeHeldArgs struct {
 	Offset int
 }
 
-// mixedServeArgs parametrises the fused route-and-serve collect of a
-// mixed batch: the per-query op table and the prepared aggregate, if any.
-type mixedServeArgs struct {
-	Agg string
-	Ops []MixedOp
-}
-
-// mixedServeReply carries a mixed batch's three result kinds back in one
-// reply; Aggs is the spec-encoded []qvalT[T] (empty when the batch routed
-// no aggregate subqueries here).
+// mixedServeReply carries what one rank served of a mixed batch: the
+// served count and the three result kinds in one reply; Aggs is the
+// spec-encoded []qvalT[T] (empty when the batch routed no aggregate
+// subqueries here). A fabric part answers into its run and returns only
+// the count.
 type mixedServeReply struct {
+	Served int
 	Counts []qcount
 	Aggs   []byte
 	Locals []rlocal
+}
+
+// installServeReply is what phase C's collect returns: the rank's ship
+// note as an owner, its install reply as a host, and what it served.
+type installServeReply struct {
+	Note    copyNote
+	Install installCopiesReply
+	Serve   mixedServeReply
 }
 
 func init() {
@@ -437,14 +446,13 @@ func init() {
 			"construct/wsortPart":  exec.Emitter(wsortPartStep),
 			"construct/wsortSplit": exec.Emitter(wsortSplitStep),
 			"construct/routeHeld":  exec.Emitter(routeHeldStep),
-			"search/ship":          exec.Emitter(shipStep),
+			"search/shipRoute":     exec.Emitter(shipRouteStep),
 		},
 		Collects: map[string]exec.Collect{
 			"construct/install":     exec.Collector(constructInstallStep),
 			"construct/wsortMerge":  exec.Collector(wsortMergeStep),
 			"construct/wsortGather": exec.Collector(wsortGatherStep),
-			"search/install":        exec.Collector(installCopiesStep),
-			"search/routeMixed":     routeMixedStep,
+			"search/installServe":   exec.Collector(installServeStep),
 		},
 	})
 }
@@ -573,109 +581,71 @@ func constructInstallStep(part *forestPart, _ *exec.Ctx, args constructInstallAr
 	return part.install(args.Infos, incoming)
 }
 
-// shipStep is the phase-B emit: the owner ships its planned copies
+// shipRouteStep is phase C's emit: the owner ships its planned copies
 // (Search step 3) straight from worker memory into the fabric — points
-// for the hosts that lack the copy, ID-only references for the rest.
-func shipStep(part *forestPart, c *exec.Ctx, args shipArgs) ([][]shippedElem, []byte, error) {
-	out, note, err := part.shipRows(nil, args.Ships, c.P)
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, exec.Marshal(note), nil
+// for the hosts that lack the copy, ID-only references for the rest —
+// beside the subqueries it routes (step 4).
+func shipRouteStep(part *forestPart, c *exec.Ctx, args shipRouteArgs) ([][]routeRow, []byte, error) {
+	out, err := part.shipRoute(nil, args.Ships, args.Routed, c.P)
+	return out, nil, err
 }
 
-// installCopiesStep is the phase-B collect: the shipped copies install
-// into the part, annotated for the batch's aggregate if it serves one;
-// the reply carries the cache's changes back for the coordinator's
-// mirror.
-func installCopiesStep(part *forestPart, c *exec.Ctx, args installCopiesArgs, incoming [][]shippedElem) (installCopiesReply, error) {
+// installServeStep is phase C's collect: the column's copies install into
+// the part, annotated for the batch's aggregate if it serves one, and
+// then its subqueries are answered, every op kind at once. The reply
+// carries the cache's changes back for the coordinator's mirror and the
+// served results back for phase D.
+func installServeStep(part *forestPart, c *exec.Ctx, args installServeArgs, in [][]routeRow) (installServeReply, error) {
 	var agg aggPart
 	if args.Agg != "" {
 		var err error
 		if agg, err = part.agg(args.Agg); err != nil {
-			return installCopiesReply{}, err
+			return installServeReply{}, err
 		}
 	}
-	return part.installCopies(c.Rank, args.Epoch, args.Cap, agg, incoming)
+	rep, err := part.installCopies(c.Rank, args.Epoch, args.Cap, agg, in)
+	if err != nil {
+		return rep, err
+	}
+	var cnt, aggs, reps []subquery
+	for _, col := range in {
+		for i := range col {
+			if !col[i].IsSub {
+				continue
+			}
+			s := col[i].Sub
+			if s.Query < 0 || int(s.Query) >= len(args.Ops) {
+				return rep, fmt.Errorf("core: routed subquery of query %d, batch has %d", s.Query, len(args.Ops))
+			}
+			switch args.Ops[s.Query] {
+			case OpCount:
+				cnt = append(cnt, s)
+			case OpAggregate:
+				aggs = append(aggs, s)
+			case OpReport:
+				reps = append(reps, s)
+			default:
+				return rep, fmt.Errorf("core: routed subquery of query %d has unknown op %v", s.Query, args.Ops[s.Query])
+			}
+		}
+	}
+	rep.Serve = mixedServeReply{Served: len(cnt) + len(aggs) + len(reps),
+		Counts: part.servedCounts(cnt), Locals: part.servedReports(reps)}
+	if len(aggs) > 0 {
+		if agg == nil {
+			return rep, fmt.Errorf("core: aggregate subqueries served without a prepared aggregate")
+		}
+		if rep.Serve.Aggs, err = agg.serveWire(aggs); err != nil {
+			return rep, err
+		}
+	}
+	return rep, nil
 }
 
 // serveCountStep serves a single query's owned counting subqueries
 // (SingleCount).
 func serveCountStep(part *forestPart, _ *exec.Ctx, args serveArgs) ([]qcount, error) {
 	return part.servedCounts(args.Subs), nil
-}
-
-// decodeSubColumn decodes a routed subquery column for the raw fused-
-// serve collect, mirroring exec.Collector's loop (typed self payload
-// included), and flattens it in rank order.
-func decodeSubColumn(c *exec.Ctx, inbox *exec.Inbox) ([]subquery, int, error) {
-	in := make([][]subquery, len(inbox.Blocks))
-	recv := 0
-	for j, b := range inbox.Blocks {
-		if inbox.Self != nil && b == nil && j == c.Rank {
-			part, ok := inbox.Self.([]subquery)
-			if !ok {
-				return nil, 0, fmt.Errorf("core: self payload is %T, serve wants []subquery", inbox.Self)
-			}
-			in[j] = part
-			recv += len(part)
-			continue
-		}
-		if b == nil {
-			continue
-		}
-		part, err := wire.Decode[[]subquery](b)
-		if err != nil {
-			return nil, 0, fmt.Errorf("core: decoding routed subqueries from rank %d: %w", j, err)
-		}
-		in[j] = part
-		recv += len(part)
-	}
-	return slices.Concat(in...), recv, nil
-}
-
-// routeMixedStep is the fused route-and-serve collect of a search batch:
-// the phase-B route exchange's column IS the rank's served subqueries,
-// answered in the same superstep that delivered them, every op kind at
-// once. Raw because the aggregate reply is the spec-encoded []qvalT[T],
-// whose type only the coordinator's AggHandle knows.
-func routeMixedStep(c *exec.Ctx, inbox *exec.Inbox, raw []byte) ([]byte, int, error) {
-	args, err := exec.Unmarshal[mixedServeArgs](raw)
-	if err != nil {
-		return nil, 0, err
-	}
-	subs, recv, err := decodeSubColumn(c, inbox)
-	if err != nil {
-		return nil, 0, err
-	}
-	part := c.State.(*forestPart)
-	var cnt, agg, repq []subquery
-	for _, s := range subs {
-		switch args.Ops[s.Query] {
-		case OpCount:
-			cnt = append(cnt, s)
-		case OpAggregate:
-			agg = append(agg, s)
-		case OpReport:
-			repq = append(repq, s)
-		default:
-			return nil, 0, fmt.Errorf("core: routed subquery of query %d has unknown op %v", s.Query, args.Ops[s.Query])
-		}
-	}
-	rep := mixedServeReply{Counts: part.servedCounts(cnt), Locals: part.servedReports(repq)}
-	if len(agg) > 0 {
-		if args.Agg == "" {
-			return nil, 0, fmt.Errorf("core: aggregate subqueries served without a prepared aggregate")
-		}
-		pa, err := part.agg(args.Agg)
-		if err != nil {
-			return nil, 0, err
-		}
-		if rep.Aggs, err = pa.serveWire(agg); err != nil {
-			return nil, 0, err
-		}
-	}
-	return exec.Marshal(rep), recv, nil
 }
 
 // aggPrepareStep annotates the owned elements for a named aggregate and

@@ -13,47 +13,42 @@ import (
 //	phase A  hat descent of Q over the local replica (hatSearch); matches
 //	         resolved inside the hat are answered by the query's kind, and
 //	         the queries that must visit the forest become the subquery
-//	         set Q″
-//	phase B  demand-balanced copying of congested forest parts and the
-//	         partition of Q″ by copy host (phaseB)
-//	phase C  routing of Q″ to the copy hosts, fused with the sequential
-//	         answering of the served subqueries where they land
-//	         (serveRouted)
-//	phase D  the result collectives of each kind the batch holds: count and
-//	         aggregate partials gather at each query's home, report pairs
-//	         are redistributed k/p per processor
+//	         set Q″ (no communication)
+//	phase B  the demand all-gather, then the plan of the congested forest
+//	         parts' copies and the partition of Q″ by copy host (phaseB)
+//	phase C  one superstep ships the copies and routes Q″; each host
+//	         installs its copies and answers the routed subqueries where
+//	         they land (shipRoute)
+//	phase D  one superstep carries the count and aggregate partials to
+//	         each query's home, the report weights to every processor and
+//	         the whole-element report orders to their owners (finish); a
+//	         batch holding reports then redistributes its pairs k/p per
+//	         processor in one more
 //
-// The kinds differ only in phase D, and a kind the batch does not hold
-// costs nothing there. Every rank sees the same ops vector, so every rank
-// skips the same collectives: the run stays SPMD with no extra round, and
-// a one-kind batch costs exactly what that mode alone would.
+// So a batch costs 3 rounds, 4 when it holds a report. The kinds differ
+// only in phase D, and a kind the batch does not hold adds no row there.
+// Every rank sees the same ops vector, so every rank runs the same
+// supersteps: the run stays SPMD.
 
 // runLabels names the search's communication rounds. The labels travel in
 // every deposit and name the rounds in Metrics, so they are spelled once,
 // not concatenated per rank per superstep.
 type runLabels struct {
-	demand, copies, route    string // phase B, GroupLevel
-	edemand, ecopies, eroute string // phase B, ElementLevel
-	countHome, aggHome       string // count and aggregate partials to the query's home
-	weights, fetch, pairs    string // report phase D
+	demand, route   string // phases B and C, GroupLevel
+	edemand, eroute string // phases B and C, ElementLevel
+	results, pairs  string // phase D
 }
 
 var searchLabels = &runLabels{
-	demand: "mixed/demand", copies: "mixed/copies", route: "mixed/route",
-	edemand: "mixed/edemand", ecopies: "mixed/ecopies", eroute: "mixed/eroute",
-	countHome: "mixed/count/home", aggHome: "mixed/assoc/home",
-	weights: "report/weights", fetch: "report/fetch", pairs: "report/pairs",
+	demand: "mixed/demand", route: "mixed/route",
+	edemand: "mixed/edemand", eroute: "mixed/eroute",
+	results: "mixed/results", pairs: "report/pairs",
 }
 
-// procRun is what the non-generic phases A and B call of a rank's run.
+// procRun is what the non-generic phase A calls of a rank's run.
 type procRun interface {
 	// answerHat resolves one hat selection of phase A.
 	answerHat(q Query, s hatSel)
-	// copyAgg names the aggregate phase B annotates installed copies for
-	// and gives the rank's annotations on a fabric tree ("" and nil when
-	// the batch holds no aggregate query; nil on a resident tree, whose
-	// install step resolves the name).
-	copyAgg() (string, aggPart)
 }
 
 // phaseASink wires one processor's hat descents into its run: hat
@@ -154,11 +149,11 @@ func (fr *mixedFrame[T]) rank(pr *cgm.Proc) {
 	st.Subqueries = len(subs)
 
 	// Phase B: balance Q″ across copies of the demanded forest parts.
-	routed, routeLbl := t.phaseB(pr, ps, subs, run)
+	ships, routed, label := t.phaseB(pr, ps, subs)
 
-	// Phase C: the route exchange and the serving are one superstep; the
-	// routed column is answered where it lands.
-	st.Served = run.serveRouted(pr, ps.part, routeLbl, routed)
+	// Phase C: the copies and Q″ travel in one superstep, and each host
+	// answers the routed column where it lands.
+	st.Served = run.shipRoute(pr, ps, label, ships, routed)
 
 	// Phase D: the result collectives of the kinds the batch holds.
 	run.finish(pr)

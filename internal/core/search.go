@@ -10,7 +10,6 @@ import (
 	"repro/internal/balance"
 	"repro/internal/cgm"
 	"repro/internal/comm"
-	"repro/internal/exec"
 	"repro/internal/geom"
 	"repro/internal/segtree"
 )
@@ -250,36 +249,65 @@ type copyNote struct {
 	RefPts    int
 }
 
-// shipRows materializes a planned deposit from the part's owned elements
-// (the resident emit step passes a nil arena). Every planned copy is one
-// row either way, so the copies round keeps its h and volume whatever goes
-// by reference. A by-value row aliases the owner's el.pts, never the row
-// buffer, so what a host installs from it outlives the arena.
-func (part *forestPart) shipRows(a *cgm.Arena, ships []hostShip, p int) ([][]shippedElem, copyNote, error) {
-	out := cgm.Alloc[[]shippedElem](a, p)
-	var note copyNote
+// routeRow is one row of phase C's superstep, which carries Search steps
+// 3 and 4 at once: an element copy, or (IsSub) a routed subquery. Every
+// row is one element of the round, as it was in separate copies and route
+// rounds; a row block to one host lists its copies before its subqueries.
+type routeRow struct {
+	Copy  shippedElem
+	Sub   subquery
+	IsSub bool
+}
+
+// shipRoute materializes a rank's phase-C deposit from its part (the
+// resident emit step passes a nil arena): the planned copies of the owned
+// elements, then the routed subqueries. Every planned copy is one row
+// whether it goes by value or by reference, so the round's h and volume
+// do not depend on the caches. A by-value row aliases the owner's el.pts,
+// never the row buffer, so what a host installs from it outlives the
+// arena. The ship note waits on the part for the same superstep's collect,
+// which returns it.
+func (part *forestPart) shipRoute(a *cgm.Arena, ships []hostShip, routed [][]subquery, p int) ([][]routeRow, error) {
+	if len(routed) != p {
+		return nil, fmt.Errorf("core: %d routed subquery blocks for p=%d", len(routed), p)
+	}
+	sizes := cgm.Alloc[int](a, p)
 	for _, hs := range ships {
 		if hs.Host < 0 || int(hs.Host) >= p || len(hs.Refs) != len(hs.Elems) {
-			return nil, note, fmt.Errorf("core: malformed ship plan for host %d (%d elements, %d flags, p=%d)",
+			return nil, fmt.Errorf("core: malformed ship plan for host %d (%d elements, %d flags, p=%d)",
 				hs.Host, len(hs.Elems), len(hs.Refs), p)
 		}
-		rows := cgm.Alloc[shippedElem](a, len(hs.Elems))
+		sizes[hs.Host] += len(hs.Elems)
+	}
+	out := cgm.Alloc[[]routeRow](a, p)
+	for j, subs := range routed {
+		out[j] = cgm.Alloc[routeRow](a, sizes[j]+len(subs))[:0]
+	}
+	var note copyNote
+	for _, hs := range ships {
 		for i, id := range hs.Elems {
 			el, ok := part.elems[id]
 			if !ok {
-				return nil, note, fmt.Errorf("core: asked to ship element %d this rank does not own", id)
+				return nil, fmt.Errorf("core: asked to ship element %d this rank does not own", id)
 			}
+			var row routeRow
 			if hs.Refs[i] {
-				rows[i] = shippedElem{Info: ElemInfo{ID: id}, Ref: true}
+				row.Copy = shippedElem{Info: ElemInfo{ID: id}, Ref: true}
 				note.RefPts += len(el.pts)
 			} else {
-				rows[i] = shippedElem{Info: el.info, Pts: el.pts}
+				row.Copy = shippedElem{Info: el.info, Pts: el.pts}
 				note.CopiedPts += len(el.pts)
 			}
+			out[hs.Host] = append(out[hs.Host], row)
 		}
-		out[hs.Host] = rows
 	}
-	return out, note, nil
+	for j, subs := range routed {
+		for _, s := range subs {
+			out[j] = append(out[j], routeRow{Sub: s, IsSub: true})
+		}
+	}
+	part.shipped = note
+	return out, nil
 }
 
 // installCopiesReply is what installing one batch's copies reports back:
@@ -293,16 +321,18 @@ type installCopiesReply struct {
 	Ops          []cacheOp
 }
 
-// installCopies is phase B's install on the host, the one body for
-// both residencies: the batch's copies replace the last batch's, and
-// each is annotated for agg when the batch serves an aggregate (nil
-// otherwise). References resolve first — against the cache as the host
-// advertised it, before any by-value row can evict — and a reference the
-// cache cannot resolve is a diagnostic error, never a silently missing
-// copy. By-value rows are then built on the part's backend and cached for
-// later batches, bounded by cap.
-func (part *forestPart) installCopies(host int, epoch uint64, cap int, agg aggPart, incoming [][]shippedElem) (installCopiesReply, error) {
-	var rep installCopiesReply
+// installCopies is the host half of phase C's superstep before any
+// subquery is served, the one body for both residencies: the copy rows of
+// the column replace the last batch's copies, and each is annotated for
+// agg when the batch serves an aggregate (nil otherwise). References
+// resolve first — against the cache as the host advertised it, before
+// any by-value row can evict — and a reference the cache cannot resolve
+// is a diagnostic error, never a silently missing copy. By-value rows are
+// then built on the part's backend and cached for later batches, bounded
+// by cap. The reply carries the rank's ship note too.
+func (part *forestPart) installCopies(host int, epoch uint64, cap int, agg aggPart, incoming [][]routeRow) (installServeReply, error) {
+	rep := installServeReply{Note: part.shipped}
+	in := &rep.Install
 	start := time.Now()
 	cache := part.copyCache
 	prior := cache.epoch
@@ -318,8 +348,9 @@ func (part *forestPart) installCopies(host int, epoch uint64, cap int, agg aggPa
 		}
 	}
 	for _, col := range incoming {
-		for _, sh := range col {
-			if !sh.Ref {
+		for i := range col {
+			sh := &col[i].Copy
+			if col[i].IsSub || !sh.Ref {
 				continue
 			}
 			el, ok := cache.get(sh.Info.ID)
@@ -327,28 +358,29 @@ func (part *forestPart) installCopies(host int, epoch uint64, cap int, agg aggPa
 				return rep, fmt.Errorf("core: phase-B reference to element %d missed on host %d: not among the %d copies cached at batch epoch %d (the cache was at epoch %d before this batch)",
 					sh.Info.ID, host, cache.len(), epoch, prior)
 			}
-			rep.CacheHits++
-			rep.ByRef++
+			in.CacheHits++
+			in.ByRef++
 			install(sh.Info.ID, el)
 		}
 	}
 	for _, col := range incoming {
-		for _, sh := range col {
-			if sh.Ref {
+		for i := range col {
+			sh := &col[i].Copy
+			if col[i].IsSub || sh.Ref {
 				continue
 			}
 			el, ok := cache.get(sh.Info.ID)
 			if ok {
-				rep.CacheHits++
+				in.CacheHits++
 			} else {
 				el = &element{info: sh.Info, pts: sh.Pts, tree: buildElemTree(part.backend, sh.Pts, int(sh.Info.Dim))}
-				rep.Ops = cache.insert(sh.Info.ID, el, cap, rep.Ops)
+				in.Ops = cache.insert(sh.Info.ID, el, cap, in.Ops)
 			}
 			install(sh.Info.ID, el)
 		}
 	}
-	rep.Held = len(part.copies)
-	rep.InstallNanos = time.Since(start).Nanoseconds()
+	in.Held = len(part.copies)
+	in.InstallNanos = time.Since(start).Nanoseconds()
 	return rep, nil
 }
 
@@ -374,28 +406,21 @@ func partitionSubs(a *cgm.Arena, p int, subs []subquery, dest func(i int, s subq
 	return routed
 }
 
-// phaseB implements Algorithm Search steps 2–4: globally count the demand
-// |QF_j| per forest group, make c_j copies of congested groups, distribute
-// the copies evenly, and redistribute Q″ so every subquery lands on a
-// processor holding the element it visits. It returns the subqueries this
-// processor serves. Hosts annotate the copies they install for the
-// batch's aggregate (run.copyAgg); on a resident tree the copies ship
-// worker-to-worker (emit and collect steps of the forest program) and the
-// install step resolves the aggregate by name. Every vector and row of
-// the phase lives in the rank's run arena; only the balance plan is
-// reused procState storage.
+// phaseB implements Algorithm Search steps 2–4 up to the exchange:
+// globally count the demand |QF_j| per forest group, plan c_j copies of
+// each congested group and their even distribution, and partition Q″ so
+// every subquery goes to a processor holding a copy of the element it
+// visits. It returns the owner's ship plan, the partitioned subqueries
+// and the label of phase C's superstep, which carries both (shipRoute).
+// Every vector and row of the phase lives in the rank's run arena; only
+// the balance plan is reused procState storage.
 //
 // The demand all-gather also carries every rank's cached element IDs
 // (advertised), so an owner ships points only to hosts that do not
 // already hold the copy — no extra round.
-//
-// The route exchange itself is deferred: phaseB returns the partitioned
-// buckets plus the label the run's fused route-and-serve superstep must
-// use (serveRouted), so routing and phase C are one round with no
-// separate serve dispatch.
-func (t *Tree) phaseB(pr *cgm.Proc, ps *procState, subs []subquery, run procRun) (routed [][]subquery, routeLbl string) {
+func (t *Tree) phaseB(pr *cgm.Proc, ps *procState, subs []subquery) (ships []hostShip, routed [][]subquery, label string) {
 	if t.balanceMode == ElementLevel {
-		return t.phaseBElement(pr, ps, subs, run)
+		return t.phaseBElement(pr, ps, subs)
 	}
 	p, a, lbl := pr.P(), pr.Arena(), searchLabels
 
@@ -426,13 +451,12 @@ func (t *Tree) phaseB(pr *cgm.Proc, ps *procState, subs []subquery, run procRun)
 	// Step 3: make c_j copies of F_j and distribute them evenly: the owner
 	// ships its whole part to every host of one of its slots.
 	hosts := plan.GroupHosts(ps.rank, cgm.Alloc[int](a, p)[:0])
-	ships := planShips(a, p, ps.rank, ps.ownedIDs(),
+	ships = planShips(a, p, ps.rank, ps.ownedIDs(),
 		func(ElemID) []int { return hosts },
 		func(host int, id ElemID) bool {
 			_, ok := slices.BinarySearch(matrix[host][p:], int(id))
 			return ok
 		})
-	t.shipCopies(pr, ps, lbl.copies, ships, run)
 
 	// Step 4: redistribute Q″ so every query sits with a copy of the part
 	// it visits; the r-th subquery of group j goes to the host of copy
@@ -450,49 +474,28 @@ func (t *Tree) phaseB(pr *cgm.Proc, ps *procState, subs []subquery, run procRun)
 		seen[j]++
 		return plan.Route(j, r)
 	}
-	return partitionSubs(a, p, subs, dest), lbl.route
+	return ships, partitionSubs(a, p, subs, dest), lbl.route
 }
 
 // keepDemand records the batch's per-owner demand vector in tree-owned
 // storage (the run's own copy lives in an arena).
 func (t *Tree) keepDemand(demand []int) { t.lastDemand = append(t.lastDemand[:0], demand...) }
 
-// shipCopies runs the phase-B copies superstep for one owner's plan and
-// books its outcome. The owner's part builds the rows and the host's part
-// installs them; on a fabric tree both run here around the exchange, on
-// a resident tree as the superstep's emit and collect steps, so only the
-// ship note and the install reply return to the coordinator. Either way
-// the reply's cache ops keep ps.cached equal to the cache's ID set.
-func (t *Tree) shipCopies(pr *cgm.Proc, ps *procState, label string, ships []hostShip, run procRun) {
-	var note copyNote
-	var rep installCopiesReply
-	var err error
-	aggName, agg := run.copyAgg()
-	if t.resident {
-		cargs := installCopiesArgs{Epoch: t.batchEpoch, Cap: t.copyCacheCapFor(ps), Agg: aggName}
-		var raw []byte
-		raw, rep = cgm.ExchangeSteps[shipArgs, installCopiesArgs, installCopiesReply](
-			pr, label, fref("search/ship"), shipArgs{Ships: ships}, fref("search/install"), cargs)
-		note, err = exec.Unmarshal[copyNote](raw)
-	} else {
-		var out [][]shippedElem
-		if out, note, err = ps.part.shipRows(pr.Arena(), ships, pr.P()); err == nil {
-			rep, err = ps.part.installCopies(ps.rank, t.batchEpoch, t.copyCacheCapFor(ps), agg, cgm.Exchange(pr, label, out))
-		}
-	}
-	if err != nil {
-		panic(fmt.Sprintf("%s: %v", label, err)) // aborts the machine run with the diagnostic
-	}
-	t.lastCopied[ps.rank].Store(int64(note.CopiedPts))
-	t.lastByRef[ps.rank].Store(int64(note.RefPts))
-	t.copyShipped.Add(int64(note.CopiedPts))
-	t.copyByRef.Add(int64(note.RefPts))
+// bookCopies books one rank's outcome of phase C's copies: the ship note
+// into the copy counters and the install reply into the rank's
+// SearchStats, its cache ops keeping ps.cached equal to the cache's ID
+// set.
+func (t *Tree) bookCopies(ps *procState, rep installServeReply) {
+	t.lastCopied[ps.rank].Store(int64(rep.Note.CopiedPts))
+	t.lastByRef[ps.rank].Store(int64(rep.Note.RefPts))
+	t.copyShipped.Add(int64(rep.Note.CopiedPts))
+	t.copyByRef.Add(int64(rep.Note.RefPts))
 	st := &t.lastStats[ps.rank]
-	st.CopiesHeld = rep.Held
-	st.CopyCacheHits += rep.CacheHits
-	st.CopiesByRef += rep.ByRef
-	st.InstallNanos += rep.InstallNanos
-	ps.cached = applyCacheOps(ps.cached, rep.Ops)
+	st.CopiesHeld = rep.Install.Held
+	st.CopyCacheHits += rep.Install.CacheHits
+	st.CopiesByRef += rep.Install.ByRef
+	st.InstallNanos += rep.Install.InstallNanos
+	ps.cached = applyCacheOps(ps.cached, rep.Install.Ops)
 }
 
 // elemDemand is one row of the ElementLevel demand all-gather: an
@@ -509,7 +512,7 @@ const advertRow int32 = -1
 
 // phaseBElement is the ElementLevel variant of phaseB: demand, copies and
 // routing all work per forest element.
-func (t *Tree) phaseBElement(pr *cgm.Proc, ps *procState, subs []subquery, run procRun) (routed [][]subquery, routeLbl string) {
+func (t *Tree) phaseBElement(pr *cgm.Proc, ps *procState, subs []subquery) (ships []hostShip, routed [][]subquery, label string) {
 	p, a, lbl := pr.P(), pr.Arena(), searchLabels
 
 	// Demand per element, exchanged sparsely, then the advertised IDs.
@@ -559,14 +562,13 @@ func (t *Tree) phaseBElement(pr *cgm.Proc, ps *procState, subs []subquery, run p
 	// replicated metadata, so the resident coordinator can plan it
 	// without holding the elements.
 	hosts := cgm.Alloc[int](a, p)
-	ships := planShips(a, p, ps.rank, ps.ownedIDs(),
+	ships = planShips(a, p, ps.rank, ps.ownedIDs(),
 		func(id ElemID) []int { return plan.GroupHosts(int(id), hosts[:0]) },
 		func(host int, id ElemID) bool {
 			_, ok := slices.BinarySearchFunc(adverts[host], id,
 				func(d elemDemand, id ElemID) int { return cmp.Compare(d.Elem, id) })
 			return ok
 		})
-	t.shipCopies(pr, ps, lbl.ecopies, ships, run)
 
 	// Route the r-th subquery of element e to the host of copy ⌊r·c_e/d_e⌋:
 	// perElem[e] starts at the demand of the ranks before this one and
@@ -581,5 +583,5 @@ func (t *Tree) phaseBElement(pr *cgm.Proc, ps *procState, subs []subquery, run p
 		perElem[s.Elem]++
 		return plan.Route(int(s.Elem), r)
 	}
-	return partitionSubs(a, p, subs, dest), lbl.eroute
+	return ships, partitionSubs(a, p, subs, dest), lbl.eroute
 }

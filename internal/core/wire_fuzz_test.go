@@ -104,16 +104,23 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
 	seed, _ := wire.Encode(nil, []geom.Point{{ID: 1, X: []geom.Coord{2, 3}}})
 	f.Add(seed)
-	// Phase-B copies: a reference row beside a by-value row, and the same
+	// Phase-C copies: a reference row beside a by-value row, and the same
 	// block with the reference's flag byte corrupted (neither layout).
-	refs, _ := wire.Encode(nil, []shippedElem{
-		{Info: ElemInfo{ID: 7}, Ref: true},
-		{Info: ElemInfo{ID: 9, Owner: 1, Count: 1, Key: "k"}, Pts: []geom.Point{{ID: 4, X: []geom.Coord{5, 6}}}},
+	refs, _ := wire.Encode(nil, []routeRow{
+		{Copy: shippedElem{Info: ElemInfo{ID: 7}, Ref: true}},
+		{Copy: shippedElem{Info: ElemInfo{ID: 9, Owner: 1, Count: 1, Key: "k"}, Pts: []geom.Point{{ID: 4, X: []geom.Coord{5, 6}}}}},
 	})
 	f.Add(refs)
 	badFlag := bytes.Clone(refs)
-	badFlag[2] = 2 // tag, row count, then the first row's flag
+	badFlag[3] = 2 // tag, row count, the first row's IsSub flag, then its Ref flag
 	f.Add(badFlag)
+	// Phase C with a subquery row, and phase D with a row of each kind.
+	route, _ := wire.Encode(nil, []routeRow{{IsSub: true, Sub: subquery{Query: 1, Elem: 2,
+		Box: geom.Box{Lo: []geom.Coord{0, 0}, Hi: []geom.Coord{9, 9}}}}})
+	f.Add(route)
+	results, _ := wire.Encode(nil, []resultRow[int64]{{Kind: rowCount, Query: 1, N: 5}, {Kind: rowAgg, Query: 2, Val: -3},
+		{Kind: rowWeight, N: 40}, {Kind: rowOrder, Query: 3, Elem: 4, N: 17}})
+	f.Add(results)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := &byteGen{b: data}
@@ -140,23 +147,44 @@ func FuzzWireRoundTrip(f *testing.F) {
 		}
 		fuzzRT(t, recs)
 
-		els := make([]shippedElem, g.n(3))
-		for i := range els {
-			if g.u8()&1 == 1 {
+		subs := make([]subquery, n)
+		for i := range subs {
+			lo := make([]geom.Coord, dims)
+			hi := make([]geom.Coord, dims)
+			for d := range lo {
+				lo[d], hi[d] = geom.Coord(g.i32()), geom.Coord(g.i32())
+			}
+			subs[i] = subquery{Query: g.i32(), Elem: ElemID(g.i32()), Box: geom.Box{Lo: lo, Hi: hi}}
+		}
+		if n == 0 {
+			subs = nil
+		}
+		fuzzRT(t, serveArgs{Subs: subs})
+
+		// Phase C: copies and subqueries in one block, its emit's
+		// arguments, its collect's arguments and reply.
+		rows := make([]routeRow, g.n(4))
+		for i := range rows {
+			switch g.u8() % 3 {
+			case 0:
 				// A reference row carries the element ID and nothing else.
-				els[i] = shippedElem{Info: ElemInfo{ID: ElemID(g.i32())}, Ref: true}
-				continue
-			}
-			els[i] = shippedElem{
-				Info: ElemInfo{ID: ElemID(g.i32()), Owner: g.i32(), Count: g.i32(),
-					Dim: int8(g.u8()), Key: g.key(9), Min: geom.Coord(g.i32()), Max: geom.Coord(g.i32())},
-				Pts: g.points(g.n(6), dims),
+				rows[i].Copy = shippedElem{Info: ElemInfo{ID: ElemID(g.i32())}, Ref: true}
+			case 1:
+				rows[i].Copy = shippedElem{
+					Info: ElemInfo{ID: ElemID(g.i32()), Owner: g.i32(), Count: g.i32(),
+						Dim: int8(g.u8()), Key: g.key(9), Min: geom.Coord(g.i32()), Max: geom.Coord(g.i32())},
+					Pts: g.points(g.n(6), dims),
+				}
+			default:
+				if len(subs) > 0 {
+					rows[i] = routeRow{IsSub: true, Sub: subs[i%len(subs)]}
+				}
 			}
 		}
-		if len(els) == 0 {
-			els = nil
+		if len(rows) == 0 {
+			rows = nil
 		}
-		fuzzRT(t, els)
+		fuzzRT(t, rows)
 
 		ships := make([]hostShip, g.n(3))
 		for i := range ships {
@@ -172,7 +200,24 @@ func FuzzWireRoundTrip(f *testing.F) {
 		if len(ships) == 0 {
 			ships = nil
 		}
-		fuzzRT(t, shipArgs{Ships: ships})
+		routed := make([][]subquery, g.n(4))
+		for i := range routed {
+			if k := g.n(len(subs)); k > 0 {
+				routed[i] = subs[:k]
+			}
+		}
+		if len(routed) == 0 {
+			routed = nil
+		}
+		fuzzRT(t, shipRouteArgs{Ships: ships, Routed: routed})
+		mops := make([]MixedOp, g.n(6))
+		for i := range mops {
+			mops[i] = MixedOp(g.u8() % 3)
+		}
+		if len(mops) == 0 {
+			mops = nil
+		}
+		fuzzRT(t, installServeArgs{Epoch: uint64(g.i32()), Cap: int(g.i32()), Agg: string(g.key(5)), Ops: mops})
 		ops := make([]cacheOp, g.n(4))
 		for i := range ops {
 			ops[i] = cacheOp{ID: ElemID(g.i32()), Evict: g.u8()&1 == 1}
@@ -180,24 +225,53 @@ func FuzzWireRoundTrip(f *testing.F) {
 		if len(ops) == 0 {
 			ops = nil
 		}
-		fuzzRT(t, installCopiesReply{Held: int(g.i32()), CacheHits: int(g.i32()), ByRef: int(g.i32()),
-			InstallNanos: int64(g.i32()), Ops: ops})
-		fuzzRT(t, copyNote{CopiedPts: int(g.i32()), RefPts: int(g.i32())})
+		served := make([]qcount, g.n(3))
+		for i := range served {
+			served[i] = qcount{Query: g.i32(), Val: int64(g.i32())}
+		}
+		if len(served) == 0 {
+			served = nil
+		}
+		var aggs []byte
+		if k := g.n(5); k > 0 {
+			aggs = []byte(g.key(k))
+		}
+		fuzzRT(t, installServeReply{
+			Note: copyNote{CopiedPts: int(g.i32()), RefPts: int(g.i32())},
+			Install: installCopiesReply{Held: int(g.i32()), CacheHits: int(g.i32()), ByRef: int(g.i32()),
+				InstallNanos: int64(g.i32()), Ops: ops},
+			Serve: mixedServeReply{Served: int(g.i32()), Counts: served, Aggs: aggs},
+		})
 
-		subs := make([]subquery, n)
-		for i := range subs {
-			lo := make([]geom.Coord, dims)
-			hi := make([]geom.Coord, dims)
-			for d := range lo {
-				lo[d], hi[d] = geom.Coord(g.i32()), geom.Coord(g.i32())
+		// Phase D: partials, weights and orders, each row in its kind's
+		// canonical form.
+		dRows := make([]resultRow[float64], g.n(8))
+		for i := range dRows {
+			switch k := rowKind(g.u8() % 4); k {
+			case rowCount:
+				dRows[i] = resultRow[float64]{Kind: k, Query: g.i32(), N: int64(g.i32())}
+			case rowAgg:
+				dRows[i] = resultRow[float64]{Kind: k, Query: g.i32(), Val: float64(g.i32())}
+			case rowWeight:
+				dRows[i] = resultRow[float64]{Kind: k, N: int64(g.i32())}
+			case rowOrder:
+				dRows[i] = resultRow[float64]{Kind: k, Query: g.i32(), Elem: ElemID(g.i32()), N: int64(g.i32())}
 			}
-			subs[i] = subquery{Query: g.i32(), Elem: ElemID(g.i32()), Box: geom.Box{Lo: lo, Hi: hi}}
 		}
-		if n == 0 {
-			subs = nil
+		if len(dRows) == 0 {
+			dRows = nil
 		}
-		fuzzRT(t, subs)
-		fuzzRT(t, serveArgs{Subs: subs})
+		fuzzRT(t, dRows)
+		var iRows []resultRow[int64]
+		var eRows []resultRow[struct{}]
+		for _, row := range dRows {
+			iRows = append(iRows, resultRow[int64]{Kind: row.Kind, Query: row.Query, Elem: row.Elem, N: row.N, Val: int64(row.Val)})
+			if row.Kind != rowAgg {
+				eRows = append(eRows, resultRow[struct{}]{Kind: row.Kind, Query: row.Query, Elem: row.Elem, N: row.N})
+			}
+		}
+		fuzzRT(t, iRows)
+		fuzzRT(t, eRows)
 
 		qcs := make([]qcount, n)
 		qis := make([]qvalT[int64], n)
@@ -244,11 +318,14 @@ func FuzzWireRoundTrip(f *testing.F) {
 			mustNotPanic[[]runSum](t, blk)
 			mustNotPanic[routeHeldArgs](t, blk)
 			mustNotPanic[nextHeldArgs](t, blk)
-			mustNotPanic[[]shippedElem](t, blk)
-			mustNotPanic[shipArgs](t, blk)
-			mustNotPanic[installCopiesReply](t, blk)
-			mustNotPanic[[]subquery](t, blk)
+			mustNotPanic[[]routeRow](t, blk)
+			mustNotPanic[shipRouteArgs](t, blk)
+			mustNotPanic[installServeArgs](t, blk)
+			mustNotPanic[installServeReply](t, blk)
 			mustNotPanic[serveArgs](t, blk)
+			mustNotPanic[[]resultRow[struct{}]](t, blk)
+			mustNotPanic[[]resultRow[int64]](t, blk)
+			mustNotPanic[[]resultRow[float64]](t, blk)
 			mustNotPanic[[]qcount](t, blk)
 			mustNotPanic[[]qvalT[int64]](t, blk)
 			mustNotPanic[[]qvalT[float64]](t, blk)

@@ -110,12 +110,20 @@ func readSrecs(r *wire.Reader) ([]srec, error) {
 
 // ------------------------------------------------------------ subqueries
 
+func appendSubquery(b []byte, s subquery) []byte {
+	b = wire.AppendI32(b, s.Query)
+	b = wire.AppendI32(b, int32(s.Elem))
+	return wire.AppendBox(b, s.Box)
+}
+
+func readSubquery(r *wire.Reader, arena *[]geom.Coord) subquery {
+	return subquery{Query: r.I32(), Elem: ElemID(r.I32()), Box: wire.ReadBox(r, arena)}
+}
+
 func appendSubqueries(b []byte, subs []subquery) []byte {
 	b = wire.AppendUvarint(b, uint64(len(subs)))
 	for _, s := range subs {
-		b = wire.AppendI32(b, s.Query)
-		b = wire.AppendI32(b, int32(s.Elem))
-		b = wire.AppendBox(b, s.Box)
+		b = appendSubquery(b, s)
 	}
 	return b
 }
@@ -127,11 +135,97 @@ func readSubqueries(r *wire.Reader, arena *[]geom.Coord) []subquery {
 	}
 	subs := make([]subquery, n)
 	for i := range subs {
-		subs[i].Query = r.I32()
-		subs[i].Elem = ElemID(r.I32())
-		subs[i].Box = wire.ReadBox(r, arena)
+		subs[i] = readSubquery(r, arena)
 	}
 	return subs
+}
+
+// ------------------------------------------------------------ copies
+
+// appendShipped appends one element copy: the Ref flag, then the element
+// ID alone for a reference, the metadata and the points for a by-value
+// copy.
+func appendShipped(b []byte, sh shippedElem) []byte {
+	b = append(b, flagByte(sh.Ref))
+	if sh.Ref {
+		return wire.AppendI32(b, int32(sh.Info.ID))
+	}
+	b = appendElemInfo(b, sh.Info)
+	return wire.AppendPoints(b, sh.Pts)
+}
+
+func readShipped(r *wire.Reader, arena *[]geom.Coord) (shippedElem, error) {
+	var sh shippedElem
+	ref, err := readFlag(r)
+	if err != nil {
+		return sh, err
+	}
+	if sh.Ref = ref; ref {
+		sh.Info.ID = ElemID(r.I32())
+		return sh, nil
+	}
+	sh.Info = readElemInfo(r)
+	sh.Pts = wire.ReadPoints(r, arena)
+	return sh, nil
+}
+
+// ------------------------------------------------------------ phase D rows
+
+// resultRowCodec registers the raw codec of []resultRow[T], given T's
+// value layout. Every row opens with its kind; a count carries its query
+// and value, an aggregate partial its query and T, a weight its value,
+// an order its query, element and offset.
+func resultRowCodec[T any](app func([]byte, T) []byte, read func(*wire.Reader) T) {
+	fixedCodec(
+		func(buf []byte, rows []resultRow[T]) []byte {
+			buf = wire.AppendUvarint(buf, uint64(len(rows)))
+			for _, row := range rows {
+				buf = append(buf, byte(row.Kind))
+				switch row.Kind {
+				case rowCount:
+					buf = wire.AppendI32(buf, row.Query)
+					buf = wire.AppendI64(buf, row.N)
+				case rowAgg:
+					buf = wire.AppendI32(buf, row.Query)
+					buf = app(buf, row.Val)
+				case rowWeight:
+					buf = wire.AppendVarint(buf, row.N)
+				case rowOrder:
+					buf = wire.AppendI32(buf, row.Query)
+					buf = wire.AppendI32(buf, int32(row.Elem))
+					buf = wire.AppendVarint(buf, row.N)
+				}
+			}
+			return buf
+		},
+		func(r *wire.Reader) ([]resultRow[T], error) {
+			n := r.Count(2) // kind + a one-byte weight
+			var rows []resultRow[T]
+			if n > 0 {
+				rows = make([]resultRow[T], n)
+				for i := range rows {
+					row := &rows[i]
+					k := r.Bytes(1)
+					if k == nil {
+						break // truncated: the reader has failed
+					}
+					switch row.Kind = rowKind(k[0]); row.Kind {
+					case rowCount:
+						row.Query, row.N = r.I32(), r.I64()
+					case rowAgg:
+						row.Query = r.I32()
+						row.Val = read(r)
+					case rowWeight:
+						row.N = r.Varint()
+					case rowOrder:
+						row.Query, row.Elem, row.N = r.I32(), ElemID(r.I32()), r.Varint()
+					default:
+						return nil, fmt.Errorf("core: phase-D row %d has unknown kind %d", i, k[0])
+					}
+				}
+			}
+			return rows, nil
+		})
 }
 
 // fixedCodec registers the raw codec of T: app appends a value, dec reads
@@ -193,51 +287,53 @@ func init() {
 	// ordinals in one framed section, then the points).
 	fixedCodec(appendSrecs, readSrecs)
 
-	// Phase B: element copies in flight. Every row opens with the Ref
-	// flag: a by-value row follows with metadata + point payload, a
-	// reference with the element ID alone.
+	// Phase C: element copies and routed subqueries in one block. Every
+	// row opens with its IsSub flag, then a subquery or a copy
+	// (appendShipped).
 	fixedCodec(
-		func(buf []byte, els []shippedElem) []byte {
-			buf = wire.AppendUvarint(buf, uint64(len(els)))
-			for _, sh := range els {
-				buf = append(buf, flagByte(sh.Ref))
-				if sh.Ref {
-					buf = wire.AppendI32(buf, int32(sh.Info.ID))
-					continue
+		func(buf []byte, rows []routeRow) []byte {
+			buf = wire.AppendUvarint(buf, uint64(len(rows)))
+			for i := range rows {
+				buf = append(buf, flagByte(rows[i].IsSub))
+				if rows[i].IsSub {
+					buf = appendSubquery(buf, rows[i].Sub)
+				} else {
+					buf = appendShipped(buf, rows[i].Copy)
 				}
-				buf = appendElemInfo(buf, sh.Info)
-				buf = wire.AppendPoints(buf, sh.Pts)
 			}
 			return buf
 		},
-		func(r *wire.Reader) ([]shippedElem, error) {
+		func(r *wire.Reader) ([]routeRow, error) {
 			arena := wire.NewArena(r)
-			n := r.Count(5) // flag + element ID, the reference row
-			var els []shippedElem
+			n := r.Count(6) // tag + flag + element ID, the reference row
+			var rows []routeRow
 			if n > 0 {
-				els = make([]shippedElem, n)
-				for i := range els {
-					ref, err := readFlag(r)
+				rows = make([]routeRow, n)
+				for i := range rows {
+					sub, err := readFlag(r)
 					if err != nil {
 						return nil, err
 					}
-					if els[i].Ref = ref; ref {
-						els[i].Info.ID = ElemID(r.I32())
+					if rows[i].IsSub = sub; sub {
+						rows[i].Sub = readSubquery(r, &arena)
 						continue
 					}
-					els[i].Info = readElemInfo(r)
-					els[i].Pts = wire.ReadPoints(r, &arena)
+					if rows[i].Copy, err = readShipped(r, &arena); err != nil {
+						return nil, err
+					}
 				}
 			}
-			return els, nil
+			return rows, nil
 		})
 
-	// Phase C: routed subqueries (the query boxes), both as exchange
-	// rows and wrapped in the single-query serve-step arguments.
-	fixedCodec(appendSubqueries, func(r *wire.Reader) ([]subquery, error) {
-		arena := wire.NewArena(r)
-		return readSubqueries(r, &arena), nil
-	})
+	// Phase D's partials, weights and orders, for the value types a batch
+	// carries: none (count and report batches) and the standard aggregate
+	// values (internal/aggregates). Custom value types fall back to gob.
+	resultRowCodec(func(buf []byte, _ struct{}) []byte { return buf }, func(*wire.Reader) struct{} { return struct{}{} })
+	resultRowCodec(wire.AppendI64, (*wire.Reader).I64)
+	resultRowCodec(wire.AppendF64, (*wire.Reader).F64)
+
+	// The single-query serve-step arguments.
 	fixedCodec(
 		func(buf []byte, a serveArgs) []byte { return appendSubqueries(buf, a.Subs) },
 		func(r *wire.Reader) (serveArgs, error) {

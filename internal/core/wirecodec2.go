@@ -11,7 +11,7 @@ import (
 
 // Raw wire codecs for the remaining step/collect payloads: the resident
 // control arguments, the held-construct frames of the worker-fed build,
-// and the fused route-and-serve replies. With these registered, a
+// and phase C's collect reply. With these registered, a
 // cluster serving queries or bulk-ingesting points sends ZERO gob frames
 // — every byte on the coordinator's connections is raw-coded control or
 // payload (TestClusterIngestAndServeWithoutGob holds that line). Only custom
@@ -125,6 +125,37 @@ func readTreeSums(r *wire.Reader) ([]treeSum, error) {
 		ts[i].Elem0 = ElemID(r.I32())
 	}
 	return ts, nil
+}
+
+// appendInstallReply and readInstallReply code an installCopiesReply.
+func appendInstallReply(buf []byte, rep installCopiesReply) []byte {
+	buf = wire.AppendVarint(buf, int64(rep.Held))
+	buf = wire.AppendVarint(buf, int64(rep.CacheHits))
+	buf = wire.AppendVarint(buf, int64(rep.ByRef))
+	buf = wire.AppendI64(buf, rep.InstallNanos)
+	buf = wire.AppendUvarint(buf, uint64(len(rep.Ops)))
+	for _, op := range rep.Ops {
+		buf = wire.AppendI32(buf, int32(op.ID))
+		buf = append(buf, flagByte(op.Evict))
+	}
+	return buf
+}
+
+func readInstallReply(r *wire.Reader) (installCopiesReply, error) {
+	rep := installCopiesReply{Held: int(r.Varint()), CacheHits: int(r.Varint()),
+		ByRef: int(r.Varint()), InstallNanos: r.I64()}
+	n := r.Count(5)
+	if n > 0 {
+		rep.Ops = make([]cacheOp, n)
+		for i := range rep.Ops {
+			rep.Ops[i].ID = ElemID(r.I32())
+			var err error
+			if rep.Ops[i].Evict, err = readFlag(r); err != nil {
+				return rep, err
+			}
+		}
+	}
+	return rep, nil
 }
 
 // readOrd reads one uvarint tree ordinal; a value past uint32 is corrupt.
@@ -373,10 +404,10 @@ func init() {
 			return rep, nil
 		})
 
-	// ---------------------------------------------- phase-B copy machinery
+	// ---------------------------------------------- phase C's superstep
 
 	fixedCodec(
-		func(buf []byte, a shipArgs) []byte {
+		func(buf []byte, a shipRouteArgs) []byte {
 			buf = wire.AppendUvarint(buf, uint64(len(a.Ships)))
 			for _, hs := range a.Ships {
 				buf = wire.AppendI32(buf, hs.Host)
@@ -386,10 +417,14 @@ func init() {
 					buf = append(buf, flagByte(hs.Refs[i]))
 				}
 			}
+			buf = wire.AppendUvarint(buf, uint64(len(a.Routed)))
+			for _, subs := range a.Routed {
+				buf = appendSubqueries(buf, subs)
+			}
 			return buf
 		},
-		func(r *wire.Reader) (shipArgs, error) {
-			var a shipArgs
+		func(r *wire.Reader) (shipRouteArgs, error) {
+			var a shipRouteArgs
 			n := r.Count(5)
 			if n > 0 {
 				a.Ships = make([]hostShip, n)
@@ -410,52 +445,61 @@ func init() {
 					}
 				}
 			}
+			arena := wire.NewArena(r)
+			if n := r.Count(1); n > 0 {
+				a.Routed = make([][]subquery, n)
+				for i := range a.Routed {
+					a.Routed[i] = readSubqueries(r, &arena)
+				}
+			}
 			return a, nil
 		})
 	fixedCodec(
-		func(buf []byte, n copyNote) []byte {
-			buf = wire.AppendVarint(buf, int64(n.CopiedPts))
-			return wire.AppendVarint(buf, int64(n.RefPts))
-		},
-		func(r *wire.Reader) (copyNote, error) {
-			return copyNote{CopiedPts: int(r.Varint()), RefPts: int(r.Varint())}, nil
-		})
-	fixedCodec(
-		func(buf []byte, a installCopiesArgs) []byte {
+		func(buf []byte, a installServeArgs) []byte {
 			buf = wire.AppendU64(buf, a.Epoch)
 			buf = wire.AppendVarint(buf, int64(a.Cap))
-			return wire.AppendString(buf, a.Agg)
-		},
-		func(r *wire.Reader) (installCopiesArgs, error) {
-			return installCopiesArgs{Epoch: r.U64(), Cap: int(r.Varint()), Agg: r.Str()}, nil
-		})
-	fixedCodec(
-		func(buf []byte, rep installCopiesReply) []byte {
-			buf = wire.AppendVarint(buf, int64(rep.Held))
-			buf = wire.AppendVarint(buf, int64(rep.CacheHits))
-			buf = wire.AppendVarint(buf, int64(rep.ByRef))
-			buf = wire.AppendI64(buf, rep.InstallNanos)
-			buf = wire.AppendUvarint(buf, uint64(len(rep.Ops)))
-			for _, op := range rep.Ops {
-				buf = wire.AppendI32(buf, int32(op.ID))
-				buf = append(buf, flagByte(op.Evict))
+			buf = wire.AppendString(buf, a.Agg)
+			buf = wire.AppendUvarint(buf, uint64(len(a.Ops)))
+			for _, op := range a.Ops {
+				buf = append(buf, byte(op))
 			}
 			return buf
 		},
-		func(r *wire.Reader) (installCopiesReply, error) {
-			rep := installCopiesReply{Held: int(r.Varint()), CacheHits: int(r.Varint()),
-				ByRef: int(r.Varint()), InstallNanos: r.I64()}
-			n := r.Count(5)
-			if n > 0 {
-				rep.Ops = make([]cacheOp, n)
-				for i := range rep.Ops {
-					rep.Ops[i].ID = ElemID(r.I32())
-					var err error
-					if rep.Ops[i].Evict, err = readFlag(r); err != nil {
-						return rep, err
-					}
+		func(r *wire.Reader) (installServeArgs, error) {
+			a := installServeArgs{Epoch: r.U64(), Cap: int(r.Varint()), Agg: r.Str()}
+			if ops := r.Bytes(r.Count(1)); len(ops) > 0 {
+				a.Ops = make([]MixedOp, len(ops))
+				for i, op := range ops {
+					a.Ops[i] = MixedOp(op)
 				}
 			}
+			return a, nil
+		})
+	fixedCodec(
+		func(buf []byte, rep installServeReply) []byte {
+			buf = wire.AppendVarint(buf, int64(rep.Note.CopiedPts))
+			buf = wire.AppendVarint(buf, int64(rep.Note.RefPts))
+			buf = appendInstallReply(buf, rep.Install)
+			buf = wire.AppendVarint(buf, int64(rep.Serve.Served))
+			buf = appendQcounts(buf, rep.Serve.Counts)
+			buf = wire.AppendBytes(buf, rep.Serve.Aggs)
+			return appendRlocals(buf, rep.Serve.Locals)
+		},
+		func(r *wire.Reader) (installServeReply, error) {
+			var rep installServeReply
+			rep.Note = copyNote{CopiedPts: int(r.Varint()), RefPts: int(r.Varint())}
+			var err error
+			if rep.Install, err = readInstallReply(r); err != nil {
+				return rep, err
+			}
+			rep.Serve.Served = int(r.Varint())
+			rep.Serve.Counts = readQcounts(r)
+			// The section views the received frame, whose buffer is reused;
+			// Aggs outlives the decode (the aggregate run decodes it), so copy.
+			if aggs := r.Section(); len(aggs) > 0 {
+				rep.Serve.Aggs = slices.Clone(aggs)
+			}
+			rep.Serve.Locals = readRlocals(r)
 			return rep, nil
 		})
 
@@ -483,31 +527,6 @@ func init() {
 		})
 
 	// ---------------------------------------------- serving and results
-
-	// Whole-element report orders redistributed by SegmentedGather.
-	fixedCodec(
-		func(buf []byte, os []rorder) []byte {
-			buf = wire.AppendUvarint(buf, uint64(len(os)))
-			for _, o := range os {
-				buf = wire.AppendI32(buf, o.Query)
-				buf = wire.AppendI32(buf, int32(o.Elem))
-				buf = wire.AppendVarint(buf, int64(o.Off))
-			}
-			return buf
-		},
-		func(r *wire.Reader) ([]rorder, error) {
-			n := r.Count(9)
-			var os []rorder
-			if n > 0 {
-				os = make([]rorder, n)
-				for i := range os {
-					os[i].Query = r.I32()
-					os[i].Elem = ElemID(r.I32())
-					os[i].Off = int(r.Varint())
-				}
-			}
-			return os, nil
-		})
 
 	// Forest-root aggregates of the standard value types.
 	fixedCodec(
@@ -574,46 +593,5 @@ func init() {
 				}
 			}
 			return ss, nil
-		})
-
-	// ---------------------------------------------- fused mixed serving
-
-	fixedCodec(
-		func(buf []byte, a mixedServeArgs) []byte {
-			buf = wire.AppendString(buf, a.Agg)
-			buf = wire.AppendUvarint(buf, uint64(len(a.Ops)))
-			for _, op := range a.Ops {
-				buf = append(buf, byte(op))
-			}
-			return buf
-		},
-		func(r *wire.Reader) (mixedServeArgs, error) {
-			var a mixedServeArgs
-			a.Agg = r.Str()
-			n := r.Count(1)
-			if n > 0 {
-				a.Ops = make([]MixedOp, n)
-				for i := range a.Ops {
-					if d := r.Bytes(1); d != nil {
-						a.Ops[i] = MixedOp(d[0])
-					}
-				}
-			}
-			return a, nil
-		})
-	fixedCodec(
-		func(buf []byte, rep mixedServeReply) []byte {
-			buf = appendQcounts(buf, rep.Counts)
-			buf = wire.AppendBytes(buf, rep.Aggs)
-			return appendRlocals(buf, rep.Locals)
-		},
-		func(r *wire.Reader) (mixedServeReply, error) {
-			var rep mixedServeReply
-			rep.Counts = readQcounts(r)
-			// The section views the received frame, whose buffer is reused;
-			// Aggs outlives the decode (the aggregate run decodes it), so copy.
-			rep.Aggs = slices.Clone(r.Section())
-			rep.Locals = readRlocals(r)
-			return rep, nil
 		})
 }

@@ -135,26 +135,6 @@ func TestWireCodecsMatchGobOracle(t *testing.T) {
 		roundTrip(t, routeHeldArgs{Trees: trees, Grain: 1 + rng.Intn(4096), Offset: rng.Intn(1 << 20)})
 		roundTrip(t, nextHeldArgs{Dim: int8(rng.Intn(dims)), Keys: keys})
 
-		els := make([]shippedElem, rng.Intn(5))
-		for i := range els {
-			if rng.Intn(2) == 1 {
-				els[i] = shippedElem{Info: ElemInfo{ID: ElemID(rng.Int31n(500))}, Ref: true}
-				continue
-			}
-			els[i] = shippedElem{
-				Info: ElemInfo{
-					ID: ElemID(rng.Int31n(500)), Owner: rng.Int31n(8),
-					Count: rng.Int31n(100), Dim: int8(rng.Intn(dims)),
-					Key: genKey(rng), Min: geom.Coord(rng.Int31n(100)), Max: geom.Coord(rng.Int31n(100)),
-				},
-				Pts: genPoints(rng, rng.Intn(20), dims),
-			}
-		}
-		if len(els) == 0 {
-			els = nil
-		}
-		roundTrip(t, els)
-
 		subs := make([]subquery, n)
 		for i := range subs {
 			subs[i] = subquery{Query: rng.Int31n(1000), Elem: ElemID(rng.Int31n(500)), Box: genBox(rng, dims)}
@@ -162,8 +142,66 @@ func TestWireCodecsMatchGobOracle(t *testing.T) {
 		if n == 0 {
 			subs = nil
 		}
-		roundTrip(t, subs)
 		roundTrip(t, serveArgs{Subs: subs})
+
+		// Phase C: copies by value and by reference beside subqueries.
+		rows := make([]routeRow, rng.Intn(8))
+		for i := range rows {
+			switch rng.Intn(3) {
+			case 0:
+				rows[i].Copy = shippedElem{Info: ElemInfo{ID: ElemID(rng.Int31n(500))}, Ref: true}
+			case 1:
+				rows[i].Copy = shippedElem{
+					Info: ElemInfo{
+						ID: ElemID(rng.Int31n(500)), Owner: rng.Int31n(8),
+						Count: rng.Int31n(100), Dim: int8(rng.Intn(dims)),
+						Key: genKey(rng), Min: geom.Coord(rng.Int31n(100)), Max: geom.Coord(rng.Int31n(100)),
+					},
+					Pts: genPoints(rng, rng.Intn(20), dims),
+				}
+			default:
+				rows[i] = routeRow{IsSub: true, Sub: subquery{Query: rng.Int31n(1000), Elem: ElemID(rng.Int31n(500)), Box: genBox(rng, dims)}}
+			}
+		}
+		if len(rows) == 0 {
+			rows = nil
+		}
+		roundTrip(t, rows)
+		routed := make([][]subquery, 1+rng.Intn(4))
+		for i := range routed {
+			routed[i] = subs[:rng.Intn(n+1)]
+			if len(routed[i]) == 0 {
+				routed[i] = nil
+			}
+		}
+		roundTrip(t, shipRouteArgs{Ships: []hostShip{{Host: 2, Elems: []ElemID{3, 5}, Refs: []bool{true, false}}}, Routed: routed})
+
+		// Phase D: one row of each kind per query, canonical per kind.
+		var iRows []resultRow[int64]
+		var fRows []resultRow[float64]
+		var eRows []resultRow[struct{}]
+		for i := 0; i < n; i++ {
+			q, e, v := rng.Int31n(1000), ElemID(rng.Int31n(500)), rng.Int63n(1<<40)-(1<<39)
+			for _, k := range []rowKind{rowCount, rowAgg, rowWeight, rowOrder} {
+				row := resultRow[int64]{Kind: k, Query: q, N: v}
+				switch k {
+				case rowAgg:
+					row.N, row.Val = 0, v
+				case rowWeight:
+					row.Query = 0
+				case rowOrder:
+					row.Elem = e
+				}
+				iRows = append(iRows, row)
+				fRows = append(fRows, resultRow[float64]{Kind: k, Query: row.Query, Elem: row.Elem, N: row.N, Val: float64(row.Val) / 8})
+				if k != rowAgg {
+					eRows = append(eRows, resultRow[struct{}]{Kind: k, Query: row.Query, Elem: row.Elem, N: row.N})
+				}
+			}
+		}
+		roundTrip(t, iRows)
+		roundTrip(t, fRows)
+		roundTrip(t, eRows)
 
 		qcs := make([]qcount, n)
 		for i := range qcs {
@@ -204,6 +242,49 @@ func TestWireCodecsMatchGobOracle(t *testing.T) {
 		}
 		roundTrip(t, rps)
 	}
+}
+
+// decodeHostile decodes b as T and requires an error, not a panic.
+func decodeHostile[T any](t *testing.T, what string, b []byte) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("%s: decoding %T panicked: %v", what, *new(T), r)
+		}
+	}()
+	if _, err := wire.Decode[T](b); err == nil {
+		t.Fatalf("%s: %T block accepted", what, *new(T))
+	}
+}
+
+// TestRowCodecsRejectHostileBlocks: the tagged rows of phases C and D
+// decode a row tag outside their kinds, and a block cut short, to an
+// error.
+func TestRowCodecsRejectHostileBlocks(t *testing.T) {
+	route, err := wire.Encode(nil, []routeRow{
+		{IsSub: true, Sub: subquery{Query: 1, Elem: 2, Box: geom.Box{Lo: []geom.Coord{0}, Hi: []geom.Coord{5}}}},
+		{Copy: shippedElem{Info: ElemInfo{ID: 3}, Ref: true}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := bytes.Clone(route)
+	bad[2] = 7 // block tag, row count, then the first row's tag
+	decodeHostile[[]routeRow](t, "unknown route tag", bad)
+	decodeHostile[[]routeRow](t, "truncated route block", route[:len(route)-2])
+
+	check := func(name string, b []byte, decode func(string, []byte)) {
+		bad := bytes.Clone(b)
+		bad[2] = 9
+		decode(name+": unknown row kind", bad)
+		decode(name+": truncated block", b[:len(b)-1])
+	}
+	eb, _ := wire.Encode(nil, []resultRow[struct{}]{{Kind: rowOrder, Query: 4, Elem: 5, N: 6}, {Kind: rowWeight, N: 7}})
+	check("phase D, no value", eb, func(w string, b []byte) { decodeHostile[[]resultRow[struct{}]](t, w, b) })
+	ib, _ := wire.Encode(nil, []resultRow[int64]{{Kind: rowAgg, Query: 4, Val: 8}})
+	check("phase D, int64", ib, func(w string, b []byte) { decodeHostile[[]resultRow[int64]](t, w, b) })
+	fb, _ := wire.Encode(nil, []resultRow[float64]{{Kind: rowCount, Query: 4, N: 2}})
+	check("phase D, float64", fb, func(w string, b []byte) { decodeHostile[[]resultRow[float64]](t, w, b) })
 }
 
 // A generic aggregate over a custom value type must keep riding the gob
@@ -300,9 +381,9 @@ func BenchmarkWireCodec(b *testing.B) {
 	}
 	benchEncDec(b, "epoints", eps)
 
-	subs := make([]subquery, n)
+	subs := make([]routeRow, n)
 	for i := range subs {
-		subs[i] = subquery{Query: int32(i), Elem: ElemID(rng.Int31n(500)), Box: genBox(rng, dims)}
+		subs[i] = routeRow{IsSub: true, Sub: subquery{Query: int32(i), Elem: ElemID(rng.Int31n(500)), Box: genBox(rng, dims)}}
 	}
 	benchEncDec(b, "subqueries", subs)
 
@@ -318,9 +399,9 @@ func BenchmarkWireCodec(b *testing.B) {
 	}
 	benchEncDec(b, "reportpairs", rps)
 
-	els := make([]shippedElem, 8)
+	els := make([]routeRow, 8)
 	for i := range els {
-		els[i] = shippedElem{
+		els[i].Copy = shippedElem{
 			Info: ElemInfo{ID: ElemID(i), Owner: int32(i % 4), Count: int32(n / 8),
 				Dim: 1, Key: segtree.PathKey(fmt.Sprintf("0.%d", i)), Min: 0, Max: 1000},
 			Pts: genPoints(rng, n/8, dims),

@@ -5,6 +5,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/model"
+	"repro/internal/workload"
 )
 
 func TestF1RootSegment(t *testing.T) {
@@ -250,6 +253,19 @@ func TestE14ProducesFiniteScores(t *testing.T) {
 	}
 	if geoRows != 2 {
 		t.Fatalf("expected 2 geo-mean rows, got %d", geoRows)
+	}
+}
+
+// TestSearchWorkloadRoundsMatchCountBatch keeps E14's search model honest:
+// the round count it fits with is the one a counting batch runs.
+func TestSearchWorkloadRoundsMatchCountBatch(t *testing.T) {
+	const n, d, p = 1 << 10, 2, 4
+	dt, _ := buildMeasured(n, d, p, 15)
+	dt.Machine().ResetMetrics()
+	dt.CountBatch(workload.Boxes(workload.QuerySpec{M: n, Dims: d, N: n, Selectivity: 0.01, Seed: 15}))
+	got, want := dt.Machine().Metrics().CommRounds(), model.SearchWorkload(n, d, n).Rounds
+	if got != want {
+		t.Errorf("CountBatch ran %d rounds, model.SearchWorkload says %d", got, want)
 	}
 }
 

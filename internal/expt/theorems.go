@@ -139,9 +139,9 @@ func T3(sc Scale) *Table {
 	t := &Table{
 		ID:    "T3",
 		Title: "Algorithm Search: n independent queries (Theorem 3 / Corollary 2)",
-		Note: "Counting mode over a batch of m = n queries. Rounds are constant (5: " +
-			"demand, copies, route, home, plus the run-end); modelled speedup grows " +
-			"with p.",
+		Note: "Counting mode over a batch of m = n queries. Rounds are constant (3: " +
+			"the demand all-gather, the copies with the routed subqueries, the " +
+			"partials to their homes); modelled speedup grows with p.",
 		Header: []string{"n", "d", "p", "m", "rounds", "max h", "T_model", "speedup"},
 	}
 	n, d := 1<<12, 2
