@@ -232,7 +232,7 @@ const (
 )
 
 // MixedResult holds one mixed-batch answer; only the field selected by
-// the query's op is meaningful.
+// the query's op is meaningful. A report's Pts are in ascending point ID.
 type MixedResult[T any] = core.MixedResult[T]
 
 // MixedBatch answers a batch mixing count, aggregate and report queries

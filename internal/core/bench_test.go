@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cgm"
@@ -109,6 +110,48 @@ func BenchmarkMixedBatchD3(b *testing.B) {
 		MixedBatch(dt, agg, ops, boxes[i%sets])
 	}
 	b.ReportMetric(float64(b.N*m)/b.Elapsed().Seconds(), "q/s")
+}
+
+// BenchmarkGroupReports measures the report epilogue at the benchmark's
+// batch-tcp-report shape: 65 536 clustered points (32 blobs, spread 0.02),
+// d = 2, p = 4, 256 boxes at selectivity 0.002 with every third a report,
+// ≈ 11 000 pairs. One machine run leaves the ranks' pair blocks as the
+// grouping finds them; each iteration groups those blocks again.
+func BenchmarkGroupReports(b *testing.B) {
+	const n, d, p, m = 1 << 16, 2, 4, 256
+	pts := workload.Points(workload.PointSpec{N: n, Dims: d, Dist: workload.Clustered, Clusters: 32, Spread: 0.02, Seed: 1})
+	dt, err := BuildOn(cgm.NewLocalProvider(cgm.Config{P: p}), pts, BackendLayered)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ops := make([]MixedOp, m)
+	for i := range ops {
+		if i%3 == 2 {
+			ops[i] = OpReport
+		}
+	}
+	fr := mixedFrameOf[struct{}](dt)
+	fr.boxes, fr.ops, fr.holds = workload.Boxes(workload.QuerySpec{M: m, Dims: d, N: n, Selectivity: 0.002, Seed: 1}), ops, 1<<OpCount|1<<OpReport
+	fr.results = make([]MixedResult[struct{}], m)
+	dt.prepBatch()
+	dt.mach.Run(fr.prog)
+	blocks := slices.Clone(fr.rep.perProc)
+	pairs := 0
+	for _, blk := range blocks {
+		pairs += len(blk)
+	}
+	fr.unpin()
+	rb := newReportBlocks(p)
+	results := make([]MixedResult[struct{}], m)
+	copy(rb.perProc, blocks)
+	groupReports(&rb, results) // size the scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(rb.perProc, blocks)
+		groupReports(&rb, results)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pairs), "ns/pair")
 }
 
 func BenchmarkCountBatch(b *testing.B) {

@@ -44,7 +44,9 @@ func (k kinds) has(op MixedOp) bool { return k&(1<<op) != 0 }
 type MixedResult[T any] struct {
 	Count int64
 	Agg   T
-	Pts   []geom.Point
+	// Pts is a report's answer in ascending point ID, in a slice of its
+	// own (nil when the box holds no point).
+	Pts []geom.Point
 }
 
 // mixedRun is one rank's run of a batch: one kind run per result kind the

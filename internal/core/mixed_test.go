@@ -1,7 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -128,6 +131,61 @@ func TestMixedRejectsUnknownOp(t *testing.T) {
 		for i, got := range tree.CountBatch(boxes) {
 			if want := int64(bf.Count(boxes[i])); got != want {
 				t.Fatalf("resident=%t: after the refused batch, query %d counts %d, want %d", resident, i, got, want)
+			}
+		}
+	}
+}
+
+// scrambledIDs relabels pts with distinct IDs drawn over the whole int32
+// range — about half negative, both extremes among them — and dealt to
+// the points in random order.
+func scrambledIDs(pts []geom.Point, seed int64) []geom.Point {
+	rng := rand.New(rand.NewSource(seed))
+	ids := []int32{math.MinInt32, math.MaxInt32, -1, 0}
+	seen := map[int32]bool{math.MinInt32: true, math.MaxInt32: true, -1: true, 0: true}
+	for len(ids) < len(pts) {
+		if id := int32(rng.Uint32()); !seen[id] {
+			seen[id] = true
+			ids = append(ids, id)
+		}
+	}
+	rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+	out := make([]geom.Point, len(pts))
+	for i, pt := range pts {
+		out[i] = geom.Point{ID: ids[i], X: pt.X}
+	}
+	return out
+}
+
+// TestMixedBatchReportsInIDOrder pins the report contract on
+// MixedResult.Pts: every group is in ascending point ID, on fabric and
+// resident trees alike, whatever the IDs are.
+func TestMixedBatchReportsInIDOrder(t *testing.T) {
+	const n, m = 2048, 60
+	pts := scrambledIDs(workload.Points(workload.PointSpec{N: n, Dims: 2, Dist: workload.Clustered, Seed: 8}), 8)
+	bf := brute.New(pts)
+	boxes := workload.Boxes(workload.QuerySpec{M: m, Dims: 2, N: n, Selectivity: 0.05, Seed: 8})
+	boxes = append(boxes, geom.NewBox([]geom.Coord{0, 0}, []geom.Coord{n, n})) // every point
+	ops := make([]MixedOp, len(boxes))
+	for i := range ops {
+		if i%3 != 0 {
+			ops[i] = OpReport
+		}
+	}
+	for _, resident := range []bool{false, true} {
+		tree := Build(cgm.New(cgm.Config{P: 4, Resident: resident}), pts)
+		for i, r := range MixedBatch[struct{}](tree, nil, ops, boxes) {
+			if ops[i] != OpReport {
+				continue
+			}
+			if !slices.IsSortedFunc(r.Pts, func(a, b geom.Point) int { return cmp.Compare(a.ID, b.ID) }) {
+				t.Fatalf("resident=%t: query %d's %d points are not in ID order", resident, i, len(r.Pts))
+			}
+			if got, want := brute.IDs(r.Pts), brute.IDs(bf.Report(boxes[i])); !slices.Equal(got, want) {
+				t.Fatalf("resident=%t: query %d reported IDs %v, want %v", resident, i, got, want)
+			}
+			if i == m && len(r.Pts) != n {
+				t.Fatalf("resident=%t: the box around every point reported %d of %d", resident, len(r.Pts), n)
 			}
 		}
 	}

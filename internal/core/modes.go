@@ -383,23 +383,26 @@ func (r *reportRun) deliver(pr *cgm.Proc, prefix, totalK int, fetched []rorder) 
 
 // reportBlocks is the caller-side half of the report kind, kept with the
 // tree's frame: each rank's balanced pair block as the run leaves it, the
-// per-rank pair counts of the last report batch, and the grouping's
-// scratch, which each batch sizes.
+// ordinal of each block's first pair in the last report batch (then the
+// batch's pair total), and the grouping's scratch, which each batch sizes.
 type reportBlocks struct {
 	perProc [][]ReportPair
-	counts  []int
-	// grouping scratch, per query: pair counts and the growing groups.
-	sizes    []int
-	perQuery [][]geom.Point
+	starts  []int
+	// grouping scratch: per query, pair counts and the growing groups; per
+	// pair, the packed sort words and the radix passes' other vector.
+	sizes     []int
+	perQuery  [][]geom.Point
+	keys, buf []uint64
 }
 
 func newReportBlocks(p int) reportBlocks {
-	return reportBlocks{perProc: make([][]ReportPair, p), counts: make([]int, p)}
+	return reportBlocks{perProc: make([][]ReportPair, p), starts: make([]int, p+1)}
 }
 
 // groupScratch returns buf as n zeroed elements, grown when too small.
-// At 32 B a query the two vectors stay as large as the largest batch the
-// frame has grouped; trimming is the arenas' business, not theirs.
+// At 32 B a query and 16 B a pair the vectors stay as large as the largest
+// batch the frame has grouped; trimming is the arenas' business, not
+// theirs.
 func groupScratch[E any](buf []E, n int) []E {
 	if cap(buf) < n {
 		return make([]E, n)
@@ -410,24 +413,40 @@ func groupScratch[E any](buf []E, n int) []E {
 }
 
 // groupReports groups the distributed (q, l) pairs by query for the
-// caller, each group sorted by point ID; only report queries have pairs.
-// The algorithm's deliverable — every pair on some processor, balanced to
-// O(k/p) each — is what the machine run produced and what the metrics
-// measure; this grouping is a convenience step outside the measured
-// algorithm.
+// caller, each group in ascending point ID (pairs of equal ID in pair
+// order); only report queries have pairs. The algorithm's deliverable —
+// every pair on some processor, balanced to O(k/p) each — is what the
+// machine run produced and what the CGM metrics measure. This grouping
+// runs on the caller after the run: it adds no round, h or volume, but
+// every report batch waits for it, so it is linear in the pairs. Each
+// pair becomes one word, its ID with the sign bit flipped (so the IDs
+// order as unsigned) over its ordinal across the ranks' blocks (2^32
+// pairs would be 160 GB of blocks); a stable radix orders the words by
+// ID, and one pass in that order appends each point to its query's
+// exact-size group.
 func groupReports[T any](rb *reportBlocks, results []MixedResult[T]) {
+	// The pair blocks die with the run's arenas.
+	defer clear(rb.perProc)
 	total := 0
 	for rank, pairs := range rb.perProc {
-		rb.counts[rank] = len(pairs)
+		rb.starts[rank] = total
 		total += len(pairs)
 	}
+	rb.starts[len(rb.perProc)] = total
 	if total == 0 {
 		return // results are born empty
 	}
 	rb.sizes = groupScratch(rb.sizes, len(results))
 	rb.perQuery = groupScratch(rb.perQuery, len(results))
-	for _, pairs := range rb.perProc {
-		for _, pair := range pairs {
+	rb.keys = groupScratch(rb.keys, total)
+	rb.buf = groupScratch(rb.buf, total)
+	and, or := ^uint32(0), uint32(0)
+	for rank, pairs := range rb.perProc {
+		ord := rb.starts[rank]
+		for i, pair := range pairs {
+			id := uint32(pair.Pt.ID) ^ 1<<31
+			and, or = and&id, or|id
+			rb.keys[ord+i] = uint64(id)<<32 | uint64(ord+i)
 			rb.sizes[pair.Query]++
 		}
 	}
@@ -436,19 +455,44 @@ func groupReports[T any](rb *reportBlocks, results []MixedResult[T]) {
 			rb.perQuery[q] = make([]geom.Point, 0, n)
 		}
 	}
-	for _, pairs := range rb.perProc {
-		for _, pair := range pairs {
-			rb.perQuery[pair.Query] = append(rb.perQuery[pair.Query], pair.Pt)
-		}
+	ends := rb.starts[1:]
+	for _, w := range radixByID(rb.keys, rb.buf, and^or) {
+		ord := int(uint32(w))
+		rank, _ := slices.BinarySearch(ends, ord+1)
+		pair := &rb.perProc[rank][ord-rb.starts[rank]]
+		rb.perQuery[pair.Query] = append(rb.perQuery[pair.Query], pair.Pt)
 	}
 	for qi, pts := range rb.perQuery {
-		slices.SortFunc(pts, func(a, b geom.Point) int { return int(a.ID) - int(b.ID) })
 		results[qi].Pts = pts
 	}
-	// The groups are the caller's now, and the pair blocks die with the
-	// run's arenas.
-	clear(rb.perQuery)
-	clear(rb.perProc)
+	clear(rb.perQuery) // the groups are the caller's now
+}
+
+// radixByID orders the words stably by their upper half, an LSD radix
+// over the 8-bit digits set in vary (the bits in which the halves
+// differ), each pass moving the words between words and buf. It returns
+// whichever of the two holds the result.
+func radixByID(words, buf []uint64, vary uint32) []uint64 {
+	for shift := 0; shift < 32; shift += 8 {
+		if vary>>shift&0xff == 0 {
+			continue
+		}
+		var at [256]int
+		for _, w := range words {
+			at[w>>(32+shift)&0xff]++
+		}
+		sum := 0
+		for d, n := range at {
+			at[d], sum = sum, sum+n
+		}
+		for _, w := range words {
+			d := w >> (32 + shift) & 0xff
+			buf[at[d]] = w
+			at[d]++
+		}
+		words, buf = buf, words
+	}
+	return words
 }
 
 // ReportBatch answers every query in report mode and groups the pairs by
@@ -464,5 +508,10 @@ func (t *Tree) ReportBatchBalance(boxes []geom.Box) ([][]geom.Point, []int) {
 		return nil, make([]int, t.P())
 	}
 	pts := t.ReportBatch(boxes)
-	return pts, slices.Clone(mixedFrameOf[struct{}](t).rep.counts)
+	starts := mixedFrameOf[struct{}](t).rep.starts
+	counts := make([]int, t.P())
+	for rank := range counts {
+		counts[rank] = starts[rank+1] - starts[rank]
+	}
+	return pts, counts
 }

@@ -1,8 +1,11 @@
 package engine
 
 import (
+	"cmp"
 	"encoding/binary"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -199,6 +202,48 @@ func TestEngineReportNoAliasing(t *testing.T) {
 		if second[i-1].ID > second[i].ID {
 			t.Fatalf("cached report answer was corrupted by a caller's in-place mutation")
 		}
+	}
+}
+
+// TestEngineReportInIDOrder pins Report's contract — the points of the
+// box in ascending ID — on a tree whose IDs are drawn over the whole int32
+// range (about half negative) in no relation to the points, with both
+// int32 extremes at the corners of the space.
+func TestEngineReportInIDOrder(t *testing.T) {
+	const n = 1024
+	pts := workload.Points(workload.PointSpec{N: n, Dims: 2, Dist: workload.Uniform, Seed: 12})
+	rng := rand.New(rand.NewSource(12))
+	seen := map[int32]bool{}
+	for i := range pts {
+		id := int32(rng.Uint32())
+		for seen[id] {
+			id = int32(rng.Uint32())
+		}
+		seen[id] = true
+		pts[i].ID = id
+	}
+	pts[0].ID, pts[0].X = math.MinInt32, []geom.Coord{0, 0}
+	pts[1].ID, pts[1].X = math.MaxInt32, []geom.Coord{n, n}
+	bf := brute.New(pts)
+	eng := New(core.Build(cgm.New(cgm.Config{P: 4}), pts), Config{BatchSize: 8, CacheSize: 16})
+	defer eng.Close()
+
+	boxes := workload.Boxes(workload.QuerySpec{M: 24, Dims: 2, N: n, Selectivity: 0.05, Seed: 12})
+	boxes = append(boxes, geom.NewBox([]geom.Coord{0, 0}, []geom.Coord{n, n}))
+	for i, box := range boxes {
+		got, err := eng.Report(box)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.IsSortedFunc(got, func(a, b geom.Point) int { return cmp.Compare(a.ID, b.ID) }) {
+			t.Fatalf("box %d: the %d reported points are not in ID order", i, len(got))
+		}
+		if ids, want := brute.IDs(got), brute.IDs(bf.Report(box)); !slices.Equal(ids, want) {
+			t.Fatalf("box %d: reported IDs %v, want %v", i, ids, want)
+		}
+	}
+	if all, _ := eng.Report(boxes[len(boxes)-1]); len(all) != n || all[0].ID != math.MinInt32 || all[n-1].ID != math.MaxInt32 {
+		t.Fatalf("the box around every point reported %d of %d points, not from MinInt32 to MaxInt32", len(all), n)
 	}
 }
 
