@@ -98,17 +98,22 @@ const (
 
 // TestConstructAllocBudget ratchets what Algorithm Construct allocates: a
 // BuildOn of 4 096 clustered points on p = 4 loopback, bytes per built
-// point and allocations per build. It measures 952 / 2 329 B/point
-// (d = 2 / d = 3, within a byte every run) and 954–964 / 6 221–6 226
+// point and allocations per build. It measures 1 008 / 2 441 B/point
+// (d = 2 / d = 3, within a byte every run) and 956–963 / 6 215–6 222
 // allocations, with 40-byte records that name their tree by ordinal, a
-// local sort that permutes the records in place, the merge into one
-// scratch array, every record buffer sized once and cascade bridges kept
-// as rank words (2 bits per entry per level). int32 bridge arrays read
-// 978 / 2 480 B/point; records carrying a PathKey string 1 022 / 2 605; a
-// sort that permutes into a fresh record block 1 098 / 2 720; buffers
-// grown one append at a time 2 342 / 5 335 B/point and 1 456 / 7 152
-// allocations. The budgets sit about 7 % above the measurement, so any
-// of those fails it.
+// local radix sort of packed keys (two keys a record of scratch, which
+// the forest part keeps across the phases) that then permutes the
+// records in place, the merge into one scratch array, every record
+// buffer sized once and cascade bridges kept as rank words (2 bits per
+// entry per level). A comparison sort on one key vector read 952 / 2 329
+// B/point, and sortedBy's radix on 16-byte keys with the ID folded in
+// 1 024 at d = 2. Measured against that comparison-sort build, int32
+// bridge arrays read 978 / 2 480 B/point; records carrying a PathKey
+// string 1 022 / 2 605; a sort that permutes into a fresh record block
+// 1 098 / 2 720; buffers grown one append at a time 2 342 / 5 335
+// B/point and 1 456 / 7 152 allocations. The budgets, set 7 % above
+// the comparison-sort build, sit 1–2 % above this one, so any of those
+// on top of it fails them.
 func TestConstructAllocBudget(t *testing.T) {
 	const n, p, builds = 4096, 4, 3
 	pv := cgm.NewLocalProvider(cgm.Config{P: p})

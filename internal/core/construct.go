@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -226,44 +225,43 @@ func srecLess(j int) func(a, b srec) bool {
 	}
 }
 
-// sortKey is one record's packed srecLess(j) key: hi holds the tree
-// ordinal over the sign-flipped x_j, lo the sign-flipped point ID over the
+// sortRecs is the sample sort's local phase for S^j records. It packs
+// each record's srecLess(j) key into a psort.Key2: Hi holds the tree
+// ordinal over the sign-flipped x_j, Lo the sign-flipped point ID over the
 // record's index in the unsorted block. Flipping the sign bit makes the
 // unsigned order of a coordinate its signed order (layered.sortedBy's
-// trick), so two uint64 compares decide what srecLess decides, and the
-// index tells the permutation where the record is.
-type sortKey struct{ hi, lo uint64 }
-
-// sortRecs is the sample sort's local phase for S^j records: it sorts
-// pointer-free packed keys instead of the records, then moves every record
-// once, cycle by cycle in place, so the sort neither calls a comparator
-// closure on records nor allocates a second record block.
-func sortRecs(recs []srec, j int) {
-	keys := make([]sortKey, len(recs))
+// trick). The radix kernel sorts on Hi and Lo's upper half, so the index
+// is the payload that tells the permutation where each record is and,
+// being distinct and increasing, makes the result the one srecLess order.
+// Then every record moves once, cycle by cycle in place, so the sort
+// neither calls a comparator on records nor allocates a second record
+// block. scratch is the caller's key buffer: it is grown to 2·len(recs)
+// keys when shorter, and returned for the next phase.
+func sortRecs(recs []srec, j int, scratch []psort.Key2) []psort.Key2 {
+	n := len(recs)
+	if cap(scratch) < 2*n {
+		scratch = make([]psort.Key2, 2*n)
+	}
+	keys := scratch[:n]
 	for i, r := range recs {
-		keys[i] = sortKey{
-			hi: uint64(r.Ord)<<32 | uint64(uint32(r.Pt.X[j])^1<<31),
-			lo: uint64(uint32(r.Pt.ID)^1<<31)<<32 | uint64(i),
+		keys[i] = psort.Key2{
+			Hi: uint64(r.Ord)<<32 | uint64(uint32(r.Pt.X[j])^1<<31),
+			Lo: uint64(uint32(r.Pt.ID)^1<<31)<<32 | uint64(i),
 		}
 	}
-	slices.SortFunc(keys, func(a, b sortKey) int {
-		if a.hi != b.hi {
-			return cmp.Compare(a.hi, b.hi)
-		}
-		return cmp.Compare(a.lo, b.lo)
-	})
-	// Position k takes the record at from(k), the index in keys[k].lo; a
+	keys = psort.RadixKey2(keys, scratch[n:2*n], 32)
+	// Position k takes the record at from(k), the index in keys[k].Lo; a
 	// placed position's index is rewritten to itself, so every cycle of
 	// the permutation is walked once.
 	const idx = 1<<32 - 1
 	for k := range keys {
-		if int(keys[k].lo&idx) == k {
+		if int(keys[k].Lo&idx) == k {
 			continue
 		}
 		held, at := recs[k], k
 		for {
-			from := int(keys[at].lo & idx)
-			keys[at].lo = uint64(at) // the ID half is spent
+			from := int(keys[at].Lo & idx)
+			keys[at].Lo = uint64(at) // the ID half is spent
 			if from == k {
 				recs[at] = held
 				break
@@ -272,6 +270,7 @@ func sortRecs(recs []srec, j int) {
 			at = from
 		}
 	}
+	return scratch
 }
 
 // constructPhase builds all dimension-j segment trees, whose labels keys

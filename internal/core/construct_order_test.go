@@ -8,19 +8,28 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cgm"
+	"repro/internal/exec"
 	"repro/internal/geom"
 	"repro/internal/segtree"
+	"repro/internal/workload"
 )
 
 // TestSortRecsMatchesSrecLess: the keyed local sort orders construct-shaped
 // records exactly as a stable sort under srecLess does — heavy coordinate
 // ties, negative and extreme coordinates and IDs (the sign-bit flip),
-// several tree ordinals and permuted IDs, in every dimension.
+// several tree ordinals and permuted IDs, in every dimension. The lengths
+// straddle the radix kernel's small-input cutoff (384 keys, below which it
+// runs pdqsort): the lengths around it, then draws alternately below and
+// above it.
 func TestSortRecsMatchesSrecLess(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	coords := []geom.Coord{math.MinInt32, -3, -2, -1, 0, 1, 2, 3, math.MaxInt32}
+	lengths := []int{1, 383, 384, 385}
 	for trial := 0; trial < 20; trial++ {
-		n := 1 + rng.Intn(3000)
+		lengths = append(lengths, 1+rng.Intn(383), 384+rng.Intn(3000))
+	}
+	for trial, n := range lengths {
 		ids := rng.Perm(n)
 		recs := make([]srec, n)
 		for i := range recs {
@@ -38,7 +47,7 @@ func TestSortRecsMatchesSrecLess(t *testing.T) {
 			want := slices.Clone(recs)
 			sort.SliceStable(want, func(a, b int) bool { return srecLess(j)(want[a], want[b]) })
 			got := slices.Clone(recs)
-			sortRecs(got, j)
+			sortRecs(got, j, nil)
 			same := slices.EqualFunc(got, want, func(a, b srec) bool { return a.Ord == b.Ord && a.Pt.ID == b.Pt.ID })
 			if !same {
 				t.Fatalf("trial %d (n=%d) j=%d: sortRecs differs from a stable sort under srecLess", trial, n, j)
@@ -96,7 +105,7 @@ func TestTreeOrdinalsFollowKeyOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sortRecs(recs, 1)
+	sortRecs(recs, 1, nil)
 	trees, err := deriveTrees(keyRuns(recs), keys)
 	if err != nil {
 		t.Fatal(err)
@@ -146,5 +155,42 @@ func TestRouteRecordsRejectsBadTreeTables(t *testing.T) {
 	}
 	if _, err := deriveTrees([]runSum{{Ord: 1, Count: 3}, {Ord: 0, Count: 2}}, keys); err == nil {
 		t.Error("deriveTrees took runs out of ordinal order")
+	}
+}
+
+// The sort-scratch probe: a test-only step of the forest program that
+// reads how many sort keys a resident part still holds.
+func init() {
+	forestProg.Steps["test/sortScratch"] = exec.Pure(func(part *forestPart, _ *exec.Ctx, _ bool) (int, error) {
+		return cap(part.sortKeys), nil
+	})
+}
+
+// TestBuildDropsSortScratch: the local sort's key scratch lives only as
+// long as the build. After a BuildOn on loopback, fabric and resident, no
+// forest part holds any: a built tree that kept it would carry 32 B per
+// record of its largest phase for its whole life, and in-process workers
+// count it in the heap.
+func TestBuildDropsSortScratch(t *testing.T) {
+	const p = 4
+	pts := workload.Points(workload.PointSpec{N: 4096, Dims: 3, Dist: workload.Clustered, Seed: 3})
+	for _, resident := range []bool{false, true} {
+		tree, err := BuildOn(cgm.NewLocalProvider(cgm.Config{P: p, Resident: resident}), pts, BackendLayered)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held := make([]int, p)
+		tree.mach.Run(func(pr *cgm.Proc) {
+			if resident {
+				held[pr.Rank()] = cgm.CallResident[bool, int](pr, fref("test/sortScratch"), false)
+			} else {
+				held[pr.Rank()] = cap(tree.procs[pr.Rank()].part.sortKeys)
+			}
+		})
+		for rank, keys := range held {
+			if keys != 0 {
+				t.Errorf("resident=%v: rank %d's forest part holds %d sort keys after the build", resident, rank, keys)
+			}
+		}
 	}
 }

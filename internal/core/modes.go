@@ -9,6 +9,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/exec"
 	"repro/internal/geom"
+	"repro/internal/psort"
 	"repro/internal/semigroup"
 )
 
@@ -389,7 +390,7 @@ type reportBlocks struct {
 	perProc [][]ReportPair
 	starts  []int
 	// grouping scratch: per query, pair counts and the growing groups; per
-	// pair, the packed sort words and the radix passes' other vector.
+	// pair, the packed sort words and the radix kernel's other vector.
 	sizes     []int
 	perQuery  [][]geom.Point
 	keys, buf []uint64
@@ -421,9 +422,9 @@ func groupScratch[E any](buf []E, n int) []E {
 // every report batch waits for it, so it is linear in the pairs. Each
 // pair becomes one word, its ID with the sign bit flipped (so the IDs
 // order as unsigned) over its ordinal across the ranks' blocks (2^32
-// pairs would be 160 GB of blocks); a stable radix orders the words by
-// ID, and one pass in that order appends each point to its query's
-// exact-size group.
+// pairs would be 160 GB of blocks); psort's radix kernel orders the
+// words by ID, skipping the ID bytes every pair shares, and one pass in
+// that order appends each point to its query's exact-size group.
 func groupReports[T any](rb *reportBlocks, results []MixedResult[T]) {
 	// The pair blocks die with the run's arenas.
 	defer clear(rb.perProc)
@@ -440,13 +441,10 @@ func groupReports[T any](rb *reportBlocks, results []MixedResult[T]) {
 	rb.perQuery = groupScratch(rb.perQuery, len(results))
 	rb.keys = groupScratch(rb.keys, total)
 	rb.buf = groupScratch(rb.buf, total)
-	and, or := ^uint32(0), uint32(0)
 	for rank, pairs := range rb.perProc {
 		ord := rb.starts[rank]
 		for i, pair := range pairs {
-			id := uint32(pair.Pt.ID) ^ 1<<31
-			and, or = and&id, or|id
-			rb.keys[ord+i] = uint64(id)<<32 | uint64(ord+i)
+			rb.keys[ord+i] = uint64(uint32(pair.Pt.ID)^1<<31)<<32 | uint64(ord+i)
 			rb.sizes[pair.Query]++
 		}
 	}
@@ -456,7 +454,7 @@ func groupReports[T any](rb *reportBlocks, results []MixedResult[T]) {
 		}
 	}
 	ends := rb.starts[1:]
-	for _, w := range radixByID(rb.keys, rb.buf, and^or) {
+	for _, w := range psort.RadixWords(rb.keys, rb.buf, 32) {
 		ord := int(uint32(w))
 		rank, _ := slices.BinarySearch(ends, ord+1)
 		pair := &rb.perProc[rank][ord-rb.starts[rank]]
@@ -466,33 +464,6 @@ func groupReports[T any](rb *reportBlocks, results []MixedResult[T]) {
 		results[qi].Pts = pts
 	}
 	clear(rb.perQuery) // the groups are the caller's now
-}
-
-// radixByID orders the words stably by their upper half, an LSD radix
-// over the 8-bit digits set in vary (the bits in which the halves
-// differ), each pass moving the words between words and buf. It returns
-// whichever of the two holds the result.
-func radixByID(words, buf []uint64, vary uint32) []uint64 {
-	for shift := 0; shift < 32; shift += 8 {
-		if vary>>shift&0xff == 0 {
-			continue
-		}
-		var at [256]int
-		for _, w := range words {
-			at[w>>(32+shift)&0xff]++
-		}
-		sum := 0
-		for d, n := range at {
-			at[d], sum = sum, sum+n
-		}
-		for _, w := range words {
-			d := w >> (32 + shift) & 0xff
-			buf[at[d]] = w
-			at[d]++
-		}
-		words, buf = buf, words
-	}
-	return words
 }
 
 // ReportBatch answers every query in report mode and groups the pairs by

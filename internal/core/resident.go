@@ -66,9 +66,14 @@ type forestPart struct {
 	// ingest steps append to it, a fabric construct hands it its block;
 	// construct/seed consumes it). recs is the working record set of the
 	// construction — the rank-local S^(j) rows that the sample sort and
-	// routing bodies transform.
-	staged []geom.Point
-	recs   []srec
+	// routing bodies transform. sortKeys is the local sort's key scratch,
+	// grown across the phases of one build and dropped after the last
+	// phase's sort (dims, from the seed, says which phase is last), so no
+	// built tree keeps it.
+	staged   []geom.Point
+	recs     []srec
+	sortKeys []psort.Key2
+	dims     int8
 
 	// shipped is the ship note of phase C's emit, which the same
 	// superstep's collect returns to the coordinator.
@@ -424,38 +429,39 @@ type installServeReply struct {
 	Serve   mixedServeReply
 }
 
-func init() {
-	exec.Register(&exec.Program{
-		Name:    forestProgram,
-		Version: forestVersion,
-		New:     func(rank, p int) any { return newForestPart(BackendLayered) },
-		Steps: map[string]exec.Step{
-			"construct/begin":     exec.Pure(constructBeginStep),
-			"construct/seed":      exec.Pure(constructSeedStep),
-			"construct/sortLocal": exec.Pure(sortLocalStep),
-			"construct/nextHeld":  exec.Pure(constructNextHeldStep),
-			"ingest/begin":        exec.Pure(ingestBeginStep),
-			"ingest/chunk":        exec.Pure(ingestChunkStep),
-			"ingest/file":         exec.Pure(ingestFileStep),
-			"search/serveCount":   exec.Pure(serveCountStep),
-			"assoc/prepare":       aggPrepareStep,
-			"points/fetch":        exec.Pure(fetchPointsStep),
-			"stats/elems":         exec.Pure(elemStatsStep),
-		},
-		Emits: map[string]exec.Emit{
-			"construct/wsortPart":  exec.Emitter(wsortPartStep),
-			"construct/wsortSplit": exec.Emitter(wsortSplitStep),
-			"construct/routeHeld":  exec.Emitter(routeHeldStep),
-			"search/shipRoute":     exec.Emitter(shipRouteStep),
-		},
-		Collects: map[string]exec.Collect{
-			"construct/install":     exec.Collector(constructInstallStep),
-			"construct/wsortMerge":  exec.Collector(wsortMergeStep),
-			"construct/wsortGather": exec.Collector(wsortGatherStep),
-			"search/installServe":   exec.Collector(installServeStep),
-		},
-	})
+// forestProg is the forest program, registered at init.
+var forestProg = &exec.Program{
+	Name:    forestProgram,
+	Version: forestVersion,
+	New:     func(rank, p int) any { return newForestPart(BackendLayered) },
+	Steps: map[string]exec.Step{
+		"construct/begin":     exec.Pure(constructBeginStep),
+		"construct/seed":      exec.Pure(constructSeedStep),
+		"construct/sortLocal": exec.Pure(sortLocalStep),
+		"construct/nextHeld":  exec.Pure(constructNextHeldStep),
+		"ingest/begin":        exec.Pure(ingestBeginStep),
+		"ingest/chunk":        exec.Pure(ingestChunkStep),
+		"ingest/file":         exec.Pure(ingestFileStep),
+		"search/serveCount":   exec.Pure(serveCountStep),
+		"assoc/prepare":       aggPrepareStep,
+		"points/fetch":        exec.Pure(fetchPointsStep),
+		"stats/elems":         exec.Pure(elemStatsStep),
+	},
+	Emits: map[string]exec.Emit{
+		"construct/wsortPart":  exec.Emitter(wsortPartStep),
+		"construct/wsortSplit": exec.Emitter(wsortSplitStep),
+		"construct/routeHeld":  exec.Emitter(routeHeldStep),
+		"search/shipRoute":     exec.Emitter(shipRouteStep),
+	},
+	Collects: map[string]exec.Collect{
+		"construct/install":     exec.Collector(constructInstallStep),
+		"construct/wsortMerge":  exec.Collector(wsortMergeStep),
+		"construct/wsortGather": exec.Collector(wsortGatherStep),
+		"search/installServe":   exec.Collector(installServeStep),
+	},
 }
+
+func init() { exec.Register(forestProg) }
 
 // constructBeginStep resets the part for a fresh construction (a machine
 // rebuilt on — e.g. a store recovering its checkpoint — must not merge
@@ -510,14 +516,19 @@ func constructSeedStep(part *forestPart, _ *exec.Ctx, args seedArgs) (int, error
 	}
 	part.recs = recs
 	part.staged = nil
+	part.dims = args.Dims
 	return len(recs), nil
 }
 
 // sortLocalStep is the sample sort's local phase: sort the rank's records
 // and return the p regular samples — the only point-bearing rows the
-// coordinator handles during a construction.
+// coordinator handles during a construction. The last phase's sort is
+// the key scratch's last use.
 func sortLocalStep(part *forestPart, c *exec.Ctx, args dimArgs) (sortLocalReply, error) {
-	sortRecs(part.recs, int(args.Dim))
+	part.sortKeys = sortRecs(part.recs, int(args.Dim), part.sortKeys)
+	if args.Dim+1 >= part.dims {
+		part.sortKeys = nil
+	}
 	return sortLocalReply{Samples: psort.Samples(part.recs, c.P), Len: len(part.recs)}, nil
 }
 

@@ -28,6 +28,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/geom"
+	"repro/internal/psort"
 	"repro/internal/segtree"
 )
 
@@ -89,7 +90,9 @@ func (bl *block) coord(i int32, dim int) geom.Coord { return bl.coords[int(i)*bl
 
 // cmp is geom.CmpInDim's (X[dim], ID) total order on block indices — the
 // top-level sorts, the bucket sorts and the cascade merges must agree on it
-// (the stable partitions follow the sorted orders by position).
+// (the stable partitions follow the sorted orders by position). The sorts
+// encode it in packed words rather than call it; the tests check their
+// orders against it.
 func (bl *block) cmp(i, j int32, dim int) int {
 	if a, b := bl.coord(i, dim), bl.coord(j, dim); a != b {
 		return cmp.Compare(a, b)
@@ -181,8 +184,9 @@ func BuildFrom(pts []geom.Point, startDim int) *Tree {
 	// part of these orders by stable partition, keeping construction
 	// within O(n·log^(d-1) n).
 	orders := make([][]int32, remaining-1)
+	scratch := make([]uint64, 2*len(pts))
 	for k := range orders {
-		orders[k] = bl.sortedBy(startDim + k)
+		orders[k] = bl.sortedBy(startDim+k, scratch)
 	}
 	bd := &builder{blk: bl, dims: dims, start: startDim, ykeys: make([]geom.Coord, len(pts))}
 	if remaining > 2 {
@@ -191,17 +195,25 @@ func BuildFrom(pts []geom.Point, startDim int) *Tree {
 	return bd.levels(orders, startDim)
 }
 
-// sortedBy returns the block's indices ordered by (X[dim], ID). It sorts
-// packed (coordinate, index) words, which needs no comparator, and then
-// puts each run of equal coordinates into ID order.
-func (bl *block) sortedBy(dim int) []int32 {
+// sortedBy returns the block's indices ordered by (X[dim], ID). It packs
+// one word per point, the sign-flipped coordinate (so the coordinates
+// order as unsigned) over the point's index, and psort's radix kernel
+// sorts the words on their upper half: the index is the payload that
+// names the point, and, being distinct and increasing, it makes the
+// order of equal coordinates input order. Then each run of equal
+// coordinates is put into ID order, stably, so the whole is a stable
+// sort under cmp even where two points share a coordinate and an ID.
+// scratch holds 2·len(bl.pts) words: the packed words and the kernel's
+// other vector.
+func (bl *block) sortedBy(dim int, scratch []uint64) []int32 {
 	buildSorts.Add(1)
-	packed := make([]uint64, len(bl.pts))
+	n := len(bl.pts)
+	packed := scratch[:n]
 	for i := range packed {
 		packed[i] = uint64(uint32(bl.coord(int32(i), dim))^1<<31)<<32 | uint64(i)
 	}
-	slices.Sort(packed)
-	out := make([]int32, len(packed))
+	packed = psort.RadixWords(packed, scratch[n:2*n], 32)
+	out := make([]int32, n)
 	for at, w := range packed {
 		out[at] = int32(uint32(w))
 	}
@@ -209,10 +221,29 @@ func (bl *block) sortedBy(dim int) []int32 {
 		for hi = lo + 1; hi < len(out) && packed[hi]>>32 == packed[lo]>>32; hi++ {
 		}
 		if hi-lo > 1 {
-			slices.SortFunc(out[lo:hi], func(i, j int32) int { return cmp.Compare(bl.pts[i].ID, bl.pts[j].ID) })
+			slices.SortStableFunc(out[lo:hi], func(i, j int32) int { return cmp.Compare(bl.pts[i].ID, bl.pts[j].ID) })
 		}
 	}
 	return out
+}
+
+// sortBucket orders one bottom run of a cascade, at most a bucket of
+// block indices, by (X[dim], ID): an insertion sort on packed words, the
+// sign-flipped coordinate over the sign-flipped ID, that moves each index
+// beside its word. It is stable, so indices of equal words keep their x
+// order, as a stable sort under cmp keeps them.
+func (bl *block) sortBucket(run []int32, dim int) {
+	var words [bucket]uint64
+	for k, i := range run {
+		words[k] = uint64(uint32(bl.coord(i, dim))^1<<31)<<32 | uint64(uint32(bl.pts[i].ID)^1<<31)
+	}
+	for k := 1; k < len(run); k++ {
+		w, i, at := words[k], run[k], k
+		for ; at > 0 && words[at-1] > w; at-- {
+			words[at], run[at] = words[at-1], run[at-1]
+		}
+		words[at], run[at] = w, i
+	}
 }
 
 // builder carries what one BuildFrom shares across its recursion.
@@ -348,9 +379,8 @@ func (bd *builder) cascade(byX []int32, x, y int, up bool) *cascade {
 
 	bottom, bottomKeys := c.idx[c.depth*m:], keysOf(c.depth)
 	copy(bottom, byX)
-	byY := func(i, j int32) int { return bl.cmp(i, j, y) }
 	for lo, w := 0, c.shape.Cap>>c.depth; lo < m; lo += w {
-		slices.SortFunc(bottom[lo:min(lo+w, m)], byY) // ≤ bucket entries: an insertion sort
+		bl.sortBucket(bottom[lo:min(lo+w, m)], y)
 	}
 	for at, i := range bottom {
 		bottomKeys[at] = bl.coord(i, y)

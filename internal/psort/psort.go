@@ -14,10 +14,19 @@
 //
 // Every less a caller passes must be a strict total order: no two distinct
 // elements compare equal (break ties — e.g. by point ID). Under that
-// contract a sorted sequence is unique, so the local phase may use an
-// unstable sort (pdqsort) and still return exactly what any stable sort
-// would: splitters, partitions and the result do not depend on which
-// sorting algorithm ran or on the order of its input.
+// contract a sorted sequence is unique, so SortLocal may use an unstable
+// sort (pdqsort) and still return exactly what any stable sort would:
+// splitters, partitions and the result do not depend on which sorting
+// algorithm ran or on the order of its input.
+//
+// Keys already packed into machine words take the package's radix kernel
+// instead (RadixWords, RadixKey2: construct's local sort, the layered
+// tree's per-dimension orders, the report grouping). It is a stable LSD
+// radix over the bits the caller names, and its contract is the same
+// uniqueness by other means: the caller keeps an index that increases
+// with input position in the bits the kernel does not sort on, so every
+// key is distinct and the kernel returns the one sorted sequence of the
+// whole keys, whether it runs its passes or, on a short input, pdqsort.
 package psort
 
 import (
@@ -55,7 +64,9 @@ func SortLocal[T any](local []T, less func(a, b T) bool) {
 }
 
 // Samples selects p evenly spaced regular samples from a locally sorted
-// block (fewer when the block is shorter than p, none when empty).
+// block: exactly p for any non-empty block, repeating elements when the
+// block is shorter than p (one element and p = 4 give four copies of
+// it), and none when it is empty.
 func Samples[T any](own []T, p int) []T {
 	samples := make([]T, 0, p)
 	for k := 0; k < p; k++ {
