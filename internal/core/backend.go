@@ -89,10 +89,10 @@ func (c *countVisitor) VisitIndexed(_ []geom.Point, idx []int32) { c.total += le
 func (c *countVisitor) VisitPoint(geom.Point)                    { c.total++ }
 
 // reportVisitor gathers a Visit descent into out, which the hook swaps
-// per subquery (the result slice itself must persist past the call). With
-// an arena, out grows there: a run's local hits are copied into its pair
-// rows before the run ends. Without one (the resident serve steps, whose
-// hits leave in a reply) it grows on the heap.
+// per subquery (the result slice itself must persist past the call). out
+// grows in the run's arena: a fabric run's local hits are copied into its
+// pair rows before the run ends. A resident part gathers into a hitBlock
+// instead.
 type reportVisitor struct {
 	a   *cgm.Arena
 	out []geom.Point
@@ -124,4 +124,34 @@ func elemReport(el *element, b geom.Box, rv *reportVisitor) []geom.Point {
 		return out
 	}
 	return el.tree.Report(b)
+}
+
+// A hitBlock gathers a Visit descent into its ID and coordinate sections,
+// building no point header.
+func (h *hitBlock) VisitRange(pts []geom.Point) {
+	for _, p := range pts {
+		h.add(p)
+	}
+}
+func (h *hitBlock) VisitIndexed(b []geom.Point, idx []int32) {
+	for _, i := range idx {
+		h.add(b[i])
+	}
+}
+func (h *hitBlock) VisitPoint(p geom.Point) { h.add(p) }
+
+func (h *hitBlock) add(p geom.Point) {
+	h.IDs = append(h.IDs, p.ID)
+	h.X = append(h.X, p.X...)
+}
+
+// elemHits appends the hits of b in el to blk and returns their number.
+func elemHits(el *element, b geom.Box, blk *hitBlock) int {
+	n := len(blk.IDs)
+	if vt, ok := el.tree.(visitable); ok {
+		vt.Visit(b, blk)
+	} else {
+		blk.VisitRange(el.tree.Report(b))
+	}
+	return len(blk.IDs) - n
 }

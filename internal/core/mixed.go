@@ -167,7 +167,7 @@ func (r *mixedRun[T]) absorb(rep mixedServeReply) {
 		r.agg.pairs = cgm.Append(r.agg.a, r.agg.pairs, pairs...)
 	}
 	if r.rep != nil {
-		r.rep.locals = cgm.Append(r.rep.a, r.rep.locals, rep.Locals...)
+		r.rep.absorbHits(rep.Hits)
 	}
 }
 

@@ -287,6 +287,27 @@ func (r *reportRun) answerSub(s subquery) {
 	}
 }
 
+// absorbHits takes a resident reply's hit block into the run's locals:
+// the point headers are carved from the run arena, each X a
+// capacity-clipped view into the block's coordinates.
+func (r *reportRun) absorbHits(h hitBlock) {
+	if len(h.Runs) == 0 {
+		return
+	}
+	d := h.Dims
+	pts := cgm.Alloc[geom.Point](r.a, len(h.IDs))
+	for i := range pts {
+		c := i * d
+		pts[i] = geom.Point{ID: h.IDs[i], X: h.X[c : c+d : c+d]}
+	}
+	r.locals = cgm.Grow(r.a, r.locals, len(h.Runs))
+	for _, run := range h.Runs {
+		n := int(run.N)
+		r.locals = append(r.locals, rlocal{Query: run.Query, Pts: pts[:n:n]})
+		pts = pts[n:]
+	}
+}
+
 // reportEntry is one weighted entry of Algorithm Report's redistribution:
 // a query's points and the range of the run's share list that splits them
 // over the output blocks.

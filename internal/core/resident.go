@@ -42,7 +42,7 @@ import (
 // against coordinator/worker binary skew.
 const (
 	forestProgram = "core/forest"
-	forestVersion = 8 // 8: phase C is search/shipRoute + search/installServe
+	forestVersion = 9 // 9: installServe replies with a hit block
 )
 
 // fref names one step of the forest program.
@@ -78,6 +78,11 @@ type forestPart struct {
 	// shipped is the ship note of phase C's emit, which the same
 	// superstep's collect returns to the coordinator.
 	shipped copyNote
+
+	// hits is the served report hits' scratch, reused across batches:
+	// phase C's collect returns it as its reply's hit block, which the
+	// collect encodes before the step returns.
+	hits hitBlock
 
 	// ctx is a fabric part's rank identity, what its bodies read of
 	// c.Rank and c.P (a resident part's steps get theirs from the exec
@@ -177,17 +182,22 @@ func (part *forestPart) servedCounts(subs []subquery) []qcount {
 	return pairs
 }
 
-// servedReports answers report subqueries where the trees live; only
-// non-empty results return.
-func (part *forestPart) servedReports(subs []subquery) []rlocal {
-	var rv reportVisitor
-	var out []rlocal
+// servedHits answers report subqueries where the trees live, into the
+// part's hit scratch; only non-empty results get a run. The block views
+// the scratch, so it is valid until the part serves again.
+func (part *forestPart) servedHits(subs []subquery) hitBlock {
+	blk := &part.hits
+	blk.Runs, blk.IDs, blk.X = blk.Runs[:0], blk.IDs[:0], blk.X[:0]
 	for _, s := range subs {
-		if pts := elemReport(part.lookup(s.Elem), s.Box, &rv); len(pts) > 0 {
-			out = append(out, rlocal{Query: s.Query, Pts: pts})
+		if n := elemHits(part.lookup(s.Elem), s.Box, blk); n > 0 {
+			blk.Runs = append(blk.Runs, hitRun{Query: s.Query, N: int32(n)})
 		}
 	}
-	return out
+	blk.Dims = 0
+	if len(blk.IDs) > 0 {
+		blk.Dims = len(blk.X) / len(blk.IDs)
+	}
+	return *blk
 }
 
 // points returns the points of owned elements, aligned with ids, in rows
@@ -418,7 +428,26 @@ type mixedServeReply struct {
 	Served int
 	Counts []qcount
 	Aggs   []byte
-	Locals []rlocal
+	Hits   hitBlock
+}
+
+// hitBlock is a resident rank's served report hits, pointer-free: a run
+// table of (query, n) pairs, then the hits' IDs and their coordinates,
+// Dims per hit, in run order. The coordinator carves point headers for
+// them in its run arena (reportRun.absorbHits); no hit is a geom.Point
+// on the worker or on the wire.
+type hitBlock struct {
+	Dims int
+	Runs []hitRun
+	IDs  []int32
+	X    []geom.Coord
+}
+
+// hitRun is one served subquery's share of a hit block: N > 0 hits of
+// query Query.
+type hitRun struct {
+	Query int32
+	N     int32
 }
 
 // installServeReply is what phase C's collect returns: the rank's ship
@@ -641,7 +670,7 @@ func installServeStep(part *forestPart, c *exec.Ctx, args installServeArgs, in [
 		}
 	}
 	rep.Serve = mixedServeReply{Served: len(cnt) + len(aggs) + len(reps),
-		Counts: part.servedCounts(cnt), Locals: part.servedReports(reps)}
+		Counts: part.servedCounts(cnt), Hits: part.servedHits(reps)}
 	if len(aggs) > 0 {
 		if agg == nil {
 			return rep, fmt.Errorf("core: aggregate subqueries served without a prepared aggregate")

@@ -62,6 +62,25 @@ func (g *byteGen) points(n, dims int) []geom.Point {
 	return pts
 }
 
+// hits derives a well-formed hit block of dims: no runs, one run or
+// several, each of one to eight hits.
+func (g *byteGen) hits(dims int) hitBlock {
+	var h hitBlock
+	for range g.n(5) {
+		run := hitRun{Query: g.i32(), N: int32(1 + g.n(7))}
+		h.Runs = append(h.Runs, run)
+		for range run.N {
+			pt := g.point(dims)
+			h.IDs = append(h.IDs, pt.ID)
+			h.X = append(h.X, pt.X...)
+		}
+	}
+	if len(h.Runs) > 0 {
+		h.Dims = dims
+	}
+	return h
+}
+
 // fuzzRT requires the raw codec to reproduce v exactly and to agree with
 // the gob oracle; any divergence is a layout bug.
 func fuzzRT[T any](t *testing.T, v T) {
@@ -121,6 +140,10 @@ func FuzzWireRoundTrip(f *testing.F) {
 	results, _ := wire.Encode(nil, []resultRow[int64]{{Kind: rowCount, Query: 1, N: 5}, {Kind: rowAgg, Query: 2, Val: -3},
 		{Kind: rowWeight, N: 40}, {Kind: rowOrder, Query: 3, Elem: 4, N: 17}})
 	f.Add(results)
+	// Phase C's reply with a hit block of two runs.
+	reply, _ := wire.Encode(nil, installServeReply{Serve: mixedServeReply{Served: 2, Hits: hitBlock{Dims: 2,
+		Runs: []hitRun{{Query: 1, N: 2}, {Query: 3, N: 1}}, IDs: []int32{4, 5, 6}, X: []geom.Coord{7, 8, 9, 10, 11, 12}}}})
+	f.Add(reply)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := &byteGen{b: data}
@@ -240,7 +263,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 			Note: copyNote{CopiedPts: int(g.i32()), RefPts: int(g.i32())},
 			Install: installCopiesReply{Held: int(g.i32()), CacheHits: int(g.i32()), ByRef: int(g.i32()),
 				InstallNanos: int64(g.i32()), Ops: ops},
-			Serve: mixedServeReply{Served: int(g.i32()), Counts: served, Aggs: aggs},
+			Serve: mixedServeReply{Served: int(g.i32()), Counts: served, Aggs: aggs, Hits: g.hits(dims)},
 		})
 
 		// Phase D: partials, weights and orders, each row in its kind's
@@ -288,15 +311,6 @@ func FuzzWireRoundTrip(f *testing.F) {
 		fuzzRT(t, qis)
 		fuzzRT(t, qfs)
 
-		rls := make([]rlocal, g.n(4))
-		for i := range rls {
-			rls[i] = rlocal{Query: g.i32(), Pts: g.points(g.n(5), dims), Off: int(g.i32())}
-		}
-		if len(rls) == 0 {
-			rls = nil
-		}
-		fuzzRT(t, rls)
-
 		rps := make([]ReportPair, n)
 		for i := range rps {
 			rps[i] = ReportPair{Query: g.i32(), Pt: g.point(dims)}
@@ -329,7 +343,6 @@ func FuzzWireRoundTrip(f *testing.F) {
 			mustNotPanic[[]qcount](t, blk)
 			mustNotPanic[[]qvalT[int64]](t, blk)
 			mustNotPanic[[]qvalT[float64]](t, blk)
-			mustNotPanic[[]rlocal](t, blk)
 			mustNotPanic[[]ReportPair](t, blk)
 			mustNotPanic[[]byte](t, blk)
 		}

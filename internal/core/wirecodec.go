@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/geom"
@@ -389,11 +390,17 @@ func init() {
 			return vs, nil
 		})
 
-	// Report results: served subquery hits and the redistributed
-	// (query, point) pairs of phase D.
-	fixedCodec(appendRlocals, func(r *wire.Reader) ([]rlocal, error) { return readRlocals(r), nil })
+	// Report results: the redistributed (query, point) pairs of phase D.
+	// A pair is 4B query · 4B ID · uvarint dims · 4B per coordinate: 9 +
+	// 4·dims bytes below 128 dims, where the encoder's one reservation
+	// (the pairs of a block share their tree's dims) is exact. The
+	// decoder's arena holds at most (bytes − 9 per pair)/4 coordinates,
+	// again exactly the block's below 128 dims.
 	fixedCodec(
 		func(buf []byte, ps []ReportPair) []byte {
+			if len(ps) > 0 {
+				buf = slices.Grow(buf, uvarintLen(uint64(len(ps)))+len(ps)*(9+4*len(ps[0].Pt.X)))
+			}
 			buf = wire.AppendUvarint(buf, uint64(len(ps)))
 			for _, rp := range ps {
 				buf = wire.AppendI32(buf, rp.Query)
@@ -402,10 +409,10 @@ func init() {
 			return buf
 		},
 		func(r *wire.Reader) ([]ReportPair, error) {
-			arena := wire.NewArena(r)
 			n := r.Count(9)
 			var ps []ReportPair
 			if n > 0 {
+				arena := make([]geom.Coord, 0, (r.Remaining()-9*n)/4)
 				ps = make([]ReportPair, n)
 				for i := range ps {
 					ps[i].Query = r.I32()

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/geom"
 	"repro/internal/segtree"
 	"repro/internal/wire"
 )
@@ -46,29 +47,69 @@ func readQcounts(r *wire.Reader) []qcount {
 	return vs
 }
 
-func appendRlocals(buf []byte, ls []rlocal) []byte {
-	buf = wire.AppendUvarint(buf, uint64(len(ls)))
-	for _, l := range ls {
-		buf = wire.AppendI32(buf, l.Query)
-		buf = wire.AppendVarint(buf, int64(l.Off))
-		buf = wire.AppendPoints(buf, l.Pts)
+// appendHitBlock encodes a hit block: dims, the run table (count, then
+// each run's query and length), then the ID and coordinate sections,
+// each a count and a fixed-width run.
+func appendHitBlock(buf []byte, h hitBlock) []byte {
+	buf = wire.AppendUvarint(buf, uint64(h.Dims))
+	buf = wire.AppendUvarint(buf, uint64(len(h.Runs)))
+	for _, run := range h.Runs {
+		buf = wire.AppendI32(buf, run.Query)
+		buf = wire.AppendUvarint(buf, uint64(run.N))
 	}
-	return buf
+	buf = wire.AppendUvarint(buf, uint64(len(h.IDs)))
+	buf = wire.AppendI32s(buf, h.IDs)
+	buf = wire.AppendUvarint(buf, uint64(len(h.X)))
+	return wire.AppendI32s(buf, h.X)
 }
 
-func readRlocals(r *wire.Reader) []rlocal {
-	arena := wire.NewArena(r)
-	n := r.Count(6)
-	if n == 0 {
-		return nil
+// hitBlockSize is appendHitBlock's encoded length.
+func hitBlockSize(h hitBlock) int {
+	n := uvarintLen(uint64(h.Dims)) + uvarintLen(uint64(len(h.Runs)))
+	for _, run := range h.Runs {
+		n += 4 + uvarintLen(uint64(run.N))
 	}
-	ls := make([]rlocal, n)
-	for i := range ls {
-		ls[i].Query = r.I32()
-		ls[i].Off = int(r.Varint())
-		ls[i].Pts = wire.ReadPoints(r, &arena)
+	return n + uvarintLen(uint64(len(h.IDs))) + 4*len(h.IDs) + uvarintLen(uint64(len(h.X))) + 4*len(h.X)
+}
+
+// readHitBlock decodes a hit block into three pointer-free slices. A block
+// whose runs are empty or do not sum to its IDs, whose coordinates are not
+// IDs × dims, or whose dims is 0 beside IDs (or not 0 without them) is
+// corrupt.
+func readHitBlock(r *wire.Reader) (hitBlock, error) {
+	var h hitBlock
+	dims := r.Uvarint()
+	var total uint64 // ≤ MaxInt32 per run, runs bounded by the block
+	if n := r.Count(5); n > 0 {
+		h.Runs = make([]hitRun, n)
+		for i := range h.Runs {
+			q, k := r.I32(), r.Uvarint()
+			if k == 0 || k > math.MaxInt32 {
+				return h, fmt.Errorf("core: hit block run %d holds %d hits", i, k)
+			}
+			h.Runs[i] = hitRun{Query: q, N: int32(k)}
+			total += k
+		}
 	}
-	return ls
+	if n := r.Count(4); n > 0 {
+		h.IDs = make([]int32, n)
+		r.I32s(h.IDs)
+	}
+	if n := r.Count(4); n > 0 {
+		h.X = make([]geom.Coord, n)
+		r.I32s(h.X)
+	}
+	ids, xs := uint64(len(h.IDs)), uint64(len(h.X))
+	switch {
+	case total != ids:
+		return h, fmt.Errorf("core: hit block runs hold %d hits, block has %d IDs", total, ids)
+	case ids == 0 && (dims != 0 || xs != 0):
+		return h, fmt.Errorf("core: hit block without IDs has dims %d and %d coordinates", dims, xs)
+	case ids > 0 && (dims == 0 || xs%ids != 0 || xs/ids != dims):
+		return h, fmt.Errorf("core: hit block has %d coordinates for %d IDs of dims %d", xs, ids, dims)
+	}
+	h.Dims = int(dims)
+	return h, nil
 }
 
 func appendRunSums(buf []byte, rs []runSum) []byte {
@@ -139,6 +180,23 @@ func appendInstallReply(buf []byte, rep installCopiesReply) []byte {
 		buf = append(buf, flagByte(op.Evict))
 	}
 	return buf
+}
+
+// installServeReplySize is the installServeReply codec's encoded length,
+// which the encoder reserves in one step.
+func installServeReplySize(rep installServeReply) int {
+	in, sv := rep.Install, rep.Serve
+	return varintLen(rep.Note.CopiedPts) + varintLen(rep.Note.RefPts) +
+		varintLen(in.Held) + varintLen(in.CacheHits) + varintLen(in.ByRef) + 8 +
+		uvarintLen(uint64(len(in.Ops))) + 5*len(in.Ops) +
+		varintLen(sv.Served) + uvarintLen(uint64(len(sv.Counts))) + 12*len(sv.Counts) +
+		uvarintLen(uint64(len(sv.Aggs))) + len(sv.Aggs) + hitBlockSize(sv.Hits)
+}
+
+// varintLen is the encoded length of v as a zig-zag varint.
+func varintLen(v int) int {
+	x := int64(v)
+	return uvarintLen(uint64(x<<1 ^ x>>63))
 }
 
 func readInstallReply(r *wire.Reader) (installCopiesReply, error) {
@@ -477,13 +535,14 @@ func init() {
 		})
 	fixedCodec(
 		func(buf []byte, rep installServeReply) []byte {
+			buf = slices.Grow(buf, installServeReplySize(rep))
 			buf = wire.AppendVarint(buf, int64(rep.Note.CopiedPts))
 			buf = wire.AppendVarint(buf, int64(rep.Note.RefPts))
 			buf = appendInstallReply(buf, rep.Install)
 			buf = wire.AppendVarint(buf, int64(rep.Serve.Served))
 			buf = appendQcounts(buf, rep.Serve.Counts)
 			buf = wire.AppendBytes(buf, rep.Serve.Aggs)
-			return appendRlocals(buf, rep.Serve.Locals)
+			return appendHitBlock(buf, rep.Serve.Hits)
 		},
 		func(r *wire.Reader) (installServeReply, error) {
 			var rep installServeReply
@@ -499,8 +558,8 @@ func init() {
 			if aggs := r.Section(); len(aggs) > 0 {
 				rep.Serve.Aggs = slices.Clone(aggs)
 			}
-			rep.Serve.Locals = readRlocals(r)
-			return rep, nil
+			rep.Serve.Hits, err = readHitBlock(r)
+			return rep, err
 		})
 
 	// Sparse per-element demand rows of the ElementLevel phase B.

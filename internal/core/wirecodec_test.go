@@ -224,14 +224,26 @@ func TestWireCodecsMatchGobOracle(t *testing.T) {
 		roundTrip(t, qis)
 		roundTrip(t, qfs)
 
-		rls := make([]rlocal, rng.Intn(6))
-		for i := range rls {
-			rls[i] = rlocal{Query: rng.Int31n(1000), Pts: genPoints(rng, rng.Intn(10), dims), Off: rng.Intn(4000) - 2000}
+		// Phase C's reply, its hit block of no, one or several runs.
+		var hits hitBlock
+		for range rng.Intn(6) {
+			run := hitRun{Query: rng.Int31n(1000), N: 1 + rng.Int31n(10)}
+			hits.Runs = append(hits.Runs, run)
+			for _, pt := range genPoints(rng, int(run.N), dims) {
+				hits.IDs = append(hits.IDs, pt.ID)
+				hits.X = append(hits.X, pt.X...)
+			}
 		}
-		if len(rls) == 0 {
-			rls = nil
+		if len(hits.Runs) > 0 {
+			hits.Dims = dims
 		}
-		roundTrip(t, rls)
+		rep := installServeReply{Note: copyNote{CopiedPts: rng.Intn(5000), RefPts: rng.Intn(5000)},
+			Install: installCopiesReply{Held: rng.Intn(50), InstallNanos: rng.Int63()},
+			Serve:   mixedServeReply{Served: rng.Intn(500), Hits: hits}}
+		roundTrip(t, rep)
+		if b, _ := wire.Encode(nil, rep); len(b) != 1+installServeReplySize(rep) {
+			t.Fatalf("installServeReply encodes to %d bytes after its tag, sized %d", len(b)-1, installServeReplySize(rep))
+		}
 
 		rps := make([]ReportPair, n)
 		for i := range rps {
@@ -285,6 +297,42 @@ func TestRowCodecsRejectHostileBlocks(t *testing.T) {
 	check("phase D, int64", ib, func(w string, b []byte) { decodeHostile[[]resultRow[int64]](t, w, b) })
 	fb, _ := wire.Encode(nil, []resultRow[float64]{{Kind: rowCount, Query: 4, N: 2}})
 	check("phase D, float64", fb, func(w string, b []byte) { decodeHostile[[]resultRow[float64]](t, w, b) })
+
+	// Phase C's reply ends in its hit block, so a reply with another block
+	// is the empty reply's prefix with that block appended.
+	empty, err := wire.Encode(nil, installServeReply{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := empty[:len(empty)-hitBlockSize(hitBlock{})]
+	reply := func(h hitBlock) []byte { return appendHitBlock(bytes.Clone(prefix), h) }
+	good := hitBlock{Dims: 2, Runs: []hitRun{{Query: 1, N: 2}, {Query: 5, N: 1}},
+		IDs: []int32{7, 8, 9}, X: []geom.Coord{1, 2, 3, 4, 5, 6}}
+	if rep, err := wire.Decode[installServeReply](reply(good)); err != nil || !reflect.DeepEqual(rep.Serve.Hits, good) {
+		t.Fatalf("well-formed hit block: %+v, %v", rep.Serve.Hits, err)
+	}
+	for _, c := range []struct {
+		what string
+		h    hitBlock
+	}{
+		{"runs summing past the IDs", hitBlock{Dims: 2, Runs: []hitRun{{1, 2}, {5, 2}}, IDs: good.IDs, X: good.X}},
+		{"runs summing short of the IDs", hitBlock{Dims: 2, Runs: []hitRun{{1, 2}}, IDs: good.IDs, X: good.X}},
+		{"an empty run", hitBlock{Dims: 2, Runs: []hitRun{{1, 3}, {5, 0}}, IDs: good.IDs, X: good.X}},
+		{"coordinates not IDs × dims", hitBlock{Dims: 2, Runs: good.Runs, IDs: good.IDs, X: good.X[:5]}},
+		{"dims not coordinates / IDs", hitBlock{Dims: 3, Runs: good.Runs, IDs: good.IDs, X: good.X}},
+		{"dims 0 with IDs", hitBlock{Runs: good.Runs, IDs: good.IDs}},
+		{"dims without IDs", hitBlock{Dims: 2}},
+		{"coordinates without IDs", hitBlock{Dims: 2, X: good.X}},
+	} {
+		decodeHostile[installServeReply](t, "hit block with "+c.what, reply(c.h))
+	}
+	// Cut inside the run table, the ID section and the coordinate section.
+	full := reply(good)
+	idsAt := len(prefix) + 2 + 5*len(good.Runs) // dims, run count, 4B query + 1B length a run
+	xAt := idsAt + 1 + 4*len(good.IDs)
+	for _, cut := range []int{len(prefix) + 4, idsAt + 3, xAt + 7, len(full) - 1} {
+		decodeHostile[installServeReply](t, fmt.Sprintf("hit block cut at byte %d of %d", cut, len(full)), full[:cut])
+	}
 }
 
 // A generic aggregate over a custom value type must keep riding the gob
