@@ -127,8 +127,7 @@ func NewBox(lo, hi []Coord) Box { return geom.NewBox(lo, hi) }
 
 // BuildDistributed runs Algorithm Construct on the machine and returns the
 // distributed range tree (Theorem 2: O(s/p) local work plus a constant
-// number of h-relations), with forest elements on the default layered
-// backend.
+// number of h-relations), with forest elements built as layered trees.
 func BuildDistributed(m *Machine, pts []Point) *Tree { return core.Build(m, pts) }
 
 // ClusterBuild runs Algorithm Construct on a machine whose supersteps
@@ -173,13 +172,13 @@ type IngestConfig = core.IngestConfig
 // constructs the tree worker-fed. On a cluster machine each rank is fed
 // over its own direct connection (rank-parallel ingest, DESIGN.md §13).
 func BulkLoadStream(m *Machine, src ChunkSource, cfg IngestConfig) (*Tree, error) {
-	return core.BulkLoad(m, src, core.BackendLayered, cfg)
+	return core.BulkLoad(m, src, cfg)
 }
 
 // BulkLoadFiles builds a tree from one pre-partitioned points file per
 // rank; the coordinator never opens them.
 func BulkLoadFiles(m *Machine, paths []string) (*Tree, error) {
-	return core.BulkLoadFiles(m, paths, core.BackendLayered)
+	return core.BulkLoadFiles(m, paths)
 }
 
 // SavePointsFile writes pts in the fixed-record binary layout

@@ -30,34 +30,27 @@ type ResidentTransport interface {
 	Transport
 	// CallStep runs a registered pure step against rank's resident state.
 	CallStep(rank int, ref exec.Ref, args []byte) ([]byte, error)
-	// ExchangeResident runs one superstep whose column is consumed (and,
-	// when dep.Emit is set, whose deposit is produced) resident-side.
+	// ExchangeResident runs one superstep whose deposit is produced and
+	// whose column is consumed resident-side.
 	ExchangeResident(rank int, dep ResidentDeposit) (ResidentReply, error)
 }
 
-// ResidentDeposit is one rank's contribution to a resident superstep.
+// ResidentDeposit is one rank's contribution to a resident superstep: the
+// emit step that produces its deposit and the collect step that consumes
+// its column, both run where the rank's state lives.
 type ResidentDeposit struct {
 	// Seq and Label mirror Deposit: the SPMD check compares them.
 	Seq   int
 	Label string
-	// Type names the exchanged element type when Blocks are provided;
-	// emit-resident deposits take it from the emit step's Outbox.
-	Type string
 	// Trace is the machine's trace stamp for this superstep (0 =
 	// untraced); resident hosts stamp their emit/collect spans with it.
 	Trace uint64
-	// Blocks is the coordinator-produced deposit (when Emit is nil). The
-	// self slot IS included — unlike a fabric deposit, the consumer is on
-	// the resident side, so the self-addressed block must travel too.
-	Blocks [][]byte
-	// Sent is the deposit's element count (when Emit is nil; emit-resident
-	// deposits are counted by the emit step).
-	Sent int
-	// Emit, when set, produces the deposit resident-side.
-	Emit     *exec.Ref
+	// Emit produces the deposit resident-side; it also names the
+	// exchanged element type and counts what is sent.
+	Emit     exec.Ref
 	EmitArgs []byte
-	// Collect consumes the assembled column resident-side (always set).
-	Collect     *exec.Ref
+	// Collect consumes the assembled column resident-side.
+	Collect     exec.Ref
 	CollectArgs []byte
 }
 
@@ -65,8 +58,6 @@ type ResidentDeposit struct {
 type ResidentReply struct {
 	// Reply is the collect step's encoded reply.
 	Reply []byte
-	// Note is the emit step's note (emit-resident only).
-	Note []byte
 	// Sent and Recv are the rank's element counts for h accounting.
 	Sent, Recv int
 }
@@ -121,10 +112,10 @@ func ResidentCall[A any, R any](m *Machine, rank int, ref exec.Ref, args A) (R, 
 // ExchangeSteps is a superstep whose deposit is produced by a registered
 // emit step AND whose column is consumed by a registered collect step,
 // both where the rank's state lives — the payload never touches the
-// coordinator on a wire transport. It returns the emit step's note and
-// the collect step's reply. Exactly one communication round; element
-// counts come from the emit and collect sides.
-func ExchangeSteps[EA any, CA any, R any](pr *Proc, label string, emit exec.Ref, eargs EA, collect exec.Ref, cargs CA) ([]byte, R) {
+// coordinator on a wire transport. It returns the collect step's reply.
+// Exactly one communication round; element counts come from the emit and
+// collect sides.
+func ExchangeSteps[EA any, CA any, R any](pr *Proc, label string, emit exec.Ref, eargs EA, collect exec.Ref, cargs CA) R {
 	m := pr.m
 	pr.residentTransport("ExchangeSteps")
 	pr.closeSegment()
@@ -144,9 +135,9 @@ func ExchangeSteps[EA any, CA any, R any](pr *Proc, label string, emit exec.Ref,
 	dep := ResidentDeposit{
 		Seq:         pr.opSeq,
 		Label:       label,
-		Emit:        AllocOne(&pr.arena, emit),
+		Emit:        emit,
 		EmitArgs:    buf[:split:split],
-		Collect:     AllocOne(&pr.arena, collect),
+		Collect:     collect,
 		CollectArgs: buf[split:],
 	}
 	pr.opSeq++
@@ -157,7 +148,7 @@ func ExchangeSteps[EA any, CA any, R any](pr *Proc, label string, emit exec.Ref,
 	if err != nil {
 		m.fail(fmt.Sprintf("cgm: %s: decoding collect reply: %v", StampOf(label, dep.Seq), err))
 	}
-	return rep.Note, r
+	return r
 }
 
 // runResident performs the transport exchange and the superstep's

@@ -29,12 +29,12 @@ func init() {
 			}),
 		},
 		Emits: map[string]exec.Emit{
-			"fan": exec.Emitter(func(st *rtState, c *exec.Ctx, base int) ([][]int, []byte, error) {
+			"fan": exec.Emitter(func(st *rtState, c *exec.Ctx, base int) ([][]int, error) {
 				rows := make([][]int, c.P)
 				for j := range rows {
 					rows[j] = []int{base + c.Rank*10 + j}
 				}
-				return rows, exec.Marshal(c.Rank), nil
+				return rows, nil
 			}),
 		},
 		Collects: map[string]exec.Collect{
@@ -59,11 +59,7 @@ func TestResidentExchangeSteps(t *testing.T) {
 	p := 3
 	res := New(Config{P: p, Resident: true})
 	res.Run(func(pr *Proc) {
-		note, n := ExchangeSteps[int, int, int](pr, "fan", rtRef("fan"), 100, rtRef("keep"), 0)
-		from, err := exec.Unmarshal[int](note)
-		if err != nil || from != pr.rank {
-			t.Errorf("rank %d: note %d err %v", pr.rank, from, err)
-		}
+		n := ExchangeSteps[int, int, int](pr, "fan", rtRef("fan"), 100, rtRef("keep"), 0)
 		if n != p {
 			t.Errorf("rank %d collected %d elements, want %d", pr.rank, n, p)
 		}

@@ -128,7 +128,6 @@ type residentSlot struct {
 	label, typ string
 	seq        int
 	blocks     [][]byte
-	self       any
 }
 
 // newLoopback creates the transport with everything a superstep needs
@@ -172,31 +171,26 @@ func (lt *loopback) CallStep(rank int, ref exec.Ref, args []byte) ([]byte, error
 	return lt.stores[rank].Call(rank, lt.p, ref, args)
 }
 
-// ExchangeResident runs one resident superstep in-process: emit steps (if
-// any) produce the deposits, the column is assembled from the shared
-// slots, and collect steps consume it — all against the per-rank stores.
+// ExchangeResident runs one resident superstep in-process: the emit steps
+// produce the deposits, the column is assembled from the shared slots,
+// and the collect steps consume it — all against the per-rank stores.
 func (lt *loopback) ExchangeResident(rank int, dep ResidentDeposit) (ResidentReply, error) {
 	if lt.stores == nil {
 		return ResidentReply{}, errors.New("cgm: loopback transport is not resident")
 	}
-	rep := ResidentReply{Sent: dep.Sent}
-	slot := residentSlot{label: dep.Label, typ: dep.Type, seq: dep.Seq, blocks: dep.Blocks}
-	if dep.Emit != nil {
-		var out *exec.Outbox
-		var err error
-		lt.tracer.Record(dep.Trace, int64(dep.Seq), rank, "emit", func() {
-			out, err = lt.stores[rank].RunEmit(rank, lt.p, *dep.Emit, dep.EmitArgs)
-		})
-		if err != nil {
-			return ResidentReply{}, err
-		}
-		slot.blocks, slot.self, slot.typ = out.Blocks, out.Self, out.Type
-		rep.Note = out.Note
-		rep.Sent = 0
-		for _, c := range out.Counts {
-			rep.Sent += c
-		}
+	var out *exec.Outbox
+	var err error
+	lt.tracer.Record(dep.Trace, int64(dep.Seq), rank, "emit", func() {
+		out, err = lt.stores[rank].RunEmit(rank, lt.p, dep.Emit, dep.EmitArgs)
+	})
+	if err != nil {
+		return ResidentReply{}, err
 	}
+	var rep ResidentReply
+	for _, c := range out.Counts {
+		rep.Sent += c
+	}
+	slot := residentSlot{label: dep.Label, typ: out.Type, seq: dep.Seq, blocks: out.Blocks}
 	lt.rslots[rank] = slot
 	if !lt.bar.await() { // everyone deposited
 		return ResidentReply{}, ErrAborted
@@ -208,27 +202,20 @@ func (lt *loopback) ExchangeResident(rank int, dep ResidentDeposit) (ResidentRep
 		return ResidentReply{}, fmt.Errorf("SPMD violation: processor %d exchanged %s at %q where processor 0 exchanged %s",
 			rank, slot.typ, StampOf(slot.label, slot.seq), lt.rslots[0].typ)
 	}
-	// Assemble this rank's column. As with the fabric snapshot, the
+	// Assemble this rank's column: the emit left its self slot nil, its
+	// own rows stay typed in out.Self. As with the fabric snapshot, the
 	// machine's post-exchange barrier guarantees no rank deposits the next
 	// superstep before every rank has read this one; the collect step is
 	// done with the column when it returns, so the rank reuses it.
 	col := lt.rcols[rank]
 	for j := 0; j < lt.p; j++ {
-		switch {
-		case j != rank:
-			col[j] = lt.rslots[j].blocks[rank]
-		case slot.self == nil:
-			col[j] = slot.blocks[j] // coordinator deposit ships self encoded
-		default:
-			col[j] = nil
-		}
+		col[j] = lt.rslots[j].blocks[rank]
 	}
 	var reply []byte
 	var recv int
-	var err error
 	lt.tracer.Record(dep.Trace, int64(dep.Seq), rank, "collect", func() {
-		reply, recv, err = lt.stores[rank].RunCollect(rank, lt.p, *dep.Collect,
-			&exec.Inbox{Blocks: col, Self: slot.self}, dep.CollectArgs)
+		reply, recv, err = lt.stores[rank].RunCollect(rank, lt.p, dep.Collect,
+			&exec.Inbox{Blocks: col, Self: out.Self}, dep.CollectArgs)
 	})
 	if err != nil {
 		return ResidentReply{}, err

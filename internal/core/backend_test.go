@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -12,16 +13,18 @@ import (
 	"repro/internal/semigroup"
 )
 
-var allBackends = []Backend{BackendLayered, BackendRangeTree}
-
 // TestCrossBackendOracle drives mixed Count/Aggregate/Report batches
-// through the unified pipeline on every backend, over machine widths,
-// both balance modes and d = 1..4, and checks each answer against the
-// brute-force ground truth. The backends must be observably identical
-// from outside the element layer.
+// through the unified pipeline on layered forest elements, over machine
+// widths, both balance modes and d = 1..4, and checks each answer against
+// the brute-force ground truth. (The plain range tree is compared with
+// the layered tree and brute force element by element in
+// internal/layered and internal/rangetree.)
 func TestCrossBackendOracle(t *testing.T) {
 	weight := func(p geom.Point) int64 { return int64(p.ID%5) + 1 }
 	rng := rand.New(rand.NewSource(71))
+	if _, err := BuildOn(cgm.NewLocalProvider(cgm.Config{P: 2}), randomPoints(rand.New(rand.NewSource(1)), 16, 2), Backend(1)); err == nil || !strings.Contains(err.Error(), "backend 1") {
+		t.Fatalf("BuildOn accepted element backend 1, or refused it without naming it: %v", err)
+	}
 	for _, p := range []int{1, 4, 7} {
 		for _, balance := range []BalanceMode{GroupLevel, ElementLevel} {
 			for d := 1; d <= 4; d++ {
@@ -33,37 +36,32 @@ func TestCrossBackendOracle(t *testing.T) {
 				for i := range ops {
 					ops[i] = MixedOp(i % 3) // count, aggregate, report
 				}
-				for _, be := range allBackends {
-					dt := BuildBackend(cgm.New(cgm.Config{P: p}), pts, be)
-					if dt.Backend() != be {
-						t.Fatalf("backend %v not recorded", be)
-					}
-					dt.SetBalanceMode(balance)
-					if err := dt.Verify(); err != nil {
-						t.Fatalf("p=%d d=%d backend=%v: verify: %v", p, d, be, err)
-					}
-					h := PrepareAssociative(dt, semigroup.IntSum(), weight)
-					// Two rounds: the second runs with warm copy caches and
-					// must be indistinguishable.
-					for round := 0; round < 2; round++ {
-						results := MixedBatch(dt, h, ops, boxes)
-						for i, b := range boxes {
-							switch ops[i] {
-							case OpCount:
-								if want := int64(bf.Count(b)); results[i].Count != want {
-									t.Fatalf("p=%d bal=%v d=%d backend=%v round=%d q%d: count %d want %d",
-										p, balance, d, be, round, i, results[i].Count, want)
-								}
-							case OpAggregate:
-								if want := brute.Aggregate(bf, semigroup.IntSum(), weight, b); results[i].Agg != want {
-									t.Fatalf("p=%d bal=%v d=%d backend=%v round=%d q%d: agg %d want %d",
-										p, balance, d, be, round, i, results[i].Agg, want)
-								}
-							case OpReport:
-								if got, want := brute.IDs(results[i].Pts), brute.IDs(bf.Report(b)); !reflect.DeepEqual(got, want) {
-									t.Fatalf("p=%d bal=%v d=%d backend=%v round=%d q%d: report %v want %v",
-										p, balance, d, be, round, i, got, want)
-								}
+				dt := Build(cgm.New(cgm.Config{P: p}), pts)
+				dt.SetBalanceMode(balance)
+				if err := dt.Verify(); err != nil {
+					t.Fatalf("p=%d d=%d: verify: %v", p, d, err)
+				}
+				h := PrepareAssociative(dt, semigroup.IntSum(), weight)
+				// Two rounds: the second runs with warm copy caches and
+				// must be indistinguishable.
+				for round := 0; round < 2; round++ {
+					results := MixedBatch(dt, h, ops, boxes)
+					for i, b := range boxes {
+						switch ops[i] {
+						case OpCount:
+							if want := int64(bf.Count(b)); results[i].Count != want {
+								t.Fatalf("p=%d bal=%v d=%d round=%d q%d: count %d want %d",
+									p, balance, d, round, i, results[i].Count, want)
+							}
+						case OpAggregate:
+							if want := brute.Aggregate(bf, semigroup.IntSum(), weight, b); results[i].Agg != want {
+								t.Fatalf("p=%d bal=%v d=%d round=%d q%d: agg %d want %d",
+									p, balance, d, round, i, results[i].Agg, want)
+							}
+						case OpReport:
+							if got, want := brute.IDs(results[i].Pts), brute.IDs(bf.Report(b)); !reflect.DeepEqual(got, want) {
+								t.Fatalf("p=%d bal=%v d=%d round=%d q%d: report %v want %v",
+									p, balance, d, round, i, got, want)
 							}
 						}
 					}
@@ -76,11 +74,11 @@ func TestCrossBackendOracle(t *testing.T) {
 // skewedSetup builds a tree plus a query batch whose subqueries all
 // congest a narrow strip of elements, forcing phase B to copy heavily —
 // the workload the copy cache targets.
-func skewedSetup(tb testing.TB, n, d, p, q int, be Backend) (*Tree, []geom.Box) {
+func skewedSetup(tb testing.TB, n, d, p, q int) (*Tree, []geom.Box) {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(5))
 	pts := randomPoints(rng, n, d)
-	dt := BuildBackend(cgm.New(cgm.Config{P: p}), pts, be)
+	dt := Build(cgm.New(cgm.Config{P: p}), pts)
 	boxes := make([]geom.Box, q)
 	for i := range boxes {
 		lo := make([]geom.Coord, d)
@@ -104,7 +102,7 @@ func skewedSetup(tb testing.TB, n, d, p, q int, be Backend) (*Tree, []geom.Box) 
 // the cache, and invalidation forces a rebuild again.
 func TestCopyCacheWarmSkipsRebuild(t *testing.T) {
 	for _, mode := range []BalanceMode{GroupLevel, ElementLevel} {
-		dt, boxes := skewedSetup(t, 2048, 2, 4, 96, BackendLayered)
+		dt, boxes := skewedSetup(t, 2048, 2, 4, 96)
 		dt.SetBalanceMode(mode)
 
 		want := dt.CountBatch(boxes)
@@ -142,7 +140,7 @@ func TestCopyCacheWarmSkipsRebuild(t *testing.T) {
 // workload twice: the warm batch must reuse both the copied elements and
 // their annotations, and still answer correctly.
 func TestCopyCacheServesAggregates(t *testing.T) {
-	dt, boxes := skewedSetup(t, 1024, 2, 4, 64, BackendLayered)
+	dt, boxes := skewedSetup(t, 1024, 2, 4, 64)
 	weight := func(p geom.Point) int64 { return int64(p.ID%3) + 1 }
 	h := PrepareAssociative(dt, semigroup.IntSum(), weight)
 	want := h.Batch(boxes)
@@ -159,7 +157,7 @@ func TestCopyCacheServesAggregates(t *testing.T) {
 // batches run — the regression test for the unsynchronized per-rank
 // writes (run under -race).
 func TestLastCopiedPointsRaceClean(t *testing.T) {
-	dt, boxes := skewedSetup(t, 1024, 2, 4, 64, BackendLayered)
+	dt, boxes := skewedSetup(t, 1024, 2, 4, 64)
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -205,7 +203,7 @@ func TestLastCopiedPointsRaceClean(t *testing.T) {
 // every processor's cache at one entry, a negative cap disables caching
 // entirely, and answers never change either way.
 func TestCopyCacheCapBoundsMemory(t *testing.T) {
-	dt, boxes := skewedSetup(t, 2048, 2, 4, 96, BackendLayered)
+	dt, boxes := skewedSetup(t, 2048, 2, 4, 96)
 	want := dt.CountBatch(boxes)
 
 	dt.SetCopyCacheCap(1)
@@ -241,7 +239,7 @@ func TestCopyCacheCapBoundsMemory(t *testing.T) {
 // (the stranded-memory regression): after InvalidateCopies, the next
 // batch's install sweeps every processor's cache before refilling it.
 func TestInvalidateSweepsCache(t *testing.T) {
-	dt, boxes := skewedSetup(t, 2048, 2, 4, 96, BackendLayered)
+	dt, boxes := skewedSetup(t, 2048, 2, 4, 96)
 	dt.CountBatch(boxes)
 	dt.InvalidateCopies()
 	// Serve a batch with no forest crossings: the sweep must still run on
@@ -258,7 +256,7 @@ func TestInvalidateSweepsCache(t *testing.T) {
 // SingleQueryWork descends over a local stack, so calling it from the
 // caller's goroutine while a batch runs on the same tree is race-free.
 func TestSingleQueryWorkConcurrentWithBatch(t *testing.T) {
-	dt, boxes := skewedSetup(t, 1024, 2, 4, 64, BackendLayered)
+	dt, boxes := skewedSetup(t, 1024, 2, 4, 64)
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)

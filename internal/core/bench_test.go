@@ -238,36 +238,34 @@ func BenchmarkVerify(b *testing.B) {
 	}
 }
 
-// BenchmarkPhaseCServe compares the element backends on batch serving at
-// the acceptance scale (n = 2^17, d = 3): count and report workloads,
-// phase C dominated (the copy cache is warmed before measuring). The
-// layered backend must beat the plain range tree on both.
+// BenchmarkPhaseCServe measures batch serving on layered forest elements
+// at the acceptance scale (n = 2^17, d = 3): count and report workloads,
+// phase C dominated (the copy cache is warmed before measuring). E15
+// compares the element structures themselves.
 func BenchmarkPhaseCServe(b *testing.B) {
 	const n, d, p, q = 1 << 17, 3, 8, 256
-	for _, be := range []Backend{BackendLayered, BackendRangeTree} {
-		rng := rand.New(rand.NewSource(1))
-		pts := randomPoints(rng, n, d)
-		dt := BuildBackend(cgm.New(cgm.Config{P: p}), pts, be)
-		boxes := randomBoxes(rng, q, n/16, d) // moderate selectivity
-		dt.CountBatch(boxes)                  // warm copy caches
-		b.Run("count/"+be.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				dt.CountBatch(boxes)
-			}
-		})
-		b.Run("report/"+be.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				dt.ReportBatch(boxes)
-			}
-		})
-	}
+	rng := rand.New(rand.NewSource(1))
+	pts := randomPoints(rng, n, d)
+	dt := Build(cgm.New(cgm.Config{P: p}), pts)
+	boxes := randomBoxes(rng, q, n/16, d) // moderate selectivity
+	dt.CountBatch(boxes)                  // warm copy caches
+	b.Run("count/layered", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			dt.CountBatch(boxes)
+		}
+	})
+	b.Run("report/layered", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			dt.ReportBatch(boxes)
+		}
+	})
 }
 
 // BenchmarkPhaseCCopyCache measures phase-B install time on a skewed
 // workload, cold (cache invalidated every batch) versus warm (cache kept
 // across batches) — the tax the cross-batch copy cache removes.
 func BenchmarkPhaseCCopyCache(b *testing.B) {
-	dt, boxes := skewedSetup(b, 1<<15, 3, 8, 256, BackendLayered)
+	dt, boxes := skewedSetup(b, 1<<15, 3, 8, 256)
 	dt.CountBatch(boxes)
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -55,25 +55,18 @@ type runSum struct {
 	Count int
 }
 
-// Build runs Algorithm Construct (§3) on mach with the default element
-// backend (the layered tree): it distributes pts in blocks of n/p, then
-// constructs the distributed range tree in d phases, each phase sorting
-// the segment-tree leaves S^j, routing forest-element groups to their
-// owners (k mod p), building forest elements sequentially, broadcasting
-// the stub roots, and rebuilding the dimension-j hat layer on every
-// processor.
+// Build runs Algorithm Construct (§3) on mach: it distributes pts in
+// blocks of n/p, then constructs the distributed range tree in d phases,
+// each phase sorting the segment-tree leaves S^j, routing forest-element
+// groups to their owners (k mod p), building forest elements sequentially
+// as layered trees, broadcasting the stub roots, and rebuilding the
+// dimension-j hat layer on every processor. Each rank starts from its
+// canonical block of n/p points (CanonicalBlocks). On a resident machine
+// the blocks are staged into the ranks' parts first, so each point
+// crosses the coordinator once, on its way in. A bad point set or a
+// machine abort panics; BuildOn returns them as errors.
 func Build(mach *cgm.Machine, pts []geom.Point) *Tree {
-	return BuildBackend(mach, pts, BackendLayered)
-}
-
-// BuildBackend runs Algorithm Construct with an explicit element backend
-// (forest elements and their phase-B copies are built on it). Each rank
-// starts from its canonical block of n/p points (CanonicalBlocks). On a
-// resident machine the blocks are staged into the ranks' parts first, so
-// each point crosses the coordinator once, on its way in. A bad point set
-// or a machine abort panics; BuildOn returns them as errors.
-func BuildBackend(mach *cgm.Machine, pts []geom.Point, be Backend) *Tree {
-	t, err := buildPoints(mach, pts, be)
+	t, err := buildPoints(mach, pts)
 	if err != nil {
 		panic(err.Error())
 	}
@@ -85,7 +78,7 @@ func BuildBackend(mach *cgm.Machine, pts []geom.Point, be Backend) *Tree {
 // machine (a fabric construct takes each rank's block from blocks), and
 // run the construction. A bad point set, a failed stage and a machine
 // abort return as errors.
-func buildPoints(mach *cgm.Machine, pts []geom.Point, be Backend) (*Tree, error) {
+func buildPoints(mach *cgm.Machine, pts []geom.Point) (*Tree, error) {
 	dims, err := checkPoints(pts)
 	if err != nil {
 		return nil, err
@@ -96,7 +89,7 @@ func buildPoints(mach *cgm.Machine, pts []geom.Point, be Backend) (*Tree, error)
 			return nil, fmt.Errorf("core: staging worker blocks: %w", err)
 		}
 	}
-	return buildStaged(mach, dims, len(pts), be, blocks)
+	return buildStaged(mach, dims, len(pts), blocks)
 }
 
 // checkPoints validates a build's input and returns its dimensionality.
@@ -131,7 +124,7 @@ func CanonicalBlocks(pts []geom.Point, p int) [][]geom.Point {
 // fabric machine rank i starts from blocks[i]; on a resident machine
 // every rank starts from the input staged in its part (blocks is unused).
 // Either way the seeded counts must add up to n.
-func build(mach *cgm.Machine, n, dims int, be Backend, blocks [][]geom.Point) *Tree {
+func build(mach *cgm.Machine, n, dims int, blocks [][]geom.Point) *Tree {
 	p := mach.P()
 	t := &Tree{
 		mach:       mach,
@@ -139,7 +132,6 @@ func build(mach *cgm.Machine, n, dims int, be Backend, blocks [][]geom.Point) *T
 		dims:       dims,
 		resident:   mach.Resident(),
 		grain:      (n + p - 1) / p,
-		backend:    be,
 		procs:      make([]*procState, p),
 		lastStats:  make([]SearchStats, p),
 		lastCopied: make([]atomic.Int64, p),
@@ -172,13 +164,19 @@ func build(mach *cgm.Machine, n, dims int, be Backend, blocks [][]geom.Point) *T
 // simulator (cgm.LocalProvider) or on a TCP worker cluster
 // (transport.Cluster) without the caller holding a machine. An empty or
 // mixed-dimensional point set, and a machine abort (a worker lost
-// mid-build), return as errors.
+// mid-build), return as errors. be must be BackendLayered, the only
+// element structure; any other value is refused. The parameter remains
+// only because the benchmark harness (bench/) passes it, and goes with
+// the next change to the benchmark.
 func BuildOn(pv cgm.Provider, pts []geom.Point, be Backend) (*Tree, error) {
+	if be != BackendLayered {
+		return nil, fmt.Errorf("core: element backend %d; forest elements are layered trees (backend %d) only", be, BackendLayered)
+	}
 	mach, err := pv.NewMachine()
 	if err != nil {
 		return nil, fmt.Errorf("core: provider machine: %w", err)
 	}
-	return buildPoints(mach, pts, be)
+	return buildPoints(mach, pts)
 }
 
 // construct is the per-processor body of Algorithm Construct, one program
@@ -195,9 +193,9 @@ func (t *Tree) construct(pr *cgm.Proc, blocks [][]geom.Point, seeded []int) {
 	ps := &procState{rank: rank, hatByKey: make(map[segtree.PathKey]int32)}
 	t.procs[rank] = ps
 	if t.resident {
-		cgm.CallResident[beginArgs, bool](pr, fref("construct/begin"), beginArgs{Backend: t.backend})
+		cgm.CallResident[bool, bool](pr, fref("construct/begin"), true)
 	} else {
-		ps.part = newForestPart(t.backend)
+		ps.part = newForestPart()
 		ps.part.ctx = exec.Ctx{Rank: rank, P: pr.P()}
 		ps.part.staged = blocks[rank]
 	}
@@ -320,7 +318,7 @@ func (t *Tree) constructPhase(pr *cgm.Proc, ps *procState, keys []segtree.PathKe
 	myOffset, _ := comm.CountScan(pr, lbl("offset"), bal.Len)
 	metas := exchangeOnPart(pr, ps.part, lbl("route"),
 		"construct/routeHeld", routeHeldArgs{Trees: trees, Grain: t.grain, Offset: myOffset}, routeHeldStep,
-		"construct/install", constructInstallArgs{Backend: t.backend, Infos: myInfos}, constructInstallStep)
+		"construct/install", constructInstallArgs{Infos: myInfos}, constructInstallStep)
 
 	// Steps 4–5: all-to-all broadcast of the forest roots (the hat's
 	// leaves); every processor completes its dimension-j hat trees.

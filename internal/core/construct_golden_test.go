@@ -83,7 +83,7 @@ func tieGrid(n, d int, seed int64) []geom.Point {
 
 // TestConstructGolden pins the built tree itself — element tables, point
 // order inside every element, rounds, h and volume — for the
-// fabric build (BuildOn) and the resident build (BuildBackend on a
+// fabric build (BuildOn) and the resident build (Build on a
 // resident machine, which stages the blocks and runs held), on clustered
 // points and on a tie-heavy grid. The two builders share one literal per
 // case: the held build is the same algorithm with the records kept
@@ -119,9 +119,9 @@ func TestConstructGolden(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				held := BuildBackend(cgm.New(cgm.Config{P: p, Resident: true}), pts, BackendLayered)
+				held := Build(cgm.New(cgm.Config{P: p, Resident: true}), pts)
 				name := fmt.Sprintf("%s/d=%d/p=%d", input, d, p)
-				for builder, dt := range map[string]*Tree{"BuildOn": onFabric, "resident BuildBackend": held} {
+				for builder, dt := range map[string]*Tree{"BuildOn": onFabric, "resident Build": held} {
 					if got := constructFingerprint(t, dt); got != want[name] {
 						t.Errorf("%s %s: fingerprint %s, want %s", builder, name, got, want[name])
 					}

@@ -68,7 +68,7 @@ func TestTreeOrdinalsFollowKeyOrder(t *testing.T) {
 	stubs := []int{258, 259, 512, 700, 1023}
 	shape := segtree.NewShape(1 << 10)
 	ht := newHatTree(0, segtree.RootPathKey, 0, shape, 1024)
-	part := newForestPart(BackendLayered)
+	part := newForestPart()
 	internal := map[int]bool{}
 	for i, st := range stubs {
 		ht.setNode(st, HatNode{Elem: ElemID(i), Desc: -1})

@@ -66,7 +66,7 @@ func TestCopyCacheEvictionOrder(t *testing.T) {
 // through a part's installCopies directly, and as the abort of a machine
 // run.
 func TestForgedReferenceIsDiagnosed(t *testing.T) {
-	part := newForestPart(BackendLayered)
+	part := newForestPart()
 	part.copyCache.begin(3)
 	_, err := part.installCopies(2, 5, 4, nil, [][]routeRow{{{Copy: shippedElem{Info: ElemInfo{ID: 42}, Ref: true}}}})
 	if err == nil {
@@ -84,7 +84,7 @@ func TestForgedReferenceIsDiagnosed(t *testing.T) {
 	// End to end: the hosts lose their caches behind the mirrors' backs, so
 	// the next batch's references miss. The run must abort with the
 	// diagnostic, not answer.
-	dt, boxes := skewedSetup(t, 2048, 2, 4, 96, BackendLayered)
+	dt, boxes := skewedSetup(t, 2048, 2, 4, 96)
 	dt.CountBatch(boxes)
 	if dt.LastCopiedPoints() == 0 {
 		t.Fatal("skewed workload shipped no copies")

@@ -86,7 +86,7 @@ func forEachRank(p int, f func(rank int) error) error {
 
 // stageBlocks stages one block per rank into a resident machine's
 // parts, in chunks over the coordinator's connections: the input of a
-// resident BuildBackend, whose canonical blocks keep its metrics
+// resident Build, whose canonical blocks keep its metrics
 // identical to a fabric build's.
 func stageBlocks(mach *cgm.Machine, blocks [][]geom.Point) error {
 	return forEachRank(mach.P(), func(rank int) error {
@@ -108,13 +108,13 @@ func stageBlocks(mach *cgm.Machine, blocks [][]geom.Point) error {
 // fabric machine, the ranks' parts on a resident one — converting a
 // machine abort (worker death, skew) into an error so a caller can fail
 // fast and retry on a fresh machine.
-func buildStaged(mach *cgm.Machine, dims, total int, be Backend, blocks [][]geom.Point) (t *Tree, err error) {
+func buildStaged(mach *cgm.Machine, dims, total int, blocks [][]geom.Point) (t *Tree, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("core: worker-fed build aborted: %v", r)
 		}
 	}()
-	return build(mach, total, dims, be, blocks), nil
+	return build(mach, total, dims, blocks), nil
 }
 
 // IngestConfig parametrises a streaming bulk load.
@@ -147,7 +147,7 @@ type IngestConfig struct {
 // resident transport without feeds) poisons the machine: the session
 // aborts with the diagnostic rather than surviving half-staged. On a
 // fabric machine the reader appends each chunk to its rank's block.
-func BulkLoad(mach *cgm.Machine, src ChunkSource, be Backend, cfg IngestConfig) (*Tree, error) {
+func BulkLoad(mach *cgm.Machine, src ChunkSource, cfg IngestConfig) (*Tree, error) {
 	if cfg.Window <= 0 {
 		cfg.Window = DefaultWindow
 	}
@@ -234,7 +234,7 @@ read:
 	if dims < 1 {
 		return nil, errors.New("core: points need at least one dimension")
 	}
-	return buildStaged(mach, dims, total, be, blocks)
+	return buildStaged(mach, dims, total, blocks)
 }
 
 // encodeChunk wire-encodes one ingest chunk into buf (appending), so a
@@ -313,7 +313,7 @@ func feedRank(mach *cgm.Machine, rank int, cfg IngestConfig, ch <-chan []geom.Po
 // coordinator never opens the files: counts and dimensionalities come
 // back in the ingest replies. On a fabric machine shard r is read into
 // rank r's block.
-func BulkLoadFiles(mach *cgm.Machine, paths []string, be Backend) (*Tree, error) {
+func BulkLoadFiles(mach *cgm.Machine, paths []string) (*Tree, error) {
 	p := mach.P()
 	if len(paths) != p {
 		return nil, fmt.Errorf("core: %d shard files for a %d-rank machine", len(paths), p)
@@ -355,5 +355,5 @@ func BulkLoadFiles(mach *cgm.Machine, paths []string, be Backend) (*Tree, error)
 	if total == 0 {
 		return nil, errors.New("core: empty point set")
 	}
-	return buildStaged(mach, d, total, be, blocks)
+	return buildStaged(mach, d, total, blocks)
 }

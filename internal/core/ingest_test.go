@@ -67,7 +67,7 @@ func TestBulkLoadStreaming(t *testing.T) {
 
 	for _, chunk := range []int{37, 5000} {
 		ldM := cgm.New(cgm.Config{P: p, Resident: true})
-		ld, err := core.BulkLoad(ldM, core.SliceChunks(pts, chunk), core.BackendLayered, core.IngestConfig{Window: 2})
+		ld, err := core.BulkLoad(ldM, core.SliceChunks(pts, chunk), core.IngestConfig{Window: 2})
 		if err != nil {
 			t.Fatalf("chunk=%d: BulkLoad: %v", chunk, err)
 		}
@@ -105,7 +105,7 @@ func TestBulkLoadFile(t *testing.T) {
 	want := ref.CountBatch(boxes)
 
 	shM := cgm.New(cgm.Config{P: p, Resident: true})
-	sh, err := core.BulkLoadFiles(shM, shards, core.BackendLayered)
+	sh, err := core.BulkLoadFiles(shM, shards)
 	if err != nil {
 		t.Fatalf("BulkLoadFiles: %v", err)
 	}
@@ -141,10 +141,10 @@ func TestBulkLoadEquivalence(t *testing.T) {
 		load func(*cgm.Machine) (*core.Tree, error)
 	}{
 		{"stream", func(m *cgm.Machine) (*core.Tree, error) {
-			return core.BulkLoad(m, core.SliceChunks(pts, 37), core.BackendLayered, core.IngestConfig{Window: 2})
+			return core.BulkLoad(m, core.SliceChunks(pts, 37), core.IngestConfig{Window: 2})
 		}},
 		{"shards", func(m *cgm.Machine) (*core.Tree, error) {
-			return core.BulkLoadFiles(m, shards, core.BackendLayered)
+			return core.BulkLoadFiles(m, shards)
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -223,7 +223,7 @@ func (ft feedlessTransport) CallStep(int, exec.Ref, []byte) ([]byte, error) {
 func TestBulkLoadNeedsFeeds(t *testing.T) {
 	mach := cgm.New(cgm.Config{Transport: feedlessTransport{p: 2}, Resident: true})
 	pts := workload.Points(workload.PointSpec{N: 64, Dims: 2, Dist: workload.Uniform, Seed: 1})
-	_, err := core.BulkLoad(mach, core.SliceChunks(pts, 16), core.BackendLayered, core.IngestConfig{Window: 0})
+	_, err := core.BulkLoad(mach, core.SliceChunks(pts, 16), core.IngestConfig{Window: 0})
 	if err == nil || !strings.Contains(err.Error(), "does not support step feeds") {
 		t.Fatalf("bulk load on a feedless resident machine: %v, want the OpenFeed diagnostic", err)
 	}

@@ -127,9 +127,8 @@ func (r *mixedRun[T]) shipRoute(pr *cgm.Proc, ps *procState, label string, ships
 	aggName, agg := r.copyAgg()
 	rep := exchangeOnPart(pr, ps.part, label,
 		"search/shipRoute", shipRouteArgs{Ships: ships, Routed: routed},
-		func(part *forestPart, c *exec.Ctx, args shipRouteArgs) ([][]routeRow, []byte, error) {
-			out, err := part.shipRoute(a, args.Ships, args.Routed, c.P)
-			return out, nil, err
+		func(part *forestPart, c *exec.Ctx, args shipRouteArgs) ([][]routeRow, error) {
+			return part.shipRoute(a, args.Ships, args.Routed, c.P)
 		},
 		"search/installServe", installServeArgs{Epoch: t.batchEpoch, Cap: t.copyCacheCapFor(ps), Agg: aggName, Ops: r.ops},
 		func(part *forestPart, c *exec.Ctx, args installServeArgs, in [][]routeRow) (installServeReply, error) {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/exec"
 	"repro/internal/geom"
+	"repro/internal/layered"
 	"repro/internal/pointsfile"
 	"repro/internal/psort"
 	"repro/internal/segtree"
@@ -42,7 +43,7 @@ import (
 // against coordinator/worker binary skew.
 const (
 	forestProgram = "core/forest"
-	forestVersion = 9 // 9: installServe replies with a hit block
+	forestVersion = 10 // 10: elements are layered trees; construct/begin takes a bool
 )
 
 // fref names one step of the forest program.
@@ -53,7 +54,6 @@ func fref(step string) exec.Ref {
 // forestPart is one rank's forest part, the only place its element state
 // lives.
 type forestPart struct {
-	backend   Backend
 	elems     map[ElemID]*element
 	copies    map[ElemID]*element
 	copyCache *copyCache[*element]
@@ -90,9 +90,8 @@ type forestPart struct {
 	ctx exec.Ctx
 }
 
-func newForestPart(be Backend) *forestPart {
+func newForestPart() *forestPart {
 	return &forestPart{
-		backend:   be,
 		elems:     make(map[ElemID]*element),
 		copies:    make(map[ElemID]*element),
 		copyCache: newCopyCache[*element](),
@@ -150,7 +149,7 @@ func (part *forestPart) install(infos []ElemInfo, incoming [][]epoint) ([]elemMe
 		if int32(len(epts)) != info.Count {
 			return nil, fmt.Errorf("core: element %d received %d points, expected %d", info.ID, len(epts), info.Count)
 		}
-		part.elems[info.ID] = &element{info: info, pts: epts, tree: buildElemTree(part.backend, epts, j)}
+		part.elems[info.ID] = &element{info: info, pts: epts, tree: layered.BuildFrom(epts, j)}
 		metas[k] = elemMeta{Elem: info.ID, Min: epts[0].X[j], Max: epts[len(epts)-1].X[j]}
 	}
 	return metas, nil
@@ -255,13 +254,12 @@ func onPartIn[A, R any](pr *cgm.Proc, part *forestPart, step string, args A, bod
 // with the same label and element counts either way; a failure aborts
 // the run.
 func exchangeOnPart[EA, CA, T, R any](pr *cgm.Proc, part *forestPart, label string,
-	emit string, eargs EA, emitBody func(*forestPart, *exec.Ctx, EA) ([][]T, []byte, error),
+	emit string, eargs EA, emitBody func(*forestPart, *exec.Ctx, EA) ([][]T, error),
 	collect string, cargs CA, collectBody func(*forestPart, *exec.Ctx, CA, [][]T) (R, error)) R {
 	if part == nil {
-		_, r := cgm.ExchangeSteps[EA, CA, R](pr, label, fref(emit), eargs, fref(collect), cargs)
-		return r
+		return cgm.ExchangeSteps[EA, CA, R](pr, label, fref(emit), eargs, fref(collect), cargs)
 	}
-	out, _, err := emitBody(part, &part.ctx, eargs)
+	out, err := emitBody(part, &part.ctx, eargs)
 	if err != nil {
 		panic(err.Error())
 	}
@@ -276,17 +274,11 @@ func exchangeOnPart[EA, CA, T, R any](pr *cgm.Proc, part *forestPart, label stri
 // wire codec (wirecodec.go); the fields stay exported for wire's gob
 // fallback, which only custom aggregate value types take.
 
-// beginArgs resets the part for a fresh construction.
-type beginArgs struct {
-	Backend Backend
-}
-
 // constructInstallArgs accompanies one construction phase's routed
 // points: the replicated metadata of the elements this rank owns in the
 // phase (the collect side builds exactly these).
 type constructInstallArgs struct {
-	Backend Backend
-	Infos   []ElemInfo
+	Infos []ElemInfo
 }
 
 // shipRouteArgs drives phase C's emit: the owner's shipping plan, decided
@@ -462,7 +454,7 @@ type installServeReply struct {
 var forestProg = &exec.Program{
 	Name:    forestProgram,
 	Version: forestVersion,
-	New:     func(rank, p int) any { return newForestPart(BackendLayered) },
+	New:     func(rank, p int) any { return newForestPart() },
 	Steps: map[string]exec.Step{
 		"construct/begin":     exec.Pure(constructBeginStep),
 		"construct/seed":      exec.Pure(constructSeedStep),
@@ -496,8 +488,8 @@ func init() { exec.Register(forestProg) }
 // rebuilt on — e.g. a store recovering its checkpoint — must not merge
 // two forests). Staged ingest blocks and held records survive the reset:
 // they are this build's input.
-func constructBeginStep(part *forestPart, _ *exec.Ctx, args beginArgs) (bool, error) {
-	fresh := newForestPart(args.Backend)
+func constructBeginStep(part *forestPart, _ *exec.Ctx, _ bool) (bool, error) {
+	fresh := newForestPart()
 	fresh.staged, fresh.recs = part.staged, part.recs
 	*part = *fresh
 	return true, nil
@@ -564,8 +556,8 @@ func sortLocalStep(part *forestPart, c *exec.Ctx, args dimArgs) (sortLocalReply,
 // wsortPartStep is the sample sort's route emit: partition the
 // locally sorted records by the broadcast splitters (views into recs; the
 // merge collect of the same superstep replaces recs only after reading).
-func wsortPartStep(part *forestPart, c *exec.Ctx, args wsortPartArgs) ([][]srec, []byte, error) {
-	return psort.Partition(part.recs, args.Splitters, c.P, srecLess(int(args.Dim))), nil, nil
+func wsortPartStep(part *forestPart, c *exec.Ctx, args wsortPartArgs) ([][]srec, error) {
+	return psort.Partition(part.recs, args.Splitters, c.P, srecLess(int(args.Dim))), nil
 }
 
 // wsortMergeStep is the sample sort's merge collect: the routed runs
@@ -577,8 +569,8 @@ func wsortMergeStep(part *forestPart, _ *exec.Ctx, args dimArgs, in [][]srec) (l
 
 // wsortSplitStep is the rebalance emit: cut the merged run at the
 // global block boundaries (again views; the gather collect copies).
-func wsortSplitStep(part *forestPart, c *exec.Ctx, args wsortBalanceArgs) ([][]srec, []byte, error) {
-	return comm.BlockPartition(part.recs, args.Offset, args.Total, c.P), nil, nil
+func wsortSplitStep(part *forestPart, c *exec.Ctx, args wsortBalanceArgs) ([][]srec, error) {
+	return comm.BlockPartition(part.recs, args.Offset, args.Total, c.P), nil
 }
 
 // wsortGatherStep is the rebalance collect: concatenating the sources in
@@ -593,13 +585,13 @@ func wsortGatherStep(part *forestPart, _ *exec.Ctx, _ bool, in [][]srec) (balanc
 // records to their elements' owners. The record set is consumed — the
 // install collect of the same superstep builds the phase's owned
 // elements.
-func routeHeldStep(part *forestPart, c *exec.Ctx, args routeHeldArgs) ([][]epoint, []byte, error) {
+func routeHeldStep(part *forestPart, c *exec.Ctx, args routeHeldArgs) ([][]epoint, error) {
 	out, err := routeRecords(part.recs, args.Trees, args.Grain, args.Offset, c.P)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	part.recs = nil
-	return out, nil, nil
+	return out, nil
 }
 
 // constructNextHeldStep is Construct step 7: the S^(j+1) records stay in
@@ -617,7 +609,6 @@ func constructNextHeldStep(part *forestPart, _ *exec.Ctx, args nextHeldArgs) (in
 // of one phase arrive as the superstep's column and install into the
 // part; the stub metadata returns for the roots broadcast.
 func constructInstallStep(part *forestPart, _ *exec.Ctx, args constructInstallArgs, incoming [][]epoint) ([]elemMeta, error) {
-	part.backend = args.Backend
 	return part.install(args.Infos, incoming)
 }
 
@@ -625,9 +616,8 @@ func constructInstallStep(part *forestPart, _ *exec.Ctx, args constructInstallAr
 // (Search step 3) straight from worker memory into the fabric — points
 // for the hosts that lack the copy, ID-only references for the rest —
 // beside the subqueries it routes (step 4).
-func shipRouteStep(part *forestPart, c *exec.Ctx, args shipRouteArgs) ([][]routeRow, []byte, error) {
-	out, err := part.shipRoute(nil, args.Ships, args.Routed, c.P)
-	return out, nil, err
+func shipRouteStep(part *forestPart, c *exec.Ctx, args shipRouteArgs) ([][]routeRow, error) {
+	return part.shipRoute(nil, args.Ships, args.Routed, c.P)
 }
 
 // installServeStep is phase C's collect: the column's copies install into
@@ -732,37 +722,37 @@ func elemStatsStep(part *forestPart, _ *exec.Ctx, _ bool) ([]elemStat, error) {
 // epoch moves, bounded like it, and an entry is only reused for the same
 // built tree instance.
 type partAgg[T any] struct {
-	m        semigroup.Monoid[T]
-	val      func(geom.Point) T
-	elemAggs map[ElemID]elemAgg[T]
-	copyAggs map[ElemID]elemAgg[T]
-	cache    *copyCache[cachedAgg[T]]
+	m         semigroup.Monoid[T]
+	val       func(geom.Point) T
+	ownedAggs map[ElemID]*layered.Agg[T]
+	copyAggs  map[ElemID]*layered.Agg[T]
+	cache     *copyCache[cachedAgg[T]]
 }
 
 // cachedAgg is one cross-batch annotation cache entry.
 type cachedAgg[T any] struct {
-	tree elemTree
-	agg  elemAgg[T]
+	tree *layered.Tree
+	agg  *layered.Agg[T]
 }
 
 func newPartAgg[T any](m semigroup.Monoid[T], val func(geom.Point) T) *partAgg[T] {
 	return &partAgg[T]{
 		m: m, val: val,
-		elemAggs: make(map[ElemID]elemAgg[T]),
-		copyAggs: make(map[ElemID]elemAgg[T]),
-		cache:    newCopyCache[cachedAgg[T]](),
+		ownedAggs: make(map[ElemID]*layered.Agg[T]),
+		copyAggs:  make(map[ElemID]*layered.Agg[T]),
+		cache:     newCopyCache[cachedAgg[T]](),
 	}
 }
 
 // prepare annotates the part's owned elements and returns their
 // forest-root values in ID order.
 func (pa *partAgg[T]) prepare(part *forestPart) []aggRoot[T] {
-	clear(pa.elemAggs)
+	clear(pa.ownedAggs)
 	ids := part.sortedIDs()
 	roots := make([]aggRoot[T], len(ids))
 	for i, id := range ids {
 		el := part.elems[id]
-		pa.elemAggs[id] = newElemAgg(el, pa.m, pa.val)
+		pa.ownedAggs[id] = layered.NewAgg(el.tree, pa.m, pa.val)
 		acc := pa.m.Identity
 		for _, pt := range el.pts {
 			acc = pa.m.Combine(acc, pa.val(pt))
@@ -785,7 +775,7 @@ func (pa *partAgg[T]) annotateCopy(el *element, cap int) {
 		pa.copyAggs[el.info.ID] = c.agg
 		return
 	}
-	ag := newElemAgg(el, pa.m, pa.val)
+	ag := layered.NewAgg(el.tree, pa.m, pa.val)
 	pa.cache.insert(el.info.ID, cachedAgg[T]{tree: el.tree, agg: ag}, cap, nil)
 	pa.copyAggs[el.info.ID] = ag
 }
@@ -793,7 +783,7 @@ func (pa *partAgg[T]) annotateCopy(el *element, cap int) {
 // query folds f over a subquery's box in the owned element or copy it
 // visits.
 func (pa *partAgg[T]) query(s subquery) (T, error) {
-	ag, ok := pa.elemAggs[s.Elem]
+	ag, ok := pa.ownedAggs[s.Elem]
 	if !ok {
 		ag, ok = pa.copyAggs[s.Elem]
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/cgm"
 	"repro/internal/comm"
 	"repro/internal/geom"
+	"repro/internal/layered"
 	"repro/internal/segtree"
 )
 
@@ -328,7 +329,7 @@ type installCopiesReply struct {
 // resolve first — against the cache as the host advertised it, before
 // any by-value row can evict — and a reference the cache cannot resolve
 // is a diagnostic error, never a silently missing copy. By-value rows are
-// then built on the part's backend and cached for later batches, bounded
+// then built as layered trees and cached for later batches, bounded
 // by cap. The reply carries the rank's ship note too.
 func (part *forestPart) installCopies(host int, epoch uint64, cap int, agg aggPart, incoming [][]routeRow) (installServeReply, error) {
 	rep := installServeReply{Note: part.shipped}
@@ -373,7 +374,7 @@ func (part *forestPart) installCopies(host int, epoch uint64, cap int, agg aggPa
 			if ok {
 				in.CacheHits++
 			} else {
-				el = &element{info: sh.Info, pts: sh.Pts, tree: buildElemTree(part.backend, sh.Pts, int(sh.Info.Dim))}
+				el = &element{info: sh.Info, pts: sh.Pts, tree: layered.BuildFrom(sh.Pts, int(sh.Info.Dim))}
 				in.Ops = cache.insert(sh.Info.ID, el, cap, in.Ops)
 			}
 			install(sh.Info.ID, el)

@@ -26,6 +26,7 @@ import (
 	"repro/internal/balance"
 	"repro/internal/cgm"
 	"repro/internal/geom"
+	"repro/internal/layered"
 	"repro/internal/obs"
 	"repro/internal/segtree"
 )
@@ -116,13 +117,12 @@ func (ht *HatTree) each(visit func(v int, nd HatNode)) {
 }
 
 // element is an owned (or copied) forest element: its points in leaf order
-// and the sequential structure over dimensions Dim..d-1 built from them on
-// the tree's backend (Construct step 4 builds forest elements
-// sequentially).
+// and the layered tree over dimensions Dim..d-1 built from them
+// (Construct step 4 builds forest elements sequentially).
 type element struct {
 	info ElemInfo
 	pts  []geom.Point
-	tree elemTree
+	tree *layered.Tree
 }
 
 // copyCacheCapFor resolves the per-processor copy-cache entry bound:
@@ -217,7 +217,6 @@ type Tree struct {
 	// and batch statistics stay coordinator-side either way.
 	resident    bool
 	grain       int
-	backend     Backend
 	procs       []*procState
 	balanceMode BalanceMode
 	lastStats   []SearchStats
@@ -263,9 +262,6 @@ func (t *Tree) prepBatch() {
 	}
 	t.batchEpoch = t.epoch.Load()
 }
-
-// Backend reports the element backend the tree was built with.
-func (t *Tree) Backend() Backend { return t.backend }
 
 // Resident reports whether the forest lives in transport-resident state
 // (worker memory over TCP) rather than coordinator memory.

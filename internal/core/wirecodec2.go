@@ -279,17 +279,7 @@ func init() {
 	// ---------------------------------------------- resident control args
 
 	fixedCodec(
-		func(buf []byte, a beginArgs) []byte { return append(buf, byte(a.Backend)) },
-		func(r *wire.Reader) (beginArgs, error) {
-			var a beginArgs
-			if d := r.Bytes(1); d != nil {
-				a.Backend = Backend(d[0])
-			}
-			return a, nil
-		})
-	fixedCodec(
 		func(buf []byte, a constructInstallArgs) []byte {
-			buf = append(buf, byte(a.Backend))
 			buf = wire.AppendUvarint(buf, uint64(len(a.Infos)))
 			for _, info := range a.Infos {
 				buf = appendElemInfo(buf, info)
@@ -298,9 +288,6 @@ func init() {
 		},
 		func(r *wire.Reader) (constructInstallArgs, error) {
 			var a constructInstallArgs
-			if d := r.Bytes(1); d != nil {
-				a.Backend = Backend(d[0])
-			}
 			n := r.Count(23)
 			if n > 0 {
 				a.Infos = make([]ElemInfo, n)

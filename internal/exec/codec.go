@@ -48,19 +48,18 @@ func Pure[S any, A any, R any](f func(st S, c *Ctx, args A) (R, error)) Step {
 }
 
 // Emitter wraps a typed emit function: it returns the per-destination rows
-// (len == P) plus a small note for the coordinator. The wrapper encodes
-// every non-self destination into one grown buffer (each block a
-// capacity-clipped view), counts elements per destination, and keeps the
-// self row typed. The buffer is not pooled: the worker routes the blocks
+// (len == P). The wrapper encodes every non-self destination into one
+// grown buffer (each block a capacity-clipped view), counts elements per
+// destination, and keeps the self row typed. The buffer is not pooled: the worker routes the blocks
 // to its peers after the emit returns, so their lifetime is the
 // superstep's, not the wrapper's.
-func Emitter[S any, A any, T any](f func(st S, c *Ctx, args A) ([][]T, []byte, error)) Emit {
+func Emitter[S any, A any, T any](f func(st S, c *Ctx, args A) ([][]T, error)) Emit {
 	return func(c *Ctx, raw []byte) (*Outbox, error) {
 		args, err := Unmarshal[A](raw)
 		if err != nil {
 			return nil, fmt.Errorf("exec: decoding emit args: %w", err)
 		}
-		rows, note, err := f(c.State.(S), c, args)
+		rows, err := f(c.State.(S), c, args)
 		if err != nil {
 			return nil, err
 		}
@@ -71,7 +70,6 @@ func Emitter[S any, A any, T any](f func(st S, c *Ctx, args A) ([][]T, []byte, e
 			Blocks: make([][]byte, c.P),
 			Counts: make([]int, c.P),
 			Self:   rows[c.Rank],
-			Note:   note,
 			Type:   reflect.TypeOf((*T)(nil)).Elem().String(),
 		}
 		buf := make([]byte, 0, 1024)
@@ -92,8 +90,8 @@ func Emitter[S any, A any, T any](f func(st S, c *Ctx, args A) ([][]T, []byte, e
 }
 
 // Collector wraps a typed collect function: the wrapper decodes each
-// source's block into []T (taking the typed self payload when present),
-// counts the received elements, and encodes the reply.
+// source's block into []T (taking the rank's own rows from the typed self
+// payload), counts the received elements, and encodes the reply.
 func Collector[S any, A any, T any, R any](f func(st S, c *Ctx, args A, in [][]T) (R, error)) Collect {
 	return func(c *Ctx, inbox *Inbox, raw []byte) ([]byte, int, error) {
 		args, err := Unmarshal[A](raw)
@@ -103,7 +101,7 @@ func Collector[S any, A any, T any, R any](f func(st S, c *Ctx, args A, in [][]T
 		in := make([][]T, len(inbox.Blocks))
 		recv := 0
 		for j, b := range inbox.Blocks {
-			if inbox.Self != nil && b == nil && j == c.Rank {
+			if j == c.Rank {
 				part, ok := inbox.Self.([]T)
 				if !ok {
 					return nil, 0, fmt.Errorf("exec: self payload is %T, collect wants []%s",

@@ -56,9 +56,6 @@ type Outbox struct {
 	// Self is the typed self-addressed payload, handed to the local
 	// Collect without serialization.
 	Self any
-	// Note is a small reply returned to the coordinator alongside the
-	// superstep acknowledgement (e.g. shipped-volume counters).
-	Note []byte
 	// Type names the exchanged element type for the SPMD stamp check.
 	Type string
 }
@@ -66,12 +63,10 @@ type Outbox struct {
 // Inbox is what a Collect step consumes: the assembled column of one
 // superstep.
 type Inbox struct {
-	// Blocks holds each source's encoded block addressed to this rank.
-	// The self slot is nil when Self carries the payload.
+	// Blocks holds each source's encoded block addressed to this rank;
+	// the self slot is nil.
 	Blocks [][]byte
-	// Self is the typed self-addressed payload when the deposit was
-	// emitted on this side; nil when the self block is in Blocks (a
-	// coordinator-side deposit ships it encoded like any other).
+	// Self is the typed self-addressed payload of this side's emit.
 	Self any
 }
 

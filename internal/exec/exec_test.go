@@ -26,12 +26,12 @@ func init() {
 			}),
 		},
 		Emits: map[string]Emit{
-			"fan": Emitter(func(st *testState, c *Ctx, base int) ([][]int, []byte, error) {
+			"fan": Emitter(func(st *testState, c *Ctx, base int) ([][]int, error) {
 				rows := make([][]int, c.P)
 				for j := range rows {
 					rows[j] = []int{base + c.Rank*10 + j}
 				}
-				return rows, Marshal("note"), nil
+				return rows, nil
 			}),
 		},
 		Collects: map[string]Collect{

@@ -174,6 +174,50 @@ func TestE11LayeredWinsModerateSelectivity(t *testing.T) {
 	}
 }
 
+// TestE15ElementRowsAndCopyCache: the serve section holds one parsable
+// ns/query row per (structure, kind), and the warm copy-cache install is
+// under half the cold one (the table's own "≥ 2×" note). It asserts no
+// timing ratio between the structures: E11 covers that.
+func TestE15ElementRowsAndCopyCache(t *testing.T) {
+	tab := E15(Quick)
+	serve := make(map[[2]string]int)
+	var cold, warm float64
+	for _, r := range tab.Rows {
+		switch r[0] {
+		case "serve":
+			if v, err := strconv.ParseFloat(r[3], 64); err != nil || v <= 0 {
+				t.Fatalf("bad ns/query cell in %v", r)
+			}
+			serve[[2]string{r[1], r[2]}]++
+		case "copy-cache":
+			v, err := strconv.ParseFloat(r[4], 64)
+			if err != nil {
+				t.Fatalf("bad install cell in %v", r)
+			}
+			if strings.Contains(r[2], "cold") {
+				cold = v
+			} else {
+				warm = v
+			}
+		default:
+			t.Fatalf("unknown section in %v", r)
+		}
+	}
+	for _, st := range []string{"rangetree", "layered"} {
+		for _, kind := range []string{"count", "report", "aggregate"} {
+			if n := serve[[2]string{st, kind}]; n != 1 {
+				t.Errorf("%d serve rows for %s %s, want 1", n, st, kind)
+			}
+		}
+	}
+	if len(serve) != 6 {
+		t.Errorf("serve rows for %d (structure, kind) pairs, want 6: %v", len(serve), serve)
+	}
+	if !(cold > 0 && warm < cold/2) {
+		t.Errorf("warm copy-cache install %g µs is not under half the cold %g µs", warm, cold)
+	}
+}
+
 func TestE12RoundsGrowWithLevels(t *testing.T) {
 	tab := E12(Quick)
 	folds := 0

@@ -16,8 +16,8 @@
 // bucket of a few points, which is scanned.
 //
 // Beyond the sequential extension experiment (E11), the layered tree is
-// the default element backend of the distributed pipeline: package core
-// builds forest elements on it (core.BackendLayered) and serves phase-C
+// the one element structure of the distributed pipeline: package core
+// builds every forest element and phase-B copy as one and serves phase-C
 // subqueries through the zero-allocation Visitor API below.
 package layered
 

@@ -12,7 +12,6 @@ import (
 	"hash/fnv"
 	"io"
 
-	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/wire"
 )
@@ -33,6 +32,8 @@ var magic = [4]byte{0xD7, 'R', 'T', '2'}
 //	magic (4B) · version · dims · p · backend · seq (8B LE)
 //	· points (wire.AppendPoints) · checksum (8B LE)
 //
+// The backend byte is always 0, the layered tree; any other is refused.
+//
 // Loading slices the point section through one coordinate arena exactly
 // like a received exchange block — a store restart no longer pays a gob
 // round-trip per point.
@@ -43,8 +44,6 @@ type Snapshot struct {
 	Version int
 	Dims    int
 	P       int // machine width at save time (informational)
-	// Backend is the element backend the saved set was built on.
-	Backend core.Backend
 	// Seq is the data version the snapshot captures (the mutable store's
 	// checkpoint stamp).
 	Seq      uint64
@@ -72,7 +71,7 @@ func checksum(pts []geom.Point) uint64 {
 	return h.Sum64()
 }
 
-// SavePoints writes a snapshot of a raw rank point set (default backend).
+// SavePoints writes a snapshot of a raw rank point set.
 func SavePoints(w io.Writer, pts []geom.Point, p int) error {
 	if len(pts) == 0 {
 		return fmt.Errorf("persist: refusing to save an empty point set")
@@ -81,7 +80,6 @@ func SavePoints(w io.Writer, pts []geom.Point, p int) error {
 		Version:  Version,
 		Dims:     pts[0].Dims(),
 		P:        p,
-		Backend:  core.BackendLayered,
 		Points:   pts,
 		Checksum: checksum(pts),
 	}
@@ -91,10 +89,9 @@ func SavePoints(w io.Writer, pts []geom.Point, p int) error {
 // SaveSet writes a snapshot of a raw point set that may be empty — the
 // mutable store's checkpoint path, which must be able to capture a store
 // whose every point has been deleted. dims must be supplied explicitly
-// because an empty set cannot reveal it; be records the element backend
-// the saving store builds on; seq stamps the data version the set was
-// captured at.
-func SaveSet(w io.Writer, pts []geom.Point, dims, p int, be core.Backend, seq uint64) error {
+// because an empty set cannot reveal it; seq stamps the data version the
+// set was captured at.
+func SaveSet(w io.Writer, pts []geom.Point, dims, p int, seq uint64) error {
 	if dims < 1 {
 		return fmt.Errorf("persist: set snapshot needs at least one dimension")
 	}
@@ -102,7 +99,6 @@ func SaveSet(w io.Writer, pts []geom.Point, dims, p int, be core.Backend, seq ui
 		Version:  Version,
 		Dims:     dims,
 		P:        p,
-		Backend:  be,
 		Seq:      seq,
 		Points:   pts,
 		Checksum: checksum(pts),
@@ -118,7 +114,7 @@ func writeSnap(w io.Writer, snap *Snapshot) error {
 	b = wire.AppendUvarint(b, uint64(snap.Version))
 	b = wire.AppendUvarint(b, uint64(snap.Dims))
 	b = wire.AppendUvarint(b, uint64(snap.P))
-	b = wire.AppendUvarint(b, uint64(snap.Backend))
+	b = wire.AppendUvarint(b, 0) // the backend byte (see the layout above)
 	b = wire.AppendU64(b, snap.Seq)
 	b = wire.AppendPoints(b, snap.Points)
 	b = wire.AppendU64(b, snap.Checksum)
@@ -157,7 +153,9 @@ func load(r io.Reader, allowEmpty bool) (*Snapshot, error) {
 	}
 	snap.Dims = int(rd.Uvarint())
 	snap.P = int(rd.Uvarint())
-	snap.Backend = core.Backend(rd.Uvarint())
+	if be := rd.Uvarint(); be != 0 {
+		return nil, fmt.Errorf("persist: snapshot records element backend %d; this build reads backend 0 (layered) only", be)
+	}
 	snap.Seq = rd.U64()
 	arena := wire.NewArena(&rd)
 	snap.Points = wire.ReadPoints(&rd, &arena)

@@ -13,6 +13,7 @@ import (
 	"repro/internal/cgm"
 	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -124,7 +125,7 @@ func TestEmptySaveRejected(t *testing.T) {
 
 func TestSetRoundTripAllowsEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	if err := SaveSet(&buf, nil, 3, 4, core.BackendLayered, 17); err != nil {
+	if err := SaveSet(&buf, nil, 3, 4, 17); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := LoadSet(&buf)
@@ -136,7 +137,7 @@ func TestSetRoundTripAllowsEmpty(t *testing.T) {
 	}
 	// LoadPoints keeps refusing empty snapshots.
 	var buf2 bytes.Buffer
-	if err := SaveSet(&buf2, nil, 3, 4, core.BackendLayered, 17); err != nil {
+	if err := SaveSet(&buf2, nil, 3, 4, 17); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadPoints(&buf2); err == nil {
@@ -147,7 +148,7 @@ func TestSetRoundTripAllowsEmpty(t *testing.T) {
 func TestSetRoundTripCarriesSeq(t *testing.T) {
 	pts := workload.Points(workload.PointSpec{N: 40, Dims: 2, Dist: workload.Uniform, Seed: 3})
 	var buf bytes.Buffer
-	if err := SaveSet(&buf, pts, 2, 8, core.BackendRangeTree, 12345); err != nil {
+	if err := SaveSet(&buf, pts, 2, 8, 12345); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := LoadSet(&buf)
@@ -157,10 +158,7 @@ func TestSetRoundTripCarriesSeq(t *testing.T) {
 	if snap.Seq != 12345 || len(snap.Points) != 40 {
 		t.Fatalf("set snapshot: seq %d, %d points", snap.Seq, len(snap.Points))
 	}
-	if snap.Backend != core.BackendRangeTree {
-		t.Fatalf("set snapshot backend %v, want the saving store's", snap.Backend)
-	}
-	if err := SaveSet(&buf, pts, 0, 8, core.BackendLayered, 1); err == nil {
+	if err := SaveSet(&buf, pts, 0, 8, 1); err == nil {
 		t.Fatal("set snapshot without dims accepted")
 	}
 }
@@ -194,18 +192,30 @@ func TestGarbageStream(t *testing.T) {
 
 func TestRoundTripPreservesBackend(t *testing.T) {
 	pts := workload.Points(workload.PointSpec{N: 150, Dims: 2, Dist: workload.Uniform, Seed: 9})
-	for _, be := range []core.Backend{core.BackendLayered, core.BackendRangeTree} {
-		var buf bytes.Buffer
-		if err := SaveSet(&buf, pts, 2, 3, be, 1); err != nil {
-			t.Fatal(err)
-		}
-		snap, err := LoadSet(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dt := core.BuildBackend(cgm.New(cgm.Config{P: 5}), snap.Points, snap.Backend)
-		if dt.Backend() != be {
-			t.Errorf("reloaded tree backend %v, want %v", dt.Backend(), be)
-		}
+	var buf bytes.Buffer
+	if err := SaveSet(&buf, pts, 2, 3, 1); err != nil {
+		t.Fatal(err)
+	}
+	// The backend byte follows the magic and the version, dims and p
+	// uvarints.
+	at := len(magic) + len(wire.AppendUvarint(wire.AppendUvarint(wire.AppendUvarint(nil, Version), 2), 3))
+	data := buf.Bytes()
+	if data[at] != 0 {
+		t.Fatalf("backend byte %d, want 0", data[at])
+	}
+	snap, err := LoadSet(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Points) != len(pts) {
+		t.Fatalf("reloaded %d points, want %d", len(snap.Points), len(pts))
+	}
+	dt := core.Build(cgm.New(cgm.Config{P: 5}), snap.Points)
+	if dt.N() != len(pts) {
+		t.Fatalf("reloaded tree holds %d points, want %d", dt.N(), len(pts))
+	}
+	data[at] = 1
+	if _, err := LoadSet(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "backend 1") {
+		t.Fatalf("a snapshot recording backend 1 was not refused by name: %v", err)
 	}
 }

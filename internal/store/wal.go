@@ -335,7 +335,7 @@ func (s *Store) Checkpoint() error {
 		return fmt.Errorf("store: creating checkpoint: %w", err)
 	}
 	tmp := f.Name()
-	if err := persist.SaveSet(f, pts, s.cfg.Dims, s.cfg.P, core.BackendLayered, rotStart); err != nil {
+	if err := persist.SaveSet(f, pts, s.cfg.Dims, s.cfg.P, rotStart); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err

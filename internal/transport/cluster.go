@@ -267,19 +267,14 @@ func (t *tcpTransport) Exchange(rank int, dep cgm.Deposit) (cgm.Column, error) {
 	}
 }
 
-// ExchangeResident runs one superstep whose payload originates and/or
+// ExchangeResident runs one superstep whose payload originates and
 // terminates in the worker's session state.
 func (t *tcpTransport) ExchangeResident(rank int, dep cgm.ResidentDeposit) (cgm.ResidentReply, error) {
 	wc := t.conns[rank]
 	wireStart := t.cl.cfg.Tracer.Now()
-	// A value, not a pointer: a store through a pointer would move the
-	// emit reference to the heap.
 	fr := frame{Kind: kindDeposit, Session: t.session, Rank: rank,
-		Seq: dep.Seq, Stamp: dep.Label, Type: dep.Type, Trace: dep.Trace, blocks: dep.Blocks,
-		Collect: wireRef(*dep.Collect, dep.CollectArgs)}
-	if dep.Emit != nil {
-		fr.Call = wireRef(*dep.Emit, dep.EmitArgs)
-	}
+		Seq: dep.Seq, Stamp: dep.Label, Trace: dep.Trace,
+		Call: wireRef(dep.Emit, dep.EmitArgs), Collect: wireRef(dep.Collect, dep.CollectArgs)}
 	nOut, err := wc.writeN(&fr)
 	if err != nil {
 		return cgm.ResidentReply{}, t.connErr(rank, err)
@@ -293,10 +288,7 @@ func (t *tcpTransport) ExchangeResident(rank int, dep cgm.ResidentDeposit) (cgm.
 		if resp.Seq != dep.Seq {
 			return cgm.ResidentReply{}, fmt.Errorf("transport: worker %d answered superstep %d, expected %d", rank, resp.Seq, dep.Seq)
 		}
-		rep := cgm.ResidentReply{Reply: resp.Reply, Note: resp.Note, Sent: dep.Sent, Recv: resp.Recv}
-		if dep.Emit != nil {
-			rep.Sent = resp.Sent // counted by the emit step
-		}
+		rep := cgm.ResidentReply{Reply: resp.Reply, Sent: resp.Sent, Recv: resp.Recv}
 		t.cl.cfg.Tracer.AddAll(resp.Spans)
 		t.wireSpan(rank, dep.Trace, dep.Seq, wireStart, nOut+nIn)
 		return rep, nil

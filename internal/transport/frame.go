@@ -68,7 +68,8 @@ const maxFrame = 1 << 30
 // diagnostic instead of misreading the fields. Version 1 was the
 // gob-framed protocol, which had no version byte: a version-1 peer's
 // stream misparses as some other frame, and the connection just closes.
-const frameVersion = 2
+// Version 3 dropped the column frame's emit-note section.
+const frameVersion = 3
 
 // errFrameVersion marks a first frame whose version is not frameVersion.
 var errFrameVersion = errors.New("transport: frame version mismatch")
@@ -172,7 +173,6 @@ const (
 	fCall
 	fCollect
 	fReply
-	fNote
 	fSent
 	fRecv
 	fSpans
@@ -189,7 +189,7 @@ var layout = [kindMax + 1]field{
 	kindHello:      fSession | fRank,
 	kindDeposit:    fSession | fRank | fSeq | fStamp | fType | fBlocks | fTrace | fCall | fCollect,
 	kindBlock:      fSession | fRank | fSeq | fStamp | fType | fBlocks,
-	kindColumn:     fSession | fSeq | fStamp | fBlocks | fReply | fNote | fSent | fRecv | fSpans,
+	kindColumn:     fSession | fSeq | fStamp | fBlocks | fReply | fSent | fRecv | fSpans,
 	kindStep:       fSession | fRank | fCall,
 	kindStepReply:  fSession | fReply,
 	kindError:      fSession | fSeq | fErr,
@@ -268,7 +268,6 @@ type frame struct {
 	Call    *stepRef // Step: the step; Deposit: the emit step (resident)
 	Collect *stepRef // Deposit: the collect step (resident)
 	Reply   []byte   // StepReply / resident Column: the step's reply
-	Note    []byte   // resident Column: the emit step's note
 	Sent    int      // resident Column: emit-side element count
 	Recv    int      // resident Column: collect-side element count
 	// Trace is the machine's trace stamp for this superstep (Deposit; 0 =
@@ -340,9 +339,6 @@ func appendFrame(b []byte, fr *frame) []byte {
 	}
 	if row&fReply != 0 {
 		b = wire.AppendBytes(b, fr.Reply)
-	}
-	if row&fNote != 0 {
-		b = wire.AppendBytes(b, fr.Note)
 	}
 	if row&fSent != 0 {
 		b = wire.AppendVarint(b, int64(fr.Sent))
@@ -451,9 +447,6 @@ func decodeFrame(body []byte, fr *frame, st *strtab) error {
 	if row&fReply != 0 {
 		fr.Reply = section(&r)
 	}
-	if row&fNote != 0 {
-		fr.Note = section(&r)
-	}
 	if row&fSent != 0 {
 		fr.Sent = int(r.Varint())
 	}
@@ -495,7 +488,22 @@ func decodeFrame(body []byte, fr *frame, st *strtab) error {
 	if err := r.Finish(); err != nil {
 		return fmt.Errorf("transport: decoding %s frame: %w", kindNames[k], err)
 	}
+	if k == kindDeposit {
+		return checkDeposit(fr)
+	}
 	return nil
+}
+
+// checkDeposit admits the two deposit shapes: a fabric deposit carries
+// blocks and no steps, a resident one its emit and collect steps and no
+// blocks.
+func checkDeposit(fr *frame) error {
+	blocks, emit, collect := len(fr.blocks) != 0, fr.Call != nil, fr.Collect != nil
+	if emit == collect && blocks != emit {
+		return nil
+	}
+	return fmt.Errorf("transport: deposit of neither shape: %d blocks, emit step %t, collect step %t",
+		len(fr.blocks), emit, collect)
 }
 
 // maxInterned bounds one connection's intern table: a well-behaved peer

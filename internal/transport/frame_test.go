@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"net"
 	"reflect"
@@ -12,10 +13,14 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/aggregates"
+	"repro/internal/brute"
 	"repro/internal/cgm"
+	"repro/internal/core"
 	"repro/internal/obs"
 	obscluster "repro/internal/obs/cluster"
 	"repro/internal/wire"
+	"repro/internal/workload"
 )
 
 // fuzzSrc turns fuzz input into frame contents: each read takes what it
@@ -101,8 +106,6 @@ func frameFrom(s *fuzzSrc) frame {
 			fr.Collect = s.ref()
 		case fReply:
 			fr.Reply = s.bytes()
-		case fNote:
-			fr.Note = s.bytes()
 		case fSent:
 			fr.Sent = s.int()
 		case fRecv:
@@ -124,6 +127,19 @@ func frameFrom(s *fuzzSrc) frame {
 			fr.Share = math.Float64frombits(s.u64())
 		case fIntervalNs:
 			fr.IntervalNs = int64(s.int())
+		}
+	}
+	if k == kindDeposit { // one of the two shapes checkDeposit admits
+		if fr.Call != nil || fr.Collect != nil {
+			fr.blocks = nil
+			if fr.Call == nil {
+				fr.Call = s.ref()
+			}
+			if fr.Collect == nil {
+				fr.Collect = s.ref()
+			}
+		} else if len(fr.blocks) == 0 {
+			fr.blocks = make([][]byte, 1)
 		}
 	}
 	return fr
@@ -172,16 +188,17 @@ func sameFrame(a, b *frame) bool {
 	return a.Kind == b.Kind && a.Session == b.Session && a.Rank == b.Rank && a.Seq == b.Seq &&
 		a.Stamp == b.Stamp && a.Type == b.Type && slices.Equal(a.Peers, b.Peers) && a.Err == b.Err &&
 		sameRef(a.Call, b.Call) && sameRef(a.Collect, b.Collect) &&
-		bytes.Equal(a.Reply, b.Reply) && bytes.Equal(a.Note, b.Note) && a.Sent == b.Sent && a.Recv == b.Recv &&
+		bytes.Equal(a.Reply, b.Reply) && a.Sent == b.Sent && a.Recv == b.Recv &&
 		a.Trace == b.Trace && slices.Equal(a.Spans, b.Spans) &&
 		(a.Share == b.Share || math.Float64bits(a.Share) == math.Float64bits(b.Share)) &&
 		a.IntervalNs == b.IntervalNs
 }
 
 // FuzzFrameRoundTrip holds the frame codec to two contracts. A frame
-// built from the input — any kind, any subset of its layout row, nil
-// block slots, a real beacon block — decodes to itself, and every strict
-// prefix of its body and the body plus a trailing byte fail to decode.
+// built from the input — any kind, any subset of its layout row (a
+// deposit in one of its two shapes), nil block slots, a real beacon
+// block — decodes to itself, and every strict prefix of its body and the
+// body plus a trailing byte fail to decode.
 // The raw input, decoded as a hostile body, returns an error or a frame
 // that re-encodes to itself; it never panics, and its counts are bounded
 // by the bytes left.
@@ -242,16 +259,34 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	})
 }
 
+// mixedDeposits are well-formed deposit bodies of neither admitted shape:
+// a resident deposit naming one step only, resident steps beside fabric
+// blocks, and a deposit with neither.
+func mixedDeposits() [][]byte {
+	ref := &stepRef{Prog: "core/forest", Ver: 1, Step: "s"}
+	deposit := func(fr frame) []byte {
+		fr.Kind, fr.Session = kindDeposit, "s"
+		return appendFrame(nil, &fr)
+	}
+	return [][]byte{
+		deposit(frame{Call: ref}),
+		deposit(frame{Collect: ref}),
+		deposit(frame{Call: ref, Collect: ref, blocks: [][]byte{nil, {1}}}),
+		deposit(frame{Collect: ref, blocks: [][]byte{{1}}}),
+		deposit(frame{}),
+	}
+}
+
 // hostileBodies are bodies a decoder must refuse: oversized counts and
 // lengths (block lengths near MaxInt among them), truncated fields,
-// unknown kinds, wrong versions, trailing bytes. A run of zeros is the
-// leading fields of a row left empty.
+// unknown kinds, wrong versions, trailing bytes, and the mixed deposit
+// shapes. A run of zeros is the leading fields of a row left empty.
 func hostileBodies() [][]byte {
 	uv := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
 	cat := func(parts ...[]byte) []byte { return slices.Concat(parts...) }
 	zeros := func(n int) []byte { return make([]byte, n) }
 	block := func(n uint64) []byte { return cat([]byte{byte(kindBlock)}, zeros(5), uv(1), uv(n)) }
-	return [][]byte{
+	return append([][]byte{
 		{},
 		{0},
 		{byte(kindMax) + 1},
@@ -271,7 +306,7 @@ func hostileBodies() [][]byte {
 		cat([]byte{byte(kindAbort)}, uv(1), []byte("s"), zeros(1), zeros(1)),
 		cat([]byte{byte(kindStep)}, zeros(2), uv(1), uv(3), []byte("p"), uv(0)),
 		cat([]byte{byte(kindFeedOpen), frameVersion}, zeros(3), []byte{1, 2, 3}),
-	}
+	}, mixedDeposits()...)
 }
 
 // TestHostileFramesRefused runs the hostile seeds on every test run, not
@@ -280,6 +315,98 @@ func TestHostileFramesRefused(t *testing.T) {
 	for _, b := range hostileBodies() {
 		if err := decodeFrame(b, &frame{}, &strtab{}); err == nil {
 			t.Errorf("hostile body %x decoded", b)
+		}
+	}
+}
+
+// TestHostileFramesOnLiveListener: a worker that reads a body the decoder
+// refuses — each hostile body as a connection's first frame, and each
+// mixed deposit shape again inside an opened session — ends that
+// connection with an error frame or a close, and keeps serving: a
+// resident session opened afterwards answers a mixed batch as the
+// loopback does.
+func TestHostileFramesOnLiveListener(t *testing.T) {
+	w, err := ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	dial := func() (net.Conn, *fconn) {
+		conn, err := net.DialTimeout("tcp", w.Addr(), dialTimeout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return conn, newFConn(conn)
+	}
+	send := func(conn net.Conn, body []byte) {
+		if _, err := conn.Write(binary.BigEndian.AppendUint32(nil, uint32(len(body)))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// ends reads until the worker answers with an error frame or closes.
+	ends := func(what string, body []byte, conn net.Conn, fc *fconn) {
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		for {
+			f, err := fc.read()
+			if ne, ok := err.(net.Error); ok && ne.Timeout() {
+				t.Fatalf("%s body %x: the worker neither answered with an error nor closed", what, body)
+			}
+			if err != nil || f.Kind == kindError {
+				return
+			}
+		}
+	}
+	for _, body := range hostileBodies() {
+		conn, fc := dial()
+		send(conn, body)
+		ends("first-frame", body, conn, fc)
+		conn.Close()
+	}
+	for i, body := range mixedDeposits() {
+		conn, fc := dial()
+		send(conn, appendFrame(nil, &frame{Kind: kindOpen, Session: fmt.Sprintf("mixed-%d", i), Peers: []string{w.Addr()}}))
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		if ack, err := fc.read(); err != nil || ack.Kind != kindOpenAck {
+			t.Fatalf("open before mixed deposit %d: %v", i, err)
+		}
+		send(conn, body)
+		ends("in-session", body, conn, fc)
+		conn.Close()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for w.Sessions() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d sessions outlived their refused deposits", w.Sessions())
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	cl, err := DialCluster([]string{w.Addr()}, cgm.Config{Resident: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	pts := workload.Points(workload.PointSpec{N: 600, Dims: 2, Dist: workload.Uniform, Seed: 4})
+	boxes := workload.Boxes(workload.QuerySpec{M: 30, Dims: 2, N: 600, Selectivity: 0.05, Seed: 4})
+	ops := make([]core.MixedOp, len(boxes))
+	for i := range ops {
+		ops[i] = core.MixedOp(i % 3)
+	}
+	var answers [2][]core.MixedResult[float64]
+	for i, pv := range []cgm.Provider{cgm.NewLocalProvider(cgm.Config{P: 1}), cl} {
+		tree, err := core.BuildOn(pv, pts, core.BackendLayered)
+		if err != nil {
+			t.Fatal(err)
+		}
+		answers[i] = core.MixedBatch(tree, core.PrepareAssociativeNamed[float64](tree, aggregates.WeightSum), ops, boxes)
+	}
+	for q := range boxes {
+		a, b := answers[0][q], answers[1][q]
+		if a.Count != b.Count || math.Abs(a.Agg-b.Agg) > 1e-9 || !slices.Equal(brute.IDs(a.Pts), brute.IDs(b.Pts)) {
+			t.Fatalf("query %d (%v): loopback %+v, the worker %+v", q, ops[q], a, b)
 		}
 	}
 }
@@ -311,7 +438,7 @@ func TestFrameVersionMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("no diagnostic for a wrong version: %v", err)
 	}
-	want := "frame version mismatch: the peer sent version 3, this binary speaks version 2"
+	want := fmt.Sprintf("frame version mismatch: the peer sent version %d, this binary speaks version %d", frameVersion+1, frameVersion)
 	if reply.Kind != kindError || !strings.Contains(reply.Err, want) {
 		t.Fatalf("got %s frame %q, want an error containing %q", kindNames[reply.Kind], reply.Err, want)
 	}

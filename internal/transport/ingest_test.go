@@ -19,7 +19,7 @@ import (
 
 // TestWorkerFedEquivalence extends the cross-transport safety net to the
 // ingest tentpole: a worker-fed build (points staged into the ranks, the
-// whole construction run held in worker memory, as BuildBackend does on
+// whole construction run held in worker memory, as Build does on
 // every resident machine) must produce identical answers AND identical
 // round/h metrics to the loopback fabric build — on every cell of the
 // {loopback, TCP} × {fabric, resident} matrix, plus the open-loop
@@ -88,7 +88,7 @@ func TestWorkerFedEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			check(t, v.name, core.BuildBackend(mach, pts, core.BackendLayered), true)
+			check(t, v.name, core.Build(mach, pts), true)
 		})
 	}
 	t.Run("tcp/resident/stream", func(t *testing.T) {
@@ -97,7 +97,7 @@ func TestWorkerFedEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tree, err := core.BulkLoad(mach, core.SliceChunks(pts, 61), core.BackendLayered, core.IngestConfig{Window: 2})
+		tree, err := core.BulkLoad(mach, core.SliceChunks(pts, 61), core.IngestConfig{Window: 2})
 		if err != nil {
 			t.Fatalf("streaming bulk load: %v", err)
 		}
@@ -123,7 +123,7 @@ func TestClusterIngestAndServeWithoutGob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := core.BulkLoad(mach, core.SliceChunks(pts, 256), core.BackendLayered, core.IngestConfig{Window: 2})
+	tree, err := core.BulkLoad(mach, core.SliceChunks(pts, 256), core.IngestConfig{Window: 2})
 	if err != nil {
 		t.Fatalf("bulk load: %v", err)
 	}
@@ -204,7 +204,7 @@ func TestWorkerDeathMidIngestAborts(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		tree, err := core.BulkLoad(mach, src, core.BackendLayered, core.IngestConfig{Window: 2})
+		tree, err := core.BulkLoad(mach, src, core.IngestConfig{Window: 2})
 		done <- result{tree, err}
 	}()
 	var res result
@@ -226,7 +226,7 @@ func TestWorkerDeathMidIngestAborts(t *testing.T) {
 	if _, err := cl.NewMachine(); err == nil {
 		mach2, _ := cl.NewMachine()
 		if mach2 != nil {
-			if _, err := core.BulkLoad(mach2, core.SliceChunks(pts[:100], 32), core.BackendLayered, core.IngestConfig{Window: 2}); err == nil {
+			if _, err := core.BulkLoad(mach2, core.SliceChunks(pts[:100], 32), core.IngestConfig{Window: 2}); err == nil {
 				t.Fatal("second bulk load on a degraded cluster succeeded")
 			}
 		}
@@ -266,7 +266,7 @@ func TestFileIngestCoordinatorBytesIndependentOfN(t *testing.T) {
 			t.Fatal(err)
 		}
 		outBefore, inBefore := cl.CoordBytes()
-		tree, err := core.BulkLoadFiles(mach, paths, core.BackendLayered)
+		tree, err := core.BulkLoadFiles(mach, paths)
 		if err != nil {
 			t.Fatalf("file load n=%d: %v", n, err)
 		}
@@ -286,7 +286,7 @@ func TestFileIngestCoordinatorBytesIndependentOfN(t *testing.T) {
 	}
 }
 
-// TestResidentBuildCoordinatorBytes: a resident BuildBackend stages the
+// TestResidentBuildCoordinatorBytes: a resident Build stages the
 // canonical blocks into the workers and runs the construction held, so
 // each point crosses the coordinator once, on its way in, and the sorts
 // and routing stay on the worker mesh. It reads 20.4 B/point; sending
@@ -300,7 +300,7 @@ func TestResidentBuildCoordinatorBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	outBefore, inBefore := cl.CoordBytes()
-	tree := core.BuildBackend(mach, pts, core.BackendLayered)
+	tree := core.Build(mach, pts)
 	out, in := cl.CoordBytes()
 	if tree.N() != n {
 		t.Fatalf("built %d points, want %d", tree.N(), n)

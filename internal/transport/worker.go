@@ -430,9 +430,9 @@ func (w *Worker) runSession(fc *fconn, open *frame) {
 // blocks every peer addressed to this rank, validates the SPMD stamps
 // across all of them, and answers the coordinator. For a fabric deposit
 // the answer is the assembled column; a resident deposit instead runs its
-// emit step (payload out of worker memory) and/or collect step (payload
-// into worker memory), answering with the collect reply and the element
-// counts.
+// emit step (payload out of worker memory) before the route and its
+// collect step (payload into worker memory) after the gather, answering
+// with the collect reply and the element counts.
 func (s *session) superstep(dep *frame) error {
 	stepStart := s.w.now()
 	s.w.setLast(dep.Stamp, dep.Seq)
@@ -452,19 +452,21 @@ func (s *session) superstep(dep *frame) error {
 		spans = append(spans, obs.Span{Trace: dep.Trace, Stamp: int64(dep.Seq),
 			Name: name + step, Rank: s.rank, Start: start, Dur: end - start})
 	}
+	// decodeFrame admits two deposit shapes only: fabric (blocks, no
+	// steps) and resident (emit and collect, no blocks).
+	resident := dep.Call != nil
 	blocks := dep.blocks
 	typ := dep.Type
 	sent := 0
 	var selfPayload any
-	var note []byte
-	if dep.Call != nil { // resident emit
+	if resident {
 		t0 := s.w.now()
 		out, err := s.store.RunEmit(s.rank, s.p, dep.Call.execRef(), dep.Call.Args)
 		if err != nil {
 			return err
 		}
 		span("emit:", dep.Call.Step, t0, s.w.now())
-		blocks, typ, selfPayload, note = out.Blocks, out.Type, out.Self, out.Note
+		blocks, typ, selfPayload = out.Blocks, out.Type, out.Self
 		for _, c := range out.Counts {
 			sent += c
 		}
@@ -480,10 +482,8 @@ func (s *session) superstep(dep *frame) error {
 	}
 	defer clear(s.column) // don't pin the peers' frame bodies between supersteps
 	gatherStart := s.w.now()
-	// The self-addressed slot: nil for a fabric deposit (the coordinator
-	// retains its own block) and for a resident emit (the payload stays
-	// typed in selfPayload); a resident collect of a coordinator deposit
-	// ships it encoded like any other block.
+	// The self-addressed slot is nil: a fabric coordinator retains its own
+	// block, and a resident emit keeps its rows typed in selfPayload.
 	err := s.gather(dep.Seq, dep.Stamp, typ, blocks[s.rank])
 	gatherEnd := s.w.now()
 	// Wait for the route even when the gather failed: the session shuts
@@ -505,7 +505,7 @@ func (s *session) superstep(dep *frame) error {
 		s.w.reg.Counter("worker_supersteps_total").Inc()
 		s.w.reg.Histogram("worker_superstep_ns").Observe(s.w.now() - stepStart)
 	}()
-	if dep.Collect != nil { // resident collect
+	if resident {
 		t0 := s.w.now()
 		s.in = exec.Inbox{Blocks: s.column, Self: selfPayload}
 		reply, recv, err := s.store.RunCollect(s.rank, s.p, dep.Collect.execRef(), &s.in, dep.Collect.Args)
@@ -515,7 +515,7 @@ func (s *session) superstep(dep *frame) error {
 		}
 		span("collect:", dep.Collect.Step, t0, s.w.now())
 		return s.coord.write(&frame{Kind: kindColumn, Session: s.id, Seq: dep.Seq, Stamp: dep.Stamp,
-			Reply: reply, Note: note, Sent: sent, Recv: recv, Spans: spans})
+			Reply: reply, Sent: sent, Recv: recv, Spans: spans})
 	}
 	return s.coord.write(&frame{Kind: kindColumn, Session: s.id, Seq: dep.Seq, Stamp: dep.Stamp,
 		blocks: s.column, Spans: spans})
