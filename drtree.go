@@ -231,7 +231,9 @@ const (
 )
 
 // MixedResult holds one mixed-batch answer; only the field selected by
-// the query's op is meaningful. A report's Pts are in ascending point ID.
+// the query's op is meaningful. A report's Pts are in ascending point ID,
+// and their coordinates are read-only views into the tree's element
+// blocks: copy a point (Point.Clone) before writing it.
 type MixedResult[T any] = core.MixedResult[T]
 
 // MixedBatch answers a batch mixing count, aggregate and report queries

@@ -224,13 +224,20 @@ func (m *Machine) ArenaBytes() int {
 
 // ReleaseArenas zeroes what the last run left in the per-rank arenas, so
 // nothing it exchanged stays reachable through them; the capacity is kept
-// for the next run. It invalidates the run's arena-backed results exactly
-// as the next Run would — call it when they have been consumed, after a
-// run that moved rows worth collecting. Must not be called while a Run is
-// in flight.
+// for the next run. A resident loopback drops its last superstep's
+// encoded blocks too (every rank collected them before the run ended). It
+// invalidates the run's arena-backed results exactly as the next Run
+// would — call it when they have been consumed, after a run that moved
+// rows worth collecting. Must not be called while a Run is in flight.
 func (m *Machine) ReleaseArenas() {
 	for i := range m.procs {
 		m.procs[i].arena.release()
+	}
+	if lt, ok := m.tr.(*loopback); ok && lt.rslots != nil {
+		clear(lt.rslots)
+		for _, col := range lt.rcols {
+			clear(col)
+		}
 	}
 }
 

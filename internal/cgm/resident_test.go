@@ -97,3 +97,39 @@ func TestResidentStepErrorAborts(t *testing.T) {
 		CallResident[struct{}, int](pr, exec.Ref{Program: "cgm-test", Version: 99, Step: "sum"}, struct{}{})
 	})
 }
+
+// TestReleaseArenasDropsResidentDeposits: a resident loopback superstep
+// leaves its encoded blocks in the slots and columns when the run ends,
+// and ReleaseArenas drops every one of them.
+func TestReleaseArenasDropsResidentDeposits(t *testing.T) {
+	p := 3
+	res := New(Config{P: p, Resident: true})
+	res.Run(func(pr *Proc) {
+		ExchangeSteps[int, int, int](pr, "fan", rtRef("fan"), 100, rtRef("keep"), 0)
+	})
+	lt := res.tr.(*loopback)
+	held := func() int {
+		n := 0
+		for i := range lt.rslots {
+			for _, b := range lt.rslots[i].blocks {
+				n += len(b)
+			}
+			for _, b := range lt.rcols[i] {
+				n += len(b)
+			}
+		}
+		return n
+	}
+	if held() == 0 {
+		t.Fatal("the superstep left no blocks behind: the check below shows nothing")
+	}
+	res.ReleaseArenas()
+	if n := held(); n != 0 {
+		t.Fatalf("ReleaseArenas left %d encoded bytes reachable", n)
+	}
+	res.Run(func(pr *Proc) {
+		if n := ExchangeSteps[int, int, int](pr, "fan", rtRef("fan"), 100, rtRef("keep"), 0); n != p {
+			t.Errorf("rank %d collected %d elements after a release, want %d", pr.rank, n, p)
+		}
+	})
+}

@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/cgm"
 	"repro/internal/geom"
-	"repro/internal/layered"
 )
 
 // Backend names the sequential structure forest elements are built on;
@@ -21,25 +20,35 @@ const BackendLayered Backend = 0
 // reset total between subqueries, so counting stays allocation-free.
 type countVisitor struct{ total int }
 
-func (c *countVisitor) VisitRange(pts []geom.Point)              { c.total += len(pts) }
-func (c *countVisitor) VisitIndexed(_ []geom.Point, idx []int32) { c.total += len(idx) }
-func (c *countVisitor) VisitPoint(geom.Point)                    { c.total++ }
+func (c *countVisitor) VisitRun(_ *geom.Block, lo, hi int)      { c.total += hi - lo }
+func (c *countVisitor) VisitIndexed(_ *geom.Block, idx []int32) { c.total += len(idx) }
+func (c *countVisitor) VisitRow(*geom.Block, int32)             { c.total++ }
 
 // reportVisitor gathers a Visit descent into out, which the hook swaps
 // per subquery (the result slice itself must persist past the call). out
-// grows in the run's arena: a fabric run's local hits are copied into its
-// pair rows before the run ends. A resident part gathers into a hitBlock
-// instead.
+// grows in the run's arena, its headers' X views into the element's
+// block: a fabric run's local hits are copied into its pair rows before
+// the run ends. A resident part gathers into a hitBlock instead.
 type reportVisitor struct {
 	a   *cgm.Arena
 	out []geom.Point
 }
 
-func (r *reportVisitor) VisitRange(pts []geom.Point) { r.out = cgm.Append(r.a, r.out, pts...) }
-func (r *reportVisitor) VisitIndexed(b []geom.Point, i []int32) {
-	r.out = layered.Gather(cgm.Grow(r.a, r.out, len(i)), b, i)
+func (r *reportVisitor) VisitRun(b *geom.Block, lo, hi int) {
+	r.out = cgm.Grow(r.a, r.out, hi-lo)
+	for i := lo; i < hi; i++ {
+		r.out = append(r.out, b.Point(i))
+	}
 }
-func (r *reportVisitor) VisitPoint(p geom.Point) { r.out = cgm.Append(r.a, r.out, p) }
+func (r *reportVisitor) VisitIndexed(b *geom.Block, idx []int32) {
+	r.out = cgm.Grow(r.a, r.out, len(idx))
+	for _, i := range idx {
+		r.out = append(r.out, b.Point(int(i)))
+	}
+}
+func (r *reportVisitor) VisitRow(b *geom.Block, i int32) {
+	r.out = cgm.Append(r.a, r.out, b.Point(int(i)))
+}
 
 // elemCount counts b in el.
 func elemCount(el *element, b geom.Box, cv *countVisitor) int {
@@ -58,22 +67,21 @@ func elemReport(el *element, b geom.Box, rv *reportVisitor) []geom.Point {
 }
 
 // A hitBlock gathers a Visit descent into its ID and coordinate sections,
-// building no point header.
-func (h *hitBlock) VisitRange(pts []geom.Point) {
-	for _, p := range pts {
-		h.add(p)
-	}
+// building no point header; a run of a one-dimensional tree is two bulk
+// copies.
+func (h *hitBlock) VisitRun(b *geom.Block, lo, hi int) {
+	h.IDs = append(h.IDs, b.IDs[lo:hi]...)
+	h.Coords = append(h.Coords, b.Coords[lo*b.Dims:hi*b.Dims]...)
 }
-func (h *hitBlock) VisitIndexed(b []geom.Point, idx []int32) {
+func (h *hitBlock) VisitIndexed(b *geom.Block, idx []int32) {
 	for _, i := range idx {
-		h.add(b[i])
+		h.VisitRow(b, i)
 	}
 }
-func (h *hitBlock) VisitPoint(p geom.Point) { h.add(p) }
-
-func (h *hitBlock) add(p geom.Point) {
-	h.IDs = append(h.IDs, p.ID)
-	h.X = append(h.X, p.X...)
+func (h *hitBlock) VisitRow(b *geom.Block, i int32) {
+	at := int(i) * b.Dims
+	h.IDs = append(h.IDs, b.IDs[i])
+	h.Coords = append(h.Coords, b.Coords[at:at+b.Dims]...)
 }
 
 // elemHits appends the hits of b in el to blk and returns their number.

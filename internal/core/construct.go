@@ -528,14 +528,15 @@ func nextDimRecords(el *element, next []srec, keys []segtree.PathKey) ([]srec, e
 	comps := key.Components()
 	stubNode := int(comps[len(comps)-1])
 	treeKey := parentKey(key)
-	next = slices.Grow(next, segtree.Depth(stubNode)*len(el.pts))
+	blk := el.tree.Points()
+	next = slices.Grow(next, segtree.Depth(stubNode)*blk.Len())
 	for u := segtree.Parent(stubNode); u >= 1; u = segtree.Parent(u) {
 		ord, ok := slices.BinarySearch(keys, treeKey.Extend(u))
 		if !ok {
 			return nil, fmt.Errorf("core: element %d's ancestor %d names no tree of the next phase", el.info.ID, u)
 		}
-		for _, pt := range el.pts {
-			next = append(next, srec{Ord: uint32(ord), Pt: pt})
+		for i := range blk.Len() {
+			next = append(next, srec{Ord: uint32(ord), Pt: blk.Point(i)})
 		}
 	}
 	return next, nil

@@ -34,7 +34,7 @@ func constructFingerprint(t *testing.T, dt *Tree) string {
 		}
 	}
 	infos := dt.procs[0].info
-	owned := make([][]geom.Point, len(infos))
+	owned := make([]geom.Block, len(infos))
 	byOwner := make([][]ElemID, dt.P())
 	for _, in := range infos {
 		byOwner[in.Owner] = append(byOwner[in.Owner], in.ID)
@@ -48,10 +48,10 @@ func constructFingerprint(t *testing.T, dt *Tree) string {
 			owned[id] = parts[i]
 		}
 	}
-	for _, pts := range owned {
-		put(int64(len(pts)))
-		for _, pt := range pts {
-			put(int64(pt.ID))
+	for _, blk := range owned {
+		put(int64(blk.Len()))
+		for _, id := range blk.IDs {
+			put(int64(id))
 		}
 	}
 	mt := dt.Machine().Metrics()

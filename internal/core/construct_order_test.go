@@ -11,6 +11,7 @@ import (
 	"repro/internal/cgm"
 	"repro/internal/exec"
 	"repro/internal/geom"
+	"repro/internal/layered"
 	"repro/internal/segtree"
 	"repro/internal/workload"
 )
@@ -77,8 +78,8 @@ func TestTreeOrdinalsFollowKeyOrder(t *testing.T) {
 			ht.setNode(u, HatNode{Elem: -1, Desc: -1})
 		}
 		info := ElemInfo{ID: ElemID(i), Dim: 0, Key: segtree.RootPathKey.Extend(st)}
-		pts := []geom.Point{{ID: int32(2 * i), X: []geom.Coord{1, 5}}, {ID: int32(2*i + 1), X: []geom.Coord{2, -5}}}
-		part.elems[info.ID] = &element{info: info, pts: pts}
+		pts := geom.Block{Dims: 2, IDs: []int32{int32(2 * i), int32(2*i + 1)}, Coords: []geom.Coord{1, 5, 2, -5}}
+		part.elems[info.ID] = &element{info: info, tree: layered.BuildFrom(pts, 0)}
 	}
 	other := newHatTree(1, segtree.RootPathKey.Extend(2), 1, shape, 4) // the next dimension's
 	other.setNode(1, HatNode{Elem: -1, Desc: -1})

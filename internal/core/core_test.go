@@ -488,9 +488,9 @@ func TestForestPartitionCoversPoints(t *testing.T) {
 			if el.info.Dim != 0 {
 				continue
 			}
-			total += len(el.pts)
-			for _, pt := range el.pts {
-				seen[pt.ID]++
+			total += el.tree.Points().Len()
+			for _, id := range el.tree.Points().IDs {
+				seen[id]++
 			}
 		}
 	}

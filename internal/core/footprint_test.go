@@ -1,0 +1,61 @@
+//go:build !race
+
+package core
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+
+	"repro/internal/cgm"
+	"repro/internal/workload"
+)
+
+// TestBuiltTreeFootprint bounds the live heap a served tree keeps per
+// point: BuildOn, then PrepareAssociativeNamed, over 16 384 clustered
+// points on p = 4, fabric and resident loopback. With each element's
+// points one columnar block that its layered tree keeps as its own, both
+// residencies read 184–185 B/point at d = 2 and 1 172–1 173 at d = 3.
+// Elements that kept a []geom.Point beside their trees' cloned headers
+// read 349 / 1 499 (fabric) and 452 / 1 730 (resident, whose headers
+// also held the decode arenas). One header slice per element on top of
+// this layout reads 281 / 1 365, and a resident loopback that keeps its
+// last superstep's encoded blocks 224 / 1 251; the budgets fail both.
+func TestBuiltTreeFootprint(t *testing.T) {
+	const n, p = 1 << 14, 4
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	for _, c := range []struct {
+		d        int
+		resident bool
+		limit    int64
+	}{{2, false, 215}, {2, true, 215}, {3, false, 1230}, {3, true, 1230}} {
+		where := "fabric"
+		if c.resident {
+			where = "resident"
+		}
+		t.Run(fmt.Sprintf("d=%d/%s", c.d, where), func(t *testing.T) {
+			pts := workload.Points(workload.PointSpec{N: n, Dims: c.d, Dist: workload.Clustered, Seed: 3})
+			pv := cgm.NewLocalProvider(cgm.Config{P: p, Resident: c.resident})
+			before := heap()
+			dt, err := BuildOn(pv, pts, BackendLayered)
+			if err != nil {
+				t.Fatal(err)
+			}
+			agg := PrepareAssociativeNamed[float64](dt, benchWeightSum)
+			per := (heap() - before) / n
+			runtime.KeepAlive(dt)
+			runtime.KeepAlive(agg)
+			runtime.KeepAlive(pts)
+			t.Logf("d=%d %s: %d B/point live after BuildOn + PrepareAssociativeNamed", c.d, where, per)
+			if per > c.limit {
+				t.Errorf("d=%d %s: the built tree keeps %d B/point, budget %d", c.d, where, per, c.limit)
+			}
+		})
+	}
+}

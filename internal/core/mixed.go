@@ -45,7 +45,8 @@ type MixedResult[T any] struct {
 	Count int64
 	Agg   T
 	// Pts is a report's answer in ascending point ID, in a slice of its
-	// own (nil when the box holds no point).
+	// own (nil when the box holds no point). Each point's X is a read-only
+	// view into the element block that answered it: write none of them.
 	Pts []geom.Point
 }
 

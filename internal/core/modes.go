@@ -280,6 +280,16 @@ func (r *reportRun) answerHat(q Query, s hatSel) {
 	}
 }
 
+// pointViews carves a header per point of blk from arena a, each X a
+// capacity-clipped view into the block's coordinates.
+func pointViews(a *cgm.Arena, blk *geom.Block) []geom.Point {
+	pts := cgm.Alloc[geom.Point](a, blk.Len())
+	for i := range pts {
+		pts[i] = blk.Point(i)
+	}
+	return pts
+}
+
 func (r *reportRun) answerSub(s subquery) {
 	el := r.ps.part.lookup(s.Elem)
 	if pts := elemReport(el, s.Box, &r.rv); len(pts) > 0 {
@@ -287,19 +297,12 @@ func (r *reportRun) answerSub(s subquery) {
 	}
 }
 
-// absorbHits takes a resident reply's hit block into the run's locals:
-// the point headers are carved from the run arena, each X a
-// capacity-clipped view into the block's coordinates.
+// absorbHits takes a resident reply's hit block into the run's locals.
 func (r *reportRun) absorbHits(h hitBlock) {
 	if len(h.Runs) == 0 {
 		return
 	}
-	d := h.Dims
-	pts := cgm.Alloc[geom.Point](r.a, len(h.IDs))
-	for i := range pts {
-		c := i * d
-		pts[i] = geom.Point{ID: h.IDs[i], X: h.X[c : c+d : c+d]}
-	}
+	pts := pointViews(r.a, &h.Block)
 	r.locals = cgm.Grow(r.a, r.locals, len(h.Runs))
 	for _, run := range h.Runs {
 		n := int(run.N)
@@ -366,11 +369,11 @@ func (r *reportRun) deliver(pr *cgm.Proc, prefix, totalK int, fetched []rorder) 
 			ids[i] = o.Elem
 		}
 		parts := onPartIn(pr, ps.part, "points/fetch", fetchArgs{Elems: ids},
-			func(part *forestPart, _ *exec.Ctx, args fetchArgs) ([][]geom.Point, error) {
+			func(part *forestPart, _ *exec.Ctx, args fetchArgs) ([]geom.Block, error) {
 				return part.points(a, args.Elems)
 			})
 		for i, o := range fetched {
-			add(o.Query, parts[i], o.Off)
+			add(o.Query, pointViews(a, &parts[i]), o.Off)
 		}
 	}
 	sizes := cgm.Alloc[int](a, p)

@@ -43,7 +43,7 @@ import (
 // against coordinator/worker binary skew.
 const (
 	forestProgram = "core/forest"
-	forestVersion = 10 // 10: elements are layered trees; construct/begin takes a bool
+	forestVersion = 11 // 11: copies, fetches and hits carry point blocks (wire.AppendBlock)
 )
 
 // fref names one step of the forest program.
@@ -127,7 +127,8 @@ func (part *forestPart) sortedIDs() []ElemID {
 // global ranges, so concatenation is leaf order. It returns the stub
 // metadata, in ID order, for the roots broadcast.
 func (part *forestPart) install(infos []ElemInfo, incoming [][]epoint) ([]elemMeta, error) {
-	pts := make([][]geom.Point, len(infos))
+	d := int(part.dims)
+	blks := make([]geom.Block, len(infos))
 	for _, run := range incoming {
 		for i := 0; i < len(run); {
 			id := run[i].Elem
@@ -135,22 +136,28 @@ func (part *forestPart) install(infos []ElemInfo, incoming [][]epoint) ([]elemMe
 			if !ok {
 				return nil, fmt.Errorf("core: routed points for element %d this rank does not own", id)
 			}
-			if pts[k] == nil {
-				pts[k] = make([]geom.Point, 0, infos[k].Count)
+			blk := &blks[k]
+			if blk.IDs == nil {
+				c := int(max(infos[k].Count, 0))
+				*blk = geom.Block{Dims: d, IDs: make([]int32, 0, c), Coords: make([]geom.Coord, 0, c*d)}
 			}
 			for ; i < len(run) && run[i].Elem == id; i++ {
-				pts[k] = append(pts[k], run[i].Pt)
+				blk.IDs = append(blk.IDs, run[i].Pt.ID)
+				blk.Coords = append(blk.Coords, run[i].Pt.X...)
 			}
 		}
 	}
 	metas := make([]elemMeta, len(infos))
 	for k, info := range infos {
-		epts, j := pts[k], int(info.Dim)
-		if int32(len(epts)) != info.Count {
-			return nil, fmt.Errorf("core: element %d received %d points, expected %d", info.ID, len(epts), info.Count)
+		blk, j := blks[k], int(info.Dim)
+		if n := blk.Len(); int32(n) != info.Count || n == 0 || j >= d || len(blk.Coords) != n*d {
+			return nil, fmt.Errorf("core: element %d of dimension %d received %d points of %d coordinates, expected %d of %d",
+				info.ID, j, n, len(blk.Coords), info.Count, d)
 		}
-		part.elems[info.ID] = &element{info: info, pts: epts, tree: layered.BuildFrom(epts, j)}
-		metas[k] = elemMeta{Elem: info.ID, Min: epts[0].X[j], Max: epts[len(epts)-1].X[j]}
+		el := &element{info: info, tree: layered.BuildFrom(blk, j)}
+		part.elems[info.ID] = el
+		blk = *el.tree.Points()
+		metas[k] = elemMeta{Elem: info.ID, Min: blk.Point(0).X[j], Max: blk.Point(blk.Len() - 1).X[j]}
 	}
 	return metas, nil
 }
@@ -186,7 +193,7 @@ func (part *forestPart) servedCounts(subs []subquery) []qcount {
 // the scratch, so it is valid until the part serves again.
 func (part *forestPart) servedHits(subs []subquery) hitBlock {
 	blk := &part.hits
-	blk.Runs, blk.IDs, blk.X = blk.Runs[:0], blk.IDs[:0], blk.X[:0]
+	blk.Runs, blk.IDs, blk.Coords = blk.Runs[:0], blk.IDs[:0], blk.Coords[:0]
 	for _, s := range subs {
 		if n := elemHits(part.lookup(s.Elem), s.Box, blk); n > 0 {
 			blk.Runs = append(blk.Runs, hitRun{Query: s.Query, N: int32(n)})
@@ -194,21 +201,21 @@ func (part *forestPart) servedHits(subs []subquery) hitBlock {
 	}
 	blk.Dims = 0
 	if len(blk.IDs) > 0 {
-		blk.Dims = len(blk.X) / len(blk.IDs)
+		blk.Dims = len(blk.Coords) / len(blk.IDs)
 	}
 	return *blk
 }
 
-// points returns the points of owned elements, aligned with ids, in rows
-// carved from arena a (nil: the heap).
-func (part *forestPart) points(a *cgm.Arena, ids []ElemID) ([][]geom.Point, error) {
-	out := cgm.Alloc[[]geom.Point](a, len(ids))
+// points returns the point blocks of owned elements, aligned with ids, in
+// a slice carved from arena a (nil: the heap).
+func (part *forestPart) points(a *cgm.Arena, ids []ElemID) ([]geom.Block, error) {
+	out := cgm.Alloc[geom.Block](a, len(ids))
 	for i, id := range ids {
 		el, ok := part.elems[id]
 		if !ok {
 			return nil, fmt.Errorf("core: fetch asked for element %d this rank does not own", id)
 		}
-		out[i] = el.pts
+		out[i] = *el.tree.Points()
 	}
 	return out, nil
 }
@@ -424,15 +431,13 @@ type mixedServeReply struct {
 }
 
 // hitBlock is a resident rank's served report hits, pointer-free: a run
-// table of (query, n) pairs, then the hits' IDs and their coordinates,
-// Dims per hit, in run order. The coordinator carves point headers for
-// them in its run arena (reportRun.absorbHits); no hit is a geom.Point
-// on the worker or on the wire.
+// table of (query, n) pairs, then the hits as one point block, in run
+// order. The coordinator carves point headers for them in its run arena
+// (reportRun.absorbHits); no hit is a geom.Point on the worker or on the
+// wire.
 type hitBlock struct {
-	Dims int
 	Runs []hitRun
-	IDs  []int32
-	X    []geom.Coord
+	geom.Block
 }
 
 // hitRun is one served subquery's share of a hit block: N > 0 hits of
@@ -695,7 +700,7 @@ func aggPrepareStep(c *exec.Ctx, raw []byte) ([]byte, error) {
 
 // fetchPointsStep returns the points of owned elements, aligned with the
 // request (report-mode whole-element orders, AllPoints, Verify).
-func fetchPointsStep(part *forestPart, _ *exec.Ctx, args fetchArgs) ([][]geom.Point, error) {
+func fetchPointsStep(part *forestPart, _ *exec.Ctx, args fetchArgs) ([]geom.Block, error) {
 	return part.points(nil, args.Elems)
 }
 
@@ -754,8 +759,8 @@ func (pa *partAgg[T]) prepare(part *forestPart) []aggRoot[T] {
 		el := part.elems[id]
 		pa.ownedAggs[id] = layered.NewAgg(el.tree, pa.m, pa.val)
 		acc := pa.m.Identity
-		for _, pt := range el.pts {
-			acc = pa.m.Combine(acc, pa.val(pt))
+		for blk, i := el.tree.Points(), 0; i < blk.Len(); i++ {
+			acc = pa.m.Combine(acc, pa.val(blk.Point(i)))
 		}
 		roots[i] = aggRoot[T]{Elem: id, Val: acc}
 	}

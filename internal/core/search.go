@@ -198,13 +198,13 @@ func sumCounters(cs []atomic.Int64) int {
 }
 
 // shippedElem is one element copy in flight. By value it carries the
-// replicated metadata plus the points in leaf order; a reference (Ref)
+// replicated metadata plus the element's point block; a reference (Ref)
 // carries only Info.ID and resolves against the host's copy cache. Ref is
-// an explicit flag, not len(Pts)==0: an empty element is a legal by-value
-// copy.
+// an explicit flag, not a nil block. Pts is a pointer because every
+// routed subquery row carries an empty copy beside it.
 type shippedElem struct {
 	Info ElemInfo
-	Pts  []geom.Point
+	Pts  *geom.Block
 	Ref  bool
 }
 
@@ -264,10 +264,11 @@ type routeRow struct {
 // resident emit step passes a nil arena): the planned copies of the owned
 // elements, then the routed subqueries. Every planned copy is one row
 // whether it goes by value or by reference, so the round's h and volume
-// do not depend on the caches. A by-value row aliases the owner's el.pts,
-// never the row buffer, so what a host installs from it outlives the
-// arena. The ship note waits on the part for the same superstep's collect,
-// which returns it.
+// do not depend on the caches. A by-value row carries the owner's
+// element block itself, never a view of the row buffer, so what a host
+// installs from it outlives the arena: an in-process host builds its copy
+// over the owner's block, which no tree writes. The ship note waits on
+// the part for the same superstep's collect, which returns it.
 func (part *forestPart) shipRoute(a *cgm.Arena, ships []hostShip, routed [][]subquery, p int) ([][]routeRow, error) {
 	if len(routed) != p {
 		return nil, fmt.Errorf("core: %d routed subquery blocks for p=%d", len(routed), p)
@@ -294,10 +295,10 @@ func (part *forestPart) shipRoute(a *cgm.Arena, ships []hostShip, routed [][]sub
 			var row routeRow
 			if hs.Refs[i] {
 				row.Copy = shippedElem{Info: ElemInfo{ID: id}, Ref: true}
-				note.RefPts += len(el.pts)
+				note.RefPts += int(el.info.Count)
 			} else {
-				row.Copy = shippedElem{Info: el.info, Pts: el.pts}
-				note.CopiedPts += len(el.pts)
+				row.Copy = shippedElem{Info: el.info, Pts: el.tree.Points()}
+				note.CopiedPts += int(el.info.Count)
 			}
 			out[hs.Host] = append(out[hs.Host], row)
 		}
@@ -374,7 +375,11 @@ func (part *forestPart) installCopies(host int, epoch uint64, cap int, agg aggPa
 			if ok {
 				in.CacheHits++
 			} else {
-				el = &element{info: sh.Info, pts: sh.Pts, tree: layered.BuildFrom(sh.Pts, int(sh.Info.Dim))}
+				if sh.Pts == nil || sh.Pts.Len() == 0 || sh.Info.Dim < 0 || int(sh.Info.Dim) >= sh.Pts.Dims {
+					return rep, fmt.Errorf("core: phase-B copy of element %d for dimension %d holds no point block of that many dimensions",
+						sh.Info.ID, sh.Info.Dim)
+				}
+				el = &element{info: sh.Info, tree: layered.BuildFrom(*sh.Pts, int(sh.Info.Dim))}
 				in.Ops = cache.insert(sh.Info.ID, el, cap, in.Ops)
 			}
 			install(sh.Info.ID, el)

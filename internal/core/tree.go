@@ -116,12 +116,12 @@ func (ht *HatTree) each(visit func(v int, nd HatNode)) {
 	}
 }
 
-// element is an owned (or copied) forest element: its points in leaf order
-// and the layered tree over dimensions Dim..d-1 built from them
-// (Construct step 4 builds forest elements sequentially).
+// element is an owned (or copied) forest element: the layered tree over
+// dimensions Dim..d-1 built from its points (Construct step 4 builds
+// forest elements sequentially). The tree's block is the element's point
+// set in leaf order, and there is no other copy of it.
 type element struct {
 	info ElemInfo
-	pts  []geom.Point
 	tree *layered.Tree
 }
 
@@ -374,7 +374,7 @@ func (t *Tree) AllPoints() ([]geom.Point, error) {
 			byOwner[info.Owner] = append(byOwner[info.Owner], info.ID)
 		}
 	}
-	fetched := make(map[ElemID][]geom.Point, t.ElemCount())
+	fetched := make(map[ElemID]geom.Block, t.ElemCount())
 	for rank, ids := range byOwner {
 		parts, err := onPart(t, rank, "points/fetch", fetchArgs{Elems: ids}, fetchPointsStep)
 		if err != nil {
@@ -387,7 +387,10 @@ func (t *Tree) AllPoints() ([]geom.Point, error) {
 	out := make([]geom.Point, 0, t.n)
 	for _, info := range t.procs[0].info {
 		if info.Dim == 0 {
-			out = append(out, fetched[info.ID]...)
+			blk := fetched[info.ID]
+			for i := range blk.Len() {
+				out = append(out, blk.Point(i))
+			}
 		}
 	}
 	return out, nil

@@ -74,16 +74,16 @@ func (t *Tree) Verify() error {
 	seen := make(map[int32]bool)
 	total := 0
 	for _, held := range elems {
-		for id, pts := range held {
+		for id, blk := range held {
 			if ref.info[int(id)].Dim != 0 {
 				continue
 			}
-			total += len(pts)
-			for _, pt := range pts {
-				if seen[pt.ID] {
-					return fmt.Errorf("point %d appears in two dimension-0 elements", pt.ID)
+			total += blk.Len()
+			for _, pid := range blk.IDs {
+				if seen[pid] {
+					return fmt.Errorf("point %d appears in two dimension-0 elements", pid)
 				}
-				seen[pt.ID] = true
+				seen[pid] = true
 			}
 		}
 	}
@@ -107,11 +107,11 @@ func (t *Tree) Verify() error {
 	return nil
 }
 
-// elemPtsView collects every rank's stored elements as ID → points: what
+// elemPtsView collects every rank's stored elements as ID → block: what
 // the rank's part actually holds (catching stray and missing elements
 // alike), then the points themselves.
-func (t *Tree) elemPtsView() ([]map[ElemID][]geom.Point, error) {
-	out := make([]map[ElemID][]geom.Point, t.P())
+func (t *Tree) elemPtsView() ([]map[ElemID]geom.Block, error) {
+	out := make([]map[ElemID]geom.Block, t.P())
 	for rank := range out {
 		stats, err := onPart(t, rank, "stats/elems", false, elemStatsStep)
 		if err != nil {
@@ -125,7 +125,7 @@ func (t *Tree) elemPtsView() ([]map[ElemID][]geom.Point, error) {
 		if err != nil {
 			return nil, fmt.Errorf("element fetch of rank %d: %w", rank, err)
 		}
-		held := make(map[ElemID][]geom.Point, len(ids))
+		held := make(map[ElemID]geom.Block, len(ids))
 		for i, id := range ids {
 			held[id] = parts[i]
 		}
@@ -135,7 +135,7 @@ func (t *Tree) elemPtsView() ([]map[ElemID][]geom.Point, error) {
 }
 
 // verifyHatNode checks invariants (4)–(6) for one hat node.
-func (t *Tree) verifyHatNode(ref *procState, elems []map[ElemID][]geom.Point, ht *HatTree, v int, nd HatNode) error {
+func (t *Tree) verifyHatNode(ref *procState, elems []map[ElemID]geom.Block, ht *HatTree, v int, nd HatNode) error {
 	if int(nd.Count) != ht.Shape.Count(v) {
 		return fmt.Errorf("hat tree %v node %d count %d, shape says %d", ht.Key, v, nd.Count, ht.Shape.Count(v))
 	}
@@ -147,13 +147,13 @@ func (t *Tree) verifyHatNode(ref *procState, elems []map[ElemID][]geom.Point, ht
 		if info.Count != nd.Count || info.Min != nd.Min || info.Max != nd.Max {
 			return fmt.Errorf("stub %d of %v disagrees with element %d metadata", v, ht.Key, nd.Elem)
 		}
-		pts := elems[info.Owner][info.ID]
-		if int32(len(pts)) != info.Count {
-			return fmt.Errorf("element %d holds %d points, metadata says %d", info.ID, len(pts), info.Count)
+		blk := elems[info.Owner][info.ID]
+		if int32(blk.Len()) != info.Count {
+			return fmt.Errorf("element %d holds %d points, metadata says %d", info.ID, blk.Len(), info.Count)
 		}
 		dim := int(info.Dim)
-		for i := 1; i < len(pts); i++ {
-			if pts[i].X[dim] < pts[i-1].X[dim] {
+		for i := 1; i < blk.Len(); i++ {
+			if blk.Point(i).X[dim] < blk.Point(i - 1).X[dim] {
 				return fmt.Errorf("element %d points unsorted in dim %d", info.ID, dim)
 			}
 		}

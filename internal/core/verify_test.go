@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/layered"
 )
 
 func TestVerifyPassesOnRandomTrees(t *testing.T) {
@@ -74,8 +76,9 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 			func(dt *Tree) {
 				for _, ps := range dt.procs {
 					for _, el := range ps.part.elems {
-						if el.info.Dim == 0 && len(el.pts) > 1 {
-							el.pts = el.pts[:len(el.pts)-1]
+						if blk := *el.tree.Points(); el.info.Dim == 0 && blk.Len() > 1 {
+							blk.IDs, blk.Coords = blk.IDs[1:], blk.Coords[blk.Dims:]
+							el.tree = layered.BuildFrom(blk, 0)
 							return
 						}
 					}
@@ -88,8 +91,10 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 			func(dt *Tree) {
 				for _, ps := range dt.procs {
 					for _, el := range ps.part.elems {
-						if len(el.pts) > 1 {
-							el.pts[0], el.pts[len(el.pts)-1] = el.pts[len(el.pts)-1], el.pts[0]
+						if blk := el.tree.Points(); blk.Len() > 1 {
+							dim, last := int(el.info.Dim), blk.Len()-1
+							c := blk.Coords
+							c[dim], c[last*blk.Dims+dim] = c[last*blk.Dims+dim], c[dim]
 							return
 						}
 					}

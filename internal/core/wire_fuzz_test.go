@@ -51,6 +51,17 @@ func (g *byteGen) point(dims int) geom.Point {
 	return geom.Point{ID: g.i32(), X: x}
 }
 
+// block derives a point block of n points, nil sections when n is 0.
+func (g *byteGen) block(n, dims int) geom.Block {
+	blk := geom.Block{Dims: dims}
+	for range n {
+		pt := g.point(dims)
+		blk.IDs = append(blk.IDs, pt.ID)
+		blk.Coords = append(blk.Coords, pt.X...)
+	}
+	return blk
+}
+
 func (g *byteGen) points(n, dims int) []geom.Point {
 	if n == 0 {
 		return nil
@@ -72,7 +83,7 @@ func (g *byteGen) hits(dims int) hitBlock {
 		for range run.N {
 			pt := g.point(dims)
 			h.IDs = append(h.IDs, pt.ID)
-			h.X = append(h.X, pt.X...)
+			h.Coords = append(h.Coords, pt.X...)
 		}
 	}
 	if len(h.Runs) > 0 {
@@ -127,7 +138,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 	// block with the reference's flag byte corrupted (neither layout).
 	refs, _ := wire.Encode(nil, []routeRow{
 		{Copy: shippedElem{Info: ElemInfo{ID: 7}, Ref: true}},
-		{Copy: shippedElem{Info: ElemInfo{ID: 9, Owner: 1, Count: 1, Key: "k"}, Pts: []geom.Point{{ID: 4, X: []geom.Coord{5, 6}}}}},
+		{Copy: shippedElem{Info: ElemInfo{ID: 9, Owner: 1, Count: 3, Key: "k"},
+			Pts: &geom.Block{Dims: 2, IDs: []int32{4, 7, 8}, Coords: []geom.Coord{5, 6, -1, 0, 9, 9}}}},
 	})
 	f.Add(refs)
 	badFlag := bytes.Clone(refs)
@@ -141,9 +153,13 @@ func FuzzWireRoundTrip(f *testing.F) {
 		{Kind: rowWeight, N: 40}, {Kind: rowOrder, Query: 3, Elem: 4, N: 17}})
 	f.Add(results)
 	// Phase C's reply with a hit block of two runs.
-	reply, _ := wire.Encode(nil, installServeReply{Serve: mixedServeReply{Served: 2, Hits: hitBlock{Dims: 2,
-		Runs: []hitRun{{Query: 1, N: 2}, {Query: 3, N: 1}}, IDs: []int32{4, 5, 6}, X: []geom.Coord{7, 8, 9, 10, 11, 12}}}})
+	reply, _ := wire.Encode(nil, installServeReply{Serve: mixedServeReply{Served: 2, Hits: hitBlock{
+		Runs:  []hitRun{{Query: 1, N: 2}, {Query: 3, N: 1}},
+		Block: geom.Block{Dims: 2, IDs: []int32{4, 5, 6}, Coords: []geom.Coord{7, 8, 9, 10, 11, 12}}}}})
 	f.Add(reply)
+	// A whole-element fetch reply: two blocks, one of them empty.
+	fetched, _ := wire.Encode(nil, []geom.Block{{Dims: 3, IDs: []int32{1, 2}, Coords: []geom.Coord{1, 2, 3, 4, 5, 6}}, {Dims: 3}})
+	f.Add(fetched)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := &byteGen{b: data}
@@ -151,6 +167,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 		n := g.n(12)
 
 		fuzzRT(t, g.points(n, dims))
+		fuzzRT(t, []geom.Block{g.block(n, dims), g.block(g.n(3), dims)})
 
 		eps := make([]epoint, n)
 		for i := range eps {
@@ -196,7 +213,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 				rows[i].Copy = shippedElem{
 					Info: ElemInfo{ID: ElemID(g.i32()), Owner: g.i32(), Count: g.i32(),
 						Dim: int8(g.u8()), Key: g.key(9), Min: geom.Coord(g.i32()), Max: geom.Coord(g.i32())},
-					Pts: g.points(g.n(6), dims),
+					Pts: blockPtr(g.block(g.n(6), dims)),
 				}
 			default:
 				if len(subs) > 0 {
@@ -326,7 +343,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 		hostile := append([]byte{'R'}, data...)
 		for _, blk := range [][]byte{data, hostile} {
 			mustNotPanic[[]geom.Point](t, blk)
-			mustNotPanic[[][]geom.Point](t, blk)
+			mustNotPanic[[]geom.Block](t, blk)
 			mustNotPanic[[]epoint](t, blk)
 			mustNotPanic[[]srec](t, blk)
 			mustNotPanic[[]runSum](t, blk)

@@ -144,18 +144,24 @@ func readSubqueries(r *wire.Reader, arena *[]geom.Coord) []subquery {
 // ------------------------------------------------------------ copies
 
 // appendShipped appends one element copy: the Ref flag, then the element
-// ID alone for a reference, the metadata and the points for a by-value
-// copy.
+// ID alone for a reference, the metadata and the point block for a
+// by-value copy (a nil block as an empty one of dims 0).
 func appendShipped(b []byte, sh shippedElem) []byte {
 	b = append(b, flagByte(sh.Ref))
 	if sh.Ref {
 		return wire.AppendI32(b, int32(sh.Info.ID))
 	}
 	b = appendElemInfo(b, sh.Info)
-	return wire.AppendPoints(b, sh.Pts)
+	if sh.Pts == nil {
+		return wire.AppendBlock(b, geom.Block{})
+	}
+	return wire.AppendBlock(b, *sh.Pts)
 }
 
-func readShipped(r *wire.Reader, arena *[]geom.Coord) (shippedElem, error) {
+// readShipped decodes one element copy; a by-value copy's block is two
+// bulk reads into slices of its own, which the built copy keeps, and a
+// block of dims 0 (which holds no point) decodes to nil.
+func readShipped(r *wire.Reader) (shippedElem, error) {
 	var sh shippedElem
 	ref, err := readFlag(r)
 	if err != nil {
@@ -166,8 +172,11 @@ func readShipped(r *wire.Reader, arena *[]geom.Coord) (shippedElem, error) {
 		return sh, nil
 	}
 	sh.Info = readElemInfo(r)
-	sh.Pts = wire.ReadPoints(r, arena)
-	return sh, nil
+	blk, err := wire.ReadBlock(r)
+	if blk.Dims != 0 {
+		sh.Pts = &blk
+	}
+	return sh, err
 }
 
 // ------------------------------------------------------------ phase D rows
@@ -319,7 +328,7 @@ func init() {
 						rows[i].Sub = readSubquery(r, &arena)
 						continue
 					}
-					if rows[i].Copy, err = readShipped(r, &arena); err != nil {
+					if rows[i].Copy, err = readShipped(r); err != nil {
 						return nil, err
 					}
 				}

@@ -47,20 +47,15 @@ func readQcounts(r *wire.Reader) []qcount {
 	return vs
 }
 
-// appendHitBlock encodes a hit block: dims, the run table (count, then
-// each run's query and length), then the ID and coordinate sections,
-// each a count and a fixed-width run.
+// appendHitBlock encodes a hit block: the run table (count, then each
+// run's query and length), then the point block (wire.AppendBlock).
 func appendHitBlock(buf []byte, h hitBlock) []byte {
-	buf = wire.AppendUvarint(buf, uint64(h.Dims))
 	buf = wire.AppendUvarint(buf, uint64(len(h.Runs)))
 	for _, run := range h.Runs {
 		buf = wire.AppendI32(buf, run.Query)
 		buf = wire.AppendUvarint(buf, uint64(run.N))
 	}
-	buf = wire.AppendUvarint(buf, uint64(len(h.IDs)))
-	buf = wire.AppendI32s(buf, h.IDs)
-	buf = wire.AppendUvarint(buf, uint64(len(h.X)))
-	return wire.AppendI32s(buf, h.X)
+	return wire.AppendBlock(buf, h.Block)
 }
 
 // hitBlockSize is appendHitBlock's encoded length.
@@ -69,16 +64,14 @@ func hitBlockSize(h hitBlock) int {
 	for _, run := range h.Runs {
 		n += 4 + uvarintLen(uint64(run.N))
 	}
-	return n + uvarintLen(uint64(len(h.IDs))) + 4*len(h.IDs) + uvarintLen(uint64(len(h.X))) + 4*len(h.X)
+	return n + uvarintLen(uint64(len(h.IDs))) + 4*len(h.IDs) + uvarintLen(uint64(len(h.Coords))) + 4*len(h.Coords)
 }
 
-// readHitBlock decodes a hit block into three pointer-free slices. A block
-// whose runs are empty or do not sum to its IDs, whose coordinates are not
-// IDs × dims, or whose dims is 0 beside IDs (or not 0 without them) is
-// corrupt.
+// readHitBlock decodes a hit block into pointer-free slices. A block
+// whose runs are empty or do not sum to its IDs, or whose point block is
+// malformed (wire.ReadBlock) or has dims without IDs, is corrupt.
 func readHitBlock(r *wire.Reader) (hitBlock, error) {
 	var h hitBlock
-	dims := r.Uvarint()
 	var total uint64 // ≤ MaxInt32 per run, runs bounded by the block
 	if n := r.Count(5); n > 0 {
 		h.Runs = make([]hitRun, n)
@@ -91,24 +84,16 @@ func readHitBlock(r *wire.Reader) (hitBlock, error) {
 			total += k
 		}
 	}
-	if n := r.Count(4); n > 0 {
-		h.IDs = make([]int32, n)
-		r.I32s(h.IDs)
+	var err error
+	if h.Block, err = wire.ReadBlock(r); err != nil {
+		return h, err
 	}
-	if n := r.Count(4); n > 0 {
-		h.X = make([]geom.Coord, n)
-		r.I32s(h.X)
-	}
-	ids, xs := uint64(len(h.IDs)), uint64(len(h.X))
-	switch {
+	switch ids := uint64(h.Len()); {
 	case total != ids:
 		return h, fmt.Errorf("core: hit block runs hold %d hits, block has %d IDs", total, ids)
-	case ids == 0 && (dims != 0 || xs != 0):
-		return h, fmt.Errorf("core: hit block without IDs has dims %d and %d coordinates", dims, xs)
-	case ids > 0 && (dims == 0 || xs%ids != 0 || xs/ids != dims):
-		return h, fmt.Errorf("core: hit block has %d coordinates for %d IDs of dims %d", xs, ids, dims)
+	case ids == 0 && h.Dims != 0:
+		return h, fmt.Errorf("core: hit block without IDs has dims %d", h.Dims)
 	}
-	h.Dims = int(dims)
 	return h, nil
 }
 
@@ -359,6 +344,28 @@ func init() {
 				}
 			}
 			return a, nil
+		})
+	// The fetch's reply: one point block per element.
+	fixedCodec(
+		func(buf []byte, blks []geom.Block) []byte {
+			buf = wire.AppendUvarint(buf, uint64(len(blks)))
+			for _, blk := range blks {
+				buf = wire.AppendBlock(buf, blk)
+			}
+			return buf
+		},
+		func(r *wire.Reader) ([]geom.Block, error) {
+			var blks []geom.Block
+			if n := r.Count(3); n > 0 { // dims and two empty sections a block
+				blks = make([]geom.Block, n)
+				for i := range blks {
+					var err error
+					if blks[i], err = wire.ReadBlock(r); err != nil {
+						return nil, err
+					}
+				}
+			}
+			return blks, nil
 		})
 
 	// ---------------------------------------------- held-construct frames

@@ -37,6 +37,17 @@ func genPoints(rng *rand.Rand, n, dims int) []geom.Point {
 	return pts
 }
 
+// genBlock is a block of n random points; an empty one has nil sections,
+// as the decoder leaves them.
+func genBlock(rng *rand.Rand, n, dims int) geom.Block {
+	if n == 0 {
+		return geom.Block{Dims: dims}
+	}
+	return geom.BlockOf(genPoints(rng, n, dims), dims)
+}
+
+func blockPtr(b geom.Block) *geom.Block { return &b }
+
 func genBox(rng *rand.Rand, dims int) geom.Box {
 	lo := make([]geom.Coord, dims)
 	hi := make([]geom.Coord, dims)
@@ -157,7 +168,7 @@ func TestWireCodecsMatchGobOracle(t *testing.T) {
 						Count: rng.Int31n(100), Dim: int8(rng.Intn(dims)),
 						Key: genKey(rng), Min: geom.Coord(rng.Int31n(100)), Max: geom.Coord(rng.Int31n(100)),
 					},
-					Pts: genPoints(rng, rng.Intn(20), dims),
+					Pts: blockPtr(genBlock(rng, rng.Intn(20), dims)),
 				}
 			default:
 				rows[i] = routeRow{IsSub: true, Sub: subquery{Query: rng.Int31n(1000), Elem: ElemID(rng.Int31n(500)), Box: genBox(rng, dims)}}
@@ -167,6 +178,15 @@ func TestWireCodecsMatchGobOracle(t *testing.T) {
 			rows = nil
 		}
 		roundTrip(t, rows)
+		// Whole-element fetches: one block per element, some empty.
+		fetched := make([]geom.Block, rng.Intn(4))
+		for i := range fetched {
+			fetched[i] = genBlock(rng, rng.Intn(3)*rng.Intn(20), dims)
+		}
+		if len(fetched) == 0 {
+			fetched = nil
+		}
+		roundTrip(t, fetched)
 		routed := make([][]subquery, 1+rng.Intn(4))
 		for i := range routed {
 			routed[i] = subs[:rng.Intn(n+1)]
@@ -231,7 +251,7 @@ func TestWireCodecsMatchGobOracle(t *testing.T) {
 			hits.Runs = append(hits.Runs, run)
 			for _, pt := range genPoints(rng, int(run.N), dims) {
 				hits.IDs = append(hits.IDs, pt.ID)
-				hits.X = append(hits.X, pt.X...)
+				hits.Coords = append(hits.Coords, pt.X...)
 			}
 		}
 		if len(hits.Runs) > 0 {
@@ -270,8 +290,8 @@ func decodeHostile[T any](t *testing.T, what string, b []byte) {
 }
 
 // TestRowCodecsRejectHostileBlocks: the tagged rows of phases C and D
-// decode a row tag outside their kinds, and a block cut short, to an
-// error.
+// decode a row tag outside their kinds, a block cut short, and a hit
+// block or copied element block whose sections disagree, to an error.
 func TestRowCodecsRejectHostileBlocks(t *testing.T) {
 	route, err := wire.Encode(nil, []routeRow{
 		{IsSub: true, Sub: subquery{Query: 1, Elem: 2, Box: geom.Box{Lo: []geom.Coord{0}, Hi: []geom.Coord{5}}}},
@@ -306,8 +326,12 @@ func TestRowCodecsRejectHostileBlocks(t *testing.T) {
 	}
 	prefix := empty[:len(empty)-hitBlockSize(hitBlock{})]
 	reply := func(h hitBlock) []byte { return appendHitBlock(bytes.Clone(prefix), h) }
-	good := hitBlock{Dims: 2, Runs: []hitRun{{Query: 1, N: 2}, {Query: 5, N: 1}},
-		IDs: []int32{7, 8, 9}, X: []geom.Coord{1, 2, 3, 4, 5, 6}}
+	good := hitBlock{Runs: []hitRun{{Query: 1, N: 2}, {Query: 5, N: 1}},
+		Block: geom.Block{Dims: 2, IDs: []int32{7, 8, 9}, Coords: []geom.Coord{1, 2, 3, 4, 5, 6}}}
+	ids, xs := good.IDs, good.Coords
+	blk := func(dims int, ids []int32, xs []geom.Coord) geom.Block {
+		return geom.Block{Dims: dims, IDs: ids, Coords: xs}
+	}
 	if rep, err := wire.Decode[installServeReply](reply(good)); err != nil || !reflect.DeepEqual(rep.Serve.Hits, good) {
 		t.Fatalf("well-formed hit block: %+v, %v", rep.Serve.Hits, err)
 	}
@@ -315,23 +339,53 @@ func TestRowCodecsRejectHostileBlocks(t *testing.T) {
 		what string
 		h    hitBlock
 	}{
-		{"runs summing past the IDs", hitBlock{Dims: 2, Runs: []hitRun{{1, 2}, {5, 2}}, IDs: good.IDs, X: good.X}},
-		{"runs summing short of the IDs", hitBlock{Dims: 2, Runs: []hitRun{{1, 2}}, IDs: good.IDs, X: good.X}},
-		{"an empty run", hitBlock{Dims: 2, Runs: []hitRun{{1, 3}, {5, 0}}, IDs: good.IDs, X: good.X}},
-		{"coordinates not IDs × dims", hitBlock{Dims: 2, Runs: good.Runs, IDs: good.IDs, X: good.X[:5]}},
-		{"dims not coordinates / IDs", hitBlock{Dims: 3, Runs: good.Runs, IDs: good.IDs, X: good.X}},
-		{"dims 0 with IDs", hitBlock{Runs: good.Runs, IDs: good.IDs}},
-		{"dims without IDs", hitBlock{Dims: 2}},
-		{"coordinates without IDs", hitBlock{Dims: 2, X: good.X}},
+		{"runs summing past the IDs", hitBlock{[]hitRun{{1, 2}, {5, 2}}, good.Block}},
+		{"runs summing short of the IDs", hitBlock{[]hitRun{{1, 2}}, good.Block}},
+		{"an empty run", hitBlock{[]hitRun{{1, 3}, {5, 0}}, good.Block}},
+		{"coordinates not IDs × dims", hitBlock{good.Runs, blk(2, ids, xs[:5])}},
+		{"dims not coordinates / IDs", hitBlock{good.Runs, blk(3, ids, xs)}},
+		{"dims 0 with IDs", hitBlock{good.Runs, blk(0, ids, nil)}},
+		{"dims without IDs", hitBlock{nil, blk(2, nil, nil)}},
+		{"coordinates without IDs", hitBlock{nil, blk(2, nil, xs)}},
 	} {
 		decodeHostile[installServeReply](t, "hit block with "+c.what, reply(c.h))
 	}
 	// Cut inside the run table, the ID section and the coordinate section.
 	full := reply(good)
-	idsAt := len(prefix) + 2 + 5*len(good.Runs) // dims, run count, 4B query + 1B length a run
+	idsAt := len(prefix) + 2 + 5*len(good.Runs) // run count, 4B query + 1B length a run, dims
 	xAt := idsAt + 1 + 4*len(good.IDs)
 	for _, cut := range []int{len(prefix) + 4, idsAt + 3, xAt + 7, len(full) - 1} {
 		decodeHostile[installServeReply](t, fmt.Sprintf("hit block cut at byte %d of %d", cut, len(full)), full[:cut])
+	}
+
+	// A by-value copy row carries its element's point block the same way.
+	copyRow := func(b geom.Block) []byte {
+		buf, err := wire.Encode(nil, []routeRow{{Copy: shippedElem{Info: ElemInfo{ID: 4, Count: int32(b.Len()), Key: "k"}, Pts: &b}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	elem := blk(2, ids, xs)
+	if rows, err := wire.Decode[[]routeRow](copyRow(elem)); err != nil || !reflect.DeepEqual(*rows[0].Copy.Pts, elem) {
+		t.Fatalf("well-formed copy block: %+v, %v", rows, err)
+	}
+	for _, c := range []struct {
+		what string
+		b    geom.Block
+	}{
+		{"coordinates not IDs × dims", blk(2, ids, xs[:5])},
+		{"dims not coordinates / IDs", blk(3, ids, xs)},
+		{"dims 0 beside IDs", blk(0, ids, nil)},
+		{"coordinates without IDs", blk(2, nil, xs)},
+	} {
+		decodeHostile[[]routeRow](t, "copy block with "+c.what, copyRow(c.b))
+	}
+	// Cut inside the ID section and inside the coordinate section.
+	full = copyRow(elem)
+	xAt = len(full) - 1 - 4*len(xs) // the coordinate count, then the coordinates
+	for _, cut := range []int{xAt - 2, len(full) - 5} {
+		decodeHostile[[]routeRow](t, fmt.Sprintf("copy block cut at byte %d of %d", cut, len(full)), full[:cut])
 	}
 }
 
@@ -452,7 +506,7 @@ func BenchmarkWireCodec(b *testing.B) {
 		els[i].Copy = shippedElem{
 			Info: ElemInfo{ID: ElemID(i), Owner: int32(i % 4), Count: int32(n / 8),
 				Dim: 1, Key: segtree.PathKey(fmt.Sprintf("0.%d", i)), Min: 0, Max: 1000},
-			Pts: genPoints(rng, n/8, dims),
+			Pts: blockPtr(genBlock(rng, n/8, dims)),
 		}
 	}
 	benchEncDec(b, "shipped", els)

@@ -49,7 +49,7 @@ func E15(sc Scale) *Table {
 	}
 	val := func(pt geom.Point) int64 { return int64(pt.ID) }
 	rt := rangetree.BuildFrom(elem, 1)
-	lt := layered.BuildFrom(elem, 1)
+	lt := layered.BuildFrom(geom.BlockOf(elem, d), 1)
 	rtAgg := rangetree.NewAgg(rt, semigroup.IntSum(), val)
 	ltAgg := layered.NewAgg(lt, semigroup.IntSum(), val)
 	var sink int64

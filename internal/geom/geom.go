@@ -31,6 +31,36 @@ func (p Point) Clone() Point {
 
 func (p Point) String() string { return fmt.Sprintf("p%d%v", p.ID, p.X) }
 
+// Block is a point set of one dimensionality in columns: point i is
+// IDs[i] at Coords[i·Dims:(i+1)·Dims]. It holds no pointer per point, so
+// a block of any size is two allocations and nothing for the collector to
+// trace.
+type Block struct {
+	Dims   int
+	IDs    []int32
+	Coords []Coord
+}
+
+// BlockOf copies pts, all of dims coordinates, into a new block.
+func BlockOf(pts []Point, dims int) Block {
+	b := Block{Dims: dims, IDs: make([]int32, len(pts)), Coords: make([]Coord, 0, len(pts)*dims)}
+	for i, p := range pts {
+		b.IDs[i] = p.ID
+		b.Coords = append(b.Coords, p.X...)
+	}
+	return b
+}
+
+// Len reports the number of points.
+func (b Block) Len() int { return len(b.IDs) }
+
+// Point is a read-only view of point i: its X shares the block's
+// coordinates (capacity-clipped), so the call allocates nothing.
+func (b Block) Point(i int) Point {
+	at := i * b.Dims
+	return Point{ID: b.IDs[i], X: b.Coords[at : at+b.Dims : at+b.Dims]}
+}
+
 // Box is a closed axis-aligned query domain q ⊆ E^d: Lo[i] ≤ x_i ≤ Hi[i]
 // for every dimension i. A box with Lo[i] > Hi[i] in any dimension is empty.
 type Box struct {

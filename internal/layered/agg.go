@@ -25,31 +25,32 @@ type Agg[T any] struct {
 	t   *Tree
 	m   semigroup.Monoid[T]
 	val func(geom.Point) T
-	// one aggregates a one-dimensional tree's sorted array.
+	// one aggregates a one-dimensional tree's sorted block.
 	one []T
 	// tabs[c.ord] aggregates cascade c, laid out like c.idx: the node whose
 	// run is c.idx[i:j] owns tabs[c.ord][w·i:w·j] for w = slots().
 	tabs [][]T
 }
 
-// NewAgg computes the annotation for monoid m with per-point value val.
+// NewAgg computes the annotation for monoid m with per-point value val,
+// which sees each point as a read-only view into the tree's block.
 func NewAgg[T any](t *Tree, m semigroup.Monoid[T], val func(geom.Point) T) *Agg[T] {
 	a := &Agg[T]{t: t, m: m, val: val}
-	if t.one != nil {
-		n := len(t.one)
+	n := t.blk.Len()
+	if t.oneDim() {
 		a.one = make([]T, a.slots()*n)
-		for i, p := range t.one {
-			a.one[len(a.one)-n+i] = val(p)
+		for i := range n {
+			a.one[len(a.one)-n+i] = val(t.blk.Point(i))
 		}
 		a.combine(a.one, n)
 		return a
 	}
 	// The cascades index one shared block, each point ≈ log^(d−1) n
 	// times: evaluating f once per point, not once per cascade entry,
-	// takes the indirect call and the random Point read out of the walk.
-	vals := make([]T, len(t.blk.pts))
-	for i, p := range t.blk.pts {
-		vals[i] = val(p)
+	// takes the indirect call and the random point read out of the walk.
+	vals := make([]T, n)
+	for i := range vals {
+		vals[i] = val(t.blk.Point(i))
 	}
 	a.tabs = make([][]T, t.blk.cascades)
 	a.walk(t, vals)
@@ -143,9 +144,9 @@ func (a *Agg[T]) Query(b geom.Box) T {
 
 func (a *Agg[T]) scanTree(t *Tree, b geom.Box, acc T) T {
 	switch {
-	case t.one != nil:
+	case t.oneDim():
 		if lo, hi := t.oneRange(b); lo < hi {
-			acc = a.fold(acc, a.one, len(t.one), lo, hi)
+			acc = a.fold(acc, a.one, t.blk.Len(), lo, hi)
 		}
 		return acc
 	case t.two != nil:
@@ -175,7 +176,7 @@ func (a *Agg[T]) descendUpper(t *Tree, v int, b geom.Box, iv geom.Interval, pLo,
 			if !iv.Contains(t.keys[at]) {
 				continue
 			}
-			if p := t.blk.pts[t.idx[at]]; b.ContainsFrom(p, t.StartDim+1) {
+			if p := t.blk.Point(int(t.idx[at])); b.ContainsFrom(p, t.StartDim+1) {
 				acc = a.m.Combine(acc, a.val(p))
 			}
 		}
@@ -209,7 +210,7 @@ func (a *Agg[T]) descendCascade(c *cascade, tab []T, k, lo, pLo, pHi int, ivx ge
 	case k == c.depth:
 		for _, i := range c.idx[at+pLo : at+pHi] {
 			if ivx.Contains(c.blk.coord(i, c.x)) {
-				acc = a.m.Combine(acc, a.val(c.blk.pts[i]))
+				acc = a.m.Combine(acc, a.val(c.blk.Point(int(i))))
 			}
 		}
 	default:

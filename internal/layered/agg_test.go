@@ -68,7 +68,7 @@ func TestAggStartDimParity(t *testing.T) {
 		{5, 3, 1}, {bucket, 4, 1}, {bucket + 1, 4, 1}, {3, 4, 0},
 	} {
 		pts := randomPoints(rng, tc.n, tc.d, true)
-		el := BuildFrom(pts, tc.startDim)
+		el := BuildFrom(geom.BlockOf(pts, tc.d), tc.startDim)
 		weight := func(p geom.Point) int64 { return int64(p.ID) + 1 }
 		prefix, seg := NewAgg(el, semigroup.IntSum(), weight), NewAgg(el, noInverse(semigroup.IntSum()), weight)
 		bf := brute.New(pts)
@@ -102,7 +102,7 @@ func TestAggLayoutsAgree(t *testing.T) {
 		for d := 1; d <= 4; d++ {
 			pts := randomPoints(rng, n, d, n%2 == 0)
 			for startDim := 0; startDim < d; startDim++ {
-				el := BuildFrom(pts, startDim)
+				el := BuildFrom(geom.BlockOf(pts, d), startDim)
 				prefix, seg := NewAgg(el, semigroup.IntSum(), weight), NewAgg(el, noInverse(semigroup.IntSum()), weight)
 				for q := 0; q < 20; q++ {
 					b := randomBox(rng, n, d)
@@ -158,9 +158,9 @@ func TestAggFloatSumErrorBound(t *testing.T) {
 // termCounter counts the runs and single values a query combines.
 type termCounter struct{ k int }
 
-func (c *termCounter) VisitRange([]geom.Point)            { c.k++ }
-func (c *termCounter) VisitIndexed([]geom.Point, []int32) { c.k++ }
-func (c *termCounter) VisitPoint(geom.Point)              { c.k++ }
+func (c *termCounter) VisitRun(*geom.Block, int, int)    { c.k++ }
+func (c *termCounter) VisitIndexed(*geom.Block, []int32) { c.k++ }
+func (c *termCounter) VisitRow(*geom.Block, int32)       { c.k++ }
 
 // visitCollector exercises the zero-alloc Visitor API.
 type visitCollector struct {
@@ -168,21 +168,19 @@ type visitCollector struct {
 	ids   []int32
 }
 
-func (c *visitCollector) VisitRange(pts []geom.Point) {
-	c.count += len(pts)
-	for _, p := range pts {
-		c.ids = append(c.ids, p.ID)
-	}
+func (c *visitCollector) VisitRun(b *geom.Block, lo, hi int) {
+	c.count += hi - lo
+	c.ids = append(c.ids, b.IDs[lo:hi]...)
 }
-func (c *visitCollector) VisitIndexed(base []geom.Point, idx []int32) {
+func (c *visitCollector) VisitIndexed(b *geom.Block, idx []int32) {
 	c.count += len(idx)
 	for _, i := range idx {
-		c.ids = append(c.ids, base[i].ID)
+		c.ids = append(c.ids, b.Point(int(i)).ID)
 	}
 }
-func (c *visitCollector) VisitPoint(p geom.Point) {
+func (c *visitCollector) VisitRow(b *geom.Block, i int32) {
 	c.count++
-	c.ids = append(c.ids, p.ID)
+	c.ids = append(c.ids, b.IDs[i])
 }
 
 func TestVisitMatchesCountAndReport(t *testing.T) {
@@ -249,7 +247,7 @@ func TestBuildSortsOncePerDimension(t *testing.T) {
 	} {
 		pts := randomPoints(rng, tc.n, tc.d, true)
 		before := buildSorts.Load()
-		BuildFrom(pts, tc.startDim)
+		BuildFrom(geom.BlockOf(pts, tc.d), tc.startDim)
 		if got := buildSorts.Load() - before; got != tc.want {
 			t.Errorf("BuildFrom(n=%d d=%d start=%d) ran %d sorts, want %d",
 				tc.n, tc.d, tc.startDim, got, tc.want)

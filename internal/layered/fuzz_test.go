@@ -70,7 +70,7 @@ func FuzzLayeredVsBrute(f *testing.F) {
 		weight := func(p geom.Point) float64 { return float64(p.ID%13) + 0.5 } // sums exactly
 		bf := brute.New(pts)
 		for startDim := 0; startDim < d; startDim++ {
-			lt := BuildFrom(pts, startDim)
+			lt := BuildFrom(geom.BlockOf(pts, d), startDim)
 			if lt.N() != n {
 				t.Fatalf("d=%d start=%d: N() = %d, want %d", d, startDim, lt.N(), n)
 			}

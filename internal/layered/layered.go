@@ -6,9 +6,12 @@
 // fractional-cascading bridges, so a d-dimensional query costs
 // O(log^(d-1) n + k) instead of O(log^d n + k).
 //
-// Storage is index-only: a tree copies its points once into a block, and
-// every order below that — the upper levels' sorted orders, every cascade
-// node's y-sorted array — is a run of int32 indices into the block. The
+// Storage is index-only: a tree keeps the caller's point block (a
+// geom.Block: an ID column and a coordinate column, no header per point)
+// as its own, and every order over it — the upper levels' sorted orders,
+// every cascade node's y-sorted array — is a run of int32 indices into
+// the block. A one-dimensional tree is the block itself, sorted by the
+// final coordinate. The
 // bridges are succinct: one bit per entry per level says which child the
 // entry went to, and a rank over those bits is the bridge. A
 // three-dimensional layer bridges its upper levels the same way, so its
@@ -55,7 +58,8 @@ type Tree struct {
 	StartDim int
 
 	// blk is the point block every index below refers to, shared by all
-	// descendant trees (nil for a one-dimensional tree).
+	// descendant trees; a one-dimensional tree's is sorted by the final
+	// coordinate, and a run of it is the answer.
 	blk *block
 
 	// upper levels (Dims-StartDim > 2): idx is the order by StartDim, keys
@@ -70,23 +74,19 @@ type Tree struct {
 
 	// two remaining dimensions
 	two *cascade
-
-	// one remaining dimension (top-level trees only): the points themselves,
-	// sorted by the final coordinate, so a report is one bulk append.
-	one []geom.Point
 }
 
-// block is a tree's single copy of its points: the headers callers get
-// back (their X still shares backing with the input) and a flat coordinate
-// table, coords[i·d+k] = pts[i].X[k], so a comparison is one load.
+// block is the tree's point block, which BuildFrom takes from its caller
+// and never writes: a comparison is one load from its coordinate column.
 type block struct {
-	d        int
-	pts      []geom.Point
-	coords   []geom.Coord
+	geom.Block
 	cascades int // number of cascades built over the block; numbers cascade.ord
 }
 
-func (bl *block) coord(i int32, dim int) geom.Coord { return bl.coords[int(i)*bl.d+dim] }
+func (bl *block) coord(i int32, dim int) geom.Coord { return bl.Coords[int(i)*bl.Dims+dim] }
+
+// oneDim reports whether t is a one-dimensional tree: its block, sorted.
+func (t *Tree) oneDim() bool { return t.Dims-t.StartDim == 1 }
 
 // cmp is geom.CmpInDim's (X[dim], ID) total order on block indices — the
 // top-level sorts, the bucket sorts and the cascade merges must agree on it
@@ -97,7 +97,7 @@ func (bl *block) cmp(i, j int32, dim int) int {
 	if a, b := bl.coord(i, dim), bl.coord(j, dim); a != b {
 		return cmp.Compare(a, b)
 	}
-	return cmp.Compare(bl.pts[i].ID, bl.pts[j].ID)
+	return cmp.Compare(bl.IDs[i], bl.IDs[j])
 }
 
 // cascade is the fractional-cascading structure for the final two
@@ -148,35 +148,36 @@ func countRanks(ws []rankWord) {
 	}
 }
 
-// Build constructs a layered range tree over all dimensions of pts.
+// Build constructs a layered range tree over all dimensions of pts, from
+// a block copy of them.
 func Build(pts []geom.Point) *Tree {
 	if len(pts) == 0 {
 		panic("layered: empty point set")
 	}
-	return BuildFrom(pts, 0)
+	return BuildFrom(geom.BlockOf(pts, pts[0].Dims()), 0)
 }
 
 // BuildFrom constructs a layered range tree over dimensions
 // startDim..Dims-1 only — the shape of the paper's forest elements, which
-// are range trees "of dimension j ≤ d" (Definition 3).
-func BuildFrom(pts []geom.Point, startDim int) *Tree {
-	if len(pts) == 0 {
+// are range trees "of dimension j ≤ d" (Definition 3). The tree keeps pts
+// as its block and never writes to it, so trees may share one block; a
+// one-dimensional tree over a block not yet sorted by the final
+// coordinate keeps a sorted copy instead.
+func BuildFrom(pts geom.Block, startDim int) *Tree {
+	n, dims := pts.Len(), pts.Dims
+	if n == 0 {
 		panic("layered: empty point set")
 	}
-	dims := pts[0].Dims()
-	if startDim < 0 || startDim >= dims {
-		panic("layered: startDim out of range")
+	if startDim < 0 || startDim >= dims || len(pts.Coords) != n*dims {
+		panic("layered: startDim out of range or a malformed block")
 	}
+	bl := &block{Block: pts}
 	remaining := dims - startDim
 	if remaining == 1 {
-		buildSorts.Add(1)
-		one := slices.Clone(pts)
-		slices.SortFunc(one, func(a, b geom.Point) int { return geom.CmpInDim(a, b, dims-1) })
-		return &Tree{Dims: dims, StartDim: startDim, one: one}
-	}
-	bl := &block{d: dims, pts: slices.Clone(pts), coords: make([]geom.Coord, len(pts)*dims)}
-	for i, p := range pts {
-		copy(bl.coords[i*dims:(i+1)*dims], p.X)
+		if !bl.sortedIn(dims - 1) {
+			bl.Block = bl.gather(bl.sortedBy(dims-1, make([]uint64, 2*n)))
+		}
+		return &Tree{Dims: dims, StartDim: startDim, blk: bl}
 	}
 	// Sort once per dimension that needs an explicit order. The cascade's
 	// y-sorted arrays come out of the bottom-up merge for free, so only
@@ -184,15 +185,40 @@ func BuildFrom(pts []geom.Point, startDim int) *Tree {
 	// part of these orders by stable partition, keeping construction
 	// within O(n·log^(d-1) n).
 	orders := make([][]int32, remaining-1)
-	scratch := make([]uint64, 2*len(pts))
+	scratch := make([]uint64, 2*n)
 	for k := range orders {
 		orders[k] = bl.sortedBy(startDim+k, scratch)
 	}
-	bd := &builder{blk: bl, dims: dims, start: startDim, ykeys: make([]geom.Coord, len(pts))}
+	bd := &builder{blk: bl, dims: dims, start: startDim, ykeys: make([]geom.Coord, n)}
 	if remaining > 2 {
-		bd.pos = make([]int32, (remaining-2)*len(pts))
+		bd.pos = make([]int32, (remaining-2)*n)
 	}
 	return bd.levels(orders, startDim)
+}
+
+// Points is the tree's point block: read-only, shared with the caller
+// that built the tree and with every view a query hands out.
+func (t *Tree) Points() *geom.Block { return &t.blk.Block }
+
+// sortedIn reports whether the block is already in cmp's order on dim.
+func (bl *block) sortedIn(dim int) bool {
+	for i := int32(1); int(i) < bl.Len(); i++ {
+		if bl.cmp(i-1, i, dim) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// gather is a new block of the points order names, in that order.
+func (bl *block) gather(order []int32) geom.Block {
+	d := bl.Dims
+	out := geom.Block{Dims: d, IDs: make([]int32, len(order)), Coords: make([]geom.Coord, len(order)*d)}
+	for at, i := range order {
+		out.IDs[at] = bl.IDs[i]
+		copy(out.Coords[at*d:(at+1)*d], bl.Coords[int(i)*d:])
+	}
+	return out
 }
 
 // sortedBy returns the block's indices ordered by (X[dim], ID). It packs
@@ -203,11 +229,11 @@ func BuildFrom(pts []geom.Point, startDim int) *Tree {
 // order of equal coordinates input order. Then each run of equal
 // coordinates is put into ID order, stably, so the whole is a stable
 // sort under cmp even where two points share a coordinate and an ID.
-// scratch holds 2·len(bl.pts) words: the packed words and the kernel's
+// scratch holds 2·bl.Len() words: the packed words and the kernel's
 // other vector.
 func (bl *block) sortedBy(dim int, scratch []uint64) []int32 {
 	buildSorts.Add(1)
-	n := len(bl.pts)
+	n := bl.Len()
 	packed := scratch[:n]
 	for i := range packed {
 		packed[i] = uint64(uint32(bl.coord(int32(i), dim))^1<<31)<<32 | uint64(i)
@@ -221,7 +247,7 @@ func (bl *block) sortedBy(dim int, scratch []uint64) []int32 {
 		for hi = lo + 1; hi < len(out) && packed[hi]>>32 == packed[lo]>>32; hi++ {
 		}
 		if hi-lo > 1 {
-			slices.SortStableFunc(out[lo:hi], func(i, j int32) int { return cmp.Compare(bl.pts[i].ID, bl.pts[j].ID) })
+			slices.SortStableFunc(out[lo:hi], func(i, j int32) int { return cmp.Compare(bl.IDs[i], bl.IDs[j]) })
 		}
 	}
 	return out
@@ -235,7 +261,7 @@ func (bl *block) sortedBy(dim int, scratch []uint64) []int32 {
 func (bl *block) sortBucket(run []int32, dim int) {
 	var words [bucket]uint64
 	for k, i := range run {
-		words[k] = uint64(uint32(bl.coord(i, dim))^1<<31)<<32 | uint64(uint32(bl.pts[i].ID)^1<<31)
+		words[k] = uint64(uint32(bl.coord(i, dim))^1<<31)<<32 | uint64(uint32(bl.IDs[i])^1<<31)
 	}
 	for k := 1; k < len(run); k++ {
 		w, i, at := words[k], run[k], k
@@ -276,7 +302,7 @@ func (bd *builder) levels(orders [][]int32, startDim int) *Tree {
 	t.idx = orders[0]
 	t.shape = segtree.NewShape(m)
 	t.keys = make([]geom.Coord, m)
-	n := len(bl.pts)
+	n := bl.Len()
 	pos := bd.pos[(bd.dims-startDim-3)*n:][:n]
 	for at, i := range t.idx {
 		t.keys[at] = bl.coord(i, startDim)
@@ -394,7 +420,7 @@ func (bd *builder) cascade(byX []int32, x, y int, up bool) *cascade {
 			i, j, at := lo, mid, lo
 			for ; i < mid && j < hi; at++ {
 				ki, kj := keysBelow[i], keysBelow[j]
-				if kj < ki || (kj == ki && bl.pts[below[j]].ID < bl.pts[below[i]].ID) {
+				if kj < ki || (kj == ki && bl.IDs[below[j]] < bl.IDs[below[i]]) {
 					level[at], keys[at] = below[j], kj
 					j++
 				} else {
@@ -419,8 +445,8 @@ func (bd *builder) cascade(byX []int32, x, y int, up bool) *cascade {
 // N reports the number of points.
 func (t *Tree) N() int {
 	switch {
-	case t.one != nil:
-		return len(t.one)
+	case t.oneDim():
+		return t.blk.Len()
 	case t.two != nil:
 		return t.two.shape.M
 	default:
@@ -433,8 +459,8 @@ func (t *Tree) N() int {
 // A descendant tree shared by a node and its left child counts once.
 func (t *Tree) Nodes() int {
 	switch {
-	case t.one != nil:
-		return len(t.one)
+	case t.oneDim():
+		return t.blk.Len()
 	case t.two != nil:
 		return len(t.two.idx)
 	default:
@@ -458,21 +484,23 @@ func (t *Tree) eachDesc(fn func(*Tree)) {
 	}
 }
 
-// Visitor receives a query result without per-node allocations: runs
-// arrive as sub-slices of the tree's own arrays (callers must not mutate
-// them), single points individually. Together the callbacks cover R(q)
-// exactly once. A reused Visitor implementation makes the whole descent
-// allocation-free — the property the distributed pipeline's phase-C
-// serving relies on.
+// Visitor receives a query result without per-node allocations, as rows
+// of the tree's point block: a run of rows, an index run, or one row.
+// Together the callbacks cover R(q) exactly once. The block and the index
+// runs are the tree's own arrays, read-only: a point or coordinate a
+// visitor keeps (blk.Point's view included) aliases the block and must
+// never be written. A reused Visitor implementation makes the whole
+// descent allocation-free — the property the distributed pipeline's
+// phase-C serving relies on.
 type Visitor interface {
-	// VisitRange observes one maximal run of a one-dimensional tree,
+	// VisitRun observes rows lo..hi-1 of a one-dimensional tree's block,
 	// sorted by the final coordinate.
-	VisitRange(pts []geom.Point)
-	// VisitIndexed observes one maximal run of a cascade: the points
-	// base[i] for i in idx, sorted by the final coordinate.
-	VisitIndexed(base []geom.Point, idx []int32)
-	// VisitPoint observes one individually verified point.
-	VisitPoint(p geom.Point)
+	VisitRun(blk *geom.Block, lo, hi int)
+	// VisitIndexed observes one maximal run of a cascade: the rows idx of
+	// blk, sorted by the final coordinate.
+	VisitIndexed(blk *geom.Block, idx []int32)
+	// VisitRow observes one individually verified row.
+	VisitRow(blk *geom.Block, i int32)
 }
 
 // Visit enumerates the query result through v, with no adapter between
@@ -489,9 +517,9 @@ func (t *Tree) Visit(b geom.Box, v Visitor) {
 // tables are keyed by the structural positions this descent resolves.
 func (t *Tree) scan(b geom.Box, s Visitor) {
 	switch {
-	case t.one != nil:
+	case t.oneDim():
 		if lo, hi := t.oneRange(b); lo < hi {
-			s.VisitRange(t.one[lo:hi])
+			s.VisitRun(&t.blk.Block, lo, hi)
 		}
 	case t.two != nil:
 		c := t.two
@@ -515,11 +543,12 @@ func (t *Tree) oneRange(b geom.Box) (lo, hi int) {
 	if iv.Empty() {
 		return 0, 0
 	}
-	hi = len(t.one)
+	keys, n := t.blk.Coords[dim:], t.blk.Len()
+	hi = n
 	if iv.Hi < maxCoord {
-		hi = searchPoints(t.one, dim, iv.Hi+1)
+		hi = search(keys, t.blk.Dims, n, iv.Hi+1)
 	}
-	return searchPoints(t.one, dim, iv.Lo), hi
+	return search(keys, t.blk.Dims, n, iv.Lo), hi
 }
 
 // upperCase classifies node v of an upper level against the query interval.
@@ -594,8 +623,8 @@ func (t *Tree) descend(v int, b geom.Box, iv geom.Interval, pLo, pHi int, s Visi
 			if !iv.Contains(t.keys[at]) {
 				continue
 			}
-			if p := t.blk.pts[t.idx[at]]; b.ContainsFrom(p, t.StartDim+1) {
-				s.VisitPoint(p)
+			if i := t.idx[at]; b.ContainsFrom(t.blk.Point(int(i)), t.StartDim+1) {
+				s.VisitRow(&t.blk.Block, i)
 			}
 		}
 	case upperWhole:
@@ -624,9 +653,9 @@ func (c *cascade) rootRange(ivy geom.Interval) (pLo, pHi int) {
 	}
 	pHi = len(c.ykeys)
 	if ivy.Hi < maxCoord {
-		pHi = searchCoords(c.ykeys, ivy.Hi+1)
+		pHi = search(c.ykeys, 1, len(c.ykeys), ivy.Hi+1)
 	}
-	return searchCoords(c.ykeys, ivy.Lo), pHi
+	return search(c.ykeys, 1, len(c.ykeys), ivy.Lo), pHi
 }
 
 // span is the x-extent of the node at depth k whose first leaf position
@@ -666,11 +695,11 @@ func (c *cascade) descend(k, lo, pLo, pHi int, ivx geom.Interval, s Visitor) {
 	at := k*c.shape.M + lo
 	switch {
 	case ivx.ContainsInterval(span):
-		s.VisitIndexed(c.blk.pts, c.idx[at+pLo:at+pHi])
+		s.VisitIndexed(&c.blk.Block, c.idx[at+pLo:at+pHi])
 	case k == c.depth:
 		for _, i := range c.idx[at+pLo : at+pHi] {
 			if ivx.Contains(c.blk.coord(i, c.x)) {
-				s.VisitPoint(c.blk.pts[i])
+				s.VisitRow(&c.blk.Block, i)
 			}
 		}
 	default:
@@ -687,14 +716,14 @@ func (c *cascade) descend(k, lo, pLo, pHi int, ivx geom.Interval, s Visitor) {
 // maxCoord guards bound+1 overflow on unbounded boxes.
 const maxCoord = 1<<31 - 1
 
-// searchPoints returns the first index of arr (sorted by dim) whose
-// coordinate is ≥ bound (a manual lower bound: this sits on the query hot
-// path, where sort.Search's closure overhead is measurable).
-func searchPoints(arr []geom.Point, dim int, bound geom.Coord) int {
-	lo, hi := 0, len(arr)
+// search returns the first of the n sorted keys keys[0], keys[stride], …
+// that is ≥ bound (a manual lower bound: this sits on the query hot path,
+// where sort.Search's closure overhead is measurable).
+func search(keys []geom.Coord, stride, n int, bound geom.Coord) int {
+	lo, hi := 0, n
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if arr[mid].X[dim] < bound {
+		if keys[mid*stride] < bound {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -703,39 +732,25 @@ func searchPoints(arr []geom.Point, dim int, bound geom.Coord) int {
 	return lo
 }
 
-// searchCoords is searchPoints over a sorted coordinate array.
-func searchCoords(keys []geom.Coord, bound geom.Coord) int {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if keys[mid] < bound {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// Gather appends the run base[i], i in idx, to dst. It grows dst once, so
-// gathering a run costs the one exact-size allocation a bulk append of a
-// contiguous run would.
-func Gather(dst, base []geom.Point, idx []int32) []geom.Point {
-	dst = slices.Grow(dst, len(idx))
-	for _, i := range idx {
-		dst = append(dst, base[i])
-	}
-	return dst
-}
-
-// reportSink appends the result into a reused buffer.
+// reportSink appends the result, as views into the block, into a reused
+// buffer.
 type reportSink struct{ out []geom.Point }
 
-func (s *reportSink) VisitRange(pts []geom.Point)            { s.out = append(s.out, pts...) }
-func (s *reportSink) VisitIndexed(b []geom.Point, i []int32) { s.out = Gather(s.out, b, i) }
-func (s *reportSink) VisitPoint(p geom.Point)                { s.out = append(s.out, p) }
+func (s *reportSink) VisitRun(b *geom.Block, lo, hi int) {
+	s.out = slices.Grow(s.out, hi-lo)
+	for i := lo; i < hi; i++ {
+		s.out = append(s.out, b.Point(i))
+	}
+}
+func (s *reportSink) VisitIndexed(b *geom.Block, idx []int32) {
+	s.out = slices.Grow(s.out, len(idx))
+	for _, i := range idx {
+		s.out = append(s.out, b.Point(int(i)))
+	}
+}
+func (s *reportSink) VisitRow(b *geom.Block, i int32) { s.out = append(s.out, b.Point(int(i))) }
 
-// Report returns the points of b.
+// Report returns the points of b: read-only views into the tree's block.
 func (t *Tree) Report(b geom.Box) []geom.Point {
 	if b.Dims() != t.Dims {
 		panic("layered: query dimensionality mismatch")
@@ -748,9 +763,9 @@ func (t *Tree) Report(b geom.Box) []geom.Point {
 // countSink tallies the result without materializing it.
 type countSink struct{ total int }
 
-func (s *countSink) VisitRange(pts []geom.Point)            { s.total += len(pts) }
-func (s *countSink) VisitIndexed(_ []geom.Point, i []int32) { s.total += len(i) }
-func (s *countSink) VisitPoint(geom.Point)                  { s.total++ }
+func (s *countSink) VisitRun(_ *geom.Block, lo, hi int)    { s.total += hi - lo }
+func (s *countSink) VisitIndexed(_ *geom.Block, i []int32) { s.total += len(i) }
+func (s *countSink) VisitRow(*geom.Block, int32)           { s.total++ }
 
 // Count returns |R(q)|.
 func (t *Tree) Count(b geom.Box) int {

@@ -111,13 +111,51 @@ func TestDimMismatchPanics(t *testing.T) {
 func TestBuildFromTrailingDims(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	pts := randomPoints(rng, 60, 3, true)
-	el := BuildFrom(pts, 1)
+	el := BuildFrom(geom.BlockOf(pts, 3), 1)
 	bf := brute.New(pts)
 	for trial := 0; trial < 20; trial++ {
 		b := randomBox(rng, 60, 3)
 		b.Lo[0], b.Hi[0] = -1<<30, 1<<30
 		if el.Count(b) != bf.Count(b) {
 			t.Fatalf("element count %d want %d", el.Count(b), bf.Count(b))
+		}
+	}
+}
+
+// TestBuildFromKeepsBlock: BuildFrom keeps the caller's block as the
+// tree's own and never writes it (an in-process phase-B copy is built
+// over its owner's block), except that a one-dimensional tree over an
+// unsorted block keeps a sorted copy; queries hand out views into it.
+func TestBuildFromKeepsBlock(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, c := range []struct {
+		d, start int
+		sorted   bool // sort the input by the final coordinate first
+	}{{3, 0, false}, {3, 1, false}, {2, 0, false}, {2, 1, false}, {2, 1, true}, {1, 0, true}} {
+		pts := randomPoints(rng, 300, c.d, true)
+		if c.sorted {
+			slices.SortFunc(pts, func(a, b geom.Point) int { return geom.CmpInDim(a, b, c.d-1) })
+		}
+		blk := geom.BlockOf(pts, c.d)
+		ids, coords := slices.Clone(blk.IDs), slices.Clone(blk.Coords)
+		lt := BuildFrom(blk, c.start)
+		NewAgg(lt, semigroup.IntSum(), func(p geom.Point) int64 { return int64(p.X[0]) })
+		for q := 0; q < 10; q++ {
+			lt.Report(randomBox(rng, 300, c.d))
+		}
+		if !slices.Equal(blk.IDs, ids) || !slices.Equal(blk.Coords, coords) {
+			t.Fatalf("d=%d start=%d: building and querying wrote the caller's block", c.d, c.start)
+		}
+		shared := &lt.Points().IDs[0] == &blk.IDs[0] && &lt.Points().Coords[0] == &blk.Coords[0]
+		if want := c.d-c.start > 1 || c.sorted; shared != want {
+			t.Errorf("d=%d start=%d sorted=%t: tree shares the caller's block: %t, want %t", c.d, c.start, c.sorted, shared, want)
+		}
+		all := geom.NewBox(make([]geom.Coord, c.d), slices.Repeat([]geom.Coord{1 << 30}, c.d))
+		for _, p := range lt.Report(all) {
+			at := slices.Index(lt.Points().IDs, p.ID) * c.d
+			if &p.X[0] != &lt.Points().Coords[at] {
+				t.Fatalf("d=%d start=%d: reported point %d is not a view into the block", c.d, c.start, p.ID)
+			}
 		}
 	}
 }
@@ -360,11 +398,13 @@ func TestSharedDescendantCountedOnce(t *testing.T) {
 }
 
 // TestFootprint bounds the live heap one Build retains. The index-only
-// layout with rank-word bridges retains ≈ 90 B/point at d = 2 and ≈ 398
-// at d = 3 (4 B of idx plus 2 bits of bridge per entry per level); int32
-// bridges, 4 B per entry per level more, read ≈ 124 and ≈ 561, and
-// anything that stores points per node ≥ 700 and ≥ 6 000. The limits sit
-// between the first two. A float64 sum annotation on the same tree is
+// layout with rank-word bridges over one columnar point block (4 B of ID
+// and 4 B per coordinate a point) retains ≈ 62 B/point at d = 2 and
+// ≈ 368 at d = 3 (4 B of idx plus 2 bits of bridge per entry per level);
+// a block that also keeps a 32-byte header per point reads ≈ 90 and
+// ≈ 398, int32 bridges on top of that ≈ 124 and ≈ 561, and anything that
+// stores points per node ≥ 700 and ≥ 6 000. The limits sit between the
+// first two. A float64 sum annotation on the same tree is
 // held to its layout: a group keeps one 8-byte prefix per cascade entry
 // (≈ 80 and ≈ 437 B/point), at most 0.55× the two slots per entry (≈ 160
 // and ≈ 867) of the segment tree a monoid without an Inverse gets.
@@ -384,7 +424,7 @@ func TestFootprint(t *testing.T) {
 		runtime.KeepAlive(v)
 		return per
 	}
-	for _, tc := range []struct{ d, limit, aggLimit int }{{2, 105, 120}, {3, 470, 650}} {
+	for _, tc := range []struct{ d, limit, aggLimit int }{{2, 75, 120}, {3, 385, 650}} {
 		pts := randomPoints(rand.New(rand.NewSource(41)), n, tc.d, true)
 		var lt *Tree
 		per := retained(func() any { lt = Build(pts); return lt })

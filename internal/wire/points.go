@@ -1,6 +1,9 @@
 package wire
 
 import (
+	"fmt"
+	"math"
+
 	"repro/internal/geom"
 )
 
@@ -16,7 +19,8 @@ import (
 // Decoding slices, it does not unmarshal: all coordinates of a block
 // land in one arena allocated up front from the block's byte budget, and
 // every point's X is a view into it — two allocations per block (points
-// header slice + arena) where gob performs two per point.
+// header slice + arena) where gob performs two per point. A geom.Block
+// needs no arena: its ID and coordinate sections are two bulk reads.
 
 // AppendPoint appends one point.
 func AppendPoint(b []byte, pt geom.Point) []byte {
@@ -84,6 +88,40 @@ func ReadPoints(r *Reader, arena *[]geom.Coord) []geom.Point {
 	return pts
 }
 
+// AppendBlock appends a point block: dims (uvarint) · the ID section
+// (count, then 4B IDs) · the coordinate section (count, then 4B
+// coordinates). Both sections are single bulk runs.
+func AppendBlock(b []byte, blk geom.Block) []byte {
+	b = AppendUvarint(b, uint64(blk.Dims))
+	b = AppendUvarint(b, uint64(len(blk.IDs)))
+	b = AppendI32s(b, blk.IDs)
+	b = AppendUvarint(b, uint64(len(blk.Coords)))
+	return AppendI32s(b, blk.Coords)
+}
+
+// ReadBlock decodes a point block with two bulk reads into two fresh
+// slices, which the caller owns (no view of the frame survives). A block
+// whose coordinates are not IDs × dims, or whose dims is 0 beside IDs, is
+// an error; a cut inside either section fails the reader.
+func ReadBlock(r *Reader) (geom.Block, error) {
+	var blk geom.Block
+	dims := r.Uvarint()
+	if n := r.Count(4); n > 0 {
+		blk.IDs = make([]int32, n)
+		r.I32s(blk.IDs)
+	}
+	if n := r.Count(4); n > 0 {
+		blk.Coords = make([]geom.Coord, n)
+		r.I32s(blk.Coords)
+	}
+	ids, xs := uint64(len(blk.IDs)), uint64(len(blk.Coords))
+	if dims > math.MaxInt32 || (ids == 0 && xs != 0) || (ids > 0 && (dims == 0 || xs%ids != 0 || xs/ids != dims)) {
+		return geom.Block{}, fmt.Errorf("wire: point block has %d coordinates for %d IDs of dims %d", xs, ids, dims)
+	}
+	blk.Dims = int(dims)
+	return blk, nil
+}
+
 // AppendBox appends a query box: dims (uvarint) · Lo run · Hi run.
 func AppendBox(b []byte, box geom.Box) []byte {
 	b = AppendUvarint(b, uint64(len(box.Lo)))
@@ -116,33 +154,6 @@ func init() {
 				return nil, err
 			}
 			return pts, nil
-		},
-	})
-	// Nested point rows: the report mode's resident whole-element fetch
-	// returns one run per ordered element.
-	Register(Codec[[][]geom.Point]{
-		Append: func(buf []byte, rows [][]geom.Point) []byte {
-			buf = AppendUvarint(buf, uint64(len(rows)))
-			for _, row := range rows {
-				buf = AppendPoints(buf, row)
-			}
-			return buf
-		},
-		Decode: func(b []byte) ([][]geom.Point, error) {
-			r := NewReader(b)
-			arena := NewArena(&r)
-			n := r.Count(1)
-			var rows [][]geom.Point
-			if n > 0 {
-				rows = make([][]geom.Point, n)
-				for i := range rows {
-					rows[i] = ReadPoints(&r, &arena)
-				}
-			}
-			if err := r.Finish(); err != nil {
-				return nil, err
-			}
-			return rows, nil
 		},
 	})
 }
