@@ -10,19 +10,28 @@ import (
 )
 
 // FuzzDistributedVsBrute fuzzes the whole distributed pipeline against the
-// linear scan: arbitrary seeds, sizes, dimensionalities and machine widths
-// must agree in count and report mode. The seed corpus runs under plain
-// `go test`; `go test -fuzz=FuzzDistributedVsBrute` explores further.
+// linear scan: arbitrary seeds, sizes, dimensionalities and machine widths,
+// and batches of m boxes with m from 1 to past p² (phase B's plan changes
+// shape across p²), sometimes one box repeated m times (a hot spot, so the
+// hot owner gets p copies). Each batch is a mixed op vector of count,
+// integer-weight sum and report queries through MixedBatch, every answer
+// checked exactly. The seed corpus runs under plain `go test`;
+// `go test -fuzz=FuzzDistributedVsBrute` explores further.
 func FuzzDistributedVsBrute(f *testing.F) {
-	f.Add(int64(1), uint8(16), uint8(2), uint8(2))
-	f.Add(int64(2), uint8(100), uint8(3), uint8(5))
-	f.Add(int64(3), uint8(1), uint8(1), uint8(1))
-	f.Add(int64(4), uint8(255), uint8(1), uint8(8))
-	f.Add(int64(5), uint8(37), uint8(4), uint8(3))
-	f.Fuzz(func(t *testing.T, seed int64, nRaw, dRaw, pRaw uint8) {
+	f.Add(int64(1), uint8(16), uint8(2), uint8(2), uint8(6))
+	f.Add(int64(2), uint8(100), uint8(3), uint8(5), uint8(6))
+	f.Add(int64(3), uint8(1), uint8(1), uint8(1), uint8(6))
+	f.Add(int64(4), uint8(255), uint8(1), uint8(8), uint8(6))
+	f.Add(int64(5), uint8(37), uint8(4), uint8(3), uint8(6))
+	f.Add(int64(6), uint8(180), uint8(2), uint8(4), uint8(16))
+	f.Add(int64(7), uint8(150), uint8(3), uint8(6), uint8(128+40))
+	weight := func(pt drtree.Point) int64 { return int64(pt.ID%7) + 1 }
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, dRaw, pRaw, mRaw uint8) {
 		n := int(nRaw)%200 + 1
 		d := int(dRaw)%4 + 1
 		p := int(pRaw)%8 + 1
+		m := int(mRaw&0x7f)%(p*p+4) + 1
+		hot := mRaw&0x80 != 0
 		rng := rand.New(rand.NewSource(seed))
 		pts := make([]drtree.Point, n)
 		for i := range pts {
@@ -35,9 +44,16 @@ func FuzzDistributedVsBrute(f *testing.F) {
 		drtree.RankNormalize(pts)
 		mach := drtree.NewMachine(drtree.MachineConfig{P: p})
 		tree := drtree.BuildDistributed(mach, pts)
+		h := drtree.PrepareAssociative(tree, drtree.IntSum(), weight)
 		bf := brute.New(pts)
-		boxes := make([]drtree.Box, 6)
+		boxes := make([]drtree.Box, m)
+		ops := make([]drtree.QueryOp, m)
 		for i := range boxes {
+			ops[i] = drtree.QueryOp(rng.Intn(3))
+			if hot && i > 0 {
+				boxes[i] = boxes[0]
+				continue
+			}
 			lo := make([]drtree.Coord, d)
 			hi := make([]drtree.Coord, d)
 			for j := 0; j < d; j++ {
@@ -50,20 +66,26 @@ func FuzzDistributedVsBrute(f *testing.F) {
 			}
 			boxes[i] = drtree.Box{Lo: lo, Hi: hi}
 		}
-		counts := tree.CountBatch(boxes)
-		reports := tree.ReportBatch(boxes)
+		results := drtree.MixedBatch(tree, h, ops, boxes)
 		for i, q := range boxes {
-			if counts[i] != int64(bf.Count(q)) {
-				t.Fatalf("count mismatch: n=%d d=%d p=%d box %v: %d vs %d",
-					n, d, p, q, counts[i], bf.Count(q))
-			}
-			got := brute.IDs(reports[i])
-			want := brute.IDs(bf.Report(q))
-			if len(got) == 0 && len(want) == 0 {
-				continue
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("report mismatch: n=%d d=%d p=%d box %v", n, d, p, q)
+			r := results[i]
+			switch ops[i] {
+			case drtree.OpCount:
+				if want := int64(bf.Count(q)); r.Count != want {
+					t.Fatalf("count mismatch: n=%d d=%d p=%d m=%d box %v: %d vs %d", n, d, p, m, q, r.Count, want)
+				}
+			case drtree.OpAggregate:
+				if want := brute.Aggregate(bf, drtree.IntSum(), weight, q); r.Agg != want {
+					t.Fatalf("sum mismatch: n=%d d=%d p=%d m=%d box %v: %d vs %d", n, d, p, m, q, r.Agg, want)
+				}
+			case drtree.OpReport:
+				got, want := brute.IDs(r.Pts), brute.IDs(bf.Report(q))
+				if len(got) == 0 && len(want) == 0 {
+					continue
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("report mismatch: n=%d d=%d p=%d m=%d box %v", n, d, p, m, q)
+				}
 			}
 		}
 	})

@@ -28,11 +28,10 @@ type Plan struct {
 	Slots int
 }
 
-// NewPlan computes the plan for the demand vector (one entry per group;
-// the paper's groups are the processor parts F_0..F_(p-1), so typically
-// len(demand) == p, but the element-granularity ablation passes more).
-// reuse, when non-nil, is recomputed in place and returned, keeping its
-// vectors' storage — how a search batch plans without allocating; nil
+// NewPlan computes the plan for the demand vector, one entry per group:
+// the paper's groups are the processor parts F_0..F_(p-1), so len(demand)
+// is p. reuse, when non-nil, is recomputed in place and returned, keeping
+// its vectors' storage — how a search batch plans without allocating; nil
 // allocates a fresh plan.
 func NewPlan(p int, demand []int, reuse *Plan) *Plan {
 	pl := reuse
@@ -81,20 +80,11 @@ func resized(s []int, n int) []int {
 // processor stores O(1) copies" guarantee of the balancing lemma.
 func (pl *Plan) Host(slot int) int { return slot % pl.P }
 
-// GroupHosts appends the processors hosting copies of group j to dst (in
-// slot order, possibly with repeats when Slots < P is small).
-func (pl *Plan) GroupHosts(j int, dst []int) []int {
-	for i := 0; i < pl.Copies[j]; i++ {
-		dst = append(dst, pl.Host(pl.offsets[j]+i))
-	}
-	return dst
-}
-
-// Route returns the processor that serves the r-th request (0-based
-// global rank within the group) of group j. Requests are spread evenly
-// over the group's copies, so a copy serves at most ⌈Demand[j]/c_j⌉ ≤
-// ⌈DTotal/P⌉ + 1 requests.
-func (pl *Plan) Route(j, r int) int {
+// Copy returns which of group j's copies serves its r-th request (0-based
+// global rank within the group). Requests are spread evenly over the
+// group's copies, copy ⌊r·c_j/d_j⌋, so a copy serves at most
+// ⌈Demand[j]/c_j⌉ ≤ ⌈DTotal/P⌉ + 1 requests.
+func (pl *Plan) Copy(j, r int) int {
 	c := pl.Copies[j]
 	if c == 0 {
 		panic("balance: routing a request to an undemanded group")
@@ -103,12 +93,15 @@ func (pl *Plan) Route(j, r int) int {
 	if d == 0 {
 		panic("balance: group has copies but no demand")
 	}
-	k := r * c / d
-	if k >= c {
-		k = c - 1
-	}
-	return pl.Host(pl.offsets[j] + k)
+	return min(r*c/d, c-1)
 }
+
+// CopyHost returns the processor hosting copy k of group j.
+func (pl *Plan) CopyHost(j, k int) int { return pl.Host(pl.offsets[j] + k) }
+
+// Route returns the processor that serves the r-th request of group j:
+// the host of copy Copy(j, r).
+func (pl *Plan) Route(j, r int) int { return pl.CopyHost(j, pl.Copy(j, r)) }
 
 // MaxServed returns the largest number of requests any single processor
 // serves under the plan — the quantity the balancing lemma bounds by

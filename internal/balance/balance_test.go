@@ -70,8 +70,8 @@ func TestPlanInvariants(t *testing.T) {
 				continue
 			}
 			hosts := map[int]bool{}
-			for _, h := range pl.GroupHosts(j, nil) {
-				hosts[h] = true
+			for k := 0; k < pl.Copies[j]; k++ {
+				hosts[pl.CopyHost(j, k)] = true
 			}
 			for r := 0; r < d; r++ {
 				if !hosts[pl.Route(j, r)] {

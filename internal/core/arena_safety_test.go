@@ -73,61 +73,58 @@ func TestRunArenaDoesNotLeakIntoResults(t *testing.T) {
 	pts := workload.Points(workload.PointSpec{N: n, Dims: d, Dist: workload.Clustered, Seed: 21})
 	bf := brute.New(pts)
 	for _, resident := range []bool{false, true} {
-		for _, bm := range []core.BalanceMode{core.GroupLevel, core.ElementLevel} {
-			t.Run(fmt.Sprintf("resident=%v/balance=%d", resident, bm), func(t *testing.T) {
-				mach := cgm.New(cgm.Config{P: p, Resident: resident})
-				tree := core.Build(mach, pts)
-				tree.SetBalanceMode(bm)
-				agg := core.PrepareAssociativeNamed[float64](tree, "test/weight-sum")
+		t.Run(fmt.Sprintf("resident=%v", resident), func(t *testing.T) {
+			mach := cgm.New(cgm.Config{P: p, Resident: resident})
+			tree := core.Build(mach, pts)
+			agg := core.PrepareAssociativeNamed[float64](tree, "test/weight-sum")
 
-				run := func(m int, sel float64, foci int, seed int64) ([]core.MixedOp, []geom.Box, []core.MixedResult[float64]) {
-					boxes := workload.Boxes(workload.QuerySpec{M: m, Dims: d, N: n, Selectivity: sel, Foci: foci, Seed: seed})
-					ops := mixedOps(m)
-					return ops, boxes, core.MixedBatch(tree, agg, ops, boxes)
-				}
+			run := func(m int, sel float64, foci int, seed int64) ([]core.MixedOp, []geom.Box, []core.MixedResult[float64]) {
+				boxes := workload.Boxes(workload.QuerySpec{M: m, Dims: d, N: n, Selectivity: sel, Foci: foci, Seed: seed})
+				ops := mixedOps(m)
+				return ops, boxes, core.MixedBatch(tree, agg, ops, boxes)
+			}
 
-				// Two warm-up batches so batch k runs on recycled arenas too.
-				run(48, 0.02, 0, 1)
-				run(48, 0.02, 0, 2)
-				ops, boxes, results := run(60, 0.03, 0, 3)
-				k := keptBatch{
-					results: results, resultsCopy: deepCopyResults(results),
-					demand: tree.LastDemand(), stats: tree.LastSearchStats(),
-				}
-				k.demandCopy, k.statsCopy = slices.Clone(k.demand), slices.Clone(k.stats)
+			// Two warm-up batches so batch k runs on recycled arenas too.
+			run(48, 0.02, 0, 1)
+			run(48, 0.02, 0, 2)
+			ops, boxes, results := run(60, 0.03, 0, 3)
+			k := keptBatch{
+				results: results, resultsCopy: deepCopyResults(results),
+				demand: tree.LastDemand(), stats: tree.LastSearchStats(),
+			}
+			k.demandCopy, k.statsCopy = slices.Clone(k.demand), slices.Clone(k.stats)
 
-				run(7, 0.2, 1, 4)     // tiny, everything on one hot spot
-				run(200, 0.001, 2, 5) // large, two hot spots, small answers
-				run(33, 0.1, 0, 6)    // uniform, large answers
+			run(7, 0.2, 1, 4)     // tiny, everything on one hot spot
+			run(200, 0.001, 2, 5) // large, two hot spots, small answers
+			run(33, 0.1, 0, 6)    // uniform, large answers
 
-				if err := sameResults(k.results, k.resultsCopy); err != nil {
-					t.Fatalf("batch k's results changed under later batches: %v", err)
-				}
-				if !slices.Equal(k.demand, k.demandCopy) {
-					t.Fatalf("batch k's LastDemand changed: %v, was %v", k.demand, k.demandCopy)
-				}
-				if !slices.Equal(k.stats, k.statsCopy) {
-					t.Fatalf("batch k's LastSearchStats changed: %+v, was %+v", k.stats, k.statsCopy)
-				}
-				for i, r := range k.results {
-					switch ops[i] {
-					case core.OpCount:
-						if want := int64(bf.Count(boxes[i])); r.Count != want {
-							t.Fatalf("query %d count = %d, oracle %d", i, r.Count, want)
-						}
-					case core.OpAggregate:
-						want := brute.Aggregate(bf, semigroup.FloatSum(), workload.WeightOf, boxes[i])
-						if math.Abs(r.Agg-want) > 1e-6 {
-							t.Fatalf("query %d aggregate = %v, oracle %v", i, r.Agg, want)
-						}
-					case core.OpReport:
-						if got, want := brute.IDs(r.Pts), brute.IDs(bf.Report(boxes[i])); !slices.Equal(got, want) {
-							t.Fatalf("query %d reports %d points, oracle %d", i, len(got), len(want))
-						}
+			if err := sameResults(k.results, k.resultsCopy); err != nil {
+				t.Fatalf("batch k's results changed under later batches: %v", err)
+			}
+			if !slices.Equal(k.demand, k.demandCopy) {
+				t.Fatalf("batch k's LastDemand changed: %v, was %v", k.demand, k.demandCopy)
+			}
+			if !slices.Equal(k.stats, k.statsCopy) {
+				t.Fatalf("batch k's LastSearchStats changed: %+v, was %+v", k.stats, k.statsCopy)
+			}
+			for i, r := range k.results {
+				switch ops[i] {
+				case core.OpCount:
+					if want := int64(bf.Count(boxes[i])); r.Count != want {
+						t.Fatalf("query %d count = %d, oracle %d", i, r.Count, want)
+					}
+				case core.OpAggregate:
+					want := brute.Aggregate(bf, semigroup.FloatSum(), workload.WeightOf, boxes[i])
+					if math.Abs(r.Agg-want) > 1e-6 {
+						t.Fatalf("query %d aggregate = %v, oracle %v", i, r.Agg, want)
+					}
+				case core.OpReport:
+					if got, want := brute.IDs(r.Pts), brute.IDs(bf.Report(boxes[i])); !slices.Equal(got, want) {
+						t.Fatalf("query %d reports %d points, oracle %d", i, len(got), len(want))
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

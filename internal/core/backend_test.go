@@ -15,7 +15,7 @@ import (
 
 // TestCrossBackendOracle drives mixed Count/Aggregate/Report batches
 // through the unified pipeline on layered forest elements, over machine
-// widths, both balance modes and d = 1..4, and checks each answer against
+// widths and d = 1..4, and checks each answer against
 // the brute-force ground truth. (The plain range tree is compared with
 // the layered tree and brute force element by element in
 // internal/layered and internal/rangetree.)
@@ -26,43 +26,40 @@ func TestCrossBackendOracle(t *testing.T) {
 		t.Fatalf("BuildOn accepted element backend 1, or refused it without naming it: %v", err)
 	}
 	for _, p := range []int{1, 4, 7} {
-		for _, balance := range []BalanceMode{GroupLevel, ElementLevel} {
-			for d := 1; d <= 4; d++ {
-				n := 40 + rng.Intn(260)
-				pts := randomPoints(rng, n, d)
-				bf := brute.New(pts)
-				boxes := randomBoxes(rng, 24, n, d)
-				ops := make([]MixedOp, len(boxes))
-				for i := range ops {
-					ops[i] = MixedOp(i % 3) // count, aggregate, report
-				}
-				dt := Build(cgm.New(cgm.Config{P: p}), pts)
-				dt.SetBalanceMode(balance)
-				if err := dt.Verify(); err != nil {
-					t.Fatalf("p=%d d=%d: verify: %v", p, d, err)
-				}
-				h := PrepareAssociative(dt, semigroup.IntSum(), weight)
-				// Two rounds: the second runs with warm copy caches and
-				// must be indistinguishable.
-				for round := 0; round < 2; round++ {
-					results := MixedBatch(dt, h, ops, boxes)
-					for i, b := range boxes {
-						switch ops[i] {
-						case OpCount:
-							if want := int64(bf.Count(b)); results[i].Count != want {
-								t.Fatalf("p=%d bal=%v d=%d round=%d q%d: count %d want %d",
-									p, balance, d, round, i, results[i].Count, want)
-							}
-						case OpAggregate:
-							if want := brute.Aggregate(bf, semigroup.IntSum(), weight, b); results[i].Agg != want {
-								t.Fatalf("p=%d bal=%v d=%d round=%d q%d: agg %d want %d",
-									p, balance, d, round, i, results[i].Agg, want)
-							}
-						case OpReport:
-							if got, want := brute.IDs(results[i].Pts), brute.IDs(bf.Report(b)); !reflect.DeepEqual(got, want) {
-								t.Fatalf("p=%d bal=%v d=%d round=%d q%d: report %v want %v",
-									p, balance, d, round, i, got, want)
-							}
+		for d := 1; d <= 4; d++ {
+			n := 40 + rng.Intn(260)
+			pts := randomPoints(rng, n, d)
+			bf := brute.New(pts)
+			boxes := randomBoxes(rng, 24, n, d)
+			ops := make([]MixedOp, len(boxes))
+			for i := range ops {
+				ops[i] = MixedOp(i % 3) // count, aggregate, report
+			}
+			dt := Build(cgm.New(cgm.Config{P: p}), pts)
+			if err := dt.Verify(); err != nil {
+				t.Fatalf("p=%d d=%d: verify: %v", p, d, err)
+			}
+			h := PrepareAssociative(dt, semigroup.IntSum(), weight)
+			// Two rounds: the second runs with warm copy caches and
+			// must be indistinguishable.
+			for round := 0; round < 2; round++ {
+				results := MixedBatch(dt, h, ops, boxes)
+				for i, b := range boxes {
+					switch ops[i] {
+					case OpCount:
+						if want := int64(bf.Count(b)); results[i].Count != want {
+							t.Fatalf("p=%d d=%d round=%d q%d: count %d want %d",
+								p, d, round, i, results[i].Count, want)
+						}
+					case OpAggregate:
+						if want := brute.Aggregate(bf, semigroup.IntSum(), weight, b); results[i].Agg != want {
+							t.Fatalf("p=%d d=%d round=%d q%d: agg %d want %d",
+								p, d, round, i, results[i].Agg, want)
+						}
+					case OpReport:
+						if got, want := brute.IDs(results[i].Pts), brute.IDs(bf.Report(b)); !reflect.DeepEqual(got, want) {
+							t.Fatalf("p=%d d=%d round=%d q%d: report %v want %v",
+								p, d, round, i, got, want)
 						}
 					}
 				}
@@ -101,38 +98,35 @@ func skewedSetup(tb testing.TB, n, d, p, q int) (*Tree, []geom.Box) {
 // batch 1 installs copies cold, batch 2 reinstalls the same copies from
 // the cache, and invalidation forces a rebuild again.
 func TestCopyCacheWarmSkipsRebuild(t *testing.T) {
-	for _, mode := range []BalanceMode{GroupLevel, ElementLevel} {
-		dt, boxes := skewedSetup(t, 2048, 2, 4, 96)
-		dt.SetBalanceMode(mode)
+	dt, boxes := skewedSetup(t, 2048, 2, 4, 96)
 
-		want := dt.CountBatch(boxes)
-		copies := 0
-		for _, st := range dt.LastSearchStats() {
-			copies += st.CopiesHeld
-		}
-		if copies == 0 {
-			t.Fatalf("mode %v: skewed workload produced no copies; the cache test needs congestion", mode)
-		}
-		if hits := dt.LastCopyCacheHits(); hits != 0 {
-			t.Errorf("mode %v: cold batch reported %d cache hits", mode, hits)
-		}
+	want := dt.CountBatch(boxes)
+	copies := 0
+	for _, st := range dt.LastSearchStats() {
+		copies += st.CopiesHeld
+	}
+	if copies == 0 {
+		t.Fatal("skewed workload produced no copies; the cache test needs congestion")
+	}
+	if hits := dt.LastCopyCacheHits(); hits != 0 {
+		t.Errorf("cold batch reported %d cache hits", hits)
+	}
 
-		got := dt.CountBatch(boxes)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("mode %v: warm batch changed answers", mode)
-		}
-		if hits := dt.LastCopyCacheHits(); hits != copies {
-			t.Errorf("mode %v: warm batch hit cache %d times, want %d (all copies)", mode, hits, copies)
-		}
+	got := dt.CountBatch(boxes)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("warm batch changed answers")
+	}
+	if hits := dt.LastCopyCacheHits(); hits != copies {
+		t.Errorf("warm batch hit cache %d times, want %d (all copies)", hits, copies)
+	}
 
-		dt.InvalidateCopies()
-		got = dt.CountBatch(boxes)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("mode %v: post-invalidation batch changed answers", mode)
-		}
-		if hits := dt.LastCopyCacheHits(); hits != 0 {
-			t.Errorf("mode %v: invalidated batch still hit cache %d times", mode, hits)
-		}
+	dt.InvalidateCopies()
+	got = dt.CountBatch(boxes)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("post-invalidation batch changed answers")
+	}
+	if hits := dt.LastCopyCacheHits(); hits != 0 {
+		t.Errorf("invalidated batch still hit cache %d times", hits)
 	}
 }
 

@@ -123,10 +123,10 @@ func (r *mixedRun[T]) copyAgg() (string, aggPart) {
 // them in the search/installServe collect, partitioned by op (the ops
 // vector rides the collect args), and its reply returns every kind at
 // once. It returns the rank's served count.
-func (r *mixedRun[T]) shipRoute(pr *cgm.Proc, ps *procState, label string, ships []hostShip, routed [][]subquery) int {
+func (r *mixedRun[T]) shipRoute(pr *cgm.Proc, ps *procState, ships []hostShip, routed [][]subquery) int {
 	t, a := r.t, pr.Arena()
 	aggName, agg := r.copyAgg()
-	rep := exchangeOnPart(pr, ps.part, label,
+	rep := exchangeOnPart(pr, ps.part, searchLabels.route,
 		"search/shipRoute", shipRouteArgs{Ships: ships, Routed: routed},
 		func(part *forestPart, c *exec.Ctx, args shipRouteArgs) ([][]routeRow, error) {
 			return part.shipRoute(a, args.Ships, args.Routed, c.P)

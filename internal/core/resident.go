@@ -289,8 +289,8 @@ type constructInstallArgs struct {
 }
 
 // shipRouteArgs drives phase C's emit: the owner's shipping plan, decided
-// by the coordinator-side planner (planShips) for either balance
-// granularity, and the rank's subqueries partitioned by host.
+// by the coordinator-side planner (planShips), and the rank's subqueries
+// partitioned by host.
 type shipRouteArgs struct {
 	Ships  []hostShip
 	Routed [][]subquery

@@ -59,8 +59,8 @@ func assertSameMetrics(t *testing.T, phase string, a, b cgm.Metrics) {
 
 // TestResidentEquivalenceLoopback: the registered resident programs must
 // produce identical answers AND identical round/h/volume metrics to the
-// fabric pipeline, for construction and all result modes, across widths,
-// dimensionalities and both balance granularities.
+// fabric pipeline, for construction and all result modes, across widths
+// and dimensionalities.
 func TestResidentEquivalenceLoopback(t *testing.T) {
 	for _, p := range []int{1, 4} {
 		for _, d := range []int{2, 3} {
@@ -106,30 +106,26 @@ func TestResidentEquivalenceLoopback(t *testing.T) {
 
 				assertSameMetrics(t, "search", fx.fabM.Metrics(), fx.resM.Metrics())
 
-				// Mixed batch, both balance granularities.
-				for _, bm := range []core.BalanceMode{core.GroupLevel, core.ElementLevel} {
-					fx.fab.SetBalanceMode(bm)
-					fx.res.SetBalanceMode(bm)
-					ops := make([]core.MixedOp, len(boxes))
-					for i := range ops {
-						ops[i] = core.MixedOp(i % 3)
-					}
-					fm := core.MixedBatch(fx.fab, fh, ops, boxes)
-					rm := core.MixedBatch(fx.res, rh, ops, boxes)
-					for i := range fm {
-						switch ops[i] {
-						case core.OpCount:
-							if fm[i].Count != rm[i].Count {
-								t.Fatalf("bm=%v mixed count %d: %d vs %d", bm, i, fm[i].Count, rm[i].Count)
-							}
-						case core.OpAggregate:
-							if math.Abs(fm[i].Agg-rm[i].Agg) > 1e-9 {
-								t.Fatalf("bm=%v mixed agg %d: %v vs %v", bm, i, fm[i].Agg, rm[i].Agg)
-							}
-						case core.OpReport:
-							if len(fm[i].Pts) != len(rm[i].Pts) {
-								t.Fatalf("bm=%v mixed report %d: %d vs %d pts", bm, i, len(fm[i].Pts), len(rm[i].Pts))
-							}
+				// A mixed batch.
+				ops := make([]core.MixedOp, len(boxes))
+				for i := range ops {
+					ops[i] = core.MixedOp(i % 3)
+				}
+				fm := core.MixedBatch(fx.fab, fh, ops, boxes)
+				rm := core.MixedBatch(fx.res, rh, ops, boxes)
+				for i := range fm {
+					switch ops[i] {
+					case core.OpCount:
+						if fm[i].Count != rm[i].Count {
+							t.Fatalf("mixed count %d: %d vs %d", i, fm[i].Count, rm[i].Count)
+						}
+					case core.OpAggregate:
+						if math.Abs(fm[i].Agg-rm[i].Agg) > 1e-9 {
+							t.Fatalf("mixed agg %d: %v vs %v", i, fm[i].Agg, rm[i].Agg)
+						}
+					case core.OpReport:
+						if len(fm[i].Pts) != len(rm[i].Pts) {
+							t.Fatalf("mixed report %d: %d vs %d pts", i, len(fm[i].Pts), len(rm[i].Pts))
 						}
 					}
 				}
@@ -139,50 +135,46 @@ func TestResidentEquivalenceLoopback(t *testing.T) {
 }
 
 // TestResidentCopiesByReference drives the fabric and resident twins
-// through a cold, a warm and a post-invalidation batch at both balance
-// granularities: identical answers and round/h/volume in every phase,
-// nothing shipped by value warm (the cold volume goes by reference
-// instead), and the cold volume again after InvalidateCopies.
+// through a cold, a warm and a post-invalidation batch: identical answers
+// and round/h/volume in every phase, nothing shipped by value warm (the
+// cold volume goes by reference instead), and the cold volume again after
+// InvalidateCopies.
 func TestResidentCopiesByReference(t *testing.T) {
 	const n, d, p, m = 400, 2, 4, 96
 	fx := newResidentFixture(t, n, d, p, 7)
-	// Two hot spots: enough congestion that both granularities copy.
+	// Two hot spots: enough congestion that phase B copies.
 	boxes := workload.Boxes(workload.QuerySpec{M: m, Dims: d, N: n, Selectivity: 0.02, Foci: 2, Theta: 1.5, Seed: 3})
-	for _, bm := range []core.BalanceMode{core.GroupLevel, core.ElementLevel} {
-		fx.fab.SetBalanceMode(bm)
-		fx.res.SetBalanceMode(bm)
-		cold := 0
-		for phase, name := range []string{"cold", "warm", "invalidated"} {
-			if phase != 1 {
-				fx.fab.InvalidateCopies()
-				fx.res.InvalidateCopies()
+	cold := 0
+	for phase, name := range []string{"cold", "warm", "invalidated"} {
+		if phase != 1 {
+			fx.fab.InvalidateCopies()
+			fx.res.InvalidateCopies()
+		}
+		fx.fabM.ResetMetrics()
+		fx.resM.ResetMetrics()
+		fr, rr := fx.fab.ReportBatch(boxes), fx.res.ReportBatch(boxes)
+		for i := range fr {
+			if !slices.Equal(brute.IDs(fr[i]), brute.IDs(rr[i])) {
+				t.Fatalf("%s report %d: fabric and resident answers differ", name, i)
 			}
-			fx.fabM.ResetMetrics()
-			fx.resM.ResetMetrics()
-			fr, rr := fx.fab.ReportBatch(boxes), fx.res.ReportBatch(boxes)
-			for i := range fr {
-				if !slices.Equal(brute.IDs(fr[i]), brute.IDs(rr[i])) {
-					t.Fatalf("bm=%v %s report %d: fabric and resident answers differ", bm, name, i)
-				}
+		}
+		assertSameMetrics(t, name, fx.fabM.Metrics(), fx.resM.Metrics())
+		shipped, byRef := fx.fab.LastCopiedPoints(), fx.fab.LastByRefPoints()
+		if rs, rb := fx.res.LastCopiedPoints(), fx.res.LastByRefPoints(); rs != shipped || rb != byRef {
+			t.Fatalf("%s: fabric shipped %d / by ref %d, resident %d / %d", name, shipped, byRef, rs, rb)
+		}
+		switch name {
+		case "cold":
+			if cold = shipped; cold == 0 || byRef != 0 {
+				t.Fatalf("cold batch shipped %d points, %d by reference; want >0 and 0", shipped, byRef)
 			}
-			assertSameMetrics(t, fmt.Sprintf("bm=%v %s", bm, name), fx.fabM.Metrics(), fx.resM.Metrics())
-			shipped, byRef := fx.fab.LastCopiedPoints(), fx.fab.LastByRefPoints()
-			if rs, rb := fx.res.LastCopiedPoints(), fx.res.LastByRefPoints(); rs != shipped || rb != byRef {
-				t.Fatalf("bm=%v %s: fabric shipped %d / by ref %d, resident %d / %d", bm, name, shipped, byRef, rs, rb)
+		case "warm":
+			if shipped != 0 || byRef != cold {
+				t.Fatalf("warm batch shipped %d points, %d by reference; want 0 and %d", shipped, byRef, cold)
 			}
-			switch name {
-			case "cold":
-				if cold = shipped; cold == 0 || byRef != 0 {
-					t.Fatalf("bm=%v cold batch shipped %d points, %d by reference; want >0 and 0", bm, shipped, byRef)
-				}
-			case "warm":
-				if shipped != 0 || byRef != cold {
-					t.Fatalf("bm=%v warm batch shipped %d points, %d by reference; want 0 and %d", bm, shipped, byRef, cold)
-				}
-			case "invalidated":
-				if shipped != cold || byRef != 0 {
-					t.Fatalf("bm=%v post-invalidation batch shipped %d points, %d by reference; want %d and 0", bm, shipped, byRef, cold)
-				}
+		case "invalidated":
+			if shipped != cold || byRef != 0 {
+				t.Fatalf("post-invalidation batch shipped %d points, %d by reference; want %d and 0", shipped, byRef, cold)
 			}
 		}
 	}

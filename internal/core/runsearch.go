@@ -34,14 +34,12 @@ import (
 // every deposit and name the rounds in Metrics, so they are spelled once,
 // not concatenated per rank per superstep.
 type runLabels struct {
-	demand, route   string // phases B and C, GroupLevel
-	edemand, eroute string // phases B and C, ElementLevel
-	results, pairs  string // phase D
+	demand, route  string // phases B and C
+	results, pairs string // phase D
 }
 
 var searchLabels = &runLabels{
 	demand: "mixed/demand", route: "mixed/route",
-	edemand: "mixed/edemand", eroute: "mixed/eroute",
 	results: "mixed/results", pairs: "report/pairs",
 }
 
@@ -149,11 +147,11 @@ func (fr *mixedFrame[T]) rank(pr *cgm.Proc) {
 	st.Subqueries = len(subs)
 
 	// Phase B: balance Q″ across copies of the demanded forest parts.
-	ships, routed, label := t.phaseB(pr, ps, subs)
+	ships, routed := t.phaseB(pr, ps, subs)
 
 	// Phase C: the copies and Q″ travel in one superstep, and each host
 	// answers the routed column where it lands.
-	st.Served = run.shipRoute(pr, ps, label, ships, routed)
+	st.Served = run.shipRoute(pr, ps, ships, routed)
 
 	// Phase D: the result collectives of the kinds the batch holds.
 	run.finish(pr)

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -158,24 +159,6 @@ func (ps *procState) stubsUnder(id int32, v int, out []ElemID) []ElemID {
 	return out
 }
 
-// BalanceMode selects the granularity of Algorithm Search's replication.
-type BalanceMode int
-
-const (
-	// GroupLevel is the paper's scheme: the demand unit is a whole
-	// processor part F_j, and congested parts are copied wholesale
-	// ("make c_j copies of F_j", Search step 3).
-	GroupLevel BalanceMode = iota
-	// ElementLevel is the finer ablation: demand is counted per forest
-	// element and only demanded elements are copied — less shipping
-	// volume for sparse demand, at the cost of a larger demand exchange.
-	ElementLevel
-)
-
-// SetBalanceMode selects the balancing granularity for subsequent batches
-// (default GroupLevel, the paper's algorithm).
-func (t *Tree) SetBalanceMode(m BalanceMode) { t.balanceMode = m }
-
 // LastCopiedPoints reports how many element points actually travelled as
 // phase-B copies in the most recent batch (the E6 volume column): 0 on a
 // warm batch, where every copy goes as an ID-only reference to the host's
@@ -217,27 +200,48 @@ type hostShip struct {
 	Refs  []bool
 }
 
-// planShips is phase B's one shipping decision, shared by both balance
-// granularities and both residency modes: every element of elems
-// (increasing) goes to each of its hosts except the owner itself (the
-// owner is its own copy) — as an ID-only reference where the host
-// advertised the element in this batch's demand round, by value
-// otherwise. The plan is built in arena a.
-func planShips(a *cgm.Arena, p, rank int, elems []ElemID, hostsOf func(ElemID) []int, cached func(host int, id ElemID) bool) []hostShip {
+// hostSet holds one bitset of the p hosts per forest element, carved
+// from the run arena: the hosts an owner ships each of its elements to.
+type hostSet struct {
+	words int
+	bits  []uint64
+}
+
+func newHostSet(a *cgm.Arena, elems, p int) hostSet {
+	w := (p + 63) / 64
+	return hostSet{words: w, bits: cgm.Alloc[uint64](a, elems*w)}
+}
+
+// row returns element id's bitset.
+func (hs hostSet) row(id ElemID) []uint64 { return hs.bits[int(id)*hs.words:][:hs.words] }
+
+func (hs hostSet) add(id ElemID, host int) { hs.row(id)[host/64] |= 1 << (host % 64) }
+
+// planShips is phase B's one shipping decision, on both residencies:
+// every owned element (increasing) goes to each host of its set except
+// the owner itself (the owner is its own copy) — as an ID-only reference
+// where the host advertised the element in this batch's demand round, by
+// value otherwise. The plan is built in arena a.
+func planShips(a *cgm.Arena, p, rank int, owned []ElemID, hosts hostSet, adverts [][]elemDemand) []hostShip {
 	byHost := cgm.Alloc[hostShip](a, p)
-	for _, id := range elems {
-		for _, host := range hostsOf(id) {
-			if host == rank {
-				continue
+	for _, id := range owned {
+		for w, word := range hosts.row(id) {
+			for ; word != 0; word &= word - 1 {
+				host := w*64 + bits.TrailingZeros64(word)
+				if host == rank {
+					continue
+				}
+				hs := &byHost[host]
+				if hs.Elems == nil {
+					hs.Host = int32(host)
+					hs.Elems = cgm.Alloc[ElemID](a, len(owned))[:0]
+					hs.Refs = cgm.Alloc[bool](a, len(owned))[:0]
+				}
+				_, cached := slices.BinarySearchFunc(adverts[host], id,
+					func(d elemDemand, id ElemID) int { return cmp.Compare(d.Elem, id) })
+				hs.Elems = append(hs.Elems, id)
+				hs.Refs = append(hs.Refs, cached)
 			}
-			hs := &byHost[host]
-			if hs.Elems == nil {
-				hs.Host = int32(host)
-				hs.Elems = cgm.Alloc[ElemID](a, len(elems))[:0]
-				hs.Refs = cgm.Alloc[bool](a, len(elems))[:0]
-			}
-			hs.Elems = append(hs.Elems, id)
-			hs.Refs = append(hs.Refs, cached(host, id))
 		}
 	}
 	return slices.DeleteFunc(byHost, func(hs hostShip) bool { return len(hs.Elems) == 0 })
@@ -412,75 +416,89 @@ func partitionSubs(a *cgm.Arena, p int, subs []subquery, dest func(i int, s subq
 	return routed
 }
 
-// phaseB implements Algorithm Search steps 2–4 up to the exchange:
-// globally count the demand |QF_j| per forest group, plan c_j copies of
-// each congested group and their even distribution, and partition Q″ so
-// every subquery goes to a processor holding a copy of the element it
-// visits. It returns the owner's ship plan, the partitioned subqueries
-// and the label of phase C's superstep, which carries both (shipRoute).
-// Every vector and row of the phase lives in the rank's run arena; only
-// the balance plan is reused procState storage.
+// phaseB implements Algorithm Search steps 2–4 up to the exchange.
+// Step 2 all-gathers every rank's demand per forest element; each rank
+// sums the rows per owner into the paper's demand vector |QF_j| (group j
+// is the part F_j) and plans c_j copies of each part (balance.NewPlan).
+// Group j's subqueries are ranked by source rank, then by element, and
+// the r-th goes to the host of copy ⌊r·c_j/d_j⌋ (step 4). A copy of F_j
+// needs only the elements whose subqueries it serves, so the owner ships
+// each element to just those copies' hosts (step 3): the copies are a
+// subset of the paper's and the served load is exactly the paper's. It
+// returns the owner's ship plan and the partitioned subqueries, which
+// phase C's one superstep carries (shipRoute). Every vector and row of
+// the phase lives in the rank's run arena; only the balance plan is
+// reused procState storage.
 //
 // The demand all-gather also carries every rank's cached element IDs
 // (advertised), so an owner ships points only to hosts that do not
 // already hold the copy — no extra round.
-func (t *Tree) phaseB(pr *cgm.Proc, ps *procState, subs []subquery) (ships []hostShip, routed [][]subquery, label string) {
-	if t.balanceMode == ElementLevel {
-		return t.phaseBElement(pr, ps, subs)
-	}
-	p, a, lbl := pr.P(), pr.Arena(), searchLabels
+func (t *Tree) phaseB(pr *cgm.Proc, ps *procState, subs []subquery) ([]hostShip, [][]subquery) {
+	p, a, rank := pr.P(), pr.Arena(), pr.Rank()
 
-	// Step 2: globally compute c_j = |QF_j| / (|Q″|/p). The group of a
-	// subquery is the owner of its element (the part F_j). A rank's row is
-	// its p demand counts, then its advertised IDs in increasing order.
-	advertised := ps.advertised(t.batchEpoch)
-	local := cgm.Alloc[int](a, p+len(advertised))
+	// Step 2: this rank's demand per element as sparse rows in increasing
+	// element order, then its advertised IDs. perElem[e] counts this
+	// rank's subqueries of e here, and is their next routing rank below.
+	perElem := cgm.Alloc[int](a, t.ElemCount())
+	touched := cgm.Alloc[ElemID](a, len(subs))[:0]
 	for _, s := range subs {
-		local[ps.info[int(s.Elem)].Owner]++
-	}
-	for i, id := range advertised {
-		local[p+i] = int(id)
-	}
-	matrix := comm.AllGather(pr, lbl.demand, local)
-	demand := cgm.Alloc[int](a, p)
-	for _, row := range matrix {
-		for j, c := range row[:p] {
-			demand[j] += c
+		if perElem[s.Elem] == 0 {
+			touched = append(touched, s.Elem)
 		}
+		perElem[s.Elem]++
+	}
+	slices.Sort(touched)
+	advertised := ps.advertised(t.batchEpoch)
+	local := cgm.Alloc[elemDemand](a, len(touched)+len(advertised))[:0]
+	for _, id := range touched {
+		local = append(local, elemDemand{Elem: id, Count: int32(perElem[id])})
+	}
+	for _, id := range advertised {
+		local = append(local, elemDemand{Elem: id, Count: advertRow})
+	}
+	rows := comm.AllGather(pr, searchLabels.demand, local)
+	demand := cgm.Alloc[int](a, p)
+	adverts := cgm.Alloc[[]elemDemand](a, p)
+	for src, row := range rows {
+		k := 0
+		for ; k < len(row) && row[k].Count != advertRow; k++ {
+			demand[ps.info[row[k].Elem].Owner] += int(row[k].Count)
+		}
+		rows[src], adverts[src] = row[:k], row[k:]
 	}
 	ps.plan = balance.NewPlan(p, demand, ps.plan)
 	plan := ps.plan
-	if pr.Rank() == 0 {
+	if rank == 0 {
 		t.keepDemand(demand) // identical on every processor; keep one
 	}
 
-	// Step 3: make c_j copies of F_j and distribute them evenly: the owner
-	// ships its whole part to every host of one of its slots.
-	hosts := plan.GroupHosts(ps.rank, cgm.Alloc[int](a, p)[:0])
-	ships = planShips(a, p, ps.rank, ps.ownedIDs(),
-		func(ElemID) []int { return hosts },
-		func(host int, id ElemID) bool {
-			_, ok := slices.BinarySearch(matrix[host][p:], int(id))
-			return ok
-		})
-
-	// Step 4: redistribute Q″ so every query sits with a copy of the part
-	// it visits; the r-th subquery of group j goes to the host of copy
-	// ⌊r·c_j/d_j⌋.
-	rankOffset := cgm.Alloc[int](a, p)
-	for src := 0; src < pr.Rank(); src++ {
-		for j := 0; j < p; j++ {
-			rankOffset[j] += matrix[src][j]
+	// Steps 3 and 4: a (source, element) row holds the ranks [lo, next)
+	// of its group's subqueries. This rank's own rows give its routing
+	// ranks; the rows of the elements it owns mark the hosts of the
+	// copies those ranks fall in.
+	next := cgm.Alloc[int](a, p)
+	hosts := newHostSet(a, t.ElemCount(), p)
+	for src, row := range rows {
+		for _, d := range row {
+			j := int(ps.info[d.Elem].Owner)
+			lo := next[j]
+			next[j] += int(d.Count)
+			if src == rank {
+				perElem[d.Elem] = lo
+			}
+			if j == rank {
+				for k, last := plan.Copy(j, lo), plan.Copy(j, next[j]-1); k <= last; k++ {
+					hosts.add(d.Elem, plan.CopyHost(j, k))
+				}
+			}
 		}
 	}
-	seen := cgm.Alloc[int](a, p)
 	dest := func(_ int, s subquery) int {
-		j := int(ps.info[int(s.Elem)].Owner)
-		r := rankOffset[j] + seen[j]
-		seen[j]++
-		return plan.Route(j, r)
+		r := perElem[s.Elem]
+		perElem[s.Elem]++
+		return plan.Route(int(ps.info[s.Elem].Owner), r)
 	}
-	return ships, partitionSubs(a, p, subs, dest), lbl.route
+	return planShips(a, p, rank, ps.ownedIDs(), hosts, adverts), partitionSubs(a, p, subs, dest)
 }
 
 // keepDemand records the batch's per-owner demand vector in tree-owned
@@ -504,9 +522,9 @@ func (t *Tree) bookCopies(ps *procState, rep installServeReply) {
 	ps.cached = applyCacheOps(ps.cached, rep.Install.Ops)
 }
 
-// elemDemand is one row of the ElementLevel demand all-gather: an
-// element's sparse demand count, or — Count == advertRow — an element the
-// sending rank advertises as cached.
+// elemDemand is one row of phase B's demand all-gather: an element's
+// sparse demand count, or — Count == advertRow — an element the sending
+// rank advertises as cached.
 type elemDemand struct {
 	Elem  ElemID
 	Count int32
@@ -515,79 +533,3 @@ type elemDemand struct {
 // advertRow marks an elemDemand row as an advertisement. A rank sends
 // its demand rows first, then its advertised IDs in increasing order.
 const advertRow int32 = -1
-
-// phaseBElement is the ElementLevel variant of phaseB: demand, copies and
-// routing all work per forest element.
-func (t *Tree) phaseBElement(pr *cgm.Proc, ps *procState, subs []subquery) (ships []hostShip, routed [][]subquery, label string) {
-	p, a, lbl := pr.P(), pr.Arena(), searchLabels
-
-	// Demand per element, exchanged sparsely, then the advertised IDs.
-	// perElem[e] is this rank's demand for e first and its routing offset
-	// later; touched lists the demanded elements.
-	perElem := cgm.Alloc[int](a, t.ElemCount())
-	touched := cgm.Alloc[ElemID](a, len(subs))[:0]
-	for _, s := range subs {
-		if perElem[s.Elem] == 0 {
-			touched = append(touched, s.Elem)
-		}
-		perElem[s.Elem]++
-	}
-	slices.Sort(touched)
-	advertised := ps.advertised(t.batchEpoch)
-	local := cgm.Alloc[elemDemand](a, len(touched)+len(advertised))[:0]
-	for _, id := range touched {
-		local = append(local, elemDemand{Elem: id, Count: int32(perElem[id])})
-		perElem[id] = 0
-	}
-	for _, id := range advertised {
-		local = append(local, elemDemand{Elem: id, Count: advertRow})
-	}
-	perSrc := comm.AllGather(pr, lbl.edemand, local)
-	demand := cgm.Alloc[int](a, t.ElemCount())
-	adverts := cgm.Alloc[[]elemDemand](a, p)
-	for src, row := range perSrc {
-		k := 0
-		for ; k < len(row) && row[k].Count != advertRow; k++ {
-			demand[int(row[k].Elem)] += int(row[k].Count)
-		}
-		perSrc[src], adverts[src] = row[:k], row[k:]
-	}
-	ps.plan = balance.NewPlan(p, demand, ps.plan)
-	plan := ps.plan
-	if pr.Rank() == 0 {
-		// Aggregate to owner granularity so LastDemand stays comparable.
-		byOwner := cgm.Alloc[int](a, p)
-		for e, d := range demand {
-			byOwner[int(ps.info[e].Owner)] += d
-		}
-		t.keepDemand(byOwner)
-	}
-
-	// Ship only demanded elements, each to the hosts of its slots (an
-	// undemanded element has none). The fan-out is derived from the
-	// replicated metadata, so the resident coordinator can plan it
-	// without holding the elements.
-	hosts := cgm.Alloc[int](a, p)
-	ships = planShips(a, p, ps.rank, ps.ownedIDs(),
-		func(id ElemID) []int { return plan.GroupHosts(int(id), hosts[:0]) },
-		func(host int, id ElemID) bool {
-			_, ok := slices.BinarySearchFunc(adverts[host], id,
-				func(d elemDemand, id ElemID) int { return cmp.Compare(d.Elem, id) })
-			return ok
-		})
-
-	// Route the r-th subquery of element e to the host of copy ⌊r·c_e/d_e⌋:
-	// perElem[e] starts at the demand of the ranks before this one and
-	// counts this rank's subqueries of e as they are routed.
-	for src := 0; src < pr.Rank(); src++ {
-		for _, d := range perSrc[src] {
-			perElem[d.Elem] += int(d.Count)
-		}
-	}
-	dest := func(_ int, s subquery) int {
-		r := perElem[s.Elem]
-		perElem[s.Elem]++
-		return plan.Route(int(s.Elem), r)
-	}
-	return ships, partitionSubs(a, p, subs, dest), lbl.eroute
-}

@@ -26,27 +26,36 @@ func (c searchCost) String() string {
 // phase D carries a kind's rows only when the batch holds the kind. A
 // batch runs 3 rounds (demand, copies with the routed subqueries, the
 // phase-D partials), 4 when it holds a report (the pairs); the volume is
-// what the separate collectives moved, to the element. The ElementLevel
-// rows pin the finer balance granularity on the same shape: its demand
-// round is sparse per element, so its volume differs, but its rounds do
-// not.
+// what the separate collectives moved, to the element. Two count rows pin
+// phase B's plan where plans differ, cold: a hot spot on the same shape
+// (all 128 boxes equal, so the hot owner gets c_j = p copies) and broad
+// boxes (selectivity 0.2) on a wider one (d = 3, p = 8, m = 2 048), where
+// a copy of a part is far from all of it. Every copy is one row of the
+// route round, so the volume counts the elements copied, and the copies
+// held are pinned beside it: 3 and 40, where copying whole parts held 9
+// and 100, and the per-element ablation 3 and 6.
 func TestSearchGolden(t *testing.T) {
 	const n, d, p, m = 4096, 2, 4, 128
 	pts := workload.Points(workload.PointSpec{N: n, Dims: d, Dist: workload.Clustered, Seed: 3})
 	boxes := workload.Boxes(workload.QuerySpec{M: m, Dims: d, N: n, Selectivity: 0.01, Seed: 4})
 	want := map[string]searchCost{
-		"CountBatch":                 {3, 65, 411},
-		"AggHandle.Batch":            {3, 65, 411},
-		"ReportBatch":                {4, 2300, 5676},
-		"MixedBatch/all":             {4, 610, 1979},
-		"MixedBatch/count+aggregate": {3, 65, 411},
-		"MixedBatch/count+report":    {4, 952, 2654},
+		"CountBatch":                 {3, 63, 401},
+		"AggHandle.Batch":            {3, 63, 401},
+		"ReportBatch":                {4, 2300, 5666},
+		"MixedBatch/all":             {4, 610, 1969},
+		"MixedBatch/count+aggregate": {3, 63, 401},
+		"MixedBatch/count+report":    {4, 952, 2644},
+		"hot spot":                   {3, 35, 275},
+		"broad":                      {3, 1541, 18459},
 	}
-	wantElem := map[string]searchCost{
-		"CountBatch":     {3, 63, 401},
-		"ReportBatch":    {4, 2300, 5666},
-		"MixedBatch/all": {4, 610, 1969},
+	wantCopies := map[string]int{"hot spot": 3, "broad": 40}
+	hot := make([]geom.Box, m)
+	for i := range hot {
+		hot[i] = boxes[0]
 	}
+	const bd, bp, bm = 3, 8, 2048
+	broadPts := workload.Points(workload.PointSpec{N: n, Dims: bd, Dist: workload.Clustered, Seed: 3})
+	broad := workload.Boxes(workload.QuerySpec{M: bm, Dims: bd, N: n, Selectivity: 0.2, Seed: 5})
 	// Each one-kind MixedBatch row must equal its mode's row.
 	sameAs := map[core.MixedOp]string{
 		core.OpCount:     "CountBatch",
@@ -107,10 +116,27 @@ func TestSearchGolden(t *testing.T) {
 				got := measure(func(b []geom.Box) { core.MixedBatch(tree, h, ops, b) })
 				check("MixedBatch/"+op.String(), got, want[sameAs[op]])
 			}
-			tree.SetBalanceMode(core.ElementLevel)
-			check("ElementLevel/CountBatch", measure(func(b []geom.Box) { tree.CountBatch(b) }), wantElem["CountBatch"])
-			check("ElementLevel/ReportBatch", measure(func(b []geom.Box) { tree.ReportBatch(b) }), wantElem["ReportBatch"])
-			check("ElementLevel/MixedBatch/all", measure(func(b []geom.Box) { core.MixedBatch(tree, h, cycling, b) }), wantElem["MixedBatch/all"])
+			broadMach := cgm.New(cgm.Config{P: bp, Resident: resident})
+			broadTree := core.Build(broadMach, broadPts)
+			for _, row := range []struct {
+				name string
+				mach *cgm.Machine
+				tree *core.Tree
+				b    []geom.Box
+			}{{"hot spot", mach, tree, hot}, {"broad", broadMach, broadTree, broad}} {
+				row.tree.InvalidateCopies()
+				row.mach.ResetMetrics()
+				row.tree.CountBatch(row.b)
+				mt := row.mach.Metrics()
+				check(row.name, searchCost{mt.CommRounds(), mt.MaxH(), mt.TotalComm()}, want[row.name])
+				held := 0
+				for _, st := range row.tree.LastSearchStats() {
+					held += st.CopiesHeld
+				}
+				if held != wantCopies[row.name] {
+					t.Errorf("%s: %d copies held, want %d", row.name, held, wantCopies[row.name])
+				}
+			}
 		})
 	}
 }

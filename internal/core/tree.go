@@ -215,12 +215,11 @@ type Tree struct {
 	// worker memory over TCP — and every element access dispatches
 	// registered steps (resident.go). The hat replicas, element metadata
 	// and batch statistics stay coordinator-side either way.
-	resident    bool
-	grain       int
-	procs       []*procState
-	balanceMode BalanceMode
-	lastStats   []SearchStats
-	lastDemand  []int
+	resident   bool
+	grain      int
+	procs      []*procState
+	lastStats  []SearchStats
+	lastDemand []int
 	// frame is the kept run frame of the serving path (*mixedFrame[T] for
 	// the T last served): the caller-side state a MixedBatch would otherwise
 	// rebuild identically every run.
@@ -297,10 +296,11 @@ func (t *Tree) LastCopyCacheHits() int {
 	return total
 }
 
-// LastDemand returns the per-group demand vector |QF_j| of the most recent
-// batch — what a no-replication strawman would load each owner with (the
-// E6 ablation's baseline). The returned slice is the caller's: the tree
-// overwrites its own copy every batch.
+// LastDemand returns the demand vector |QF_j| of the most recent batch:
+// for each rank j, the subqueries that visit elements j owns, summed from
+// phase B's per-element demand rows. It is what a no-replication strawman
+// would load each owner with (E6's baseline). The returned slice is the
+// caller's: the tree overwrites its own copy every batch.
 func (t *Tree) LastDemand() []int { return slices.Clone(t.lastDemand) }
 
 // N reports the number of points.

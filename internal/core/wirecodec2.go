@@ -556,7 +556,7 @@ func init() {
 			return rep, err
 		})
 
-	// Sparse per-element demand rows of the ElementLevel phase B.
+	// Phase B's sparse per-element demand rows and advertised IDs.
 	fixedCodec(
 		func(buf []byte, ds []elemDemand) []byte {
 			buf = wire.AppendUvarint(buf, uint64(len(ds)))

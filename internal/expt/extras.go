@@ -86,11 +86,11 @@ func E6(sc Scale) *Table {
 		Title: "Load balancing under query skew (Algorithm Search steps 2-4)",
 		Note: "strawman = max_j demand_j / (D/p): the load factor if every subquery " +
 			"went to its owner (no copies). balanced = max served / (D/p) under the " +
-			"replication plan, at the paper's group granularity and at the " +
-			"element-granularity ablation. The strawman degrades towards p under " +
-			"heavy skew (foci=1); both balanced plans stay near 1, and the element " +
-			"plan ships far fewer copied points when demand is concentrated.",
-		Header: []string{"n", "p", "foci", "granularity", "D (subqueries)", "strawman", "balanced", "copied points"},
+			"paper's plan of c_j copies per part, each copy holding only the elements " +
+			"whose subqueries it serves; copied points = points shipped by value, cold. " +
+			"The strawman degrades towards p under heavy skew (foci=1); balanced stays " +
+			"near 1.",
+		Header: []string{"n", "p", "foci", "D (subqueries)", "strawman", "balanced", "copied points"},
 	}
 	n, d, p := 1<<11, 2, 8
 	if sc == Full {
@@ -101,43 +101,28 @@ func E6(sc Scale) *Table {
 		boxes := workload.Boxes(workload.QuerySpec{
 			M: n, Dims: d, N: n, Selectivity: 0.0005, Foci: foci, Theta: 1.5, Seed: 7,
 		})
-		for _, mode := range []struct {
-			name string
-			m    core.BalanceMode
-		}{{"group (paper)", core.GroupLevel}, {"element", core.ElementLevel}} {
-			dt.SetBalanceMode(mode.m)
-			dt.InvalidateCopies() // cold: the volume column counts points shipped by value
-			dt.CountBatch(boxes)
-			stats := dt.LastSearchStats()
-			D, maxServed := 0, 0
-			for _, s := range stats {
-				D += s.Served
-				if s.Served > maxServed {
-					maxServed = s.Served
-				}
-			}
-			maxDemand := 0
-			for _, x := range dt.LastDemand() {
-				if x > maxDemand {
-					maxDemand = x
-				}
-			}
-			fociLabel := "uniform"
-			if foci > 0 {
-				fociLabel = fmt.Sprint(foci)
-			}
-			if D == 0 {
-				t.AddRow(n, p, fociLabel, mode.name, 0, "-", "-", dt.LastCopiedPoints())
-				continue
-			}
-			avg := float64(D) / float64(p)
-			t.AddRow(n, p, fociLabel, mode.name, D,
-				float64(maxDemand)/avg,
-				float64(maxServed)/avg,
-				dt.LastCopiedPoints())
+		dt.InvalidateCopies() // cold: the volume column counts points shipped by value
+		dt.CountBatch(boxes)
+		D, maxServed := 0, 0
+		for _, s := range dt.LastSearchStats() {
+			D += s.Served
+			maxServed = max(maxServed, s.Served)
 		}
+		maxDemand := 0
+		for _, x := range dt.LastDemand() {
+			maxDemand = max(maxDemand, x)
+		}
+		fociLabel := "uniform"
+		if foci > 0 {
+			fociLabel = fmt.Sprint(foci)
+		}
+		if D == 0 {
+			t.AddRow(n, p, fociLabel, 0, "-", "-", dt.LastCopiedPoints())
+			continue
+		}
+		avg := float64(D) / float64(p)
+		t.AddRow(n, p, fociLabel, D, float64(maxDemand)/avg, float64(maxServed)/avg, dt.LastCopiedPoints())
 	}
-	dt.SetBalanceMode(core.GroupLevel)
 	return t
 }
 

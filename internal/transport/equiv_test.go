@@ -344,13 +344,13 @@ func batchCells(t *testing.T, stage string, trees []*core.Tree, aggs []*core.Agg
 }
 
 // hotBoxes is a congested batch: query centers on two Zipf-weighted hot
-// spots, so phase B copies at both balance granularities.
+// spots, so phase B copies.
 func hotBoxes(m, n int, seed int64) []geom.Box {
 	return workload.Boxes(workload.QuerySpec{M: m, Dims: 2, N: n, Selectivity: 0.02, Foci: 2, Theta: 1.5, Seed: seed})
 }
 
 // TestCopiesByReferenceEquivalence runs a cold, a warm and a
-// post-invalidation batch in every cell at both balance granularities.
+// post-invalidation batch in every cell.
 // Beyond batchCells' cross-cell checks: the warm batch ships nothing by
 // value (the cold volume goes by reference instead) and invalidation
 // brings the cold volume back.
@@ -360,24 +360,18 @@ func TestCopiesByReferenceEquivalence(t *testing.T) {
 	trees, aggs := buildCells(t, p, pts)
 	oracle := brute.New(pts)
 	boxes := hotBoxes(96, n, 11)
-	for _, bm := range []core.BalanceMode{core.GroupLevel, core.ElementLevel} {
-		for _, tree := range trees {
-			tree.SetBalanceMode(bm)
-			tree.InvalidateCopies()
-		}
-		cold, byRef := batchCells(t, fmt.Sprintf("bm=%v cold", bm), trees, aggs, oracle, boxes)
-		if cold == 0 || byRef != 0 {
-			t.Fatalf("bm=%v cold batch shipped %d points, %d by reference; want >0 and 0", bm, cold, byRef)
-		}
-		if shipped, byRef := batchCells(t, fmt.Sprintf("bm=%v warm", bm), trees, aggs, oracle, boxes); shipped != 0 || byRef != cold {
-			t.Fatalf("bm=%v warm batch shipped %d points, %d by reference; want 0 and %d", bm, shipped, byRef, cold)
-		}
-		for _, tree := range trees {
-			tree.InvalidateCopies()
-		}
-		if shipped, byRef := batchCells(t, fmt.Sprintf("bm=%v invalidated", bm), trees, aggs, oracle, boxes); shipped != cold || byRef != 0 {
-			t.Fatalf("bm=%v post-invalidation batch shipped %d points, %d by reference; want %d and 0", bm, shipped, byRef, cold)
-		}
+	cold, byRef := batchCells(t, "cold", trees, aggs, oracle, boxes)
+	if cold == 0 || byRef != 0 {
+		t.Fatalf("cold batch shipped %d points, %d by reference; want >0 and 0", cold, byRef)
+	}
+	if shipped, byRef := batchCells(t, "warm", trees, aggs, oracle, boxes); shipped != 0 || byRef != cold {
+		t.Fatalf("warm batch shipped %d points, %d by reference; want 0 and %d", shipped, byRef, cold)
+	}
+	for _, tree := range trees {
+		tree.InvalidateCopies()
+	}
+	if shipped, byRef := batchCells(t, "invalidated", trees, aggs, oracle, boxes); shipped != cold || byRef != 0 {
+		t.Fatalf("post-invalidation batch shipped %d points, %d by reference; want %d and 0", shipped, byRef, cold)
 	}
 }
 
@@ -392,26 +386,22 @@ func TestEvictingCacheEquivalence(t *testing.T) {
 	pts := workload.Points(workload.PointSpec{N: n, Dims: 2, Dist: workload.Clustered, Seed: 7})
 	trees, aggs := buildCells(t, p, pts)
 	oracle := brute.New(pts)
-	for _, bm := range []core.BalanceMode{core.GroupLevel, core.ElementLevel} {
-		for _, tree := range trees {
-			tree.SetBalanceMode(bm)
-			tree.SetCopyCacheCap(2)
-			tree.InvalidateCopies()
+	for _, tree := range trees {
+		tree.SetCopyCacheCap(2)
+	}
+	mixed := 0
+	for batch := 0; batch < 9; batch++ {
+		shipped, byRef := batchCells(t, fmt.Sprintf("batch %d", batch), trees, aggs, oracle,
+			hotBoxes(96, n, int64(20+batch%3)))
+		if batch > 0 && shipped == 0 {
+			t.Fatalf("batch %d shipped nothing by value: the cap of 2 does not evict", batch)
 		}
-		mixed := 0
-		for batch := 0; batch < 9; batch++ {
-			shipped, byRef := batchCells(t, fmt.Sprintf("bm=%v batch %d", bm, batch), trees, aggs, oracle,
-				hotBoxes(96, n, int64(20+batch%3)))
-			if batch > 0 && shipped == 0 {
-				t.Fatalf("bm=%v batch %d shipped nothing by value: the cap of 2 does not evict", bm, batch)
-			}
-			if shipped > 0 && byRef > 0 {
-				mixed++
-			}
+		if shipped > 0 && byRef > 0 {
+			mixed++
 		}
-		if mixed == 0 {
-			t.Fatalf("bm=%v: no batch mixed by-value and by-reference copies", bm)
-		}
+	}
+	if mixed == 0 {
+		t.Fatal("no batch mixed by-value and by-reference copies")
 	}
 }
 
@@ -452,7 +442,6 @@ func TestInvalidateDuringResidentBatches(t *testing.T) {
 	var last time.Duration
 	byRef := 0
 	for batch := 0; batch < 120; batch++ {
-		tree.SetBalanceMode(core.BalanceMode(batch / 2 % 2))
 		boxes := hotBoxes(64, n, int64(30+batch%4))
 		if batch%2 == 1 {
 			kick <- last
