@@ -430,6 +430,27 @@ func TestReportBalance(t *testing.T) {
 	}
 }
 
+func TestCopiesBounded(t *testing.T) {
+	// The balancing lemma: each processor hosts O(1) copies of any group,
+	// i.e. total copied elements ≤ 2 × the biggest part.
+	rng := rand.New(rand.NewSource(29))
+	n, p := 256, 4
+	dt, _, _ := buildBoth(rng, n, 2, p)
+	boxes := randomBoxes(rng, 256, n, 2)
+	dt.CountBatch(boxes)
+	maxOwned := 0
+	for _, ps := range dt.procs {
+		if len(ps.part.elems) > maxOwned {
+			maxOwned = len(ps.part.elems)
+		}
+	}
+	for rank, s := range dt.LastSearchStats() {
+		if s.CopiesHeld > 2*maxOwned {
+			t.Errorf("processor %d holds %d copies (max part %d)", rank, s.CopiesHeld, maxOwned)
+		}
+	}
+}
+
 func TestHatReplicasIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	dt, _, _ := buildBoth(rng, 128, 2, 4)

@@ -72,6 +72,40 @@ func TestBalancingLemma(t *testing.T) {
 	}
 }
 
+// TestElementLevelBalancesHotElement: when every subquery visits one
+// element, copying that element alone must still spread the served load.
+func TestElementLevelBalancesHotElement(t *testing.T) {
+	rng := rand.New(rand.NewSource(55))
+	n, p := 512, 8
+	dt, bf, pts := buildBoth(rng, n, 2, p)
+	target := pts[3]
+	boxes := make([]geom.Box, n)
+	for i := range boxes {
+		boxes[i] = geom.Box{
+			Lo: []int32{target.X[0] - 1, 1},
+			Hi: []int32{target.X[0] + 1, int32(n)},
+		}
+	}
+	got := dt.CountBatch(boxes)
+	want := int64(bf.Count(boxes[0]))
+	for i := range got {
+		if got[i] != want {
+			t.Fatalf("query %d: %d vs %d", i, got[i], want)
+		}
+	}
+	total, mx := 0, 0
+	for _, s := range dt.LastSearchStats() {
+		total += s.Served
+		mx = max(mx, s.Served)
+	}
+	if total == 0 {
+		t.Skip("hat absorbed the workload")
+	}
+	if mx > 2*total/p+2 {
+		t.Errorf("element-level congestion: max %d of %d", mx, total)
+	}
+}
+
 // TestHotElementIsTheOnlyCopy: when every subquery visits one element,
 // that element is the only one copied, cold, to every host that serves
 // its subqueries, and the owner ships nothing else of its part.
