@@ -98,14 +98,17 @@ const (
 
 // TestConstructAllocBudget ratchets what Algorithm Construct allocates: a
 // BuildOn of 4 096 clustered points on p = 4 loopback, bytes per built
-// point and allocations per build. It measures 844–845 / 2 115 B/point
-// (d = 2 / d = 3) and 953–964 / 6 215–6 222 allocations, with 40-byte
+// point and allocations per build. It measures 836–837 / 2 054 B/point
+// (d = 2 / d = 3) and 959–968 / 6 231–6 233 allocations, with 40-byte
 // records that name their tree by ordinal, a local radix sort of packed
 // keys (two keys a record of scratch, which the forest part keeps across
 // the phases) that then permutes the records in place, the merge into one
 // scratch array, every record buffer sized once, cascade bridges kept as
-// rank words (2 bits per entry per level), and each element's routed
-// points gathered straight into the one columnar block its tree keeps.
+// rank words (2 bits per entry per level), cascade index arrays on every
+// other level (the levels between merge through one scratch array per
+// element build), and each element's routed points gathered straight
+// into the one columnar block its tree keeps. Index arrays on every level
+// read 844–845 / 2 115 B/point and 953–964 / 6 215–6 222 allocations.
 // An element that also kept a []geom.Point of its points, and a tree that
 // cloned those headers and copied the coordinates again, read 1 008 /
 // 2 441. Measured against a comparison-sort build of that layout (952 /
@@ -121,7 +124,7 @@ func TestConstructAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		d                  int
 		bytesPerPt, allocs float64
-	}{{2, 860, 1030}, {3, 2150, 6660}} {
+	}{{2, 852, 1030}, {3, 2090, 6660}} {
 		t.Run(fmt.Sprintf("d=%d", c.d), func(t *testing.T) {
 			pts := workload.Points(workload.PointSpec{N: n, Dims: c.d, Dist: workload.Clustered, Seed: 3})
 			build := func() {

@@ -16,14 +16,6 @@ type Backend int8
 // of Definition 1 as the sequential baseline and test oracle.
 const BackendLayered Backend = 0
 
-// countVisitor tallies a Visit descent; the serving hooks hold one and
-// reset total between subqueries, so counting stays allocation-free.
-type countVisitor struct{ total int }
-
-func (c *countVisitor) VisitRun(_ *geom.Block, lo, hi int)      { c.total += hi - lo }
-func (c *countVisitor) VisitIndexed(_ *geom.Block, idx []int32) { c.total += len(idx) }
-func (c *countVisitor) VisitRow(*geom.Block, int32)             { c.total++ }
-
 // reportVisitor gathers a Visit descent into out, which the hook swaps
 // per subquery (the result slice itself must persist past the call). out
 // grows in the run's arena, its headers' X views into the element's
@@ -48,13 +40,6 @@ func (r *reportVisitor) VisitIndexed(b *geom.Block, idx []int32) {
 }
 func (r *reportVisitor) VisitRow(b *geom.Block, i int32) {
 	r.out = cgm.Append(r.a, r.out, b.Point(int(i)))
-}
-
-// elemCount counts b in el.
-func elemCount(el *element, b geom.Box, cv *countVisitor) int {
-	cv.total = 0
-	el.tree.Visit(b, cv)
-	return cv.total
 }
 
 // elemReport reports b from el.

@@ -68,7 +68,7 @@ func TestCopyCacheEvictionOrder(t *testing.T) {
 func TestForgedReferenceIsDiagnosed(t *testing.T) {
 	part := newForestPart()
 	part.copyCache.begin(3)
-	_, err := part.installCopies(2, 5, 4, nil, [][]routeRow{{{Copy: shippedElem{Info: ElemInfo{ID: 42}, Ref: true}}}})
+	_, err := part.installCopies(2, 5, 4, nil, [][]routeRow{{{Copy: &shippedElem{Info: ElemInfo{ID: 42}, Ref: true}}}})
 	if err == nil {
 		t.Fatal("a reference to an uncached element installed without error")
 	}

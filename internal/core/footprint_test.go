@@ -14,13 +14,15 @@ import (
 // TestBuiltTreeFootprint bounds the live heap a served tree keeps per
 // point: BuildOn, then PrepareAssociativeNamed, over 16 384 clustered
 // points on p = 4, fabric and resident loopback. With each element's
-// points one columnar block that its layered tree keeps as its own, both
-// residencies read 184–185 B/point at d = 2 and 1 172–1 173 at d = 3.
+// points one columnar block that its layered tree keeps as its own, and
+// index arrays and aggregate tables on every other cascade level, both
+// residencies read 136–137 B/point at d = 2 and 833–834 at d = 3. The same
+// elements with both arrays on every level read 184–185 / 1 172–1 173.
 // Elements that kept a []geom.Point beside their trees' cloned headers
 // read 349 / 1 499 (fabric) and 452 / 1 730 (resident, whose headers
-// also held the decode arenas). One header slice per element on top of
-// this layout reads 281 / 1 365, and a resident loopback that keeps its
-// last superstep's encoded blocks 224 / 1 251; the budgets fail both.
+// also held the decode arenas), on every level. One header slice per
+// element adds 96 / 192 B/point, and a resident loopback that keeps its
+// last superstep's encoded blocks 39 / 78; the budgets fail all of these.
 func TestBuiltTreeFootprint(t *testing.T) {
 	const n, p = 1 << 14, 4
 	heap := func() int64 {
@@ -34,7 +36,7 @@ func TestBuiltTreeFootprint(t *testing.T) {
 		d        int
 		resident bool
 		limit    int64
-	}{{2, false, 215}, {2, true, 215}, {3, false, 1230}, {3, true, 1230}} {
+	}{{2, false, 155}, {2, true, 155}, {3, false, 880}, {3, true, 880}} {
 		where := "fabric"
 		if c.resident {
 			where = "resident"

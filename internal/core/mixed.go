@@ -139,7 +139,7 @@ func (r *mixedRun[T]) shipRoute(pr *cgm.Proc, ps *procState, ships []hostShip, r
 			}
 			for _, col := range in {
 				for i := range col {
-					if col[i].IsSub {
+					if col[i].Copy == nil {
 						r.answerSub(col[i].Sub)
 						rep.Serve.Served++
 					}

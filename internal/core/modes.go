@@ -52,7 +52,6 @@ type countRun struct {
 	a     *cgm.Arena
 	ps    *procState
 	pairs []qcount
-	cv    countVisitor // reused: phase C counting allocates nothing
 }
 
 func (r *countRun) answerHat(q Query, s hatSel) {
@@ -68,7 +67,7 @@ func (r *countRun) answerHat(q Query, s hatSel) {
 
 func (r *countRun) answerSub(s subquery) {
 	el := r.ps.part.lookup(s.Elem)
-	r.pairs = cgm.Append(r.a, r.pairs, qcount{Query: s.Query, Val: int64(elemCount(el, s.Box, &r.cv))})
+	r.pairs = cgm.Append(r.a, r.pairs, qcount{Query: s.Query, Val: int64(el.tree.Count(s.Box))})
 }
 
 // CountBatch answers every query with |R(q)| — the counting special case

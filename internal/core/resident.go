@@ -43,7 +43,7 @@ import (
 // against coordinator/worker binary skew.
 const (
 	forestProgram = "core/forest"
-	forestVersion = 11 // 11: copies, fetches and hits carry point blocks (wire.AppendBlock)
+	forestVersion = 12 // 12: a route block counts its copy rows up front
 )
 
 // fref names one step of the forest program.
@@ -180,10 +180,9 @@ func (part *forestPart) nextRecords(dim int8, keys []segtree.PathKey) ([]srec, e
 
 // servedCounts answers counting subqueries where the trees live.
 func (part *forestPart) servedCounts(subs []subquery) []qcount {
-	var cv countVisitor
 	pairs := make([]qcount, 0, len(subs))
 	for _, s := range subs {
-		pairs = append(pairs, qcount{Query: s.Query, Val: int64(elemCount(part.lookup(s.Elem), s.Box, &cv))})
+		pairs = append(pairs, qcount{Query: s.Query, Val: int64(part.lookup(s.Elem).tree.Count(s.Box))})
 	}
 	return pairs
 }
@@ -645,7 +644,7 @@ func installServeStep(part *forestPart, c *exec.Ctx, args installServeArgs, in [
 	var cnt, aggs, reps []subquery
 	for _, col := range in {
 		for i := range col {
-			if !col[i].IsSub {
+			if col[i].Copy != nil {
 				continue
 			}
 			s := col[i].Sub

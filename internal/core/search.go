@@ -183,8 +183,7 @@ func sumCounters(cs []atomic.Int64) int {
 // shippedElem is one element copy in flight. By value it carries the
 // replicated metadata plus the element's point block; a reference (Ref)
 // carries only Info.ID and resolves against the host's copy cache. Ref is
-// an explicit flag, not a nil block. Pts is a pointer because every
-// routed subquery row carries an empty copy beside it.
+// an explicit flag, not a nil block.
 type shippedElem struct {
 	Info ElemInfo
 	Pts  *geom.Block
@@ -255,13 +254,14 @@ type copyNote struct {
 }
 
 // routeRow is one row of phase C's superstep, which carries Search steps
-// 3 and 4 at once: an element copy, or (IsSub) a routed subquery. Every
-// row is one element of the round, as it was in separate copies and route
-// rounds; a row block to one host lists its copies before its subqueries.
+// 3 and 4 at once: an element copy (Copy, pointing into one slab per row
+// block), or a routed subquery (Copy nil). Every row is one element of
+// the round, as it was in separate copies and route rounds; a row block
+// to one host lists its copies before its subqueries. A subquery row
+// carries no copy inline: subqueries are most of a batch's rows.
 type routeRow struct {
-	Copy  shippedElem
-	Sub   subquery
-	IsSub bool
+	Copy *shippedElem
+	Sub  subquery
 }
 
 // shipRoute materializes a rank's phase-C deposit from its part (the
@@ -286,9 +286,12 @@ func (part *forestPart) shipRoute(a *cgm.Arena, ships []hostShip, routed [][]sub
 		sizes[hs.Host] += len(hs.Elems)
 	}
 	out := cgm.Alloc[[]routeRow](a, p)
+	copies := 0
 	for j, subs := range routed {
 		out[j] = cgm.Alloc[routeRow](a, sizes[j]+len(subs))[:0]
+		copies += sizes[j]
 	}
+	slab := cgm.Alloc[shippedElem](a, copies)[:0]
 	var note copyNote
 	for _, hs := range ships {
 		for i, id := range hs.Elems {
@@ -296,20 +299,19 @@ func (part *forestPart) shipRoute(a *cgm.Arena, ships []hostShip, routed [][]sub
 			if !ok {
 				return nil, fmt.Errorf("core: asked to ship element %d this rank does not own", id)
 			}
-			var row routeRow
 			if hs.Refs[i] {
-				row.Copy = shippedElem{Info: ElemInfo{ID: id}, Ref: true}
+				slab = append(slab, shippedElem{Info: ElemInfo{ID: id}, Ref: true})
 				note.RefPts += int(el.info.Count)
 			} else {
-				row.Copy = shippedElem{Info: el.info, Pts: el.tree.Points()}
+				slab = append(slab, shippedElem{Info: el.info, Pts: el.tree.Points()})
 				note.CopiedPts += int(el.info.Count)
 			}
-			out[hs.Host] = append(out[hs.Host], row)
+			out[hs.Host] = append(out[hs.Host], routeRow{Copy: &slab[len(slab)-1]})
 		}
 	}
 	for j, subs := range routed {
 		for _, s := range subs {
-			out[j] = append(out[j], routeRow{Sub: s, IsSub: true})
+			out[j] = append(out[j], routeRow{Sub: s})
 		}
 	}
 	part.shipped = note
@@ -355,8 +357,8 @@ func (part *forestPart) installCopies(host int, epoch uint64, cap int, agg aggPa
 	}
 	for _, col := range incoming {
 		for i := range col {
-			sh := &col[i].Copy
-			if col[i].IsSub || !sh.Ref {
+			sh := col[i].Copy
+			if sh == nil || !sh.Ref {
 				continue
 			}
 			el, ok := cache.get(sh.Info.ID)
@@ -371,8 +373,8 @@ func (part *forestPart) installCopies(host int, epoch uint64, cap int, agg aggPa
 	}
 	for _, col := range incoming {
 		for i := range col {
-			sh := &col[i].Copy
-			if col[i].IsSub || sh.Ref {
+			sh := col[i].Copy
+			if sh == nil || sh.Ref {
 				continue
 			}
 			el, ok := cache.get(sh.Info.ID)

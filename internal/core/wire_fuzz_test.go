@@ -137,16 +137,16 @@ func FuzzWireRoundTrip(f *testing.F) {
 	// Phase-C copies: a reference row beside a by-value row, and the same
 	// block with the reference's flag byte corrupted (neither layout).
 	refs, _ := wire.Encode(nil, []routeRow{
-		{Copy: shippedElem{Info: ElemInfo{ID: 7}, Ref: true}},
-		{Copy: shippedElem{Info: ElemInfo{ID: 9, Owner: 1, Count: 3, Key: "k"},
+		{Copy: &shippedElem{Info: ElemInfo{ID: 7}, Ref: true}},
+		{Copy: &shippedElem{Info: ElemInfo{ID: 9, Owner: 1, Count: 3, Key: "k"},
 			Pts: &geom.Block{Dims: 2, IDs: []int32{4, 7, 8}, Coords: []geom.Coord{5, 6, -1, 0, 9, 9}}}},
 	})
 	f.Add(refs)
 	badFlag := bytes.Clone(refs)
-	badFlag[3] = 2 // tag, row count, the first row's IsSub flag, then its Ref flag
+	badFlag[4] = 2 // tag, row count, copy count, the first row's subquery flag, then its Ref flag
 	f.Add(badFlag)
 	// Phase C with a subquery row, and phase D with a row of each kind.
-	route, _ := wire.Encode(nil, []routeRow{{IsSub: true, Sub: subquery{Query: 1, Elem: 2,
+	route, _ := wire.Encode(nil, []routeRow{{Sub: subquery{Query: 1, Elem: 2,
 		Box: geom.Box{Lo: []geom.Coord{0, 0}, Hi: []geom.Coord{9, 9}}}}})
 	f.Add(route)
 	results, _ := wire.Encode(nil, []resultRow[int64]{{Kind: rowCount, Query: 1, N: 5}, {Kind: rowAgg, Query: 2, Val: -3},
@@ -208,16 +208,16 @@ func FuzzWireRoundTrip(f *testing.F) {
 			switch g.u8() % 3 {
 			case 0:
 				// A reference row carries the element ID and nothing else.
-				rows[i].Copy = shippedElem{Info: ElemInfo{ID: ElemID(g.i32())}, Ref: true}
+				rows[i].Copy = &shippedElem{Info: ElemInfo{ID: ElemID(g.i32())}, Ref: true}
 			case 1:
-				rows[i].Copy = shippedElem{
+				rows[i].Copy = &shippedElem{
 					Info: ElemInfo{ID: ElemID(g.i32()), Owner: g.i32(), Count: g.i32(),
 						Dim: int8(g.u8()), Key: g.key(9), Min: geom.Coord(g.i32()), Max: geom.Coord(g.i32())},
 					Pts: blockPtr(g.block(g.n(6), dims)),
 				}
 			default:
 				if len(subs) > 0 {
-					rows[i] = routeRow{IsSub: true, Sub: subs[i%len(subs)]}
+					rows[i] = routeRow{Sub: subs[i%len(subs)]}
 				}
 			}
 		}

@@ -297,18 +297,27 @@ func init() {
 	// ordinals in one framed section, then the points).
 	fixedCodec(appendSrecs, readSrecs)
 
-	// Phase C: element copies and routed subqueries in one block. Every
-	// row opens with its IsSub flag, then a subquery or a copy
-	// (appendShipped).
+	// Phase C: element copies and routed subqueries in one block. The row
+	// count and the copy rows' count open it, so the decoder carves every
+	// copy from one slab; every row opens with its subquery flag, then a
+	// subquery or a copy (appendShipped).
 	fixedCodec(
 		func(buf []byte, rows []routeRow) []byte {
-			buf = wire.AppendUvarint(buf, uint64(len(rows)))
+			copies := 0
 			for i := range rows {
-				buf = append(buf, flagByte(rows[i].IsSub))
-				if rows[i].IsSub {
+				if rows[i].Copy != nil {
+					copies++
+				}
+			}
+			buf = wire.AppendUvarint(buf, uint64(len(rows)))
+			buf = wire.AppendUvarint(buf, uint64(copies))
+			for i := range rows {
+				sub := rows[i].Copy == nil
+				buf = append(buf, flagByte(sub))
+				if sub {
 					buf = appendSubquery(buf, rows[i].Sub)
 				} else {
-					buf = appendShipped(buf, rows[i].Copy)
+					buf = appendShipped(buf, *rows[i].Copy)
 				}
 			}
 			return buf
@@ -316,6 +325,8 @@ func init() {
 		func(r *wire.Reader) ([]routeRow, error) {
 			arena := wire.NewArena(r)
 			n := r.Count(6) // tag + flag + element ID, the reference row
+			copies := r.Count(6)
+			slab := make([]shippedElem, copies)
 			var rows []routeRow
 			if n > 0 {
 				rows = make([]routeRow, n)
@@ -324,14 +335,21 @@ func init() {
 					if err != nil {
 						return nil, err
 					}
-					if rows[i].IsSub = sub; sub {
+					if sub {
 						rows[i].Sub = readSubquery(r, &arena)
 						continue
 					}
-					if rows[i].Copy, err = readShipped(r); err != nil {
+					if len(slab) == 0 {
+						return nil, fmt.Errorf("core: route block of %d rows holds more than its %d copies", n, copies)
+					}
+					if slab[0], err = readShipped(r); err != nil {
 						return nil, err
 					}
+					rows[i].Copy, slab = &slab[0], slab[1:]
 				}
+			}
+			if len(slab) != 0 {
+				return nil, fmt.Errorf("core: route block of %d rows holds fewer than its %d copies", n, copies)
 			}
 			return rows, nil
 		})

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/geom"
 	"repro/internal/segtree"
@@ -160,9 +161,9 @@ func TestWireCodecsMatchGobOracle(t *testing.T) {
 		for i := range rows {
 			switch rng.Intn(3) {
 			case 0:
-				rows[i].Copy = shippedElem{Info: ElemInfo{ID: ElemID(rng.Int31n(500))}, Ref: true}
+				rows[i].Copy = &shippedElem{Info: ElemInfo{ID: ElemID(rng.Int31n(500))}, Ref: true}
 			case 1:
-				rows[i].Copy = shippedElem{
+				rows[i].Copy = &shippedElem{
 					Info: ElemInfo{
 						ID: ElemID(rng.Int31n(500)), Owner: rng.Int31n(8),
 						Count: rng.Int31n(100), Dim: int8(rng.Intn(dims)),
@@ -171,7 +172,7 @@ func TestWireCodecsMatchGobOracle(t *testing.T) {
 					Pts: blockPtr(genBlock(rng, rng.Intn(20), dims)),
 				}
 			default:
-				rows[i] = routeRow{IsSub: true, Sub: subquery{Query: rng.Int31n(1000), Elem: ElemID(rng.Int31n(500)), Box: genBox(rng, dims)}}
+				rows[i] = routeRow{Sub: subquery{Query: rng.Int31n(1000), Elem: ElemID(rng.Int31n(500)), Box: genBox(rng, dims)}}
 			}
 		}
 		if len(rows) == 0 {
@@ -294,16 +295,21 @@ func decodeHostile[T any](t *testing.T, what string, b []byte) {
 // block or copied element block whose sections disagree, to an error.
 func TestRowCodecsRejectHostileBlocks(t *testing.T) {
 	route, err := wire.Encode(nil, []routeRow{
-		{IsSub: true, Sub: subquery{Query: 1, Elem: 2, Box: geom.Box{Lo: []geom.Coord{0}, Hi: []geom.Coord{5}}}},
-		{Copy: shippedElem{Info: ElemInfo{ID: 3}, Ref: true}},
+		{Sub: subquery{Query: 1, Elem: 2, Box: geom.Box{Lo: []geom.Coord{0}, Hi: []geom.Coord{5}}}},
+		{Copy: &shippedElem{Info: ElemInfo{ID: 3}, Ref: true}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	bad := bytes.Clone(route)
-	bad[2] = 7 // block tag, row count, then the first row's tag
+	bad[3] = 7 // block tag, row count, copy count, then the first row's tag
 	decodeHostile[[]routeRow](t, "unknown route tag", bad)
 	decodeHostile[[]routeRow](t, "truncated route block", route[:len(route)-2])
+	for _, claim := range []byte{0, 2, 3} { // the block holds one copy row of two
+		bad := bytes.Clone(route)
+		bad[2] = claim
+		decodeHostile[[]routeRow](t, fmt.Sprintf("route block claiming %d copies", claim), bad)
+	}
 
 	check := func(name string, b []byte, decode func(string, []byte)) {
 		bad := bytes.Clone(b)
@@ -360,7 +366,7 @@ func TestRowCodecsRejectHostileBlocks(t *testing.T) {
 
 	// A by-value copy row carries its element's point block the same way.
 	copyRow := func(b geom.Block) []byte {
-		buf, err := wire.Encode(nil, []routeRow{{Copy: shippedElem{Info: ElemInfo{ID: 4, Count: int32(b.Len()), Key: "k"}, Pts: &b}}})
+		buf, err := wire.Encode(nil, []routeRow{{Copy: &shippedElem{Info: ElemInfo{ID: 4, Count: int32(b.Len()), Key: "k"}, Pts: &b}}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -386,6 +392,16 @@ func TestRowCodecsRejectHostileBlocks(t *testing.T) {
 	xAt = len(full) - 1 - 4*len(xs) // the coordinate count, then the coordinates
 	for _, cut := range []int{xAt - 2, len(full) - 5} {
 		decodeHostile[[]routeRow](t, fmt.Sprintf("copy block cut at byte %d of %d", cut, len(full)), full[:cut])
+	}
+}
+
+// TestRouteRowSize: a routed subquery row is its subquery and one
+// pointer. Subqueries are most of phase C's rows, so a copy carried inline
+// beside each (56 more bytes) would nearly double what the route rows
+// allocate.
+func TestRouteRowSize(t *testing.T) {
+	if got, want := unsafe.Sizeof(routeRow{}), unsafe.Sizeof(subquery{})+unsafe.Sizeof(&shippedElem{}); got != want {
+		t.Errorf("a route row is %d bytes, want %d: its subquery and a copy pointer", got, want)
 	}
 }
 
@@ -485,7 +501,7 @@ func BenchmarkWireCodec(b *testing.B) {
 
 	subs := make([]routeRow, n)
 	for i := range subs {
-		subs[i] = routeRow{IsSub: true, Sub: subquery{Query: int32(i), Elem: ElemID(rng.Int31n(500)), Box: genBox(rng, dims)}}
+		subs[i] = routeRow{Sub: subquery{Query: int32(i), Elem: ElemID(rng.Int31n(500)), Box: genBox(rng, dims)}}
 	}
 	benchEncDec(b, "subqueries", subs)
 
@@ -503,7 +519,7 @@ func BenchmarkWireCodec(b *testing.B) {
 
 	els := make([]routeRow, 8)
 	for i := range els {
-		els[i].Copy = shippedElem{
+		els[i].Copy = &shippedElem{
 			Info: ElemInfo{ID: ElemID(i), Owner: int32(i % 4), Count: int32(n / 8),
 				Dim: 1, Key: segtree.PathKey(fmt.Sprintf("0.%d", i)), Min: 0, Max: 1000},
 			Pts: blockPtr(genBlock(rng, n/8, dims)),

@@ -9,7 +9,9 @@ import (
 // Agg annotates a layered range tree with bottom-up semigroup values,
 // mirroring rangetree.Agg for the cascaded structure (the paper's
 // associative-function mode, §4.2). The search selects contiguous runs of
-// y-sorted arrays, so every stored array carries a table laid out like it.
+// y-sorted arrays, so every stored array carries a table laid out like it:
+// a cascade's sampled levels (see stride) have tables, and a contained node
+// between them folds its descendants' runs.
 // For a group (m.Inverse set) the table holds one inclusive prefix per
 // entry and a run [lo, hi) folds in O(1) as pre[hi-1] ⊗ Inverse(pre[lo-1]);
 // any other monoid gets a 2n-slot implicit segment tree per array and an
@@ -27,8 +29,8 @@ type Agg[T any] struct {
 	val func(geom.Point) T
 	// one aggregates a one-dimensional tree's sorted block.
 	one []T
-	// tabs[c.ord] aggregates cascade c, laid out like c.idx: the node whose
-	// run is c.idx[i:j] owns tabs[c.ord][w·i:w·j] for w = slots().
+	// tabs[c.ord] aggregates cascade c's sampled levels, laid out like c.idx:
+	// the node whose run is c.idx[i:j] owns tabs[c.ord][w·i:w·j], w = slots().
 	tabs [][]T
 }
 
@@ -77,9 +79,12 @@ func (a *Agg[T]) walk(t *Tree, vals []T) {
 	m, w := c.shape.M, a.slots()
 	tab := make([]T, w*len(c.idx))
 	for k := 0; k <= c.depth; k++ {
+		if !c.sampled(k) {
+			continue
+		}
 		for lo, span := 0, c.shape.Cap>>k; lo < m; lo += span {
-			at := k*m + lo
-			run := c.idx[at : k*m+min(lo+span, m)]
+			at := slot(k)*m + lo
+			run := c.idx[at : at+min(span, m-lo)]
 			node := tab[w*at : w*(at+len(run))]
 			for i, pi := range run {
 				node[len(node)-len(run)+i] = vals[pi]
@@ -203,12 +208,11 @@ func (a *Agg[T]) descendCascade(c *cascade, tab []T, k, lo, pLo, pHi int, ivx ge
 	if !ivx.Overlaps(span) {
 		return acc
 	}
-	at := k*c.shape.M + lo
 	switch {
 	case ivx.ContainsInterval(span):
-		acc = a.fold(acc, tab[a.slots()*at:], hi-lo, pLo, pHi)
+		acc = a.whole(c, tab, k, lo, hi-lo, pLo, pHi, acc)
 	case k == c.depth:
-		for _, i := range c.idx[at+pLo : at+pHi] {
+		for _, i := range c.level(k)[lo+pLo : lo+pHi] {
 			if ivx.Contains(c.blk.coord(i, c.x)) {
 				acc = a.m.Combine(acc, a.val(c.blk.Point(int(i))))
 			}
@@ -221,6 +225,22 @@ func (a *Agg[T]) descendCascade(c *cascade, tab []T, k, lo, pLo, pHi int, ivx ge
 		if rLo < rHi {
 			acc = a.descendCascade(c, tab, k+1, mid, rLo, rHi, ivx, acc)
 		}
+	}
+	return acc
+}
+
+// whole folds the non-empty run [pLo, pHi) of the n-entry node (k, lo),
+// which the query contains, as cascade.whole visits it.
+func (a *Agg[T]) whole(c *cascade, tab []T, k, lo, n, pLo, pHi int, acc T) T {
+	if c.sampled(k) {
+		return a.fold(acc, tab[a.slots()*(slot(k)*c.shape.M+lo):], n, pLo, pHi)
+	}
+	mid, lLo, lHi, rLo, rHi := c.children(k, lo, n, pLo, pHi)
+	if lLo < lHi {
+		acc = a.whole(c, tab, k+1, lo, min(mid-lo, n), lLo, lHi, acc)
+	}
+	if rLo < rHi {
+		acc = a.whole(c, tab, k+1, mid, lo+n-mid, rLo, rHi, acc)
 	}
 	return acc
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/brute"
 	"repro/internal/geom"
+	"repro/internal/segtree"
 	"repro/internal/semigroup"
 	"repro/internal/workload"
 )
@@ -113,6 +114,96 @@ func TestAggLayoutsAgree(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestUnsampledLevelContainment meets every cascade node contained: at
+// d = 2 (the top cascade) and d = 3 (the cascades of the root and its two
+// children), over 2 000 points whose coordinates repeat heavily (four to
+// a value in the cascades' x, ≈ 67 in the others), each node's x-span is
+// queried under several y cuts, so the descent serves
+// nodes at the levels that store no index array through their children.
+// Count, the reported IDs, a float sum (prefix tables) and a float max
+// (segment trees) must equal brute force, and every unsampled level must
+// hold nodes whose span no neighbour's point shares, which such a box
+// contains alone.
+func TestUnsampledLevelContainment(t *testing.T) {
+	const n = 2000
+	weight := func(p geom.Point) float64 { return float64(p.ID%13) + 0.5 } // sums exactly
+	all := geom.Interval{Lo: math.MinInt32, Hi: math.MaxInt32}
+	cuts := []geom.Interval{all, {Lo: 0, Hi: 14}, {Lo: 10, Hi: 10}, {Lo: 7, Hi: 25}}
+	rng := rand.New(rand.NewSource(47))
+	for _, d := range []int{2, 3} {
+		pts := make([]geom.Point, n)
+		for i := range pts {
+			x := make([]geom.Coord, d)
+			for k := range x {
+				x[k] = geom.Coord(rng.Intn(30))
+			}
+			// The cascades' x: four points a value, so the top cascade's
+			// node boundaries (multiples of the bucket) split no value.
+			x[d-2] = geom.Coord(i / 4)
+			pts[i] = geom.Point{ID: int32(i), X: x}
+		}
+		lt := Build(pts)
+		sum, mx := NewAgg(lt, semigroup.FloatSum(), weight), NewAgg(lt, semigroup.MaxFloat(), weight)
+		bf := brute.New(pts)
+		upper := []geom.Interval{all} // d = 2: no upper dimension
+		cascades := []*cascade{lt.two}
+		if d == 3 {
+			upper, cascades = nil, nil
+			for _, v := range []int{lt.shape.Root(), segtree.Left(lt.shape.Root()), segtree.Right(lt.shape.Root())} {
+				lo, hi := lt.shape.PosRange(v)
+				upper = append(upper, geom.Interval{Lo: lt.keys[lo], Hi: lt.keys[min(hi, lt.shape.M)-1]})
+				cascades = append(cascades, lt.desc[v].two)
+			}
+		}
+		isolated := map[int]int{} // by unsampled level: nodes whose x-span is theirs alone
+		for ci, c := range cascades {
+			if c.depth < 5 {
+				t.Fatalf("d=%d cascade %d: depth %d, want ≥ 5", d, ci, c.depth)
+			}
+			for k := 0; k <= c.depth; k++ {
+				for lo := 0; lo < c.shape.M; lo += c.shape.Cap >> k {
+					hi, span := c.span(k, lo)
+					if !c.sampled(k) {
+						alone := (lo == 0 || c.xkeys[lo-1] < span.Lo) && (hi == c.shape.M || c.xkeys[hi] > span.Hi)
+						isolated[k] += btoi(alone)
+					}
+					for _, cut := range cuts {
+						b := geom.Box{Lo: make([]geom.Coord, d), Hi: make([]geom.Coord, d)}
+						b.Lo[0], b.Hi[0] = upper[ci].Lo, upper[ci].Hi
+						b.Lo[d-2], b.Hi[d-2] = span.Lo, span.Hi
+						b.Lo[d-1], b.Hi[d-1] = cut.Lo, cut.Hi
+						want := bf.Report(b)
+						if got := lt.Count(b); got != len(want) {
+							t.Fatalf("d=%d cascade %d node (%d, %d) box %v: count %d, want %d", d, ci, k, lo, b, got, len(want))
+						}
+						if got := brute.IDs(lt.Report(b)); !slices.Equal(got, brute.IDs(want)) {
+							t.Fatalf("d=%d cascade %d node (%d, %d) box %v: report of %d IDs differs from brute force's %d", d, ci, k, lo, b, len(got), len(want))
+						}
+						if got, want := sum.Query(b), brute.Aggregate(bf, semigroup.FloatSum(), weight, b); got != want {
+							t.Fatalf("d=%d cascade %d node (%d, %d) box %v: sum %v, want %v", d, ci, k, lo, b, got, want)
+						}
+						if got, want := mx.Query(b), brute.Aggregate(bf, semigroup.MaxFloat(), weight, b); got != want {
+							t.Fatalf("d=%d cascade %d node (%d, %d) box %v: max %v, want %v", d, ci, k, lo, b, got, want)
+						}
+					}
+				}
+			}
+		}
+		for k, nodes := range isolated {
+			if nodes == 0 {
+				t.Errorf("d=%d: no node of unsampled level %d is contained alone", d, k)
+			}
+		}
+	}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // TestAggFloatSumErrorBound holds a float64 group's prefix differences to

@@ -13,10 +13,12 @@
 // the block. A one-dimensional tree is the block itself, sorted by the
 // final coordinate. The
 // bridges are succinct: one bit per entry per level says which child the
-// entry went to, and a rank over those bits is the bridge. A
-// three-dimensional layer bridges its upper levels the same way, so its
-// query binary-searches once, at its root. Both recursions stop at a
-// bucket of a few points, which is scanned.
+// entry went to, and a rank over those bits is the bridge. Only every
+// other cascade level keeps its index array (stride); a node between them
+// is served by its children's runs, so the index runs a Visitor sees are
+// sorted but not maximal. A three-dimensional layer bridges its upper
+// levels the same way, so its query binary-searches once, at its root.
+// Both recursions stop at a bucket of a few points, which is scanned.
 //
 // Beyond the sequential extension experiment (E11), the layered tree is
 // the one element structure of the distributed pipeline: package core
@@ -40,6 +42,15 @@ import (
 // split the orders stably down the tree; the test suite asserts the count.
 // (The insertion sort of one bucket is not a full sort.)
 var buildSorts atomic.Int64
+
+// stride samples a cascade's levels: only levels 0, stride, 2·stride, …
+// and the deepest store an index array (and an Agg a table). A contained
+// node between them is served by its descendants' runs at the next
+// sampled level, which the bridges, kept on every level, give (E40).
+const stride = 2
+
+// slot is the stored position of a sampled level k.
+func slot(k int) int { return (k + stride - 1) / stride }
 
 // bucket is where both recursions stop: an upper-level node with at most
 // bucket points gets no descendant tree, and a cascade stores no level
@@ -101,22 +112,23 @@ func (bl *block) cmp(i, j int32, dim int) int {
 }
 
 // cascade is the fractional-cascading structure for the final two
-// dimensions: a segment tree over dimension x whose every node stores its
+// dimensions: a segment tree over dimension x whose every node has its
 // points sorted by (y, ID), kept as two flat level-major arrays. Every
-// level of the segment tree is a permutation of the same M points, so level
-// k is the run idx[k·M:(k+1)·M] and the node at depth k whose first leaf
-// position is lo owns the sub-run starting at k·M+lo: no per-node slices
-// exist. Levels are stored from the root down to the bucket-point nodes.
+// level of the segment tree is a permutation of the same M points, so a
+// sampled level k (see stride) is the run level(k) and the node at depth k
+// whose first leaf position is lo owns the sub-run starting at lo: no
+// per-node slices exist. Levels run from the root down to the bucket-point
+// nodes; an unsampled one is only its bridges.
 type cascade struct {
 	blk   *block
 	x, y  int // global dimension indices
 	ord   int // ordinal among the block's cascades (Agg's table index)
 	shape segtree.Shape
-	depth int          // deepest stored level
+	depth int          // deepest level
 	words int          // rank words per bridge run: M/64+1, so position M has one
 	xkeys []geom.Coord // x-coordinate by leaf position (node spans)
 	ykeys []geom.Coord // y-coordinate by position in the root's run (the one binary search)
-	idx   []int32      // (depth+1)·M block indices
+	idx   []int32      // (slot(depth)+1)·M block indices, the sampled levels'
 	// bridges holds one run of words rank words per level above the
 	// deepest: bit i of run k is set when entry k·M+i lies in its node's
 	// left child (see children). A cascade that is the descendant of a
@@ -125,6 +137,12 @@ type cascade struct {
 	// child (see Tree.bridge).
 	bridges []rankWord
 }
+
+// sampled reports whether level k stores its index array.
+func (c *cascade) sampled(k int) bool { return k%stride == 0 || k == c.depth }
+
+// level is the stored index array of sampled level k.
+func (c *cascade) level(k int) []int32 { return c.idx[slot(k)*c.shape.M:][:c.shape.M] }
 
 // rankWord is 64 bridge bits and the count of the bits set before them in
 // their run, side by side so that a rank is one load and one popcount.
@@ -189,7 +207,7 @@ func BuildFrom(pts geom.Block, startDim int) *Tree {
 	for k := range orders {
 		orders[k] = bl.sortedBy(startDim+k, scratch)
 	}
-	bd := &builder{blk: bl, dims: dims, start: startDim, ykeys: make([]geom.Coord, n)}
+	bd := &builder{blk: bl, dims: dims, start: startDim, ykeys: make([]geom.Coord, n), order: make([]int32, (stride-1)*n)}
 	if remaining > 2 {
 		bd.pos = make([]int32, (remaining-2)*n)
 	}
@@ -286,6 +304,8 @@ type builder struct {
 	// every other level (the levels between live in the cascade's own
 	// ykeys, which ends up holding the root's).
 	ykeys []geom.Coord
+	// order holds the merges' unsampled levels: stride-1 runs of n slots.
+	order []int32
 }
 
 // levels builds the tree for orders[0] (sorted by startDim) and attaches
@@ -389,7 +409,7 @@ func (bd *builder) cascade(byX []int32, x, y int, up bool) *cascade {
 		c.xkeys[at] = bl.coord(i, x)
 	}
 	c.ykeys = make([]geom.Coord, m)
-	c.idx = make([]int32, (c.depth+1)*m)
+	c.idx = make([]int32, (slot(c.depth)+1)*m)
 	runs := c.depth
 	if up {
 		runs++
@@ -402,8 +422,14 @@ func (bd *builder) cascade(byX []int32, x, y int, up bool) *cascade {
 		}
 		return bd.ykeys[:m]
 	}
+	orderOf := func(k int) []int32 {
+		if c.sampled(k) {
+			return c.level(k)
+		}
+		return bd.order[k%(stride-1)*bl.Len():][:m]
+	}
 
-	bottom, bottomKeys := c.idx[c.depth*m:], keysOf(c.depth)
+	bottom, bottomKeys := orderOf(c.depth), keysOf(c.depth)
 	copy(bottom, byX)
 	for lo, w := 0, c.shape.Cap>>c.depth; lo < m; lo += w {
 		bl.sortBucket(bottom[lo:min(lo+w, m)], y)
@@ -412,7 +438,7 @@ func (bd *builder) cascade(byX []int32, x, y int, up bool) *cascade {
 		bottomKeys[at] = bl.coord(i, y)
 	}
 	for k := c.depth - 1; k >= 0; k-- {
-		level, below := c.idx[k*m:(k+1)*m], c.idx[(k+1)*m:(k+2)*m]
+		level, below := orderOf(k), orderOf(k+1)
 		keys, keysBelow := keysOf(k), keysOf(k+1)
 		left := c.bridges[k*c.words : (k+1)*c.words]
 		for lo, w := 0, c.shape.Cap>>k; lo < m; lo += w {
@@ -454,15 +480,16 @@ func (t *Tree) N() int {
 	}
 }
 
-// Nodes reports the structure size in stored entries (array slots plus
-// tree nodes) — comparable to rangetree.Tree.Nodes for E11's space column.
-// A descendant tree shared by a node and its left child counts once.
+// Nodes reports the structure size in logical entries (array slots plus
+// tree nodes), not stored bytes: every cascade level counts, sampled or
+// not, so it stays comparable to rangetree.Tree.Nodes for E11's space
+// column. A descendant tree shared by a node and its left child counts once.
 func (t *Tree) Nodes() int {
 	switch {
 	case t.oneDim():
 		return t.blk.Len()
 	case t.two != nil:
-		return len(t.two.idx)
+		return (t.two.depth + 1) * t.two.shape.M
 	default:
 		total := 0
 		for v := 1; v < 2*t.shape.Cap; v++ {
@@ -496,15 +523,16 @@ type Visitor interface {
 	// VisitRun observes rows lo..hi-1 of a one-dimensional tree's block,
 	// sorted by the final coordinate.
 	VisitRun(blk *geom.Block, lo, hi int)
-	// VisitIndexed observes one maximal run of a cascade: the rows idx of
-	// blk, sorted by the final coordinate.
+	// VisitIndexed observes one run of a cascade: the rows idx of blk,
+	// sorted by the final coordinate but not maximal (a node the query
+	// contains may arrive as its descendants' runs).
 	VisitIndexed(blk *geom.Block, idx []int32)
 	// VisitRow observes one individually verified row.
 	VisitRow(blk *geom.Block, i int32)
 }
 
-// Visit enumerates the query result through v, with no adapter between
-// the descent and the consumer.
+// Visit enumerates the query result through v (non-nil), with no adapter
+// between the descent and the consumer.
 func (t *Tree) Visit(b geom.Box, v Visitor) {
 	if b.Dims() != t.Dims {
 		panic("layered: query dimensionality mismatch")
@@ -512,28 +540,33 @@ func (t *Tree) Visit(b geom.Box, v Visitor) {
 	t.scan(b, v)
 }
 
-// scan is the shared traversal behind Visit, Count and Report. Agg.Query
+// scan is the shared traversal behind Visit, Count and Report; it returns
+// the number of rows found. A nil s (Count) wants only that number, so a
+// contained node adds its run's length and reads no index array. Agg.Query
 // mirrors it with a threaded accumulator (agg.go), because the aggregate
 // tables are keyed by the structural positions this descent resolves.
-func (t *Tree) scan(b geom.Box, s Visitor) {
+func (t *Tree) scan(b geom.Box, s Visitor) int {
 	switch {
 	case t.oneDim():
-		if lo, hi := t.oneRange(b); lo < hi {
+		lo, hi := t.oneRange(b) // lo ≤ hi
+		if lo < hi && s != nil {
 			s.VisitRun(&t.blk.Block, lo, hi)
 		}
+		return hi - lo
 	case t.two != nil:
 		c := t.two
 		ivx := b.Dim(c.x)
 		if pLo, pHi := c.rootRange(b.Dim(c.y)); pLo < pHi && !ivx.Empty() {
-			c.descend(0, 0, pLo, pHi, ivx, s)
+			return c.descend(0, 0, pLo, pHi, ivx, s)
 		}
 	default:
 		if iv := b.Dim(t.StartDim); !iv.Empty() {
 			if pLo, pHi := t.rootRun(b); pLo < pHi {
-				t.descend(t.shape.Root(), b, iv, pLo, pHi, s)
+				return t.descend(t.shape.Root(), b, iv, pLo, pHi, s)
 			}
 		}
 	}
+	return 0
 }
 
 // oneRange is the run of a one-dimensional tree inside b.
@@ -615,7 +648,7 @@ func (t *Tree) bridge(v, pLo, pHi int) (lLo, lHi, rLo, rHi int) {
 
 // descend is the upper-level descent as a plain recursive method (no
 // per-query closures), over node v's non-empty y-run [pLo, pHi).
-func (t *Tree) descend(v int, b geom.Box, iv geom.Interval, pLo, pHi int, s Visitor) {
+func (t *Tree) descend(v int, b geom.Box, iv geom.Interval, pLo, pHi int, s Visitor) (n int) {
 	c, lo, hi := t.classify(v, iv)
 	switch c {
 	case upperBucket:
@@ -624,24 +657,27 @@ func (t *Tree) descend(v int, b geom.Box, iv geom.Interval, pLo, pHi int, s Visi
 				continue
 			}
 			if i := t.idx[at]; b.ContainsFrom(t.blk.Point(int(i)), t.StartDim+1) {
-				s.VisitRow(&t.blk.Block, i)
+				n++
+				if s != nil {
+					s.VisitRow(&t.blk.Block, i)
+				}
 			}
 		}
 	case upperWhole:
 		if d := t.desc[v]; d.two != nil { // bridged: the run is the cascade's
-			d.two.descend(0, 0, pLo, pHi, b.Dim(d.two.x), s)
-		} else {
-			d.scan(b, s)
+			return d.two.descend(0, 0, pLo, pHi, b.Dim(d.two.x), s)
 		}
+		return t.desc[v].scan(b, s)
 	case upperSplit:
 		lLo, lHi, rLo, rHi := t.bridge(v, pLo, pHi)
 		if lLo < lHi {
-			t.descend(segtree.Left(v), b, iv, lLo, lHi, s)
+			n += t.descend(segtree.Left(v), b, iv, lLo, lHi, s)
 		}
 		if rLo < rHi {
-			t.descend(segtree.Right(v), b, iv, rLo, rHi, s)
+			n += t.descend(segtree.Right(v), b, iv, rLo, rHi, s)
 		}
 	}
+	return n
 }
 
 // rootRange is the run of the root's y-sorted array inside ivy: the one
@@ -687,29 +723,52 @@ func (c *cascade) children(k, lo, n, pLo, pHi int) (mid, lLo, lHi, rLo, rHi int)
 // the non-empty run [pLo, pHi) of y-matching entries of node (k, lo): O(1)
 // bridge arithmetic per visited node, and an x-filter over the y-matching
 // entries of a bucket node the query cuts.
-func (c *cascade) descend(k, lo, pLo, pHi int, ivx geom.Interval, s Visitor) {
+func (c *cascade) descend(k, lo, pLo, pHi int, ivx geom.Interval, s Visitor) (n int) {
 	hi, span := c.span(k, lo)
 	if !ivx.Overlaps(span) {
-		return
+		return 0
 	}
-	at := k*c.shape.M + lo
 	switch {
 	case ivx.ContainsInterval(span):
-		s.VisitIndexed(&c.blk.Block, c.idx[at+pLo:at+pHi])
+		if s != nil {
+			c.whole(k, lo, hi-lo, pLo, pHi, s)
+		}
+		return pHi - pLo
 	case k == c.depth:
-		for _, i := range c.idx[at+pLo : at+pHi] {
+		for _, i := range c.level(k)[lo+pLo : lo+pHi] {
 			if ivx.Contains(c.blk.coord(i, c.x)) {
-				s.VisitRow(&c.blk.Block, i)
+				n++
+				if s != nil {
+					s.VisitRow(&c.blk.Block, i)
+				}
 			}
 		}
 	default:
 		mid, lLo, lHi, rLo, rHi := c.children(k, lo, hi-lo, pLo, pHi)
 		if lLo < lHi {
-			c.descend(k+1, lo, lLo, lHi, ivx, s)
+			n += c.descend(k+1, lo, lLo, lHi, ivx, s)
 		}
 		if rLo < rHi {
-			c.descend(k+1, mid, rLo, rHi, ivx, s)
+			n += c.descend(k+1, mid, rLo, rHi, ivx, s)
 		}
+	}
+	return n
+}
+
+// whole visits the non-empty run [pLo, pHi) of the n-entry node (k, lo),
+// which the query contains: one index run at a sampled level, else its
+// two children's runs, which the bridges give.
+func (c *cascade) whole(k, lo, n, pLo, pHi int, s Visitor) {
+	if c.sampled(k) {
+		s.VisitIndexed(&c.blk.Block, c.level(k)[lo+pLo:lo+pHi])
+		return
+	}
+	mid, lLo, lHi, rLo, rHi := c.children(k, lo, n, pLo, pHi)
+	if lLo < lHi {
+		c.whole(k+1, lo, min(mid-lo, n), lLo, lHi, s)
+	}
+	if rLo < rHi {
+		c.whole(k+1, mid, lo+n-mid, rLo, rHi, s)
 	}
 }
 
@@ -760,19 +819,10 @@ func (t *Tree) Report(b geom.Box) []geom.Point {
 	return s.out
 }
 
-// countSink tallies the result without materializing it.
-type countSink struct{ total int }
-
-func (s *countSink) VisitRun(_ *geom.Block, lo, hi int)    { s.total += hi - lo }
-func (s *countSink) VisitIndexed(_ *geom.Block, i []int32) { s.total += len(i) }
-func (s *countSink) VisitRow(*geom.Block, int32)           { s.total++ }
-
-// Count returns |R(q)|.
+// Count returns |R(q)|, without materializing it and without allocating.
 func (t *Tree) Count(b geom.Box) int {
 	if b.Dims() != t.Dims {
 		panic("layered: query dimensionality mismatch")
 	}
-	var s countSink
-	t.scan(b, &s)
-	return s.total
+	return t.scan(b, nil)
 }

@@ -199,45 +199,63 @@ func TestEmptyBoxQuery(t *testing.T) {
 }
 
 // TestCascadeBridgesConsistent verifies the fractional-cascading invariant
-// directly on the flat layout, through the same bridge arithmetic the
-// query uses: every stored node's run is sorted by (y, ID), following a
-// bridge from position i lands on the first child entry not smaller than
-// the parent entry at i, and the terminal bridge is the child's length.
-// The sizes straddle the bucket and the power-of-two padding.
+// on the flat, sampled layout, through the same bridge arithmetic the
+// query uses, against every node's (y, ID) order recomputed from the
+// block: the cascade stores M entries per sampled level (0, stride, … and
+// the deepest) and each sampled node's run is its recomputed order; at
+// every level above the deepest, sampled or not, following a bridge from
+// position i lands on the first child entry not smaller than the parent
+// entry at i, and the terminal bridge is the child's length. The sizes
+// straddle the bucket and the power-of-two padding.
 func TestCascadeBridgesConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{1, 7, 8, 9, 64, 200, 257} {
+	for _, n := range []int{1, 7, 8, 9, 64, 200, 257, 1100} {
 		pts := randomPoints(rng, n, 2, n%2 == 0)
 		c := Build(pts).two
 		bl, m := c.blk, c.shape.M
-		if len(c.idx) != (c.depth+1)*m || c.words != m/64+1 || len(c.bridges) != c.depth*c.words {
-			t.Fatalf("n=%d: %d levels hold %d entries, %d rank words of %d per level", n, c.depth+1, len(c.idx), len(c.bridges), c.words)
+		stored := 0
+		for k := 0; k <= c.depth; k++ {
+			if k%stride == 0 || k == c.depth {
+				stored++
+			}
+		}
+		if len(c.idx) != stored*m || c.words != m/64+1 || len(c.bridges) != c.depth*c.words {
+			t.Fatalf("n=%d: %d sampled of %d levels hold %d entries, %d rank words of %d per level",
+				n, stored, c.depth+1, len(c.idx), len(c.bridges), c.words)
 		}
 		if w := c.shape.Cap >> c.depth; w > bucket || (c.depth > 0 && w != bucket) {
 			t.Fatalf("n=%d: deepest stored nodes are %d wide", n, w)
 		}
-		nodeRun := func(k, lo int) []int32 { return c.idx[k*m+lo : k*m+min(lo+c.shape.Cap>>k, m)] }
+		input := make([]int32, n)
+		for i := range input {
+			input[i] = int32(i)
+		}
+		byX := stableBy(bl, input, 0)
+		nodeRun := func(k, lo int) []int32 { return stableBy(bl, byX[lo:min(lo+c.shape.Cap>>k, m)], 1) }
 		for k := 0; k <= c.depth; k++ {
 			for lo, w := 0, c.shape.Cap>>k; lo < m; lo += w {
 				run := nodeRun(k, lo)
 				for i := 1; i < len(run); i++ {
 					if bl.cmp(run[i-1], run[i], 1) >= 0 {
-						t.Fatalf("n=%d level %d node %d: run not sorted at %d", n, k, lo, i)
+						t.Fatalf("n=%d level %d node %d: (y, ID) not distinct at %d", n, k, lo, i)
 					}
+				}
+				if c.sampled(k) && !slices.Equal(c.level(k)[lo:lo+len(run)], run) {
+					t.Fatalf("n=%d level %d node %d: stored run is not the node's (y, ID) order", n, k, lo)
 				}
 				if k == c.depth {
 					continue
 				}
+				left, right := nodeRun(k+1, lo), []int32(nil)
+				if mid := lo + w/2; mid < m {
+					right = nodeRun(k+1, mid)
+				}
 				for i := range run {
-					mid, lLo, lHi, rLo, rHi := c.children(k, lo, len(run), i, len(run))
-					var right []int32
-					if mid < m {
-						right = nodeRun(k+1, mid)
-					}
+					_, lLo, lHi, rLo, rHi := c.children(k, lo, len(run), i, len(run))
 					for _, side := range []struct {
 						child    []int32
 						at, term int
-					}{{nodeRun(k+1, lo), lLo, lHi}, {right, rLo, rHi}} {
+					}{{left, lLo, lHi}, {right, rLo, rHi}} {
 						// child[at] is the first entry ≥ run[i]; child[at-1] < run[i].
 						if side.at < len(side.child) && bl.cmp(side.child[side.at], run[i], 1) < 0 {
 							t.Fatalf("n=%d level %d node %d: bridge too low at %d", n, k, lo, i)
@@ -399,15 +417,18 @@ func TestSharedDescendantCountedOnce(t *testing.T) {
 
 // TestFootprint bounds the live heap one Build retains. The index-only
 // layout with rank-word bridges over one columnar point block (4 B of ID
-// and 4 B per coordinate a point) retains ≈ 62 B/point at d = 2 and
-// ≈ 368 at d = 3 (4 B of idx plus 2 bits of bridge per entry per level);
-// a block that also keeps a 32-byte header per point reads ≈ 90 and
-// ≈ 398, int32 bridges on top of that ≈ 124 and ≈ 561, and anything that
-// stores points per node ≥ 700 and ≥ 6 000. The limits sit between the
-// first two. A float64 sum annotation on the same tree is
-// held to its layout: a group keeps one 8-byte prefix per cascade entry
-// (≈ 80 and ≈ 437 B/point), at most 0.55× the two slots per entry (≈ 160
-// and ≈ 867) of the segment tree a monoid without an Inverse gets.
+// and 4 B per coordinate a point) and index arrays on the sampled levels
+// only retains ≈ 46 B/point at d = 2 and ≈ 287 at d = 3 (4 B of idx per
+// entry per sampled level, 2 bits of bridge per entry per level); an
+// index array on every level reads ≈ 62 and ≈ 368, a block that also
+// keeps a 32-byte header per point ≈ 90 and ≈ 398 on that, int32 bridges
+// on top of that ≈ 124 and ≈ 561, and anything that stores points per
+// node ≥ 700 and ≥ 6 000. The limits sit between the first two. A
+// float64 sum annotation on the same tree is held to its layout: a group
+// keeps one 8-byte prefix per stored cascade entry (≈ 48 and ≈ 275
+// B/point; ≈ 80 and ≈ 437 on every level, which the limits fail), at
+// most 0.55× the two slots per entry (≈ 96 and ≈ 547) of the segment tree
+// a monoid without an Inverse gets.
 func TestFootprint(t *testing.T) {
 	heap := func() int64 {
 		runtime.GC()
@@ -424,7 +445,7 @@ func TestFootprint(t *testing.T) {
 		runtime.KeepAlive(v)
 		return per
 	}
-	for _, tc := range []struct{ d, limit, aggLimit int }{{2, 75, 120}, {3, 385, 650}} {
+	for _, tc := range []struct{ d, limit, aggLimit int }{{2, 54, 64}, {3, 325, 355}} {
 		pts := randomPoints(rand.New(rand.NewSource(41)), n, tc.d, true)
 		var lt *Tree
 		per := retained(func() any { lt = Build(pts); return lt })

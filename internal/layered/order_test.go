@@ -65,7 +65,7 @@ func TestPackedOrdersMatchStableSort(t *testing.T) {
 				}
 			}
 			byX := stableBy(bl, input, 0)
-			bottom := c.idx[c.depth*m:]
+			bottom := c.level(c.depth)
 			for lo, w := 0, c.shape.Cap>>c.depth; lo < m; lo += w {
 				hi := min(lo+w, m)
 				if got, want := bottom[lo:hi], stableBy(bl, byX[lo:hi], 1); !slices.Equal(got, want) {
