@@ -120,12 +120,11 @@ func TestAggLayoutsAgree(t *testing.T) {
 // d = 2 (the top cascade) and d = 3 (the cascades of the root and its two
 // children), over 2 000 points whose coordinates repeat heavily (four to
 // a value in the cascades' x, ≈ 67 in the others), each node's x-span is
-// queried under several y cuts, so the descent serves
-// nodes at the levels that store no index array through their children.
-// Count, the reported IDs, a float sum (prefix tables) and a float max
-// (segment trees) must equal brute force, and every unsampled level must
-// hold nodes whose span no neighbour's point shares, which such a box
-// contains alone.
+// queried under several y cuts, so the descent serves nodes at the levels
+// that store no index array through their children. Count, the reported
+// IDs, a float sum (prefix tables) and a float max (segment trees) must
+// equal brute force, and every unsampled level must hold nodes whose span
+// no neighbour's point shares, which such a box contains alone.
 func TestUnsampledLevelContainment(t *testing.T) {
 	const n = 2000
 	weight := func(p geom.Point) float64 { return float64(p.ID%13) + 0.5 } // sums exactly
