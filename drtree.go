@@ -194,7 +194,9 @@ type AggregateHandle[T any] = core.AggHandle[T]
 // val; the returned handle answers batches via Batch. A group monoid (one
 // with Inverse set) selects the compact prefix-table annotation, half the
 // bytes of the segment trees other monoids get. Resident trees need
-// PrepareAssociativeNamed instead.
+// PrepareAssociativeNamed instead. On a machine over worker processes the
+// values cross the wire, which carries int64 and float64 only: another
+// value type aborts the run with an error naming it.
 func PrepareAssociative[T any](t *Tree, m Monoid[T], val func(Point) T) *AggregateHandle[T] {
 	return core.PrepareAssociative(t, m, val)
 }
@@ -204,8 +206,9 @@ func PrepareAssociative[T any](t *Tree, m Monoid[T], val func(Point) T) *Aggrega
 // package imported by every binary of the cluster (the coordinator and
 // each rangeworker), so both sides resolve the name to identical code;
 // internal/aggregates registers the standard ones. As with
-// PrepareAssociative, setting m.Inverse selects the compact layout.
-func RegisterAggregate[T any](name string, m Monoid[T], val func(Point) T) {
+// PrepareAssociative, setting m.Inverse selects the compact layout. The
+// value type is int64 or float64, the two the wire carries.
+func RegisterAggregate[T int64 | float64](name string, m Monoid[T], val func(Point) T) {
 	core.RegisterAggregate(name, m, val)
 }
 

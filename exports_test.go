@@ -18,7 +18,6 @@ var exportAllowList = map[string]string{
 	// Tools that tests use to check other code.
 	"psort.IsGloballySorted":     "checks psort's output order in its tests",
 	"cgm.Barrier":                "the payload-free superstep the machine and transport tests drive",
-	"wire.GobTypes":              "lists the gob registrations the codec tests cover",
 	"wire.Registered":            "lets the codec tests confirm a raw codec is registered",
 	"cgm.Machine.ArenaBytes":     "reads arena growth in the arena and alloc-budget tests",
 	"cgm.Metrics.LocalWork":      "the BSP local-work term the measured-mode tests check",
@@ -27,9 +26,6 @@ var exportAllowList = map[string]string{
 	"geom.RankPoints":            "builds rank-space fixtures with chosen coordinates",
 	"obs/cluster.ReadEvents":     "reads an event archive back in the health-plane tests",
 	"core.Tree.SetCopyCacheCap":  "shrinks the copy cache to force evictions in tests",
-
-	// Methods an interface calls implicitly.
-	"wire.chunk.ReadByte": "io.ByteReader, called by binary.ReadUvarint",
 
 	// Operations the paper names.
 	"comm.SegmentedBroadcast":   "the paper's segmented broadcast, one of §1's standard operations",

@@ -23,9 +23,9 @@ import (
 // and element type; a divergent processor aborts the whole machine with a
 // diagnostic rather than deadlocking. The payload movement itself is the
 // machine transport's job: the loopback transport passes rows by
-// reference, wire transports carry encoded blocks — the raw layout of a
-// registered wire.Codec when T has one, gob otherwise (so an unregistered
-// T must be gob-encodable — in practice: exported fields).
+// reference, wire transports carry encoded blocks — the raw layout of
+// T's registered wire.Codec. On a wire transport an element type without
+// one aborts the run with an error naming it.
 //
 // The returned column is carved from the rank's run arena (unless it holds
 // more than heapColumnBytes of rows): it — not the rows it points at,
@@ -153,8 +153,8 @@ func Barrier(pr *Proc, label string) {
 }
 
 // encodeBlocks encodes each destination's payload independently, so a
-// wire transport can route block j to rank j without re-encoding — raw
-// layout when []T has a registered wire codec, gob fallback otherwise.
+// wire transport can route block j to rank j without re-encoding, in the
+// raw layout of []T's registered wire codec (an error if it has none).
 // The self-addressed slot stays nil: the machine keeps that block in
 // memory (see the Deposit contract), so it is never serialized at all.
 //

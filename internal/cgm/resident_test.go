@@ -18,7 +18,7 @@ func init() {
 		Version: 1,
 		New:     func(rank, p int) any { return &rtState{} },
 		Steps: map[string]exec.Step{
-			"sum": exec.Pure(func(st *rtState, c *exec.Ctx, _ struct{}) (int, error) {
+			"sum": exec.Pure(func(st *rtState, c *exec.Ctx, _ bool) (int, error) {
 				total := st.kept
 				for _, part := range st.got {
 					for _, v := range part {
@@ -72,7 +72,7 @@ func TestResidentExchangeSteps(t *testing.T) {
 		t.Fatalf("resident counts wrong: %+v", mt.Rounds[0])
 	}
 	res.Run(func(pr *Proc) {
-		got := CallResident[struct{}, int](pr, rtRef("sum"), struct{}{})
+		got := CallResident[bool, int](pr, rtRef("sum"), false)
 		want := 0
 		for j := 0; j < p; j++ {
 			want += 100 + j*10 + pr.rank
@@ -94,7 +94,7 @@ func TestResidentStepErrorAborts(t *testing.T) {
 		}
 	}()
 	res.Run(func(pr *Proc) {
-		CallResident[struct{}, int](pr, exec.Ref{Program: "cgm-test", Version: 99, Step: "sum"}, struct{}{})
+		CallResident[bool, int](pr, exec.Ref{Program: "cgm-test", Version: 99, Step: "sum"}, false)
 	})
 }
 

@@ -21,7 +21,7 @@ import (
 // rows by reference through shared memory (the loopback default, the
 // original slots+barrier machinery of the simulator), and wire transports
 // (Wire() == true) move encoded blocks — the raw layout of a registered
-// wire.Codec, or its gob fallback — over the TCP implementation in
+// wire.Codec — over the TCP implementation in
 // internal/transport, which runs every superstep through real worker
 // processes.
 type Transport interface {

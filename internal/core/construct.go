@@ -62,8 +62,9 @@ type runSum struct {
 // as layered trees, broadcasting the stub roots, and rebuilding the
 // dimension-j hat layer on every processor. Each rank starts from its
 // canonical block of n/p points (CanonicalBlocks). On a resident machine
-// the blocks are staged into the ranks' parts first, so each point
-// crosses the coordinator once, on its way in. A bad point set or a
+// the blocks are staged into the ranks' parts first, over the same rank
+// feeds BulkLoad streams through, so each point leaves the coordinator
+// once, on its way in. A bad point set or a
 // machine abort panics; BuildOn returns them as errors.
 func Build(mach *cgm.Machine, pts []geom.Point) *Tree {
 	t, err := buildPoints(mach, pts)
@@ -74,10 +75,10 @@ func Build(mach *cgm.Machine, pts []geom.Point) *Tree {
 }
 
 // buildPoints is the one build of a point slice: check the points, cut
-// the canonical blocks, stage them into the ranks' parts on a resident
-// machine (a fabric construct takes each rank's block from blocks), and
-// run the construction. A bad point set, a failed stage and a machine
-// abort return as errors.
+// the canonical blocks, stage them into the ranks' parts over the rank
+// feeds on a resident machine (a fabric construct takes each rank's
+// block from blocks), and run the construction. A bad point set, a
+// failed stage and a machine abort return as errors.
 func buildPoints(mach *cgm.Machine, pts []geom.Point) (*Tree, error) {
 	dims, err := checkPoints(pts)
 	if err != nil {
@@ -85,7 +86,21 @@ func buildPoints(mach *cgm.Machine, pts []geom.Point) (*Tree, error) {
 	}
 	blocks := CanonicalBlocks(pts, mach.P())
 	if mach.Resident() {
-		if err := stageBlocks(mach, blocks); err != nil {
+		// Rank r receives its block in order, in DefaultChunk pieces, so
+		// its staged input is exactly its canonical block; the ranks'
+		// chunks interleave so every feed streams at once.
+		err := feedRanks(mach, IngestConfig{Window: DefaultWindow}, func(send func(int, []geom.Point)) {
+			for off, more := 0, true; more; off += DefaultChunk {
+				more = false
+				for rank, blk := range blocks {
+					if off < len(blk) {
+						send(rank, blk[off:min(len(blk), off+DefaultChunk)])
+						more = true
+					}
+				}
+			}
+		})
+		if err != nil {
 			return nil, fmt.Errorf("core: staging worker blocks: %w", err)
 		}
 	}

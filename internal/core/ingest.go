@@ -16,10 +16,12 @@ import (
 )
 
 // This file stages a build's input per rank before Construct runs. On a
-// resident machine it is the worker-direct ingest path: the coordinator
-// never holds (or forwards) the point set. Chunks stream straight to each
-// rank's staging area — round-robined from a client ChunkSource with a
-// bounded in-flight window, or read rank-locally from pointsfile slices —
+// resident machine it is the worker-direct ingest path: a file load's
+// coordinator never touches the points, and a stream or a Build forwards
+// each point once, over the rank feeds. Chunks stream straight to each
+// rank's staging area over the rank feeds — round-robined from a client
+// ChunkSource or cut from a Build's canonical blocks, under a bounded
+// in-flight window — or are read rank-locally from pointsfile slices,
 // and the construction then runs entirely worker-side, the
 // coordinator contributing only the p² regular-sampling splitters and
 // control frames. On a fabric machine the same reader fills each rank's
@@ -84,24 +86,51 @@ func forEachRank(p int, f func(rank int) error) error {
 	return errors.Join(errs...)
 }
 
-// stageBlocks stages one block per rank into a resident machine's
-// parts, in chunks over the coordinator's connections: the input of a
-// resident Build, whose canonical blocks keep its metrics
-// identical to a fabric build's.
-func stageBlocks(mach *cgm.Machine, blocks [][]geom.Point) error {
-	return forEachRank(mach.P(), func(rank int) error {
-		if _, err := cgm.ResidentCall[bool, bool](mach, rank, fref("ingest/begin"), false); err != nil {
-			return err
+// feedRanks stages a resident machine's input over the p rank feeds:
+// it starts one feedRank per rank, lets fill hand the ranks their chunks
+// (send queues blk on rank's feed, in order), joins the feeds, and
+// cross-checks each rank's acknowledged staged count against the points
+// its feed sent. A failure poisons the machine: a rank half-staged with
+// chunks of unknown fate in flight must abort the session, so every
+// sibling feeder and any later use of the machine sees the diagnostic
+// instead of building on the partial stage.
+func feedRanks(mach *cgm.Machine, cfg IngestConfig, fill func(send func(rank int, blk []geom.Point))) error {
+	p := mach.P()
+	feed := make([]chan []geom.Point, p)
+	errs := make([]error, p)
+	sent := make([]int, p)   // points the filler handed each rank
+	staged := make([]int, p) // points each rank's feed acknowledged staging
+	stageT0 := time.Now()
+	var wg sync.WaitGroup
+	for rank := range p {
+		feed[rank] = make(chan []geom.Point, cfg.Window)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[rank], staged[rank] = feedRank(mach, rank, cfg, feed[rank], &sent[rank])
+		}()
+	}
+	fill(func(rank int, blk []geom.Point) { feed[rank] <- blk })
+	for _, ch := range feed {
+		close(ch)
+	}
+	wg.Wait()
+	// Staging wall-time (filler + feeds through the last ack), distinct
+	// from the construct that follows — it is the phase the feed fabric
+	// and the QoS governor act on.
+	if reg := mach.Obs(); reg != nil {
+		reg.Counter("ingest_stage_wall_ns_total").Add(time.Since(stageT0).Nanoseconds())
+	}
+	err := errors.Join(errs...)
+	for rank := range p {
+		if err == nil && staged[rank] != sent[rank] {
+			err = fmt.Errorf("core: rank %d acknowledged %d staged points but the feed sent %d", rank, staged[rank], sent[rank])
 		}
-		for blk := blocks[rank]; len(blk) > 0; {
-			c := min(len(blk), DefaultChunk)
-			if _, err := cgm.ResidentCall[ingestChunkArgs, int](mach, rank, fref("ingest/chunk"), ingestChunkArgs{Pts: blk[:c]}); err != nil {
-				return err
-			}
-			blk = blk[c:]
-		}
-		return nil
-	})
+	}
+	if err != nil {
+		mach.Poison(err)
+	}
+	return err
 }
 
 // buildStaged runs the construction over staged input — blocks on a
@@ -137,96 +166,61 @@ type IngestConfig struct {
 // so a fabric and a resident load of one stream build the same tree with
 // the same Metrics.
 //
-// On a resident machine each rank has its own feeder goroutine with a
-// window-deep channel, so a slow rank backpressures the reader while the
-// others keep streaming. Each feeder holds a DIRECT connection to its
-// rank pushing chunks under an independent in-flight window — the
-// coordinator's session connections carry only the ingest-begin control
-// calls and the construction's p² splitters, so aggregate ingest
-// bandwidth scales with p. A feed failure (worker death, step error, a
-// resident transport without feeds) poisons the machine: the session
-// aborts with the diagnostic rather than surviving half-staged. On a
-// fabric machine the reader appends each chunk to its rank's block.
+// On a resident machine the reader fills the rank feeds (feedRanks, the
+// path a resident Build stages through too): each rank has its own
+// feeder goroutine with a window-deep channel, so a slow rank
+// backpressures the reader while the others keep streaming. Each feeder
+// holds a DIRECT connection to its rank pushing chunks under an
+// independent in-flight window — the coordinator's session connections
+// carry only the ingest-begin control calls and the construction's p²
+// splitters, so aggregate ingest bandwidth scales with p. A feed failure
+// (worker death, step error, a resident transport without feeds) poisons
+// the machine: the session aborts with the diagnostic rather than
+// surviving half-staged. On a fabric machine the reader appends each
+// chunk to its rank's block.
 func BulkLoad(mach *cgm.Machine, src ChunkSource, cfg IngestConfig) (*Tree, error) {
 	if cfg.Window <= 0 {
 		cfg.Window = DefaultWindow
 	}
 	p := mach.P()
-	blocks := make([][]geom.Point, p)
-	sink := func(rank int, blk []geom.Point) { blocks[rank] = append(blocks[rank], blk...) }
-	var feed []chan []geom.Point
-	errs := make([]error, p)
-	sent := make([]int, p)   // points the reader handed each rank
-	staged := make([]int, p) // points each rank's feed acknowledged staging
-	stageT0 := time.Now()
-	var wg sync.WaitGroup
-	if mach.Resident() {
-		feed = make([]chan []geom.Point, p)
-		for rank := range p {
-			feed[rank] = make(chan []geom.Point, cfg.Window)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				errs[rank], staged[rank] = feedRank(mach, rank, cfg, feed[rank], &sent[rank])
-			}()
-		}
-		sink = func(rank int, blk []geom.Point) { feed[rank] <- blk }
-	}
 	dims, total := -1, 0
 	var srcErr error
-read:
-	for i := 0; ; i++ {
-		blk, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			srcErr = err
-			break
-		}
-		if len(blk) == 0 {
-			continue
-		}
-		for _, pt := range blk {
-			if dims == -1 {
-				dims = pt.Dims()
+	read := func(sink func(rank int, blk []geom.Point)) {
+		for i := 0; ; i++ {
+			blk, err := src.Next()
+			if err == io.EOF {
+				return
 			}
-			if pt.Dims() != dims {
-				srcErr = fmt.Errorf("core: point %d has %d dims, want %d", pt.ID, pt.Dims(), dims)
-				break read
+			if err != nil {
+				srcErr = err
+				return
 			}
+			if len(blk) == 0 {
+				continue
+			}
+			for _, pt := range blk {
+				if dims == -1 {
+					dims = pt.Dims()
+				}
+				if pt.Dims() != dims {
+					srcErr = fmt.Errorf("core: point %d has %d dims, want %d", pt.ID, pt.Dims(), dims)
+					return
+				}
+			}
+			total += len(blk)
+			sink(i%p, blk)
 		}
-		total += len(blk)
-		sink(i%p, blk)
 	}
-	for _, ch := range feed {
-		close(ch)
-	}
-	wg.Wait()
-	// Staging wall-time (reader + feeds through the last ack), distinct
-	// from the construct that follows — it is the phase the feed fabric
-	// and the QoS governor act on.
-	if reg := mach.Obs(); reg != nil {
-		reg.Counter("ingest_stage_wall_ns_total").Add(time.Since(stageT0).Nanoseconds())
-	}
-	if err := errors.Join(errs...); err != nil {
-		err = fmt.Errorf("core: bulk ingest: %w", err)
-		// A broken feed leaves the rank half-staged with chunks of
-		// unknown fate in flight: abort the session so every sibling
-		// feeder, and any later use of the machine, sees the diagnostic
-		// instead of building on the partial stage.
-		mach.Poison(err)
-		return nil, err
+	blocks := make([][]geom.Point, p)
+	if mach.Resident() {
+		if err := feedRanks(mach, cfg, read); err != nil {
+			return nil, fmt.Errorf("core: bulk ingest: %w", err)
+		}
+	} else {
+		read(func(rank int, blk []geom.Point) { blocks[rank] = append(blocks[rank], blk...) })
 	}
 	if srcErr != nil {
 		return nil, srcErr
-	}
-	for rank := range p {
-		if staged[rank] != sent[rank] {
-			err := fmt.Errorf("core: rank %d acknowledged %d staged points but the feed sent %d", rank, staged[rank], sent[rank])
-			mach.Poison(err)
-			return nil, err
-		}
 	}
 	if total == 0 {
 		return nil, errors.New("core: bulk load delivered no points")

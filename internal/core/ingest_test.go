@@ -216,15 +216,25 @@ func (ft feedlessTransport) CallStep(int, exec.Ref, []byte) ([]byte, error) {
 	return exec.Marshal(false), nil
 }
 
-// TestBulkLoadNeedsFeeds: there is one streaming ingest path. A resident
-// machine whose transport cannot open feeds fails the load with
-// OpenFeed's diagnostic — it does not fall back to pushing chunks through
-// the coordinator's control connections.
+// TestBulkLoadNeedsFeeds: there is one staging path onto a resident
+// machine. A resident machine whose transport cannot open feeds fails a
+// BulkLoad and a Build with OpenFeed's diagnostic — neither falls back to
+// pushing chunks through the coordinator's control connections.
 func TestBulkLoadNeedsFeeds(t *testing.T) {
-	mach := cgm.New(cgm.Config{Transport: feedlessTransport{p: 2}, Resident: true})
 	pts := workload.Points(workload.PointSpec{N: 64, Dims: 2, Dist: workload.Uniform, Seed: 1})
-	_, err := core.BulkLoad(mach, core.SliceChunks(pts, 16), core.IngestConfig{Window: 0})
+	feedless := func() *cgm.Machine {
+		return cgm.New(cgm.Config{Transport: feedlessTransport{p: 2}, Resident: true})
+	}
+	_, err := core.BulkLoad(feedless(), core.SliceChunks(pts, 16), core.IngestConfig{Window: 0})
 	if err == nil || !strings.Contains(err.Error(), "does not support step feeds") {
 		t.Fatalf("bulk load on a feedless resident machine: %v, want the OpenFeed diagnostic", err)
+	}
+	msg := func() (msg any) {
+		defer func() { msg = recover() }()
+		core.Build(feedless(), pts)
+		return nil
+	}()
+	if s, _ := msg.(string); !strings.Contains(s, "does not support step feeds") {
+		t.Fatalf("build on a feedless resident machine: %v, want the OpenFeed diagnostic", msg)
 	}
 }

@@ -277,8 +277,8 @@ func exchangeOnPart[EA, CA, T, R any](pr *cgm.Proc, part *forestPart, label stri
 }
 
 // Step argument and reply types. Everything crossing the seam has a raw
-// wire codec (wirecodec.go); the fields stay exported for wire's gob
-// fallback, which only custom aggregate value types take.
+// wire codec (wirecodec.go, wirecodec2.go); a type without one cannot
+// cross it.
 
 // constructInstallArgs accompanies one construction phase's routed
 // points: the replicated metadata of the elements this rank owns in the
@@ -855,8 +855,10 @@ var (
 // RegisterAggregate binds a name to a monoid and per-point value function
 // for resident execution. Register the same name in every binary of the
 // cluster (coordinator and workers) — package init functions are the
-// natural place. Registering a name twice panics.
-func RegisterAggregate[T any](name string, m semigroup.Monoid[T], val func(geom.Point) T) {
+// natural place. Registering a name twice panics. The value type is one
+// of the two core registers row codecs for (wirecodec.go): an aggregate
+// value crosses a process only through them.
+func RegisterAggregate[T int64 | float64](name string, m semigroup.Monoid[T], val func(geom.Point) T) {
 	aggRegMu.Lock()
 	defer aggRegMu.Unlock()
 	if _, dup := aggRegs[name]; dup {

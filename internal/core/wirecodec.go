@@ -16,8 +16,9 @@ import (
 // the result blocks of each kind. Registration happens here, in core's init,
 // so every binary that can run the SPMD programs (coordinator and
 // rangeworker both import core) agrees on the raw-coded type set by
-// construction; anything else — custom aggregate value types above all —
-// rides wire's gob fallback untouched.
+// construction. A type without a codec cannot cross the wire: aggregate
+// values are int64 or float64 (RegisterAggregate's constraint), the two
+// value types the generic rows below are registered for.
 //
 // Layouts follow the package wire discipline: counts and string lengths
 // are uvarints, IDs/coordinates/values are fixed-width little-endian.
@@ -356,7 +357,8 @@ func init() {
 
 	// Phase D's partials, weights and orders, for the value types a batch
 	// carries: none (count and report batches) and the standard aggregate
-	// values (internal/aggregates). Custom value types fall back to gob.
+	// values (internal/aggregates), the only value types RegisterAggregate
+	// takes.
 	resultRowCodec(func(buf []byte, _ struct{}) []byte { return buf }, func(*wire.Reader) struct{} { return struct{}{} })
 	resultRowCodec(wire.AppendI64, (*wire.Reader).I64)
 	resultRowCodec(wire.AppendF64, (*wire.Reader).F64)
@@ -372,8 +374,7 @@ func init() {
 	// Count results: fixed 12-byte records, decoded in one allocation.
 	fixedCodec(appendQcounts, func(r *wire.Reader) ([]qcount, error) { return readQcounts(r), nil })
 
-	// Aggregate results for the standard value types (internal/
-	// aggregates): custom value types fall back to gob by design.
+	// Aggregate results for the two aggregate value types.
 	fixedCodec(
 		func(buf []byte, vs []qvalT[int64]) []byte {
 			buf = wire.AppendUvarint(buf, uint64(len(vs)))

@@ -12,11 +12,10 @@ import (
 
 // Raw wire codecs for the remaining step/collect payloads: the resident
 // control arguments, the held-construct frames of the worker-fed build,
-// and phase C's collect reply. With these registered, a
-// cluster serving queries or bulk-ingesting points sends ZERO gob frames
-// — every byte on the coordinator's connections is raw-coded control or
-// payload (TestClusterIngestAndServeWithoutGob holds that line). Only custom
-// aggregate value types still ride the gob fallback, by design.
+// and phase C's collect reply. With these registered, every byte a
+// cluster serving queries or bulk-ingesting points puts on the
+// coordinator's connections is raw-coded control or payload; a payload
+// type without a codec could not cross at all.
 //
 // Same layout discipline and registration (fixedCodec) as wirecodec.go:
 // counts/lengths are uvarints, IDs/coordinates/values fixed-width

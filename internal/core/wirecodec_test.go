@@ -405,27 +405,6 @@ func TestRouteRowSize(t *testing.T) {
 	}
 }
 
-// A generic aggregate over a custom value type must keep riding the gob
-// fallback: the registry has int64/float64 instantiations only.
-func TestCustomAggregateValueFallsBackToGob(t *testing.T) {
-	type money struct{ Cents int64 }
-	if wire.Registered[[]qvalT[money]]() {
-		t.Fatal("custom aggregate value type unexpectedly registered")
-	}
-	in := []qvalT[money]{{Query: 3, Val: money{Cents: 199}}}
-	b, err := wire.Encode(nil, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := wire.Decode[[]qvalT[money]](b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("fallback round trip: %+v vs %+v", out, in)
-	}
-}
-
 // ------------------------------------------------------------ benchmarks
 
 // benchEncDec measures both codecs on the same block value: the raw path

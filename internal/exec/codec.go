@@ -9,10 +9,10 @@ import (
 
 // The typed wrappers below are how programs define steps without touching
 // bytes: arguments, replies and exchanged rows are wire-encoded at the
-// seam (raw layout when the type has a registered wire.Codec, gob
-// otherwise), with element counts taken from the typed slices — so a
-// resident exchange accounts exactly what a coordinator-side exchange of
-// the same rows would.
+// seam (the raw layout of the type's registered wire.Codec; a type
+// without one is an encoding error), with element counts taken from the
+// typed slices — so a resident exchange accounts exactly what a
+// coordinator-side exchange of the same rows would.
 
 // Marshal encodes a step argument or reply. The encoding is retained by
 // the caller (frames, replies), so it gets its own buffer rather than a

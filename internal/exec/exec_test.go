@@ -21,7 +21,7 @@ func init() {
 				st.held = append(st.held, args...)
 				return len(st.held), nil
 			}),
-			"boom": Pure(func(st *testState, _ *Ctx, _ struct{}) (int, error) {
+			"boom": Pure(func(st *testState, _ *Ctx, _ bool) (int, error) {
 				panic("step exploded")
 			}),
 		},
@@ -35,7 +35,7 @@ func init() {
 			}),
 		},
 		Collects: map[string]Collect{
-			"sum": Collector(func(st *testState, c *Ctx, _ struct{}, in [][]int) (int, error) {
+			"sum": Collector(func(st *testState, c *Ctx, _ bool, in [][]int) (int, error) {
 				total := 0
 				for _, part := range in {
 					for _, v := range part {
@@ -81,7 +81,7 @@ func TestVersionSkewRejected(t *testing.T) {
 
 func TestStepPanicBecomesError(t *testing.T) {
 	s := NewStore()
-	_, err := s.Call(0, 1, ref("boom"), Marshal(struct{}{}))
+	_, err := s.Call(0, 1, ref("boom"), Marshal(false))
 	if err == nil || !strings.Contains(err.Error(), "step exploded") {
 		t.Fatalf("panic not converted to diagnostic error: %v", err)
 	}
@@ -117,7 +117,7 @@ func TestEmitCollectRoundTrip(t *testing.T) {
 				col[j] = outs[j].Blocks[r]
 			}
 		}
-		reply, recv, err := s.RunCollect(r, p, ref("sum"), &Inbox{Blocks: col, Self: outs[r].Self}, Marshal(struct{}{}))
+		reply, recv, err := s.RunCollect(r, p, ref("sum"), &Inbox{Blocks: col, Self: outs[r].Self}, Marshal(false))
 		if err != nil {
 			t.Fatal(err)
 		}

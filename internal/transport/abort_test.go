@@ -68,6 +68,32 @@ func TestTCPExchangeTransposes(t *testing.T) {
 	}
 }
 
+// unregisteredRow has no wire codec, so it cannot cross a process.
+type unregisteredRow struct{ A, B int }
+
+// TestTCPUnregisteredRowAborts: over TCP an exchange's rows cross as
+// their registered codec's raw layout; a row type without one aborts the
+// run with a diagnostic that names the type, instead of crossing some
+// other way.
+func TestTCPUnregisteredRowAborts(t *testing.T) {
+	cl := startCluster(t, 4, cgm.Config{})
+	mach, err := cl.NewMachine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := runExpectAbort(t, mach, func(pr *cgm.Proc) {
+		out := make([][]unregisteredRow, 4)
+		for j := range out {
+			out[j] = []unregisteredRow{{pr.Rank(), j}}
+		}
+		cgm.Exchange(pr, "unregistered", out)
+	})
+	t.Logf("diagnostic: %s", msg)
+	if !strings.Contains(msg, "transport_test.unregisteredRow") {
+		t.Fatalf("abort does not name the row type: %v", msg)
+	}
+}
+
 // TestTCPSPMDDivergenceAborts: the divergence is detected on the remote
 // side — workers compare the stamps that arrive over the wire — and the
 // coordinator surfaces the diagnostic as a machine abort.

@@ -3,8 +3,8 @@
 // SPMD program driver (the p rank goroutines, the hat replicas and the
 // superstep accounting live there, exactly as on the loopback transport),
 // and p worker processes carry the h-relations — every exchange leaves
-// the coordinator as wire-encoded blocks (internal/wire: raw codec or gob
-// fallback), is routed worker-to-worker over a mesh of TCP connections,
+// the coordinator as wire-encoded blocks (internal/wire's raw codecs),
+// is routed worker-to-worker over a mesh of TCP connections,
 // validated for SPMD divergence on the remote side, and returns as the
 // assembled column.
 //

@@ -105,13 +105,11 @@ func TestWorkerFedEquivalence(t *testing.T) {
 	})
 }
 
-// TestClusterIngestAndServeWithoutGob pins satellite goal: with every
-// hot payload raw-coded, a resident cluster bulk-ingesting a stream and
-// then serving all three result modes encodes ZERO gob blocks — the
-// fallback is reserved for custom aggregate value types. The wire
-// counters are process-global, so this covers both the coordinator and
-// the in-process workers.
-func TestClusterIngestAndServeWithoutGob(t *testing.T) {
+// TestClusterIngestAndServeOnRawCodecs: a resident cluster bulk-ingests
+// a stream and then serves all three result modes, and the raw codec
+// carries its traffic. The wire counters are process-global, so this
+// covers both the coordinator and the in-process workers.
+func TestClusterIngestAndServeOnRawCodecs(t *testing.T) {
 	const p, n, m = 4, 2000, 48
 	cl := startCluster(t, p, cgm.Config{Resident: true})
 	pts := workload.Points(workload.PointSpec{N: n, Dims: 2, Dist: workload.Clustered, Seed: 7})
@@ -136,13 +134,8 @@ func TestClusterIngestAndServeWithoutGob(t *testing.T) {
 		core.MixedBatch(tree, h, ops, boxes)
 	}
 
-	after := wire.Stats()
-	if d := after.GobEncBlocks - before.GobEncBlocks; d != 0 {
-		t.Fatalf("ingest + serve encoded %d gob blocks (%d gob bytes); gob-coded types so far: %v",
-			d, after.GobEncBytes-before.GobEncBytes, wire.GobTypes())
-	}
-	if after.RawEncBlocks == before.RawEncBlocks {
-		t.Fatal("no raw blocks encoded — measurement is not observing the wire")
+	if after := wire.Stats(); after.RawEncBlocks == before.RawEncBlocks || after.RawDecBlocks == before.RawDecBlocks {
+		t.Fatal("no raw blocks encoded or decoded — measurement is not observing the wire")
 	}
 }
 
@@ -287,10 +280,13 @@ func TestFileIngestCoordinatorBytesIndependentOfN(t *testing.T) {
 }
 
 // TestResidentBuildCoordinatorBytes: a resident Build stages the
-// canonical blocks into the workers and runs the construction held, so
-// each point crosses the coordinator once, on its way in, and the sorts
-// and routing stay on the worker mesh. It reads 20.4 B/point; sending
-// each phase's records through the coordinator reads ≈ 427.
+// canonical blocks over the rank feeds — direct worker connections, off
+// the coordinator's session connections — and runs the construction
+// held, so the sorts and routing stay on the worker mesh and the
+// session connections carry only control, samples and splitters. It
+// reads 3.3 B/point; staging through synchronous step calls on the
+// session connections read 20.4, and sending each phase's records
+// through the coordinator ≈ 427.
 func TestResidentBuildCoordinatorBytes(t *testing.T) {
 	const p, n, d = 4, 8192, 3
 	cl := startCluster(t, p, cgm.Config{Resident: true})
@@ -299,15 +295,23 @@ func TestResidentBuildCoordinatorBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	chunks := int64(0)
+	for _, blk := range core.CanonicalBlocks(pts, p) {
+		chunks += int64((len(blk) + core.DefaultChunk - 1) / core.DefaultChunk)
+	}
+	feedBefore := cl.WireStats()["feed_call"].Frames
 	outBefore, inBefore := cl.CoordBytes()
 	tree := core.Build(mach, pts)
 	out, in := cl.CoordBytes()
 	if tree.N() != n {
 		t.Fatalf("built %d points, want %d", tree.N(), n)
 	}
+	if got := cl.WireStats()["feed_call"].Frames - feedBefore; got != chunks {
+		t.Fatalf("the build sent %d feed calls, want one per chunk: %d", got, chunks)
+	}
 	perPt := float64(out-outBefore+in-inBefore) / n
 	t.Logf("coordinator bytes: %d out, %d in, %.1f B/point", out-outBefore, in-inBefore, perPt)
-	if perPt > 40 {
-		t.Fatalf("a resident build moved %.1f coordinator bytes per point, budget 40: the points must cross the coordinator once", perPt)
+	if perPt > 8 {
+		t.Fatalf("a resident build moved %.1f coordinator bytes per point, budget 8: the points must stage over the rank feeds", perPt)
 	}
 }

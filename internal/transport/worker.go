@@ -77,9 +77,9 @@ func ListenAndServe(addr string) (*Worker, error) {
 			emit(fmt.Sprintf("worker_frame_bytes_total{kind=%q}", k), float64(st.Bytes))
 		}
 	})
-	// Codec counters on the worker's own /metrics: the zero-gob claim of
-	// the raw wire path is assertable per process, not just coordinator-
-	// side (the CI cluster smoke greps these rows).
+	// Codec counters on the worker's own /metrics: that the raw codec
+	// carried a worker's traffic is assertable per process, not just
+	// coordinator-side (the CI cluster smoke greps these rows).
 	w.reg.Collect(wire.EmitStats)
 	w.wg.Add(1)
 	go w.acceptLoop()

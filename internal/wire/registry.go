@@ -1,11 +1,8 @@
 package wire
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 	"reflect"
-	"sort"
 	"sync"
 )
 
@@ -59,66 +56,25 @@ func Registered[T any]() bool {
 	return ok
 }
 
-// Every encoded block leads with a one-byte tag, so the decode side
-// dispatches on the block itself rather than on out-of-band agreement —
-// a binary that lacks a codec registration still rejects a raw block
-// with a diagnostic instead of misreading it, and gob-fallback blocks
-// are self-identifying.
-const (
-	tagGob byte = 'G'
-	tagRaw byte = 'R'
-)
+// Every encoded block leads with the one-byte tag 'R', so the decode
+// side refuses a block from any other encoding with a diagnostic instead
+// of misreading it.
+const tagRaw byte = 'R'
 
-// Encode appends the tagged wire encoding of v to buf: the raw layout
-// when a codec is registered for T, the gob fallback otherwise. Combine
-// with GetBuf/PutBuf to keep the per-superstep encode path allocation-
-// free in steady state.
+// Encode appends the tagged raw encoding of v to buf. A type without a
+// registered codec cannot cross the wire: Encode returns an error naming
+// it. Combine with GetBuf/PutBuf to keep the per-superstep encode path
+// allocation-free in steady state.
 func Encode[T any](buf []byte, v T) ([]byte, error) {
+	c, ok := Lookup[T]()
+	if !ok {
+		return buf, fmt.Errorf("wire: no codec registered for %v", reflect.TypeOf((*T)(nil)).Elem())
+	}
 	start := len(buf)
-	if c, ok := Lookup[T](); ok {
-		buf = c.Append(append(buf, tagRaw), v)
-		counters.rawEncBlocks.Add(1)
-		counters.rawEncBytes.Add(int64(len(buf) - start))
-		return buf, nil
-	}
-	// The fallback lives in its own function so gob's &v only forces v to
-	// the heap on the gob path — inlined here it would cost the raw path
-	// one allocation per block too.
-	return encodeGob(buf, start, v)
-}
-
-func encodeGob[T any](buf []byte, start int, v T) ([]byte, error) {
-	buf = append(buf, tagGob)
-	w := sliceWriter{b: buf}
-	// gob sends its type descriptors once per Encoder, so an encoder
-	// cannot be reused across independently decoded blocks; what the
-	// fallback path reuses is the buffer the encoder writes into.
-	if err := gob.NewEncoder(&w).Encode(&v); err != nil {
-		return buf[:start], fmt.Errorf("wire: gob-encoding %T: %w", v, err)
-	}
-	counters.gobEncBlocks.Add(1)
-	counters.gobEncBytes.Add(int64(len(w.b) - start))
-	recordGobType(reflect.TypeOf((*T)(nil)).Elem())
-	return w.b, nil
-}
-
-// gobTypes records which payload types have fallen back to gob since
-// process start, so the zero-gob assertions can name the offender rather
-// than just report a nonzero counter.
-var gobTypes sync.Map // reflect.Type -> struct{}
-
-func recordGobType(t reflect.Type) { gobTypes.LoadOrStore(t, struct{}{}) }
-
-// GobTypes lists the type names that have gob-encoded at least one block
-// in this process (diagnostic companion to Stats().GobEncBlocks).
-func GobTypes() []string {
-	var names []string
-	gobTypes.Range(func(k, _ any) bool {
-		names = append(names, k.(reflect.Type).String())
-		return true
-	})
-	sort.Strings(names)
-	return names
+	buf = c.Append(append(buf, tagRaw), v)
+	counters.rawEncBlocks.Add(1)
+	counters.rawEncBytes.Add(int64(len(buf) - start))
+	return buf, nil
 }
 
 // Decode decodes one Encode-produced block.
@@ -127,63 +83,19 @@ func Decode[T any](b []byte) (T, error) {
 	if len(b) == 0 {
 		return zero, fmt.Errorf("wire: empty block")
 	}
-	switch b[0] {
-	case tagRaw:
-		c, ok := Lookup[T]()
-		if !ok {
-			return zero, fmt.Errorf("wire: raw block for %v, which this binary has no codec for (version skew?)",
-				reflect.TypeOf((*T)(nil)).Elem())
-		}
-		v, err := c.Decode(b[1:])
-		if err == nil {
-			counters.rawDecBlocks.Add(1)
-		}
-		return v, err
-	case tagGob:
-		var v T
-		cr := chunk{b: b[1:]}
-		if err := gob.NewDecoder(&cr).Decode(&v); err != nil {
-			return zero, fmt.Errorf("wire: gob-decoding %v: %w", reflect.TypeOf((*T)(nil)).Elem(), err)
-		}
-		counters.gobDecBlocks.Add(1)
-		return v, nil
-	default:
+	if b[0] != tagRaw {
 		return zero, fmt.Errorf("wire: unknown block tag 0x%02x", b[0])
 	}
-}
-
-// sliceWriter appends gob output to the caller's (pooled) buffer, so the
-// fallback path shares the raw path's buffer reuse.
-type sliceWriter struct{ b []byte }
-
-func (w *sliceWriter) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
-}
-
-// chunk is the gob-fallback read side: implementing io.ByteReader keeps
-// gob from wrapping the source in a bufio.Reader allocation per block.
-type chunk struct {
-	b   []byte
-	off int
-}
-
-func (c *chunk) Read(p []byte) (int, error) {
-	if c.off >= len(c.b) {
-		return 0, io.EOF
+	c, ok := Lookup[T]()
+	if !ok {
+		return zero, fmt.Errorf("wire: raw block for %v, which this binary has no codec for (version skew?)",
+			reflect.TypeOf((*T)(nil)).Elem())
 	}
-	n := copy(p, c.b[c.off:])
-	c.off += n
-	return n, nil
-}
-
-func (c *chunk) ReadByte() (byte, error) {
-	if c.off >= len(c.b) {
-		return 0, io.EOF
+	v, err := c.Decode(b[1:])
+	if err == nil {
+		counters.rawDecBlocks.Add(1)
 	}
-	b := c.b[c.off]
-	c.off++
-	return b, nil
+	return v, err
 }
 
 func init() {

@@ -3,9 +3,8 @@ package wire
 // Scalar rows ride in more collectives than any other shape: every
 // CountScan exchanges one []int per processor, phase B's demand
 // all-gather is an []int row, and most resident step arguments/replies
-// are a bare count or flag. Leaving them to the gob fallback costs a
-// type descriptor per block — the "0.6–0.8 gob blocks/query" the cluster
-// bench kept reporting — so the raw layouts live here.
+// are a bare count or flag. Their raw layouts live here, beside the
+// codec, so every binary that links wire can move them.
 
 func init() {
 	Register(Codec[bool]{

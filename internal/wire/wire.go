@@ -9,9 +9,9 @@
 // append-only writer vocabulary (fixed-width little-endian scalars,
 // varint-framed sections) and a bounds-checked sticky-error Reader — plus
 // the buffer pool and the encode/decode counters the benchmarks read.
-// registry.go holds the Codec registry and the gob fallback: a payload
-// type without a registered codec still crosses the wire, exactly as
-// before, so third-party aggregate types keep working unchanged.
+// registry.go holds the Codec registry: a payload type crosses the wire
+// only through its registered codec, and encoding any other type is an
+// error that names it.
 //
 // Layout discipline (mirrored from the FlatBuffers-index + packed-data
 // design of content-addressed blob stores): small indexes — counts,
@@ -254,20 +254,21 @@ func PutBuf(b []byte) {
 // ------------------------------------------------------------- counters
 
 // Counters observe the exchange path's codec traffic: how many blocks
-// (and payload bytes) moved through the raw codec versus the gob
-// fallback. The bench/ harness, the ingest tests and the /metrics series
-// (EmitStats) read them to prove the raw codec actually carries the hot
-// path rather than asserting it.
+// (and payload bytes) the raw codec moved. The bench/ harness, the
+// ingest tests and the /metrics series (EmitStats) read them to prove the
+// raw codec actually carries the hot path rather than asserting it.
 type Counters struct {
-	RawEncBlocks, RawEncBytes  int64
-	GobEncBlocks, GobEncBytes  int64
-	RawDecBlocks, GobDecBlocks int64
+	RawEncBlocks, RawEncBytes int64
+	RawDecBlocks              int64
+	// GobEncBlocks and GobDecBlocks are always 0: there is no gob path.
+	// They stay only because the benchmark harness (bench/w_batch.go)
+	// reads them, and go with the next change to the benchmark.
+	GobEncBlocks, GobDecBlocks int64
 }
 
 var counters struct {
-	rawEncBlocks, rawEncBytes  atomic.Int64
-	gobEncBlocks, gobEncBytes  atomic.Int64
-	rawDecBlocks, gobDecBlocks atomic.Int64
+	rawEncBlocks, rawEncBytes atomic.Int64
+	rawDecBlocks              atomic.Int64
 }
 
 // Stats snapshots the process-wide codec counters.
@@ -275,10 +276,7 @@ func Stats() Counters {
 	return Counters{
 		RawEncBlocks: counters.rawEncBlocks.Load(),
 		RawEncBytes:  counters.rawEncBytes.Load(),
-		GobEncBlocks: counters.gobEncBlocks.Load(),
-		GobEncBytes:  counters.gobEncBytes.Load(),
 		RawDecBlocks: counters.rawDecBlocks.Load(),
-		GobDecBlocks: counters.gobDecBlocks.Load(),
 	}
 }
 
@@ -289,9 +287,6 @@ func Stats() Counters {
 func EmitStats(emit func(name string, v float64)) {
 	c := Stats()
 	emit(`wire_codec_blocks_total{codec="raw",dir="enc"}`, float64(c.RawEncBlocks))
-	emit(`wire_codec_blocks_total{codec="gob",dir="enc"}`, float64(c.GobEncBlocks))
 	emit(`wire_codec_blocks_total{codec="raw",dir="dec"}`, float64(c.RawDecBlocks))
-	emit(`wire_codec_blocks_total{codec="gob",dir="dec"}`, float64(c.GobDecBlocks))
 	emit(`wire_codec_bytes_total{codec="raw"}`, float64(c.RawEncBytes))
-	emit(`wire_codec_bytes_total{codec="gob"}`, float64(c.GobEncBytes))
 }

@@ -118,24 +118,19 @@ type unregisteredPayload struct {
 	B string
 }
 
-func TestGobFallbackRoundTrip(t *testing.T) {
+// A type without a registered codec cannot cross the wire: Encode
+// refuses it with an error that names the type and leaves buf as it was.
+func TestEncodeRefusesUnregistered(t *testing.T) {
 	if Registered[[]unregisteredPayload]() {
 		t.Fatal("test type unexpectedly registered")
 	}
-	in := []unregisteredPayload{{1, "x"}, {2, "y"}}
-	b, err := Encode(nil, in)
-	if err != nil {
-		t.Fatal(err)
+	buf := []byte{7}
+	b, err := Encode(buf, []unregisteredPayload{{1, "x"}})
+	if err == nil || !strings.Contains(err.Error(), "[]wire.unregisteredPayload") {
+		t.Fatalf("unregistered type encoded: err %v", err)
 	}
-	if b[0] != tagGob {
-		t.Fatalf("fallback block tagged %q", b[0])
-	}
-	out, err := Decode[[]unregisteredPayload](b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("fallback round trip: %v vs %v", in, out)
+	if !bytes.Equal(b, buf) {
+		t.Fatalf("refused encode left %v, want %v", b, buf)
 	}
 }
 
@@ -146,7 +141,7 @@ func TestRegisteredRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if b[0] != tagRaw {
-		t.Fatalf("registered type took the fallback (tag %q)", b[0])
+		t.Fatalf("registered block tagged %q", b[0])
 	}
 	out, err := Decode[[]geom.Point](b)
 	if err != nil {
@@ -161,8 +156,11 @@ func TestDecodeRejectsJunk(t *testing.T) {
 	if _, err := Decode[[]geom.Point](nil); err == nil {
 		t.Fatal("empty block accepted")
 	}
-	if _, err := Decode[[]geom.Point]([]byte{0x00, 1, 2}); err == nil {
-		t.Fatal("unknown tag accepted")
+	// 'G' tagged the retired gob encoding; it is as unknown as any other.
+	for _, tag := range []byte{0x00, 'G'} {
+		if _, err := Decode[[]geom.Point]([]byte{tag, 1, 2}); err == nil {
+			t.Fatalf("unknown tag 0x%02x accepted", tag)
+		}
 	}
 	// A raw block for a type with no codec must be refused, not misread.
 	if _, err := Decode[[]unregisteredPayload]([]byte{tagRaw, 1, 2, 3}); err == nil {
