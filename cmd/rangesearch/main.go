@@ -297,7 +297,7 @@ func main() {
 	mt := mach.Metrics()
 	fmt.Printf("search: %d rounds, max h %d, volume %d, modelled time %v, wall %v\n",
 		mt.CommRounds(), mt.MaxH(), mt.TotalComm(),
-		mt.ModelTime(mach.G(), mach.L()).Round(time.Microsecond),
+		mt.ModelTime(cgm.DefaultG, cgm.DefaultL).Round(time.Microsecond),
 		wall.Round(time.Millisecond))
 }
 
@@ -320,8 +320,10 @@ func serve(dt *core.Tree, dims int, cfg engine.Config, reg *obs.Registry, statsI
 // startStatsLoop prints a one-line serving summary to stderr every
 // interval (0 disables): query rate, latency quantiles over all modes
 // (merged from the per-mode obs histograms the engine feeds), cache hit
-// rate, and — when serving a store — the compaction backlog. The
-// returned function stops the loop.
+// rate, the share of phase B's copy volume that went by reference (from
+// core_phaseb_copy_points_total, which every tree on reg's machines
+// feeds, a store's level trees included), and — when serving a store —
+// the compaction backlog. The returned function stops the loop.
 func startStatsLoop(interval time.Duration, reg *obs.Registry, stats func() engine.Stats, st *store.Store) func() {
 	if interval <= 0 {
 		return func() {}
@@ -334,6 +336,8 @@ func startStatsLoop(interval time.Duration, reg *obs.Registry, stats func() engi
 			reg.Histogram(`engine_query_latency_ns{mode="aggregate"}`),
 			reg.Histogram(`engine_query_latency_ns{mode="report"}`),
 		}
+		shipped := reg.Counter(`core_phaseb_copy_points_total{how="shipped"}`)
+		byRef := reg.Counter(`core_phaseb_copy_points_total{how="by_ref"}`)
 		t := time.NewTicker(interval)
 		defer t.Stop()
 		prev := stats()
@@ -346,15 +350,18 @@ func startStatsLoop(interval time.Duration, reg *obs.Registry, stats func() engi
 			cur := stats()
 			qps := float64(cur.Submitted-prev.Submitted) / interval.Seconds()
 			snap := lat[0].Snapshot().Merge(lat[1].Snapshot()).Merge(lat[2].Snapshot())
-			hitRate := 0.0
+			hitRate, byRefShare := 0.0, 0.0
 			if cur.Submitted > 0 {
 				hitRate = 100 * float64(cur.CacheHits) / float64(cur.Submitted)
+			}
+			if r := byRef.Value(); r > 0 {
+				byRefShare = 100 * float64(r) / float64(r+shipped.Value())
 			}
 			line := fmt.Sprintf("stats: %.1f q/s | p50 %v p99 %v | cache %.1f%% hit | copies %.1f%% by ref",
 				qps,
 				time.Duration(snap.Quantile(0.50)).Round(time.Microsecond),
 				time.Duration(snap.Quantile(0.99)).Round(time.Microsecond),
-				hitRate, 100*cur.CopyByRefShare())
+				hitRate, byRefShare)
 			if st != nil {
 				ss := st.Stats()
 				line += fmt.Sprintf(" | compaction backlog %d (mem %d + shadow %d), %d levels",

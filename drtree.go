@@ -67,7 +67,10 @@ type (
 type (
 	// Machine is the simulated coarse-grained multicomputer CGM(s, p).
 	Machine = cgm.Machine
-	// MachineConfig configures a machine (width, mode, BSP cost model).
+	// MachineConfig configures a machine: its width, scheduling mode,
+	// transport and residency, and where it publishes metrics, spans and
+	// events. The BSP cost model is no machine setting: Metrics.ModelTime
+	// takes its g and l as arguments.
 	//
 	// Setting Resident selects worker-resident execution on an in-process
 	// machine or a Cluster alike: the forest elements (and the store's
@@ -163,9 +166,9 @@ type ChunkSource = core.ChunkSource
 // fixed-size chunks.
 func SliceChunks(pts []Point, chunk int) ChunkSource { return core.SliceChunks(pts, chunk) }
 
-// IngestConfig parametrises BulkLoadStream: the per-rank in-flight
-// window (≤ 0 selects the default) and the MaxShare QoS cap on the
-// fraction of worker time the ingest may consume.
+// IngestConfig parametrises BulkLoadStream: the MaxShare QoS cap on the
+// fraction of worker time the ingest may consume. Each rank's feed keeps
+// a fixed window of 4 chunks in flight.
 type IngestConfig = core.IngestConfig
 
 // BulkLoadStream streams chunks into the machine's workers and

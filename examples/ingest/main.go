@@ -105,7 +105,7 @@ func main() {
 		log.Fatal(err)
 	}
 	t0 := time.Now()
-	streamTree, err := drtree.BulkLoadStream(streamMach, drtree.SliceChunks(pts, 256), drtree.IngestConfig{Window: 4})
+	streamTree, err := drtree.BulkLoadStream(streamMach, drtree.SliceChunks(pts, 256), drtree.IngestConfig{})
 	if err != nil {
 		log.Fatalf("streaming bulk load: %v", err)
 	}

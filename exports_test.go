@@ -25,7 +25,6 @@ var exportAllowList = map[string]string{
 	"balance.Plan.CopiesPerHost": "the copy spread the balance tests assert",
 	"geom.RankPoints":            "builds rank-space fixtures with chosen coordinates",
 	"obs/cluster.ReadEvents":     "reads an event archive back in the health-plane tests",
-	"core.Tree.SetCopyCacheCap":  "shrinks the copy cache to force evictions in tests",
 
 	// Operations the paper names.
 	"comm.SegmentedBroadcast":   "the paper's segmented broadcast, one of §1's standard operations",

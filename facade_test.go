@@ -130,7 +130,7 @@ func TestFacadeMeasuredMode(t *testing.T) {
 	if mt.TotalWork() <= 0 || mt.LocalWork() <= 0 {
 		t.Error("measured mode produced no work accounting")
 	}
-	if mt.ModelTime(mach.G(), mach.L()) <= mt.LocalWork() {
+	if mt.ModelTime(cgm.DefaultG, cgm.DefaultL) <= mt.LocalWork() {
 		t.Error("model time must include communication terms")
 	}
 }

@@ -210,7 +210,7 @@ func TestMeasuredModeWorkAccounting(t *testing.T) {
 }
 
 func TestModelTime(t *testing.T) {
-	m := New(Config{P: 2, G: 10, L: 1000})
+	m := New(Config{P: 2})
 	m.Run(func(pr *Proc) {
 		out := make([][]int, 2)
 		out[1-pr.Rank()] = make([]int, 5)
@@ -218,11 +218,8 @@ func TestModelTime(t *testing.T) {
 	})
 	mt := m.Metrics()
 	// ModelTime ≥ g·h + L = 10*5 + 1000.
-	if mt.ModelTime(m.G(), m.L()) < 1050 {
-		t.Errorf("ModelTime = %v, want ≥ 1050ns", mt.ModelTime(m.G(), m.L()))
-	}
-	if m.G() != 10 || m.L() != 1000 {
-		t.Error("G/L accessors wrong")
+	if got := mt.ModelTime(10, 1000); got < 1050 {
+		t.Errorf("ModelTime = %v, want ≥ 1050ns", got)
 	}
 }
 
@@ -233,11 +230,4 @@ func TestBadConfigPanics(t *testing.T) {
 		}
 	}()
 	New(Config{P: 0})
-}
-
-func TestDefaultCostParameters(t *testing.T) {
-	m := New(Config{P: 1})
-	if m.G() != DefaultG || m.L() != DefaultL {
-		t.Errorf("defaults not applied: g=%v l=%v", m.G(), m.L())
-	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/exec"
@@ -15,18 +14,21 @@ import (
 // feed is a long-lived, windowed stream of calls to ONE registered step
 // on ONE rank's resident state, opened outside any machine run. Unlike
 // ResidentCall — one synchronous round-trip per call over the
-// coordinator's control connection — a feed pipelines up to Window calls
-// in flight, and on a wire transport it rides its own TCP connection
+// coordinator's control connection — a feed pipelines up to FeedWindow
+// calls in flight, and on a wire transport it rides its own TCP connection
 // straight to the rank's worker, so p feeds aggregate bandwidth with p
 // instead of serializing behind coordinator round-trips. The feed is not
 // a collective: no superstep, no communication round, no metrics — it is
 // a data plane under the session, authenticated by the session token.
 
+// FeedWindow is the number of unacknowledged calls a feed keeps in
+// flight, and the depth of a bulk load's per-rank chunk queue: a slow
+// rank's acknowledgements backpressure its feeder, and the feeder the
+// reader, instead of growing the heap.
+const FeedWindow = 4
+
 // FeedOptions parametrises an open feed.
 type FeedOptions struct {
-	// Window is the maximum number of unacknowledged calls in flight
-	// (≤ 0 selects 1: fully synchronous).
-	Window int
 	// MaxShare, in (0, 1), caps the fraction of worker wall-time this
 	// feed's step execution may consume (the QoS knob between ingest and
 	// serving). Outside that range the feed runs uncapped. A worker-side
@@ -107,9 +109,6 @@ type ShareGovernor struct {
 	mu     sync.Mutex
 	credit time.Duration // may go negative after Charge: the debt Admit sleeps off
 	last   time.Time
-
-	waits  atomic.Int64
-	waitNs atomic.Int64
 }
 
 // governorBurst bounds the credit the bucket can bank: one burst of
@@ -155,8 +154,6 @@ func (g *ShareGovernor) Admit() time.Duration {
 	// clears the debt exactly.
 	wait := time.Duration(float64(debt) / g.share)
 	time.Sleep(wait)
-	g.waits.Add(1)
-	g.waitNs.Add(int64(wait))
 	return wait
 }
 
@@ -169,15 +166,6 @@ func (g *ShareGovernor) Charge(d time.Duration) {
 	g.refill()
 	g.credit -= d
 	g.mu.Unlock()
-}
-
-// Stats reports the cumulative throttle decisions: sleeps taken and
-// total nanoseconds slept.
-func (g *ShareGovernor) Stats() (waits, waitNs int64) {
-	if g == nil {
-		return 0, 0
-	}
-	return g.waits.Load(), g.waitNs.Load()
 }
 
 // loopbackFeed is the in-process feed: calls run synchronously against

@@ -49,10 +49,6 @@ type Config struct {
 	P int
 	// Mode selects the scheduling mode; default Concurrent.
 	Mode Mode
-	// G is the modelled cost per exchanged element (ns/element) and L the
-	// modelled latency per superstep (ns), used by Metrics.ModelTime.
-	// Zero values select DefaultG/DefaultL.
-	G, L float64
 	// Transport carries the superstep payloads; nil selects the
 	// in-process loopback transport. A Transport instance belongs to
 	// exactly one machine.
@@ -82,9 +78,10 @@ type Config struct {
 	Events obs.EventSink
 }
 
-// Default BSP cost parameters: 50ns per exchanged record, 20µs per
-// superstep barrier — the ballpark of mid-1990s multicomputers scaled to
-// record granularity; only ratios matter for the reproduced curves.
+// Default BSP cost parameters for Metrics.ModelTime: 50ns per exchanged
+// record, 20µs per superstep barrier — the ballpark of mid-1990s
+// multicomputers scaled to record granularity; only ratios matter for the
+// reproduced curves.
 const (
 	DefaultG = 50
 	DefaultL = 20000
@@ -95,7 +92,6 @@ const (
 type Machine struct {
 	p        int
 	mode     Mode
-	g, l     float64
 	tr       Transport
 	resident bool
 	reg      *obs.Registry
@@ -166,14 +162,7 @@ func New(cfg Config) *Machine {
 			panic("cgm: config wants resident execution but the transport hosts no program state")
 		}
 	}
-	g, l := cfg.G, cfg.L
-	if g == 0 {
-		g = DefaultG
-	}
-	if l == 0 {
-		l = DefaultL
-	}
-	m := &Machine{p: p, mode: cfg.Mode, g: g, l: l, tr: tr, resident: cfg.Resident,
+	m := &Machine{p: p, mode: cfg.Mode, tr: tr, resident: cfg.Resident,
 		reg: cfg.Obs, tracer: cfg.Tracer, events: cfg.Events,
 		procs: make([]Proc, p), sent: make([]int, p), recv: make([]int, p),
 		segTime: make([]time.Duration, p), bar: newBarrier(p),
@@ -449,10 +438,6 @@ func (m *Machine) ResetMetrics() {
 	defer m.mu.Unlock()
 	m.metrics = Metrics{WorkByProc: make([]time.Duration, m.p)}
 }
-
-// G and L report the machine's BSP cost parameters.
-func (m *Machine) G() float64 { return m.g }
-func (m *Machine) L() float64 { return m.l }
 
 // barrier is a reusable generation barrier for p goroutines that can be
 // broken to unwind all waiters when the machine aborts.

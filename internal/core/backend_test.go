@@ -94,9 +94,22 @@ func skewedSetup(tb testing.TB, n, d, p, q int) (*Tree, []geom.Box) {
 	return dt, boxes
 }
 
+// copyTotals sums the most recent batch's copy statistics over the
+// processors: cache hits, points shipped by value and points references
+// stood in for.
+func copyTotals(dt *Tree) (hits, shipped, byRef int) {
+	for _, st := range dt.LastSearchStats() {
+		hits += st.CopyCacheHits
+		shipped += st.CopiedPoints
+		byRef += st.ByRefPoints
+	}
+	return hits, shipped, byRef
+}
+
 // TestCopyCacheWarmSkipsRebuild asserts the cross-batch cache contract:
-// batch 1 installs copies cold, batch 2 reinstalls the same copies from
-// the cache, and invalidation forces a rebuild again.
+// batch 1 installs copies cold and ships their points by value, and batch
+// 2 reinstalls the same copies from the cache, every one by reference —
+// the cold batch's volume is what the references stand in for.
 func TestCopyCacheWarmSkipsRebuild(t *testing.T) {
 	dt, boxes := skewedSetup(t, 2048, 2, 4, 96)
 
@@ -108,25 +121,21 @@ func TestCopyCacheWarmSkipsRebuild(t *testing.T) {
 	if copies == 0 {
 		t.Fatal("skewed workload produced no copies; the cache test needs congestion")
 	}
-	if hits := dt.LastCopyCacheHits(); hits != 0 {
-		t.Errorf("cold batch reported %d cache hits", hits)
+	hits, cold, byRef := copyTotals(dt)
+	if hits != 0 || cold == 0 || byRef != 0 {
+		t.Errorf("cold batch: %d cache hits, %d points shipped, %d by reference; want 0, >0, 0", hits, cold, byRef)
 	}
 
 	got := dt.CountBatch(boxes)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("warm batch changed answers")
 	}
-	if hits := dt.LastCopyCacheHits(); hits != copies {
+	hits, shipped, byRef := copyTotals(dt)
+	if hits != copies {
 		t.Errorf("warm batch hit cache %d times, want %d (all copies)", hits, copies)
 	}
-
-	dt.InvalidateCopies()
-	got = dt.CountBatch(boxes)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("post-invalidation batch changed answers")
-	}
-	if hits := dt.LastCopyCacheHits(); hits != 0 {
-		t.Errorf("invalidated batch still hit cache %d times", hits)
+	if shipped != 0 || byRef != cold {
+		t.Errorf("warm batch shipped %d points, %d by reference; want 0 and the cold volume %d", shipped, byRef, cold)
 	}
 }
 
@@ -142,106 +151,44 @@ func TestCopyCacheServesAggregates(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("warm aggregate batch changed answers")
 	}
-	if dt.LastCopyCacheHits() == 0 {
+	if hits, _, _ := copyTotals(dt); hits == 0 {
 		t.Error("warm aggregate batch installed no copies from the cache")
-	}
-}
-
-// TestLastCopiedPointsRaceClean polls the copy-volume counter while
-// batches run — the regression test for the unsynchronized per-rank
-// writes (run under -race).
-func TestLastCopiedPointsRaceClean(t *testing.T) {
-	dt, boxes := skewedSetup(t, 1024, 2, 4, 64)
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-done:
-				return
-			default:
-				_ = dt.LastCopiedPoints()
-			}
-		}
-	}()
-	for i := 0; i < 5; i++ {
-		dt.CountBatch(boxes)
-		dt.InvalidateCopies() // keep the copy path busy every batch
-	}
-	close(done)
-	wg.Wait()
-	// The loop's last batch followed an invalidation: cold, by value.
-	cold := dt.LastCopiedPoints()
-	if cold == 0 {
-		t.Error("skewed batches shipped no copy volume")
-	}
-	if byRef := dt.LastByRefPoints(); byRef != 0 {
-		t.Errorf("cold batch counted %d points by reference", byRef)
-	}
-	// Warm, the same copies travel as references: nothing ships, and the
-	// by-reference volume is what the cold batch shipped.
-	dt.InvalidateCopies()
-	dt.CountBatch(boxes)
-	dt.CountBatch(boxes)
-	if got := dt.LastCopiedPoints(); got != 0 {
-		t.Errorf("warm batch shipped %d points, want 0", got)
-	}
-	if got := dt.LastByRefPoints(); got != cold {
-		t.Errorf("warm batch counted %d points by reference, want the cold volume %d", got, cold)
 	}
 }
 
 // TestCopyCacheCapBoundsMemory asserts the cache bound: a cap of 1 keeps
 // every processor's cache at one entry, a negative cap disables caching
-// entirely, and answers never change either way.
+// entirely, and answers never change either way. Each cap gets its own
+// tree, set before its first batch.
 func TestCopyCacheCapBoundsMemory(t *testing.T) {
 	dt, boxes := skewedSetup(t, 2048, 2, 4, 96)
 	want := dt.CountBatch(boxes)
 
-	dt.SetCopyCacheCap(1)
-	dt.InvalidateCopies()
-	got := dt.CountBatch(boxes)
+	capped, _ := skewedSetup(t, 2048, 2, 4, 96)
+	capped.SetCopyCacheCap(1)
+	got := capped.CountBatch(boxes)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("capped cache changed answers")
 	}
-	for rank, ps := range dt.procs {
+	for rank, ps := range capped.procs {
 		if ps.part.copyCache.len() > 1 {
 			t.Errorf("rank %d cache holds %d entries, cap is 1", rank, ps.part.copyCache.len())
 		}
 	}
 
-	dt.SetCopyCacheCap(-1)
-	dt.InvalidateCopies()
-	dt.CountBatch(boxes)
-	got = dt.CountBatch(boxes)
+	disabled, _ := skewedSetup(t, 2048, 2, 4, 96)
+	disabled.SetCopyCacheCap(-1)
+	disabled.CountBatch(boxes)
+	got = disabled.CountBatch(boxes)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("disabled cache changed answers")
 	}
-	if hits := dt.LastCopyCacheHits(); hits != 0 {
+	if hits, _, _ := copyTotals(disabled); hits != 0 {
 		t.Errorf("disabled cache still hit %d times", hits)
 	}
-	for rank, ps := range dt.procs {
+	for rank, ps := range disabled.procs {
 		if ps.part.copyCache.len() != 0 {
 			t.Errorf("rank %d cache holds %d entries while disabled", rank, ps.part.copyCache.len())
-		}
-	}
-}
-
-// TestInvalidateSweepsCache asserts invalidation frees the cached copies
-// (the stranded-memory regression): after InvalidateCopies, the next
-// batch's install sweeps every processor's cache before refilling it.
-func TestInvalidateSweepsCache(t *testing.T) {
-	dt, boxes := skewedSetup(t, 2048, 2, 4, 96)
-	dt.CountBatch(boxes)
-	dt.InvalidateCopies()
-	// Serve a batch with no forest crossings: the sweep must still run on
-	// install-free processors' next install, so check after a real batch.
-	dt.CountBatch(boxes)
-	for rank, ps := range dt.procs {
-		if ps.part.copyCache.len() > 0 && ps.part.copyCache.epoch != dt.epoch.Load() {
-			t.Errorf("rank %d holds %d entries from a stale epoch", rank, ps.part.copyCache.len())
 		}
 	}
 }

@@ -262,15 +262,16 @@ func BenchmarkPhaseCServe(b *testing.B) {
 }
 
 // BenchmarkPhaseCCopyCache measures phase-B install time on a skewed
-// workload, cold (cache invalidated every batch) versus warm (cache kept
-// across batches) — the tax the cross-batch copy cache removes.
+// workload, cold (a second tree with caching disabled) versus warm (cache
+// kept across batches) — the tax the cross-batch copy cache removes.
 func BenchmarkPhaseCCopyCache(b *testing.B) {
 	dt, boxes := skewedSetup(b, 1<<15, 3, 8, 256)
 	dt.CountBatch(boxes)
+	cold, _ := skewedSetup(b, 1<<15, 3, 8, 256)
+	cold.SetCopyCacheCap(-1)
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			dt.InvalidateCopies()
-			dt.CountBatch(boxes)
+			cold.CountBatch(boxes)
 		}
 	})
 	b.Run("warm", func(b *testing.B) {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/cgm"
 	"repro/internal/comm"
@@ -89,7 +88,7 @@ func buildPoints(mach *cgm.Machine, pts []geom.Point) (*Tree, error) {
 		// Rank r receives its block in order, in DefaultChunk pieces, so
 		// its staged input is exactly its canonical block; the ranks'
 		// chunks interleave so every feed streams at once.
-		err := feedRanks(mach, IngestConfig{Window: DefaultWindow}, func(send func(int, []geom.Point)) {
+		err := feedRanks(mach, IngestConfig{}, func(send func(int, []geom.Point)) {
 			for off, more := 0, true; more; off += DefaultChunk {
 				more = false
 				for rank, blk := range blocks {
@@ -142,23 +141,24 @@ func CanonicalBlocks(pts []geom.Point, p int) [][]geom.Point {
 func build(mach *cgm.Machine, n, dims int, blocks [][]geom.Point) *Tree {
 	p := mach.P()
 	t := &Tree{
-		mach:       mach,
-		n:          n,
-		dims:       dims,
-		resident:   mach.Resident(),
-		grain:      (n + p - 1) / p,
-		procs:      make([]*procState, p),
-		lastStats:  make([]SearchStats, p),
-		lastCopied: make([]atomic.Int64, p),
-		lastByRef:  make([]atomic.Int64, p),
-
-		copyShipped: new(obs.Counter),
-		copyByRef:   new(obs.Counter),
+		mach:      mach,
+		n:         n,
+		dims:      dims,
+		resident:  mach.Resident(),
+		grain:     (n + p - 1) / p,
+		procs:     make([]*procState, p),
+		lastStats: make([]SearchStats, p),
 	}
-	if reg := mach.Obs(); reg != nil {
-		t.copyShipped = reg.Counter(`core_phaseb_copy_points_total{how="shipped"}`)
-		t.copyByRef = reg.Counter(`core_phaseb_copy_points_total{how="by_ref"}`)
+	counter := func(name string) *obs.Counter {
+		if reg := mach.Obs(); reg != nil {
+			return reg.Counter(name)
+		}
+		return new(obs.Counter)
 	}
+	t.copyShipped = counter(`core_phaseb_copy_points_total{how="shipped"}`)
+	t.copyByRef = counter(`core_phaseb_copy_points_total{how="by_ref"}`)
+	t.copyHits = counter("core_phaseb_copy_cache_hits_total")
+	t.installNs = counter("core_phaseb_install_ns_total")
 	seeded := make([]int, p)
 	mach.Run(func(pr *cgm.Proc) { t.construct(pr, blocks, seeded) })
 	// Construct exchanged every record d times over; the columns it

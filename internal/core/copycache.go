@@ -14,7 +14,6 @@ import "slices"
 // across transports and residency modes.
 type copyCache[V any] struct {
 	entries map[ElemID]cacheEntry[V]
-	epoch   uint64 // tree epoch the entries are valid for
 	batch   uint64 // install generation, bumped by begin
 }
 
@@ -36,17 +35,9 @@ func newCopyCache[V any]() *copyCache[V] {
 	return &copyCache[V]{entries: make(map[ElemID]cacheEntry[V])}
 }
 
-// begin opens one batch's installs: the cache is swept whole when the
-// tree epoch moved (so invalidated entries never strand memory), and
-// everything get or insert touches from here on counts as installed by
-// this batch.
-func (c *copyCache[V]) begin(epoch uint64) {
-	if c.epoch != epoch {
-		clear(c.entries)
-		c.epoch = epoch
-	}
-	c.batch++
-}
+// begin opens one batch's installs: everything get or insert touches
+// from here on counts as installed by this batch.
+func (c *copyCache[V]) begin() { c.batch++ }
 
 func (c *copyCache[V]) len() int { return len(c.entries) }
 

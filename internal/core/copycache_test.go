@@ -13,7 +13,7 @@ func TestCopyCacheEvictionOrder(t *testing.T) {
 	c := newCopyCache[int]()
 	var mirror []ElemID
 
-	c.begin(1)
+	c.begin()
 	ops := c.insert(9, 0, 3, nil)
 	ops = c.insert(4, 0, 3, ops)
 	ops = c.insert(7, 0, 3, ops)
@@ -23,7 +23,7 @@ func TestCopyCacheEvictionOrder(t *testing.T) {
 	}
 
 	// Batch 2 touches 4; 7 and 9 tie on age, so the smaller ID goes first.
-	c.begin(1)
+	c.begin()
 	if _, ok := c.get(4); !ok {
 		t.Fatal("entry 4 missing")
 	}
@@ -48,31 +48,26 @@ func TestCopyCacheEvictionOrder(t *testing.T) {
 	}
 
 	// Re-inserting a present ID replaces the value without an op; cap ≤ 0
-	// and a moved epoch leave nothing behind.
+	// leaves nothing behind.
 	if ops := c.insert(4, 1, 2, nil); len(ops) != 0 {
 		t.Fatalf("replacing an entry reported ops %v", ops)
 	}
 	if ops := c.insert(8, 0, 0, nil); len(ops) != 0 || c.len() != 2 {
 		t.Fatalf("disabled insert changed the cache: ops %v, len %d", ops, c.len())
 	}
-	c.begin(2)
-	if c.len() != 0 {
-		t.Fatalf("epoch move left %d entries", c.len())
-	}
 }
 
 // TestForgedReferenceIsDiagnosed: a reference to an element the host does
-// not cache is an error naming the element, the host and both epochs —
-// through a part's installCopies directly, and as the abort of a machine
-// run.
+// not cache is an error naming the element, the host and the cache's size
+// — through a part's installCopies directly, and as the abort of a
+// machine run.
 func TestForgedReferenceIsDiagnosed(t *testing.T) {
 	part := newForestPart()
-	part.copyCache.begin(3)
-	_, err := part.installCopies(2, 5, 4, nil, [][]routeRow{{{Copy: &shippedElem{Info: ElemInfo{ID: 42}, Ref: true}}}})
+	_, err := part.installCopies(2, 4, nil, [][]routeRow{{{Copy: &shippedElem{Info: ElemInfo{ID: 42}, Ref: true}}}})
 	if err == nil {
 		t.Fatal("a reference to an uncached element installed without error")
 	}
-	for _, want := range []string{"element 42", "host 2", "epoch 5", "epoch 3"} {
+	for _, want := range []string{"element 42", "host 2", "0 copies"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("diagnostic %q does not mention %q", err, want)
 		}
@@ -86,12 +81,11 @@ func TestForgedReferenceIsDiagnosed(t *testing.T) {
 	// diagnostic, not answer.
 	dt, boxes := skewedSetup(t, 2048, 2, 4, 96)
 	dt.CountBatch(boxes)
-	if dt.LastCopiedPoints() == 0 {
+	if _, shipped, _ := copyTotals(dt); shipped == 0 {
 		t.Fatal("skewed workload shipped no copies")
 	}
 	for _, ps := range dt.procs {
 		ps.part.copyCache = newCopyCache[*element]()
-		ps.part.copyCache.begin(dt.epoch.Load())
 	}
 	defer func() {
 		r := recover()

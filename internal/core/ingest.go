@@ -28,14 +28,8 @@ import (
 // block in coordinator memory, and the construct hands it to the rank's
 // part, so both residencies start Construct from the same blocks.
 
-const (
-	// DefaultChunk is the streaming block size (points per ingest call).
-	DefaultChunk = 4096
-	// DefaultWindow is the per-rank bound on buffered chunks between the
-	// reader and each rank's feeder — the open-loop flow-control window.
-	// A slow rank backpressures the reader instead of growing the heap.
-	DefaultWindow = 4
-)
+// DefaultChunk is the streaming block size (points per ingest call).
+const DefaultChunk = 4096
 
 // ChunkSource produces the input stream of a bulk load, one block at a
 // time; it returns io.EOF after the last block. Blocks are retained by
@@ -103,7 +97,7 @@ func feedRanks(mach *cgm.Machine, cfg IngestConfig, fill func(send func(rank int
 	stageT0 := time.Now()
 	var wg sync.WaitGroup
 	for rank := range p {
-		feed[rank] = make(chan []geom.Point, cfg.Window)
+		feed[rank] = make(chan []geom.Point, cgm.FeedWindow)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -148,10 +142,6 @@ func buildStaged(mach *cgm.Machine, dims, total int, blocks [][]geom.Point) (t *
 
 // IngestConfig parametrises a streaming bulk load.
 type IngestConfig struct {
-	// Window is the per-rank bound on in-flight chunks (≤ 0 selects
-	// DefaultWindow): the flow-control window of the parallel feeds, and
-	// the reader→feeder channel depth either way.
-	Window int
 	// MaxShare, in (0, 1), caps the fraction of worker wall-time the
 	// ingest may consume (cgm.ShareGovernor), so a bulk load time-shares
 	// with concurrent serving instead of starving it. Outside that range
@@ -179,9 +169,6 @@ type IngestConfig struct {
 // surviving half-staged. On a fabric machine the reader appends each
 // chunk to its rank's block.
 func BulkLoad(mach *cgm.Machine, src ChunkSource, cfg IngestConfig) (*Tree, error) {
-	if cfg.Window <= 0 {
-		cfg.Window = DefaultWindow
-	}
 	p := mach.P()
 	dims, total := -1, 0
 	var srcErr error
@@ -247,7 +234,7 @@ func encodeChunk(buf []byte, blk []geom.Point) ([]byte, error) {
 func feedRank(mach *cgm.Machine, rank int, cfg IngestConfig, ch <-chan []geom.Point, sent *int) (err error, staged int) {
 	var sf cgm.StepFeed
 	if _, err = cgm.ResidentCall[bool, bool](mach, rank, fref("ingest/begin"), false); err == nil {
-		sf, err = mach.OpenFeed(rank, fref("ingest/chunk"), cgm.FeedOptions{Window: cfg.Window, MaxShare: cfg.MaxShare})
+		sf, err = mach.OpenFeed(rank, fref("ingest/chunk"), cgm.FeedOptions{MaxShare: cfg.MaxShare})
 	}
 	var ptsFed *obs.Counter
 	if reg := mach.Obs(); reg != nil {
@@ -256,8 +243,8 @@ func feedRank(mach *cgm.Machine, rank int, cfg IngestConfig, ch <-chan []geom.Po
 	// The window's encode buffers: acquiring one backpressures the feeder
 	// to the feed's own in-flight limit, and each Send's release recycles
 	// the (possibly grown) buffer for a later chunk.
-	bufs := make(chan []byte, cfg.Window)
-	for range cfg.Window {
+	bufs := make(chan []byte, cgm.FeedWindow)
+	for range cgm.FeedWindow {
 		bufs <- wire.GetBuf()
 	}
 	for blk := range ch {

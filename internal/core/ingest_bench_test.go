@@ -21,7 +21,7 @@ func BenchmarkBulkLoadStream(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		mach := cgm.New(cgm.Config{P: p, Resident: true})
-		tree, err := BulkLoad(mach, SliceChunks(pts, DefaultChunk), IngestConfig{Window: DefaultWindow})
+		tree, err := BulkLoad(mach, SliceChunks(pts, DefaultChunk), IngestConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -93,7 +93,7 @@ func TestIngestShareCapsServeLatency(t *testing.T) {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			sf, err := loadM.OpenFeed(rank, ref, cgm.FeedOptions{Window: 4, MaxShare: share})
+			sf, err := loadM.OpenFeed(rank, ref, cgm.FeedOptions{MaxShare: share})
 			if err != nil {
 				errs[rank] = err
 				return

@@ -67,7 +67,7 @@ func TestBulkLoadStreaming(t *testing.T) {
 
 	for _, chunk := range []int{37, 5000} {
 		ldM := cgm.New(cgm.Config{P: p, Resident: true})
-		ld, err := core.BulkLoad(ldM, core.SliceChunks(pts, chunk), core.IngestConfig{Window: 2})
+		ld, err := core.BulkLoad(ldM, core.SliceChunks(pts, chunk), core.IngestConfig{})
 		if err != nil {
 			t.Fatalf("chunk=%d: BulkLoad: %v", chunk, err)
 		}
@@ -141,7 +141,7 @@ func TestBulkLoadEquivalence(t *testing.T) {
 		load func(*cgm.Machine) (*core.Tree, error)
 	}{
 		{"stream", func(m *cgm.Machine) (*core.Tree, error) {
-			return core.BulkLoad(m, core.SliceChunks(pts, 37), core.IngestConfig{Window: 2})
+			return core.BulkLoad(m, core.SliceChunks(pts, 37), core.IngestConfig{})
 		}},
 		{"shards", func(m *cgm.Machine) (*core.Tree, error) {
 			return core.BulkLoadFiles(m, shards)
@@ -225,7 +225,7 @@ func TestBulkLoadNeedsFeeds(t *testing.T) {
 	feedless := func() *cgm.Machine {
 		return cgm.New(cgm.Config{Transport: feedlessTransport{p: 2}, Resident: true})
 	}
-	_, err := core.BulkLoad(feedless(), core.SliceChunks(pts, 16), core.IngestConfig{Window: 0})
+	_, err := core.BulkLoad(feedless(), core.SliceChunks(pts, 16), core.IngestConfig{})
 	if err == nil || !strings.Contains(err.Error(), "does not support step feeds") {
 		t.Fatalf("bulk load on a feedless resident machine: %v, want the OpenFeed diagnostic", err)
 	}

@@ -131,9 +131,9 @@ func (r *mixedRun[T]) shipRoute(pr *cgm.Proc, ps *procState, ships []hostShip, r
 		func(part *forestPart, c *exec.Ctx, args shipRouteArgs) ([][]routeRow, error) {
 			return part.shipRoute(a, args.Ships, args.Routed, c.P)
 		},
-		"search/installServe", installServeArgs{Epoch: t.batchEpoch, Cap: t.copyCacheCapFor(ps), Agg: aggName, Ops: r.ops},
+		"search/installServe", installServeArgs{Cap: t.copyCacheCapFor(ps), Agg: aggName, Ops: r.ops},
 		func(part *forestPart, c *exec.Ctx, args installServeArgs, in [][]routeRow) (installServeReply, error) {
-			rep, err := part.installCopies(c.Rank, args.Epoch, args.Cap, agg, in)
+			rep, err := part.installCopies(c.Rank, args.Cap, agg, in)
 			if err != nil {
 				return rep, err
 			}

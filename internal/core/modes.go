@@ -30,6 +30,8 @@ type SearchStats struct {
 	CopyCacheHits int   // copies installed from the cross-batch cache
 	InstallNanos  int64 // time spent installing copies in phase B
 	CopiesByRef   int   // cache hits that arrived as ID-only references (no points shipped)
+	CopiedPoints  int   // element points this processor shipped by value as an owner
+	ByRefPoints   int   // element points its ID-only references stood in for
 }
 
 // LastSearchStats returns the per-processor statistics of the most recent

@@ -31,6 +31,7 @@ func TestBalancingLemma(t *testing.T) {
 			n := 1200
 			pts := workload.Points(workload.PointSpec{N: n, Dims: d, Dist: workload.Uniform, Seed: int64(10*p + d)})
 			dt := Build(cgm.New(cgm.Config{P: p}), pts)
+			dt.SetCopyCacheCap(-1) // every batch cold
 			largest := 0
 			for _, ps := range dt.procs {
 				largest = max(largest, partPoints(ps.part.elems))
@@ -49,7 +50,6 @@ func TestBalancingLemma(t *testing.T) {
 				name  string
 				boxes []geom.Box
 			}{{"uniform", uniform}, {"hot spot", hot}, {"broad", broad}, {"m<p²", small}} {
-				dt.InvalidateCopies()
 				dt.CountBatch(batch.boxes)
 				stats := dt.LastSearchStats()
 				D := 0
@@ -139,7 +139,7 @@ func TestHotElementIsTheOnlyCopy(t *testing.T) {
 		t.Fatalf("copied elements %v, want the one hot element", copied)
 	}
 	hot := dt.Info()[copied[0]]
-	if shipped := dt.LastCopiedPoints(); shipped != hosts*int(hot.Count) {
+	if _, shipped, _ := copyTotals(dt); shipped != hosts*int(hot.Count) {
 		t.Errorf("shipped %d points, want %d copies of the hot element's %d", shipped, hosts, hot.Count)
 	}
 	if hosts != p-1 {

@@ -43,7 +43,7 @@ import (
 // against coordinator/worker binary skew.
 const (
 	forestProgram = "core/forest"
-	forestVersion = 12 // 12: a route block counts its copy rows up front
+	forestVersion = 13 // 13: the install args start at the cache bound
 )
 
 // fref names one step of the forest program.
@@ -295,14 +295,13 @@ type shipRouteArgs struct {
 	Routed [][]subquery
 }
 
-// installServeArgs parametrises phase C's collect: the batch's epoch and
-// the cache bound (as the fabric install takes them), the aggregate the
-// batch serves, if any ("" = none), and the per-query op table.
+// installServeArgs parametrises phase C's collect: the cache bound (as
+// the fabric install takes it), the aggregate the batch serves, if any
+// ("" = none), and the per-query op table.
 type installServeArgs struct {
-	Epoch uint64
-	Cap   int
-	Agg   string
-	Ops   []MixedOp
+	Cap int
+	Agg string
+	Ops []MixedOp
 }
 
 // serveArgs carries one rank's served subqueries to its part.
@@ -637,7 +636,7 @@ func installServeStep(part *forestPart, c *exec.Ctx, args installServeArgs, in [
 			return installServeReply{}, err
 		}
 	}
-	rep, err := part.installCopies(c.Rank, args.Epoch, args.Cap, agg, in)
+	rep, err := part.installCopies(c.Rank, args.Cap, agg, in)
 	if err != nil {
 		return rep, err
 	}
@@ -722,9 +721,8 @@ func elemStatsStep(part *forestPart, _ *exec.Ctx, _ bool) ([]elemStat, error) {
 // partAgg is one rank's annotations for one aggregate (Algorithm
 // AssociativeFunction step 1 at element granularity): the owned
 // elements', the current batch's copies', and a cross-batch cache of copy
-// annotations that mirrors the element copy cache — swept when the tree
-// epoch moves, bounded like it, and an entry is only reused for the same
-// built tree instance.
+// annotations that mirrors the element copy cache — bounded like it, and
+// an entry is only reused for the same built tree instance.
 type partAgg[T any] struct {
 	m         semigroup.Monoid[T]
 	val       func(geom.Point) T
@@ -767,8 +765,8 @@ func (pa *partAgg[T]) prepare(part *forestPart) []aggRoot[T] {
 }
 
 // begin opens one batch's copy annotations (phase B's install).
-func (pa *partAgg[T]) begin(epoch uint64) {
-	pa.cache.begin(epoch)
+func (pa *partAgg[T]) begin() {
+	pa.cache.begin()
 	clear(pa.copyAggs)
 }
 
@@ -802,7 +800,7 @@ func (pa *partAgg[T]) query(s subquery) (T, error) {
 // resolve an aggregate by name; the values cross the seam spec-encoded.
 type aggPart interface {
 	prepareWire(part *forestPart) []byte
-	begin(epoch uint64)
+	begin()
 	annotateCopy(el *element, cap int)
 	serveWire(subs []subquery) ([]byte, error)
 }

@@ -134,22 +134,35 @@ func TestResidentEquivalenceLoopback(t *testing.T) {
 	}
 }
 
+// copyVolume sums the most recent batch's phase-B copy volume over the
+// processors: points shipped by value and points references stood in for.
+func copyVolume(tree *core.Tree) (shipped, byRef int) {
+	for _, st := range tree.LastSearchStats() {
+		shipped += st.CopiedPoints
+		byRef += st.ByRefPoints
+	}
+	return shipped, byRef
+}
+
 // TestResidentCopiesByReference drives the fabric and resident twins
-// through a cold, a warm and a post-invalidation batch: identical answers
-// and round/h/volume in every phase, nothing shipped by value warm (the
-// cold volume goes by reference instead), and the cold volume again after
-// InvalidateCopies.
+// through a cold and a warm batch, then twins built with copy caching
+// disabled through one more: identical answers and round/h/volume in
+// every phase, nothing shipped by value warm (the cold volume goes by
+// reference instead), and the cold volume again without a cache.
 func TestResidentCopiesByReference(t *testing.T) {
 	const n, d, p, m = 400, 2, 4, 96
 	fx := newResidentFixture(t, n, d, p, 7)
+	uncached := newResidentFixture(t, n, d, p, 7)
+	uncached.fab.SetCopyCacheCap(-1)
+	uncached.res.SetCopyCacheCap(-1)
 	// Two hot spots: enough congestion that phase B copies.
 	boxes := workload.Boxes(workload.QuerySpec{M: m, Dims: d, N: n, Selectivity: 0.02, Foci: 2, Theta: 1.5, Seed: 3})
 	cold := 0
-	for phase, name := range []string{"cold", "warm", "invalidated"} {
-		if phase != 1 {
-			fx.fab.InvalidateCopies()
-			fx.res.InvalidateCopies()
-		}
+	for _, phase := range []struct {
+		name string
+		fx   *residentFixture
+	}{{"cold", fx}, {"warm", fx}, {"uncached", uncached}} {
+		name, fx := phase.name, phase.fx
 		fx.fabM.ResetMetrics()
 		fx.resM.ResetMetrics()
 		fr, rr := fx.fab.ReportBatch(boxes), fx.res.ReportBatch(boxes)
@@ -159,8 +172,8 @@ func TestResidentCopiesByReference(t *testing.T) {
 			}
 		}
 		assertSameMetrics(t, name, fx.fabM.Metrics(), fx.resM.Metrics())
-		shipped, byRef := fx.fab.LastCopiedPoints(), fx.fab.LastByRefPoints()
-		if rs, rb := fx.res.LastCopiedPoints(), fx.res.LastByRefPoints(); rs != shipped || rb != byRef {
+		shipped, byRef := copyVolume(fx.fab)
+		if rs, rb := copyVolume(fx.res); rs != shipped || rb != byRef {
 			t.Fatalf("%s: fabric shipped %d / by ref %d, resident %d / %d", name, shipped, byRef, rs, rb)
 		}
 		switch name {
@@ -172,9 +185,9 @@ func TestResidentCopiesByReference(t *testing.T) {
 			if shipped != 0 || byRef != cold {
 				t.Fatalf("warm batch shipped %d points, %d by reference; want 0 and %d", shipped, byRef, cold)
 			}
-		case "invalidated":
+		case "uncached":
 			if shipped != cold || byRef != 0 {
-				t.Fatalf("post-invalidation batch shipped %d points, %d by reference; want %d and 0", shipped, byRef, cold)
+				t.Fatalf("uncached batch shipped %d points, %d by reference; want %d and 0", shipped, byRef, cold)
 			}
 		}
 	}

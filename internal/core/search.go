@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/balance"
@@ -157,27 +156,6 @@ func (ps *procState) stubsUnder(id int32, v int, out []ElemID) []ElemID {
 	}
 	ps.stubStack = stack
 	return out
-}
-
-// LastCopiedPoints reports how many element points actually travelled as
-// phase-B copies in the most recent batch (the E6 volume column): 0 on a
-// warm batch, where every copy goes as an ID-only reference to the host's
-// cache. The per-rank counters are atomics: processors publish them
-// inside the machine run, and this reader may race a batch in flight (it
-// then observes a mix of old and new per-rank values, each one coherent).
-func (t *Tree) LastCopiedPoints() int { return sumCounters(t.lastCopied) }
-
-// LastByRefPoints reports how many element points the most recent batch
-// did NOT ship because the copy went by reference — what a by-value phase
-// B would have added to LastCopiedPoints.
-func (t *Tree) LastByRefPoints() int { return sumCounters(t.lastByRef) }
-
-func sumCounters(cs []atomic.Int64) int {
-	total := 0
-	for i := range cs {
-		total += int(cs[i].Load())
-	}
-	return total
 }
 
 // shippedElem is one element copy in flight. By value it carries the
@@ -338,16 +316,15 @@ type installCopiesReply struct {
 // is a diagnostic error, never a silently missing copy. By-value rows are
 // then built as layered trees and cached for later batches, bounded
 // by cap. The reply carries the rank's ship note too.
-func (part *forestPart) installCopies(host int, epoch uint64, cap int, agg aggPart, incoming [][]routeRow) (installServeReply, error) {
+func (part *forestPart) installCopies(host, cap int, agg aggPart, incoming [][]routeRow) (installServeReply, error) {
 	rep := installServeReply{Note: part.shipped}
 	in := &rep.Install
 	start := time.Now()
 	cache := part.copyCache
-	prior := cache.epoch
-	cache.begin(epoch)
+	cache.begin()
 	clear(part.copies)
 	if agg != nil {
-		agg.begin(epoch)
+		agg.begin()
 	}
 	install := func(id ElemID, el *element) {
 		part.copies[id] = el
@@ -363,8 +340,8 @@ func (part *forestPart) installCopies(host int, epoch uint64, cap int, agg aggPa
 			}
 			el, ok := cache.get(sh.Info.ID)
 			if !ok {
-				return rep, fmt.Errorf("core: phase-B reference to element %d missed on host %d: not among the %d copies cached at batch epoch %d (the cache was at epoch %d before this batch)",
-					sh.Info.ID, host, cache.len(), epoch, prior)
+				return rep, fmt.Errorf("core: phase-B reference to element %d missed on host %d: not among the %d copies its cache holds",
+					sh.Info.ID, host, cache.len())
 			}
 			in.CacheHits++
 			in.ByRef++
@@ -450,7 +427,7 @@ func (t *Tree) phaseB(pr *cgm.Proc, ps *procState, subs []subquery) ([]hostShip,
 		perElem[s.Elem]++
 	}
 	slices.Sort(touched)
-	advertised := ps.advertised(t.batchEpoch)
+	advertised := ps.cached
 	local := cgm.Alloc[elemDemand](a, len(touched)+len(advertised))[:0]
 	for _, id := range touched {
 		local = append(local, elemDemand{Elem: id, Count: int32(perElem[id])})
@@ -508,19 +485,21 @@ func (t *Tree) phaseB(pr *cgm.Proc, ps *procState, subs []subquery) ([]hostShip,
 func (t *Tree) keepDemand(demand []int) { t.lastDemand = append(t.lastDemand[:0], demand...) }
 
 // bookCopies books one rank's outcome of phase C's copies: the ship note
-// into the copy counters and the install reply into the rank's
-// SearchStats, its cache ops keeping ps.cached equal to the cache's ID
-// set.
+// and the install reply into the rank's SearchStats and the tree's
+// cumulative series, its cache ops keeping ps.cached equal to the cache's
+// ID set.
 func (t *Tree) bookCopies(ps *procState, rep installServeReply) {
-	t.lastCopied[ps.rank].Store(int64(rep.Note.CopiedPts))
-	t.lastByRef[ps.rank].Store(int64(rep.Note.RefPts))
-	t.copyShipped.Add(int64(rep.Note.CopiedPts))
-	t.copyByRef.Add(int64(rep.Note.RefPts))
 	st := &t.lastStats[ps.rank]
 	st.CopiesHeld = rep.Install.Held
 	st.CopyCacheHits += rep.Install.CacheHits
 	st.CopiesByRef += rep.Install.ByRef
 	st.InstallNanos += rep.Install.InstallNanos
+	st.CopiedPoints += rep.Note.CopiedPts
+	st.ByRefPoints += rep.Note.RefPts
+	t.copyShipped.Add(int64(rep.Note.CopiedPts))
+	t.copyByRef.Add(int64(rep.Note.RefPts))
+	t.copyHits.Add(int64(rep.Install.CacheHits))
+	t.installNs.Add(rep.Install.InstallNanos)
 	ps.cached = applyCacheOps(ps.cached, rep.Install.Ops)
 }
 

@@ -84,13 +84,14 @@ func TestSearchGolden(t *testing.T) {
 
 	for _, resident := range []bool{false, true} {
 		t.Run(fmt.Sprintf("resident=%t", resident), func(t *testing.T) {
+			// Every row runs cold: the trees cache no copies, so no demand
+			// round advertises one and no row's volume depends on the rows
+			// before it.
 			mach := cgm.New(cgm.Config{P: p, Resident: resident})
 			tree := core.Build(mach, pts)
+			tree.SetCopyCacheCap(-1)
 			h := core.PrepareAssociativeNamed[float64](tree, "test/weight-sum")
-			// Every row runs cold: no copy cache advertised in its demand
-			// round, so no row's volume depends on the rows before it.
 			measure := func(batch func([]geom.Box)) searchCost {
-				tree.InvalidateCopies()
 				mach.ResetMetrics()
 				batch(boxes)
 				mt := mach.Metrics()
@@ -118,13 +119,13 @@ func TestSearchGolden(t *testing.T) {
 			}
 			broadMach := cgm.New(cgm.Config{P: bp, Resident: resident})
 			broadTree := core.Build(broadMach, broadPts)
+			broadTree.SetCopyCacheCap(-1)
 			for _, row := range []struct {
 				name string
 				mach *cgm.Machine
 				tree *core.Tree
 				b    []geom.Box
 			}{{"hot spot", mach, tree, hot}, {"broad", broadMach, broadTree, broad}} {
-				row.tree.InvalidateCopies()
 				row.mach.ResetMetrics()
 				row.tree.CountBatch(row.b)
 				mt := row.mach.Metrics()

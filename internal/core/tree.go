@@ -21,7 +21,6 @@ import (
 	"math/bits"
 	"slices"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/balance"
 	"repro/internal/cgm"
@@ -158,12 +157,11 @@ type procState struct {
 	part *forestPart
 
 	// cached mirrors the ID set of the rank's element cache, wherever it
-	// lives, as a sorted list valid at cachedEpoch: what the rank
-	// advertises in phase B's demand round. Every install returns the
-	// cache's changes (installCopiesReply.Ops), so the mirror follows a
-	// worker-held cache without a round trip.
-	cached      []ElemID
-	cachedEpoch uint64
+	// lives, as a sorted list: what the rank advertises in phase B's
+	// demand round. Every install returns the cache's changes
+	// (installCopiesReply.Ops), so the mirror follows a worker-held cache
+	// without a round trip.
+	cached []ElemID
 	// owned lists the IDs of the elements this rank owns, increasing
 	// (derived from info on first use; info is immutable after Build).
 	owned []ElemID
@@ -178,18 +176,6 @@ type procState struct {
 	// callers outside a machine run never touch this state.
 	hatStack  []hatFrame
 	stubStack []int32
-}
-
-// advertised returns the IDs the rank's element cache holds at epoch.
-// The cache itself is swept by the batch's install when the epoch moved;
-// the mirror empties here, ahead of it, because the advertisement goes
-// out first.
-func (ps *procState) advertised(epoch uint64) []ElemID {
-	if ps.cachedEpoch != epoch {
-		ps.cached = ps.cached[:0]
-		ps.cachedEpoch = epoch
-	}
-	return ps.cached
 }
 
 // ownedIDs returns the IDs of the elements this rank owns, increasing.
@@ -224,22 +210,10 @@ type Tree struct {
 	// the T last served): the caller-side state a MixedBatch would otherwise
 	// rebuild identically every run.
 	frame any
-	// epoch versions the per-processor copy caches; lastCopied and
-	// lastByRef are the per-rank copy volume shipped by value and stood in
-	// for by references. All are written inside machine runs and readable
-	// from any goroutine at any time, hence atomic.
-	epoch      atomic.Uint64
-	lastCopied []atomic.Int64
-	lastByRef  []atomic.Int64
-	// batchEpoch is the epoch of the batch in flight, read once in
-	// prepBatch: every rank advertises, ships and installs against this
-	// one value, so a concurrent InvalidateCopies takes effect at the next
-	// batch, never between two ranks of one.
-	batchEpoch uint64
-	// copyShipped and copyByRef accumulate that volume over all batches:
-	// core_phaseb_copy_points_total{how=…} in the machine's registry
-	// (unregistered counters without one).
-	copyShipped, copyByRef *obs.Counter
+	// copyShipped, copyByRef, copyHits and installNs accumulate the
+	// SearchStats copy fields over all batches: the core_phaseb_* series
+	// of the machine's registry (unregistered counters without one).
+	copyShipped, copyByRef, copyHits, installNs *obs.Counter
 	// copyCacheCap overrides the per-processor copy-cache entry bound:
 	// 0 = derived default, negative = caching disabled.
 	copyCacheCap atomic.Int64
@@ -248,53 +222,18 @@ type Tree struct {
 // SetCopyCacheCap bounds each processor's cross-batch copy cache to at
 // most perProc entries (0 restores the derived default of a few times
 // the processor's forest share; negative disables copy caching). Takes
-// effect from the next batch.
+// effect from the next batch's installs: a lowered bound evicts only as
+// later copies install, and a negative one stops caching but keeps
+// serving what the cache already holds, so a tree set to −1 before its
+// first batch runs every phase B cold.
 func (t *Tree) SetCopyCacheCap(perProc int) { t.copyCacheCap.Store(int64(perProc)) }
 
-// prepBatch resets the per-batch statistics and fixes the batch's epoch
-// before a machine run.
-func (t *Tree) prepBatch() {
-	clear(t.lastStats)
-	for i := range t.lastCopied {
-		t.lastCopied[i].Store(0)
-		t.lastByRef[i].Store(0)
-	}
-	t.batchEpoch = t.epoch.Load()
-}
+// prepBatch resets the per-batch statistics before a machine run.
+func (t *Tree) prepBatch() { clear(t.lastStats) }
 
 // Resident reports whether the forest lives in transport-resident state
 // (worker memory over TCP) rather than coordinator memory.
 func (t *Tree) Resident() bool { return t.resident }
-
-// InvalidateCopies invalidates every processor's cross-batch copy cache.
-// A Tree's point set is immutable after Build, so the pipeline never
-// needs this for its own correctness (the dynamic layer discards whole
-// trees, caches included, rather than mutating one). It exists for
-// measurement — forcing cold phase-B installs, as the E15 harness and
-// the copy-cache benchmarks do — and as the hook any future in-place
-// mutation must call.
-func (t *Tree) InvalidateCopies() { t.epoch.Add(1) }
-
-// LastPhaseBInstall reports the total time processors spent installing
-// element copies (building or cache-reusing their trees) in the most
-// recent batch — the quantity the copy cache attacks.
-func (t *Tree) LastPhaseBInstall() time.Duration {
-	var total time.Duration
-	for _, st := range t.lastStats {
-		total += time.Duration(st.InstallNanos)
-	}
-	return total
-}
-
-// LastCopyCacheHits reports how many installed copies were served from
-// the cross-batch copy cache in the most recent batch.
-func (t *Tree) LastCopyCacheHits() int {
-	total := 0
-	for _, st := range t.lastStats {
-		total += st.CopyCacheHits
-	}
-	return total
-}
 
 // LastDemand returns the demand vector |QF_j| of the most recent batch:
 // for each rank j, the subqueries that visit elements j owns, summed from

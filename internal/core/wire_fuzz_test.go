@@ -257,7 +257,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 		if len(mops) == 0 {
 			mops = nil
 		}
-		fuzzRT(t, installServeArgs{Epoch: uint64(g.i32()), Cap: int(g.i32()), Agg: string(g.key(5)), Ops: mops})
+		fuzzRT(t, installServeArgs{Cap: int(g.i32()), Agg: string(g.key(5)), Ops: mops})
 		ops := make([]cacheOp, g.n(4))
 		for i := range ops {
 			ops[i] = cacheOp{ID: ElemID(g.i32()), Evict: g.u8()&1 == 1}

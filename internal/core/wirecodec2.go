@@ -507,7 +507,6 @@ func init() {
 		})
 	fixedCodec(
 		func(buf []byte, a installServeArgs) []byte {
-			buf = wire.AppendU64(buf, a.Epoch)
 			buf = wire.AppendVarint(buf, int64(a.Cap))
 			buf = wire.AppendString(buf, a.Agg)
 			buf = wire.AppendUvarint(buf, uint64(len(a.Ops)))
@@ -517,7 +516,7 @@ func init() {
 			return buf
 		},
 		func(r *wire.Reader) (installServeArgs, error) {
-			a := installServeArgs{Epoch: r.U64(), Cap: int(r.Varint()), Agg: r.Str()}
+			a := installServeArgs{Cap: int(r.Varint()), Agg: r.Str()}
 			if ops := r.Bytes(r.Count(1)); len(ops) > 0 {
 				a.Ops = make([]MixedOp, len(ops))
 				for i, op := range ops {

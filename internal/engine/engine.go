@@ -105,33 +105,10 @@ type Stats struct {
 	// survives only because bench/w_serve.go reads it and a PR that claims
 	// a gain may not edit bench/; delete it in the next benchmark PR.
 	DeadlineFlushes uint64
-	// CopyCacheHits counts forest-element copies the tree installed from
-	// its cross-batch copy cache over all dispatched batches — how often
-	// the skew-balancing round skipped an element rebuild entirely.
-	CopyCacheHits uint64
-	// CopyPointsShipped and CopyPointsByRef split phase B's copy volume
-	// over all dispatched batches: element points that travelled to a
-	// host, and points an ID-only reference to the host's cache stood in
-	// for (see CopyByRefShare).
-	CopyPointsShipped uint64
-	CopyPointsByRef   uint64
-	// PhaseBInstall accumulates the time processors spent installing
-	// element copies across all dispatched batches.
-	PhaseBInstall time.Duration
 	// DedupedQueries counts batched queries that shared a machine slot
 	// with an identical (mode, box) query of the same batch: answered, but
 	// never dispatched on their own.
 	DedupedQueries uint64
-}
-
-// CopyByRefShare is the share of phase B's copy volume that did not
-// travel: points by reference over all copied points (0 before any copy).
-func (s Stats) CopyByRefShare() float64 {
-	total := s.CopyPointsShipped + s.CopyPointsByRef
-	if total == 0 {
-		return 0
-	}
-	return float64(s.CopyPointsByRef) / float64(total)
 }
 
 // request is one pending query and its reply channel. key is the answer-
@@ -173,8 +150,6 @@ type Engine[T any] struct {
 	submitted, hits, misses       atomic.Uint64
 	batches, batched              atomic.Uint64
 	sizeFlush, idleFlush, drained atomic.Uint64
-	copyCacheHits, installNanos   atomic.Uint64
-	copyShipped, copyByRef        atomic.Uint64
 	slowBatches, deduped          atomic.Uint64
 
 	// published orders Trace(0) behind the dispatcher: the loop advances
@@ -262,8 +237,6 @@ func newEngine[T any](cfg Config) *Engine[T] {
 			emit(`engine_flushes_total{reason="size"}`, float64(st.SizeFlushes))
 			emit(`engine_flushes_total{reason="idle"}`, float64(st.IdleFlushes))
 			emit(`engine_flushes_total{reason="drain"}`, float64(st.DrainFlushes))
-			emit("engine_copy_cache_hits_total", float64(st.CopyCacheHits))
-			emit("engine_phase_b_install_ns_total", float64(st.PhaseBInstall.Nanoseconds()))
 			emit("engine_slow_batches_total", float64(e.slowBatches.Load()))
 		})
 	}
@@ -325,19 +298,15 @@ func (e *Engine[T]) dataVersion() uint64 {
 // Stats returns a snapshot of the engine's counters.
 func (e *Engine[T]) Stats() Stats {
 	return Stats{
-		Submitted:         e.submitted.Load(),
-		CacheHits:         e.hits.Load(),
-		CacheMisses:       e.misses.Load(),
-		Batches:           e.batches.Load(),
-		BatchedQueries:    e.batched.Load(),
-		SizeFlushes:       e.sizeFlush.Load(),
-		IdleFlushes:       e.idleFlush.Load(),
-		DrainFlushes:      e.drained.Load(),
-		CopyCacheHits:     e.copyCacheHits.Load(),
-		CopyPointsShipped: e.copyShipped.Load(),
-		CopyPointsByRef:   e.copyByRef.Load(),
-		PhaseBInstall:     time.Duration(e.installNanos.Load()),
-		DedupedQueries:    e.deduped.Load(),
+		Submitted:      e.submitted.Load(),
+		CacheHits:      e.hits.Load(),
+		CacheMisses:    e.misses.Load(),
+		Batches:        e.batches.Load(),
+		BatchedQueries: e.batched.Load(),
+		SizeFlushes:    e.sizeFlush.Load(),
+		IdleFlushes:    e.idleFlush.Load(),
+		DrainFlushes:   e.drained.Load(),
+		DedupedQueries: e.deduped.Load(),
 	}
 }
 
@@ -580,12 +549,7 @@ func (e *Engine[T]) treeBatch(ops []core.MixedOp, boxes []geom.Box, trace uint64
 	// cannot interleave with another batch's.
 	e.tree.SetTrace(trace)
 	defer e.tree.SetTrace(0)
-	results = core.MixedBatch(e.tree, e.agg, ops, boxes)
-	e.copyCacheHits.Add(uint64(e.tree.LastCopyCacheHits()))
-	e.copyShipped.Add(uint64(e.tree.LastCopiedPoints()))
-	e.copyByRef.Add(uint64(e.tree.LastByRefPoints()))
-	e.installNanos.Add(uint64(e.tree.LastPhaseBInstall().Nanoseconds()))
-	return results, nil
+	return core.MixedBatch(e.tree, e.agg, ops, boxes), nil
 }
 
 // cloneResult copies the slice-valued part of an answer so no two

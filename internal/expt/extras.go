@@ -97,16 +97,17 @@ func E6(sc Scale) *Table {
 		n = 1 << 13
 	}
 	dt, _ := buildMeasured(n, d, p, 7)
+	dt.SetCopyCacheCap(-1) // cold: the volume column counts points shipped by value
 	for _, foci := range []int{0, 4, 1} {
 		boxes := workload.Boxes(workload.QuerySpec{
 			M: n, Dims: d, N: n, Selectivity: 0.0005, Foci: foci, Theta: 1.5, Seed: 7,
 		})
-		dt.InvalidateCopies() // cold: the volume column counts points shipped by value
 		dt.CountBatch(boxes)
-		D, maxServed := 0, 0
+		D, maxServed, copied := 0, 0, 0
 		for _, s := range dt.LastSearchStats() {
 			D += s.Served
 			maxServed = max(maxServed, s.Served)
+			copied += s.CopiedPoints
 		}
 		maxDemand := 0
 		for _, x := range dt.LastDemand() {
@@ -117,11 +118,11 @@ func E6(sc Scale) *Table {
 			fociLabel = fmt.Sprint(foci)
 		}
 		if D == 0 {
-			t.AddRow(n, p, fociLabel, 0, "-", "-", dt.LastCopiedPoints())
+			t.AddRow(n, p, fociLabel, 0, "-", "-", copied)
 			continue
 		}
 		avg := float64(D) / float64(p)
-		t.AddRow(n, p, fociLabel, D, float64(maxDemand)/avg, float64(maxServed)/avg, dt.LastCopiedPoints())
+		t.AddRow(n, p, fociLabel, D, float64(maxDemand)/avg, float64(maxServed)/avg, copied)
 	}
 	return t
 }

@@ -73,10 +73,17 @@ func E15(sc Scale) *Table {
 	pts := workload.Points(workload.PointSpec{N: n, Dims: d, Dist: workload.Uniform, Seed: 15})
 	skewed := workload.Boxes(workload.QuerySpec{M: q, Dims: d, N: n, Selectivity: 0.001, Foci: 2, Seed: 16})
 	dt := core.Build(cgm.New(cgm.Config{P: p}), pts)
+	installUs := func() float64 {
+		var ns int64
+		for _, st := range dt.LastSearchStats() {
+			ns += st.InstallNanos
+		}
+		return float64(ns / 1000)
+	}
 	dt.CountBatch(skewed)
-	cold := float64(dt.LastPhaseBInstall().Microseconds())
+	cold := installUs()
 	dt.CountBatch(skewed)
-	warm := float64(dt.LastPhaseBInstall().Microseconds())
+	warm := installUs()
 	speedup := 0.0
 	if warm > 0 {
 		speedup = cold / warm

@@ -66,7 +66,7 @@ func (s *Store) BulkLoad(src core.ChunkSource) (uint64, error) {
 	s.event("ingest_begin", "bulk load: streaming construct starting")
 	tee := &idTee{src: src}
 	built, err := core.BulkLoad(mach, tee,
-		core.IngestConfig{Window: core.DefaultWindow, MaxShare: s.cfg.IngestMaxShare})
+		core.IngestConfig{MaxShare: s.cfg.IngestMaxShare})
 	if err != nil {
 		mach.Close()
 		s.event("ingest_error", err.Error())

@@ -530,6 +530,53 @@ func TestRecoverWithoutCheckpoint(t *testing.T) {
 	_ = s // the abandoned handle is never used again
 }
 
+// TestSyncWALRecovers runs the store with an fsync after every logged
+// mutation: inserts and deletes applied with SyncWAL, a Close with no
+// checkpoint, and a reopen that must replay the WAL into exactly the
+// live set the brute oracle holds.
+func TestSyncWALRecovers(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
+	rng := rand.New(rand.NewSource(17))
+	pts := randomPoints(rng, 80, 2, 0)
+	cfg := Config{Dims: 2, P: 2, MemtableCap: 16, Sync: true, SyncWAL: true}
+
+	s, err := Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []struct {
+		del bool
+		pts []geom.Point
+	}{{false, pts[:50]}, {true, pts[:12]}, {false, pts[50:]}, {true, pts[70:75]}} {
+		apply := s.InsertBatch
+		if step.del {
+			apply = s.DeleteBatch
+		}
+		if _, err := apply(step.pts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.Checkpoints != 0 || st.WALRecords == 0 {
+		t.Fatalf("before close: %d checkpoints, %d WAL records; want 0 and some", st.Checkpoints, st.WALRecords)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	var expect []geom.Point
+	expect = append(expect, pts[12:70]...)
+	expect = append(expect, pts[75:]...)
+	if re.LiveN() != len(expect) {
+		t.Fatalf("recovered %d live points, want %d", re.LiveN(), len(expect))
+	}
+	checkOracle(t, re, expect, randomBoxes(rng, 12, 80, 2))
+}
+
 func TestTornWALTailIsIgnored(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
 	s, err := Open(dir, Config{Dims: 1, P: 1, Sync: true})

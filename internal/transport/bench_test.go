@@ -128,6 +128,10 @@ func measureClusterTraffic(tb testing.TB, resident bool, batches int) clusterTra
 	if err != nil {
 		tb.Fatal(err)
 	}
+	// Every batch runs cold: a warm phase B ships ID-only references in
+	// both modes, and the element blocks whose path the checks below are
+	// about exist only when copies travel by value.
+	tree.SetCopyCacheCap(-1)
 	h := core.PrepareAssociativeNamed[float64](tree, aggregates.WeightSum)
 	boxes := workload.Boxes(workload.QuerySpec{M: m, Dims: 2, N: n, Selectivity: 0.02, Seed: 11})
 	ops := make([]core.MixedOp, m)
@@ -142,10 +146,6 @@ func measureClusterTraffic(tb testing.TB, resident bool, batches int) clusterTra
 		meshBefores[i] = w.WireStats()
 	}
 	for i := 0; i < batches; i++ {
-		// Every measured batch is cold: a warm phase B ships ID-only
-		// references in both modes, and the element blocks whose path the
-		// checks below are about exist only when copies travel by value.
-		tree.InvalidateCopies()
 		core.MixedBatch(tree, h, ops, boxes)
 	}
 	out, in := cl.CoordBytes()

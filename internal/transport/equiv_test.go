@@ -3,11 +3,8 @@ package transport_test
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/aggregates" // registers the standard named aggregates
 	"repro/internal/brute"
@@ -325,7 +322,7 @@ func batchCells(t *testing.T, stage string, trees []*core.Tree, aggs []*core.Agg
 					t.Fatalf("%s: %s query %d (%v) disagrees with the oracle", stage, name, q, ops[q])
 				}
 			}
-			shipped, byRef = tree.LastCopiedPoints(), tree.LastByRefPoints()
+			shipped, byRef = copyVolume(tree)
 			continue
 		}
 		for q := range base {
@@ -335,10 +332,20 @@ func batchCells(t *testing.T, stage string, trees []*core.Tree, aggs []*core.Agg
 			}
 		}
 		assertMetricsEqual(t, stage, execVariants[0].name, name, trees[0].Machine().Metrics(), tree.Machine().Metrics())
-		if s, r := tree.LastCopiedPoints(), tree.LastByRefPoints(); s != shipped || r != byRef {
+		if s, r := copyVolume(tree); s != shipped || r != byRef {
 			t.Fatalf("%s: %s shipped %d points and %d by reference, %s %d and %d",
 				stage, execVariants[0].name, shipped, byRef, name, s, r)
 		}
+	}
+	return shipped, byRef
+}
+
+// copyVolume sums the most recent batch's phase-B copy volume over the
+// processors: points shipped by value and points references stood in for.
+func copyVolume(tree *core.Tree) (shipped, byRef int) {
+	for _, st := range tree.LastSearchStats() {
+		shipped += st.CopiedPoints
+		byRef += st.ByRefPoints
 	}
 	return shipped, byRef
 }
@@ -349,11 +356,9 @@ func hotBoxes(m, n int, seed int64) []geom.Box {
 	return workload.Boxes(workload.QuerySpec{M: m, Dims: 2, N: n, Selectivity: 0.02, Foci: 2, Theta: 1.5, Seed: seed})
 }
 
-// TestCopiesByReferenceEquivalence runs a cold, a warm and a
-// post-invalidation batch in every cell.
-// Beyond batchCells' cross-cell checks: the warm batch ships nothing by
-// value (the cold volume goes by reference instead) and invalidation
-// brings the cold volume back.
+// TestCopiesByReferenceEquivalence runs a cold and a warm batch in every
+// cell. Beyond batchCells' cross-cell checks: the warm batch ships
+// nothing by value (the cold volume goes by reference instead).
 func TestCopiesByReferenceEquivalence(t *testing.T) {
 	const n, p = 500, 4
 	pts := workload.Points(workload.PointSpec{N: n, Dims: 2, Dist: workload.Clustered, Seed: 7})
@@ -366,12 +371,6 @@ func TestCopiesByReferenceEquivalence(t *testing.T) {
 	}
 	if shipped, byRef := batchCells(t, "warm", trees, aggs, oracle, boxes); shipped != 0 || byRef != cold {
 		t.Fatalf("warm batch shipped %d points, %d by reference; want 0 and %d", shipped, byRef, cold)
-	}
-	for _, tree := range trees {
-		tree.InvalidateCopies()
-	}
-	if shipped, byRef := batchCells(t, "invalidated", trees, aggs, oracle, boxes); shipped != cold || byRef != 0 {
-		t.Fatalf("post-invalidation batch shipped %d points, %d by reference; want %d and 0", shipped, byRef, cold)
 	}
 }
 
@@ -402,61 +401,5 @@ func TestEvictingCacheEquivalence(t *testing.T) {
 	}
 	if mixed == 0 {
 		t.Fatal("no batch mixed by-value and by-reference copies")
-	}
-}
-
-// TestInvalidateDuringResidentBatches lands InvalidateCopies calls from a
-// second goroutine inside resident TCP batches (run under -race). The
-// epoch is read once per batch, so every rank advertises, ships and
-// installs against the same value: each batch answers correctly, and none
-// aborts on a missed reference or an element a host does not hold.
-func TestInvalidateDuringResidentBatches(t *testing.T) {
-	const n, p = 500, 4
-	pts := workload.Points(workload.PointSpec{N: n, Dims: 2, Dist: workload.Clustered, Seed: 7})
-	tree, err := core.BuildOn(startCluster(t, p, cgm.Config{Resident: true}), pts, core.BackendLayered)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle := brute.New(pts)
-
-	// The invalidator is kicked at the start of every other batch with the
-	// previous batch's duration and fires at a random point inside that
-	// window — mid-batch whatever the machine's speed. The batches in
-	// between start warm, so references are at stake when it fires.
-	kick := make(chan time.Duration)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rng := rand.New(rand.NewSource(1))
-		for window := range kick {
-			time.Sleep(time.Duration(rng.Int63n(int64(window) + 1)))
-			tree.InvalidateCopies()
-		}
-	}()
-	defer func() {
-		close(kick)
-		wg.Wait()
-	}()
-
-	var last time.Duration
-	byRef := 0
-	for batch := 0; batch < 120; batch++ {
-		boxes := hotBoxes(64, n, int64(30+batch%4))
-		if batch%2 == 1 {
-			kick <- last
-		}
-		start := time.Now()
-		got := tree.ReportBatch(boxes)
-		last = time.Since(start)
-		byRef += tree.LastByRefPoints()
-		for q, b := range boxes {
-			if !slices.Equal(brute.IDs(got[q]), brute.IDs(oracle.Report(b))) {
-				t.Fatalf("batch %d query %d disagrees with the oracle", batch, q)
-			}
-		}
-	}
-	if byRef == 0 {
-		t.Fatal("no batch shipped a copy by reference: nothing was at stake")
 	}
 }

@@ -183,10 +183,6 @@ func (t *tcpTransport) OpenFeed(rank int, ref exec.Ref, opt cgm.FeedOptions) (cg
 	if rank < 0 || rank >= t.p {
 		return nil, fmt.Errorf("transport: feed rank %d out of range (p=%d)", rank, t.p)
 	}
-	window := opt.Window
-	if window < 1 {
-		window = 1
-	}
 	addr := t.cl.addrs[rank]
 	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
@@ -212,7 +208,7 @@ func (t *tcpTransport) OpenFeed(rank int, ref exec.Ref, opt cgm.FeedOptions) (cg
 		return nil, fmt.Errorf("transport: worker %d answered feed open with frame kind %d seq %d", rank, ack.Kind, ack.Seq)
 	}
 	f := &clientFeed{t: t, rank: rank, addr: addr, fc: fc,
-		slots: make(chan struct{}, window), done: make(chan struct{})}
+		slots: make(chan struct{}, cgm.FeedWindow), done: make(chan struct{})}
 	if reg := t.cl.cfg.Obs; reg != nil {
 		f.rtt = reg.Histogram(fmt.Sprintf(`ingest_feed_ack_rtt_ns{rank="%d"}`, rank))
 		f.occ = reg.Histogram(fmt.Sprintf(`ingest_feed_window_depth{rank="%d"}`, rank))

@@ -52,7 +52,7 @@ func TestParallelFeedCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := core.BulkLoad(mach, core.SliceChunks(pts, 128), core.IngestConfig{Window: 4})
+	tree, err := core.BulkLoad(mach, core.SliceChunks(pts, 128), core.IngestConfig{})
 	if err != nil {
 		t.Fatalf("bulk load: %v", err)
 	}
@@ -100,7 +100,7 @@ func TestWorkerDeathMidParallelFeedAborts(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := core.BulkLoad(mach, src, core.IngestConfig{Window: 4})
+		_, err := core.BulkLoad(mach, src, core.IngestConfig{})
 		done <- err
 	}()
 	select {

@@ -97,7 +97,7 @@ func TestWorkerFedEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tree, err := core.BulkLoad(mach, core.SliceChunks(pts, 61), core.IngestConfig{Window: 2})
+		tree, err := core.BulkLoad(mach, core.SliceChunks(pts, 61), core.IngestConfig{})
 		if err != nil {
 			t.Fatalf("streaming bulk load: %v", err)
 		}
@@ -121,7 +121,7 @@ func TestClusterIngestAndServeOnRawCodecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := core.BulkLoad(mach, core.SliceChunks(pts, 256), core.IngestConfig{Window: 2})
+	tree, err := core.BulkLoad(mach, core.SliceChunks(pts, 256), core.IngestConfig{})
 	if err != nil {
 		t.Fatalf("bulk load: %v", err)
 	}
@@ -197,7 +197,7 @@ func TestWorkerDeathMidIngestAborts(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		tree, err := core.BulkLoad(mach, src, core.IngestConfig{Window: 2})
+		tree, err := core.BulkLoad(mach, src, core.IngestConfig{})
 		done <- result{tree, err}
 	}()
 	var res result
@@ -219,7 +219,7 @@ func TestWorkerDeathMidIngestAborts(t *testing.T) {
 	if _, err := cl.NewMachine(); err == nil {
 		mach2, _ := cl.NewMachine()
 		if mach2 != nil {
-			if _, err := core.BulkLoad(mach2, core.SliceChunks(pts[:100], 32), core.IngestConfig{Window: 2}); err == nil {
+			if _, err := core.BulkLoad(mach2, core.SliceChunks(pts[:100], 32), core.IngestConfig{}); err == nil {
 				t.Fatal("second bulk load on a degraded cluster succeeded")
 			}
 		}
