@@ -141,7 +141,9 @@ func TestCopyCacheWarmSkipsRebuild(t *testing.T) {
 
 // TestCopyCacheServesAggregates runs the associative mode over a skewed
 // workload twice: the warm batch must reuse both the copied elements and
-// their annotations, and still answer correctly.
+// their annotations, and still answer correctly. Then cap −1: the next
+// batch still answers from what its hosts advertised, and leaves every
+// rank's element and annotation caches, and the mirror, empty.
 func TestCopyCacheServesAggregates(t *testing.T) {
 	dt, boxes := skewedSetup(t, 1024, 2, 4, 64)
 	weight := func(p geom.Point) int64 { return int64(p.ID%3) + 1 }
@@ -153,6 +155,15 @@ func TestCopyCacheServesAggregates(t *testing.T) {
 	}
 	if hits, _, _ := copyTotals(dt); hits == 0 {
 		t.Error("warm aggregate batch installed no copies from the cache")
+	}
+	dt.SetCopyCacheCap(-1)
+	if got := h.Batch(boxes); !reflect.DeepEqual(got, want) {
+		t.Fatal("the batch that lowered the cap changed answers")
+	}
+	for rank, ps := range dt.procs {
+		if n, m := ps.part.copyCache.len(), h.parts[rank].cache.len(); n != 0 || m != 0 || len(ps.cached) != 0 {
+			t.Errorf("rank %d keeps %d cached copies, %d cached annotations, %d advertised after cap −1", rank, n, m, len(ps.cached))
+		}
 	}
 }
 

@@ -57,8 +57,19 @@ func (c *copyCache[V]) insert(id ElemID, val V, cap int, ops []cacheOp) []cacheO
 	if cap <= 0 {
 		return ops
 	}
-	_, present := c.entries[id]
-	for !present && len(c.entries) >= cap {
+	if _, present := c.entries[id]; !present {
+		ops = append(c.trim(cap-1, ops), cacheOp{ID: id})
+	}
+	c.entries[id] = cacheEntry[V]{val: val, used: c.batch}
+	return ops
+}
+
+// trim evicts down to max(cap, 0) entries in eviction order and appends
+// the evictions to ops. Phase B's install ends with it, so a cap lowered
+// after the cache filled (below 0 included) takes hold in the batch that
+// first sees it, even if that batch inserts nothing.
+func (c *copyCache[V]) trim(cap int, ops []cacheOp) []cacheOp {
+	for len(c.entries) > max(cap, 0) {
 		victim, oldest, first := ElemID(0), uint64(0), true
 		for k, e := range c.entries {
 			if first || e.used < oldest || (e.used == oldest && k < victim) {
@@ -67,10 +78,6 @@ func (c *copyCache[V]) insert(id ElemID, val V, cap int, ops []cacheOp) []cacheO
 		}
 		delete(c.entries, victim)
 		ops = append(ops, cacheOp{ID: victim, Evict: true})
-	}
-	c.entries[id] = cacheEntry[V]{val: val, used: c.batch}
-	if !present {
-		ops = append(ops, cacheOp{ID: id})
 	}
 	return ops
 }

@@ -8,7 +8,8 @@ import (
 
 // TestCopyCacheEvictionOrder pins the deterministic policy: the batch
 // that installed an entry longest ago loses first, the smaller element ID
-// on ties, and the ops replay to the cache's exact ID set.
+// on ties, for insert and trim alike, and the ops replay to the cache's
+// exact ID set.
 func TestCopyCacheEvictionOrder(t *testing.T) {
 	c := newCopyCache[int]()
 	var mirror []ElemID
@@ -54,6 +55,22 @@ func TestCopyCacheEvictionOrder(t *testing.T) {
 	}
 	if ops := c.insert(8, 0, 0, nil); len(ops) != 0 || c.len() != 2 {
 		t.Fatalf("disabled insert changed the cache: ops %v, len %d", ops, c.len())
+	}
+
+	// trim evicts in the same order down to the cap, and to nothing below 1.
+	c.begin()
+	ops = c.insert(6, 0, 3, nil)
+	mirror = applyCacheOps(mirror, ops)
+	if ops := c.trim(3, nil); len(ops) != 0 {
+		t.Fatalf("trim to the held count evicted %v", ops)
+	}
+	ops = c.trim(1, nil)
+	if want := []cacheOp{{ID: 3, Evict: true}, {ID: 4, Evict: true}}; !reflect.DeepEqual(ops, want) {
+		t.Fatalf("trim to 1: ops %v, want %v", ops, want)
+	}
+	mirror = applyCacheOps(mirror, ops)
+	if mirror = applyCacheOps(mirror, c.trim(-1, nil)); len(mirror) != 0 || c.len() != 0 {
+		t.Fatalf("trim to -1 left the mirror %v and %d entries", mirror, c.len())
 	}
 }
 

@@ -14,10 +14,12 @@ import (
 // TestBuiltTreeFootprint bounds the live heap a served tree keeps per
 // point: BuildOn, then PrepareAssociativeNamed, over 16 384 clustered
 // points on p = 4, fabric and resident loopback. With each element's
-// points one columnar block that its layered tree keeps as its own, and
-// index arrays and aggregate tables on every other cascade level, both
-// residencies read 136–137 B/point at d = 2 and 833–834 at d = 3. The same
-// elements with both arrays on every level read 184–185 / 1 172–1 173.
+// points one columnar block that its layered tree keeps as its own,
+// index arrays and aggregate tables on every other cascade level, and
+// each table keeping every fourth prefix beside 8 B of f per point, both
+// residencies read 109 B/point at d = 2 and 581–582 at d = 3. A prefix on
+// every stored entry reads 136–137 / 833–834, and the same elements with
+// both arrays on every level read 184–185 / 1 172–1 173.
 // Elements that kept a []geom.Point beside their trees' cloned headers
 // read 349 / 1 499 (fabric) and 452 / 1 730 (resident, whose headers
 // also held the decode arenas), on every level. One header slice per
@@ -36,7 +38,7 @@ func TestBuiltTreeFootprint(t *testing.T) {
 		d        int
 		resident bool
 		limit    int64
-	}{{2, false, 155}, {2, true, 155}, {3, false, 880}, {3, true, 880}} {
+	}{{2, false, 125}, {2, true, 125}, {3, false, 670}, {3, true, 670}} {
 		where := "fabric"
 		if c.resident {
 			where = "resident"

@@ -782,6 +782,10 @@ func (pa *partAgg[T]) annotateCopy(el *element, cap int) {
 	pa.copyAggs[el.info.ID] = ag
 }
 
+// trim bounds the annotation cache to cap at the end of an install, as
+// the element cache is.
+func (pa *partAgg[T]) trim(cap int) { pa.cache.trim(cap, nil) }
+
 // query folds f over a subquery's box in the owned element or copy it
 // visits.
 func (pa *partAgg[T]) query(s subquery) (T, error) {
@@ -802,6 +806,7 @@ type aggPart interface {
 	prepareWire(part *forestPart) []byte
 	begin()
 	annotateCopy(el *element, cap int)
+	trim(cap int)
 	serveWire(subs []subquery) ([]byte, error)
 }
 

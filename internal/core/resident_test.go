@@ -193,6 +193,57 @@ func TestResidentCopiesByReference(t *testing.T) {
 	}
 }
 
+// TestLoweredCapShipsByValue: fabric and resident twins warm their copy
+// caches, then get cap −1. The batch that first sees it still serves its
+// advertised references; the next ships every copy by value with no cache
+// hit. Answers equal brute force and the twins' metrics agree throughout.
+func TestLoweredCapShipsByValue(t *testing.T) {
+	const n, d, p, m = 400, 2, 4, 96
+	fx := newResidentFixture(t, n, d, p, 7)
+	bf := brute.New(fx.pts)
+	boxes := workload.Boxes(workload.QuerySpec{M: m, Dims: d, N: n, Selectivity: 0.02, Foci: 2, Theta: 1.5, Seed: 3})
+	cold := 0
+	for _, phase := range []string{"cold", "warm", "lowered", "after"} {
+		if phase == "lowered" {
+			fx.fab.SetCopyCacheCap(-1)
+			fx.res.SetCopyCacheCap(-1)
+		}
+		fx.fabM.ResetMetrics()
+		fx.resM.ResetMetrics()
+		fr, rr := fx.fab.ReportBatch(boxes), fx.res.ReportBatch(boxes)
+		for i, b := range boxes {
+			want := brute.IDs(bf.Report(b))
+			if !slices.Equal(brute.IDs(fr[i]), want) || !slices.Equal(brute.IDs(rr[i]), want) {
+				t.Fatalf("%s report %d: answers differ from brute force", phase, i)
+			}
+		}
+		assertSameMetrics(t, phase, fx.fabM.Metrics(), fx.resM.Metrics())
+		for _, tree := range []*core.Tree{fx.fab, fx.res} {
+			shipped, byRef := copyVolume(tree)
+			hits := 0
+			for _, st := range tree.LastSearchStats() {
+				hits += st.CopyCacheHits
+			}
+			switch phase {
+			case "cold":
+				cold = shipped
+				if cold == 0 {
+					t.Fatal("cold batch shipped no copies; the test needs congestion")
+				}
+			case "warm", "lowered":
+				if shipped != 0 || byRef != cold {
+					t.Fatalf("%s batch shipped %d points, %d by reference; want 0 and %d", phase, shipped, byRef, cold)
+				}
+			case "after":
+				if shipped != cold || byRef != 0 || hits != 0 {
+					t.Fatalf("batch after cap −1 shipped %d points, %d by reference, %d cache hits; want %d, 0, 0",
+						shipped, byRef, hits, cold)
+				}
+			}
+		}
+	}
+}
+
 // TestResidentAllPointsAndStats: the out-of-run resident accessors fetch
 // from worker memory and agree with the fabric twin.
 func TestResidentAllPointsAndStats(t *testing.T) {

@@ -315,7 +315,8 @@ type installCopiesReply struct {
 // any by-value row can evict — and a reference the cache cannot resolve
 // is a diagnostic error, never a silently missing copy. By-value rows are
 // then built as layered trees and cached for later batches, bounded
-// by cap. The reply carries the rank's ship note too.
+// by cap, and both caches end trimmed to cap. The reply carries the
+// rank's ship note too.
 func (part *forestPart) installCopies(host, cap int, agg aggPart, incoming [][]routeRow) (installServeReply, error) {
 	rep := installServeReply{Note: part.shipped}
 	in := &rep.Install
@@ -367,6 +368,13 @@ func (part *forestPart) installCopies(host, cap int, agg aggPart, incoming [][]r
 			}
 			install(sh.Info.ID, el)
 		}
+	}
+	// A cap lowered below what the cache holds takes hold here, after the
+	// batch's references resolved: the evictions ride the ops, so the
+	// mirror stops advertising them before the next demand round.
+	in.Ops = cache.trim(cap, in.Ops)
+	if agg != nil {
+		agg.trim(cap)
 	}
 	in.Held = len(part.copies)
 	in.InstallNanos = time.Since(start).Nanoseconds()

@@ -222,10 +222,11 @@ type Tree struct {
 // SetCopyCacheCap bounds each processor's cross-batch copy cache to at
 // most perProc entries (0 restores the derived default of a few times
 // the processor's forest share; negative disables copy caching). Takes
-// effect from the next batch's installs: a lowered bound evicts only as
-// later copies install, and a negative one stops caching but keeps
-// serving what the cache already holds, so a tree set to −1 before its
-// first batch runs every phase B cold.
+// effect at the next batch's installs: that batch still serves by
+// reference what its hosts advertised, then each cache evicts down to the
+// bound (a negative one empties it), so the batch after it ships every
+// copy it needs by value. A tree set to −1 before its first batch runs
+// every phase B cold.
 func (t *Tree) SetCopyCacheCap(perProc int) { t.copyCacheCap.Store(int64(perProc)) }
 
 // prepBatch resets the per-batch statistics before a machine run.

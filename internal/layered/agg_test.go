@@ -116,6 +116,66 @@ func TestAggLayoutsAgree(t *testing.T) {
 	}
 }
 
+// TestGroupRunEnds folds every run [pLo, pHi) of every node on every
+// sampled level of every cascade of d = 2 and d = 3 trees of 1 to 70
+// points, so levels whose length is no multiple of prefixStride and nodes
+// shorter than it occur, through a group's sampled prefix table, and
+// requires each to equal the direct sum of the run's values exactly. The
+// values are distinct random integers, so a run end off by one entry, or
+// a sample read from the wrong node, changes the sum.
+func TestGroupRunEnds(t *testing.T) {
+	if bucket%prefixStride != 0 {
+		t.Fatalf("prefixStride %d does not divide bucket %d", prefixStride, bucket)
+	}
+	rng := rand.New(rand.NewSource(53))
+	for n := 1; n <= 70; n++ {
+		w := make([]int64, n)
+		for i := range w {
+			w[i] = rng.Int63n(1 << 40)
+		}
+		weight := func(p geom.Point) int64 { return w[p.ID] }
+		for _, d := range []int{2, 3} {
+			lt := Build(randomPoints(rng, n, d, n%2 == 0))
+			agg := NewAgg(lt, semigroup.IntSum(), weight)
+			var cascades []*cascade
+			var collect func(*Tree)
+			collect = func(t *Tree) {
+				if t.two != nil {
+					cascades = append(cascades, t.two)
+				}
+				t.eachDesc(collect)
+			}
+			collect(lt)
+			runs := 0
+			for _, c := range cascades {
+				for k := 0; k <= c.depth; k++ {
+					if !c.sampled(k) {
+						continue
+					}
+					for lo := 0; lo < c.shape.M; lo += c.shape.Cap >> k {
+						hi, _ := c.span(k, lo)
+						run := c.level(k)[lo:hi]
+						for pLo := range run {
+							var want int64
+							for pHi := pLo + 1; pHi <= len(run); pHi++ {
+								want += w[c.blk.IDs[run[pHi-1]]]
+								if got := agg.whole(c, agg.tabs[c.ord], k, lo, len(run), pLo, pHi, 0); got != want {
+									t.Fatalf("n=%d d=%d cascade %d level %d node %d run [%d, %d): %d, want %d",
+										n, d, c.ord, k, lo, pLo, pHi, got, want)
+								}
+								runs++
+							}
+						}
+					}
+				}
+			}
+			if runs == 0 && d == 2 { // a d = 3 tree of a bucket or less has no cascade
+				t.Fatalf("n=%d d=%d: no run folded", n, d)
+			}
+		}
+	}
+}
+
 // TestUnsampledLevelContainment meets every cascade node contained: at
 // d = 2 (the top cascade) and d = 3 (the cascades of the root and its two
 // children), over 2 000 points whose coordinates repeat heavily (four to
@@ -296,8 +356,9 @@ func TestVisitMatchesCountAndReport(t *testing.T) {
 	}
 }
 
-// TestVisitAllocationFree asserts the tentpole property the serving hooks
-// rely on: a descent with a reused visitor performs zero heap allocations.
+// TestVisitAllocationFree asserts the property the serving hooks rely on:
+// a descent with a reused visitor, and a prepared Agg's query, perform
+// zero heap allocations.
 func TestVisitAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	pts := randomPoints(rng, 4096, 3, true)
@@ -316,6 +377,13 @@ func TestVisitAllocationFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("Visit allocates %.1f objects per query, want 0", avg)
+	}
+	// A prepared annotation answers without allocating on either layout.
+	for _, m := range []semigroup.Monoid[float64]{semigroup.FloatSum(), semigroup.MaxFloat()} {
+		agg := NewAgg(lt, m, workload.WeightOf)
+		if avg := testing.AllocsPerRun(200, func() { agg.Query(boxes[i%len(boxes)]); i++ }); avg != 0 {
+			t.Errorf("Agg.Query allocates %.1f objects per query, want 0", avg)
+		}
 	}
 }
 

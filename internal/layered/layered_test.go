@@ -425,10 +425,12 @@ func TestSharedDescendantCountedOnce(t *testing.T) {
 // on top of that ≈ 124 and ≈ 561, and anything that stores points per
 // node ≥ 700 and ≥ 6 000. The limits sit between the first two. A
 // float64 sum annotation on the same tree is held to its layout: a group
-// keeps one 8-byte prefix per stored cascade entry (≈ 48 and ≈ 275
-// B/point; ≈ 80 and ≈ 437 on every level, which the limits fail), at
-// most 0.55× the two slots per entry (≈ 96 and ≈ 547) of the segment tree
-// a monoid without an Inverse gets.
+// keeps one 8-byte prefix every prefixStride = 4 stored cascade entries
+// and 8 B of f per point (≈ 20 and ≈ 79 B/point; a prefix on every
+// stored entry reads ≈ 48 and ≈ 275, on every level ≈ 80 and ≈ 437,
+// which the limits fail), at most 0.25× the two slots per entry and the
+// same 8 B of f (≈ 104 and ≈ 555) of the segment tree a monoid without
+// an Inverse gets.
 func TestFootprint(t *testing.T) {
 	heap := func() int64 {
 		runtime.GC()
@@ -445,7 +447,7 @@ func TestFootprint(t *testing.T) {
 		runtime.KeepAlive(v)
 		return per
 	}
-	for _, tc := range []struct{ d, limit, aggLimit int }{{2, 54, 64}, {3, 325, 355}} {
+	for _, tc := range []struct{ d, limit, aggLimit int }{{2, 54, 26}, {3, 325, 103}} {
 		pts := randomPoints(rand.New(rand.NewSource(41)), n, tc.d, true)
 		var lt *Tree
 		per := retained(func() any { lt = Build(pts); return lt })
@@ -454,8 +456,8 @@ func TestFootprint(t *testing.T) {
 		}
 		group := retained(func() any { return NewAgg(lt, semigroup.FloatSum(), workload.WeightOf) })
 		tree := retained(func() any { return NewAgg(lt, noInverse(semigroup.FloatSum()), workload.WeightOf) })
-		if group > int64(tc.aggLimit) || float64(group) > 0.55*float64(tree) {
-			t.Errorf("d=%d: group Agg retains %d B/point, limit %d and 0.55× the segment tree's %d",
+		if group > int64(tc.aggLimit) || float64(group) > 0.25*float64(tree) {
+			t.Errorf("d=%d: group Agg retains %d B/point, limit %d and 0.25× the segment tree's %d",
 				tc.d, group, tc.aggLimit, tree)
 		}
 		runtime.KeepAlive(lt)
